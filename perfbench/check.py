@@ -23,6 +23,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from jobs import ROOT, groebner
 
 TESTS = os.path.join(ROOT, "tests")
@@ -39,34 +41,49 @@ MINOR_ORACLE_LIMIT = 1000  # k x k minors the determinantal oracle may expand
 # -- cone references ---------------------------------------------------
 
 
-def _rank(rows) -> int:
-    return oracles.frac_rref([list(r) for r in rows])[0] if rows else 0
-
-
-def _normal(rows, d):
-    """Primitive normal of d-1 integer rows (the signed maximal minors),
-    or None when the rows are dependent."""
+def exact_rank(rows) -> int:
+    """Exact rank of integer or rational rows, by fraction-free
+    elimination (each row below the pivot becomes a cross-multiple)."""
     rows = [list(r) for r in rows]
-    v = [(-1) ** j * oracles.det_int([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
-    return oracles.make_primitive(v) if any(v) else None
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                a = rows[i][c]
+                rows[i] = [top[c] * x - a * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _normals(rays, d):
+    """Signed maximal minors of every d-1 of ``rays``, one row per subset:
+    the subset's normal, zero when the rays are dependent.  The minors are
+    float determinants rounded to integers; the Hadamard bound checked
+    here keeps every determinant below 2^40, far inside float precision,
+    else the oracle's integer expansion computes them."""
+    subsets = np.array(list(itertools.combinations(rays, d - 1)), dtype=np.int64)
+    if np.prod(np.linalg.norm(subsets, axis=2), axis=1).max() >= 2.0 ** 40:
+        return np.array([[(-1) ** j * oracles.det_int([r[:j] + r[j + 1:] for r in sub.tolist()])
+                          for j in range(d)] for sub in subsets], dtype=object)
+    return np.stack([(-1) ** j * np.rint(np.linalg.det(np.delete(subsets, j, axis=2)))
+                     for j in range(d)], axis=1).astype(np.int64)
 
 
 def subset_facets(rays):
     """Facet forms of a full-dimensional cone: every facet is spanned by
     d-1 independent rays, so each such subset's normal that keeps all rays
     on one side is a facet."""
-    d = len(rays[0])
-    out = set()
-    for sub in itertools.combinations(rays, d - 1):
-        f = _normal(sub, d)
-        if f is None:
-            continue
-        vals = [oracles.dot(f, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            out.add(f)
-        elif all(v <= 0 for v in vals):
-            out.add(tuple(-x for x in f))
-    return sorted(out)
+    normals = _normals(rays, len(rays[0]))
+    vals = normals @ np.array(rays, dtype=normals.dtype).T
+    upper = (vals >= 0).all(axis=1)
+    lower = (vals <= 0).all(axis=1)
+    return sorted({oracles.make_primitive(v if up else -v)
+                   for v, up, low in zip(normals, upper, lower) if (up or low) and v.any()})
 
 
 def zonotope_points(rays) -> int:
@@ -84,7 +101,7 @@ class ConeRef:
         self.dim = d
         self.facets = oracles.true_facets(rays) if d <= 3 else subset_facets(rays)
         self.rays = [r for r in rays
-                     if _rank([f for f in self.facets if oracles.dot(f, r) == 0]) == d - 1]
+                     if exact_rank([f for f in self.facets if oracles.dot(f, r) == 0]) == d - 1]
 
     def hilbert_box_points(self) -> int:
         """Points of the zonotope bounding box the Hilbert basis scan visits."""
@@ -92,7 +109,13 @@ class ConeRef:
 
     def mingen_box_points(self) -> int:
         """Points of the box minimal_generators scans for the canonical
-        module: vertex box of {facets >= 1} plus the ray zonotope."""
+        module."""
+        lo, hi = self.mingen_box()
+        return math.prod(b - a + 1 for a, b in zip(lo, hi))
+
+    def mingen_box(self):
+        """Vertex box of {facets >= 1} plus the ray zonotope: every
+        minimal interior point lies in it."""
         verts = []
         for sub in itertools.combinations(self.facets, self.dim):
             sol = oracles.frac_solve_unique([list(f) for f in sub], [1] * self.dim)
@@ -101,11 +124,25 @@ class ConeRef:
             ):
                 verts.append(sol)
         zlo, zhi = oracles.zonotope_box(self.rays)
-        return math.prod(
-            math.ceil(max(v[i] for v in verts) + zhi[i])
-            - math.floor(min(v[i] for v in verts) + zlo[i]) + 1
-            for i in range(self.dim)
-        )
+        lo = [math.floor(min(v[i] for v in verts) + zlo[i]) for i in range(self.dim)]
+        hi = [math.ceil(max(v[i] for v in verts) + zhi[i]) for i in range(self.dim)]
+        return lo, hi
+
+    def covered(self, box, gens, height=0) -> bool:
+        """Every nonzero lattice point of ``box`` with all facet values at
+        least ``height`` is some element of ``gens`` plus a cone point.
+
+        The facet values determine a point, so a box point that is not in
+        ``gens`` and covers nothing is a missing minimal element.
+        """
+        lo, hi = box
+        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
+        forms = np.array(self.facets, dtype=np.int64).T
+        vals = points @ forms
+        vals = vals[(vals >= height).all(axis=1) & vals.any(axis=1)]
+        gen_vals = np.array(gens, dtype=np.int64).reshape(-1, self.dim) @ forms
+        return bool((vals[:, None, :] >= gen_vals[None, :, :]).all(axis=2).any(axis=1).all())
 
     def values(self, x):
         return [oracles.dot(f, x) for f in self.facets]
@@ -198,6 +235,10 @@ def _check_monoid(ref, res):
     elif not (all(any(x) and ref.contains(x) for x in hb)
               and all(r in hb for r in ref.rays) and _irreducible_within(ref, hb)):
         return "Hilbert basis is not an irreducible set of cone points holding the rays"
+    elif not ref.covered(oracles.zonotope_box(ref.rays), hb):
+        # every irreducible lies in the zonotope box; with the check above
+        # this pins the Hilbert basis exactly
+        return "Hilbert basis misses an irreducible point of the zonotope box"
     can = _tuples(res["canonical"])
     if ref.dim <= 2:
         if can != oracles.brute_minimal_interior(ref.rays):
@@ -205,6 +246,8 @@ def _check_monoid(ref, res):
     elif not all(ref.contains(g, 1) and not any(
             ref.contains([p - q for p, q in zip(g, b)], 1) for b in hb) for g in can):
         return "a canonical generator is not interior or not minimal"
+    elif not ref.covered(ref.mingen_box(), can, 1):
+        return "canonical generators miss a minimal interior point of the box"
     if tuple(res["class_group"]) != class_group_of(ref.facets, ref.dim):
         return "class group differs from the oracle"
     return _check_gorenstein(ref, res["gorenstein"], res["certificate"], len(can))
@@ -234,45 +277,76 @@ def _check_cone(ref, res):
     return None
 
 
+def _multidegree(e, grading):
+    return tuple(sum(x * d[i] for x, d in zip(e, grading)) for i in range(len(grading[0])))
+
+
 def _graded(f, grading) -> bool:
-    degs = {tuple(sum(x * d[i] for x, d in zip(e, grading)) for i in range(len(grading[0])))
-            for e in f.terms}
-    return len(degs) <= 1
+    return len({_multidegree(e, grading) for e in f.terms}) <= 1
 
 
-def _check_members(polys, inp, gens):
+def _normal_form_rank(monomials, gb, order, n) -> int:
+    """Rank of the normal forms of ``monomials`` modulo ``gb``: the
+    number of monomials minus the dimension of the ideal in their span."""
+    rows = [groebner.normal_form(groebner.Polynomial.monomial(e, 1, n), gb, order,
+                                 BIG_BUDGET).terms for e in monomials]
+    cols = sorted({t for r in rows for t in r})
+    return exact_rank([[r.get(t, 0) for t in cols] for r in rows]) if cols else 0
+
+
+def _check_graded_subideal(what, inp, gens):
+    """``gens`` are graded, lie in the input ideal I, and generate every
+    graded element of I up to total degree one above the largest degree
+    of the input and of ``gens``: in each multidegree, I and the ideal of
+    ``gens`` meet the span of the monomials in subspaces of equal
+    dimension.  So a hull or graded core that is too small fails."""
     n = inp["vars"]
+    grading = inp["grading"]
     names = groebner.default_variables(n)
     order = groebner.grevlex(n)
     ideal = [groebner.parse_polynomial(s, names) for s in inp["polys"]]
     gb = groebner.buchberger(ideal, order, BIG_BUDGET)
     for g in gens:
-        if not _graded(g, inp["grading"]):
-            return "%s generator is not graded" % polys
+        if not _graded(g, grading):
+            return "%s generator is not graded" % what
         if not groebner.normal_form(g, gb, order, BIG_BUDGET).is_zero:
-            return "%s generator is not in the input ideal" % polys
+            return "%s generator is not in the input ideal" % what
+    gens_gb = groebner.buchberger(list(gens), order, BIG_BUDGET) if gens else ()
+    top = max(f.total_degree() for f in ideal + list(gens)) + 1
+    pieces = {}
+    for e in itertools.product(range(top + 1), repeat=n):
+        if sum(e) <= top:
+            pieces.setdefault(_multidegree(e, grading), []).append(e)
+    for degree, monomials in sorted(pieces.items()):
+        if (_normal_form_rank(monomials, gb, order, n)
+                != _normal_form_rank(monomials, gens_gb, order, n)):
+            return "%s misses a graded element of the ideal in degree %s" % (what, degree)
     return None
 
 
-def _check_prime(inp, height, res):
+def _check_prime(inp, height, res, point):
     if res["dim_p"] != height:
         return "height %d of the prime, expected %d" % (res["dim_p"], height)
-    if res["sigma"] != _rank(inp["grading"]):
+    if res["sigma"] != exact_rank(inp["grading"]):
         return "sigma differs from the rank of the degree matrix"
     tau = res["tau"]
     if tau != res["dim_p"] - res["dim_p_star"]:
         return "tau is not the height drop"
+    if point and tau != res["sigma"]:
+        # the core of a point with no zero coordinate is the ideal of its
+        # torus orbit closure, whose dimension is the rank of the grading
+        return "tau %d of a point prime differs from sigma" % tau
     if res["graded"] != (tau == 0) or not (res["graded"] or 1 <= tau <= res["sigma"]):
         return "tau %d breaks 1 <= tau <= sigma for a nongraded prime" % tau
-    return _check_members("graded core", inp, res["p_star"])
+    return _check_graded_subideal("graded core", inp, res["p_star"])
 
 
 def _check_graded(job, res):
     inp = job["input"]
     if inp["op"] == "hull":
-        return _check_members("hull", inp, res["hull"])
+        return _check_graded_subideal("hull", inp, res["hull"])
     # a point prime has height n, a graph over `free` variables n - free
-    return _check_prime(inp, inp["vars"] - job["props"]["free"], res)
+    return _check_prime(inp, inp["vars"] - job["props"]["free"], res, inp["op"] == "point")
 
 
 def _check_cli(job, text):
@@ -305,7 +379,7 @@ def _check_cli(job, text):
         count = len(oracles.brute_minimal_interior(ref.rays))
         return _check_gorenstein(ref, res["gorenstein"], res["certificate"], count)
     elif command == "normalize":
-        if res["rank"] != _rank(data["generators"]) or set(res) != {
+        if res["rank"] != exact_rank(data["generators"]) or set(res) != {
                 "rank", "lattice_basis", "normalized_generators", "is_normal", "witness"}:
             return "normalize report has the wrong rank or fields"
         if (res["witness"] is None) != res["is_normal"]:
@@ -316,18 +390,27 @@ def _check_cli(job, text):
         names = groebner.default_variables(data["vars"])
         if command == "graded-hull":
             gens = [groebner.parse_polynomial(s, names) for s in res["hull"]]
-            return _check_members("hull", inp, gens)
+            return _check_graded_subideal("hull", inp, gens)
         res = dict(res, p_star=[groebner.parse_polynomial(s, names) for s in res["p_star"]])
-        return _check_prime(inp, data["vars"], res)
+        return _check_prime(inp, data["vars"], res, True)
     return None
+
+
+_cli_verdicts: dict = {}
 
 
 def check(job, result):
     kind = job["kind"]
+    if kind == "cli-small":
+        # the verdict depends only on the two texts, and cli inputs repeat
+        key = (job["input"], result)
+        if key not in _cli_verdicts:
+            _cli_verdicts[key] = _check_cli(job, result)
+        return _cli_verdicts[key]
     if kind == "monoid-ring":
         return _check_monoid(cone_ref(job), result)
     if kind == "cone-duality":
         return _check_cone(cone_ref(job), result)
     if kind == "graded-ideal":
         return _check_graded(job, result)
-    return _check_cli(job, result)
+    raise ValueError("unknown job kind %r" % kind)

@@ -7,10 +7,11 @@ previous one returns.  All inputs are generated from the seed before any
 timing; results are checked after it.  With ``--trace 0`` the run times
 jobs for S seconds (at least MIN_JOBS jobs) and reports the end-to-end
 metrics; with ``--trace 1`` it runs the workload's fixed traced job count
-once untraced and twice traced, and reports per-layer metrics.  Either
-way the last line of stdout is one JSON object; the lines before it are
-the same figures for people.  Any wrong result makes the exit code 1.
-See README.md in this directory for the metrics and workloads.
+twice, each job untraced and traced back to back, and reports per-layer
+metrics.  Either way the last line of stdout is one JSON object; the
+lines before it are the same figures for people.  Any wrong result makes
+the exit code 1.  See README.md in this directory for the metrics and
+workloads.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 MIN_JOBS = 100  # so at least ten latency samples lie beyond p90
 SETUP_PROBES = 5
+TRACED_PASSES = 2  # so that counts can be compared
 
 E2E_UNITS = {
     "jobs_per_s": "1/s",
@@ -155,14 +157,34 @@ def end_to_end(name, seed, seconds):
     return ran, failures, {k: {"value": v, "unit": E2E_UNITS[k]} for k, v in metrics.items()}
 
 
-def _pass(job_list, tracer=None):
-    outcomes = []
-    start = time.perf_counter()
-    for job in job_list:
+def _timed(job, tracer=None):
+    """A job's outcome and seconds, traced by ``tracer`` if one is given."""
+    if tracer is not None:
+        tracer.job = job["id"]
+        tracer.install()
+    try:
+        start = time.perf_counter()
+        outcome = _run_safely(job)
+        return outcome, time.perf_counter() - start
+    finally:
         if tracer is not None:
-            tracer.job = job["id"]
-        outcomes.append(_run_safely(job))
-    return outcomes, time.perf_counter() - start
+            tracer.uninstall()
+
+
+def _paired_pass(job_list, tracer):
+    """Every job untraced and traced back to back, the order alternating
+    from job to job, so that drift in machine speed, which is large over
+    seconds, hits both sides alike.  Returns the untraced and traced
+    (outcome, seconds) lists."""
+    untraced, traced = [], []
+    for k, job in enumerate(job_list):
+        if k % 2:
+            traced.append(_timed(job, tracer))
+            untraced.append(_timed(job))
+        else:
+            untraced.append(_timed(job))
+            traced.append(_timed(job, tracer))
+    return untraced, traced
 
 
 def _count_signature(tracer):
@@ -178,24 +200,23 @@ def traced(name, seed):
     job_list = workloads.generate(name, seed, count + 1)
     jobs.run(job_list[0])  # warm-up, not timed
     ran = job_list[1:]
-    outcomes, untraced_s = _pass(ran)
     passes = []
-    for _ in range(2):
+    for _ in range(TRACED_PASSES):
         tracer = tracing.Tracer()
-        tracer.install()
-        try:
-            traced_outcomes, wall = _pass(ran, tracer)
-        finally:
-            tracer.uninstall()
-        passes.append((tracer, wall, traced_outcomes))
+        untraced, traced_ = _paired_pass(ran, tracer)
+        passes.append((tracer, untraced, traced_))
+    outcomes = [o for o, _ in passes[0][1]]
     failures = _check_all(ran, outcomes)
-    for _, _, traced_outcomes in passes:
-        if traced_outcomes != outcomes:
-            failures.append("traced results differ from untraced results")
-    if _count_signature(passes[0][0]) != _count_signature(passes[1][0]):
-        failures.append("two traced passes gave different counts")
+    if any([o for o, _ in side] != outcomes for _, *sides in passes for side in sides):
+        failures.append("traced or repeated results differ from the first untraced results")
+    signature = _count_signature(passes[0][0])
+    if any(_count_signature(t) != signature for t, *_ in passes[1:]):
+        failures.append("traced passes gave different counts")
+    untraced_s = sum(s for _, untraced, _ in passes for _, s in untraced)
+    traced_s = sum(s for _, _, traced_ in passes for _, s in traced_)
 
-    tracer, wall, _ = passes[0]
+    tracer, _, traced_ = passes[0]
+    wall = sum(s for _, s in traced_)
     calls, self_s, inclusive, harness_s = tracer.layer_times(wall)
     metrics = {}
     for layer in tracing.LAYERS:
@@ -230,9 +251,7 @@ def traced(name, seed):
         "exact_linalg.snf_calls": (tracer.total("snf"), "count"),
         "harness.self_s": (harness_s, "s"),
         "trace.wall_s": (wall, "s"),
-        "trace.jobs": (len(ran), "count"),
-        "trace.spans": (len(tracer.spans), "count"),
-        "trace.overhead_ratio": (wall / untraced_s, "ratio"),
+        "trace.overhead_ratio": (traced_s / untraced_s, "ratio"),
     })
     accounted = sum(self_s.values()) + harness_s
     if abs(accounted - wall) > 1e-6 * wall:
@@ -241,8 +260,9 @@ def traced(name, seed):
     out_dir = os.path.join(check.ROOT, ".perfbench")
     os.makedirs(out_dir, exist_ok=True)
     tracer.save(os.path.join(out_dir, "spans-%s-seed%d.npz" % (name, seed)))
-    print("workload %s  seed %d  traced %d jobs (untraced %.3f s, traced %.3f s)"
-          % (name, seed, len(ran), untraced_s, wall))
+    print("workload %s  seed %d  traced %d jobs, %d spans in the first traced pass"
+          % (name, seed, len(ran), len(tracer.spans)))
+    print("  %d passes: untraced %.3f s, traced %.3f s in all" % (len(passes), untraced_s, traced_s))
     for key, (value, unit) in metrics.items():
         print("  %-30s %16.6f %s" % (key, value, unit))
     return ran, failures, {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}

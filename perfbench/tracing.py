@@ -8,7 +8,8 @@ the classes each module defines.  A wrapper opens a span
 only when the call enters a different layer, so a span is one layer
 boundary crossing.  Spans stay in memory as ``[function, start, end,
 parent, job]`` and are written out by ``save``.  ``uninstall`` restores
-the original functions.
+the original functions; a tracer can be installed and uninstalled many
+times and keeps adding to the same spans and counts.
 """
 
 from __future__ import annotations
@@ -54,11 +55,19 @@ class Tracer:
         self.job = -1
         self._open: list[tuple[int, str]] = []  # (span index, layer)
         self._last_spoly = None
-        self._patches: list[tuple[object, str, object]] = []
+        self._patches = self._wrap()  # (object, name, original, wrapper)
 
     # -- installation ------------------------------------------------------
 
     def install(self) -> None:
+        for mod, name, _, wrapper in self._patches:
+            setattr(mod, name, wrapper)
+
+    def uninstall(self) -> None:
+        for mod, name, fn, _ in reversed(self._patches):
+            setattr(mod, name, fn)
+
+    def _wrap(self):
         targets = []
         for mod, layer in zip(MODULES, LAYERS):
             for name, fn in vars(mod).items():
@@ -75,18 +84,14 @@ class Tracer:
                         or name in COUNTED.get(layer, ()):
                     targets.append((mod, name, fn, home))
         cores = {}
+        patches = []
         for mod, name, fn, home in targets:
             if fn not in cores:
                 cores[fn] = (len(self.functions), self._core(fn, name, home))
                 self.functions.append((home, fn.__qualname__))
             fid, core = cores[fn]
-            setattr(mod, name, self._span(core, fid, home))
-            self._patches.append((mod, name, fn))
-
-    def uninstall(self) -> None:
-        for mod, name, fn in reversed(self._patches):
-            setattr(mod, name, fn)
-        self._patches.clear()
+            patches.append((mod, name, fn, self._span(core, fid, home)))
+        return patches
 
     def _core(self, fn, name, home):
         """The function itself, plus counting for the counted ones."""

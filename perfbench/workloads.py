@@ -3,10 +3,11 @@
 Each workload cycles through a fixed list of job classes, and job ``i``
 draws a random input of class ``i mod len(classes)``.  The fixed class
 mix keeps the cost of a run steady from seed to seed.  In three workloads
-no input repeats an earlier one; ``cli-small`` draws from small input
-spaces, so its inputs repeat, as tiny requests from many users do, and a
-cache keyed on the input would help there only.  The same seed gives the
-same jobs.  Generation runs before any timing and uses only the
+no input repeats an earlier one.  In ``cli-small`` about 60% of the jobs
+repeat an earlier input.  That share comes only from the small input
+ranges chosen to keep its jobs tiny; it reflects no measured traffic, so
+no gain of a cache keyed on the input may rest on it.  The same seed
+gives the same jobs.  Generation runs before any timing and uses only the
 test oracles, never the package under test.
 """
 
@@ -16,7 +17,7 @@ import json
 import random
 import re
 
-from check import oracles, zonotope_points
+from check import exact_rank, oracles, zonotope_points
 
 # (rank, entry bound, ray count range, zonotope box cap).  Sorted by
 # cost, the cycle puts the median inside the rank-3 group and the 90th
@@ -37,8 +38,12 @@ CONE_CLASSES = ((5, 8), (5, 10), (6, 8), (5, 9), (6, 8), (5, 12), (5, 10), (5, 1
 # random nonzero coefficient, so the structure of a class is fixed and
 # its cost steady.  A point prime is the kernel of evaluation at a point;
 # a graph prime x_j - f_j(x_1..x_free) has a polynomial ring as quotient.
-# The hull class on three variables is the costliest and fills three of
-# the thirteen slots, which puts the 90th percentile inside it.
+# Sorted by cost, the cycle puts four classes of similar cost (the 3-variable
+# graph, the (1, -1) hull, the 3-variable point and the 4-variable rank-2
+# graph) in the middle third, so the median sits at the centre of that
+# group rather than near a gap in cost.  The hull class on three variables
+# is the costliest and fills three of the twelve slots, which puts the 90th
+# percentile inside it.
 _HULL3 = ("hull", 0, ((1, 0), (0, 1), (1, 1)), ("x1*x2 + c*x3^2 + c", "x1^2 + c*x2"))
 GRADED_CLASSES = (
     _HULL3,
@@ -50,7 +55,6 @@ GRADED_CLASSES = (
     ("hull", 0, ((1, 0), (0, 1)), ("x1^3 + c*x1*x2 + c", "x2^2 + c*x1")),
     ("point", 0, ((1, 0), (0, 1), (1, 1)), ("x1 + c", "x2 + c", "x3 + c")),
     _HULL3,
-    ("graph", 2, ((1, 0), (0, 1), (1, 1)), ("x3 + c*x1^2 + c*x2 + c",)),
     ("hull", 0, ((1, 0), (0, 1), (1, -1)), ("x1*x3 + c*x2^2 + c*x3", "x1 + c*x2 + c")),
     ("graph", 2, ((1, 0), (0, 1), (1, 1), (1, -1)), ("x3 + c*x1 + c*x2 + c", "x4 + c*x1 + c")),
     ("point", 0, ((1, 0), (0, 1), (1, 1), (1, -1)), ("x1 + c", "x2 + c", "x3 + c", "x4 + c")),
@@ -61,10 +65,6 @@ CLI_COMMANDS = (
     "hilbert-basis", "canonical", "class-group", "gorenstein",
     "normalize", "graded-hull", "analyze-prime",
 )
-
-
-def _rank(rows) -> int:
-    return oracles.frac_rref([list(r) for r in rows])[0]
 
 
 def pointed_rays(rng, d, count, bound, box_cap=None, first_positive=False):
@@ -85,7 +85,7 @@ def pointed_rays(rng, d, count, bound, box_cap=None, first_positive=False):
             if oracles.dot(w, v) > 0:
                 rays.add(oracles.make_primitive(v))
         rays = sorted(rays)
-        if _rank(rays) < d:
+        if exact_rank(rays) < d:
             continue
         if box_cap is not None and zonotope_points(rays) > box_cap:
             continue
