@@ -95,11 +95,13 @@ def zonotope_points(rays) -> int:
 class ConeRef:
     """Facets, extreme rays and enumeration box sizes of cone(rays)."""
 
-    def __init__(self, rays):
+    def __init__(self, rays, oracle=True):
+        """``oracle=False`` finds the facets of rank 2-3 cones by ray
+        subsets too, which is faster than the Fourier-Motzkin oracle."""
         rays = sorted({oracles.make_primitive(r) for r in rays})
         d = len(rays[0])
         self.dim = d
-        self.facets = oracles.true_facets(rays) if d <= 3 else subset_facets(rays)
+        self.facets = oracles.true_facets(rays) if d <= 3 and oracle else subset_facets(rays)
         self.rays = [r for r in rays
                      if exact_rank([f for f in self.facets if oracles.dot(f, r) == 0]) == d - 1]
 
@@ -116,6 +118,41 @@ class ConeRef:
     def mingen_box(self):
         """Vertex box of {facets >= 1} plus the ray zonotope: every
         minimal interior point lies in it."""
+        verts = self._canonical_vertices()
+        zlo, zhi = oracles.zonotope_box(self.rays)
+        lo = [math.floor(min(v[i] for v in verts) + zlo[i]) for i in range(self.dim)]
+        hi = [math.ceil(max(v[i] for v in verts) + zhi[i]) for i in range(self.dim)]
+        return lo, hi
+
+    def _canonical_vertices(self):
+        """Vertices of {facets >= 1}.  A vertex solves F x = 1 for d
+        independent facets F; by Cramer's rule it is (D_1, ..., D_d) / D,
+        with D = det F and D_i the determinant of F with column i set to
+        ones.  The determinants are float determinants rounded to integers
+        under the Hadamard bound of ``_normals``, and facets shorter than
+        2^20 keep the facet values of the numerators inside int64; else the
+        oracle solves each system in fractions."""
+        d = self.dim
+        facets = np.array(self.facets, dtype=np.int64)
+        mats = facets[np.array(list(itertools.combinations(range(len(facets)), d)))]
+        if (np.prod(np.sqrt((mats ** 2).sum(axis=2) + 1.0), axis=1).max() >= 2.0 ** 40
+                or np.linalg.norm(facets, axis=1).max() >= 2.0 ** 20):
+            return self._canonical_vertices_exact()
+        stack = [mats]
+        for i in range(d):
+            m = mats.copy()
+            m[:, :, i] = 1
+            stack.append(m)
+        dets = np.rint(np.linalg.det(np.stack(stack))).astype(np.int64)  # (d + 1, subsets)
+        den, nums = dets[0], dets[1:].T
+        keep = den != 0
+        sign = np.sign(den[keep])
+        den, nums = den[keep] * sign, nums[keep] * sign[:, None]
+        vertex = (nums @ facets.T >= den[:, None]).all(axis=1)
+        return [tuple(Fraction(int(n), int(q)) for n in row)
+                for row, q in zip(nums[vertex], den[vertex])]
+
+    def _canonical_vertices_exact(self):
         verts = []
         for sub in itertools.combinations(self.facets, self.dim):
             sol = oracles.frac_solve_unique([list(f) for f in sub], [1] * self.dim)
@@ -123,10 +160,7 @@ class ConeRef:
                 sum(Fraction(a) * x for a, x in zip(f, sol)) >= 1 for f in self.facets
             ):
                 verts.append(sol)
-        zlo, zhi = oracles.zonotope_box(self.rays)
-        lo = [math.floor(min(v[i] for v in verts) + zlo[i]) for i in range(self.dim)]
-        hi = [math.ceil(max(v[i] for v in verts) + zhi[i]) for i in range(self.dim)]
-        return lo, hi
+        return verts
 
     def covered(self, box, gens, height=0) -> bool:
         """Every nonzero lattice point of ``box`` with all facet values at

@@ -5,11 +5,13 @@
 One process, one client, closed loop: the next job starts when the
 previous one returns.  All inputs are generated from the seed before any
 timing; results are checked after it.  With ``--trace 0`` the run times
-jobs for S seconds (at least MIN_JOBS jobs) and reports the end-to-end
-metrics; with ``--trace 1`` it runs the workload's fixed traced job count
-twice, each job untraced and traced back to back, and reports per-layer
-metrics.  Either way the last line of stdout is one JSON object; the
-lines before it are the same figures for people.  Any wrong result makes
+S seconds' worth of jobs at the workload's nominal rate (at least 100),
+scales each job's time to the nominal host speed (see calibrate.py) and
+reports the end-to-end metrics; with ``--trace 1`` it runs the
+workload's fixed traced job count twice, each job untraced and traced
+back to back, and reports per-layer metrics.  Either way the last line
+of stdout is one JSON object; the lines before it are the same figures
+for people.  Any wrong result makes
 the exit code 1.  See README.md in this directory for the metrics and
 workloads.
 """
@@ -27,8 +29,8 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-MIN_JOBS = 100  # so at least ten latency samples lie beyond p90
-SETUP_PROBES = 5
+SETUP_PROBES = 9
+CALIBRATE_EVERY_S = 0.1  # a calibration sample takes about 1.2 ms
 TRACED_PASSES = 2  # so that counts can be compared
 
 E2E_UNITS = {
@@ -118,42 +120,65 @@ def _print_properties(job_list):
 
 def end_to_end(name, seed, seconds):
     t = time.perf_counter()
-    job_list = workloads.generate(name, seed)
+    job_list = workloads.generate(name, seed, workloads.job_count(name, seconds) + 1)
     generate_s = time.perf_counter() - t
-    setup_s = statistics.median(_probe_setup(job_list[0]) for _ in range(SETUP_PROBES))
     jobs.run(job_list[0])  # warm-up, not timed
+    # set-up probes spread over the timed loop, so that their median
+    # sees the same host as the jobs; they are not part of any job's time
+    probes = []
+    probe_every = -(-(len(job_list) - 1) // SETUP_PROBES)
+    # calibration samples between jobs; sample_at[i] is the number of
+    # jobs run before samples[i] was taken
+    samples, sample_at = [calibrate.sample()], [0]
     outcomes, latencies = [], []
+    last_sample = time.perf_counter()
     start = time.perf_counter()
-    for job in job_list[1:]:
+    for k, job in enumerate(job_list[1:]):
+        if k % probe_every == 0:
+            probes.append(_probe_setup(job_list[0]))
+        if time.perf_counter() - last_sample >= CALIBRATE_EVERY_S:
+            samples.append(calibrate.sample())
+            sample_at.append(len(latencies))
+            last_sample = time.perf_counter()
         t = time.perf_counter()
         outcomes.append(_run_safely(job))
-        done = time.perf_counter()
-        latencies.append(done - t)
-        if done - start >= seconds and len(outcomes) >= MIN_JOBS:
-            break
-    elapsed = time.perf_counter() - start
+        latencies.append(time.perf_counter() - t)
+    samples.append(calibrate.sample())
+    sample_at.append(len(latencies))
+    elapsed = time.perf_counter() - start - sum(probes)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    ran = job_list[1:1 + len(outcomes)]
+    ran = job_list[1:]
     t = time.perf_counter()
     failures = _check_all(ran, outcomes)
     check_s = time.perf_counter() - t
-    deciles = statistics.quantiles(latencies, n=10, method="inclusive")
-    metrics = {
-        "jobs_per_s": (len(outcomes) - len(failures)) / elapsed,
-        "job_p50_ms": 1e3 * statistics.median(latencies),
-        "job_p90_ms": 1e3 * deciles[8],
-        "setup_s": setup_s,
-        "peak_rss_mb": peak_rss_mb,
-    }
+    scales = calibrate.job_scales(samples, sample_at)
+    scaled = [x * k for x, k in zip(latencies, scales)]
+
+    def figures(times):
+        return {
+            "jobs_per_s": (len(times) - len(failures)) / sum(times),
+            "job_p50_ms": 1e3 * statistics.median(times),
+            "job_p90_ms": 1e3 * statistics.quantiles(times, n=10, method="inclusive")[8],
+        }
+    metrics, measured = figures(scaled), figures(latencies)
+    # set-up is mostly loading numpy's and jsonschema's modules, whose
+    # time does not follow the reference loop's, so it is not scaled
+    metrics["setup_s"] = statistics.median(probes)
+    metrics["peak_rss_mb"] = peak_rss_mb
+
     print("workload %s  seed %d  %d jobs in %.3f s, one client, closed loop"
           % (name, seed, len(outcomes), elapsed))
+    quartiles = statistics.quantiles(samples, n=4)
+    print("  reference loop %.0f / %.0f / %.0f us (quartiles of %d samples), nominal %.0f us"
+          % (*(1e6 * q for q in quartiles), len(samples), 1e6 * calibrate.REF_S))
+    print("  %-14s %12s %12s" % ("", "reported", "unscaled"))
     for key, value in metrics.items():
-        print("  %-14s %12.4f %s" % (key, value, E2E_UNITS[key]))
-    print("  %-14s %12.4f %s (%d of %d jobs failed)"
-          % ("error_rate", len(failures) / len(outcomes), "ratio", len(failures), len(outcomes)))
+        print("  %-14s %12.4f %12.4f %s" % (key, value, measured.get(key, value), E2E_UNITS[key]))
+    print("  %-14s %12.4f %12s %s (%d of %d jobs failed)"
+          % ("error_rate", len(failures) / len(outcomes), "", "ratio", len(failures), len(outcomes)))
     _print_properties(ran)
     print("harness: generating %.2f s, %d set-up probes %.2f s, checking %.2f s"
-          % (generate_s, SETUP_PROBES, SETUP_PROBES * setup_s, check_s))
+          % (generate_s, len(probes), sum(probes), check_s))
     return ran, failures, {k: {"value": v, "unit": E2E_UNITS[k]} for k, v in metrics.items()}
 
 
@@ -302,6 +327,7 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     os.environ.pop("MONOGRADE_BUDGET", None)  # the CLI jobs use the default budget
+    import calibrate  # noqa: E402
     import check  # noqa: E402  (exits when the checkout has no monograde or oracles)
     import jobs  # noqa: E402
     import tracing  # noqa: E402

@@ -2,7 +2,8 @@
 
 Each workload cycles through a fixed list of job classes, and job ``i``
 draws a random input of class ``i mod len(classes)``.  The fixed class
-mix keeps the cost of a run steady from seed to seed.  In three workloads
+mix, and the box and facet bands of the cone classes, keep the cost of a
+run steady from seed to seed.  In three workloads
 no input repeats an earlier one.  In ``cli-small`` about 60% of the jobs
 repeat an earlier input.  That share comes only from the small input
 ranges chosen to keep its jobs tiny; it reflects no measured traffic, so
@@ -17,22 +18,29 @@ import json
 import random
 import re
 
-from check import exact_rank, oracles, zonotope_points
+from check import ConeRef, exact_rank, oracles
 
-# (rank, entry bound, ray count range, zonotope box cap).  Sorted by
-# cost, the cycle puts the median inside the rank-3 group and the 90th
-# percentile inside the rank-4 group, whose boxes are the heavy tail; the
-# cap keeps every job far below the library's enumeration limit.
+# (rank, entry bound, ray count range, box band).  A band (lo, hi) keeps
+# only cones whose Hilbert and canonical boxes hold lo to hi points in
+# all; the cost of a job grows with those boxes, so a band keeps the
+# cost of its class within a factor of about two.  Sorted by cost, the
+# cycle puts the median in the middle of the rank-3 group and the 90th
+# percentile inside the rank-4 group, whose boxes are the heavy tail;
+# the band keeps every job far below the library's enumeration limit.
 _R2 = (2, 4, (2, 3), None)
-_R3 = (3, 2, (3, 4), None)
-_R4 = (4, 2, (4, 5), 2000)
+_R3 = (3, 2, (3, 4), (100, 200))
+_R4 = (4, 2, (4, 5), (1200, 2000))
 MONOID_CLASSES = (_R2, _R3, _R4, _R3, _R2, _R4, _R3, _R2, _R3, _R4)
 
-# (rank, ray count); entries in [-1, 1] with first coordinate 1.  Sorted
-# by cost the cycle puts the median inside the (5, 10)/(6, 8) group and
-# the 90th percentile inside the (5, 12) group, not on a class boundary.
-CONE_CLASSES = ((5, 8), (5, 10), (6, 8), (5, 9), (6, 8), (5, 12), (5, 10), (5, 11), (5, 8),
-                (5, 12))
+# (rank, ray count, facet band); entries in [-1, 1] with first
+# coordinate 1.  The cost of a job grows with the facet count, so the
+# band keeps the cost of each class within about 20% of its middle.
+# Sorted by cost, the cycle puts the median inside the (6, 8)/(5, 10)
+# group and the 90th percentile inside the (5, 12) group, not on a class
+# boundary.
+CONE_CLASSES = ((5, 8, (10, 12)), (5, 10, (16, 18)), (6, 8, (14, 16)), (5, 9, (14, 16)),
+                (6, 8, (14, 16)), (5, 12, (18, 20)), (5, 10, (16, 18)), (5, 11, (18, 20)),
+                (5, 8, (10, 12)), (5, 12, (18, 20)))
 
 # (operation, free variables, grading, polynomials).  Each "c" becomes a
 # random nonzero coefficient, so the structure of a class is fixed and
@@ -67,7 +75,7 @@ CLI_COMMANDS = (
 )
 
 
-def pointed_rays(rng, d, count, bound, box_cap=None, first_positive=False):
+def pointed_rays(rng, d, count, bound, first_positive=False):
     """``count`` distinct primitive vectors spanning Q^d, all positive on
     one functional (so the cone is pointed)."""
     while True:
@@ -86,8 +94,6 @@ def pointed_rays(rng, d, count, bound, box_cap=None, first_positive=False):
                 rays.add(oracles.make_primitive(v))
         rays = sorted(rays)
         if exact_rank(rays) < d:
-            continue
-        if box_cap is not None and zonotope_points(rays) > box_cap:
             continue
         return [list(r) for r in rays]
 
@@ -128,15 +134,25 @@ def _job(i, kind, inp, **props):
 
 
 def monoid_ring(rng, i):
-    d, bound, (lo, hi), cap = MONOID_CLASSES[i % len(MONOID_CLASSES)]
-    rays = pointed_rays(rng, d, rng.randint(lo, hi), bound, cap)
+    d, bound, (lo, hi), band = MONOID_CLASSES[i % len(MONOID_CLASSES)]
+    while True:
+        rays = pointed_rays(rng, d, rng.randint(lo, hi), bound)
+        if band is None:
+            break
+        ref = ConeRef(rays, oracle=False)
+        if band[0] <= ref.hilbert_box_points() + ref.mingen_box_points() <= band[1]:
+            break
     return _job(i, "monoid-ring", rays, rank=d, rays=len(rays))
 
 
 def cone_duality(rng, i):
-    d, count = CONE_CLASSES[i % len(CONE_CLASSES)]
-    rays = pointed_rays(rng, d, count, 1, first_positive=True)
-    return _job(i, "cone-duality", rays, rank=d, rays=count)
+    d, count, (lo, hi) = CONE_CLASSES[i % len(CONE_CLASSES)]
+    while True:
+        rays = pointed_rays(rng, d, count, 1, first_positive=True)
+        facets = len(ConeRef(rays, oracle=False).facets)
+        if lo <= facets <= hi:
+            break
+    return _job(i, "cone-duality", rays, rank=d, rays=count, facets=facets)
 
 
 def graded_ideal(rng, i):
@@ -151,23 +167,30 @@ def cli_small(rng, i):
     return _job(i, "cli-small", _cli_input(rng, command), command=command)
 
 
-# name -> (job generator, jobs generated per run, jobs in a traced run,
-# whether inputs are distinct).  A run stops early if it gets through
-# every generated job.
+# name -> (job generator, jobs per second of --seconds, jobs in a traced
+# run, whether inputs are distinct).  The rate is about the throughput
+# at the commit that added the benchmark, so a run takes about --seconds
+# there; the same seed and seconds give the same jobs.
 WORKLOADS = {
-    "monoid-ring": (monoid_ring, 2000, 160, True),
-    "cone-duality": (cone_duality, 1000, 100, True),
-    "graded-ideal": (graded_ideal, 2600, 260, True),
-    "cli-small": (cli_small, 24000, 1400, False),
+    "monoid-ring": (monoid_ring, 65, 160, True),
+    "cone-duality": (cone_duality, 14, 100, True),
+    "graded-ideal": (graded_ideal, 42, 260, True),
+    "cli-small": (cli_small, 300, 1400, False),
 }
+MIN_JOBS = 100  # so that at least ten latency samples lie beyond p90
 
 
-def generate(name, seed, count=None):
-    make, default, _, distinct = WORKLOADS[name]
+def job_count(name, seconds) -> int:
+    """Jobs timed in a run of ``seconds``."""
+    return max(MIN_JOBS, round(seconds * WORKLOADS[name][1]))
+
+
+def generate(name, seed, count):
+    make, _, _, distinct = WORKLOADS[name]
     rng = random.Random("%s/%d" % (name, seed))
     seen = set()
     out = []
-    for i in range(default if count is None else count):
+    for i in range(count):
         job = make(rng, i)
         while distinct and json.dumps(job["input"]) in seen:
             job = make(rng, i)
