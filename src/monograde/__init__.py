@@ -3,8 +3,9 @@ multigraded polynomial ideals.
 
 The package computes, over arbitrary-precision integers and rationals:
 
-* Hermite and Smith normal forms, integer kernels and solves, abelian
-  quotients (``exact_linalg``);
+* fraction-free ranks, determinants and rational solves, Hermite and
+  Smith normal forms, integer kernels and solves, abelian quotients
+  (``exact_linalg``);
 * polyhedral cone duality by the double description method (``cone``);
 * affine monoid normalization, Hilbert bases, normality witnesses and
   unit groups (``monoid``);

@@ -12,6 +12,7 @@ for malformed input, 3 for exhausted budgets or enumeration limits, and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -81,6 +82,11 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    return jsonschema.Draft202012Validator(_schema())
+
+
 def _check_vectors(name: str, rows) -> None:
     width = len(rows[0])
     for i, row in enumerate(rows):
@@ -99,8 +105,7 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError("input is not valid JSON: %s" % e) from None
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: str(e.json_path))
+    errors = sorted(_validator().iter_errors(data), key=lambda e: str(e.json_path))
     if errors:
         err = errors[0]
         raise InputError("%s: %s" % (err.json_path, err.message))

@@ -1,22 +1,26 @@
 """Rational polyhedral cones with exact ray and facet duality.
 
 Both conversion directions run the double description method over exact
-integers.  Cones may be non-pointed (the lineality space is reported
-separately) and lower-dimensional.  For a full-dimensional cone the
-facet forms are the unique primitive supports of the facets; otherwise
-they describe the cone modulo the orthogonal complement of its span and
-are made deterministic by the lattice normalizations used throughout.
+integers.  Its start cone comes from one fraction-free elimination, and
+its adjacency test is combinatorial: each ray carries a bitmask of the
+constraints tight on it, and two rays are adjacent iff no third ray's
+mask contains the AND of theirs.  Cones may be non-pointed (the
+lineality space is reported separately) and lower-dimensional.  For a
+full-dimensional cone the facet forms are the unique primitive supports
+of the facets; otherwise they describe the cone modulo the orthogonal
+complement of its span and are made deterministic by the lattice
+normalizations used throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .exact_linalg import (
     Vec,
+    _eliminate,
     as_tuple,
     as_tuples,
     int_matrix,
@@ -24,7 +28,6 @@ from .exact_linalg import (
     primitive,
     rank,
     snf,
-    solve_rational,
     unimodular_inverse,
 )
 
@@ -61,76 +64,50 @@ def _dot(a, b) -> int:
     return sum(int(x) * int(y) for x, y in zip(a, b))
 
 
-def _scale_to_primitive_int(sol: tuple[Fraction, ...]) -> Vec:
-    denom = 1
-    for f in sol:
-        denom = denom * f.denominator // _gcd(denom, f.denominator)
-    return primitive(tuple(int(f * denom) for f in sol))
+def _pointed_extreme_rays(a: list[Vec], d: int) -> list[Vec]:
+    """Extreme rays of {x : A x >= 0} for A of full column rank d (pointed cone).
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _adjacent(processed: np.ndarray, r1: Vec, r2: Vec, d: int) -> bool:
-    # algebraic adjacency test: the constraints tight at both rays must
-    # cut a face of dimension exactly 2
-    tight = [i for i in range(processed.shape[0])
-             if _dot(processed[i], r1) == 0 and _dot(processed[i], r2) == 0]
-    if d == 2:
-        return True
-    if not tight:
-        return False
-    return rank(processed[tight]) == d - 2
-
-
-def _pointed_extreme_rays(a: np.ndarray) -> list[Vec]:
-    """Extreme rays of {x : A x >= 0} for A of full column rank (pointed cone).
-
-    Incremental double description: start from a simplicial subcone cut
-    out by d independent constraints, then insert the rest one by one,
-    keeping only adjacent positive/negative ray pairs.
+    Incremental double description: start from the simplicial cone cut
+    out by the first d independent constraints, then insert the rest one
+    by one.  Each ray carries a bitmask of the inserted constraints tight
+    on it.  A positive and a negative ray are adjacent iff no third ray
+    is tight on every constraint both are tight on (Fukuda & Prodon
+    1996); only adjacent pairs combine into new rays.
     """
-    m, d = a.shape
     if d == 0:
         return []
-    base: list[int] = []
-    for i in range(m):
-        if rank(a[base + [i]]) > len(base):
-            base.append(i)
-        if len(base) == d:
-            break
+    # pivot columns of A^T: the first d rows of A that are independent
+    _, base, _, _ = _eliminate([list(col) for col in zip(*a)], len(a))
     if len(base) < d:
         raise ValueError("constraint matrix does not have full column rank")
-    b = a[base]
-    rays: list[Vec] = []
-    for j in range(d):
-        rhs = [Fraction(1 if i == j else 0) for i in range(d)]
-        sol = solve_rational(b, rhs)
-        rays.append(_scale_to_primitive_int(sol))
-    rays.sort()
-    processed = list(base)
-    for i in range(m):
-        if i in processed:
+    # [B | I] reduces to [e*I | e*B^-1]; column j of B^-1 is tight on all of B but row j
+    aug = [list(a[i]) + [int(j == k) for k in range(d)] for j, i in enumerate(base)]
+    rows, _, e, _ = _eliminate(aug, d)
+    sgn = 1 if e > 0 else -1
+    inserted = sum(1 << i for i in base)
+    masks = {primitive([sgn * row[d + j] for row in rows]): inserted ^ (1 << i)
+             for j, i in enumerate(base)}
+    for i, row in enumerate(a):
+        bit = 1 << i
+        if inserted & bit:
             continue
-        row = a[i]
-        vals = [_dot(row, r) for r in rays]
-        pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
-        zer = [r for r, v in zip(rays, vals) if v == 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        if neg:
-            pmat = a[processed]
-            fresh: list[Vec] = []
-            for rp, vp in pos:
-                for rn, vn in neg:
-                    if _adjacent(pmat, rp, rn, d):
-                        w = tuple(vp * y - vn * x for x, y in zip(rp, rn))
-                        fresh.append(primitive(w))
-            rays = sorted(set([r for r, _ in pos] + zer + fresh))
-        processed.append(i)
-    return rays
+        vals = {r: _dot(row, r) for r in masks}
+        fresh = {r: masks[r] | (0 if v else bit) for r, v in vals.items() if v >= 0}
+        neg = [r for r, v in vals.items() if v < 0]
+        for rp, vp in vals.items():
+            if vp <= 0:
+                continue
+            for rn in neg:
+                common = masks[rp] & masks[rn]
+                # a 2-face is cut out by at least d - 2 constraints: a cheap first filter
+                if common.bit_count() < d - 2 or any(
+                        m & common == common and r != rp and r != rn for r, m in masks.items()):
+                    continue
+                vn = vals[rn]
+                fresh[primitive([vp * y - vn * x for x, y in zip(rp, rn)])] = common | bit
+        masks = fresh
+        inserted |= bit
+    return sorted(masks)
 
 
 def _quotient_transform(lin_rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -153,13 +130,13 @@ def _dd(a: np.ndarray) -> tuple[list[Vec], np.ndarray]:
     lin = kernel_basis(a, width=d)
     u = lin.shape[0]
     if u == 0:
-        return _pointed_extreme_rays(a), lin
+        return _pointed_extreme_rays(as_tuples(a), d), lin
     if u == d:
         return [], lin
     p, pinv, _ = _quotient_transform(lin, d)
     aq = (a @ pinv)[:, u:]
     lift = pinv[:, u:]
-    rays_q = _pointed_extreme_rays(aq)
+    rays_q = _pointed_extreme_rays(as_tuples(aq), d - u)
     rays = sorted(primitive(lift @ np.array(y, dtype=object)) for y in rays_q)
     return rays, lin
 
@@ -183,10 +160,7 @@ def _clean_vectors(vectors, width: int | None) -> tuple[list[Vec], int]:
 
 
 def _face_dim(tight_forms: list[Vec], span_cuts: np.ndarray, d: int) -> int:
-    stack = list(tight_forms) + [as_tuple(r) for r in span_cuts]
-    if not stack:
-        return d
-    return d - rank(int_matrix(stack, width=d))
+    return d - rank(list(tight_forms) + list(span_cuts))
 
 
 def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
@@ -202,7 +176,7 @@ def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
     span_cuts = dual_lin  # functionals vanishing on span(C)
     cut_stack = [list(f) for f in forms] + [list(r) for r in span_cuts]
     lin = kernel_basis(int_matrix(cut_stack, width=d), width=d)
-    dim = rank(r_mat) if gens else 0
+    dim = rank(gens)
     lin_dim = lin.shape[0]
     extreme: list[Vec] = []
     for v in gens:
@@ -227,14 +201,11 @@ def rays_of_facets(forms, ambient_rank: int) -> Cone:
     fs, d = _clean_vectors(forms, ambient_rank)
     a = int_matrix(fs, width=d)
     rays, lin = _dd(a)
-    dim_stack = [list(r) for r in rays] + [list(r) for r in lin]
-    dim = rank(int_matrix(dim_stack, width=d)) if dim_stack else 0
+    dim = rank(rays + list(lin))
     kept: list[Vec] = []
     for f in fs:
         tight = [r for r in rays if _dot(f, r) == 0]
-        face_stack = [list(r) for r in tight] + [list(r) for r in lin]
-        face_dim = rank(int_matrix(face_stack, width=d)) if face_stack else 0
-        if face_dim == dim - 1:
+        if rank(tight + list(lin)) == dim - 1:
             kept.append(f)
     return Cone(
         rays=tuple(rays),
@@ -259,11 +230,7 @@ def membership(cone: Cone, x, mode: str = "closure") -> bool:
         raise ValueError("point does not match the ambient rank")
     if mode not in ("closure", "interior"):
         raise ValueError("mode must be 'closure' or 'interior'")
-    if cone.dim < cone.ambient_rank:
-        span = [list(r) for r in cone.rays] + [list(r) for r in cone.lineality]
-        if not span:
-            return not any(x)
-        if rank(int_matrix(span + [list(x)])) != rank(int_matrix(span)):
-            return False
+    if cone.dim < cone.ambient_rank and rank(cone.rays + cone.lineality + (x,)) > cone.dim:
+        return False
     bound = 0 if mode == "closure" else 1
     return all(_dot(f, x) >= bound for f in cone.facet_forms)

@@ -19,19 +19,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, prod
 
 import numpy as np
 
 from .exact_linalg import (
     AbelianQuotient,
     Vec,
+    _eliminate,
     as_tuple,
     cokernel,
-    int_matrix,
-    rank,
     solve_integer,
-    solve_rational,
 )
 from .monoid import AffineMonoid, _dot, _guard_box
 
@@ -78,24 +76,20 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
 def _region_vertices(forms, heights, dim) -> list[tuple[Fraction, ...]]:
     """Rational vertices of {y : forms(y) >= heights} (plus possibly some
     non-vertex tight points, which only widen the bounding box)."""
-    s = len(forms)
     verts = []
-    for subset in itertools.combinations(range(s), dim):
-        sub = int_matrix([forms[i] for i in subset], width=dim)
-        if rank(sub) < dim:
+    for subset in itertools.combinations(range(len(forms)), dim):
+        aug = [list(forms[i]) + [heights[i]] for i in subset]
+        rows, pivots, d, _ = _eliminate(aug, dim)
+        if len(pivots) < dim:
             continue
-        rhs = [heights[i] for i in subset]
-        sol = solve_rational(sub, rhs)
-        if sol is None:
-            continue
-        ok = True
-        for i in range(s):
-            val = sum(Fraction(int(f)) * x for f, x in zip(forms[i], sol))
-            if val < heights[i]:
-                ok = False
-                break
-        if ok:
-            verts.append(sol)
+        # the tight point is x / d; test forms(x) >= heights * d in integers
+        if d < 0:
+            d = -d
+            x = [-row[dim] for row in rows]
+        else:
+            x = [row[dim] for row in rows]
+        if all(_dot(f, x) >= h * d for f, h in zip(forms, heights)):
+            verts.append(tuple(Fraction(v, d) for v in x))
     return verts
 
 
@@ -117,19 +111,17 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
         return (m.to_ambient((0,) * m.rank),)
     forms = view.forms
     h = ideal.heights
+    zlo = [sum(min(0, r[i]) for r in view.rays) for i in range(k)]
+    zhi = [sum(max(0, r[i]) for r in view.rays) for i in range(k)]
+    # the full box is at least as wide as the zonotope box in every
+    # coordinate, so guard that one before the vertex subsets run
+    _guard_box(prod(b - a + 1 for a, b in zip(zlo, zhi)))
     verts = _region_vertices(forms, h, k)
     if not verts:
         raise RuntimeError("height region unexpectedly has no vertices")
-    lo, hi = [], []
-    for i in range(k):
-        vmin = min(v[i] for v in verts) + sum(min(0, r[i]) for r in view.rays)
-        vmax = max(v[i] for v in verts) + sum(max(0, r[i]) for r in view.rays)
-        lo.append(floor(vmin))
-        hi.append(ceil(vmax))
-    volume = 1
-    for a, b in zip(lo, hi):
-        volume *= b - a + 1
-    _guard_box(volume)
+    lo = [floor(min(v[i] for v in verts)) + zlo[i] for i in range(k)]
+    hi = [ceil(max(v[i] for v in verts)) + zhi[i] for i in range(k)]
+    _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
     hb_vals = [tuple(_dot(f, b) for f in forms) for b in m._pointed_hilbert]
     minimal = []
     for pt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
@@ -158,11 +150,14 @@ def canonical_module(m: AffineMonoid) -> CanonicalModule:
     """Module of interior lattice points: every facet height equals one.
 
     On lattice points, being at least one on every facet form is the
-    same as being strictly inside the cone.
+    same as being strictly inside the cone.  The result is kept on the
+    monoid, so later calls (``is_gorenstein`` among them) reuse it.
     """
     m.require_normal()
-    ideal = DivisorialIdeal(m, (1,) * len(m.facet_forms))
-    return CanonicalModule(ideal, minimal_generators(ideal))
+    if m._canonical is None:
+        ideal = DivisorialIdeal(m, (1,) * len(m.facet_forms))
+        m._canonical = CanonicalModule(ideal, minimal_generators(ideal))
+    return m._canonical
 
 
 @dataclass(frozen=True)

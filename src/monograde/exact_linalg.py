@@ -1,9 +1,13 @@
 """Exact integer linear algebra on arbitrary-precision object arrays.
 
-Hermite and Smith normal forms with recorded unimodular transforms,
-primitive vectors, integer kernels and solves, and finitely generated
-abelian quotients in invariant-factor form.  Matrices are numpy arrays
-with dtype=object holding Python ints, so nothing here can overflow.
+Rational questions (rank, determinant, rational solves, inverses of
+unimodular matrices) all run on one fraction-free Gauss-Jordan kernel,
+``_eliminate``, which never leaves the integers.  Lattice questions
+need a unimodular transform and use the Hermite form (lattice bases,
+kernels) or the Smith form (cokernels, integer solves); those also give
+primitive vectors and finitely generated abelian quotients in
+invariant-factor form.  Matrices are numpy arrays with dtype=object
+holding Python ints, so nothing here can overflow.
 
 Conventions: matrices act on column vectors, so ``cokernel(A)`` is the
 quotient of ``Z^rows(A)`` by the column span of ``A``.  Lattices are
@@ -81,6 +85,40 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x0, y0
 
 
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer rows.
+
+    Pivots are taken in the first ``ncols`` columns, leftmost first;
+    further columns ride along as right-hand sides.  Returns
+    ``(rows, pivot_cols, d, sign)``: the k-th row has the entry ``d`` in
+    column ``pivot_cols[k]`` and zeros in every other pivot column, the
+    rows after the pivot rows are zero in the first ``ncols`` columns,
+    and ``sign`` is the parity of the row swaps.  Every entry stays a
+    minor of the input, so each division is exact; for a nonsingular
+    square block, ``sign * d`` is its determinant.
+    """
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    d, sign = 1, 1
+    for j in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[j]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[j]
+                rows[i] = [(pv * x - f * y) // d for x, y in zip(row, top)]
+        d = pv
+        pivots.append(j)
+    return rows, pivots, d, sign
+
+
 def _combine_rows(m: np.ndarray, r: int, i: int, s: int, t: int, u: int, v: int) -> None:
     # row_r' = s*row_r + t*row_i ; row_i' = -v*row_r + u*row_i ; s*u + t*v = 1
     new_r = s * m[r] + t * m[i]
@@ -141,10 +179,9 @@ def row_lattice_basis(a) -> np.ndarray:
 
 
 def rank(a) -> int:
-    a = _as_matrix(a)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    return row_lattice_basis(a).shape[0]
+    """Rank over Q of a matrix given as an array or a sequence of rows."""
+    rows = [[int(x) for x in row] for row in a]
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
 def snf(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,72 +388,41 @@ def solve_rational(a, b) -> tuple[Fraction, ...] | None:
     """
     a = _as_matrix(a)
     m, n = a.shape
-    rows = [[Fraction(int(a[i, j])) for j in range(n)] + [Fraction(int(b[i]))] for i in range(m)]
-    pivots: list[int] = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, m) if rows[i][j] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][j]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][j] != 0:
-                f = rows[i][j]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(j)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
+    aug = [[int(x) for x in a[i]] + [int(b[i])] for i in range(m)]
+    rows, pivots, d, _ = _eliminate(aug, n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for i, j in enumerate(pivots):
-        x[j] = rows[i][n]
+    for row, j in zip(rows, pivots):
+        x[j] = Fraction(row[n], d)
     return tuple(x)
 
 
 def determinant(a) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant, the last pivot of fraction-free elimination."""
     a = _as_matrix(a)
     m, n = a.shape
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    w = [[int(a[i, j]) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if w[t][t] == 0:
-            piv = next((i for i in range(t + 1, n) if w[i][t] != 0), None)
-            if piv is None:
-                return 0
-            w[t], w[piv] = w[piv], w[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                w[i][j] = (w[i][j] * w[t][t] - w[i][t] * w[t][j]) // prev
-            w[i][t] = 0
-        prev = w[t][t]
-    return sign * w[n - 1][n - 1]
+    _, pivots, d, sign = _eliminate([[int(x) for x in row] for row in a], n)
+    return sign * d if len(pivots) == n else 0
 
 
 def unimodular_inverse(m) -> np.ndarray:
     """Inverse of a unimodular integer matrix, exactly.
 
-    The Hermite form of a unimodular matrix is the identity, so the
-    recorded transform is the inverse.
+    Elimination of [M | I] leaves [d*I | d*M^-1], and M is unimodular
+    exactly when it has full rank and d is +1 or -1.
     """
     m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    n = m.shape[0]
+    if m.shape[1] != n:
         raise ValueError("matrix is not square")
-    h, u = hnf(m)
-    if not np.array_equal(h, identity_matrix(m.shape[0])):
+    aug = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    rows, pivots, d, _ = _eliminate(aug, n)
+    if len(pivots) < n or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return u
+    return int_matrix([[d * x for x in row[n:]] for row in rows], width=n)
 
 
 def lattice_member(basis_rows, v) -> bool:

@@ -93,6 +93,7 @@ class AffineMonoid:
         self.lattice_basis = lattice_basis  # (d, r) rows, canonical Hermite basis
         self.local_generators = tuple(as_tuple(g) for g in local_generators)
         self._assume_normal = bool(assume_normal)
+        self._canonical = None  # set by divisorial.canonical_module
 
     # -- coordinates -------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact_linalg import Vec, as_tuple, int_matrix, rank
+from .exact_linalg import Vec, as_tuple, rank
 from .groebner import (
     BudgetExceededError,
     IdealPresentation,
@@ -74,7 +74,7 @@ class GradedRingSpec:
 
     def sigma(self) -> int:
         """Rank of the subgroup of Z^r generated by the variable degrees."""
-        return rank(int_matrix(self.degrees, width=self.rank))
+        return rank(self.degrees)
 
 
 def homogeneous_components(f: Polynomial, spec: GradedRingSpec) -> dict[Vec, Polynomial]:

@@ -174,6 +174,48 @@ def true_facets(rays):
     return sorted(out)
 
 
+def subset_facets(rays):
+    """Facet forms of a full-dimensional cone from subsets of its rays.
+
+    Every (d-1)-subset of the rays that spans a hyperplane gives a
+    primitive normal; it is a facet form, oriented inward, when every
+    ray lies on one side of that hyperplane.  Exact and exhaustive, and
+    cheap enough for rank 5-6 cones with a dozen rays, where
+    Fourier-Motzkin blows up.
+    """
+    rays = [tuple(map(int, r)) for r in rays]
+    d = len(rays[0])
+    out = set()
+    for subset in itertools.combinations(rays, d - 1):
+        rank, pivots, rows = frac_rref(subset)
+        if rank != d - 1:
+            continue
+        free = next(j for j in range(d) if j not in pivots)
+        normal = [Fraction(0)] * d
+        normal[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            normal[p] = -rows[i][free]
+        denom = math.lcm(*(x.denominator for x in normal))
+        normal = make_primitive([int(x * denom) for x in normal])
+        vals = [dot(normal, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            out.add(normal)
+        elif all(v <= 0 for v in vals):
+            out.add(tuple(-x for x in normal))
+    return sorted(out)
+
+
+def extreme_by_facets(rays, forms):
+    """The primitive rays whose tight facet forms span a hyperplane."""
+    d = len(forms[0])
+    out = set()
+    for r in rays:
+        tight = [f for f in forms if dot(f, r) == 0]
+        if tight and frac_rref(tight)[0] == d - 1:
+            out.add(make_primitive(r))
+    return sorted(out)
+
+
 def fm_member(rays, x):
     """Exact membership of x in cone(rays) by affine feasibility."""
     rays = [tuple(map(int, r)) for r in rays]
@@ -236,6 +278,20 @@ def brute_irreducibles(rays, floor_bound=5):
     return sorted(irred)
 
 
+def region_tight_points(forms, heights):
+    """Feasible points of {y : forms(y) >= heights} where d of the forms
+    are tight with a unique solution, by rational solves, in subset order."""
+    d = len(forms[0])
+    out = []
+    for subset in itertools.combinations(range(len(forms)), d):
+        sol = frac_solve_unique([forms[i] for i in subset], [heights[i] for i in subset])
+        if sol is None:
+            continue
+        if all(sum(Fraction(f[k]) * sol[k] for k in range(d)) >= h for f, h in zip(forms, heights)):
+            out.append(sol)
+    return out
+
+
 def brute_minimal_interior(rays):
     """Minimal interior lattice points of cone(rays) over the monoid
     of all lattice points, by exhaustive scan.
@@ -247,15 +303,7 @@ def brute_minimal_interior(rays):
     rays = [tuple(map(int, r)) for r in rays]
     d = len(rays[0])
     forms = true_facets(rays)
-    ones = [1] * len(forms)
-    verts = []
-    for subset in itertools.combinations(range(len(forms)), d):
-        mat = [forms[i] for i in subset]
-        sol = frac_solve_unique(mat, [1] * d)
-        if sol is None:
-            continue
-        if all(sum(Fraction(f[k]) * sol[k] for k in range(d)) >= 1 for f in forms):
-            verts.append(sol)
+    verts = region_tight_points(forms, [1] * len(forms))
     assert verts, "interior region of a full-dimensional cone has a vertex"
     zlo, zhi = zonotope_box(rays)
     lo, hi = [], []

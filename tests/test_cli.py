@@ -11,6 +11,7 @@ import io
 import json
 import shutil
 import subprocess
+import time
 
 import jsonschema
 import pytest
@@ -172,6 +173,18 @@ def test_exhausted_budget_exits_3(monkeypatch, capsys):
     code, message = error_of(monkeypatch, capsys, ["graded-hull"], job)
     assert code == EXIT_BUDGET
     assert "budget" in message
+
+
+def test_huge_canonical_box_exits_3_before_enumerating_vertices(monkeypatch, capsys):
+    # the moment curve's 8 rays give a cone with many facets and a huge
+    # zonotope box; the box guard must fire before the facet subsets run
+    rays = [[1, t, t ** 2, t ** 3, t ** 4] for t in range(8)]
+    job = json.dumps({"command": "canonical", "rays": rays})
+    t0 = time.monotonic()
+    code, message = error_of(monkeypatch, capsys, ["canonical"], job)
+    assert code == EXIT_BUDGET
+    assert "enumeration box" in message
+    assert time.monotonic() - t0 < 5
 
 
 def test_violated_precondition_exits_4(monkeypatch, capsys):

@@ -6,7 +6,15 @@ import random
 import pytest
 
 from monograde.cone import Cone, facets_of_rays, membership, rays_of_facets
-from oracles import dot, fm_facets, fm_member, random_pointed_cones
+from oracles import (
+    dot,
+    extreme_by_facets,
+    fm_facets,
+    fm_member,
+    frac_rref,
+    random_pointed_cones,
+    subset_facets,
+)
 
 
 # -- fixtures ----------------------------------------------------------
@@ -145,3 +153,33 @@ def test_lineality_round_trip():
         for lin in c.lineality:
             assert all(dot(f, lin) == 0 for f in c.facet_forms)
             assert c.contains(lin) and c.contains(tuple(-x for x in lin))
+
+
+def benchmark_rank_cones(seed):
+    """Rank 5-6 cones with 8-12 rays, entries in [-1, 1] and first entry 1
+    (so they are pointed), full-dimensional, as the benchmark draws them."""
+    rng = random.Random(seed)
+    out = []
+    for d, count in ((5, 8), (5, 10), (5, 12), (6, 8), (6, 9), (6, 10), (5, 9), (5, 11), (6, 12)):
+        while True:
+            rays = sorted({(1,) + tuple(rng.randint(-1, 1) for _ in range(d - 1))
+                           for _ in range(count)})
+            if len(rays) == count and frac_rref(rays)[0] == d:
+                break
+        out.append((d, rays))
+    return out
+
+
+def test_double_description_matches_subset_facets_at_rank_5_and_6():
+    for d, rays in benchmark_rank_cones(seed=811):
+        forms = subset_facets(rays)
+        extreme = extreme_by_facets(rays, forms)
+        c = facets_of_rays(rays)
+        assert c.facet_forms == tuple(forms)
+        assert c.rays == tuple(extreme)
+        assert c.dim == d and c.is_pointed
+        # rays from facets, with redundant forms mixed in that must be dropped
+        redundant = [tuple(x + y for x, y in zip(forms[0], f)) for f in forms[1:3]]
+        back = rays_of_facets(forms + redundant, d)
+        assert back.rays == tuple(extreme)
+        assert back.facet_forms == tuple(forms)

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from monograde import divisorial
 from monograde.divisorial import (
     canonical_module,
     class_group,
@@ -19,6 +20,7 @@ from monograde.divisorial import (
     same_class,
 )
 from monograde.monoid import (
+    EnumerationLimitError,
     NonNormalError,
     hilbert_basis,
     monoid_from_cone_rays,
@@ -29,6 +31,7 @@ from oracles import (
     coset_count,
     minor_gcd_factors,
     random_pointed_cones,
+    region_tight_points,
 )
 
 QUAD = monoid_from_cone_rays([(1, 0), (0, 1)])
@@ -123,6 +126,43 @@ def test_canonical_generators_match_interior_oracle():
         m = monoid_from_cone_rays(rays)
         gens = canonical_module(m).generators
         assert sorted(gens) == brute_minimal_interior(rays)
+
+
+def test_region_vertices_match_rational_solves():
+    rng = random.Random(233)
+    for d, rays in random_pointed_cones(12, 4, 3, seed=233):
+        view = monoid_from_cone_rays(rays)._pointed_view
+        for _ in range(3):
+            heights = [rng.randint(-3, 4) for _ in view.forms]
+            got = divisorial._region_vertices(view.forms, heights, view.dim)
+            assert got == region_tight_points(view.forms, heights)
+
+
+def test_zonotope_box_guard_fires_before_vertex_enumeration(monkeypatch):
+    m = monoid_from_cone_rays([(1, t, t ** 2, t ** 3, t ** 4) for t in range(8)])
+
+    def refuse(*args):
+        raise AssertionError("facet subsets enumerated before the box guard")
+
+    monkeypatch.setattr(divisorial, "_region_vertices", refuse)
+    with pytest.raises(EnumerationLimitError):
+        canonical_module(m)
+
+
+def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
+    m = monoid_from_cone_rays([(1, 0), (1, 3)])
+    calls = []
+    real = divisorial.minimal_generators
+
+    def counted(ideal):
+        calls.append(ideal)
+        return real(ideal)
+
+    monkeypatch.setattr(divisorial, "minimal_generators", counted)
+    first = canonical_module(m)
+    assert is_gorenstein(m) == (False, None)
+    assert canonical_module(m) is first
+    assert len(calls) == 1
 
 
 # -- class group ---------------------------------------------------------

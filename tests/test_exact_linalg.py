@@ -27,7 +27,7 @@ from monograde.exact_linalg import (
     solve_rational,
     unimodular_inverse,
 )
-from oracles import det_int, minor_gcd_factors
+from oracles import det_int, frac_rref, frac_solve_unique, minor_gcd_factors
 
 
 def rand_matrix(rng, m, n, bound=9):
@@ -247,6 +247,68 @@ def test_determinant_matches_permutation_expansion():
         n = rng.randint(1, 4)
         a = rand_matrix(rng, n, n, 6)
         assert determinant(a) == det_int([list(map(int, row)) for row in a])
+
+
+# -- the fraction-free elimination behind rank, solves and determinants --
+
+
+def shaped_matrices(rng):
+    """Square, wide, tall, rank-deficient and empty matrices, as row lists."""
+    out = [[], [[0, 0, 0]], [[0], [0]]]
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        out.append([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+        # a product through an inner dimension k < min(m, n) has rank at most k
+        k = rng.randint(1, max(1, min(m, n) - 1))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        out.append([[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+                    for i in range(m)])
+    return out
+
+
+def test_rank_matches_rational_row_reduction():
+    for rows in shaped_matrices(random.Random(101)):
+        assert rank(rows) == frac_rref(rows)[0]
+        if rows:
+            assert rank(int_matrix(rows)) == frac_rref(rows)[0]
+    assert rank(int_matrix([], width=4)) == 0
+
+
+def test_solve_rational_matches_rational_row_reduction():
+    rng = random.Random(103)
+    for rows in shaped_matrices(rng):
+        n = len(rows[0]) if rows else 3
+        a = int_matrix(rows, width=n)
+        for b in ([rng.randint(-5, 5) for _ in rows],
+                  [sum((j + 1) * x for j, x in enumerate(r)) for r in rows]):
+            got = solve_rational(a, b)
+            r, pivots, _ = frac_rref([row + [y] for row, y in zip(rows, b)])
+            if n in pivots:  # a pivot in the right-hand side: inconsistent
+                assert got is None
+                continue
+            assert got is not None and len(got) == n
+            assert all(sum(x * y for x, y in zip(row, got)) == y0 for row, y0 in zip(rows, b))
+            _, a_pivots, _ = frac_rref(rows)
+            assert all(got[j] == 0 for j in range(n) if j not in a_pivots)
+            if len(rows) == n and r == n:
+                assert got == frac_solve_unique(rows, b)
+    assert solve_rational(int_matrix([], width=2), []) == (0, 0)
+
+
+def test_determinant_matches_laplace_expansion_including_singular():
+    rng = random.Random(107)
+    for rows in shaped_matrices(rng):
+        if rows and len(rows) == len(rows[0]):
+            assert determinant(int_matrix(rows)) == det_int(rows)
+    for n in range(2, 6):
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert determinant(int_matrix(a)) == det_int(a)
+        singular = a[:-1] + [[x + 2 * y for x, y in zip(a[0], a[-2])]]
+        assert determinant(int_matrix(singular)) == 0 == det_int(singular)
+    assert determinant(int_matrix([], width=0)) == 1
+    with pytest.raises(ValueError):
+        determinant(int_matrix([[1, 2]]))
 
 
 def test_unimodular_inverse():
