@@ -12,14 +12,11 @@ for malformed input, 3 for exhausted budgets or enumeration limits, and
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
 
 from . import __version__
 from .divisorial import canonical_module, class_group, is_gorenstein
@@ -50,15 +47,19 @@ COMMANDS = (
     "analyze-prime",
 )
 
+# the payload fields of each command; a cone command takes exactly one
+# of its two, the others take all of theirs
 _PAYLOAD_KEYS = {
-    "hilbert-basis": {"rays", "generators"},
-    "canonical": {"rays", "generators"},
-    "class-group": {"rays", "generators"},
-    "gorenstein": {"rays", "generators"},
-    "normalize": {"generators"},
-    "graded-hull": {"vars", "grading", "ideal"},
-    "analyze-prime": {"vars", "grading", "prime"},
+    "hilbert-basis": ("rays", "generators"),
+    "canonical": ("rays", "generators"),
+    "class-group": ("rays", "generators"),
+    "gorenstein": ("rays", "generators"),
+    "normalize": ("generators",),
+    "graded-hull": ("vars", "grading", "ideal"),
+    "analyze-prime": ("vars", "grading", "prime"),
 }
+_FIELDS = {"command", "options"}.union(*_PAYLOAD_KEYS.values())
+_OPTIONS = {"budget", "output"}
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -82,9 +83,80 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-@functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    return jsonschema.Draft202012Validator(_schema())
+def _unexpected(path: str, keys: list, errors: list) -> None:
+    if keys:
+        names = ", ".join(map(repr, keys))
+        errors.append((path, "Additional properties are not allowed (%s unexpected)" % names))
+
+
+def _array_errors(path: str, value, item_errors, errors: list, nonempty: bool) -> None:
+    if not isinstance(value, list):
+        errors.append((path, "%r is not of type 'array'" % (value,)))
+        return
+    if nonempty and not value:
+        errors.append((path, "[] should be non-empty"))
+    for i, item in enumerate(value):
+        item_errors("%s[%d]" % (path, i), item, errors)
+
+
+def _integer_errors(path: str, x, errors: list, minimum: int | None = None) -> None:
+    # JSON Schema counts 2.0 as an integer and a boolean as no number
+    if not (type(x) is int or type(x) is float and x.is_integer()):
+        errors.append((path, "%r is not of type 'integer'" % (x,)))
+    elif minimum is not None and x < minimum:
+        errors.append((path, "%r is less than the minimum of %d" % (x, minimum)))
+
+
+def _vector_errors(path: str, row, errors: list) -> None:
+    _array_errors(path, row, _integer_errors, errors, nonempty=True)
+
+
+def _string_errors(path: str, x, errors: list) -> None:
+    if not isinstance(x, str):
+        errors.append((path, "%r is not of type 'string'" % (x,)))
+
+
+def _job_errors(data) -> list[tuple[str, str]]:
+    """(JSON path, message) for every rule of ``schema.json`` the job breaks.
+
+    Paths are written as the JSON Schema validators write them, so the
+    smallest path is the error a validator of the shipped schema would
+    report first.
+    """
+    if not isinstance(data, dict):
+        return [("$", "%r is not of type 'object'" % (data,))]
+    errors: list[tuple[str, str]] = []
+    _unexpected("$", [k for k in data if k not in _FIELDS], errors)
+    command = data.get("command")
+    if "command" not in data:
+        errors.append(("$", "'command' is a required property"))
+    elif command not in COMMANDS:
+        errors.append(("$.command", "%r is not one of %r" % (command, list(COMMANDS))))
+    elif _PAYLOAD_KEYS[command] == ("rays", "generators"):
+        if ("rays" in data) == ("generators" in data):
+            errors.append(("$", "exactly one of 'rays' and 'generators' is required"))
+    else:
+        errors.extend(("$", "%r is a required property" % k)
+                      for k in _PAYLOAD_KEYS[command] if k not in data)
+    for key in ("rays", "generators", "grading"):
+        if key in data:
+            _array_errors("$." + key, data[key], _vector_errors, errors, nonempty=True)
+    if "vars" in data:
+        _integer_errors("$.vars", data["vars"], errors, minimum=1)
+    for key in ("ideal", "prime"):
+        if key in data:
+            _array_errors("$." + key, data[key], _string_errors, errors, nonempty=False)
+    if "options" in data:
+        options = data["options"]
+        if not isinstance(options, dict):
+            errors.append(("$.options", "%r is not of type 'object'" % (options,)))
+        else:
+            _unexpected("$.options", [k for k in options if k not in _OPTIONS], errors)
+            if "budget" in options:
+                _integer_errors("$.options.budget", options["budget"], errors, minimum=1)
+            if "output" in options and options["output"] != "json":
+                errors.append(("$.options.output", "%r is not one of ['json']" % (options["output"],)))
+    return errors
 
 
 def _check_vectors(name: str, rows) -> None:
@@ -95,34 +167,33 @@ def _check_vectors(name: str, rows) -> None:
 
 
 def parse_input(text: str, cli_command: str | None = None, overrides: dict | None = None) -> JobSpec:
-    """Validate a JSON job against the shipped schema and resolve options.
+    """Check a JSON job against the rules of the shipped schema and resolve options.
 
     Option precedence: command line flags, then the job's "options"
     object, then the MONOGRADE_BUDGET environment variable (budget
-    only), then the defaults box=4, trunc=8, budget=%d.
+    only), then the defaults budget=%d, output=json.
     """ % DEFAULT_BUDGET
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError("input is not valid JSON: %s" % e) from None
-    errors = sorted(_validator().iter_errors(data), key=lambda e: str(e.json_path))
+    errors = _job_errors(data)
     if errors:
-        err = errors[0]
-        raise InputError("%s: %s" % (err.json_path, err.message))
+        raise InputError("%s: %s" % min(errors, key=lambda e: e[0]))
     command = data["command"]
     if cli_command is not None and cli_command != command:
         raise InputError(
             "$.command: job says %r but the command line says %r" % (command, cli_command)
         )
     payload = {k: v for k, v in data.items() if k not in ("command", "options")}
-    extra = set(payload) - _PAYLOAD_KEYS[command]
+    extra = set(payload) - set(_PAYLOAD_KEYS[command])
     if extra:
         raise InputError("$.%s: not a field of the %r command" % (sorted(extra)[0], command))
     for key in ("rays", "generators", "grading"):
         if key in payload:
             _check_vectors(key, payload[key])
     if "vars" in payload:
-        n = payload["vars"]
+        n = payload["vars"] = int(payload["vars"])
         if len(payload["grading"]) != n:
             raise InputError("grading: expected one degree vector per variable (%d)" % n)
         names = default_variables(n)
@@ -133,7 +204,7 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
             except ValueError as e:
                 raise InputError("%s[%d]: %s" % (polys_key, i, e)) from None
     env_budget = os.environ.get("MONOGRADE_BUDGET")
-    options = {"box": 4, "trunc": 8, "budget": DEFAULT_BUDGET, "output": "json"}
+    options = {"budget": DEFAULT_BUDGET, "output": "json"}
     if env_budget is not None:
         try:
             options["budget"] = int(env_budget)
@@ -169,7 +240,7 @@ def execute(job: JobSpec) -> dict:
         m = normalize_presentation(payload["generators"])
         result = {
             "rank": m.rank,
-            "lattice_basis": [list(r) for r in m.lattice_basis.tolist()],
+            "lattice_basis": [list(r) for r in m.lattice_basis],
             "normalized_generators": [list(g) for g in m.local_generators],
             "is_normal": m.is_normal,
             "witness": None if m.is_normal else list(m.normality_witness),
@@ -234,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--input", help="job file (default: read stdin)")
-    parser.add_argument("--box", type=int, help="box bound for enumeration reports")
-    parser.add_argument("--trunc", type=int, help="truncation degree for enumeration reports")
     parser.add_argument("--budget", type=int, help="reduction step budget")
     parser.add_argument("--output", choices=["json"], help="output format")
     return parser
@@ -251,8 +320,7 @@ def main(argv=None) -> int:
                 text = fh.read()
         except OSError as e:
             return _fail("cannot read %s: %s" % (args.input, e.strerror), EXIT_INPUT)
-    overrides = {"box": args.box, "trunc": args.trunc, "budget": args.budget,
-                 "output": args.output}
+    overrides = {"budget": args.budget, "output": args.output}
     try:
         job = parse_input(text, args.command, overrides)
     except InputError as e:

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exact_linalg import (
+    IntMatrix,
     Vec,
+    _dot,
     _eliminate,
     as_tuple,
-    as_tuples,
-    int_matrix,
     kernel_basis,
     primitive,
     rank,
@@ -60,11 +58,7 @@ class Cone:
         return membership(self, x, "interior" if interior else "closure")
 
 
-def _dot(a, b) -> int:
-    return sum(int(x) * int(y) for x, y in zip(a, b))
-
-
-def _pointed_extreme_rays(a: list[Vec], d: int) -> list[Vec]:
+def _pointed_extreme_rays(a, d: int) -> list[Vec]:
     """Extreme rays of {x : A x >= 0} for A of full column rank d (pointed cone).
 
     Incremental double description: start from the simplicial cone cut
@@ -110,34 +104,28 @@ def _pointed_extreme_rays(a: list[Vec], d: int) -> list[Vec]:
     return sorted(masks)
 
 
-def _quotient_transform(lin_rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Unimodular P sending the given saturated sublattice onto the first
-    u coordinates; returns (P, P^-1, u)."""
-    u = lin_rows.shape[0]
-    if u == 0:
-        return None, None, 0
-    cols = lin_rows.T if lin_rows.size else np.zeros((d, 0), dtype=object)
-    s, p, _ = snf(cols)
-    for i in range(u):
-        if s[i, i] != 1:
-            raise ValueError("sublattice is not saturated")
-    return p, unimodular_inverse(p), u
+def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Unimodular P sending the saturated sublattice spanned by the given
+    u rows onto the first u coordinates, and the last columns of P^-1,
+    which lift the quotient coordinates back; returns (P, lift)."""
+    s, p, _ = snf(lin_rows.T)
+    u = len(lin_rows)
+    if any(s[i, i] != 1 for i in range(u)):
+        raise ValueError("sublattice is not saturated")
+    return p, IntMatrix([row[u:] for row in unimodular_inverse(p)], len(p) - u)
 
 
-def _dd(a: np.ndarray) -> tuple[list[Vec], np.ndarray]:
+def _dd(a: IntMatrix) -> tuple[list[Vec], IntMatrix]:
     """Extreme rays (modulo lineality) and lineality basis of {x : A x >= 0}."""
-    m, d = a.shape
-    lin = kernel_basis(a, width=d)
-    u = lin.shape[0]
+    d = a.shape[1]
+    lin = kernel_basis(a)
+    u = len(lin)
     if u == 0:
-        return _pointed_extreme_rays(as_tuples(a), d), lin
+        return _pointed_extreme_rays(a, d), lin
     if u == d:
         return [], lin
-    p, pinv, _ = _quotient_transform(lin, d)
-    aq = (a @ pinv)[:, u:]
-    lift = pinv[:, u:]
-    rays_q = _pointed_extreme_rays(as_tuples(aq), d - u)
-    rays = sorted(primitive(lift @ np.array(y, dtype=object)) for y in rays_q)
+    _, lift = _quotient_transform(lin)
+    rays = sorted(primitive(lift @ y) for y in _pointed_extreme_rays(a @ lift, d - u))
     return rays, lin
 
 
@@ -159,10 +147,6 @@ def _clean_vectors(vectors, width: int | None) -> tuple[list[Vec], int]:
     return sorted(set(out)), width
 
 
-def _face_dim(tight_forms: list[Vec], span_cuts: np.ndarray, d: int) -> int:
-    return d - rank(list(tight_forms) + list(span_cuts))
-
-
 def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
     """Cone spanned by the given vectors, converted to facet description.
 
@@ -171,22 +155,19 @@ def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
     extreme (or are duplicates or zero) are filtered from ``rays``.
     """
     gens, d = _clean_vectors(rays, ambient_rank)
-    r_mat = int_matrix(gens, width=d)
-    forms, dual_lin = _dd(r_mat)
-    span_cuts = dual_lin  # functionals vanishing on span(C)
-    cut_stack = [list(f) for f in forms] + [list(r) for r in span_cuts]
-    lin = kernel_basis(int_matrix(cut_stack, width=d), width=d)
+    forms, span_cuts = _dd(IntMatrix(gens, d))  # span_cuts vanish on span(C)
+    lin = kernel_basis(forms + list(span_cuts), width=d)
     dim = rank(gens)
-    lin_dim = lin.shape[0]
+    lin_dim = len(lin)
     extreme: list[Vec] = []
     for v in gens:
         tight = [f for f in forms if _dot(f, v) == 0]
-        if _face_dim(tight, span_cuts, d) == lin_dim + 1:
+        if d - rank(tight + list(span_cuts)) == lin_dim + 1:
             extreme.append(v)
     return Cone(
         rays=tuple(sorted(set(extreme))),
         facet_forms=tuple(forms),
-        lineality=as_tuples(lin),
+        lineality=lin,
         ambient_rank=d,
         dim=dim,
     )
@@ -199,8 +180,7 @@ def rays_of_facets(forms, ambient_rank: int) -> Cone:
     from ``facet_forms``.
     """
     fs, d = _clean_vectors(forms, ambient_rank)
-    a = int_matrix(fs, width=d)
-    rays, lin = _dd(a)
+    rays, lin = _dd(IntMatrix(fs, d))
     dim = rank(rays + list(lin))
     kept: list[Vec] = []
     for f in fs:
@@ -210,7 +190,7 @@ def rays_of_facets(forms, ambient_rank: int) -> Cone:
     return Cone(
         rays=tuple(rays),
         facet_forms=tuple(sorted(set(kept))),
-        lineality=as_tuples(lin),
+        lineality=lin,
         ambient_rank=d,
         dim=dim,
     )

@@ -19,19 +19,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, prod
-
-import numpy as np
+from math import ceil, comb, floor, prod
 
 from .exact_linalg import (
     AbelianQuotient,
     Vec,
+    _dot,
     _eliminate,
     as_tuple,
     cokernel,
     solve_integer,
 )
-from .monoid import AffineMonoid, _dot, _guard_box
+from .monoid import AffineMonoid, _guard_box
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,7 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
 def _region_vertices(forms, heights, dim) -> list[tuple[Fraction, ...]]:
     """Rational vertices of {y : forms(y) >= heights} (plus possibly some
     non-vertex tight points, which only widen the bounding box)."""
+    _guard_box(comb(len(forms), dim))
     verts = []
     for subset in itertools.combinations(range(len(forms)), dim):
         aug = [list(forms[i]) + [heights[i]] for i in subset]
@@ -191,7 +191,7 @@ def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:
     """
     if a.monoid is not b.monoid and (
         a.monoid.facet_forms != b.monoid.facet_forms
-        or not np.array_equal(a.monoid.lattice_basis, b.monoid.lattice_basis)
+        or a.monoid.lattice_basis != b.monoid.lattice_basis
     ):
         raise ValueError("ideals live over different monoids")
     delta = tuple(x - y for x, y in zip(b.heights, a.heights))

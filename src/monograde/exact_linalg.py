@@ -1,4 +1,4 @@
-"""Exact integer linear algebra on arbitrary-precision object arrays.
+"""Exact integer linear algebra on Python integers.
 
 Rational questions (rank, determinant, rational solves, inverses of
 unimodular matrices) all run on one fraction-free Gauss-Jordan kernel,
@@ -6,8 +6,9 @@ unimodular matrices) all run on one fraction-free Gauss-Jordan kernel,
 need a unimodular transform and use the Hermite form (lattice bases,
 kernels) or the Smith form (cokernels, integer solves); those also give
 primitive vectors and finitely generated abelian quotients in
-invariant-factor form.  Matrices are numpy arrays with dtype=object
-holding Python ints, so nothing here can overflow.
+invariant-factor form.  Matrices are ``IntMatrix`` values, immutable
+tuples of row tuples of Python ints, so nothing here can overflow; the
+kernels work on mutable row lists inside.
 
 Conventions: matrices act on column vectors, so ``cokernel(A)`` is the
 quotient of ``Z^rows(A)`` by the column span of ``A``.  Lattices are
@@ -20,55 +21,69 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 Vec = tuple[int, ...]
 
 
-def int_matrix(rows, width: int | None = None) -> np.ndarray:
-    """Build an (m, n) dtype=object integer matrix from an iterable of rows.
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
-    ``width`` is required when ``rows`` is empty and checked otherwise.
+
+class IntMatrix(tuple):
+    """An immutable integer matrix: a tuple of equal-length row tuples.
+
+    ``m[i]`` is a row and ``m[i, j]`` an entry; ``a @ b`` multiplies
+    matrices, ``a @ v`` applies a matrix to a vector and ``v @ a``
+    combines its rows, both giving a tuple.  The width is kept, so a
+    matrix without rows still has a shape; it is required when ``rows``
+    is empty and checked otherwise.
     """
-    data = [tuple(int(x) for x in row) for row in rows]
-    if data:
-        if width is None:
-            width = len(data[0])
-        if any(len(row) != width for row in data):
+
+    def __new__(cls, rows, width: int | None = None):
+        self = super().__new__(cls, (tuple(map(int, row)) for row in rows))
+        self._width = len(self[0]) if self and width is None else width
+        if self._width is None:
+            raise ValueError("width is required for an empty matrix")
+        if any(len(row) != self._width for row in self):
             raise ValueError("rows have inconsistent lengths")
-    elif width is None:
-        raise ValueError("width is required for an empty matrix")
-    out = np.zeros((len(data), width), dtype=object)
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
+        return self
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self._width
+
+    @property
+    def T(self) -> IntMatrix:
+        return IntMatrix(zip(*self) if self else [()] * self._width, len(self))
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            return tuple.__getitem__(self, key[0])[key[1]]
+        return tuple.__getitem__(self, key)
+
+    def __matmul__(self, other):
+        if len(other) != self._width:
+            raise ValueError("matrix shapes do not match")
+        if isinstance(other, IntMatrix):
+            cols = other.T
+            return IntMatrix([[_dot(row, c) for c in cols] for row in self], other._width)
+        return tuple(_dot(row, other) for row in self)
+
+    def __rmatmul__(self, v):
+        if len(v) != len(self):
+            raise ValueError("matrix shapes do not match")
+        return tuple(sum(c * row[j] for c, row in zip(v, self)) for j in range(self._width))
 
 
-def int_vector(v) -> np.ndarray:
-    """1-d dtype=object integer vector."""
-    return np.array([int(x) for x in v], dtype=object)
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix(([int(i == j) for j in range(n)] for i in range(n)), n)
 
 
 def as_tuple(v) -> Vec:
     return tuple(int(x) for x in v)
 
 
-def as_tuples(m) -> tuple[Vec, ...]:
-    return tuple(as_tuple(row) for row in m)
-
-
-def _as_matrix(a, width: int | None = None) -> np.ndarray:
-    if isinstance(a, np.ndarray) and a.dtype == object and a.ndim == 2:
-        return a.copy()
-    return int_matrix(a, width)
+def _as_matrix(a, width: int | None = None) -> IntMatrix:
+    return a if isinstance(a, IntMatrix) else IntMatrix(a, width)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -119,143 +134,158 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list
     return rows, pivots, d, sign
 
 
-def _combine_rows(m: np.ndarray, r: int, i: int, s: int, t: int, u: int, v: int) -> None:
+def _combine_rows(m: list[list[int]], r: int, i: int, s: int, t: int, u: int, v: int) -> None:
     # row_r' = s*row_r + t*row_i ; row_i' = -v*row_r + u*row_i ; s*u + t*v = 1
-    new_r = s * m[r] + t * m[i]
-    new_i = -v * m[r] + u * m[i]
-    m[r] = new_r
-    m[i] = new_i
+    a, b = m[r], m[i]
+    m[r] = [s * x + t * y for x, y in zip(a, b)]
+    m[i] = [u * y - v * x for x, y in zip(a, b)]
 
 
-def _combine_cols(m: np.ndarray, c: int, j: int, s: int, t: int, u: int, v: int) -> None:
+def _combine_cols(m: list[list[int]], c: int, j: int, s: int, t: int, u: int, v: int) -> None:
     # col_c' = s*col_c + t*col_j ; col_j' = -v*col_c + u*col_j
-    new_c = s * m[:, c] + t * m[:, j]
-    new_j = -v * m[:, c] + u * m[:, j]
-    m[:, c] = new_c
-    m[:, j] = new_j
+    for row in m:
+        x, y = row[c], row[j]
+        row[c], row[j] = s * x + t * y, u * y - v * x
 
 
-def hnf(a) -> tuple[np.ndarray, np.ndarray]:
+def _sub_row(m: list[list[int]], i: int, q: int, r: int) -> None:
+    # row_i' = row_i - q*row_r
+    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+
+
+def _sub_col(m: list[list[int]], j: int, q: int, c: int) -> None:
+    # col_j' = col_j - q*col_c
+    for row in m:
+        row[j] -= q * row[c]
+
+
+def _swap_cols(m: list[list[int]], c: int, j: int) -> None:
+    for row in m:
+        row[c], row[j] = row[j], row[c]
+
+
+def hnf(a) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form.
 
     Returns (H, U) with H = U @ A, U unimodular, pivots positive, entries
     above each pivot reduced into [0, pivot), and zero rows at the bottom.
     The nonzero rows of H are the canonical basis of the row lattice of A.
     """
-    h = _as_matrix(a)
-    m, n = h.shape
-    u = identity_matrix(m)
+    a = _as_matrix(a)
+    m, n = a.shape
+    h = [list(row) for row in a]
+    u = [list(row) for row in identity_matrix(m)]
     r = 0
     for j in range(n):
         if r == m:
             break
         for i in range(r + 1, m):
-            if h[i, j] == 0:
+            if h[i][j] == 0:
                 continue
-            g, s, t = xgcd(h[r, j], h[i, j])
-            p, q = h[r, j] // g, h[i, j] // g
+            g, s, t = xgcd(h[r][j], h[i][j])
+            p, q = h[r][j] // g, h[i][j] // g
             _combine_rows(h, r, i, s, t, p, q)
             _combine_rows(u, r, i, s, t, p, q)
-        if h[r, j] == 0:
+        if h[r][j] == 0:
             continue
-        if h[r, j] < 0:
-            h[r] = -h[r]
-            u[r] = -u[r]
-        piv = h[r, j]
+        if h[r][j] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        piv = h[r][j]
         for i in range(r):
-            q = h[i, j] // piv
+            q = h[i][j] // piv
             if q:
-                h[i] = h[i] - q * h[r]
-                u[i] = u[i] - q * u[r]
+                _sub_row(h, i, q, r)
+                _sub_row(u, i, q, r)
         r += 1
-    return h, u
+    return IntMatrix(h, n), IntMatrix(u, m)
 
 
-def row_lattice_basis(a) -> np.ndarray:
+def row_lattice_basis(a) -> IntMatrix:
     """Canonical basis (nonzero Hermite rows) of the lattice spanned by the rows."""
     h, _ = hnf(a)
-    nonzero = [i for i in range(h.shape[0]) if any(x != 0 for x in h[i])]
-    return h[nonzero] if nonzero else np.zeros((0, h.shape[1]), dtype=object)
+    return IntMatrix([row for row in h if any(row)], h.shape[1])
 
 
 def rank(a) -> int:
-    """Rank over Q of a matrix given as an array or a sequence of rows."""
+    """Rank over Q of a matrix given as an IntMatrix or a sequence of rows."""
     rows = [[int(x) for x in row] for row in a]
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
-def snf(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form.
 
     Returns (S, U, V) with S = U @ A @ V diagonal, U and V unimodular,
     diagonal entries nonnegative and each dividing the next; zeros sink
     to the end of the diagonal.
     """
-    s = _as_matrix(a)
-    m, n = s.shape
-    u = identity_matrix(m)
-    v = identity_matrix(n)
+    a = _as_matrix(a)
+    m, n = a.shape
+    s = [list(row) for row in a]
+    u = [list(row) for row in identity_matrix(m)]
+    v = [list(row) for row in identity_matrix(n)]
     k = min(m, n)
     for t in range(k):
         # choose the remaining entry of least absolute value as pivot
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                if s[i, j] != 0 and (best is None or abs(s[i, j]) < abs(s[best[0], best[1]])):
+                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
             break
         bi, bj = best
         if bi != t:
-            s[[t, bi]] = s[[bi, t]]
-            u[[t, bi]] = u[[bi, t]]
+            s[t], s[bi] = s[bi], s[t]
+            u[t], u[bi] = u[bi], u[t]
         if bj != t:
-            s[:, [t, bj]] = s[:, [bj, t]]
-            v[:, [t, bj]] = v[:, [bj, t]]
+            _swap_cols(s, t, bj)
+            _swap_cols(v, t, bj)
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
-                if s[i, t] == 0:
+                if s[i][t] == 0:
                     continue
-                if s[i, t] % s[t, t] == 0:
+                if s[i][t] % s[t][t] == 0:
                     # plain subtraction never disturbs the pivot row
-                    q = s[i, t] // s[t, t]
-                    s[i] = s[i] - q * s[t]
-                    u[i] = u[i] - q * u[t]
+                    q = s[i][t] // s[t][t]
+                    _sub_row(s, i, q, t)
+                    _sub_row(u, i, q, t)
                     continue
-                g, cs, ct = xgcd(s[t, t], s[i, t])
+                g, cs, ct = xgcd(s[t][t], s[i][t])
                 dirty = True
-                p, q = s[t, t] // g, s[i, t] // g
+                p, q = s[t][t] // g, s[i][t] // g
                 _combine_rows(s, t, i, cs, ct, p, q)
                 _combine_rows(u, t, i, cs, ct, p, q)
             for j in range(t + 1, n):
-                if s[t, j] == 0:
+                if s[t][j] == 0:
                     continue
-                if s[t, j] % s[t, t] == 0:
-                    q = s[t, j] // s[t, t]
-                    s[:, j] = s[:, j] - q * s[:, t]
-                    v[:, j] = v[:, j] - q * v[:, t]
+                if s[t][j] % s[t][t] == 0:
+                    q = s[t][j] // s[t][t]
+                    _sub_col(s, j, q, t)
+                    _sub_col(v, j, q, t)
                     continue
-                g, cs, ct = xgcd(s[t, t], s[t, j])
+                g, cs, ct = xgcd(s[t][t], s[t][j])
                 dirty = True
-                p, q = s[t, t] // g, s[t, j] // g
+                p, q = s[t][t] // g, s[t][j] // g
                 _combine_cols(s, t, j, cs, ct, p, q)
                 _combine_cols(v, t, j, cs, ct, p, q)
     for i in range(k):
-        if s[i, i] < 0:
-            s[i] = -s[i]
-            u[i] = -u[i]
+        if s[i][i] < 0:
+            s[i] = [-x for x in s[i]]
+            u[i] = [-x for x in u[i]]
     changed = True
     while changed:
         changed = False
         for i in range(k - 1):
-            a0, b0 = s[i, i], s[i + 1, i + 1]
+            a0, b0 = s[i][i], s[i + 1][i + 1]
             if a0 == 0 and b0 != 0:
-                s[[i, i + 1]] = s[[i + 1, i]]
-                u[[i, i + 1]] = u[[i + 1, i]]
-                s[:, [i, i + 1]] = s[:, [i + 1, i]]
-                v[:, [i, i + 1]] = v[:, [i + 1, i]]
+                s[i], s[i + 1] = s[i + 1], s[i]
+                u[i], u[i + 1] = u[i + 1], u[i]
+                _swap_cols(s, i, i + 1)
+                _swap_cols(v, i, i + 1)
                 changed = True
             elif a0 and b0 and b0 % a0:
                 g, cs, ct = xgcd(a0, b0)
@@ -265,14 +295,13 @@ def snf(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 _combine_cols(s, i, i + 1, 1, 1, cs * (a0 // g), ct * (b0 // g))
                 _combine_cols(v, i, i + 1, 1, 1, cs * (a0 // g), ct * (b0 // g))
                 changed = True
-    return s, u, v
+    return IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n)
 
 
 def elementary_divisors(a) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
     s, _, _ = snf(a)
-    k = min(s.shape)
-    return tuple(int(s[i, i]) for i in range(k) if s[i, i] != 0)
+    return tuple(s[i, i] for i in range(min(s.shape)) if s[i, i] != 0)
 
 
 @dataclass(frozen=True)
@@ -292,7 +321,7 @@ class AbelianQuotient:
         v = [int(x) for x in v]
         out = []
         for d, row in zip(self.invariant_factors, self.projection):
-            c = sum(r * x for r, x in zip(row, v))
+            c = _dot(row, v)
             out.append(c % d if d else c)
         return tuple(out)
 
@@ -315,18 +344,17 @@ def cokernel(a, width: int | None = None) -> AbelianQuotient:
     a = _as_matrix(a, width)
     m, n = a.shape
     s, u, _ = snf(a)
-    k = min(m, n)
-    diag = [int(s[i, i]) for i in range(k)]
+    diag = [s[i, i] for i in range(min(m, n))]
     nonzero = sum(1 for d in diag if d)
     factors: list[int] = []
     rows: list[Vec] = []
     for i in range(nonzero):
         if diag[i] > 1:
             factors.append(diag[i])
-            rows.append(as_tuple(u[i]))
+            rows.append(u[i])
     for i in range(nonzero, m):
         factors.append(0)
-        rows.append(as_tuple(u[i]))
+        rows.append(u[i])
     return AbelianQuotient(tuple(factors), tuple(rows))
 
 
@@ -341,7 +369,7 @@ def primitive(v) -> Vec:
     return tuple(x // g for x in w)
 
 
-def kernel_basis(a, width: int | None = None) -> np.ndarray:
+def kernel_basis(a, width: int | None = None) -> IntMatrix:
     """Canonical row basis of the integer kernel {x : A @ x = 0}.
 
     The kernel of an integer matrix is saturated, so this basis spans
@@ -349,10 +377,8 @@ def kernel_basis(a, width: int | None = None) -> np.ndarray:
     """
     a = _as_matrix(a, width)
     h, u = hnf(a.T)
-    zero = [i for i in range(h.shape[0]) if all(x == 0 for x in h[i])]
-    if not zero:
-        return np.zeros((0, a.shape[1]), dtype=object)
-    return row_lattice_basis(u[zero])
+    zero = [row for hrow, row in zip(h, u) if not any(hrow)]
+    return row_lattice_basis(zero) if zero else IntMatrix((), a.shape[1])
 
 
 def solve_integer(a, b) -> Vec | None:
@@ -363,22 +389,41 @@ def solve_integer(a, b) -> Vec | None:
     if len(b) != m:
         raise ValueError("right hand side length does not match")
     s, u, v = snf(a)
-    c = [sum(int(u[i, j]) * b[j] for j in range(m)) for i in range(m)]
+    c = u @ b
     w = [0] * n
     k = min(m, n)
     for i in range(k):
-        d = int(s[i, i])
+        d = s[i, i]
         if d:
             if c[i] % d:
                 return None
             w[i] = c[i] // d
         elif c[i]:
             return None
-    for i in range(k, m):
-        if c[i]:
-            return None
-    x = [sum(int(v[i, j]) * w[j] for j in range(n)) for i in range(n)]
-    return tuple(x)
+    if any(c[k:]):
+        return None
+    return v @ w
+
+
+def lattice_coordinates(basis, v) -> Vec | None:
+    """The x with x @ basis = v, or None when v is not in the row lattice.
+
+    ``basis`` must be a row echelon form without zero rows, such as a
+    ``row_lattice_basis``.  Later rows vanish at a row's pivot, so each
+    coordinate is the quotient there, and v is in the lattice iff
+    nothing is left over.
+    """
+    rest = [int(x) for x in v]
+    if len(rest) != basis.shape[1]:
+        raise ValueError("vector length does not match the basis")
+    x = []
+    for row in basis:
+        j = next(j for j, c in enumerate(row) if c)
+        q = rest[j] // row[j]
+        x.append(q)
+        if q:
+            rest = [a - q * b for a, b in zip(rest, row)]
+    return None if any(rest) else tuple(x)
 
 
 def solve_rational(a, b) -> tuple[Fraction, ...] | None:
@@ -387,8 +432,8 @@ def solve_rational(a, b) -> tuple[Fraction, ...] | None:
     Free variables, if any, are set to zero.
     """
     a = _as_matrix(a)
-    m, n = a.shape
-    aug = [[int(x) for x in a[i]] + [int(b[i])] for i in range(m)]
+    n = a.shape[1]
+    aug = [list(row) + [int(b[i])] for i, row in enumerate(a)]
     rows, pivots, d, _ = _eliminate(aug, n)
     if any(row[n] for row in rows[len(pivots):]):
         return None
@@ -404,11 +449,11 @@ def determinant(a) -> int:
     m, n = a.shape
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, d, sign = _eliminate([[int(x) for x in row] for row in a], n)
+    _, pivots, d, sign = _eliminate(a, n)
     return sign * d if len(pivots) == n else 0
 
 
-def unimodular_inverse(m) -> np.ndarray:
+def unimodular_inverse(m) -> IntMatrix:
     """Inverse of a unimodular integer matrix, exactly.
 
     Elimination of [M | I] leaves [d*I | d*M^-1], and M is unimodular
@@ -418,11 +463,11 @@ def unimodular_inverse(m) -> np.ndarray:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError("matrix is not square")
-    aug = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     rows, pivots, d, _ = _eliminate(aug, n)
     if len(pivots) < n or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return int_matrix([[d * x for x in row[n:]] for row in rows], width=n)
+    return IntMatrix([[d * x for x in row[n:]] for row in rows], n)
 
 
 def lattice_member(basis_rows, v) -> bool:
@@ -435,4 +480,4 @@ def lattices_equal(a_rows, b_rows, width: int | None = None) -> bool:
     """Whether two row-generating sets span the same lattice."""
     a = row_lattice_basis(_as_matrix(a_rows, width))
     b = row_lattice_basis(_as_matrix(b_rows, width))
-    return a.shape == b.shape and np.array_equal(a, b)
+    return a.shape == b.shape and a == b

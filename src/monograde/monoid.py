@@ -19,22 +19,18 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .cone import Cone, facets_of_rays
+from .cone import Cone, _quotient_transform, facets_of_rays
 from .exact_linalg import (
+    IntMatrix,
     Vec,
+    _dot,
     as_tuple,
-    as_tuples,
-    int_matrix,
     kernel_basis,
+    lattice_coordinates,
     lattice_member,
     lattices_equal,
     primitive,
     row_lattice_basis,
-    snf,
-    solve_integer,
-    unimodular_inverse,
 )
 
 _MAX_ENUMERATION = 2_000_000
@@ -64,7 +60,7 @@ class _PointedView:
     rays: tuple[Vec, ...]
     forms: tuple[Vec, ...]
     dim: int
-    lift: np.ndarray | None  # (d, dim) section; None when already pointed
+    lift: IntMatrix | None  # (d, dim) section; None when already pointed
 
 
 def _guard_box(volume: int) -> None:
@@ -72,10 +68,6 @@ def _guard_box(volume: int) -> None:
         raise EnumerationLimitError(
             "enumeration box has %d points, beyond the supported desk scale" % volume
         )
-
-
-def _dot(a, b) -> int:
-    return sum(int(x) * int(y) for x, y in zip(a, b))
 
 
 class AffineMonoid:
@@ -99,18 +91,17 @@ class AffineMonoid:
 
     @property
     def rank(self) -> int:
-        return self.lattice_basis.shape[0]
+        return len(self.lattice_basis)
 
     def to_ambient(self, local) -> Vec:
-        v = np.array([int(x) for x in local], dtype=object) @ self.lattice_basis
-        return as_tuple(v)
+        return as_tuple(local) @ self.lattice_basis
 
     def to_local(self, ambient) -> Vec | None:
         """Coordinates in the basis of L, or None when the point is not in L."""
         ambient = as_tuple(ambient)
         if len(ambient) != self.ambient_rank:
             raise ValueError("point does not match the ambient rank")
-        return solve_integer(self.lattice_basis.T, ambient)
+        return lattice_coordinates(self.lattice_basis, ambient)
 
     # -- cone structure ----------------------------------------------
 
@@ -123,8 +114,8 @@ class AffineMonoid:
         return self.cone.facet_forms
 
     @cached_property
-    def facet_matrix(self) -> np.ndarray:
-        return int_matrix(self.cone.facet_forms, width=self.rank)
+    def facet_matrix(self) -> IntMatrix:
+        return IntMatrix(self.cone.facet_forms, self.rank)
 
     def facet_values(self, ambient) -> Vec:
         """Values of the facet forms at a point of L."""
@@ -137,12 +128,12 @@ class AffineMonoid:
         return tuple(_dot(f, local) for f in self.cone.facet_forms)
 
     @cached_property
-    def _unit_rows_local(self) -> np.ndarray:
+    def _unit_rows_local(self) -> IntMatrix:
         return kernel_basis(self.facet_matrix, width=self.rank)
 
     @property
     def unit_rank(self) -> int:
-        return self._unit_rows_local.shape[0]
+        return len(self._unit_rows_local)
 
     @property
     def is_pointed(self) -> bool:
@@ -153,7 +144,7 @@ class AffineMonoid:
         if self.unit_rank == 0:
             return ()
         ambient_rows = self._unit_rows_local @ self.lattice_basis
-        return as_tuples(row_lattice_basis(ambient_rows))
+        return row_lattice_basis(ambient_rows)
 
     # -- membership ---------------------------------------------------
 
@@ -188,20 +179,13 @@ class AffineMonoid:
         for g in self.local_generators:
             vals = self._facet_values_local(g)
             if any(vals):
-                pointed.append((np.array(g, dtype=object), vals))
+                pointed.append((g, vals))
             else:
                 unit_gens.append(g)
-        if unit_gens:
-            unit_lattice = row_lattice_basis(int_matrix(unit_gens, width=self.rank))
-        else:
-            unit_lattice = np.zeros((0, self.rank), dtype=object)
+        unit_lattice = row_lattice_basis(unit_gens) if unit_gens else IntMatrix((), self.rank)
 
         def in_unit_group(vec) -> bool:
-            if all(x == 0 for x in vec):
-                return True
-            return lattice_member(unit_lattice, as_tuple(vec))
-
-        x = np.array(local, dtype=object)
+            return not any(vec) or lattice_member(unit_lattice, vec)
 
         def search(idx, remaining, residual) -> bool:
             if all(v == 0 for v in remaining):
@@ -214,11 +198,11 @@ class AffineMonoid:
                 nxt = tuple(r - n * v for r, v in zip(remaining, vals))
                 if any(v < 0 for v in nxt):
                     break
-                if search(idx + 1, nxt, residual - n * g):
+                if search(idx + 1, nxt, tuple(x - n * y for x, y in zip(residual, g))):
                     return True
             return False
 
-        return search(0, target, x)
+        return search(0, target, local)
 
     # -- normality ----------------------------------------------------
 
@@ -229,8 +213,8 @@ class AffineMonoid:
         unit_gens = [g for g in self.local_generators
                      if not any(self._facet_values_local(g))]
         n_rows = self._unit_rows_local
-        if n_rows.shape[0]:
-            gen_rows = int_matrix(unit_gens, width=self.rank)
+        if n_rows:
+            gen_rows = IntMatrix(unit_gens, self.rank)
             if not lattices_equal(gen_rows, n_rows, width=self.rank):
                 for row in n_rows:
                     if not lattice_member(gen_rows, as_tuple(row)):
@@ -263,26 +247,20 @@ class AffineMonoid:
     @cached_property
     def _pointed_view(self) -> _PointedView:
         d = self.rank
-        lam = self.facet_matrix
         u_rows = self._unit_rows_local
-        u = u_rows.shape[0]
+        u = len(u_rows)
         if u == 0:
             return _PointedView(self.cone.rays, self.cone.facet_forms, d, None)
-        cols = u_rows.T
-        s, p, _ = snf(cols)
-        pinv = unimodular_inverse(p)
-        lift = pinv[:, u:]
-        forms = as_tuples((lam @ pinv)[:, u:]) if lam.shape[0] else ()
-        rays = sorted(set(
-            primitive((p @ np.array(r, dtype=object))[u:]) for r in self.cone.rays
-        ))
+        p, lift = _quotient_transform(u_rows)
+        forms = tuple(self.facet_matrix @ lift)
+        rays = sorted(set(primitive((p @ r)[u:]) for r in self.cone.rays))
         return _PointedView(tuple(rays), forms, d - u, lift)
 
     def _lift_local(self, point) -> Vec:
         view = self._pointed_view
         if view.lift is None:
             return as_tuple(point)
-        return as_tuple(view.lift @ np.array(point, dtype=object))
+        return view.lift @ as_tuple(point)
 
     @cached_property
     def _pointed_hilbert(self) -> tuple[Vec, ...]:
@@ -359,11 +337,8 @@ def normalize_presentation(generators) -> AffineMonoid:
         raise ValueError("generators have inconsistent lengths")
     if all(not any(g) for g in gens):
         raise ValueError("generators span the zero lattice")
-    basis = row_lattice_basis(int_matrix(gens, width=r))
-    local = []
-    for g in gens:
-        coords = solve_integer(basis.T, g)
-        local.append(coords)
+    basis = row_lattice_basis(gens)
+    local = [lattice_coordinates(basis, g) for g in gens]
     local = [g for g in local if any(g)]
     return AffineMonoid(r, gens, basis, local, assume_normal=False)
 
@@ -383,10 +358,9 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
     rs = [v for v in rs if any(v)]
     if not rs:
         raise ValueError("rays span the zero lattice")
-    ray_mat = int_matrix(rs, width=r)
-    orth = kernel_basis(ray_mat, width=r)
-    basis = kernel_basis(orth, width=r)
-    local = [solve_integer(basis.T, v) for v in rs]
+    orth = kernel_basis(rs, width=r)
+    basis = kernel_basis(orth)
+    local = [lattice_coordinates(basis, v) for v in rs]
     return AffineMonoid(r, rs, basis, local, assume_normal=True)
 
 
@@ -434,6 +408,6 @@ def degree_group_analysis(degrees, all_units: bool = False, rank_hint: int | Non
         width = rank_hint
     else:
         width = 0
-    basis = row_lattice_basis(int_matrix(ds, width=width)) if ds else np.zeros((0, width), dtype=object)
-    sigma = basis.shape[0]
-    return GradingAnalysis(sigma, as_tuples(basis), sigma if all_units else None)
+    basis = row_lattice_basis(ds) if ds else IntMatrix((), width)
+    sigma = len(basis)
+    return GradingAnalysis(sigma, basis, sigma if all_units else None)

@@ -7,10 +7,14 @@ packaging wiring, and one replays the same job to pin down byte
 identical output.
 """
 
+import copy
 import io
 import json
+import os
+import random
 import shutil
 import subprocess
+import sys
 import time
 
 import jsonschema
@@ -22,9 +26,13 @@ from monograde.cli import (
     EXIT_INPUT,
     EXIT_MATH,
     EXIT_OK,
+    _job_errors,
     _schema,
+    build_parser,
     main,
 )
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 QUADRANT = '{"command":"canonical","rays":[[1,0],[0,1]]}'
 DEG3 = '{"command":"class-group","rays":[[1,0],[1,3]]}'
@@ -63,7 +71,7 @@ def test_canonical_report_for_quadrant(monkeypatch, capsys):
     report = report_of(monkeypatch, capsys, ["canonical"], QUADRANT)
     assert report["result"] == {"h": [1, 1], "generators": [[1, 1]], "gorenstein": True}
     assert report["input"] == {"rays": [[1, 0], [0, 1]]}
-    assert report["options"] == {"box": 4, "trunc": 8, "budget": 500000, "output": "json"}
+    assert report["options"] == {"budget": 500000, "output": "json"}
     assert report["version"] == __version__
 
 
@@ -138,6 +146,23 @@ def test_schema_errors_point_at_the_offending_field(monkeypatch, capsys):
     assert message.startswith("$.options.budget:")
 
 
+def test_box_and_trunc_are_no_longer_options(monkeypatch, capsys):
+    job = '{"command":"canonical","rays":[[1,0],[0,1]],"options":{"box":4}}'
+    code, message = error_of(monkeypatch, capsys, ["canonical"], job)
+    assert code == EXIT_INPUT
+    assert message.startswith("$.options:")
+    for flag in ("--box", "--trunc"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["canonical", flag, "4"])
+
+
+def test_integral_float_vars_behave_as_integers(monkeypatch, capsys):
+    job = '{"command":"graded-hull","vars":%s,"grading":[[1],[1]],"ideal":["x1 + x2^2","x2"]}'
+    code, out, err = run_cli(monkeypatch, capsys, ["graded-hull"], job % "2.0")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == run_cli(monkeypatch, capsys, ["graded-hull"], job % "2")[1]
+
+
 def test_rejects_fields_of_other_commands(monkeypatch, capsys):
     job = '{"command":"canonical","rays":[[1,0],[0,1]],"ideal":["x1"]}'
     code, message = error_of(monkeypatch, capsys, ["canonical"], job)
@@ -192,6 +217,97 @@ def test_violated_precondition_exits_4(monkeypatch, capsys):
     code, message = error_of(monkeypatch, capsys, ["canonical"], job)
     assert code == EXIT_MATH
     assert "saturation" in message
+
+
+# -- the hand-written job check against a JSON Schema validator -----------
+
+FILLERS = ["s", True, False, 1.5, 2.0, None, [], {}, 0, -1]
+
+
+def _nodes(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _value_at(job, path):
+    for key in path:
+        job = job[key]
+    return job
+
+
+def _replaced(job, path, new):
+    if not path:
+        return new
+    out = copy.deepcopy(job)
+    _value_at(out, path[:-1])[path[-1]] = new
+    return out
+
+
+def _mutant(rng, job):
+    """One random edit of a valid job; most edits break a schema rule."""
+    job = copy.deepcopy(job)
+    kind = rng.randrange(8)
+    if kind == 0:  # a missing key
+        del job[rng.choice(sorted(job))]
+    elif kind == 1:  # an unknown key, at the top or in the options
+        target = job.setdefault("options", {}) if rng.random() < 0.5 else job
+        target[rng.choice(["bogus", "box", "trunc", "Rays"])] = 1
+    elif kind == 2:  # a wrong type anywhere, or an integral float
+        return _replaced(job, rng.choice(list(_nodes(job))), rng.choice(FILLERS))
+    elif kind == 3:  # an empty array
+        arrays = [p for p in _nodes(job) if p and isinstance(_value_at(job, p), list)]
+        return _replaced(job, rng.choice(arrays), [])
+    elif kind == 4:  # vars or budget: zero or less, fractional, or fine
+        value = rng.choice([0, -1, -3, 0.5, 1, 3])
+        if "vars" in job and rng.random() < 0.5:
+            job["vars"] = value
+        else:
+            job.setdefault("options", {})["budget"] = value
+    elif kind == 5:  # an unknown command, or one whose fields are missing
+        job["command"] = rng.choice(["hilbert", "", "normalize", "graded-hull", "analyze-prime"])
+    elif kind == 6:  # both rays and generators
+        vectors = job.get("rays") or job.get("generators") or [[1, 0]]
+        job["rays"], job["generators"] = vectors, copy.deepcopy(vectors)
+    else:  # bad options
+        job["options"] = rng.choice([
+            [], "json", None, {"output": "xml"}, {"budget": "9"}, {"budget": True},
+            {"output": "json", "budget": 2.0}, {"box": 4, "trunc": 8},
+        ])
+    return job
+
+
+def test_job_check_agrees_with_a_json_schema_validator():
+    with open(os.path.join(HERE, "golden_cli.json"), encoding="utf-8") as fh:
+        jobs = [json.loads(case["stdin"]) for case in json.load(fh)]
+    by_command = {}
+    for job in jobs:
+        by_command.setdefault(job["command"], []).append(job)
+    validator = jsonschema.Draft202012Validator(_schema())
+    rng = random.Random(409)
+    # each command equally often, whatever its share of the golden jobs
+    mutants = [_mutant(rng, rng.choice(by_command[rng.choice(sorted(by_command))]))
+               for _ in range(900)]
+    rejected = 0
+    for job in jobs + mutants:
+        expected = sorted(validator.iter_errors(job), key=lambda e: str(e.json_path))
+        got = _job_errors(job)
+        assert bool(got) == bool(expected), (job, got, [e.message for e in expected])
+        if expected:
+            rejected += 1
+            assert min(got, key=lambda e: e[0])[0] == str(expected[0].json_path), job
+    assert 500 <= rejected < len(mutants)
+
+
+def test_package_imports_without_numpy_or_jsonschema():
+    code = ("import sys, monograde, monograde.cli; "
+            "print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(HERE), "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_repeated_runs_are_byte_identical(monkeypatch, capsys):

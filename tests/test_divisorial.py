@@ -5,11 +5,12 @@ and by the Fourier-Motzkin interior-point oracle; class groups by
 determinantal divisors and coset counting.
 """
 
+import math
 import random
 
 import pytest
 
-from monograde import divisorial
+from monograde import divisorial, monoid
 from monograde.divisorial import (
     canonical_module,
     class_group,
@@ -147,6 +148,29 @@ def test_zonotope_box_guard_fires_before_vertex_enumeration(monkeypatch):
     monkeypatch.setattr(divisorial, "_region_vertices", refuse)
     with pytest.raises(EnumerationLimitError):
         canonical_module(m)
+
+
+def test_facet_subset_guard_fires_before_any_elimination(monkeypatch):
+    # a cone over a quadrilateral: 4 facets in rank 3, so C(4, 3) = 4 subsets
+    view = monoid_from_cone_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])._pointed_view
+    heights = [1] * len(view.forms)
+    subsets = math.comb(len(view.forms), view.dim)
+    calls = []
+    real = divisorial._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(divisorial, "_eliminate", counted)
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", subsets)
+    assert divisorial._region_vertices(view.forms, heights, view.dim)
+    assert len(calls) == subsets == 4
+    calls.clear()
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", subsets - 1)
+    with pytest.raises(EnumerationLimitError):
+        divisorial._region_vertices(view.forms, heights, view.dim)
+    assert calls == []
 
 
 def test_canonical_module_is_computed_once_per_monoid(monkeypatch):

@@ -9,14 +9,14 @@ import pytest
 
 from monograde.exact_linalg import (
     AbelianQuotient,
-    as_tuples,
+    IntMatrix,
     cokernel,
     determinant,
     elementary_divisors,
     hnf,
     identity_matrix,
-    int_matrix,
     kernel_basis,
+    lattice_coordinates,
     lattice_member,
     lattices_equal,
     primitive,
@@ -31,18 +31,45 @@ from oracles import det_int, frac_rref, frac_solve_unique, minor_gcd_factors
 
 
 def rand_matrix(rng, m, n, bound=9):
-    return int_matrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
+    return IntMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
+
+
+# -- the matrix type ---------------------------------------------------
+
+
+def test_int_matrix_shape_transpose_and_products():
+    a = IntMatrix([[1, 2, 3], [4, 5, 6]])
+    assert a.shape == (2, 3) and a[1, 2] == 6 and a[0] == (1, 2, 3)
+    assert a.T == ((1, 4), (2, 5), (3, 6)) and a.T.shape == (3, 2)
+    assert a @ a.T == ((14, 32), (32, 77)) and isinstance(a @ a.T, IntMatrix)
+    assert a @ (1, 0, -1) == (-2, -2)
+    assert (1, -1) @ a == (-3, -3, -3)
+    assert [list(row) for row in a] == [[1, 2, 3], [4, 5, 6]]
+    with pytest.raises(ValueError):
+        a @ a
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3]])
+
+
+def test_int_matrix_without_rows_keeps_its_width():
+    e = IntMatrix([], width=3)
+    assert e.shape == (0, 3) and e.T.shape == (3, 0) and e.T.T.shape == (0, 3)
+    assert IntMatrix([[1, 2], [3, 4]]) @ IntMatrix([[], []], width=0) == ((), ())
+    assert (IntMatrix([[], []], width=0) @ e).shape == (2, 3)
+    assert () @ e == (0, 0, 0)
+    with pytest.raises(ValueError):
+        IntMatrix([])
 
 
 # -- Hermite form ------------------------------------------------------
 
 
 def test_hnf_known_values():
-    h, u = hnf(int_matrix([[2, 0], [1, 1], [0, 2]]))
-    assert as_tuples(h) == ((1, 1), (0, 2), (0, 0))
-    assert as_tuples(u @ int_matrix([[2, 0], [1, 1], [0, 2]])) == as_tuples(h)
-    assert as_tuples(row_lattice_basis(int_matrix([[2], [3]]))) == ((1,),)
-    assert as_tuples(row_lattice_basis(int_matrix([[2, 0], [1, 1], [0, 2]]))) == ((1, 1), (0, 2))
+    h, u = hnf(IntMatrix([[2, 0], [1, 1], [0, 2]]))
+    assert h == ((1, 1), (0, 2), (0, 0))
+    assert u @ IntMatrix([[2, 0], [1, 1], [0, 2]]) == h
+    assert row_lattice_basis(IntMatrix([[2], [3]])) == ((1,),)
+    assert row_lattice_basis(IntMatrix([[2, 0], [1, 1], [0, 2]])) == ((1, 1), (0, 2))
 
 
 def test_hnf_structure_random():
@@ -51,10 +78,9 @@ def test_hnf_structure_random():
         a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         h, u = hnf(a)
         assert abs(determinant(u)) == 1
-        assert as_tuples(u @ a) == as_tuples(h)
-        rows = as_tuples(h)
+        assert u @ a == h
         pivots = []
-        for r in rows:
+        for r in h:
             nz = next((j for j, x in enumerate(r) if x), None)
             if nz is None:
                 continue
@@ -63,7 +89,7 @@ def test_hnf_structure_random():
             pivots.append((r, nz))
         # zero rows only at the bottom
         seen_zero = False
-        for r in rows:
+        for r in h:
             if not any(r):
                 seen_zero = True
             else:
@@ -80,7 +106,7 @@ def test_hnf_canonical_under_row_shuffle():
         rows = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(4)]
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert as_tuples(hnf(int_matrix(rows))[0]) == as_tuples(hnf(int_matrix(shuffled))[0])
+        assert hnf(IntMatrix(rows))[0] == hnf(IntMatrix(shuffled))[0]
 
 
 def test_row_lattice_membership_random():
@@ -102,12 +128,12 @@ def test_row_lattice_membership_random():
 
 
 def test_snf_known_values():
-    s, u, v = snf(int_matrix([[2, 0], [0, 3]]))
-    assert as_tuples(s) == ((1, 0), (0, 6))
-    s, u, v = snf(int_matrix([[0, 1], [3, -1]]))
-    assert as_tuples(s) == ((1, 0), (0, 3))
-    assert elementary_divisors(int_matrix([[0, 1], [3, -1]])) == (1, 3)
-    assert elementary_divisors(int_matrix([[0, 0], [0, 0]])) == ()
+    s, u, v = snf(IntMatrix([[2, 0], [0, 3]]))
+    assert s == ((1, 0), (0, 6))
+    s, u, v = snf(IntMatrix([[0, 1], [3, -1]]))
+    assert s == ((1, 0), (0, 3))
+    assert elementary_divisors(IntMatrix([[0, 1], [3, -1]])) == (1, 3)
+    assert elementary_divisors(IntMatrix([[0, 0], [0, 0]])) == ()
 
 
 def test_snf_against_minor_gcd_oracle():
@@ -118,7 +144,7 @@ def test_snf_against_minor_gcd_oracle():
         s, u, v = snf(a)
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
-        assert as_tuples(u @ a @ v) == as_tuples(s)
+        assert u @ a @ v == s
         diag = [int(s[i, i]) for i in range(min(m, n))]
         for i in range(len(diag) - 1):
             if diag[i + 1]:
@@ -133,18 +159,18 @@ def test_snf_against_minor_gcd_oracle():
 
 
 def test_cokernel_known_groups():
-    q = cokernel(int_matrix([[0, 1], [3, -1]]))
+    q = cokernel(IntMatrix([[0, 1], [3, -1]]))
     assert q.invariant_factors == (3,)
     assert q.order() == 3
     assert cokernel(identity_matrix(3)).is_trivial
-    assert cokernel(int_matrix([[2, 0], [0, 2]])).invariant_factors == (2, 2)
-    assert cokernel(int_matrix([[2], [0]])).invariant_factors == (2, 0)
-    assert cokernel(int_matrix([[2], [0]])).order() is None
+    assert cokernel(IntMatrix([[2, 0], [0, 2]])).invariant_factors == (2, 2)
+    assert cokernel(IntMatrix([[2], [0]])).invariant_factors == (2, 0)
+    assert cokernel(IntMatrix([[2], [0]])).order() is None
 
 
 def test_cokernel_projection_is_homomorphism():
     rng = random.Random(47)
-    q = cokernel(int_matrix([[2, 1], [0, 4]]))
+    q = cokernel(IntMatrix([[2, 1], [0, 4]]))
 
     def reduce(vec):
         return tuple(
@@ -165,7 +191,7 @@ def test_cokernel_column_order_invariant():
         a = rand_matrix(rng, 3, 3, 6)
         cols = list(range(3))
         rng.shuffle(cols)
-        b = int_matrix([[int(a[i, j]) for j in cols] for i in range(3)])
+        b = IntMatrix([[int(a[i, j]) for j in cols] for i in range(3)])
         assert cokernel(a).invariant_factors == cokernel(b).invariant_factors
 
 
@@ -181,7 +207,7 @@ def test_primitive():
 
 
 def test_kernel_basis_is_saturated():
-    k = kernel_basis(int_matrix([[1, 1, 1]]))
+    k = kernel_basis(IntMatrix([[1, 1, 1]]))
     assert len(k) == 2
     for row in k:
         assert sum(row) == 0
@@ -197,13 +223,13 @@ def test_kernel_basis_is_saturated():
         assert len(k) == a.shape[1] - rank(a)
         if len(k):
             # saturation: the kernel lattice has trivial elementary divisors
-            assert set(elementary_divisors(int_matrix(k))) <= {1}
+            assert set(elementary_divisors(IntMatrix(k))) <= {1}
 
 
 def test_solve_integer():
-    assert solve_integer(int_matrix([[2, 0], [0, 3]]), (4, 9)) == (2, 3)
-    assert solve_integer(int_matrix([[2]]), (3,)) is None
-    sol = solve_integer(int_matrix([[2, 3]]), (1,))
+    assert solve_integer(IntMatrix([[2, 0], [0, 3]]), (4, 9)) == (2, 3)
+    assert solve_integer(IntMatrix([[2]]), (3,)) is None
+    sol = solve_integer(IntMatrix([[2, 3]]), (1,))
     assert sol is not None and 2 * sol[0] + 3 * sol[1] == 1
 
 
@@ -227,13 +253,37 @@ def test_solve_integer_matches_box_search():
                 )
 
 
+def test_lattice_coordinates_match_smith_solve():
+    rng = random.Random(73)
+    off_lattice = 0
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        basis = row_lattice_basis(rand_matrix(rng, m, n, 5))
+        if not len(basis):
+            continue
+        # the saturation: every integer point of the rational span of the basis
+        saturated = kernel_basis(kernel_basis(basis))
+        for _ in range(8):
+            coeffs = [rng.randint(-3, 3) for _ in range(len(basis))]
+            assert lattice_coordinates(basis, coeffs @ basis) == tuple(coeffs)
+            in_span = [rng.randint(-3, 3) for _ in range(len(saturated))] @ saturated
+            anywhere = [rng.randint(-6, 6) for _ in range(n)]
+            for v in (in_span, anywhere):
+                got = lattice_coordinates(basis, v)
+                assert got == solve_integer(basis.T, v)
+                off_lattice += got is None and v is in_span
+    assert off_lattice > 20
+    assert lattice_coordinates(IntMatrix([[2, 0], [0, 3]]), (1, 0)) is None
+    assert lattice_coordinates(IntMatrix([[1, 1, 0]]), (1, 1, 1)) is None
+
+
 def test_solve_rational():
-    assert solve_rational(int_matrix([[2, 0], [0, 4]]), (1, 2)) == (
+    assert solve_rational(IntMatrix([[2, 0], [0, 4]]), (1, 2)) == (
         Fraction(1, 2),
         Fraction(1, 2),
     )
-    assert solve_rational(int_matrix([[1, 1], [1, 1]]), (0, 1)) is None
-    sol = solve_rational(int_matrix([[1, 1]]), (3,))
+    assert solve_rational(IntMatrix([[1, 1], [1, 1]]), (0, 1)) is None
+    sol = solve_rational(IntMatrix([[1, 1]]), (3,))
     assert sol is not None and sum(sol) == 3
 
 
@@ -241,7 +291,7 @@ def test_solve_rational():
 
 
 def test_determinant_matches_permutation_expansion():
-    assert determinant(int_matrix([[1, 2], [3, 4]])) == -2
+    assert determinant(IntMatrix([[1, 2], [3, 4]])) == -2
     rng = random.Random(83)
     for _ in range(25):
         n = rng.randint(1, 4)
@@ -271,15 +321,15 @@ def test_rank_matches_rational_row_reduction():
     for rows in shaped_matrices(random.Random(101)):
         assert rank(rows) == frac_rref(rows)[0]
         if rows:
-            assert rank(int_matrix(rows)) == frac_rref(rows)[0]
-    assert rank(int_matrix([], width=4)) == 0
+            assert rank(IntMatrix(rows)) == frac_rref(rows)[0]
+    assert rank(IntMatrix([], width=4)) == 0
 
 
 def test_solve_rational_matches_rational_row_reduction():
     rng = random.Random(103)
     for rows in shaped_matrices(rng):
         n = len(rows[0]) if rows else 3
-        a = int_matrix(rows, width=n)
+        a = IntMatrix(rows, width=n)
         for b in ([rng.randint(-5, 5) for _ in rows],
                   [sum((j + 1) * x for j, x in enumerate(r)) for r in rows]):
             got = solve_rational(a, b)
@@ -293,36 +343,36 @@ def test_solve_rational_matches_rational_row_reduction():
             assert all(got[j] == 0 for j in range(n) if j not in a_pivots)
             if len(rows) == n and r == n:
                 assert got == frac_solve_unique(rows, b)
-    assert solve_rational(int_matrix([], width=2), []) == (0, 0)
+    assert solve_rational(IntMatrix([], width=2), []) == (0, 0)
 
 
 def test_determinant_matches_laplace_expansion_including_singular():
     rng = random.Random(107)
     for rows in shaped_matrices(rng):
         if rows and len(rows) == len(rows[0]):
-            assert determinant(int_matrix(rows)) == det_int(rows)
+            assert determinant(IntMatrix(rows)) == det_int(rows)
     for n in range(2, 6):
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert determinant(int_matrix(a)) == det_int(a)
+        assert determinant(IntMatrix(a)) == det_int(a)
         singular = a[:-1] + [[x + 2 * y for x, y in zip(a[0], a[-2])]]
-        assert determinant(int_matrix(singular)) == 0 == det_int(singular)
-    assert determinant(int_matrix([], width=0)) == 1
+        assert determinant(IntMatrix(singular)) == 0 == det_int(singular)
+    assert determinant(IntMatrix([], width=0)) == 1
     with pytest.raises(ValueError):
-        determinant(int_matrix([[1, 2]]))
+        determinant(IntMatrix([[1, 2]]))
 
 
 def test_unimodular_inverse():
-    inv = unimodular_inverse(int_matrix([[2, 1], [1, 1]]))
-    assert as_tuples(inv) == ((1, -1), (-1, 2))
+    inv = unimodular_inverse(IntMatrix([[2, 1], [1, 1]]))
+    assert inv == ((1, -1), (-1, 2))
     with pytest.raises(ValueError):
-        unimodular_inverse(int_matrix([[2, 0], [0, 1]]))
+        unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
 
 
 def test_lattices_equal():
-    assert lattices_equal(int_matrix([[2, 0], [0, 3]]), int_matrix([[2, 3], [0, 3], [2, 0]]))
-    assert not lattices_equal(int_matrix([[2, 0], [0, 2]]), identity_matrix(2))
+    assert lattices_equal(IntMatrix([[2, 0], [0, 3]]), IntMatrix([[2, 3], [0, 3], [2, 0]]))
+    assert not lattices_equal(IntMatrix([[2, 0], [0, 2]]), identity_matrix(2))
 
 
 def test_abelian_quotient_validation():
-    q = AbelianQuotient((3,), int_matrix([[1, 0]]))
+    q = AbelianQuotient((3,), IntMatrix([[1, 0]]))
     assert q.project((4, 7)) == (1,)
