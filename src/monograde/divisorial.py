@@ -75,7 +75,7 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
 def _region_vertices(forms, heights, dim) -> list[tuple[Fraction, ...]]:
     """Rational vertices of {y : forms(y) >= heights} (plus possibly some
     non-vertex tight points, which only widen the bounding box)."""
-    _guard_box(comb(len(forms), dim))
+    _guard_box(comb(len(forms), dim), "vertex search", "facet subsets")
     verts = []
     for subset in itertools.combinations(range(len(forms)), dim):
         aug = [list(forms[i]) + [heights[i]] for i in subset]
@@ -178,8 +178,12 @@ class DivisorClassGroup:
 
 
 def class_group(m: AffineMonoid) -> DivisorClassGroup:
+    """Kept on the monoid like the canonical module, so that
+    ``is_gorenstein`` reuses the job's class group."""
     m.require_normal()
-    return DivisorClassGroup(cokernel(m.facet_matrix, width=m.rank))
+    if m._class_group is None:
+        m._class_group = DivisorClassGroup(cokernel(m.facet_matrix, width=m.rank))
+    return m._class_group
 
 
 def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:

@@ -8,14 +8,21 @@ Groebner bases, full normal forms, elimination ideals, saturation by a
 polynomial, and the Krull dimension of the quotient ring read off the
 leading term ideal.  All loops that can run long honor a reduction-step
 budget and fail with :class:`BudgetExceededError` when it is exhausted.
+
+Each order compiles its sort key once and memoizes it per exponent.
+Buchberger's algorithm keeps its pending S-pairs in a heap keyed by the
+order key of their lcm, each pair pushed once, so picking the next pair
+costs a logarithm of the queue instead of a scan of it.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
 Exponent = tuple[int, ...]
 
@@ -48,8 +55,45 @@ def _as_budget(budget) -> _Budget:
 # -- term orders -----------------------------------------------------
 
 
-def _grevlex_key(e: Exponent):
-    return (sum(e), tuple(-x for x in reversed(e)))
+def _compile_key(kind, nvars, priority, drop):
+    """The key function of one order, with no dispatch left per call.
+
+    A grevlex key is ``(degree, negated exponents read backwards)``; a
+    lex key is the exponent read in priority order; an elimination key
+    is the grevlex key of the dropped block, then that of the rest.
+    """
+    if kind == "elim":
+        rdrop = drop[::-1]
+        rkeep = [i for i in reversed(range(nvars)) if i not in drop]
+
+        def raw(e):
+            d, k = [e[i] for i in rdrop], [e[i] for i in rkeep]
+            return (sum(d), tuple([-x for x in d])), (sum(k), tuple([-x for x in k]))
+    elif kind == "grevlex":
+        rev = (priority or range(nvars))[::-1]
+
+        def raw(e):
+            return sum(e), tuple([-e[i] for i in rev])
+    elif priority is None:
+        raw = tuple
+    else:
+        def raw(e):
+            return tuple([e[i] for i in priority])
+    return raw
+
+
+class _KeyMemo(dict):
+    """Exponent -> order key, computed on the first lookup only."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw):
+        super().__init__()
+        self.raw = raw
+
+    def __missing__(self, e):
+        k = self[e] = self.raw(e)
+        return k
 
 
 @dataclass(frozen=True)
@@ -61,6 +105,11 @@ class TermOrder:
     elimination order compares the ``drop`` block by grevlex first, so
     any leading term free of dropped variables certifies that the whole
     polynomial is.
+
+    ``key(e)`` is the sort key of exponent ``e``: larger means larger in
+    the order.  It is compiled once per order and memoized on the
+    instance, so an order lives (and its memo grows) only as long as the
+    computation that built it.
     """
 
     kind: str
@@ -78,21 +127,8 @@ class TermOrder:
                 raise ValueError("elimination order needs a set of dropped variables")
             if any(i < 0 or i >= self.nvars for i in self.drop):
                 raise ValueError("dropped variable out of range")
-        object.__setattr__(
-            self, "_keep", tuple(i for i in range(self.nvars) if i not in set(self.drop))
-        )
-
-    def key(self, e: Exponent):
-        if self.kind == "elim":
-            return (
-                _grevlex_key(tuple(e[i] for i in self.drop)),
-                _grevlex_key(tuple(e[i] for i in self._keep)),
-            )
-        if self.priority is not None:
-            e = tuple(e[i] for i in self.priority)
-        if self.kind == "grevlex":
-            return _grevlex_key(e)
-        return e
+        raw = _compile_key(self.kind, self.nvars, self.priority, self.drop)
+        object.__setattr__(self, "key", _KeyMemo(raw).__getitem__)
 
 
 def grevlex(nvars: int, priority=None) -> TermOrder:
@@ -119,17 +155,19 @@ class Polynomial:
         self.nvars = int(nvars)
         clean: dict[Exponent, Fraction] = {}
         for e, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if not c:
                 continue
             e = tuple(int(x) for x in e)
             if len(e) != self.nvars or any(x < 0 for x in e):
                 raise ValueError("bad exponent %r" % (e,))
-            acc = clean.get(e, Fraction(0)) + c
-            if acc:
+            if e not in clean:
+                clean[e] = c
+            elif acc := clean[e] + c:
                 clean[e] = acc
             else:
-                clean.pop(e, None)
+                del clean[e]
         self.terms = clean
 
     @classmethod
@@ -176,11 +214,12 @@ class Polynomial:
             raise ValueError("mixed variable counts")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.get(e, Fraction(0)) + c
-            if acc:
+            if e not in out:
+                out[e] = c
+            elif acc := out[e] + c:
                 out[e] = acc
             else:
-                out.pop(e, None)
+                del out[e]
         p = Polynomial.zero(self.nvars)
         p.terms = out
         return p
@@ -195,7 +234,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = other if type(other) is Fraction else Fraction(other)
             p = Polynomial.zero(self.nvars)
             if c:
                 p.terms = {e: c * v for e, v in self.terms.items()}
@@ -205,12 +244,13 @@ class Polynomial:
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(e, Fraction(0)) + c1 * c2
-                if acc:
+                e = _exp_add(e1, e2)
+                if e not in out:
+                    out[e] = c1 * c2
+                elif acc := out[e] + c1 * c2:
                     out[e] = acc
                 else:
-                    out.pop(e, None)
+                    del out[e]
         p = Polynomial.zero(self.nvars)
         p.terms = out
         return p
@@ -239,19 +279,19 @@ class Polynomial:
 
 
 def _divides(d: Exponent, e: Exponent) -> bool:
-    return all(a <= b for a, b in zip(d, e))
+    return all(map(le, d, e))
 
 
 def _exp_sub(e: Exponent, d: Exponent) -> Exponent:
-    return tuple(a - b for a, b in zip(e, d))
+    return tuple(map(sub, e, d))
 
 
 def _exp_add(e: Exponent, d: Exponent) -> Exponent:
-    return tuple(a + b for a, b in zip(e, d))
+    return tuple(map(add, e, d))
 
 
 def _exp_lcm(e: Exponent, d: Exponent) -> Exponent:
-    return tuple(max(a, b) for a, b in zip(e, d))
+    return tuple(map(max, e, d))
 
 
 def _poly_sort_key(f: Polynomial, order: TermOrder):
@@ -289,23 +329,41 @@ def normal_form(f: Polynomial, basis, order: TermOrder, budget=None) -> Polynomi
             if e2 == ge:
                 continue
             em = _exp_add(e2, shift)
-            acc = work.get(em, Fraction(0)) - ratio * c2
-            if acc:
+            if em not in work:
+                work[em] = -ratio * c2
+            elif acc := work[em] - ratio * c2:
                 work[em] = acc
             else:
-                work.pop(em, None)
+                del work[em]
     out = Polynomial.zero(f.nvars)
     out.terms = remainder
     return out
 
 
+def _shifted_terms(f: Polynomial, shift: Exponent, scale: Fraction) -> dict:
+    """The terms of scale * x^shift * f; a monic basis element has scale 1."""
+    if scale == 1:
+        return {_exp_add(e, shift): c for e, c in f.terms.items()}
+    return {_exp_add(e, shift): scale * c for e, c in f.terms.items()}
+
+
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     fe, fc = f.leading(order)
     ge, gc = g.leading(order)
+    if f.nvars != g.nvars:
+        raise ValueError("mixed variable counts")
     l = _exp_lcm(fe, ge)
-    mf = Polynomial.monomial(_exp_sub(l, fe), 1 / fc, f.nvars)
-    mg = Polynomial.monomial(_exp_sub(l, ge), 1 / gc, g.nvars)
-    return mf * f - mg * g
+    out = _shifted_terms(f, _exp_sub(l, fe), 1 / fc)
+    for e, c in _shifted_terms(g, _exp_sub(l, ge), 1 / gc).items():
+        if e not in out:
+            out[e] = -c
+        elif acc := out[e] - c:
+            out[e] = acc
+        else:
+            del out[e]
+    p = Polynomial.zero(f.nvars)
+    p.terms = out
+    return p
 
 
 def _interreduce(basis: list[Polynomial], order: TermOrder, budget: _Budget) -> list[Polynomial]:
@@ -328,8 +386,12 @@ def _interreduce(basis: list[Polynomial], order: TermOrder, budget: _Budget) -> 
 def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, ...]:
     """The reduced Groebner basis of the ideal, sorted by leading term.
 
-    Pair selection follows the normal strategy (smallest lcm first);
-    coprime leading terms and the chain criterion prune pairs.
+    Pair selection follows the normal strategy: pending S-pairs sit in a
+    heap keyed by the order key of their lcm, then by the pair (i, j), so
+    the smallest lcm is reduced first and equal lcms go by index.  Each
+    pair is pushed once, when its second element joins the basis; its
+    lcm never changes, since leading terms are fixed once appended.
+    Coprime leading terms and the chain criterion prune pairs.
     """
     budget = _as_budget(budget)
     gens = [g for g in generators if not g.is_zero]
@@ -338,22 +400,27 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
     nv = gens[0].nvars
     if any(g.nvars != nv for g in gens):
         raise ValueError("mixed variable counts")
+    key = order.key
     gens = sorted(gens, key=lambda g: _poly_sort_key(g, order))
     basis: list[Polynomial] = []
     lts: list[Exponent] = []
-    for g in gens:
-        basis.append(g.monic(order))
-        lts.append(g.leading(order)[0])
-    pending: set[tuple[int, int]] = set()
+    pending: list[tuple] = []  # heap of (key(lcm), (i, j), lcm)
     done: set[tuple[int, int]] = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pending.add((i, j))
+
+    def append(g: Polynomial) -> None:
+        basis.append(g.monic(order))
+        lt = g.leading(order)[0]
+        new = len(lts)
+        for k, lk in enumerate(lts):
+            l = _exp_lcm(lk, lt)
+            heapq.heappush(pending, (key(l), (k, new), l))
+        lts.append(lt)
+
+    for g in gens:
+        append(g)
     while pending:
-        i, j = min(pending, key=lambda p: (order.key(_exp_lcm(lts[p[0]], lts[p[1]])), p))
-        pending.discard((i, j))
+        _, (i, j), l = heapq.heappop(pending)
         done.add((i, j))
-        l = _exp_lcm(lts[i], lts[j])
         if l == _exp_add(lts[i], lts[j]):
             continue  # coprime leading terms reduce to zero
         skip = False
@@ -368,13 +435,8 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
         if skip:
             continue
         h = normal_form(s_polynomial(basis[i], basis[j], order), basis, order, budget)
-        if h.is_zero:
-            continue
-        basis.append(h.monic(order))
-        lts.append(h.leading(order)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            pending.add((k, new))
+        if not h.is_zero:
+            append(h)
     return tuple(_interreduce(basis, order, budget))
 
 
@@ -457,10 +519,10 @@ def ideal_dimension(ideal: IdealPresentation, budget=None) -> int:
     """
     budget = _as_budget(budget)
     n = ideal.nvars
-    gb = buchberger(ideal.generators, grevlex(n), budget)
+    deg_order = grevlex(n)
+    gb = buchberger(ideal.generators, deg_order, budget)
     if not gb:
         return n
-    deg_order = grevlex(n)
     exps = []
     for g in gb:
         e = g.leading(deg_order)[0]

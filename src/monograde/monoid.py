@@ -63,10 +63,12 @@ class _PointedView:
     lift: IntMatrix | None  # (d, dim) section; None when already pointed
 
 
-def _guard_box(volume: int) -> None:
-    if volume > _MAX_ENUMERATION:
+def _guard_box(count: int, what: str = "enumeration box", unit: str = "points") -> None:
+    """Refuse an enumeration of more than ``_MAX_ENUMERATION`` items; the
+    error names what was counted, e.g. the box points or facet subsets."""
+    if count > _MAX_ENUMERATION:
         raise EnumerationLimitError(
-            "enumeration box has %d points, beyond the supported desk scale" % volume
+            "%s has %d %s, beyond the supported desk scale" % (what, count, unit)
         )
 
 
@@ -86,6 +88,7 @@ class AffineMonoid:
         self.local_generators = tuple(as_tuple(g) for g in local_generators)
         self._assume_normal = bool(assume_normal)
         self._canonical = None  # set by divisorial.canonical_module
+        self._class_group = None  # set by divisorial.class_group
 
     # -- coordinates -------------------------------------------------
 

@@ -5,7 +5,9 @@ library: Fourier-Motzkin elimination instead of double description,
 determinantal divisors instead of Smith elimination, coset enumeration
 instead of projections, exhaustive box scans instead of bounded clever
 ones, and rational row reduction for dimension counts.  Nothing in this
-module imports the package beyond plain data types.
+module imports the package beyond plain data types, except the slow
+paths at the end: a fast path keeps the route it replaced here as its
+reference, built on the package's own primitives.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 import random
 from fractions import Fraction
 from math import gcd
+
+from monograde import groebner
 
 
 # -- small exact helpers ----------------------------------------------
@@ -426,3 +430,79 @@ def random_pointed_cones(count, max_rank, entry_bound, seed):
             continue  # no cheap pointedness certificate
         out.append((d, rays))
     return out
+
+
+# -- slow paths kept as references for groebner ------------------------
+
+
+def grevlex_key(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def reference_key(order, e):
+    """``order.key(e)`` by dispatch on the order's kind on every call."""
+    if order.kind == "elim":
+        keep = tuple(i for i in range(order.nvars) if i not in set(order.drop))
+        return (
+            grevlex_key(tuple(e[i] for i in order.drop)),
+            grevlex_key(tuple(e[i] for i in keep)),
+        )
+    if order.priority is not None:
+        e = tuple(e[i] for i in order.priority)
+    if order.kind == "grevlex":
+        return grevlex_key(e)
+    return e
+
+
+def reference_buchberger(generators, order, budget):
+    """``groebner.buchberger`` selecting each pair by ``min`` over the
+    whole pending set, with keys from :func:`reference_key`.
+
+    S-polynomials, reductions and the final interreduction go through
+    the ``groebner`` module's globals, so a test that counts them there
+    counts both routes alike.
+    """
+    def key(e):
+        return reference_key(order, e)
+
+    gens = [g for g in generators if not g.is_zero]
+    if not gens:
+        return ()
+    gens = sorted(gens, key=lambda g: sorted(((key(e), c) for e, c in g.terms.items()),
+                                             reverse=True))
+    basis, lts = [], []
+    for g in gens:
+        basis.append(g.monic(order))
+        lts.append(g.leading(order)[0])
+    pending, done = set(), set()
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            pending.add((i, j))
+
+    def lcm(p):
+        return tuple(max(a, b) for a, b in zip(lts[p[0]], lts[p[1]]))
+
+    def divides(d, e):
+        return all(a <= b for a, b in zip(d, e))
+
+    while pending:
+        i, j = min(pending, key=lambda p: (key(lcm(p)), p))
+        pending.discard((i, j))
+        done.add((i, j))
+        l = lcm((i, j))
+        if l == tuple(a + b for a, b in zip(lts[i], lts[j])):
+            continue
+        if any(k not in (i, j) and divides(lts[k], l)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k in range(len(basis))):
+            continue
+        h = groebner.normal_form(groebner.s_polynomial(basis[i], basis[j], order),
+                                 basis, order, budget)
+        if h.is_zero:
+            continue
+        basis.append(h.monic(order))
+        lts.append(h.leading(order)[0])
+        new = len(basis) - 1
+        for k in range(new):
+            pending.add((k, new))
+    return tuple(groebner._interreduce(basis, order, budget))

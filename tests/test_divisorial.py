@@ -173,6 +173,18 @@ def test_facet_subset_guard_fires_before_any_elimination(monkeypatch):
     assert calls == []
 
 
+def test_limit_errors_name_what_they_counted(monkeypatch):
+    rays = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 3)
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^enumeration box has 27 points, beyond the supported desk scale$"):
+        hilbert_basis(monoid_from_cone_rays(rays))
+    view = monoid_from_cone_rays(rays)._pointed_view
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^vertex search has 4 facet subsets, beyond the supported desk scale$"):
+        divisorial._region_vertices(view.forms, [1] * len(view.forms), view.dim)
+
+
 def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
     m = monoid_from_cone_rays([(1, 0), (1, 3)])
     calls = []
@@ -190,6 +202,22 @@ def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
 
 
 # -- class group ---------------------------------------------------------
+
+
+def test_class_group_is_computed_once_per_monoid(monkeypatch):
+    m = monoid_from_cone_rays([(1, 0), (1, 3)])
+    calls = []
+    real = divisorial.cokernel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(divisorial, "cokernel", counted)
+    first = class_group(m)
+    assert is_gorenstein(m) == (False, None)
+    assert class_group(m) is first
+    assert len(calls) == 1
 
 
 def test_class_group_fixtures():

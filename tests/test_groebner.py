@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from monograde import groebner
 from monograde.groebner import (
     BudgetExceededError,
     IdealPresentation,
@@ -27,6 +28,7 @@ from monograde.groebner import (
     s_polynomial,
     saturate,
 )
+from oracles import reference_buchberger, reference_key
 
 V2 = default_variables(2)
 V3 = default_variables(3)
@@ -71,6 +73,65 @@ def test_elimination_order_separates_blocks():
         with_drop = (rng.randint(1, 3), rng.randint(0, 5), rng.randint(0, 5))
         without = (0, rng.randint(0, 5), rng.randint(0, 5))
         assert o.key(with_drop) > o.key(without)
+
+
+def seeded_orders(rng, n):
+    """grevlex and lex, each plain and with a shuffled priority, and an
+    elimination order of a random nonempty block (all variables too)."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    drop = rng.sample(range(n), rng.randint(1, n))
+    return [grevlex(n), lex(n), grevlex(n, perm), lex(n, perm), elimination_order(drop, n)]
+
+
+def test_compiled_keys_match_the_reference_dispatch():
+    rng = random.Random(61)
+    for n in range(1, 6):
+        for _ in range(8):
+            for o in seeded_orders(rng, n):
+                exps = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(40)]
+                for e in exps:
+                    assert o.key(e) == reference_key(o, e)
+                    assert o.key(e) == reference_key(o, e)  # memo hit
+                assert sorted(exps, key=o.key) == sorted(exps, key=lambda e: reference_key(o, e))
+
+
+def test_keys_are_memoized_per_order_instance():
+    o, p = grevlex(3), grevlex(3)
+    assert o == p and o.key((1, 2, 0)) is o.key((1, 2, 0))
+    assert o.key((1, 2, 0)) is not p.key((1, 2, 0))
+
+
+def test_heap_selects_the_pairs_of_the_min_scan(monkeypatch):
+    """Same basis, same S-pairs in the same order and same reduction steps
+    as the reference route, which picks each pair by min over the
+    pending set."""
+    real = groebner.s_polynomial
+    spairs = []
+
+    def counted(f, g, order):
+        spairs.append((f, g))
+        return real(f, g, order)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    rng = random.Random(67)
+    checked = 0
+    for n in range(2, 6):
+        for _ in range(12):
+            gens = [random_poly(rng, n, max_terms=3, max_exp=2) for _ in range(rng.randint(2, 3))]
+            for o in seeded_orders(rng, n):
+                outcomes = []
+                for route in (buchberger, reference_buchberger):
+                    budget = groebner._Budget(20_000)
+                    spairs.clear()
+                    try:
+                        gb = route(gens, o, budget)
+                    except BudgetExceededError:
+                        gb = None
+                    outcomes.append((gb, list(spairs), budget.remaining))
+                assert outcomes[0] == outcomes[1]
+                checked += outcomes[0][0] is not None
+    assert checked > 150
 
 
 # -- parsing and formatting ----------------------------------------------
