@@ -4,11 +4,12 @@ A divisorial ideal is described by one integer height per facet of the
 monoid's cone: it is the set of lattice points of L on which the i-th
 facet form is at least ``heights[i]``.  Heights are indexed by the
 canonical order of ``monoid.facet_forms``.  The module enumerates
-members in a box, computes minimal module generators by exact bounded
-enumeration, builds the canonical module (all heights equal to one, the
-interior points), the divisor class group as an abelian quotient, shift
-witnesses between ideal classes, and the Gorenstein decision with a
-certificate.
+members in a box, computes minimal module generators by an exact sweep
+over the ideal's points in a bounding box (``monoid._region_points``;
+the enumeration guard still bounds the whole box), builds the canonical
+module (all heights equal to one, the interior points), the divisor
+class group as an abelian quotient, shift witnesses between ideal
+classes, and the Gorenstein decision with a certificate.
 
 Every operation requires the monoid presentation to be normal, since
 the height description only sees the saturation C cap L.
@@ -30,7 +31,7 @@ from .exact_linalg import (
     cokernel,
     solve_integer,
 )
-from .monoid import AffineMonoid, _guard_box
+from .monoid import AffineMonoid, _guard_box, _region_points
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,10 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     region's vertices and c in the recession cone; if c uses an extreme
     ray with coefficient at least 1, subtracting that ray stays in the
     region, so minimal members live in the vertex bounding box plus the
-    ray zonotope.  Minimality itself is exact: y is minimal iff no
-    Hilbert basis element can be subtracted without leaving the region.
+    ray zonotope.  ``_region_points`` sweeps only the members in that
+    box; the guard still bounds the whole box.  Minimality itself is
+    exact: y is minimal iff no Hilbert basis element can be subtracted
+    without leaving the region.
     """
     m = ideal.monoid
     m.require_normal()
@@ -111,8 +114,7 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
         return (m.to_ambient((0,) * m.rank),)
     forms = view.forms
     h = ideal.heights
-    zlo = [sum(min(0, r[i]) for r in view.rays) for i in range(k)]
-    zhi = [sum(max(0, r[i]) for r in view.rays) for i in range(k)]
+    zlo, zhi = view.box
     # the full box is at least as wide as the zonotope box in every
     # coordinate, so guard that one before the vertex subsets run
     _guard_box(prod(b - a + 1 for a, b in zip(zlo, zhi)))
@@ -122,12 +124,9 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     lo = [floor(min(v[i] for v in verts)) + zlo[i] for i in range(k)]
     hi = [ceil(max(v[i] for v in verts)) + zhi[i] for i in range(k)]
     _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
-    hb_vals = [tuple(_dot(f, b) for f in forms) for b in m._pointed_hilbert]
+    hb_vals = [vals for _, vals in m._pointed_hilbert]
     minimal = []
-    for pt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        vals = tuple(_dot(f, pt) for f in forms)
-        if any(v < hh for v, hh in zip(vals, h)):
-            continue
+    for pt, vals in _region_points(forms, h, lo, hi):
         reducible = False
         for bvals in hb_vals:
             if all(v - w >= hh for v, w, hh in zip(vals, bvals, h)):

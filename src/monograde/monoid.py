@@ -4,10 +4,12 @@ A presentation is normalized to M = C cap L where L is the group
 generated by the input (or the saturated span for cone-defined monoids)
 and C is the cone spanned by it; all further computations run in a
 basis of L, where C is full-dimensional.  The module computes Hilbert
-bases by bounded enumeration inside the generator zonotope, decides
-whether a generating set actually generates C cap L (with an explicit
-witness when it does not), extracts unit subgroups, and measures the
-rank of degree subgroups for gradings.
+bases by an exact sweep over the cone points of the generator
+zonotope's bounding box (``_region_points``, shared with the canonical
+module's generators in ``divisorial``; the enumeration guard still
+bounds the whole box), decides whether a generating set actually
+generates C cap L (with an explicit witness when it does not), extracts
+unit subgroups, and measures the rank of degree subgroups for gradings.
 
 Vectors returned to callers are always in the ambient Z^r coordinates,
 which keeps results independent of the internal basis choice for L.
@@ -15,9 +17,10 @@ which keeps results independent of the internal basis choice for L.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
+from operator import add
 
 from .cone import Cone, _quotient_transform, facets_of_rays
 from .exact_linalg import (
@@ -61,6 +64,13 @@ class _PointedView:
     forms: tuple[Vec, ...]
     dim: int
     lift: IntMatrix | None  # (d, dim) section; None when already pointed
+
+    @cached_property
+    def box(self) -> tuple[Vec, Vec]:
+        """Bounding box (lo, hi) of the zonotope spanned by the rays."""
+        lo = tuple(sum(min(0, r[i]) for r in self.rays) for i in range(self.dim))
+        hi = tuple(sum(max(0, r[i]) for r in self.rays) for i in range(self.dim))
+        return lo, hi
 
 
 def _guard_box(count: int, what: str = "enumeration box", unit: str = "points") -> None:
@@ -266,12 +276,12 @@ class AffineMonoid:
         return view.lift @ as_tuple(point)
 
     @cached_property
-    def _pointed_hilbert(self) -> tuple[Vec, ...]:
-        view = self._pointed_view
-        return _pointed_hilbert_basis(view.rays, view.forms, view.dim)
+    def _pointed_hilbert(self) -> tuple[tuple[Vec, Vec], ...]:
+        """(element, facet values) of the pointed Hilbert basis, by element."""
+        return _pointed_hilbert_basis(self._pointed_view)
 
     def _hilbert_local(self) -> tuple[Vec, ...]:
-        return tuple(self._lift_local(p) for p in self._pointed_hilbert)
+        return tuple(self._lift_local(p) for p, _ in self._pointed_hilbert)
 
     def hilbert_basis(self) -> tuple[Vec, ...]:
         """Irreducible nonunits of M, modulo units, in ambient coordinates.
@@ -284,30 +294,72 @@ class AffineMonoid:
         return tuple(sorted(self.to_ambient(h) for h in self._hilbert_local()))
 
 
-def _pointed_hilbert_basis(rays, forms, dim) -> tuple[Vec, ...]:
-    """Hilbert basis of a pointed full-dimensional cone in Z^dim.
+def _region_points(forms, heights, lo, hi):
+    """Yield (y, forms(y)) for every integer y in the box [lo, hi] with
+    forms(y) >= heights, in the lexicographic order of the box.  The box
+    has at least one coordinate.
+
+    The sweep fixes one coordinate at a time and adds that coordinate's
+    column of the forms to the running facet values, so no point costs a
+    dot product.  At each coordinate the feasible values form an interval,
+    solved exactly by floor and ceiling division: every form must still
+    reach its height when the remaining coordinates add the most the box
+    allows.  That bound never drops a region point; at the last coordinate
+    nothing remains, so only region points are visited there.
+    """
+    k = len(lo)
+    cols = [tuple(f[i] for f in forms) for i in range(k)]
+    # need[i][j]: the value form j must have after coordinate i so that
+    # coordinates i+1.. can still lift it to heights[j]
+    need = [()] * k
+    acc = tuple(heights)
+    for i in reversed(range(k)):
+        need[i] = acc
+        acc = tuple(a - max(c * lo[i], c * hi[i]) for a, c in zip(acc, cols[i]))
+
+    def sweep(i, prefix, vals):
+        col = cols[i]
+        a, b = lo[i], hi[i]
+        for v, c, h in zip(vals, col, need[i]):
+            if c > 0:
+                a = max(a, -((v - h) // c))  # v + c*t >= h, t >= ceil((h - v) / c)
+            elif c < 0:
+                b = min(b, (h - v) // c)  # t <= floor((h - v) / c)
+            elif v < h:
+                return
+        if a > b:
+            return
+        vals = tuple(v + a * c for v, c in zip(vals, col))
+        last = i == k - 1
+        for t in range(a, b + 1):
+            if last:
+                yield prefix + (t,), vals
+            else:
+                yield from sweep(i + 1, prefix + (t,), vals)
+            vals = tuple(map(add, vals, col))
+
+    yield from sweep(0, (), (0,) * len(forms))
+
+
+def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
+    """Hilbert basis of a pointed full-dimensional cone in Z^dim, as
+    (element, facet values) pairs sorted by element.
 
     Every irreducible lattice point is a subsum of the generator
     zonotope (subtracting any extreme ray with coefficient >= 1 stays in
-    the cone), so scanning the zonotope bounding box is exhaustive.
-    Points are filtered by increasing total facet value; that functional
-    is strictly positive on nonzero cone points, which makes the
-    subtraction filter exact.
+    the cone), so the cone points of the zonotope bounding box are
+    exhaustive.  ``_region_points`` visits exactly those; the guard still
+    bounds the whole box.  Points are filtered by increasing total facet
+    value; that functional is strictly positive on nonzero cone points,
+    which makes the subtraction filter exact.
     """
-    if dim == 0 or not rays:
+    if view.dim == 0 or not view.rays:
         return ()
-    lo = [sum(min(0, r[i]) for r in rays) for i in range(dim)]
-    hi = [sum(max(0, r[i]) for r in rays) for i in range(dim)]
-    volume = 1
-    for a, b in zip(lo, hi):
-        volume *= b - a + 1
-    _guard_box(volume)
+    lo, hi = view.box
+    _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
     candidates = []
-    for pt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        if not any(pt):
-            continue
-        vals = tuple(_dot(f, pt) for f in forms)
-        if all(v >= 0 for v in vals):
+    for pt, vals in _region_points(view.forms, (0,) * len(view.forms), lo, hi):
+        if any(pt):
             candidates.append((sum(vals), pt, vals))
     candidates.sort(key=lambda t: (t[0], t[1]))
     basis: list[Vec] = []
@@ -321,7 +373,7 @@ def _pointed_hilbert_basis(rays, forms, dim) -> tuple[Vec, ...]:
         if not reducible:
             basis.append(pt)
             basis_vals.append(vals)
-    return tuple(sorted(basis))
+    return tuple(sorted(zip(basis, basis_vals)))
 
 
 def normalize_presentation(generators) -> AffineMonoid:

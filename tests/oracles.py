@@ -18,7 +18,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from monograde import groebner
+from monograde import divisorial, groebner
+from monograde.exact_linalg import _dot
+from monograde.monoid import _guard_box
 
 
 # -- small exact helpers ----------------------------------------------
@@ -432,6 +434,26 @@ def random_pointed_cones(count, max_rank, entry_bound, seed):
     return out
 
 
+def cone_corpus(seed):
+    """Ray lists of rank 2-5 for the whole-box oracles: pointed
+    full-dimensional cones, the same cones with a line of units (the
+    first ray's opposite) added, and the same cones embedded in a
+    sublattice of Z^(rank+1) by a random extra coordinate."""
+    rng = random.Random(seed)
+    out = []
+    for rank, count, bound in ((2, 5, 4), (3, 5, 3), (4, 3, 2), (5, 2, 1)):
+        cones = [rays for d, rays in random_pointed_cones(4 * count, rank, bound, seed + rank)
+                 if d == rank]
+        assert len(cones) >= count
+        for rays in cones[:count]:
+            out.append(rays)
+            if rank <= 4:
+                out.append(rays + [tuple(-x for x in rays[0])])
+                w = [rng.randint(-2, 2) for _ in range(rank)]
+                out.append([r + (dot(w, r),) for r in rays])
+    return out
+
+
 # -- slow paths kept as references for groebner ------------------------
 
 
@@ -506,3 +528,79 @@ def reference_buchberger(generators, order, budget):
         for k in range(new):
             pending.add((k, new))
     return tuple(groebner._interreduce(basis, order, budget))
+
+
+# -- slow paths kept as references for monoid and divisorial -----------
+
+
+def box_hilbert_basis(rays, forms, dim):
+    """Hilbert basis of a pointed full-dimensional cone in Z^dim by a
+    scan of the whole zonotope bounding box, one dot product per form
+    and point: the route ``monoid._pointed_hilbert_basis`` replaced."""
+    if dim == 0 or not rays:
+        return ()
+    lo = [sum(min(0, r[i]) for r in rays) for i in range(dim)]
+    hi = [sum(max(0, r[i]) for r in rays) for i in range(dim)]
+    volume = 1
+    for a, b in zip(lo, hi):
+        volume *= b - a + 1
+    _guard_box(volume)
+    candidates = []
+    for pt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        if not any(pt):
+            continue
+        vals = tuple(_dot(f, pt) for f in forms)
+        if all(v >= 0 for v in vals):
+            candidates.append((sum(vals), pt, vals))
+    candidates.sort(key=lambda t: (t[0], t[1]))
+    basis = []
+    basis_vals = []
+    for _, pt, vals in candidates:
+        reducible = False
+        for bvals in basis_vals:
+            if all(v >= w for v, w in zip(vals, bvals)):
+                reducible = True
+                break
+        if not reducible:
+            basis.append(pt)
+            basis_vals.append(vals)
+    return tuple(sorted(basis))
+
+
+def box_minimal_generators(ideal):
+    """``divisorial.minimal_generators`` by a scan of the whole vertex
+    box plus zonotope box, one dot product per form and point, with the
+    Hilbert basis from :func:`box_hilbert_basis`: the route the region
+    sweep replaced."""
+    m = ideal.monoid
+    m.require_normal()
+    view = m._pointed_view
+    k = view.dim
+    if k == 0:
+        return (m.to_ambient((0,) * m.rank),)
+    forms = view.forms
+    h = ideal.heights
+    zlo = [sum(min(0, r[i]) for r in view.rays) for i in range(k)]
+    zhi = [sum(max(0, r[i]) for r in view.rays) for i in range(k)]
+    _guard_box(math.prod(b - a + 1 for a, b in zip(zlo, zhi)))
+    verts = divisorial._region_vertices(forms, h, k)
+    if not verts:
+        raise RuntimeError("height region unexpectedly has no vertices")
+    lo = [math.floor(min(v[i] for v in verts)) + zlo[i] for i in range(k)]
+    hi = [math.ceil(max(v[i] for v in verts)) + zhi[i] for i in range(k)]
+    _guard_box(math.prod(b - a + 1 for a, b in zip(lo, hi)))
+    hb = box_hilbert_basis(view.rays, forms, k)
+    hb_vals = [tuple(_dot(f, b) for f in forms) for b in hb]
+    minimal = []
+    for pt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        vals = tuple(_dot(f, pt) for f in forms)
+        if any(v < hh for v, hh in zip(vals, h)):
+            continue
+        reducible = False
+        for bvals in hb_vals:
+            if all(v - w >= hh for v, w, hh in zip(vals, bvals, h)):
+                reducible = True
+                break
+        if not reducible:
+            minimal.append(pt)
+    return tuple(sorted(m.to_ambient(m._lift_local(pt)) for pt in minimal))

@@ -1,7 +1,8 @@
 """Divisorial ideals, canonical modules, class groups, Gorenstein tests.
 
-Minimal generating sets are cross-checked by exhaustive big-box scans
-and by the Fourier-Motzkin interior-point oracle; class groups by
+Minimal generating sets are cross-checked by exhaustive big-box scans,
+by the whole-box scan the region sweep replaced and by the
+Fourier-Motzkin interior-point oracle; class groups by
 determinantal divisors and coset counting.
 """
 
@@ -28,7 +29,9 @@ from monograde.monoid import (
     normalize_presentation,
 )
 from oracles import (
+    box_minimal_generators,
     brute_minimal_interior,
+    cone_corpus,
     coset_count,
     minor_gcd_factors,
     random_pointed_cones,
@@ -98,6 +101,24 @@ def test_minimal_generators_against_big_box_scan():
             }
             assert naive == set(g for g in gens if all(abs(c) <= 5 for c in g)), h
             assert set(gens) <= pts
+
+
+def test_minimal_generators_match_the_box_scan_oracle():
+    rng = random.Random(421)
+    ranks, with_units, embedded = set(), 0, 0
+    for rays in cone_corpus(421):
+        m = monoid_from_cone_rays(rays)
+        ranks.add(m.rank)
+        with_units += m.unit_rank > 0
+        embedded += m.rank < m.ambient_rank
+        s = len(m.facet_forms)
+        # the oracle's box scan grows fast with the rank: fewer draws there
+        draws = {4: 1, 5: 0}.get(m.rank, 2)
+        heights = [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(draws)]
+        for h in heights:
+            ideal = divisorial_ideal(m, h)
+            assert minimal_generators(ideal) == box_minimal_generators(ideal), (rays, h)
+    assert ranks >= {2, 3, 4, 5} and with_units and embedded
 
 
 def test_generator_shift_covariance():
@@ -183,6 +204,28 @@ def test_limit_errors_name_what_they_counted(monkeypatch):
     with pytest.raises(EnumerationLimitError,
                        match=r"^vertex search has 4 facet subsets, beyond the supported desk scale$"):
         divisorial._region_vertices(view.forms, [1] * len(view.forms), view.dim)
+
+
+def test_guards_bound_the_box_not_the_points_visited(monkeypatch):
+    # a thin cone: its boxes hold 13824 and 15625 points, of which the
+    # sweep visits 387 and 414, yet the guards keep counting the boxes
+    rays = [(9, 7, 7), (7, 9, 7), (7, 7, 9)]
+    view = monoid_from_cone_rays(rays)._pointed_view
+    lo, hi = view.box
+    assert sum(1 for _ in monoid._region_points(view.forms, (0, 0, 0), lo, hi)) == 387
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 13823)
+    message = r"^enumeration box has %d points, beyond the supported desk scale$"
+    with pytest.raises(EnumerationLimitError, match=message % 13824):
+        hilbert_basis(monoid_from_cone_rays(rays))
+    with pytest.raises(EnumerationLimitError, match=message % 13824):
+        canonical_module(monoid_from_cone_rays(rays))
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 15624)
+    m = monoid_from_cone_rays(rays)
+    assert len(hilbert_basis(m)) > 0
+    with pytest.raises(EnumerationLimitError, match=message % 15625):
+        canonical_module(m)
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 15625)
+    assert len(canonical_module(m).generators) > 0
 
 
 def test_canonical_module_is_computed_once_per_monoid(monkeypatch):

@@ -1,13 +1,17 @@
 """Affine monoids: normalization, Hilbert bases, units, gradings.
 
 Hilbert bases are checked against exhaustive box irreducibility with
-Fourier-Motzkin membership; everything else against frozen values.
+Fourier-Motzkin membership and against the whole-box scan they
+replaced; the region sweep against a filtered box product; everything
+else against frozen values.
 """
 
+import itertools
 import random
 
 import pytest
 
+from monograde import monoid
 from monograde.monoid import (
     EnumerationLimitError,
     NonNormalError,
@@ -18,7 +22,13 @@ from monograde.monoid import (
     normalize_presentation,
     unit_group,
 )
-from oracles import brute_irreducibles, random_pointed_cones
+from oracles import (
+    box_hilbert_basis,
+    brute_irreducibles,
+    cone_corpus,
+    dot,
+    random_pointed_cones,
+)
 
 
 # -- normalization and membership --------------------------------------
@@ -141,6 +151,65 @@ def test_hilbert_basis_reconstructs_the_monoid():
         again = normalize_presentation(hb)
         assert again.is_normal
         assert hilbert_basis(again) == hb
+
+
+def test_hilbert_basis_matches_the_box_scan_oracle():
+    ranks, with_units, embedded = set(), 0, 0
+    for rays in cone_corpus(401):
+        m = monoid_from_cone_rays(rays)
+        view = m._pointed_view
+        ranks.add(m.rank)
+        with_units += m.unit_rank > 0
+        embedded += m.rank < m.ambient_rank
+        pointed = box_hilbert_basis(view.rays, view.forms, view.dim)
+        assert hilbert_basis(m) == tuple(sorted(m.to_ambient(m._lift_local(p)) for p in pointed))
+        assert tuple(p for p, _ in m._pointed_hilbert) == pointed
+        for p, vals in m._pointed_hilbert:
+            assert vals == tuple(dot(f, p) for f in view.forms)
+    assert ranks >= {2, 3, 4, 5} and with_units and embedded
+
+
+def region_by_filter(forms, heights, lo, hi):
+    out = []
+    for pt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        vals = tuple(dot(f, pt) for f in forms)
+        if all(v >= h for v, h in zip(vals, heights)):
+            out.append((pt, vals))
+    return out
+
+
+def test_region_points_match_a_filtered_box_product():
+    rng = random.Random(409)
+    fixed = [
+        # rank 1: no prefix, only the last coordinate's interval
+        (((2,), (-3,)), (-1, -4), (-3,), (3,)),
+        # empty region: x >= 1 and -x >= 1
+        (((1,), (-1,)), (1, 1), (-4,), (4,)),
+        # a form with last coefficient 0 that the prefix alone decides
+        (((1, 0), (0, 1), (-1, 2)), (-1, 0, -2), (-2, -1), (2, 3)),
+        (((2, 0, 0), (1, -1, 0), (0, 1, 3)), (-3, 0, 1), (-2, -2, -1), (1, 2, 2)),
+    ]
+    cases = list(fixed)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        forms = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            for f in forms[: rng.randint(1, len(forms))]:
+                f[-1] = 0
+        lo = [rng.randint(-3, 1) for _ in range(k)]
+        hi = [a + rng.randint(0, 4) for a in lo]
+        heights = [rng.randint(-4, 3) for _ in forms]
+        cases.append((tuple(map(tuple, forms)), tuple(heights), tuple(lo), tuple(hi)))
+    empty = nonempty = 0
+    for forms, heights, lo, hi in cases:
+        got = list(monoid._region_points(forms, heights, lo, hi))
+        want = region_by_filter(forms, heights, lo, hi)
+        assert got == want, (forms, heights, lo, hi)
+        empty += not want
+        nonempty += bool(want)
+    # 2x >= -1 and -3x >= -4: x from ceil(-1/2) = 0 to floor(4/3) = 1
+    assert list(monoid._region_points(*fixed[0])) == [((0,), (0, 0)), ((1,), (2, -3))]
+    assert empty > 20 and nonempty > 100
 
 
 # -- grading analysis ---------------------------------------------------
