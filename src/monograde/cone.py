@@ -4,7 +4,13 @@ Both conversion directions run the double description method over exact
 integers.  Its start cone comes from one fraction-free elimination, and
 its adjacency test is combinatorial: each ray carries a bitmask of the
 constraints tight on it, and two rays are adjacent iff no third ray's
-mask contains the AND of theirs.  Cones may be non-pointed (the
+mask contains the AND of theirs.  Double description returns those
+masks, and the face questions are read off them by containment, with
+no further rank: a face is known by the set of facet forms vanishing
+on it, and a larger set means a smaller face.  So a generator is
+extreme iff its set is maximal among those short of all forms, and an
+input form supports a facet iff the set of rays it vanishes on is
+maximal among those short of all rays.  Cones may be non-pointed (the
 lineality space is reported separately) and lower-dimensional.  For a
 full-dimensional cone the facet forms are the unique primitive supports
 of the facets; otherwise they describe the cone modulo the orthogonal
@@ -58,22 +64,21 @@ class Cone:
         return membership(self, x, "interior" if interior else "closure")
 
 
-def _pointed_extreme_rays(a, d: int) -> list[Vec]:
-    """Extreme rays of {x : A x >= 0} for A of full column rank d (pointed cone).
+def _pointed_extreme_rays(a, d: int, base: list[int]) -> dict[Vec, int]:
+    """Extreme rays of {x : A x >= 0} for A of full column rank d (pointed
+    cone), each mapped to the bitmask of the rows of A tight on it.
 
-    Incremental double description: start from the simplicial cone cut
-    out by the first d independent constraints, then insert the rest one
-    by one.  Each ray carries a bitmask of the inserted constraints tight
-    on it.  A positive and a negative ray are adjacent iff no third ray
-    is tight on every constraint both are tight on (Fukuda & Prodon
-    1996); only adjacent pairs combine into new rays.
+    ``base`` lists d independent rows of A.  Incremental double
+    description: start from the simplicial cone they cut out, then
+    insert the other rows one by one.  Each ray carries a bitmask of the
+    inserted rows tight on it.  A positive and a negative ray are
+    adjacent iff no third ray is tight on every row both are tight on
+    (Fukuda & Prodon 1996); only adjacent pairs combine into new rays.
+    Once every row is inserted the masks are the full incidences, and
+    they are returned with the rays.
     """
     if d == 0:
-        return []
-    # pivot columns of A^T: the first d rows of A that are independent
-    _, base, _, _ = _eliminate([list(col) for col in zip(*a)], len(a))
-    if len(base) < d:
-        raise ValueError("constraint matrix does not have full column rank")
+        return {}
     # [B | I] reduces to [e*I | e*B^-1]; column j of B^-1 is tight on all of B but row j
     aug = [list(a[i]) + [int(j == k) for k in range(d)] for j, i in enumerate(base)]
     rows, _, e, _ = _eliminate(aug, d)
@@ -101,7 +106,7 @@ def _pointed_extreme_rays(a, d: int) -> list[Vec]:
                 fresh[primitive([vp * y - vn * x for x, y in zip(rp, rn)])] = common | bit
         masks = fresh
         inserted |= bit
-    return sorted(masks)
+    return masks
 
 
 def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -115,18 +120,44 @@ def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return p, IntMatrix([row[u:] for row in unimodular_inverse(p)], len(p) - u)
 
 
-def _dd(a: IntMatrix) -> tuple[list[Vec], IntMatrix]:
-    """Extreme rays (modulo lineality) and lineality basis of {x : A x >= 0}."""
+def _dd(a: IntMatrix) -> tuple[dict[Vec, int], IntMatrix]:
+    """Extreme rays (modulo lineality) of {x : A x >= 0}, each mapped to
+    the bitmask of the rows of A tight on it, and a lineality basis.
+
+    One elimination of A^T gives the rank and the start rows of double
+    description.  Only when the rank falls short of d is the lineality
+    computed; the cone is then solved in the pointed quotient and lifted
+    back.  ``lift`` is injective and extends to a unimodular basis, so
+    the start rows stay independent, lifted primitive rays stay
+    primitive, and row i of A @ lift is tight on y iff row i of A is
+    tight on lift @ y: the masks carry over unchanged.
+    """
     d = a.shape[1]
+    _, base, _, _ = _eliminate([list(col) for col in zip(*a)], len(a))
+    if len(base) == d:
+        return _pointed_extreme_rays(a, d, base), IntMatrix((), d)
     lin = kernel_basis(a)
-    u = len(lin)
-    if u == 0:
-        return _pointed_extreme_rays(a, d), lin
-    if u == d:
-        return [], lin
+    if not base:
+        return {}, lin
     _, lift = _quotient_transform(lin)
-    rays = sorted(primitive(lift @ y) for y in _pointed_extreme_rays(a @ lift, d - u))
-    return rays, lin
+    rays = _pointed_extreme_rays(a @ lift, len(base), base)
+    return {lift @ y: m for y, m in rays.items()}, lin
+
+
+def _transpose(masks: list[int], n: int) -> list[int]:
+    """Column masks of the bit matrix whose row i is ``masks[i]`` over n columns."""
+    cols = [0] * n
+    for i, m in enumerate(masks):
+        for j in range(n):
+            if m >> j & 1:
+                cols[j] |= 1 << i
+    return cols
+
+
+def _maximal_proper(sets: list[int], full: int) -> list[bool]:
+    """For each bitmask t of ``sets``: t != full and no w in ``sets`` has t < w != full."""
+    proper = [w for w in sets if w != full]
+    return [t != full and not any(t & w == t and w != t for w in proper) for t in sets]
 
 
 def _clean_vectors(vectors, width: int | None) -> tuple[list[Vec], int]:
@@ -155,21 +186,18 @@ def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
     extreme (or are duplicates or zero) are filtered from ``rays``.
     """
     gens, d = _clean_vectors(rays, ambient_rank)
-    forms, span_cuts = _dd(IntMatrix(gens, d))  # span_cuts vanish on span(C)
-    lin = kernel_basis(forms + list(span_cuts), width=d)
-    dim = rank(gens)
-    lin_dim = len(lin)
-    extreme: list[Vec] = []
-    for v in gens:
-        tight = [f for f in forms if _dot(f, v) == 0]
-        if d - rank(tight + list(span_cuts)) == lin_dim + 1:
-            extreme.append(v)
+    masks, span_cuts = _dd(IntMatrix(gens, d))  # span_cuts vanish on span(C)
+    forms = sorted(masks)
+    tight = _transpose([masks[f] for f in forms], len(gens))  # forms vanishing on each generator
+    full = (1 << len(forms)) - 1
+    # the lineality space is a face, so it is nonzero iff some generator lies in it
+    lin = kernel_basis(forms + list(span_cuts), width=d) if full in tight else IntMatrix((), d)
     return Cone(
-        rays=tuple(sorted(set(extreme))),
+        rays=tuple(v for v, ext in zip(gens, _maximal_proper(tight, full)) if ext),
         facet_forms=tuple(forms),
         lineality=lin,
         ambient_rank=d,
-        dim=dim,
+        dim=d - len(span_cuts),
     )
 
 
@@ -180,16 +208,15 @@ def rays_of_facets(forms, ambient_rank: int) -> Cone:
     from ``facet_forms``.
     """
     fs, d = _clean_vectors(forms, ambient_rank)
-    rays, lin = _dd(IntMatrix(fs, d))
-    dim = rank(rays + list(lin))
-    kept: list[Vec] = []
-    for f in fs:
-        tight = [r for r in rays if _dot(f, r) == 0]
-        if rank(tight + list(lin)) == dim - 1:
-            kept.append(f)
+    masks, lin = _dd(IntMatrix(fs, d))
+    rays = sorted(masks)
+    vanish = _transpose([masks[r] for r in rays], len(fs))  # rays each form vanishes on
+    full = (1 << len(rays)) - 1
+    # without a form vanishing on the whole cone, some point is positive on every form
+    dim = rank(rays + list(lin)) if full in vanish else d
     return Cone(
         rays=tuple(rays),
-        facet_forms=tuple(sorted(set(kept))),
+        facet_forms=tuple(f for f, facet in zip(fs, _maximal_proper(vanish, full)) if facet),
         lineality=lin,
         ambient_rank=d,
         dim=dim,

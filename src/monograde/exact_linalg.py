@@ -4,11 +4,11 @@ Rational questions (rank, determinant, rational solves, inverses of
 unimodular matrices) all run on one fraction-free Gauss-Jordan kernel,
 ``_eliminate``, which never leaves the integers.  Lattice questions
 need a unimodular transform and use the Hermite form (lattice bases,
-kernels) or the Smith form (cokernels, integer solves); those also give
-primitive vectors and finitely generated abelian quotients in
-invariant-factor form.  Matrices are ``IntMatrix`` values, immutable
-tuples of row tuples of Python ints, so nothing here can overflow; the
-kernels work on mutable row lists inside.
+kernels) or the Smith form (cokernels, integer solves); the latter
+also gives finitely generated abelian quotients in invariant-factor
+form.  Matrices are ``IntMatrix`` values, immutable tuples of row
+tuples of Python ints, so nothing here can overflow; the kernels work
+on mutable row lists inside.
 
 Conventions: matrices act on column vectors, so ``cokernel(A)`` is the
 quotient of ``Z^rows(A)`` by the column span of ``A``.  Lattices are
@@ -18,6 +18,7 @@ canonical (Hermite) basis of the row span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -361,9 +362,7 @@ def cokernel(a, width: int | None = None) -> AbelianQuotient:
 def primitive(v) -> Vec:
     """Divide a nonzero integer vector by the gcd of its entries."""
     w = [int(x) for x in v]
-    g = 0
-    for x in w:
-        g = xgcd(g, x)[0]
+    g = math.gcd(*w)
     if g == 0:
         raise ValueError("the zero vector has no primitive representative")
     return tuple(x // g for x in w)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from monograde import divisorial, groebner
-from monograde.exact_linalg import _dot
+from monograde.exact_linalg import _dot, rank
 from monograde.monoid import _guard_box
 
 
@@ -454,6 +454,47 @@ def cone_corpus(seed):
     return out
 
 
+def degenerate_cone_corpus(seed, count):
+    """(vectors, ambient rank) pairs meant to hit every special case of
+    the cone conversions, read either as generators or as forms: the
+    zero cone and the whole space, dim-1 cones (where the face {0} is a
+    facet), duplicate, opposite and zero vectors, non-pointed cones and
+    cones lower-dimensional in Z^(r+1), and ``count`` seeded random
+    lists of small vectors of rank 1-6 with those defects mixed in."""
+    out = [
+        ([], 1),
+        ([], 3),
+        ([(0, 0, 0)], 3),
+        ([(3,)], 1),
+        ([(1,), (-2,)], 1),
+        ([(2, 4, 6)], 3),
+        ([(2, 4, 6), (-1, -2, -3)], 3),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], 2),
+        ([(1, 0), (-1, 0), (0, 1)], 2),
+        ([(2, 0), (0, 3), (0, 1), (4, 0), (0, 0)], 2),
+        ([(1, 2, 0), (-1, -2, 0), (0, 1, 1), (1, 0, 1)], 3),
+        ([(1, 1, 1, 0), (-1, -1, -1, 0), (0, 1, 2, 0)], 4),
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)], 3),
+        ([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3),
+    ]
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(1, 6)
+        b = rng.choice((1, 1, 2, 3))
+        vs = [tuple(rng.randint(-b, b) for _ in range(r)) for _ in range(rng.randint(1, r + 4))]
+        kind = rng.randrange(4)
+        if kind == 0:
+            vs.append(tuple(-x for x in vs[0]))
+        elif kind == 1:
+            w = [rng.randint(-2, 2) for _ in range(r)]
+            vs = [v + (dot(w, v),) for v in vs]
+            r += 1
+        elif kind == 2:
+            vs += vs[:2] + [(0,) * r]
+        out.append((vs, r))
+    return out
+
+
 # -- slow paths kept as references for groebner ------------------------
 
 
@@ -604,3 +645,36 @@ def box_minimal_generators(ideal):
         if not reducible:
             minimal.append(pt)
     return tuple(sorted(m.to_ambient(m._lift_local(pt)) for pt in minimal))
+
+
+# -- slow paths kept as references for cone ----------------------------
+
+
+def rank_extreme_rays(gens, forms, span_cuts, lin_dim):
+    """The generators extreme modulo a lineality space of dimension
+    ``lin_dim``, by one rank per generator: v is extreme iff the forms
+    tight on v, with the cuts of the span, leave a face of dimension
+    lin_dim + 1.  The route ``cone.facets_of_rays`` replaced with mask
+    containment."""
+    extreme = []
+    for v in gens:
+        d = len(v)
+        tight = [f for f in forms if _dot(f, v) == 0]
+        if d - rank(tight + list(span_cuts)) == lin_dim + 1:
+            extreme.append(v)
+    return sorted(set(extreme))
+
+
+def rank_facet_forms(fs, rays, lin):
+    """The forms of ``fs`` supporting a facet of the cone with the given
+    rays and lineality basis, by one rank per form: f is kept iff the
+    rays it vanishes on, with the lineality, span a space one dimension
+    short of the cone.  The route ``cone.rays_of_facets`` replaced with
+    mask containment."""
+    dim = rank(list(rays) + list(lin))
+    kept = []
+    for f in fs:
+        tight = [r for r in rays if _dot(f, r) == 0]
+        if rank(tight + list(lin)) == dim - 1:
+            kept.append(f)
+    return sorted(set(kept))

@@ -1,18 +1,26 @@
 """Polyhedral duality: frozen fixtures plus Fourier-Motzkin cross-checks."""
 
+import collections
 import itertools
 import random
 
 import pytest
 
+import monograde.cone as cone_module
 from monograde.cone import Cone, facets_of_rays, membership, rays_of_facets
+from monograde.exact_linalg import kernel_basis, rank
 from oracles import (
+    cone_corpus,
+    degenerate_cone_corpus,
     dot,
     extreme_by_facets,
     fm_facets,
     fm_member,
     frac_rref,
+    make_primitive,
     random_pointed_cones,
+    rank_extreme_rays,
+    rank_facet_forms,
     subset_facets,
 )
 
@@ -183,3 +191,81 @@ def test_double_description_matches_subset_facets_at_rank_5_and_6():
         back = rays_of_facets(forms + redundant, d)
         assert back.rays == tuple(extreme)
         assert back.facet_forms == tuple(forms)
+
+
+# -- face decisions by mask containment against the rank oracles --------
+
+
+def check_rays_of_facets(forms, d):
+    fs = sorted({make_primitive(f) for f in forms if any(f)})
+    c = rays_of_facets(forms, d)
+    assert c.lineality == kernel_basis(fs, width=d)
+    assert c.dim == rank(list(c.rays) + list(c.lineality))
+    assert list(c.facet_forms) == rank_facet_forms(fs, c.rays, c.lineality)
+    return c
+
+
+def check_conversions_against_rank_oracles(vectors, d):
+    gens = sorted({make_primitive(v) for v in vectors if any(v)})
+    c = facets_of_rays(vectors, d)
+    span_cuts = kernel_basis(gens, width=d)
+    lin = kernel_basis(list(c.facet_forms) + list(span_cuts), width=d)
+    assert c.lineality == lin
+    assert c.dim == rank(gens)
+    assert list(c.rays) == rank_extreme_rays(gens, list(c.facet_forms), span_cuts, len(lin))
+    # the same cone from its facets, with the equations of its span as
+    # pairs f, -f and redundant sums of forms mixed in
+    eqs = [s for e in span_cuts for s in (e, tuple(-x for x in e))]
+    sums = [tuple(x + y for x, y in zip(f, g))
+            for f, g in zip(c.facet_forms, c.facet_forms[1:] + c.facet_forms[:1])]
+    back = check_rays_of_facets(list(c.facet_forms) + eqs + sums, d)
+    assert back.dim == c.dim and back.lineality == c.lineality
+    if c.is_pointed:
+        assert back.rays == c.rays
+    # and the input read as forms
+    check_rays_of_facets(vectors, d)
+
+
+def test_conversions_match_rank_oracles_on_cone_corpus():
+    for rays in cone_corpus(431):
+        check_conversions_against_rank_oracles(rays, len(rays[0]))
+
+
+def test_conversions_match_rank_oracles_on_degenerate_corpus():
+    for vectors, d in degenerate_cone_corpus(433, 300):
+        check_conversions_against_rank_oracles(vectors, d)
+
+
+def test_degenerate_cone_fixtures():
+    ray = facets_of_rays([(2, 4, 6)])
+    back = rays_of_facets(list(ray.facet_forms) + [(0, 3, -2), (0, -3, 2), (3, 0, -1), (-3, 0, 1)], 3)
+    assert back.rays == ((1, 2, 3),) and back.dim == 1
+    assert back.facet_forms == ray.facet_forms  # {0} is the one facet
+    slab = rays_of_facets([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)], 3)
+    assert slab.rays == ((0, 0, 1), (0, 1, 0)) and slab.dim == 2
+    assert slab.facet_forms == ((0, 0, 1), (0, 1, 0))
+    line = facets_of_rays([(1, 2, 0), (-1, -2, 0), (0, 1, 1), (1, 0, 1)])
+    assert line.lineality == ((1, 2, 0),) and line.dim == 3
+    assert facets_of_rays([], 3).dim == 0 and rays_of_facets([], 3).dim == 3
+
+
+def count_calls(monkeypatch, names):
+    calls = collections.Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(cone_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cone_module, name, counted)
+    return calls
+
+
+def test_full_dimensional_pointed_conversions_make_no_rank_or_kernel_call(monkeypatch):
+    calls = count_calls(monkeypatch, ("rank", "kernel_basis"))
+    for d, rays in benchmark_rank_cones(seed=811):
+        c = facets_of_rays(rays)
+        back = rays_of_facets(c.facet_forms, d)
+        assert c.is_pointed and c.dim == d and back.rays == c.rays
+    assert calls == {}
+    # the counters see the calls a cone with lineality does need
+    facets_of_rays([(1, 0), (-1, 0), (0, 1)])
+    assert calls == {"kernel_basis": 1}
