@@ -4,11 +4,11 @@ Rational questions (rank, determinant, rational solves, inverses of
 unimodular matrices) all run on one fraction-free Gauss-Jordan kernel,
 ``_eliminate``, which never leaves the integers.  Lattice questions
 need a unimodular transform and use the Hermite form (lattice bases,
-kernels) or the Smith form (cokernels, integer solves); the latter
-also gives finitely generated abelian quotients in invariant-factor
-form.  Matrices are ``IntMatrix`` values, immutable tuples of row
-tuples of Python ints, so nothing here can overflow; the kernels work
-on mutable row lists inside.
+kernels, and membership by back-substitution, ``lattice_coordinates``)
+or the Smith form (cokernels, as abelian quotients in invariant-factor
+form, and integer solves).  Matrices are ``IntMatrix`` values, immutable
+tuples of row tuples of Python ints, so nothing here can overflow; the
+kernels work on mutable row lists inside.
 
 Conventions: matrices act on column vectors, so ``cokernel(A)`` is the
 quotient of ``Z^rows(A)`` by the column span of ``A``.  Lattices are
@@ -468,15 +468,3 @@ def unimodular_inverse(m) -> IntMatrix:
         raise ValueError("matrix is not unimodular")
     return IntMatrix([[d * x for x in row[n:]] for row in rows], n)
 
-
-def lattice_member(basis_rows, v) -> bool:
-    """Whether v lies in the lattice spanned by the given rows."""
-    basis = _as_matrix(basis_rows, width=len(tuple(v)))
-    return solve_integer(basis.T, v) is not None
-
-
-def lattices_equal(a_rows, b_rows, width: int | None = None) -> bool:
-    """Whether two row-generating sets span the same lattice."""
-    a = row_lattice_basis(_as_matrix(a_rows, width))
-    b = row_lattice_basis(_as_matrix(b_rows, width))
-    return a.shape == b.shape and a == b

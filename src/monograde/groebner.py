@@ -598,6 +598,8 @@ def parse_polynomial(text: str, variables) -> Polynomial:
                     k3, v3 = peek()
                     if k3 != "num":
                         raise ValueError("expected an integer denominator")
+                    if not int(v3):
+                        raise ValueError("zero denominator")
                     i += 1
                     coeff *= Fraction(num, int(v3))
                 else:

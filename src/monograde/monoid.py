@@ -11,6 +11,11 @@ bounds the whole box), decides whether a generating set actually
 generates C cap L (with an explicit witness when it does not), extracts
 unit subgroups, and measures the rank of degree subgroups for gradings.
 
+Units are the lattice points of the cone's lineality space.  A
+presentation is normal iff its unit generators generate that lattice
+and each Hilbert basis element shares its facet values with some
+generator, so no membership search runs.
+
 Vectors returned to callers are always in the ambient Z^r coordinates,
 which keeps results independent of the internal basis choice for L.
 """
@@ -30,8 +35,6 @@ from .exact_linalg import (
     as_tuple,
     kernel_basis,
     lattice_coordinates,
-    lattice_member,
-    lattices_equal,
     primitive,
     row_lattice_basis,
 )
@@ -140,13 +143,9 @@ class AffineMonoid:
     def _facet_values_local(self, local) -> Vec:
         return tuple(_dot(f, local) for f in self.cone.facet_forms)
 
-    @cached_property
-    def _unit_rows_local(self) -> IntMatrix:
-        return kernel_basis(self.facet_matrix, width=self.rank)
-
     @property
     def unit_rank(self) -> int:
-        return len(self._unit_rows_local)
+        return len(self.cone.lineality)
 
     @property
     def is_pointed(self) -> bool:
@@ -156,7 +155,7 @@ class AffineMonoid:
         """Canonical ambient basis of the unit group {x in M : -x in M}."""
         if self.unit_rank == 0:
             return ()
-        ambient_rows = self._unit_rows_local @ self.lattice_basis
+        ambient_rows = self.cone.lineality @ self.lattice_basis
         return row_lattice_basis(ambient_rows)
 
     # -- membership ---------------------------------------------------
@@ -198,7 +197,7 @@ class AffineMonoid:
         unit_lattice = row_lattice_basis(unit_gens) if unit_gens else IntMatrix((), self.rank)
 
         def in_unit_group(vec) -> bool:
-            return not any(vec) or lattice_member(unit_lattice, vec)
+            return lattice_coordinates(unit_lattice, vec) is not None
 
         def search(idx, remaining, residual) -> bool:
             if all(v == 0 for v in remaining):
@@ -221,21 +220,27 @@ class AffineMonoid:
 
     @cached_property
     def _normality(self) -> tuple[bool, Vec | None]:
+        """(is_normal, witness), with no membership search.
+
+        The unit generators positively span the lineality space, so they
+        generate its lattice as a monoid once they do as a group.  A
+        Hilbert element is irreducible modulo units, and points with
+        equal facet values differ by a unit, so the generators reach it
+        iff one of them has its facet values.
+        """
         if self._assume_normal:
             return True, None
-        unit_gens = [g for g in self.local_generators
-                     if not any(self._facet_values_local(g))]
-        n_rows = self._unit_rows_local
-        if n_rows:
-            gen_rows = IntMatrix(unit_gens, self.rank)
-            if not lattices_equal(gen_rows, n_rows, width=self.rank):
-                for row in n_rows:
-                    if not lattice_member(gen_rows, as_tuple(row)):
-                        return False, self.to_ambient(row)
-        for h in self._hilbert_local():
-            amb = self.to_ambient(h)
-            if not self.presentation_member(amb):
-                return False, amb
+        if self.unit_rank:
+            unit_gens = [g for g in self.local_generators
+                         if not any(self._facet_values_local(g))]
+            gen_lattice = row_lattice_basis(IntMatrix(unit_gens, self.rank))
+            for row in self.cone.lineality:
+                if lattice_coordinates(gen_lattice, row) is None:
+                    return False, self.to_ambient(row)
+        gen_vals = {self._facet_values_local(g) for g in self.local_generators}
+        for p, vals in self._pointed_hilbert:
+            if vals not in gen_vals:
+                return False, self.to_ambient(self._lift_local(p))
         return True, None
 
     @property
@@ -260,11 +265,10 @@ class AffineMonoid:
     @cached_property
     def _pointed_view(self) -> _PointedView:
         d = self.rank
-        u_rows = self._unit_rows_local
-        u = len(u_rows)
+        u = self.unit_rank
         if u == 0:
             return _PointedView(self.cone.rays, self.cone.facet_forms, d, None)
-        p, lift = _quotient_transform(u_rows)
+        p, lift = _quotient_transform(self.cone.lineality)
         forms = tuple(self.facet_matrix @ lift)
         rays = sorted(set(primitive((p @ r)[u:]) for r in self.cone.rays))
         return _PointedView(tuple(rays), forms, d - u, lift)

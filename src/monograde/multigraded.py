@@ -176,17 +176,17 @@ def _canonical_gens(ideal: IdealPresentation, budget) -> tuple[Polynomial, ...]:
 
 
 def _random_nonmember(rng, n: int, gb, order, budget) -> Polynomial:
+    """A random polynomial outside the proper ideal with basis ``gb``; if all
+    draws fall inside, as they may for (x1, ..., xn), the last one plus 1."""
     for _ in range(64):
         terms = {}
         for _ in range(rng.randint(1, 4)):
             e = tuple(rng.randint(0, 2) for _ in range(n))
             terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
         f = Polynomial(n, terms)
-        if f.is_zero:
-            continue
-        if not normal_form(f, gb, order, budget).is_zero:
+        if not f.is_zero and not normal_form(f, gb, order, budget).is_zero:
             return f
-    raise RuntimeError("could not sample a nonmember; is the ideal the whole ring?")
+    return f + Polynomial.constant(1, n)
 
 
 def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,

@@ -19,7 +19,14 @@ from fractions import Fraction
 from math import gcd
 
 from monograde import divisorial, groebner
-from monograde.exact_linalg import _dot, rank
+from monograde.exact_linalg import (
+    IntMatrix,
+    _dot,
+    kernel_basis,
+    rank,
+    row_lattice_basis,
+    solve_integer,
+)
 from monograde.monoid import _guard_box
 
 
@@ -495,6 +502,34 @@ def degenerate_cone_corpus(seed, count):
     return out
 
 
+def presentation_corpus(seed, count):
+    """Generator lists for ``normalize_presentation``: numerical
+    monoids, presentations whose unit generators miss part of the unit
+    lattice, and ``count`` seeded random lists of rank 1-3, half of them
+    with the opposite of a multiple of one generator added, so that
+    units, non-normal ones among them, are common."""
+    out = [
+        [(2,), (3,)],
+        [(3,), (5,)],
+        [(2,), (-2,), (3,)],
+        [(2, 0), (-2, 0), (1, 2), (0, 3)],
+        [(2, 0), (-2, 0), (1, 1)],
+        [(1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, 1, 2), (0, 0, 1)],
+    ]
+    rng = random.Random(seed)
+    while len(out) < count + 6:
+        r = rng.randint(1, 3)
+        b = rng.choice((2, 3, 4))
+        gens = [tuple(rng.randint(-1 if rng.random() < 0.3 else 0, b) for _ in range(r))
+                for _ in range(rng.randint(1, r + 2))]
+        if rng.random() < 0.5:
+            k = rng.randint(1, 3)
+            gens.append(tuple(-k * x for x in rng.choice(gens)))
+        if any(any(g) for g in gens):
+            out.append(gens)
+    return out
+
+
 # -- slow paths kept as references for groebner ------------------------
 
 
@@ -645,6 +680,36 @@ def box_minimal_generators(ideal):
         if not reducible:
             minimal.append(pt)
     return tuple(sorted(m.to_ambient(m._lift_local(pt)) for pt in minimal))
+
+
+def kernel_unit_rows(m):
+    """Local basis of the unit group of C cap L as the integer kernel of
+    the facet forms: the route ``AffineMonoid`` replaced with the
+    lineality its cone conversion already holds."""
+    return kernel_basis(m.facet_matrix, width=m.rank)
+
+
+def search_normality(m):
+    """``(is_normal, witness)`` by the route ``AffineMonoid._normality``
+    replaced: the unit generators' lattice compared with the kernel
+    units by Hermite bases, a Smith solve per missing row, and then the
+    ``presentation_member`` search on every Hilbert basis element."""
+    if m._assume_normal:
+        return True, None
+    unit_gens = [g for g in m.local_generators
+                 if not any(m._facet_values_local(g))]
+    n_rows = kernel_unit_rows(m)
+    if n_rows:
+        gen_rows = IntMatrix(unit_gens, m.rank)
+        if row_lattice_basis(gen_rows) != row_lattice_basis(n_rows):
+            for row in n_rows:
+                if solve_integer(gen_rows.T, row) is None:
+                    return False, m.to_ambient(row)
+    for h in m._hilbert_local():
+        amb = m.to_ambient(h)
+        if not m.presentation_member(amb):
+            return False, amb
+    return True, None
 
 
 # -- slow paths kept as references for cone ----------------------------

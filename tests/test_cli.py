@@ -12,6 +12,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -116,6 +117,26 @@ def test_graded_hull_report(monkeypatch, capsys):
     assert report["result"] == {"hull": ["x2", "x1"]}
 
 
+def origin_prime(grading):
+    n = len(grading)
+    return json.dumps({"command": "analyze-prime", "vars": n, "grading": grading,
+                       "prime": ["x%d" % (i + 1) for i in range(n)]})
+
+
+ORIGIN_PRIMES = [origin_prime([[1]] * n) for n in (3, 4, 5, 6, 8)] + [
+    origin_prime([[1, 0], [0, 1], [1, 1], [1, -1]])]
+
+
+def test_origin_primes_are_graded_with_no_drop(monkeypatch, capsys):
+    # random nonmembers rarely have a constant term, so they all fall
+    # into (x1, ..., xn) unless the sampler falls back to a sure one
+    for job in ORIGIN_PRIMES:
+        result = report_of(monkeypatch, capsys, ["analyze-prime"], job)["result"]
+        n = json.loads(job)["vars"]
+        assert result["graded"] and result["tau"] == 0
+        assert sorted(result["p_star"]) == ["x%d" % (i + 1) for i in range(n)]
+
+
 def test_analyze_prime_report(monkeypatch, capsys):
     job = '{"command":"analyze-prime","vars":2,"grading":[[1],[1]],"prime":["x1 + 1","x2"]}'
     report = report_of(monkeypatch, capsys, ["analyze-prime"], job)
@@ -178,10 +199,12 @@ def test_rejects_ragged_vectors(monkeypatch, capsys):
 
 
 def test_rejects_unparsable_polynomials(monkeypatch, capsys):
-    job = '{"command":"graded-hull","vars":2,"grading":[[1],[1]],"ideal":["x1 +"]}'
-    code, message = error_of(monkeypatch, capsys, ["graded-hull"], job)
-    assert code == EXIT_INPUT
-    assert message.startswith("ideal[0]:")
+    job = '{"command":"%s","vars":2,"grading":[[1],[1]],"%s":["x2", "%s"]}'
+    for command, key in (("graded-hull", "ideal"), ("analyze-prime", "prime")):
+        for text in ("x1 +", "x1 + 1/0", "3/0*x2"):
+            code, message = error_of(monkeypatch, capsys, [command], job % (command, key, text))
+            assert code == EXIT_INPUT
+            assert message.startswith("%s[1]:" % key)
 
 
 def test_rejects_command_mismatch(monkeypatch, capsys):
@@ -299,6 +322,72 @@ def test_job_check_agrees_with_a_json_schema_validator():
             rejected += 1
             assert min(got, key=lambda e: e[0])[0] == str(expected[0].json_path), job
     assert 500 <= rejected < len(mutants)
+
+
+# -- every input ends in a report or a documented exit code --------------
+
+POLY_TOKEN = re.compile(r"\d+|\w+|\S")
+
+
+def _mutated_polynomial(rng, text):
+    tokens = POLY_TOKEN.findall(text) or ["0"]
+    i = rng.randrange(len(tokens))
+    kind = rng.randrange(4)
+    if kind == 0:
+        tokens[i + 1:i + 1] = ["/", "0"]
+    elif kind == 1:
+        del tokens[i]
+    elif kind == 2:
+        tokens.insert(i, tokens[i])
+    else:
+        tokens.insert(i, rng.choice(["/", "0", "^", "*", "+", "-", "x1", "1/0"]))
+    return " ".join(tokens)
+
+
+def _mutated_vectors(rng, rows):
+    rows = copy.deepcopy(rows)
+    if not rows or not all(rows):  # an earlier edit emptied the list or a vector
+        return rows + [[0]]
+    i = rng.randrange(len(rows))
+    j = rng.randrange(len(rows[i]))
+    kind = rng.randrange(6)
+    if kind == 0:
+        rows[i][j] = -rows[i][j]
+    elif kind == 1:
+        rows[i][j] += rng.choice((-1, 1))
+    elif kind == 2:
+        del rows[i][j]
+    elif kind == 3:
+        rows.insert(i, list(rows[i]))
+    elif kind == 4:
+        rows[i] = [0] * len(rows[i])
+    else:
+        del rows[i]
+    return rows
+
+
+def test_mutated_golden_jobs_exit_with_a_documented_code(monkeypatch, capsys):
+    with open(os.path.join(HERE, "golden_cli.json"), encoding="utf-8") as fh:
+        jobs = [json.loads(case["stdin"]) for case in json.load(fh)]
+    rng = random.Random(811)
+    texts = list(ORIGIN_PRIMES)
+    for _ in range(240):
+        job = copy.deepcopy(rng.choice(jobs))
+        for _ in range(rng.randint(1, 2)):
+            key = rng.choice([k for k in ("rays", "generators", "grading", "ideal", "prime")
+                              if k in job])
+            if key in ("ideal", "prime"):
+                i = rng.randrange(len(job[key]))
+                job[key][i] = _mutated_polynomial(rng, job[key][i])
+            else:
+                job[key] = _mutated_vectors(rng, job[key])
+        texts.append(json.dumps(job))
+    codes = {}
+    for text in texts:
+        code, _, _ = run_cli(monkeypatch, capsys, [json.loads(text)["command"]], text)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_MATH), text
+        codes[code] = codes.get(code, 0) + 1
+    assert codes[EXIT_OK] > 60 and codes[EXIT_INPUT] > 30 and codes.get(EXIT_MATH)
 
 
 def test_package_imports_without_numpy_or_jsonschema():

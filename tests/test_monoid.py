@@ -8,10 +8,11 @@ else against frozen values.
 
 import itertools
 import random
+from math import prod
 
 import pytest
 
-from monograde import monoid
+from monograde import exact_linalg, monoid
 from monograde.monoid import (
     EnumerationLimitError,
     NonNormalError,
@@ -26,8 +27,12 @@ from oracles import (
     box_hilbert_basis,
     brute_irreducibles,
     cone_corpus,
+    degenerate_cone_corpus,
     dot,
+    kernel_unit_rows,
+    presentation_corpus,
     random_pointed_cones,
+    search_normality,
 )
 
 
@@ -129,6 +134,74 @@ def test_presentation_membership_is_closed_under_sums():
         b = rng.randint(0, 4) * 2 + rng.randint(0, 4) * 3
         assert m.presentation_member((a,))
         assert m.presentation_member((a + b,))
+
+
+# -- units and normality against the routes they replaced -------------
+
+
+def test_units_and_normality_match_the_kernel_and_the_search():
+    lists = cone_corpus(431) + [vs for vs, _ in degenerate_cone_corpus(433, 300)]
+    checked = with_units = non_normal = 0
+    for vs in lists:
+        for build in (monoid_from_cone_rays, normalize_presentation):
+            try:
+                m = build(vs)
+            except ValueError:
+                continue  # no vectors, or only zero ones
+            assert m.cone.lineality == kernel_unit_rows(m)
+            with_units += m.unit_rank > 0
+            lo, hi = m._pointed_view.box
+            if prod(b - a + 1 for a, b in zip(lo, hi)) > 5000:
+                continue  # the search oracle needs the Hilbert basis
+            assert m._normality == search_normality(m), vs
+            checked += 1
+            non_normal += not m.is_normal
+    assert checked > 600 and with_units > 300 and non_normal > 25
+
+
+def test_normality_matches_the_search_on_presentations():
+    unit_witnesses = hilbert_witnesses = with_units = 0
+    for gens in presentation_corpus(443, 400):
+        m = normalize_presentation(gens)
+        assert m.cone.lineality == kernel_unit_rows(m)
+        ok, witness = m._normality
+        assert (ok, witness) == search_normality(m), gens
+        with_units += m.unit_rank > 0
+        if not ok:
+            assert m.contains(witness) and not m.presentation_member(witness)
+            if any(m.facet_values(witness)):
+                hilbert_witnesses += 1
+            else:
+                unit_witnesses += 1
+    assert with_units > 150 and hilbert_witnesses > 40 and unit_witnesses > 5
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_normality_and_hilbert_basis_work_counts(monkeypatch):
+    calls = dict.fromkeys(("hnf", "snf", "kernel_basis", "presentation_member"), 0)
+    monkeypatch.setattr(exact_linalg, "hnf", _counting(calls, "hnf", exact_linalg.hnf))
+    monkeypatch.setattr(exact_linalg, "snf", _counting(calls, "snf", exact_linalg.snf))
+    monkeypatch.setattr(monoid, "kernel_basis",
+                        _counting(calls, "kernel_basis", monoid.kernel_basis))
+    monkeypatch.setattr(monoid.AffineMonoid, "presentation_member",
+                        _counting(calls, "presentation_member",
+                                  monoid.AffineMonoid.presentation_member))
+    # a generator presentation is judged without a search or a Smith form
+    for gens in presentation_corpus(449, 60):
+        normalize_presentation(gens).is_normal
+    assert calls["presentation_member"] == calls["snf"] == calls["kernel_basis"] == 0
+    # a full-rank pointed cone: one Hermite form for the span of the rays
+    # and two for its saturated basis; the units come from the cone
+    for _, rays in random_pointed_cones(12, 4, 3, seed=457):
+        calls["hnf"] = 0
+        hilbert_basis(monoid_from_cone_rays(rays))
+        assert calls["hnf"] == 3
 
 
 # -- Hilbert basis against exhaustive irreducibility -------------------
