@@ -59,7 +59,7 @@ _PAYLOAD_KEYS = {
     "analyze-prime": ("vars", "grading", "prime"),
 }
 _FIELDS = {"command", "options"}.union(*_PAYLOAD_KEYS.values())
-_OPTIONS = {"budget", "output"}
+_OPTIONS = {"budget"}
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -154,8 +154,6 @@ def _job_errors(data) -> list[tuple[str, str]]:
             _unexpected("$.options", [k for k in options if k not in _OPTIONS], errors)
             if "budget" in options:
                 _integer_errors("$.options.budget", options["budget"], errors, minimum=1)
-            if "output" in options and options["output"] != "json":
-                errors.append(("$.options.output", "%r is not one of ['json']" % (options["output"],)))
     return errors
 
 
@@ -171,7 +169,7 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
 
     Option precedence: command line flags, then the job's "options"
     object, then the MONOGRADE_BUDGET environment variable (budget
-    only), then the defaults budget=%d, output=json.
+    only), then the default budget=%d.
     """ % DEFAULT_BUDGET
     try:
         data = json.loads(text)
@@ -204,7 +202,7 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
             except ValueError as e:
                 raise InputError("%s[%d]: %s" % (polys_key, i, e)) from None
     env_budget = os.environ.get("MONOGRADE_BUDGET")
-    options = {"budget": DEFAULT_BUDGET, "output": "json"}
+    options = {"budget": DEFAULT_BUDGET}
     if env_budget is not None:
         try:
             options["budget"] = int(env_budget)
@@ -305,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--input", help="job file (default: read stdin)")
-    parser.add_argument("--budget", type=int, help="reduction step budget")
-    parser.add_argument("--output", choices=["json"], help="output format")
+    parser.add_argument("--budget", type=int,
+                        help="budget of reduction steps and dimension-search branches")
     return parser
 
 
@@ -320,7 +318,7 @@ def main(argv=None) -> int:
                 text = fh.read()
         except OSError as e:
             return _fail("cannot read %s: %s" % (args.input, e.strerror), EXIT_INPUT)
-    overrides = {"budget": args.budget, "output": args.output}
+    overrides = {"budget": args.budget}
     try:
         job = parse_input(text, args.command, overrides)
     except InputError as e:

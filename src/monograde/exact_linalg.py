@@ -1,7 +1,7 @@
 """Exact integer linear algebra on Python integers.
 
-Rational questions (rank, determinant, rational solves, inverses of
-unimodular matrices) all run on one fraction-free Gauss-Jordan kernel,
+Rational questions (rank, determinant, inverses of unimodular
+matrices) all run on one fraction-free Gauss-Jordan kernel,
 ``_eliminate``, which never leaves the integers.  Lattice questions
 need a unimodular transform and use the Hermite form (lattice bases,
 kernels, and membership by back-substitution, ``lattice_coordinates``)
@@ -9,6 +9,13 @@ or the Smith form (cokernels, as abelian quotients in invariant-factor
 form, and integer solves).  Matrices are ``IntMatrix`` values, immutable
 tuples of row tuples of Python ints, so nothing here can overflow; the
 kernels work on mutable row lists inside.
+
+All three kernels share one convention: pivots come from the first
+columns, and further columns ride along.  ``_eliminate`` carries
+right-hand sides or an identity block that way, ``hnf`` carries its row
+transform, and ``snf`` carries its row transform beside the matrix and
+its column transform in rows below it, so each operation is written
+once.
 
 Conventions: matrices act on column vectors, so ``cokernel(A)`` is the
 quotient of ``Z^rows(A)`` by the column span of ``A``.  Lattices are
@@ -20,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 Vec = tuple[int, ...]
 
@@ -73,10 +79,6 @@ class IntMatrix(tuple):
         if len(v) != len(self):
             raise ValueError("matrix shapes do not match")
         return tuple(sum(c * row[j] for c, row in zip(v, self)) for j in range(self._width))
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return IntMatrix(([int(i == j) for j in range(n)] for i in range(n)), n)
 
 
 def as_tuple(v) -> Vec:
@@ -171,11 +173,12 @@ def hnf(a) -> tuple[IntMatrix, IntMatrix]:
     Returns (H, U) with H = U @ A, U unimodular, pivots positive, entries
     above each pivot reduced into [0, pivot), and zero rows at the bottom.
     The nonzero rows of H are the canonical basis of the row lattice of A.
+    The rows ``a_i + e_i`` are reduced with pivots in the first n columns,
+    so U rides along in the last m columns.
     """
     a = _as_matrix(a)
     m, n = a.shape
-    h = [list(row) for row in a]
-    u = [list(row) for row in identity_matrix(m)]
+    h = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
     r = 0
     for j in range(n):
         if r == m:
@@ -184,22 +187,18 @@ def hnf(a) -> tuple[IntMatrix, IntMatrix]:
             if h[i][j] == 0:
                 continue
             g, s, t = xgcd(h[r][j], h[i][j])
-            p, q = h[r][j] // g, h[i][j] // g
-            _combine_rows(h, r, i, s, t, p, q)
-            _combine_rows(u, r, i, s, t, p, q)
+            _combine_rows(h, r, i, s, t, h[r][j] // g, h[i][j] // g)
         if h[r][j] == 0:
             continue
         if h[r][j] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         piv = h[r][j]
         for i in range(r):
             q = h[i][j] // piv
             if q:
                 _sub_row(h, i, q, r)
-                _sub_row(u, i, q, r)
         r += 1
-    return IntMatrix(h, n), IntMatrix(u, m)
+    return IntMatrix((row[:n] for row in h), n), IntMatrix((row[n:] for row in h), m)
 
 
 def row_lattice_basis(a) -> IntMatrix:
@@ -219,13 +218,15 @@ def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     Returns (S, U, V) with S = U @ A @ V diagonal, U and V unimodular,
     diagonal entries nonnegative and each dividing the next; zeros sink
-    to the end of the diagonal.
+    to the end of the diagonal.  The first m rows are ``[S | U]`` and the
+    n rows of V sit below them: row operations touch only the first m
+    rows and column operations only the first n columns, so U and V ride
+    along.
     """
     a = _as_matrix(a)
     m, n = a.shape
-    s = [list(row) for row in a]
-    u = [list(row) for row in identity_matrix(m)]
-    v = [list(row) for row in identity_matrix(n)]
+    s = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
+    s += [[int(i == k) for k in range(n)] for i in range(n)]
     k = min(m, n)
     for t in range(k):
         # choose the remaining entry of least absolute value as pivot
@@ -239,10 +240,8 @@ def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         bi, bj = best
         if bi != t:
             s[t], s[bi] = s[bi], s[t]
-            u[t], u[bi] = u[bi], u[t]
         if bj != t:
             _swap_cols(s, t, bj)
-            _swap_cols(v, t, bj)
         dirty = True
         while dirty:
             dirty = False
@@ -251,32 +250,23 @@ def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     continue
                 if s[i][t] % s[t][t] == 0:
                     # plain subtraction never disturbs the pivot row
-                    q = s[i][t] // s[t][t]
-                    _sub_row(s, i, q, t)
-                    _sub_row(u, i, q, t)
+                    _sub_row(s, i, s[i][t] // s[t][t], t)
                     continue
                 g, cs, ct = xgcd(s[t][t], s[i][t])
                 dirty = True
-                p, q = s[t][t] // g, s[i][t] // g
-                _combine_rows(s, t, i, cs, ct, p, q)
-                _combine_rows(u, t, i, cs, ct, p, q)
+                _combine_rows(s, t, i, cs, ct, s[t][t] // g, s[i][t] // g)
             for j in range(t + 1, n):
                 if s[t][j] == 0:
                     continue
                 if s[t][j] % s[t][t] == 0:
-                    q = s[t][j] // s[t][t]
-                    _sub_col(s, j, q, t)
-                    _sub_col(v, j, q, t)
+                    _sub_col(s, j, s[t][j] // s[t][t], t)
                     continue
                 g, cs, ct = xgcd(s[t][t], s[t][j])
                 dirty = True
-                p, q = s[t][t] // g, s[t][j] // g
-                _combine_cols(s, t, j, cs, ct, p, q)
-                _combine_cols(v, t, j, cs, ct, p, q)
+                _combine_cols(s, t, j, cs, ct, s[t][t] // g, s[t][j] // g)
     for i in range(k):
         if s[i][i] < 0:
             s[i] = [-x for x in s[i]]
-            u[i] = [-x for x in u[i]]
     changed = True
     while changed:
         changed = False
@@ -284,19 +274,16 @@ def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             a0, b0 = s[i][i], s[i + 1][i + 1]
             if a0 == 0 and b0 != 0:
                 s[i], s[i + 1] = s[i + 1], s[i]
-                u[i], u[i + 1] = u[i + 1], u[i]
                 _swap_cols(s, i, i + 1)
-                _swap_cols(v, i, i + 1)
                 changed = True
             elif a0 and b0 and b0 % a0:
                 g, cs, ct = xgcd(a0, b0)
                 _combine_rows(s, i, i + 1, cs, ct, a0 // g, b0 // g)
-                _combine_rows(u, i, i + 1, cs, ct, a0 // g, b0 // g)
                 # paired column transform keeps the product diagonal: diag(g, a*b/g)
                 _combine_cols(s, i, i + 1, 1, 1, cs * (a0 // g), ct * (b0 // g))
-                _combine_cols(v, i, i + 1, 1, 1, cs * (a0 // g), ct * (b0 // g))
                 changed = True
-    return IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n)
+    return (IntMatrix((row[:n] for row in s[:m]), n), IntMatrix((row[n:] for row in s[:m]), m),
+            IntMatrix(s[m:], n))
 
 
 def elementary_divisors(a) -> tuple[int, ...]:
@@ -423,23 +410,6 @@ def lattice_coordinates(basis, v) -> Vec | None:
         if q:
             rest = [a - q * b for a, b in zip(rest, row)]
     return None if any(rest) else tuple(x)
-
-
-def solve_rational(a, b) -> tuple[Fraction, ...] | None:
-    """One rational solution of A @ x = b, or None when inconsistent.
-
-    Free variables, if any, are set to zero.
-    """
-    a = _as_matrix(a)
-    n = a.shape[1]
-    aug = [list(row) + [int(b[i])] for i, row in enumerate(a)]
-    rows, pivots, d, _ = _eliminate(aug, n)
-    if any(row[n] for row in rows[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, j in zip(rows, pivots):
-        x[j] = Fraction(row[n], d)
-    return tuple(x)
 
 
 def determinant(a) -> int:

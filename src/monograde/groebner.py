@@ -18,7 +18,6 @@ costs a logarithm of the queue instead of a scan of it.
 from __future__ import annotations
 
 import heapq
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,9 @@ DEFAULT_BUDGET = 500_000
 
 
 class BudgetExceededError(RuntimeError):
-    """A computation ran out of its reduction-step budget."""
+    """A computation ran out of its budget of reduction steps and
+    dimension-search branches; the message names which one spent the last
+    unit."""
 
 
 class _Budget:
@@ -39,11 +40,11 @@ class _Budget:
     def __init__(self, limit: int | None):
         self.remaining = limit
 
-    def spend(self) -> None:
+    def spend(self, what: str = "reduction step") -> None:
         if self.remaining is not None:
             self.remaining -= 1
             if self.remaining < 0:
-                raise BudgetExceededError("reduction step budget exceeded")
+                raise BudgetExceededError("%s budget exceeded" % what)
 
 
 def _as_budget(budget) -> _Budget:
@@ -515,26 +516,35 @@ def ideal_dimension(ideal: IdealPresentation, budget=None) -> int:
 
     The leading terms of a degree-compatible (grevlex) basis are taken,
     and the answer is the largest set of variables none of them lives
-    on; the unit ideal is rejected.
+    on: n minus the fewest variables that meet the support of every
+    leading term.  That cover is found by branching on the variables of
+    the first support not yet met, one budget unit per branch; the unit
+    ideal is rejected.
     """
     budget = _as_budget(budget)
     n = ideal.nvars
     deg_order = grevlex(n)
     gb = buchberger(ideal.generators, deg_order, budget)
-    if not gb:
-        return n
-    exps = []
+    supports = []
     for g in gb:
         e = g.leading(deg_order)[0]
         if not any(e):
             raise ValueError("the ideal is the unit ideal")
-        exps.append(e)
-    for size in range(n, -1, -1):
-        for subset in itertools.combinations(range(n), size):
-            keep = set(subset)
-            if not any(all((x == 0 or i in keep) for i, x in enumerate(e)) for e in exps):
-                return size
-    return 0
+        supports.append(sum(1 << i for i, x in enumerate(e) if x))
+
+    def least_cover(met: int) -> int:
+        budget.spend("dimension search")
+        rest = next((s for s in supports if not s & met), 0)
+        if not rest:
+            return 0
+        best = n
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            best = min(best, 1 + least_cover(met | v))
+        return best
+
+    return n - least_cover(0)
 
 
 # -- parsing and printing --------------------------------------------

@@ -456,17 +456,12 @@ class GradingAnalysis:
     laurent_rank: int | None
 
 
-def degree_group_analysis(degrees, all_units: bool = False, rank_hint: int | None = None) -> GradingAnalysis:
+def degree_group_analysis(degrees, all_units: bool = False) -> GradingAnalysis:
     """Rank and canonical basis of the subgroup generated by ``degrees``."""
     ds = [as_tuple(d) for d in degrees]
-    if ds:
-        width = len(ds[0])
-        if any(len(d) != width for d in ds):
-            raise ValueError("degrees have inconsistent lengths")
-    elif rank_hint is not None:
-        width = rank_hint
-    else:
-        width = 0
-    basis = row_lattice_basis(ds) if ds else IntMatrix((), width)
+    width = len(ds[0]) if ds else 0
+    if any(len(d) != width for d in ds):
+        raise ValueError("degrees have inconsistent lengths")
+    basis = row_lattice_basis(IntMatrix(ds, width))
     sigma = len(basis)
     return GradingAnalysis(sigma, basis, sigma if all_units else None)

@@ -133,8 +133,8 @@ def graded_hull_z(ideal: IdealPresentation, weights, budget=None) -> IdealPresen
     return IdealPresentation(buchberger(kept, ideal.order, budget), ideal.order)
 
 
-def graded_hull(ideal: IdealPresentation, spec: GradedRingSpec, budget=None,
-                axes=None) -> IdealPresentation:
+def graded_hull(ideal: IdealPresentation, spec: GradedRingSpec,
+                budget=None) -> IdealPresentation:
     """Largest subideal generated by Z^r-multigraded elements.
 
     One pass per grading coordinate; a polynomial lies in the hull
@@ -145,10 +145,8 @@ def graded_hull(ideal: IdealPresentation, spec: GradedRingSpec, budget=None,
     if spec.nvars != ideal.nvars:
         raise ValueError("ideal does not match the grading")
     budget = _as_budget(budget)
-    if axes is None:
-        axes = range(spec.rank)
     out = ideal
-    for axis in axes:
+    for axis in range(spec.rank):
         out = graded_hull_z(out, spec.weights(axis), budget)
     return out
 
@@ -169,10 +167,6 @@ class PrimeAnalysis:
     dim_p_star: int
     tau: int
     sigma: int
-
-
-def _canonical_gens(ideal: IdealPresentation, budget) -> tuple[Polynomial, ...]:
-    return buchberger(ideal.generators, ideal.order, budget)
 
 
 def _random_nonmember(rng, n: int, gb, order, budget) -> Polynomial:
@@ -202,7 +196,7 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
         raise ValueError("ideal does not match the grading")
     budget = _as_budget(budget)
     n = p.nvars
-    gb_p = _canonical_gens(p, budget)
+    gb_p = buchberger(p.generators, p.order, budget)
     if any(not any(g.leading(p.order)[0]) for g in gb_p):
         raise NotPrimeError("the unit ideal is not prime")
     star = graded_hull(IdealPresentation(gb_p, p.order), spec, budget)

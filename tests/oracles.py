@@ -21,11 +21,18 @@ from math import gcd
 from monograde import divisorial, groebner
 from monograde.exact_linalg import (
     IntMatrix,
+    _as_matrix,
+    _combine_cols,
+    _combine_rows,
     _dot,
+    _sub_col,
+    _sub_row,
+    _swap_cols,
     kernel_basis,
     rank,
     row_lattice_basis,
     solve_integer,
+    xgcd,
 )
 from monograde.monoid import _guard_box
 
@@ -606,6 +613,29 @@ def reference_buchberger(generators, order, budget):
     return tuple(groebner._interreduce(basis, order, budget))
 
 
+def reference_ideal_dimension(ideal):
+    """``groebner.ideal_dimension`` by the route it replaced: every set
+    of variables is tried, largest first, until none of the leading
+    terms of the grevlex basis lives on it."""
+    n = ideal.nvars
+    deg_order = groebner.grevlex(n)
+    gb = groebner.buchberger(ideal.generators, deg_order)
+    if not gb:
+        return n
+    exps = []
+    for g in gb:
+        e = g.leading(deg_order)[0]
+        if not any(e):
+            raise ValueError("the ideal is the unit ideal")
+        exps.append(e)
+    for size in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), size):
+            keep = set(subset)
+            if not any(all((x == 0 or i in keep) for i, x in enumerate(e)) for e in exps):
+                return size
+    return 0
+
+
 # -- slow paths kept as references for monoid and divisorial -----------
 
 
@@ -743,3 +773,126 @@ def rank_facet_forms(fs, rays, lin):
         if rank(tight + list(lin)) == dim - 1:
             kept.append(f)
     return sorted(set(kept))
+
+
+# -- slow paths kept as references for exact_linalg --------------------
+
+
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def reference_hnf(a):
+    """``exact_linalg.hnf`` as it was before the transform rode along
+    with the matrix: every row operation written once on H and once
+    on U."""
+    a = _as_matrix(a)
+    m, n = a.shape
+    h = [list(row) for row in a]
+    u = _identity_rows(m)
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        for i in range(r + 1, m):
+            if h[i][j] == 0:
+                continue
+            g, s, t = xgcd(h[r][j], h[i][j])
+            p, q = h[r][j] // g, h[i][j] // g
+            _combine_rows(h, r, i, s, t, p, q)
+            _combine_rows(u, r, i, s, t, p, q)
+        if h[r][j] == 0:
+            continue
+        if h[r][j] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        piv = h[r][j]
+        for i in range(r):
+            q = h[i][j] // piv
+            if q:
+                _sub_row(h, i, q, r)
+                _sub_row(u, i, q, r)
+        r += 1
+    return IntMatrix(h, n), IntMatrix(u, m)
+
+
+def reference_snf(a):
+    """``exact_linalg.snf`` as it was before the transforms rode along
+    with the matrix: every row operation written on S and U, every
+    column operation on S and V."""
+    a = _as_matrix(a)
+    m, n = a.shape
+    s = [list(row) for row in a]
+    u = _identity_rows(m)
+    v = _identity_rows(n)
+    k = min(m, n)
+    for t in range(k):
+        # choose the remaining entry of least absolute value as pivot
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        if bi != t:
+            s[t], s[bi] = s[bi], s[t]
+            u[t], u[bi] = u[bi], u[t]
+        if bj != t:
+            _swap_cols(s, t, bj)
+            _swap_cols(v, t, bj)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if s[i][t] == 0:
+                    continue
+                if s[i][t] % s[t][t] == 0:
+                    # plain subtraction never disturbs the pivot row
+                    q = s[i][t] // s[t][t]
+                    _sub_row(s, i, q, t)
+                    _sub_row(u, i, q, t)
+                    continue
+                g, cs, ct = xgcd(s[t][t], s[i][t])
+                dirty = True
+                p, q = s[t][t] // g, s[i][t] // g
+                _combine_rows(s, t, i, cs, ct, p, q)
+                _combine_rows(u, t, i, cs, ct, p, q)
+            for j in range(t + 1, n):
+                if s[t][j] == 0:
+                    continue
+                if s[t][j] % s[t][t] == 0:
+                    q = s[t][j] // s[t][t]
+                    _sub_col(s, j, q, t)
+                    _sub_col(v, j, q, t)
+                    continue
+                g, cs, ct = xgcd(s[t][t], s[t][j])
+                dirty = True
+                p, q = s[t][t] // g, s[t][j] // g
+                _combine_cols(s, t, j, cs, ct, p, q)
+                _combine_cols(v, t, j, cs, ct, p, q)
+    for i in range(k):
+        if s[i][i] < 0:
+            s[i] = [-x for x in s[i]]
+            u[i] = [-x for x in u[i]]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k - 1):
+            a0, b0 = s[i][i], s[i + 1][i + 1]
+            if a0 == 0 and b0 != 0:
+                s[i], s[i + 1] = s[i + 1], s[i]
+                u[i], u[i + 1] = u[i + 1], u[i]
+                _swap_cols(s, i, i + 1)
+                _swap_cols(v, i, i + 1)
+                changed = True
+            elif a0 and b0 and b0 % a0:
+                g, cs, ct = xgcd(a0, b0)
+                _combine_rows(s, i, i + 1, cs, ct, a0 // g, b0 // g)
+                _combine_rows(u, i, i + 1, cs, ct, a0 // g, b0 // g)
+                # paired column transform keeps the product diagonal: diag(g, a*b/g)
+                _combine_cols(s, i, i + 1, 1, 1, cs * (a0 // g), ct * (b0 // g))
+                _combine_cols(v, i, i + 1, 1, 1, cs * (a0 // g), ct * (b0 // g))
+                changed = True
+    return IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n)

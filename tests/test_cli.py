@@ -72,7 +72,7 @@ def test_canonical_report_for_quadrant(monkeypatch, capsys):
     report = report_of(monkeypatch, capsys, ["canonical"], QUADRANT)
     assert report["result"] == {"h": [1, 1], "generators": [[1, 1]], "gorenstein": True}
     assert report["input"] == {"rays": [[1, 0], [0, 1]]}
-    assert report["options"] == {"budget": 500000, "output": "json"}
+    assert report["options"] == {"budget": 500000}
     assert report["version"] == __version__
 
 
@@ -137,6 +137,18 @@ def test_origin_primes_are_graded_with_no_drop(monkeypatch, capsys):
         assert sorted(result["p_star"]) == ["x%d" % (i + 1) for i in range(n)]
 
 
+def test_point_prime_in_many_variables_exits_quickly(monkeypatch, capsys):
+    # the leading terms are the n variables, so the least cover takes
+    # n + 1 branches where a scan of variable subsets took 2^n
+    n = 20
+    job = json.dumps({"command": "analyze-prime", "vars": n, "grading": [[1]] * n,
+                      "prime": ["x%d + %d" % (i, i) for i in range(1, n + 1)]})
+    t0 = time.monotonic()
+    result = report_of(monkeypatch, capsys, ["analyze-prime"], job)["result"]
+    assert time.monotonic() - t0 < 1
+    assert (result["dim_p"], result["dim_p_star"], result["tau"]) == (n, n - 1, 1)
+
+
 def test_analyze_prime_report(monkeypatch, capsys):
     job = '{"command":"analyze-prime","vars":2,"grading":[[1],[1]],"prime":["x1 + 1","x2"]}'
     report = report_of(monkeypatch, capsys, ["analyze-prime"], job)
@@ -168,13 +180,15 @@ def test_schema_errors_point_at_the_offending_field(monkeypatch, capsys):
 
 
 def test_box_and_trunc_are_no_longer_options(monkeypatch, capsys):
-    job = '{"command":"canonical","rays":[[1,0],[0,1]],"options":{"box":4}}'
-    code, message = error_of(monkeypatch, capsys, ["canonical"], job)
-    assert code == EXIT_INPUT
-    assert message.startswith("$.options:")
-    for flag in ("--box", "--trunc"):
+    # nor is output, which took the one value json
+    for options in ('{"box":4}', '{"output":"json"}'):
+        job = '{"command":"canonical","rays":[[1,0],[0,1]],"options":%s}' % options
+        code, message = error_of(monkeypatch, capsys, ["canonical"], job)
+        assert code == EXIT_INPUT
+        assert message.startswith("$.options:")
+    for flag, value in (("--box", "4"), ("--trunc", "4"), ("--output", "json")):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["canonical", flag, "4"])
+            build_parser().parse_args(["canonical", flag, value])
 
 
 def test_integral_float_vars_behave_as_integers(monkeypatch, capsys):

@@ -5,9 +5,9 @@ text on stdin, the exit code and the exact stdout.  The cases were
 recorded before the elimination kernel replaced the Hermite-form rank,
 the Fraction solver and the separate Bareiss determinant, so they pin
 that every report stayed byte-identical.  Since then they were edited
-only once, when the unused ``box`` and ``trunc`` options left the
-reports: ``"box":4,"trunc":8,`` was deleted from each stdout, and
-nothing else changed.  They cover all seven commands,
+twice, each time when options that did nothing left the reports:
+``"box":4,"trunc":8,`` and later ``,"output":"json"`` were deleted
+from each stdout, and nothing else changed.  They cover all seven commands,
 rank 5 and 6 cones, a non-pointed cone, a lower-dimensional cone and
 non-normal presentations.
 """

@@ -28,7 +28,7 @@ from monograde.groebner import (
     s_polynomial,
     saturate,
 )
-from oracles import reference_buchberger, reference_key
+from oracles import reference_buchberger, reference_ideal_dimension, reference_key
 
 V2 = default_variables(2)
 V3 = default_variables(3)
@@ -315,6 +315,31 @@ def test_ideal_dimension_fixtures():
     assert ideal_dimension(IdealPresentation((poly("x1", V3),), lex(3))) == 2
     with pytest.raises(ValueError, match="unit ideal"):
         ideal_dimension(IdealPresentation((poly("1", V3),), grevlex(3)))
+
+
+def test_ideal_dimension_matches_the_subset_scan():
+    rng = random.Random(127)
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        exps = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        gens = [Polynomial.monomial(e, 1, n) for e in exps if any(e)]
+        if n <= 4 and len(gens) > 1:
+            # a binomial keeps the ideal from being monomial
+            gens[0] = gens[0] - gens[1] * Polynomial.variable(rng.randrange(n), n)
+        ideal = IdealPresentation(tuple(gens), grevlex(n))
+        assert ideal_dimension(ideal) == reference_ideal_dimension(ideal)
+
+
+def test_ideal_dimension_spends_the_budget():
+    # (x1*x2, x3*x4, ..., x29*x30): 2^15 least covers to branch through
+    n = 30
+    pairs = tuple(Polynomial.monomial(tuple(int(j in (i, i + 1)) for j in range(n)), 1, n)
+                  for i in range(0, n, 2))
+    ideal = IdealPresentation(pairs, grevlex(n))
+    assert len(groebner_basis(ideal, budget=1000)) == 15
+    with pytest.raises(BudgetExceededError, match="dimension search budget exceeded"):
+        ideal_dimension(ideal, budget=1000)
+    assert ideal_dimension(ideal) == 15
 
 
 def test_budget_exhaustion_raises():

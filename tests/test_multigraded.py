@@ -101,9 +101,11 @@ def test_hull_single_weight_grading():
 
 
 def test_hull_axis_order_does_not_matter():
+    # the hull runs one pass per degree coordinate, so reversing the
+    # coordinates reverses the passes
     ideal = IdealPresentation((poly("x1 + x2"), poly("x2^3 - x1")), grevlex(2))
-    a = graded_hull(ideal, STD2, axes=(0, 1))
-    b = graded_hull(ideal, STD2, axes=(1, 0))
+    a = graded_hull(ideal, STD2)
+    b = graded_hull(ideal, GradedRingSpec(tuple(d[::-1] for d in STD2.degrees)))
     assert a.generators == b.generators
 
 
