@@ -10,9 +10,13 @@ leading term ideal.  All loops that can run long honor a reduction-step
 budget and fail with :class:`BudgetExceededError` when it is exhausted.
 
 Each order compiles its sort key once and memoizes it per exponent.
-Buchberger's algorithm keeps its pending S-pairs in a heap keyed by the
-order key of their lcm, each pair pushed once, so picking the next pair
-costs a logarithm of the queue instead of a scan of it.
+Buchberger's algorithm selects pairs by the sugar strategy: pending
+S-pairs sit in a heap keyed by their sugar (the degree the S-polynomial
+would have after homogenizing the input), then by the order key of
+their lcm, each pair pushed once, so picking the next pair costs a
+logarithm of the queue instead of a scan of it.  Basis elements are
+kept monic, so S-polynomials and reduction steps against them divide by
+nothing.
 """
 
 from __future__ import annotations
@@ -325,7 +329,7 @@ def normal_form(f: Polynomial, basis, order: TermOrder, budget=None) -> Polynomi
         budget.spend()
         g, ge, gc = hit
         shift = _exp_sub(e, ge)
-        ratio = c / gc
+        ratio = c if gc == 1 else c / gc
         for e2, c2 in g.terms.items():
             if e2 == ge:
                 continue
@@ -341,10 +345,12 @@ def normal_form(f: Polynomial, basis, order: TermOrder, budget=None) -> Polynomi
     return out
 
 
-def _shifted_terms(f: Polynomial, shift: Exponent, scale: Fraction) -> dict:
-    """The terms of scale * x^shift * f; a monic basis element has scale 1."""
-    if scale == 1:
+def _shifted_terms(f: Polynomial, shift: Exponent, lc: Fraction) -> dict:
+    """The terms of x^shift * f / lc; a monic basis element has lc 1 and
+    is shifted without any division."""
+    if lc == 1:
         return {_exp_add(e, shift): c for e, c in f.terms.items()}
+    scale = 1 / lc
     return {_exp_add(e, shift): scale * c for e, c in f.terms.items()}
 
 
@@ -354,8 +360,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     if f.nvars != g.nvars:
         raise ValueError("mixed variable counts")
     l = _exp_lcm(fe, ge)
-    out = _shifted_terms(f, _exp_sub(l, fe), 1 / fc)
-    for e, c in _shifted_terms(g, _exp_sub(l, ge), 1 / gc).items():
+    out = _shifted_terms(f, _exp_sub(l, fe), fc)
+    for e, c in _shifted_terms(g, _exp_sub(l, ge), gc).items():
         if e not in out:
             out[e] = -c
         elif acc := out[e] - c:
@@ -387,12 +393,22 @@ def _interreduce(basis: list[Polynomial], order: TermOrder, budget: _Budget) -> 
 def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, ...]:
     """The reduced Groebner basis of the ideal, sorted by leading term.
 
-    Pair selection follows the normal strategy: pending S-pairs sit in a
-    heap keyed by the order key of their lcm, then by the pair (i, j), so
-    the smallest lcm is reduced first and equal lcms go by index.  Each
+    Pair selection follows the sugar strategy of Giovini, Mora, Niesi,
+    Robbiano and Traverso (1991).  Each basis element carries a sugar:
+    an input generator's is its total degree, and an element a pair
+    adds gets the larger of the pair's sugar and its own total degree.
+    The pair (i, j) with lcm l has sugar max(s_i + |l| - |lt_i|,
+    s_j + |l| - |lt_j|), the degree its S-polynomial would have if the
+    input were homogeneous.  Pending S-pairs sit in a heap keyed by
+    (sugar, order key of the lcm, (i, j)), so the least sugar is reduced
+    first, then the smallest lcm, then the lowest index.  For
+    homogeneous input under grevlex this is the normal strategy; under
+    elimination and lex orders it stops a pair of high degree, whose
+    lcm happens to be small in the order, from jumping the queue.  Each
     pair is pushed once, when its second element joins the basis; its
-    lcm never changes, since leading terms are fixed once appended.
-    Coprime leading terms and the chain criterion prune pairs.
+    lcm and sugar never change, since leading terms and sugars are fixed
+    once appended.  Coprime leading terms and the chain criterion prune
+    pairs.
     """
     budget = _as_budget(budget)
     gens = [g for g in generators if not g.is_zero]
@@ -405,22 +421,26 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
     gens = sorted(gens, key=lambda g: _poly_sort_key(g, order))
     basis: list[Polynomial] = []
     lts: list[Exponent] = []
-    pending: list[tuple] = []  # heap of (key(lcm), (i, j), lcm)
+    sugars: list[int] = []
+    pending: list[tuple] = []  # heap of (sugar, key(lcm), (i, j), lcm)
     done: set[tuple[int, int]] = set()
 
-    def append(g: Polynomial) -> None:
+    def append(g: Polynomial, sugar: int) -> None:
         basis.append(g.monic(order))
         lt = g.leading(order)[0]
         new = len(lts)
+        excess = sugar - sum(lt)
         for k, lk in enumerate(lts):
             l = _exp_lcm(lk, lt)
-            heapq.heappush(pending, (key(l), (k, new), l))
+            s = sum(l) + max(sugars[k] - sum(lk), excess)
+            heapq.heappush(pending, (s, key(l), (k, new), l))
         lts.append(lt)
+        sugars.append(sugar)
 
     for g in gens:
-        append(g)
+        append(g, g.total_degree())
     while pending:
-        _, (i, j), l = heapq.heappop(pending)
+        s, _, (i, j), l = heapq.heappop(pending)
         done.add((i, j))
         if l == _exp_add(lts[i], lts[j]):
             continue  # coprime leading terms reduce to zero
@@ -437,7 +457,7 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
             continue
         h = normal_form(s_polynomial(basis[i], basis[j], order), basis, order, budget)
         if not h.is_zero:
-            append(h)
+            append(h, max(s, h.total_degree()))
     return tuple(_interreduce(basis, order, budget))
 
 
@@ -522,9 +542,15 @@ def ideal_dimension(ideal: IdealPresentation, budget=None) -> int:
     ideal is rejected.
     """
     budget = _as_budget(budget)
-    n = ideal.nvars
-    deg_order = grevlex(n)
-    gb = buchberger(ideal.generators, deg_order, budget)
+    deg_order = grevlex(ideal.nvars)
+    return _grevlex_basis_dimension(buchberger(ideal.generators, deg_order, budget),
+                                    deg_order, budget)
+
+
+def _grevlex_basis_dimension(gb, deg_order: TermOrder, budget: _Budget) -> int:
+    """:func:`ideal_dimension` of the ideal whose reduced basis under
+    ``deg_order``, a plain grevlex order, is ``gb``."""
+    n = deg_order.nvars
     supports = []
     for g in gb:
         e = g.leading(deg_order)[0]

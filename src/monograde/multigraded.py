@@ -25,10 +25,10 @@ from .groebner import (
     IdealPresentation,
     Polynomial,
     _as_budget,
+    _grevlex_basis_dimension,
     buchberger,
     elimination_order,
     grevlex,
-    ideal_dimension,
     normal_form,
 )
 
@@ -202,17 +202,20 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
     star = graded_hull(IdealPresentation(gb_p, p.order), spec, budget)
     gb_star = star.generators
     graded = list(gb_star) == list(gb_p)
-    quot_p = ideal_dimension(IdealPresentation(gb_p, p.order), budget)
-    quot_star = ideal_dimension(star, budget) if gb_star else n
-    dim_p = n - quot_p
-    dim_star = n - quot_star
+    # both bases are reduced in p.order, so under grevlex they serve as is
+    deg_order = grevlex(n)
+    if p.order == deg_order:
+        deg_order, gb_p_deg, gb_star_deg = p.order, gb_p, gb_star
+    else:
+        gb_p_deg = buchberger(gb_p, deg_order, budget)
+        gb_star_deg = buchberger(gb_star, deg_order, budget)
+    dim_p = n - _grevlex_basis_dimension(gb_p_deg, deg_order, budget)
+    dim_star = n - _grevlex_basis_dimension(gb_star_deg, deg_order, budget)
     tau = dim_p - dim_star
     sigma = spec.sigma()
 
     rng = random.Random(seed)
     if gb_star:
-        deg_order = grevlex(n)
-        gb_star_deg = buchberger(gb_star, deg_order, budget)
         for _ in range(samples):
             a = _random_nonmember(rng, n, gb_star_deg, deg_order, budget)
             b = _random_nonmember(rng, n, gb_star_deg, deg_order, budget)

@@ -12,7 +12,9 @@ reference, built on the package's own primitives.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -537,6 +539,45 @@ def presentation_corpus(seed, count):
     return out
 
 
+HULL_COEFFICIENTS = ("-2", "1", "1/2", "2", "3", "5")
+
+
+def _hull_job_polynomial(rng, n):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [rng.choice(HULL_COEFFICIENTS)]
+        for i in range(n):
+            x = rng.randint(0, 2)
+            if x:
+                factors.append("x%d" % (i + 1) if x == 1 else "x%d^%d" % (i + 1, x))
+        if factors[0] == "1" and len(factors) > 1:
+            factors.pop(0)
+        terms.append("*".join(factors))
+    return "".join(terms[:1] + [" - " + t[1:] if t[0] == "-" else " + " + t for t in terms[1:]])
+
+
+def hull_job_corpus(seed, count):
+    """Seeded ``graded-hull`` and ``analyze-prime`` CLI jobs as JSON text:
+    2-4 variables, a grading of rank 1-3 with entries in -2..2, and 1-3
+    polynomials of 1-3 terms with exponents 0..2.  The polynomials are
+    random, so many ``analyze-prime`` inputs are not prime and exit 4;
+    the corpus exercises the elimination order bases of the hull
+    passes, not the prime bookkeeping."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        r = rng.randint(1, 3)
+        command, field = rng.choice((("graded-hull", "ideal"), ("analyze-prime", "prime")))
+        out.append(json.dumps({
+            "command": command,
+            "vars": n,
+            "grading": [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)],
+            field: [_hull_job_polynomial(rng, n) for _ in range(rng.randint(1, 3))],
+        }, separators=(",", ":")))
+    return out
+
+
 # -- slow paths kept as references for groebner ------------------------
 
 
@@ -561,7 +602,8 @@ def reference_key(order, e):
 
 def reference_buchberger(generators, order, budget):
     """``groebner.buchberger`` selecting each pair by ``min`` over the
-    whole pending set, with keys from :func:`reference_key`.
+    whole pending set, with keys from :func:`reference_key` and each
+    pair's sugar recomputed from the sugars of its two elements.
 
     S-polynomials, reductions and the final interreduction go through
     the ``groebner`` module's globals, so a test that counts them there
@@ -575,10 +617,11 @@ def reference_buchberger(generators, order, budget):
         return ()
     gens = sorted(gens, key=lambda g: sorted(((key(e), c) for e, c in g.terms.items()),
                                              reverse=True))
-    basis, lts = [], []
+    basis, lts, sugars = [], [], []
     for g in gens:
         basis.append(g.monic(order))
         lts.append(g.leading(order)[0])
+        sugars.append(max(sum(e) for e in g.terms))
     pending, done = set(), set()
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -587,11 +630,15 @@ def reference_buchberger(generators, order, budget):
     def lcm(p):
         return tuple(max(a, b) for a, b in zip(lts[p[0]], lts[p[1]]))
 
+    def sugar(p):
+        l = sum(lcm(p))
+        return max(sugars[k] + l - sum(lts[k]) for k in p)
+
     def divides(d, e):
         return all(a <= b for a, b in zip(d, e))
 
     while pending:
-        i, j = min(pending, key=lambda p: (key(lcm(p)), p))
+        i, j = min(pending, key=lambda p: (sugar(p), key(lcm(p)), p))
         pending.discard((i, j))
         done.add((i, j))
         l = lcm((i, j))
@@ -607,9 +654,65 @@ def reference_buchberger(generators, order, budget):
             continue
         basis.append(h.monic(order))
         lts.append(h.leading(order)[0])
+        sugars.append(max(sugar((i, j)), max(sum(e) for e in h.terms)))
         new = len(basis) - 1
         for k in range(new):
             pending.add((k, new))
+    return tuple(groebner._interreduce(basis, order, budget))
+
+
+def normal_strategy_buchberger(generators, order, budget=None):
+    """``groebner.buchberger`` as it was before sugar: the pending heap is
+    keyed by the order key of the lcm alone (the normal strategy).  The
+    reduced basis is unique, so both routes must agree; the S-pair
+    counts show what the selection saves.  S-polynomials and reductions
+    go through the ``groebner`` module's globals.
+    """
+    budget = groebner._as_budget(budget)
+    gens = [g for g in generators if not g.is_zero]
+    if not gens:
+        return ()
+    nv = gens[0].nvars
+    if any(g.nvars != nv for g in gens):
+        raise ValueError("mixed variable counts")
+    key = order.key
+    gens = sorted(gens, key=lambda g: groebner._poly_sort_key(g, order))
+    basis = []
+    lts = []
+    pending = []  # heap of (key(lcm), (i, j), lcm)
+    done = set()
+
+    def append(g):
+        basis.append(g.monic(order))
+        lt = g.leading(order)[0]
+        new = len(lts)
+        for k, lk in enumerate(lts):
+            l = groebner._exp_lcm(lk, lt)
+            heapq.heappush(pending, (key(l), (k, new), l))
+        lts.append(lt)
+
+    for g in gens:
+        append(g)
+    while pending:
+        _, (i, j), l = heapq.heappop(pending)
+        done.add((i, j))
+        if l == groebner._exp_add(lts[i], lts[j]):
+            continue  # coprime leading terms reduce to zero
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or not groebner._divides(lts[k], l):
+                continue
+            pik = (min(i, k), max(i, k))
+            pjk = (min(j, k), max(j, k))
+            if pik in done and pjk in done:
+                skip = True
+                break
+        if skip:
+            continue
+        h = groebner.normal_form(groebner.s_polynomial(basis[i], basis[j], order),
+                                 basis, order, budget)
+        if not h.is_zero:
+            append(h)
     return tuple(groebner._interreduce(basis, order, budget))
 
 

@@ -21,7 +21,7 @@ import time
 import jsonschema
 import pytest
 
-from monograde import __version__
+from monograde import __version__, groebner, multigraded
 from monograde.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -32,6 +32,10 @@ from monograde.cli import (
     build_parser,
     main,
 )
+from monograde.groebner import IdealPresentation, default_variables, grevlex, parse_polynomial
+from monograde.multigraded import GradedRingSpec
+from hullcheck import assert_hull_contract
+from oracles import hull_job_corpus, normal_strategy_buchberger
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -160,6 +164,48 @@ def test_analyze_prime_report(monkeypatch, capsys):
         "tau": 1,
         "sigma": 1,
     }
+
+
+STALL = ('{"command":"analyze-prime","vars":4,"grading":[[-2],[-2],[-2],[0]],'
+         '"prime":["1/2*x4 + x1^2*x2*x4 + 5*x2","5*x2*x3^2 + 1/2*x3^2 + 2"]}')
+
+
+def test_hull_elimination_that_stalled_fits_a_small_budget(monkeypatch, capsys):
+    # under the normal strategy the elimination order basis of this
+    # torus substitution took 35,921 reduction steps; sugar takes a few
+    # hundred
+    report = report_of(monkeypatch, capsys, ["analyze-prime", "--budget", "2000"], STALL)
+    result = report["result"]
+    assert (result["graded"], result["dim_p"], result["dim_p_star"], result["tau"]) \
+        == (False, 2, 1, 1)
+    job = json.loads(STALL)
+    names = default_variables(job["vars"])
+    spec = GradedRingSpec(tuple(tuple(d) for d in job["grading"]))
+    prime = IdealPresentation(tuple(parse_polynomial(t, names) for t in job["prime"]),
+                              grevlex(job["vars"]))
+    p_star = IdealPresentation(tuple(parse_polynomial(t, names) for t in result["p_star"]),
+                               grevlex(job["vars"]))
+    assert_hull_contract(prime, p_star, spec, dmax=5)
+
+
+def test_sugar_moves_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
+    # the pair selection changes which inputs a budget suffices for, and
+    # nothing else: the reduced bases, hence the reports, are unique
+    def outcomes():
+        out = []
+        for text in hull_job_corpus(97, 40):
+            argv = [json.loads(text)["command"], "--budget", "1000"]
+            out.append(run_cli(monkeypatch, capsys, argv, text))
+        return out
+
+    sugar = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "buchberger", normal_strategy_buchberger)
+        m.setattr(multigraded, "buchberger", normal_strategy_buchberger)
+        normal = outcomes()
+    moved = [(a[0], b[0]) for a, b in zip(normal, sugar) if a[0] != b[0]]
+    assert moved and set(moved) == {(EXIT_BUDGET, EXIT_OK)}
+    assert all(a == b for a, b in zip(normal, sugar) if a[0] == b[0] != EXIT_BUDGET)
 
 
 def test_rejects_malformed_json(monkeypatch, capsys):

@@ -1,0 +1,25 @@
+"""Smoke test: every demo script runs to completion in a fresh interpreter."""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+def test_there_are_demos():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
+def test_demo_exits_0(path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("MONOGRADE_BUDGET", None)
+    proc = subprocess.run([sys.executable, path], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from monograde import groebner
+from monograde import groebner, multigraded
 from monograde.groebner import (
     BudgetExceededError,
     IdealPresentation,
@@ -28,7 +28,13 @@ from monograde.groebner import (
     s_polynomial,
     saturate,
 )
-from oracles import reference_buchberger, reference_ideal_dimension, reference_key
+from monograde.multigraded import GradedRingSpec, graded_hull
+from oracles import (
+    normal_strategy_buchberger,
+    reference_buchberger,
+    reference_ideal_dimension,
+    reference_key,
+)
 
 V2 = default_variables(2)
 V3 = default_variables(3)
@@ -132,6 +138,71 @@ def test_heap_selects_the_pairs_of_the_min_scan(monkeypatch):
                 assert outcomes[0] == outcomes[1]
                 checked += outcomes[0][0] is not None
     assert checked > 150
+
+
+def strategy_corpus(seed, monkeypatch):
+    """Random ideals in 2-4 variables under grevlex, lex and an
+    elimination order, plus the torus-substituted inputs that graded
+    hulls of further random ideals hand to the elimination order."""
+    rng = random.Random(seed)
+    cases = []
+    for n in range(2, 5):
+        for _ in range(10):
+            gens = [random_poly(rng, n) for _ in range(rng.randint(2, 3))]
+            drop = rng.sample(range(n), rng.randint(1, n - 1))
+            cases.extend((gens, o) for o in (grevlex(n), lex(n), elimination_order(drop, n)))
+    real = multigraded.buchberger
+
+    def recorded(gens, order, budget=None):
+        if order.kind == "elim":
+            cases.append((list(gens), order))
+        return real(gens, order, budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(multigraded, "buchberger", recorded)
+        for n in range(2, 5):
+            for _ in range(12):
+                gens = tuple(g for g in (random_poly(rng, n) for _ in range(rng.randint(1, 2)))
+                             if not g.is_zero)
+                r = rng.randint(1, 2)
+                spec = GradedRingSpec(tuple(tuple(rng.randint(-2, 2) for _ in range(r))
+                                            for _ in range(n)))
+                try:
+                    graded_hull(IdealPresentation(gens, grevlex(n)), spec, budget=2000)
+                except BudgetExceededError:
+                    pass
+    return cases
+
+
+def test_sugar_and_the_normal_strategy_reach_the_same_basis(monkeypatch):
+    """The reduced basis is unique, so the pair selection cannot change
+    it; sugar must not need more S-pairs in all than the normal
+    strategy, which stalls on some elimination inputs (its count there
+    is what it spent before the budget ran out)."""
+    cases = strategy_corpus(71, monkeypatch)
+    assert sum(o.kind == "elim" for _, o in cases) > 60
+    real = groebner.s_polynomial
+    spairs = [0]
+
+    def counted(f, g, order):
+        spairs[0] += 1
+        return real(f, g, order)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    totals = [0, 0]
+    for gens, o in cases:
+        outcomes = []
+        for k, route in enumerate((buchberger, normal_strategy_buchberger)):
+            spairs[0] = 0
+            try:
+                outcomes.append(route(gens, o, 2000))
+            except BudgetExceededError:
+                outcomes.append(None)
+            totals[k] += spairs[0]
+        sugar, normal = outcomes
+        assert sugar is not None
+        assert normal is None or sugar == normal
+    assert totals[0] <= totals[1]
 
 
 # -- parsing and formatting ----------------------------------------------
@@ -242,6 +313,9 @@ def test_basis_is_reduced_and_closed_random():
 def test_s_polynomial_fixture():
     sp = s_polynomial(poly("x1^2-1"), poly("x1*x2-1"), lex(2))
     assert fmt(sp) == "x1 - x2"
+    # leading coefficients other than 1 are divided out
+    sp = s_polynomial(poly("2*x1^2-2"), poly("-3*x1*x2+3"), lex(2))
+    assert fmt(sp) == "x1 - x2"
 
 
 # -- normal forms ----------------------------------------------------------
@@ -251,6 +325,8 @@ def test_normal_form_fixture():
     ideal = IdealPresentation((poly("x1^2 - 1"), poly("x1*x2 - 1")), lex(2))
     gb = groebner_basis(ideal)
     assert fmt(normal_form(poly("x1^2*x2"), gb, lex(2))) == "x2"
+    # a divisor that is not monic: x1 = 1/2 modulo 2*x1 - 1
+    assert fmt(normal_form(poly("x1^2 + x2"), [poly("2*x1 - 1")], lex(2))) == "x2 + 1/4"
 
 
 def test_normal_form_is_linear_and_idempotent():

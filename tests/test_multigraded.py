@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from monograde import groebner, multigraded
 from monograde.groebner import (
     IdealPresentation,
     Polynomial,
@@ -12,6 +13,7 @@ from monograde.groebner import (
     default_variables,
     format_polynomial,
     grevlex,
+    lex,
     normal_form,
     parse_polynomial,
 )
@@ -168,3 +170,30 @@ def test_tau_bounds_hold_on_point_kernels():
         assert out.dim_p - out.dim_p_star == out.tau
         for g in out.p_star.generators:
             assert is_graded(g, STD2)
+
+
+def test_prime_analysis_computes_each_basis_once(monkeypatch):
+    # one basis of the prime, two per hull pass, and under grevlex no
+    # more: the prime's basis and the core are already reduced grevlex
+    # bases, which serve the dimensions and the primality samples alike;
+    # under lex each of the two is recomputed once under grevlex
+    calls = []
+    real = groebner.buchberger
+
+    def counted(gens, order, budget=None):
+        calls.append(order)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    monkeypatch.setattr(multigraded, "buchberger", counted)
+    V3 = default_variables(3)
+    gens = ("x1 - 2", "x2 + 1", "x3 - 3")
+    for spec in (GradedRingSpec(((1,), (1,), (1,))), GradedRingSpec(((1, 0), (0, 1), (1, 1))),
+                 GradedRingSpec(((1, 0, 0), (0, 1, 0), (0, 0, 1)))):
+        r = spec.rank
+        for order, extra in ((grevlex(3), 0), (lex(3), 2)):
+            calls.clear()
+            p = IdealPresentation(tuple(parse_polynomial(t, V3) for t in gens), order)
+            out = analyze_prime(p, spec)
+            assert not out.graded and 1 <= out.tau <= out.sigma
+            assert len(calls) == 1 + 2 * r + extra
