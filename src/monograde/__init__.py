@@ -12,8 +12,8 @@ The package computes, over arbitrary-precision integers and rationals:
 * divisorial ideals, their minimal generators, the interior-point
   canonical module, divisor class groups and the Gorenstein decision
   (``divisorial``);
-* reduced Groebner bases, elimination, saturation and quotient
-  dimension over Q (``groebner``);
+* reduced Groebner bases, normal forms and quotient dimension over Q,
+  computed fraction-free inside Buchberger's algorithm (``groebner``);
 * multigraded hulls of ideals and graded-core diagnostics of primes
   (``multigraded``);
 * a deterministic JSON command line front end (``cli``).
@@ -55,16 +55,13 @@ from .groebner import (
     buchberger,
     default_variables,
     elimination_order,
-    eliminate,
     format_polynomial,
     grevlex,
-    groebner_basis,
     ideal_dimension,
     lex,
     normal_form,
     parse_polynomial,
     s_polynomial,
-    saturate,
 )
 from .monoid import (
     AffineMonoid,

@@ -4,19 +4,21 @@ algorithm.
 Polynomials are sparse maps from exponent tuples to Fractions.  The
 module provides graded reverse lexicographic and lexicographic orders
 (with optional variable priority), block elimination orders, reduced
-Groebner bases, full normal forms, elimination ideals, saturation by a
-polynomial, and the Krull dimension of the quotient ring read off the
-leading term ideal.  All loops that can run long honor a reduction-step
-budget and fail with :class:`BudgetExceededError` when it is exhausted.
+Groebner bases, full normal forms, and the Krull dimension of the
+quotient ring read off the leading term ideal.  All loops that can run
+long honor a reduction-step budget and fail with
+:class:`BudgetExceededError` when it is exhausted.
 
 Each order compiles its sort key once and memoizes it per exponent.
 Buchberger's algorithm selects pairs by the sugar strategy: pending
 S-pairs sit in a heap keyed by their sugar (the degree the S-polynomial
 would have after homogenizing the input), then by the order key of
 their lcm, each pair pushed once, so picking the next pair costs a
-logarithm of the queue instead of a scan of it.  Basis elements are
-kept monic, so S-polynomials and reduction steps against them divide by
-nothing.
+logarithm of the queue instead of a scan of it.  Inside it, basis
+elements are primitive integer polynomials and every S-pair and
+reduction step is fraction-free; the reduced basis is made monic over Q
+once, at the end.  The public :func:`normal_form` and
+:func:`s_polynomial` work over Q.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
 
 Exponent = tuple[int, ...]
@@ -39,10 +42,20 @@ class BudgetExceededError(RuntimeError):
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    """The reduction-step budget of one computation, and its meter.
+
+    ``remaining`` counts down one unit per reduction step or dimension
+    search branch (``None`` is no limit), so the steps spent are the
+    limit minus ``remaining``.  ``spairs`` counts the S-pairs Buchberger's
+    algorithm reduced and ``zero_reductions`` those that reduced to zero.
+    """
+
+    __slots__ = ("remaining", "spairs", "zero_reductions")
 
     def __init__(self, limit: int | None):
         self.remaining = limit
+        self.spairs = 0
+        self.zero_reductions = 0
 
     def spend(self, what: str = "reduction step") -> None:
         if self.remaining is not None:
@@ -373,20 +386,125 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     return p
 
 
-def _interreduce(basis: list[Polynomial], order: TermOrder, budget: _Budget) -> list[Polynomial]:
-    pairs = [(g.leading(order)[0], g) for g in basis]
-    pairs.sort(key=lambda t: order.key(t[0]))
-    kept: list[tuple[Exponent, Polynomial]] = []
-    for e, g in pairs:
-        if not any(_divides(ke, e) for ke, _ in kept):
-            kept.append((e, g))
+# -- the integer kernel ----------------------------------------------
+#
+# Inside Buchberger's algorithm a polynomial is held over Z.  A basis
+# element is a triple (leading exponent, leading coefficient, tail): the
+# coefficients are coprime integers, the leading one positive, and the
+# tail lists the other terms.  Each is a positive multiple of the monic
+# element the rational algorithm would hold, and a work polynomial is a
+# positive multiple of its rational counterpart, so both pick the same
+# terms, the same divisors and the same pairs.
+
+
+def _integer_terms(f: Polynomial) -> dict[Exponent, int]:
+    """The terms of f times the least common denominator of its
+    coefficients."""
+    m = lcm(*(c.denominator for c in f.terms.values()))
+    return {e: c.numerator * (m // c.denominator) for e, c in f.terms.items()}
+
+
+def _element(terms: dict[Exponent, int], key):
+    """The basis element of a nonzero integer polynomial: its content
+    removed and its leading coefficient made positive."""
+    lt = max(terms, key=key)
+    d = gcd(*terms.values())
+    if terms[lt] < 0:
+        d = -d
+    return lt, terms[lt] // d, [(e, c // d) for e, c in terms.items() if e != lt]
+
+
+def _integer_basis(polys, order: TermOrder) -> list:
+    """Basis elements of nonzero rational polynomials, in the same order."""
+    return [_element(_integer_terms(g), order.key) for g in polys]
+
+
+def _reduce(work: dict[Exponent, int], basis, key, budget: _Budget) -> dict[Exponent, int]:
+    """:func:`normal_form` over Z: a positive multiple of the remainder of
+    ``work`` (which this consumes) modulo the basis elements.
+
+    A step meets the largest reducible term c*x^e and the first element
+    g whose leading term divides it.  With d = gcd(c, lc(g)), it scales
+    the work and the remainder by lc(g)/d > 0 and subtracts
+    (c/d)*x^(e - lt(g))*g, which cancels the term, so nothing is divided.
+    """
+    remainder: dict[Exponent, int] = {}
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        for ge, gc, tail in basis:
+            if all(map(le, ge, e)):  # _divides(ge, e), inlined
+                break
+        else:
+            remainder[e] = c
+            continue
+        budget.spend()
+        if gc != 1:
+            d = gcd(c, gc)
+            a, c = gc // d, c // d
+            if a != 1:
+                work = {em: a * v for em, v in work.items()}
+                for em in remainder:
+                    remainder[em] *= a
+        shift = _exp_sub(e, ge)
+        for e2, c2 in tail:
+            em = _exp_add(e2, shift)
+            if em not in work:
+                work[em] = -c * c2
+            elif acc := work[em] - c * c2:
+                work[em] = acc
+            else:
+                del work[em]
+    return remainder
+
+
+def _s_pair(f, g) -> dict[Exponent, int]:
+    """A positive multiple of the S-polynomial of two basis elements:
+    (lc(g)/d)*x^a*f - (lc(f)/d)*x^b*g with d = gcd(lc(f), lc(g)), whose
+    leading terms cancel, so only the tails are added."""
+    fe, fc, ftail = f
+    ge, gc, gtail = g
+    l = _exp_lcm(fe, ge)
+    d = gcd(fc, gc)
+    a, b = gc // d, fc // d
+    shift = _exp_sub(l, fe)
+    out = {_exp_add(e, shift): a * c for e, c in ftail}
+    shift = _exp_sub(l, ge)
+    for e, c in gtail:
+        em = _exp_add(e, shift)
+        if em not in out:
+            out[em] = -b * c
+        elif acc := out[em] - b * c:
+            out[em] = acc
+        else:
+            del out[em]
+    return out
+
+
+def _in_ideal(f: Polynomial, basis, order: TermOrder, budget: _Budget) -> bool:
+    """Whether f reduces to zero modulo the basis elements, spending the
+    reduction steps :func:`normal_form` would."""
+    return not _reduce(_integer_terms(f), basis, order.key, budget)
+
+
+def _interreduce(basis: list, order: TermOrder, budget: _Budget) -> list[Polynomial]:
+    """The reduced basis from the elements of a Groebner basis: the
+    elements with a minimal leading term, each reduced modulo the others
+    and made monic over Q, sorted by leading term."""
+    key = order.key
+    kept: list = []
+    for el in sorted(basis, key=lambda el: key(el[0])):
+        if not any(_divides(k[0], el[0]) for k in kept):
+            kept.append(el)
     final = []
-    polys = [g for _, g in kept]
-    for i, g in enumerate(polys):
-        others = polys[:i] + polys[i + 1:]
-        r = normal_form(g, others, order, budget)
-        final.append(r.monic(order))
-    final.sort(key=lambda g: order.key(g.leading(order)[0]))
+    for i, (lt, lc, tail) in enumerate(kept):
+        work = dict(tail)
+        work[lt] = lc
+        r = _reduce(work, kept[:i] + kept[i + 1:], key, budget)
+        lc = r[lt]
+        g = Polynomial.zero(order.nvars)
+        g.terms = {e: Fraction(c, lc) for e, c in r.items()}
+        final.append(g)
     return final
 
 
@@ -409,6 +527,11 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
     lcm and sugar never change, since leading terms and sugars are fixed
     once appended.  Coprime leading terms and the chain criterion prune
     pairs.
+
+    The basis is held as primitive integer polynomials (see
+    :func:`_reduce`), so no step divides; only the final interreduction
+    makes each element monic over Q.  The S-pairs reduced and those that
+    reduced to zero are counted on the budget.
     """
     budget = _as_budget(budget)
     gens = [g for g in generators if not g.is_zero]
@@ -419,15 +542,15 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
         raise ValueError("mixed variable counts")
     key = order.key
     gens = sorted(gens, key=lambda g: _poly_sort_key(g, order))
-    basis: list[Polynomial] = []
+    basis: list = []
     lts: list[Exponent] = []
     sugars: list[int] = []
     pending: list[tuple] = []  # heap of (sugar, key(lcm), (i, j), lcm)
     done: set[tuple[int, int]] = set()
 
-    def append(g: Polynomial, sugar: int) -> None:
-        basis.append(g.monic(order))
-        lt = g.leading(order)[0]
+    def append(el, sugar: int) -> None:
+        basis.append(el)
+        lt = el[0]
         new = len(lts)
         excess = sugar - sum(lt)
         for k, lk in enumerate(lts):
@@ -438,7 +561,7 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
         sugars.append(sugar)
 
     for g in gens:
-        append(g, g.total_degree())
+        append(_element(_integer_terms(g), key), g.total_degree())
     while pending:
         s, _, (i, j), l = heapq.heappop(pending)
         done.add((i, j))
@@ -455,9 +578,12 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
                 break
         if skip:
             continue
-        h = normal_form(s_polynomial(basis[i], basis[j], order), basis, order, budget)
-        if not h.is_zero:
-            append(h, max(s, h.total_degree()))
+        budget.spairs += 1
+        h = _reduce(_s_pair(basis[i], basis[j]), basis, key, budget)
+        if h:
+            append(_element(h, key), max(s, max(map(sum, h))))
+        else:
+            budget.zero_reductions += 1
     return tuple(_interreduce(basis, order, budget))
 
 
@@ -477,58 +603,6 @@ class IdealPresentation:
     @property
     def nvars(self) -> int:
         return self.order.nvars
-
-
-def groebner_basis(ideal: IdealPresentation, budget=None) -> tuple[Polynomial, ...]:
-    return buchberger(ideal.generators, ideal.order, budget)
-
-
-def _extend(f: Polynomial, extra: int) -> Polynomial:
-    return Polynomial(f.nvars + extra, {e + (0,) * extra: c for e, c in f.terms.items()})
-
-
-def _restrict(f: Polynomial, nvars: int, kept: list[int]) -> Polynomial:
-    terms = {}
-    for e, c in f.terms.items():
-        terms[tuple(e[i] for i in kept)] = c
-    return Polynomial(nvars, terms)
-
-
-def eliminate(ideal: IdealPresentation, drop, budget=None) -> IdealPresentation:
-    """Intersection with the subring on the remaining variables.
-
-    The result keeps the ambient variable count and the original order;
-    dropped variables simply no longer occur in the generators.
-    """
-    budget = _as_budget(budget)
-    drop = sorted(set(int(i) for i in drop))
-    if not drop:
-        return IdealPresentation(buchberger(ideal.generators, ideal.order, budget), ideal.order)
-    order = elimination_order(drop, ideal.nvars)
-    gb = buchberger(ideal.generators, order, budget)
-    kept = [g for g in gb if all(e[i] == 0 for e in g.terms for i in drop)]
-    return IdealPresentation(buchberger(kept, ideal.order, budget), ideal.order)
-
-
-def saturate(ideal: IdealPresentation, f: Polynomial, budget=None) -> IdealPresentation:
-    """Saturation by f: everything some power of f multiplies into the ideal.
-
-    Rabinowitsch construction: adjoin w with w*f = 1, eliminate w, read
-    the result back in the original variables.
-    """
-    budget = _as_budget(budget)
-    n = ideal.nvars
-    if f.nvars != n:
-        raise ValueError("polynomial does not match the ideal's variables")
-    if f.is_zero:
-        raise ValueError("cannot saturate by zero")
-    gens = [_extend(g, 1) for g in ideal.generators]
-    w = Polynomial.variable(n, n + 1)
-    gens.append(w * _extend(f, 1) - Polynomial.constant(1, n + 1))
-    big = IdealPresentation(tuple(gens), grevlex(n + 1))
-    elim = eliminate(big, [n], budget)
-    restricted = tuple(_restrict(g, n, list(range(n))) for g in elim.generators)
-    return IdealPresentation(buchberger(restricted, ideal.order, budget), ideal.order)
 
 
 def ideal_dimension(ideal: IdealPresentation, budget=None) -> int:

@@ -600,6 +600,88 @@ def reference_key(order, e):
     return e
 
 
+def rational_interreduce(basis, order, budget):
+    """The reduced basis from a list of monic rational polynomials that
+    generate the ideal as a Groebner basis, by :func:`groebner.normal_form`:
+    ``groebner._interreduce`` as it was before the integer kernel."""
+    pairs = [(g.leading(order)[0], g) for g in basis]
+    pairs.sort(key=lambda t: order.key(t[0]))
+    kept = []
+    for e, g in pairs:
+        if not any(groebner._divides(ke, e) for ke, _ in kept):
+            kept.append((e, g))
+    final = []
+    polys = [g for _, g in kept]
+    for i, g in enumerate(polys):
+        others = polys[:i] + polys[i + 1:]
+        r = groebner.normal_form(g, others, order, budget)
+        final.append(r.monic(order))
+    final.sort(key=lambda g: order.key(g.leading(order)[0]))
+    return final
+
+
+def rational_buchberger(generators, order, budget=None):
+    """``groebner.buchberger`` as it was before the integer kernel: the
+    same sugar heap over monic rational polynomials, each pair reduced by
+    :func:`groebner.normal_form` of :func:`groebner.s_polynomial`, and the
+    basis interreduced by :func:`rational_interreduce`.  Every integer
+    polynomial of the kernel is a positive multiple of the rational one
+    here, so both routes must reduce the same pairs in the same order,
+    spend the same steps and return the same basis.  Module globals go
+    through ``groebner``, so a test can count the calls.
+    """
+    budget = groebner._as_budget(budget)
+    gens = [g for g in generators if not g.is_zero]
+    if not gens:
+        return ()
+    nv = gens[0].nvars
+    if any(g.nvars != nv for g in gens):
+        raise ValueError("mixed variable counts")
+    key = order.key
+    gens = sorted(gens, key=lambda g: groebner._poly_sort_key(g, order))
+    basis = []
+    lts = []
+    sugars = []
+    pending = []  # heap of (sugar, key(lcm), (i, j), lcm)
+    done = set()
+
+    def append(g, sugar):
+        basis.append(g.monic(order))
+        lt = g.leading(order)[0]
+        new = len(lts)
+        excess = sugar - sum(lt)
+        for k, lk in enumerate(lts):
+            l = groebner._exp_lcm(lk, lt)
+            s = sum(l) + max(sugars[k] - sum(lk), excess)
+            heapq.heappush(pending, (s, key(l), (k, new), l))
+        lts.append(lt)
+        sugars.append(sugar)
+
+    for g in gens:
+        append(g, g.total_degree())
+    while pending:
+        s, _, (i, j), l = heapq.heappop(pending)
+        done.add((i, j))
+        if l == groebner._exp_add(lts[i], lts[j]):
+            continue  # coprime leading terms reduce to zero
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or not groebner._divides(lts[k], l):
+                continue
+            pik = (min(i, k), max(i, k))
+            pjk = (min(j, k), max(j, k))
+            if pik in done and pjk in done:
+                skip = True
+                break
+        if skip:
+            continue
+        h = groebner.normal_form(groebner.s_polynomial(basis[i], basis[j], order),
+                                 basis, order, budget)
+        if not h.is_zero:
+            append(h, max(s, h.total_degree()))
+    return tuple(rational_interreduce(basis, order, budget))
+
+
 def reference_buchberger(generators, order, budget):
     """``groebner.buchberger`` selecting each pair by ``min`` over the
     whole pending set, with keys from :func:`reference_key` and each
@@ -658,7 +740,7 @@ def reference_buchberger(generators, order, budget):
         new = len(basis) - 1
         for k in range(new):
             pending.add((k, new))
-    return tuple(groebner._interreduce(basis, order, budget))
+    return tuple(rational_interreduce(basis, order, budget))
 
 
 def normal_strategy_buchberger(generators, order, budget=None):
@@ -713,7 +795,7 @@ def normal_strategy_buchberger(generators, order, budget=None):
                                  basis, order, budget)
         if not h.is_zero:
             append(h)
-    return tuple(groebner._interreduce(basis, order, budget))
+    return tuple(rational_interreduce(basis, order, budget))
 
 
 def reference_ideal_dimension(ideal):

@@ -35,7 +35,7 @@ from monograde.cli import (
 from monograde.groebner import IdealPresentation, default_variables, grevlex, parse_polynomial
 from monograde.multigraded import GradedRingSpec
 from hullcheck import assert_hull_contract
-from oracles import hull_job_corpus, normal_strategy_buchberger
+from oracles import hull_job_corpus, normal_strategy_buchberger, rational_buchberger
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -188,24 +188,38 @@ def test_hull_elimination_that_stalled_fits_a_small_budget(monkeypatch, capsys):
     assert_hull_contract(prime, p_star, spec, dmax=5)
 
 
-def test_sugar_moves_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
-    # the pair selection changes which inputs a budget suffices for, and
-    # nothing else: the reduced bases, hence the reports, are unique
-    def outcomes():
+def hull_corpus_outcomes(monkeypatch, capsys, route=None):
+    """(exit code, stdout, stderr) of the first 40 jobs of
+    ``hull_job_corpus(97, ...)`` at budget 1000, with ``route`` in place
+    of ``buchberger`` if one is given."""
+    with monkeypatch.context() as m:
+        if route is not None:
+            m.setattr(groebner, "buchberger", route)
+            m.setattr(multigraded, "buchberger", route)
         out = []
         for text in hull_job_corpus(97, 40):
             argv = [json.loads(text)["command"], "--budget", "1000"]
             out.append(run_cli(monkeypatch, capsys, argv, text))
         return out
 
-    sugar = outcomes()
-    with monkeypatch.context() as m:
-        m.setattr(groebner, "buchberger", normal_strategy_buchberger)
-        m.setattr(multigraded, "buchberger", normal_strategy_buchberger)
-        normal = outcomes()
+
+def test_sugar_moves_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
+    # the pair selection changes which inputs a budget suffices for, and
+    # nothing else: the reduced bases, hence the reports, are unique
+    sugar = hull_corpus_outcomes(monkeypatch, capsys)
+    normal = hull_corpus_outcomes(monkeypatch, capsys, normal_strategy_buchberger)
     moved = [(a[0], b[0]) for a, b in zip(normal, sugar) if a[0] != b[0]]
     assert moved and set(moved) == {(EXIT_BUDGET, EXIT_OK)}
     assert all(a == b for a, b in zip(normal, sugar) if a[0] == b[0] != EXIT_BUDGET)
+
+
+def test_integer_kernel_keeps_hull_reports_and_exit_codes(monkeypatch, capsys):
+    # the integer kernel spends the steps the rational route spent, so
+    # even the jobs that run out of budget exit alike, byte for byte
+    integer = hull_corpus_outcomes(monkeypatch, capsys)
+    rational = hull_corpus_outcomes(monkeypatch, capsys, rational_buchberger)
+    assert integer == rational
+    assert {code for code, _, _ in integer} >= {EXIT_OK, EXIT_BUDGET}
 
 
 def test_rejects_malformed_json(monkeypatch, capsys):

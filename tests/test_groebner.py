@@ -16,21 +16,19 @@ from monograde.groebner import (
     Polynomial,
     buchberger,
     default_variables,
-    eliminate,
     elimination_order,
     format_polynomial,
     grevlex,
-    groebner_basis,
     ideal_dimension,
     lex,
     normal_form,
     parse_polynomial,
     s_polynomial,
-    saturate,
 )
 from monograde.multigraded import GradedRingSpec, graded_hull
 from oracles import (
     normal_strategy_buchberger,
+    rational_buchberger,
     reference_buchberger,
     reference_ideal_dimension,
     reference_key,
@@ -108,18 +106,31 @@ def test_keys_are_memoized_per_order_instance():
     assert o.key((1, 2, 0)) is not p.key((1, 2, 0))
 
 
+def record_pairs(monkeypatch, spairs):
+    """Append each S-pair either route reduces to ``spairs`` as the
+    leading exponents (lt_i, lt_j) of its two elements: ``buchberger``
+    forms them with the integer kernel's ``_s_pair``, the rational
+    oracles with ``s_polynomial``."""
+    real_pair, real_spoly = groebner._s_pair, groebner.s_polynomial
+
+    def integer_pair(f, g):
+        spairs.append((f[0], g[0]))
+        return real_pair(f, g)
+
+    def rational_pair(f, g, order):
+        spairs.append((f.leading(order)[0], g.leading(order)[0]))
+        return real_spoly(f, g, order)
+
+    monkeypatch.setattr(groebner, "_s_pair", integer_pair)
+    monkeypatch.setattr(groebner, "s_polynomial", rational_pair)
+
+
 def test_heap_selects_the_pairs_of_the_min_scan(monkeypatch):
     """Same basis, same S-pairs in the same order and same reduction steps
     as the reference route, which picks each pair by min over the
     pending set."""
-    real = groebner.s_polynomial
     spairs = []
-
-    def counted(f, g, order):
-        spairs.append((f, g))
-        return real(f, g, order)
-
-    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    record_pairs(monkeypatch, spairs)
     rng = random.Random(67)
     checked = 0
     for n in range(2, 6):
@@ -178,31 +189,60 @@ def test_sugar_and_the_normal_strategy_reach_the_same_basis(monkeypatch):
     """The reduced basis is unique, so the pair selection cannot change
     it; sugar must not need more S-pairs in all than the normal
     strategy, which stalls on some elimination inputs (its count there
-    is what it spent before the budget ran out)."""
+    is what it spent before the budget ran out).  Sugar's count is read
+    from the budget's meter, the oracle's by counting its
+    ``s_polynomial`` calls."""
     cases = strategy_corpus(71, monkeypatch)
     assert sum(o.kind == "elim" for _, o in cases) > 60
-    real = groebner.s_polynomial
-    spairs = [0]
-
-    def counted(f, g, order):
-        spairs[0] += 1
-        return real(f, g, order)
-
-    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    spairs = []
+    record_pairs(monkeypatch, spairs)
     totals = [0, 0]
     for gens, o in cases:
-        outcomes = []
-        for k, route in enumerate((buchberger, normal_strategy_buchberger)):
-            spairs[0] = 0
-            try:
-                outcomes.append(route(gens, o, 2000))
-            except BudgetExceededError:
-                outcomes.append(None)
-            totals[k] += spairs[0]
-        sugar, normal = outcomes
-        assert sugar is not None
+        budget = groebner._Budget(2000)
+        sugar = buchberger(gens, o, budget)
+        totals[0] += budget.spairs
+        spairs.clear()
+        try:
+            normal = normal_strategy_buchberger(gens, o, 2000)
+        except BudgetExceededError:
+            normal = None
+        totals[1] += len(spairs)
         assert normal is None or sugar == normal
-    assert totals[0] <= totals[1]
+    assert 0 < totals[0] <= totals[1]
+
+
+def test_integer_kernel_matches_the_rational_route(monkeypatch):
+    """The integer route reduces the same S-pairs in the same order
+    (and counts them on the budget), spends the same steps and returns
+    the same basis as the rational route it replaced, on the strategy
+    corpus and on random ideals with fractional coefficients, including
+    runs cut short by the budget."""
+    cases = strategy_corpus(73, monkeypatch)
+    rng = random.Random(79)
+    for n in range(2, 5):
+        for _ in range(12):
+            gens = [random_poly(rng, n) * Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4))
+                    for _ in range(rng.randint(2, 3))]
+            cases.extend((gens, o) for o in seeded_orders(rng, n))
+    spairs = []
+    record_pairs(monkeypatch, spairs)
+    cut = 0
+    for k, (gens, o) in enumerate(cases):
+        limit = 6 if k % 4 == 0 else 20_000
+        outcomes = []
+        for route in (buchberger, rational_buchberger):
+            budget = groebner._Budget(limit)
+            spairs.clear()
+            try:
+                gb = route(gens, o, budget)
+            except BudgetExceededError:
+                gb = None
+            outcomes.append((gb, list(spairs), budget.remaining))
+            if route is buchberger:
+                assert budget.spairs == len(spairs)
+        assert outcomes[0] == outcomes[1]
+        cut += outcomes[0][0] is None
+    assert len(cases) > 300 and 0 < cut < len(cases) // 4
 
 
 # -- parsing and formatting ----------------------------------------------
@@ -252,25 +292,25 @@ def test_polynomial_basics():
 
 def test_lex_basis_of_circle_pair():
     ideal = IdealPresentation((poly("x1^2 - 1"), poly("x1*x2 - 1")), lex(2))
-    gb = groebner_basis(ideal)
+    gb = buchberger(ideal.generators, ideal.order)
     assert [fmt(g) for g in gb] == ["x2^2 - 1", "x1 - x2"]
 
 
 def test_grevlex_basis_fixture():
     ideal = IdealPresentation((poly("x1*x2-1"), poly("x2^2-1")), grevlex(2))
-    assert [fmt(g) for g in groebner_basis(ideal)] == ["x1 - x2", "x2^2 - 1"]
+    assert [fmt(g) for g in buchberger(ideal.generators, ideal.order)] == ["x1 - x2", "x2^2 - 1"]
 
 
 def test_linear_pair_reduces_to_variables():
     ideal = IdealPresentation((poly("x1+x2"), poly("x1-x2")), grevlex(2))
-    assert [fmt(g) for g in groebner_basis(ideal)] == ["x2", "x1"]
+    assert [fmt(g) for g in buchberger(ideal.generators, ideal.order)] == ["x2", "x1"]
 
 
 def test_quartic_lex_fixture():
     ideal = IdealPresentation(
         (poly("x1^4*x2 - x2^3 + 1"), poly("x1^2 + x2^2 - 1")), lex(2)
     )
-    assert [fmt(g) for g in groebner_basis(ideal)] == [
+    assert [fmt(g) for g in buchberger(ideal.generators, ideal.order)] == [
         "x2^5 - 3*x2^3 + x2 + 1",
         "x1^2 + x2^2 - 1",
     ]
@@ -323,7 +363,7 @@ def test_s_polynomial_fixture():
 
 def test_normal_form_fixture():
     ideal = IdealPresentation((poly("x1^2 - 1"), poly("x1*x2 - 1")), lex(2))
-    gb = groebner_basis(ideal)
+    gb = buchberger(ideal.generators, ideal.order)
     assert fmt(normal_form(poly("x1^2*x2"), gb, lex(2))) == "x2"
     # a divisor that is not monic: x1 = 1/2 modulo 2*x1 - 1
     assert fmt(normal_form(poly("x1^2 + x2"), [poly("2*x1 - 1")], lex(2))) == "x2 + 1/4"
@@ -332,7 +372,7 @@ def test_normal_form_fixture():
 def test_normal_form_is_linear_and_idempotent():
     rng = random.Random(47)
     ideal = IdealPresentation((poly("x1^2 - x2"), poly("x2^2 - 1")), grevlex(2))
-    gb = groebner_basis(ideal)
+    gb = buchberger(ideal.generators, ideal.order)
     o = grevlex(2)
     for _ in range(25):
         f = random_poly(rng, 2, max_terms=4, max_exp=4)
@@ -344,43 +384,7 @@ def test_normal_form_is_linear_and_idempotent():
         assert normal_form(f - nf, gb, o).is_zero
 
 
-# -- elimination, saturation, dimension -------------------------------------
-
-
-def test_eliminate_fixture():
-    ideal = IdealPresentation((poly("x1-x2", V3), poly("x1-x3", V3)), grevlex(3))
-    out = eliminate(ideal, (0,))
-    assert [fmt(g, V3) for g in out.generators] == ["x2 - x3"]
-    assert out.order.kind == "grevlex"
-
-
-def test_eliminated_generators_stay_in_the_ideal():
-    rng = random.Random(53)
-    for _ in range(10):
-        gens = tuple(
-            p for p in (random_poly(rng, 3, max_terms=2) for _ in range(2)) if not p.is_zero
-        )
-        if not gens:
-            continue
-        ideal = IdealPresentation(gens, grevlex(3))
-        try:
-            out = eliminate(ideal, (0,))
-        except BudgetExceededError:
-            continue
-        gb = groebner_basis(ideal)
-        for g in out.generators:
-            assert all(e[0] == 0 for e in g.terms)
-            assert normal_form(g, gb, grevlex(3)).is_zero
-
-
-def test_saturate_fixtures():
-    x1 = poly("x1")
-    s = saturate(IdealPresentation((poly("x1*x2"),), grevlex(2)), x1)
-    assert [fmt(g) for g in s.generators] == ["x2"]
-    s = saturate(IdealPresentation((poly("x1^2"),), grevlex(2)), x1)
-    assert [fmt(g) for g in s.generators] == ["1"]
-    s = saturate(IdealPresentation((poly("x1^2*x2 + x1"),), grevlex(2)), x1)
-    assert [fmt(g) for g in s.generators] == ["x1*x2 + 1"]
+# -- dimension -------------------------------------------------------------
 
 
 def test_ideal_dimension_fixtures():
@@ -412,7 +416,7 @@ def test_ideal_dimension_spends_the_budget():
     pairs = tuple(Polynomial.monomial(tuple(int(j in (i, i + 1)) for j in range(n)), 1, n)
                   for i in range(0, n, 2))
     ideal = IdealPresentation(pairs, grevlex(n))
-    assert len(groebner_basis(ideal, budget=1000)) == 15
+    assert len(buchberger(ideal.generators, ideal.order, 1000)) == 15
     with pytest.raises(BudgetExceededError, match="dimension search budget exceeded"):
         ideal_dimension(ideal, budget=1000)
     assert ideal_dimension(ideal) == 15
@@ -423,4 +427,4 @@ def test_budget_exhaustion_raises():
         (poly("x1^4*x2 - x2^3 + 1"), poly("x1^2 + x2^2 - 1")), lex(2)
     )
     with pytest.raises(BudgetExceededError):
-        groebner_basis(ideal, budget=1)
+        buchberger(ideal.generators, ideal.order, 1)
