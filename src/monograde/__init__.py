@@ -66,14 +66,11 @@ from .groebner import (
 from .monoid import (
     AffineMonoid,
     EnumerationLimitError,
-    GradingAnalysis,
     NonNormalError,
-    degree_group_analysis,
     hilbert_basis,
     is_normal,
     monoid_from_cone_rays,
     normalize_presentation,
-    unit_group,
 )
 from .multigraded import (
     GradedRingSpec,

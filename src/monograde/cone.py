@@ -4,10 +4,13 @@ Both conversion directions run the double description method over exact
 integers.  Its start cone comes from one fraction-free elimination, and
 its adjacency test is combinatorial: each ray carries a bitmask of the
 constraints tight on it, and two rays are adjacent iff no third ray's
-mask contains the AND of theirs.  Double description returns those
-masks, and the face questions are read off them by containment, with
-no further rank: a face is known by the set of facet forms vanishing
-on it, and a larger set means a smaller face.  So a generator is
+mask contains the AND of theirs.  That is decided on column bitsets,
+the set of rays tight on each constraint: ANDed over the constraints
+common to the pair, exactly the pair's own two bits must survive.
+Double description returns the masks, and the face questions are read
+off them by containment, with no further rank: a face is known by the
+set of facet forms vanishing on it, and a larger set means a smaller
+face.  So a generator is
 extreme iff its set is maximal among those short of all forms, and an
 input form supports a facet iff the set of rays it vanishes on is
 maximal among those short of all rays.  Cones may be non-pointed (the
@@ -27,11 +30,12 @@ from .exact_linalg import (
     Vec,
     _dot,
     _eliminate,
+    _smith_left,
+    _with_identity,
     as_tuple,
     kernel_basis,
     primitive,
     rank,
-    snf,
     unimodular_inverse,
 )
 
@@ -74,14 +78,17 @@ def _pointed_extreme_rays(a, d: int, base: list[int]) -> dict[Vec, int]:
     inserted rows tight on it.  A positive and a negative ray are
     adjacent iff no third ray is tight on every row both are tight on
     (Fukuda & Prodon 1996); only adjacent pairs combine into new rays.
-    Once every row is inserted the masks are the full incidences, and
-    they are returned with the rays.
+    The test reads column bitsets: the AND of the tight-ray sets of the
+    rows common to the pair keeps exactly the pair's own two bits iff
+    the pair is adjacent, and it stops as soon as only those two are
+    left.  A row's tight-ray set is built the first time a pair needs
+    it, at most once per insertion.  Once every row is inserted the
+    masks are the full incidences, and they are returned with the rays.
     """
     if d == 0:
         return {}
     # [B | I] reduces to [e*I | e*B^-1]; column j of B^-1 is tight on all of B but row j
-    aug = [list(a[i]) + [int(j == k) for k in range(d)] for j, i in enumerate(base)]
-    rows, _, e, _ = _eliminate(aug, d)
+    rows, _, e, _ = _eliminate(_with_identity([a[i] for i in base]), d)
     sgn = 1 if e > 0 else -1
     inserted = sum(1 << i for i in base)
     masks = {primitive([sgn * row[d + j] for row in rows]): inserted ^ (1 << i)
@@ -90,19 +97,34 @@ def _pointed_extreme_rays(a, d: int, base: list[int]) -> dict[Vec, int]:
         bit = 1 << i
         if inserted & bit:
             continue
-        vals = {r: _dot(row, r) for r in masks}
-        fresh = {r: masks[r] | (0 if v else bit) for r, v in vals.items() if v >= 0}
-        neg = [r for r, v in vals.items() if v < 0]
-        for rp, vp in vals.items():
+        rays = list(masks)
+        ray_masks = list(masks.values())
+        vals = [_dot(row, r) for r in rays]
+        fresh = {r: m | (0 if v else bit) for r, m, v in zip(rays, ray_masks, vals) if v >= 0}
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        every = (1 << len(rays)) - 1
+        tight = {}  # row bit -> the rays tight on that row, as bits of ray indices
+        for kp, vp in enumerate(vals):
             if vp <= 0:
                 continue
-            for rn in neg:
-                common = masks[rp] & masks[rn]
+            for kn in neg:
+                common = ray_masks[kp] & ray_masks[kn]
                 # a 2-face is cut out by at least d - 2 constraints: a cheap first filter
-                if common.bit_count() < d - 2 or any(
-                        m & common == common and r != rp and r != rn for r, m in masks.items()):
+                if common.bit_count() < d - 2:
                     continue
-                vn = vals[rn]
+                # AND the tight-ray sets of the common rows; the pair itself always survives
+                pair = 1 << kp | 1 << kn
+                alive, rest = every, common
+                while rest and alive != pair:
+                    low = rest & -rest
+                    col = tight.get(low)
+                    if col is None:
+                        col = tight[low] = sum(1 << k for k, m in enumerate(ray_masks) if m & low)
+                    alive &= col
+                    rest ^= low
+                if alive != pair:
+                    continue
+                rp, rn, vn = rays[kp], rays[kn], vals[kn]
                 fresh[primitive([vp * y - vn * x for x, y in zip(rp, rn)])] = common | bit
         masks = fresh
         inserted |= bit
@@ -113,9 +135,9 @@ def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Unimodular P sending the saturated sublattice spanned by the given
     u rows onto the first u coordinates, and the last columns of P^-1,
     which lift the quotient coordinates back; returns (P, lift)."""
-    s, p, _ = snf(lin_rows.T)
+    diag, p = _smith_left(lin_rows.T)
     u = len(lin_rows)
-    if any(s[i, i] != 1 for i in range(u)):
+    if any(x != 1 for x in diag):
         raise ValueError("sublattice is not saturated")
     return p, IntMatrix([row[u:] for row in unimodular_inverse(p)], len(p) - u)
 

@@ -8,8 +8,12 @@ members in a box, computes minimal module generators by an exact sweep
 over the ideal's points in a bounding box (``monoid._region_points``;
 the enumeration guard still bounds the whole box), builds the canonical
 module (all heights equal to one, the interior points), the divisor
-class group as an abelian quotient, shift witnesses between ideal
-classes, and the Gorenstein decision with a certificate.
+class group, shift witnesses between ideal classes, and the Gorenstein
+decision with a certificate.  The class group reads its invariant
+factors from the elementary divisors of the facet matrix, with no
+transform, and decides principal classes by Hermite membership; the
+projection behind ``class_of`` needs a Smith form with a row transform
+as wide as the facet count, so it is built only on first use.
 
 Every operation requires the monoid presentation to be normal, since
 the height description only sees the saturation C cap L.
@@ -19,16 +23,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, comb, floor, prod
 
 from .exact_linalg import (
     AbelianQuotient,
+    IntMatrix,
     Vec,
     _dot,
     _eliminate,
     as_tuple,
     cokernel,
+    elementary_divisors,
+    lattice_coordinates,
+    row_lattice_basis,
     solve_integer,
 )
 from .monoid import AffineMonoid, _guard_box, _region_points
@@ -161,19 +170,32 @@ def canonical_module(m: AffineMonoid) -> CanonicalModule:
 
 @dataclass(frozen=True)
 class DivisorClassGroup:
-    """Height vectors modulo the facet values of L, as an abelian quotient."""
+    """Height vectors modulo the facet values of L: the cokernel of the
+    s x d facet matrix F.
 
-    quotient: AbelianQuotient
+    ``invariant_factors`` come from F's elementary divisors, with one
+    free factor per missing rank.  ``is_principal`` asks whether the
+    heights lie in the column lattice of F, by Hermite back-substitution.
+    Only ``class_of`` needs the projection of ``quotient``, which costs a
+    Smith form with an s x s row transform; it is built on first use.
+    """
 
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.quotient.invariant_factors
+    invariant_factors: tuple[int, ...]
+    facet_matrix: IntMatrix
+
+    @cached_property
+    def quotient(self) -> AbelianQuotient:
+        return cokernel(self.facet_matrix)
+
+    @cached_property
+    def _column_lattice(self) -> IntMatrix:
+        return row_lattice_basis(self.facet_matrix.T)
 
     def class_of(self, heights) -> Vec:
         return self.quotient.project(as_tuple(heights))
 
     def is_principal(self, heights) -> bool:
-        return all(c == 0 for c in self.class_of(heights))
+        return lattice_coordinates(self._column_lattice, as_tuple(heights)) is not None
 
 
 def class_group(m: AffineMonoid) -> DivisorClassGroup:
@@ -181,7 +203,10 @@ def class_group(m: AffineMonoid) -> DivisorClassGroup:
     ``is_gorenstein`` reuses the job's class group."""
     m.require_normal()
     if m._class_group is None:
-        m._class_group = DivisorClassGroup(cokernel(m.facet_matrix, width=m.rank))
+        divisors = elementary_divisors(m.facet_matrix)
+        free = len(m.facet_forms) - len(divisors)
+        factors = tuple(e for e in divisors if e > 1) + (0,) * free
+        m._class_group = DivisorClassGroup(factors, m.facet_matrix)
     return m._class_group
 
 
@@ -208,10 +233,11 @@ def is_gorenstein(m: AffineMonoid) -> tuple[bool, Vec | None]:
     """Whether the canonical module is principal, with a certificate.
 
     Three equivalent tests are run and must agree: the canonical module
-    has a single minimal generator, its height class vanishes in the
-    divisor class group, and the all-ones height vector has an exact
-    integer preimage under the facet forms.  The certificate is the
-    generator, whose facet values are all exactly one.
+    has a single minimal generator, the all-ones height vector lies in
+    the column lattice of the facet matrix (Hermite membership, the
+    class group's ``is_principal``), and it has an exact integer
+    preimage under the facet forms (a Smith solve).  The certificate is
+    the generator, whose facet values are all exactly one.
     """
     m.require_normal()
     s = len(m.facet_forms)

@@ -12,10 +12,13 @@ kernels work on mutable row lists inside.
 
 All three kernels share one convention: pivots come from the first
 columns, and further columns ride along.  ``_eliminate`` carries
-right-hand sides or an identity block that way, ``hnf`` carries its row
-transform, and ``snf`` carries its row transform beside the matrix and
-its column transform in rows below it, so each operation is written
-once.
+right-hand sides or an identity block that way, and ``hnf`` carries its
+row transform.  The Smith kernel ``_smith`` reduces the first m rows
+and n columns of whatever rows it is handed: ``snf`` hands it its row
+transform beside the matrix and its column transform in rows below it,
+``cokernel`` (through ``_smith_left``) only the row transform, and
+``elementary_divisors`` the bare matrix, so each caller pays for the
+transforms it reads and each operation is written once.
 
 Conventions: matrices act on column vectors, so ``cokernel(A)`` is the
 quotient of ``Z^rows(A)`` by the column span of ``A``.  Lattices are
@@ -137,6 +140,15 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list
     return rows, pivots, d, sign
 
 
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == k) for k in range(n)] for i in range(n)]
+
+
+def _with_identity(a) -> list[list[int]]:
+    """The rows ``a_i + e_i`` of ``[A | I]``, for a transform to ride along."""
+    return [list(row) + e for row, e in zip(a, _identity(len(a)))]
+
+
 def _combine_rows(m: list[list[int]], r: int, i: int, s: int, t: int, u: int, v: int) -> None:
     # row_r' = s*row_r + t*row_i ; row_i' = -v*row_r + u*row_i ; s*u + t*v = 1
     a, b = m[r], m[i]
@@ -178,7 +190,7 @@ def hnf(a) -> tuple[IntMatrix, IntMatrix]:
     """
     a = _as_matrix(a)
     m, n = a.shape
-    h = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
+    h = _with_identity(a)
     r = 0
     for j in range(n):
         if r == m:
@@ -213,20 +225,17 @@ def rank(a) -> int:
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
-def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form.
+def _smith(s: list[list[int]], m: int, n: int) -> list[list[int]]:
+    """Smith-reduce the leading m x n block of the rows ``s`` in place,
+    and return them.
 
-    Returns (S, U, V) with S = U @ A @ V diagonal, U and V unimodular,
-    diagonal entries nonnegative and each dividing the next; zeros sink
-    to the end of the diagonal.  The first m rows are ``[S | U]`` and the
-    n rows of V sit below them: row operations touch only the first m
-    rows and column operations only the first n columns, so U and V ride
-    along.
+    Row operations act on the first m rows whole and column operations
+    on the first n columns of every row, so whatever else the list holds
+    rides along: columns past n follow the row operations (a row
+    transform), rows past m follow the column operations (a column
+    transform).  The pivots depend on the leading block alone, so what
+    rides along never changes the diagonal.
     """
-    a = _as_matrix(a)
-    m, n = a.shape
-    s = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
-    s += [[int(i == k) for k in range(n)] for i in range(n)]
     k = min(m, n)
     for t in range(k):
         # choose the remaining entry of least absolute value as pivot
@@ -282,14 +291,41 @@ def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 # paired column transform keeps the product diagonal: diag(g, a*b/g)
                 _combine_cols(s, i, i + 1, 1, 1, cs * (a0 // g), ct * (b0 // g))
                 changed = True
+    return s
+
+
+def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form.
+
+    Returns (S, U, V) with S = U @ A @ V diagonal, U and V unimodular,
+    diagonal entries nonnegative and each dividing the next; zeros sink
+    to the end of the diagonal.  ``_smith`` reduces the m rows
+    ``[A | I]`` with the n rows of I below them, so U rides along beside
+    S and V below it.
+    """
+    a = _as_matrix(a)
+    m, n = a.shape
+    s = _smith(_with_identity(a) + _identity(n), m, n)
     return (IntMatrix((row[:n] for row in s[:m]), n), IntMatrix((row[n:] for row in s[:m]), m),
             IntMatrix(s[m:], n))
 
 
+def _smith_left(a) -> tuple[list[int], IntMatrix]:
+    """The diagonal of the Smith form S = U @ A @ V, min(m, n) entries,
+    and U, for callers that never read V: only ``[A | I]`` is reduced.
+    Both agree with ``snf``."""
+    m, n = a.shape
+    s = _smith(_with_identity(a), m, n)
+    return [s[i][i] for i in range(min(m, n))], IntMatrix((row[n:] for row in s), m)
+
+
 def elementary_divisors(a) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    s, _, _ = snf(a)
-    return tuple(s[i, i] for i in range(min(s.shape)) if s[i, i] != 0)
+    """Nonzero diagonal of the Smith form, in divisibility order.  Only
+    the bare matrix is reduced: no transform rides along."""
+    a = _as_matrix(a)
+    m, n = a.shape
+    s = _smith([list(row) for row in a], m, n)
+    return tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
 
 
 @dataclass(frozen=True)
@@ -329,27 +365,19 @@ class AbelianQuotient:
 
 def cokernel(a, width: int | None = None) -> AbelianQuotient:
     """Quotient of Z^rows(A) by the span of the columns of A."""
-    a = _as_matrix(a, width)
-    m, n = a.shape
-    s, u, _ = snf(a)
-    diag = [s[i, i] for i in range(min(m, n))]
-    nonzero = sum(1 for d in diag if d)
-    factors: list[int] = []
-    rows: list[Vec] = []
-    for i in range(nonzero):
-        if diag[i] > 1:
-            factors.append(diag[i])
-            rows.append(u[i])
-    for i in range(nonzero, m):
-        factors.append(0)
-        rows.append(u[i])
-    return AbelianQuotient(tuple(factors), tuple(rows))
+    diag, u = _smith_left(_as_matrix(a, width))
+    # one cyclic factor per row of U: the diagonal entry, 0 past its end
+    factors = [diag[i] if i < len(diag) else 0 for i in range(len(u))]
+    keep = [i for i, d in enumerate(factors) if d != 1]
+    return AbelianQuotient(tuple(factors[i] for i in keep), tuple(u[i] for i in keep))
 
 
 def primitive(v) -> Vec:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    w = [int(x) for x in v]
+    w = tuple(int(x) for x in v)
     g = math.gcd(*w)
+    if g == 1:
+        return w
     if g == 0:
         raise ValueError("the zero vector has no primitive representative")
     return tuple(x // g for x in w)
@@ -432,8 +460,7 @@ def unimodular_inverse(m) -> IntMatrix:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError("matrix is not square")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots, d, _ = _eliminate(aug, n)
+    rows, pivots, d, _ = _eliminate(_with_identity(m), n)
     if len(pivots) < n or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
     return IntMatrix([[d * x for x in row[n:]] for row in rows], n)

@@ -8,8 +8,8 @@ bases by an exact sweep over the cone points of the generator
 zonotope's bounding box (``_region_points``, shared with the canonical
 module's generators in ``divisorial``; the enumeration guard still
 bounds the whole box), decides whether a generating set actually
-generates C cap L (with an explicit witness when it does not), extracts
-unit subgroups, and measures the rank of degree subgroups for gradings.
+generates C cap L (with an explicit witness when it does not), and
+extracts unit subgroups.
 
 Units are the lattice points of the cone's lineality space.  A
 presentation is normal iff its unit generators generate that lattice
@@ -32,10 +32,12 @@ from .exact_linalg import (
     IntMatrix,
     Vec,
     _dot,
+    _identity,
     as_tuple,
     kernel_basis,
     lattice_coordinates,
     primitive,
+    rank,
     row_lattice_basis,
 )
 
@@ -406,7 +408,9 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
     """Monoid of all lattice points of the cone spanned by ``rays``.
 
     L is the saturated lattice span(rays) cap Z^r, so the result is
-    normal by definition whatever the rays generate.
+    normal by definition whatever the rays generate.  One elimination
+    gives the rank of the rays; only a lower-rank span needs the two
+    kernels that saturate it.
     """
     rs = [as_tuple(v) for v in rays]
     if not rs:
@@ -417,6 +421,9 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
     rs = [v for v in rs if any(v)]
     if not rs:
         raise ValueError("rays span the zero lattice")
+    if rank(rs) == r:
+        # L = Z^r: its Hermite basis is the identity, and the rays are local already
+        return AffineMonoid(r, rs, IntMatrix(_identity(r)), rs, assume_normal=True)
     orth = kernel_basis(rs, width=r)
     basis = kernel_basis(orth)
     local = [lattice_coordinates(basis, v) for v in rs]
@@ -436,32 +443,3 @@ def is_normal(generators) -> tuple[bool, Vec | None]:
 
 def hilbert_basis(m: AffineMonoid) -> tuple[Vec, ...]:
     return m.hilbert_basis()
-
-
-def unit_group(m: AffineMonoid) -> tuple[Vec, ...]:
-    return m.unit_basis()
-
-
-@dataclass(frozen=True)
-class GradingAnalysis:
-    """Rank data for the subgroup of Z^r generated by a set of degrees.
-
-    ``laurent_rank`` is only set when the caller asserts that every
-    nonzero homogeneous element is a unit; the graded ring is then a
-    Laurent polynomial ring over a field on that many variables.
-    """
-
-    sigma: int
-    degree_basis: tuple[Vec, ...]
-    laurent_rank: int | None
-
-
-def degree_group_analysis(degrees, all_units: bool = False) -> GradingAnalysis:
-    """Rank and canonical basis of the subgroup generated by ``degrees``."""
-    ds = [as_tuple(d) for d in degrees]
-    width = len(ds[0]) if ds else 0
-    if any(len(d) != width for d in ds):
-        raise ValueError("degrees have inconsistent lengths")
-    basis = row_lattice_basis(IntMatrix(ds, width))
-    sigma = len(basis)
-    return GradingAnalysis(sigma, basis, sigma if all_units else None)

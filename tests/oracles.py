@@ -7,7 +7,9 @@ instead of projections, exhaustive box scans instead of bounded clever
 ones, and rational row reduction for dimension counts.  Nothing in this
 module imports the package beyond plain data types, except the slow
 paths at the end: a fast path keeps the route it replaced here as its
-reference, built on the package's own primitives.
+reference, built on the package's own primitives.  One corpus,
+``large_cone_corpus``, also asks ``cone`` for facet forms, only to use
+them as input rows.
 """
 
 from __future__ import annotations
@@ -20,17 +22,21 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from monograde import divisorial, groebner
+from monograde import cone, divisorial, groebner
 from monograde.exact_linalg import (
     IntMatrix,
     _as_matrix,
     _combine_cols,
     _combine_rows,
     _dot,
+    _eliminate,
     _sub_col,
     _sub_row,
     _swap_cols,
+    cokernel,
     kernel_basis,
+    lattice_coordinates,
+    primitive,
     rank,
     row_lattice_basis,
     solve_integer,
@@ -511,6 +517,42 @@ def degenerate_cone_corpus(seed, count):
     return out
 
 
+def large_cone_corpus(seed):
+    """Row matrices for double description, as lists of distinct
+    primitive rows.  First the rays of three rank-7 cones, 26-28 draws
+    of (1, r_2, ..., r_7) with r_i in 0..3, whose dual cones have about
+    500 extreme rays; then the about 150 facet forms of a 16-draw such
+    cone, so that hundreds of rows are inserted.  Then, for each rank
+    2-6, cones with lineality: rows of rank d-2 <= k < d, draws of
+    (1, r_2, ..., r_k) with r_i in -1..1 padded with zeros and mixed by
+    a random unimodular matrix; and full-rank draws with the opposite of
+    one row added, which cut out a lower-dimensional cone."""
+    rng = random.Random(seed)
+
+    def draws(count, k, lo, hi):
+        return [(1,) + tuple(rng.randint(lo, hi) for _ in range(k - 1)) for _ in range(count)]
+
+    def clean(vs):
+        return sorted({make_primitive(v) for v in vs if any(v)})
+
+    out = [clean(draws(count, 7, 0, 3)) for count in (26, 27, 28)]
+    out.append(list(cone.facets_of_rays(draws(16, 7, 0, 3)).facet_forms))
+    for d in range(2, 7):
+        for _ in range(3):
+            k = rng.randint(max(1, d - 2), d - 1)
+            mix = [[int(i == j) for j in range(d)] for i in range(d)]
+            for _ in range(2 * d):
+                i, j = rng.sample(range(d), 2)
+                c = rng.choice((-1, 1))
+                mix[i] = [x + c * y for x, y in zip(mix[i], mix[j])]
+            cols = list(zip(*mix))
+            out.append(clean(tuple(dot(v + (0,) * (d - k), col) for col in cols)
+                             for v in draws(k + 3, k, -1, 1)))
+            rows = clean(draws(d + 3, d, -1, 1))
+            out.append(clean(rows + [tuple(-x for x in rows[0])]))
+    return out
+
+
 def presentation_corpus(seed, count):
     """Generator lists for ``normalize_presentation``: numerical
     monoids, presentations whose unit generators miss part of the unit
@@ -897,6 +939,27 @@ def box_minimal_generators(ideal):
     return tuple(sorted(m.to_ambient(m._lift_local(pt)) for pt in minimal))
 
 
+def hermite_cone_lattice(rays):
+    """``(lattice_basis, local_generators)`` of ``monoid_from_cone_rays``
+    by the route it takes for a lower-rank span, which it took for every
+    span before reading full rank off one elimination: L is the kernel
+    of the kernel of the rays, and each ray is written in its Hermite
+    basis."""
+    rs = [tuple(v) for v in rays if any(v)]
+    orth = kernel_basis(rs, width=len(rs[0]))
+    basis = kernel_basis(orth)
+    return basis, tuple(lattice_coordinates(basis, v) for v in rs)
+
+
+def cokernel_class_group(m):
+    """The divisor class group as ``class_group`` built it before it read
+    its invariant factors from the elementary divisors: the cokernel of
+    the facet matrix, whose Smith form carries an s x s row transform.
+    Returns the quotient and its ``is_principal``, a zero projection."""
+    q = cokernel(m.facet_matrix, width=m.rank)
+    return q, lambda heights: not any(q.project(heights))
+
+
 def kernel_unit_rows(m):
     """Local basis of the unit group of C cap L as the integer kernel of
     the facet forms: the route ``AffineMonoid`` replaced with the
@@ -958,6 +1021,41 @@ def rank_facet_forms(fs, rays, lin):
         if rank(tight + list(lin)) == dim - 1:
             kept.append(f)
     return sorted(set(kept))
+
+
+def containment_extreme_rays(a, d, base):
+    """``cone._pointed_extreme_rays`` with the adjacency test it had
+    before the column bitsets: a positive and a negative ray are
+    adjacent iff no third ray's mask contains the AND of theirs, found
+    by a scan over every ray."""
+    if d == 0:
+        return {}
+    aug = [list(a[i]) + [int(j == k) for k in range(d)] for j, i in enumerate(base)]
+    rows, _, e, _ = _eliminate(aug, d)
+    sgn = 1 if e > 0 else -1
+    inserted = sum(1 << i for i in base)
+    masks = {primitive([sgn * row[d + j] for row in rows]): inserted ^ (1 << i)
+             for j, i in enumerate(base)}
+    for i, row in enumerate(a):
+        bit = 1 << i
+        if inserted & bit:
+            continue
+        vals = {r: _dot(row, r) for r in masks}
+        fresh = {r: masks[r] | (0 if v else bit) for r, v in vals.items() if v >= 0}
+        neg = [r for r, v in vals.items() if v < 0]
+        for rp, vp in vals.items():
+            if vp <= 0:
+                continue
+            for rn in neg:
+                common = masks[rp] & masks[rn]
+                if common.bit_count() < d - 2 or any(
+                        m & common == common and r != rp and r != rn for r, m in masks.items()):
+                    continue
+                vn = vals[rn]
+                fresh[primitive([vp * y - vn * x for x, y in zip(rp, rn)])] = common | bit
+        masks = fresh
+        inserted |= bit
+    return masks
 
 
 # -- slow paths kept as references for exact_linalg --------------------

@@ -8,15 +8,17 @@ import pytest
 
 import monograde.cone as cone_module
 from monograde.cone import Cone, facets_of_rays, membership, rays_of_facets
-from monograde.exact_linalg import kernel_basis, rank
+from monograde.exact_linalg import IntMatrix, kernel_basis, rank
 from oracles import (
     cone_corpus,
+    containment_extreme_rays,
     degenerate_cone_corpus,
     dot,
     extreme_by_facets,
     fm_facets,
     fm_member,
     frac_rref,
+    large_cone_corpus,
     make_primitive,
     random_pointed_cones,
     rank_extreme_rays,
@@ -191,6 +193,23 @@ def test_double_description_matches_subset_facets_at_rank_5_and_6():
         back = rays_of_facets(forms + redundant, d)
         assert back.rays == tuple(extreme)
         assert back.facet_forms == tuple(forms)
+
+
+def test_bitset_adjacency_matches_the_containment_test(monkeypatch):
+    """The column-bitset adjacency test keeps every ray and mask, in the
+    same order, of the containment scan it replaced."""
+    largest, with_lineality = 0, 0
+    for rows in large_cone_corpus(7):
+        a = IntMatrix(rows)
+        masks, lin = cone_module._dd(a)
+        with monkeypatch.context() as patched:
+            patched.setattr(cone_module, "_pointed_extreme_rays", containment_extreme_rays)
+            want_masks, want_lin = cone_module._dd(a)
+        assert list(masks.items()) == list(want_masks.items())
+        assert lin == want_lin
+        largest = max(largest, len(masks))
+        with_lineality += bool(lin) and len(masks) > 1
+    assert largest > 500 and with_lineality >= 5
 
 
 # -- face decisions by mask containment against the rank oracles --------

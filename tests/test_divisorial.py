@@ -6,7 +6,9 @@ Fourier-Motzkin interior-point oracle; class groups by
 determinantal divisors and coset counting.
 """
 
+import collections
 import math
+import operator
 import random
 
 import pytest
@@ -31,6 +33,7 @@ from monograde.monoid import (
 from oracles import (
     box_minimal_generators,
     brute_minimal_interior,
+    cokernel_class_group,
     cone_corpus,
     coset_count,
     minor_gcd_factors,
@@ -249,18 +252,28 @@ def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
 
 def test_class_group_is_computed_once_per_monoid(monkeypatch):
     m = monoid_from_cone_rays([(1, 0), (1, 3)])
-    calls = []
-    real = divisorial.cokernel
+    calls = {"cokernel": 0, "elementary_divisors": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(divisorial, name)
 
-    monkeypatch.setattr(divisorial, "cokernel", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(divisorial, name, counting(name))
     first = class_group(m)
     assert is_gorenstein(m) == (False, None)
     assert class_group(m) is first
-    assert len(calls) == 1
+    # the invariant factors need one transform-free Smith form and the
+    # Gorenstein test a Hermite membership: no cokernel projection
+    assert calls == {"cokernel": 0, "elementary_divisors": 1}
+    # the first class_of builds the projection, later ones reuse it
+    assert first.class_of((1, 1)) == (2,)
+    assert first.class_of((0, 1)) == (1,)
+    assert calls == {"cokernel": 1, "elementary_divisors": 1}
 
 
 def test_class_group_fixtures():
@@ -280,6 +293,33 @@ def test_class_group_against_independent_oracles():
         assert class_group(m).invariant_factors == minors
         # and coset counting gives the same order
         assert coset_count(lam, 3) == expected
+
+
+def test_class_group_matches_the_cokernel_route():
+    """Invariant factors from the elementary divisors, and principal
+    classes by Hermite membership, agree with the cokernel of the facet
+    matrix, and the factors with determinantal divisors."""
+    rng = random.Random(79)
+    outcomes = collections.Counter()
+    for rays in cone_corpus(421):
+        m = monoid_from_cone_rays(rays)
+        cg = class_group(m)
+        quotient, principal = cokernel_class_group(m)
+        assert cg.invariant_factors == quotient.invariant_factors
+        minors = minor_gcd_factors(m.facet_matrix)
+        free = len(m.facet_forms) - len(minors)
+        assert cg.invariant_factors == tuple(f for f in minors if f != 1) + (0,) * free
+        for _ in range(6):
+            x = [rng.randint(-3, 3) for _ in range(m.rank)]
+            image = m.facet_matrix @ x
+            noise = tuple(rng.randint(-2, 2) for _ in image)
+            for heights in (image, tuple(map(operator.add, image, noise))):
+                want = principal(heights)
+                assert cg.is_principal(heights) == want
+                outcomes[want] += 1
+        # compared last, so that is_principal ran before any projection was built
+        assert cg.quotient == quotient
+    assert outcomes[True] > 200 and outcomes[False] > 100
 
 
 def test_class_arithmetic():

@@ -9,6 +9,7 @@ import pytest
 from monograde.exact_linalg import (
     AbelianQuotient,
     IntMatrix,
+    _smith_left,
     cokernel,
     determinant,
     elementary_divisors,
@@ -177,6 +178,17 @@ def test_transforms_ride_along_to_the_reference_forms():
         for got, ref in ((hnf(a), reference_hnf(a)), (snf(a), reference_snf(a))):
             # shapes too, since matrices without rows compare equal as tuples
             assert got == ref and [x.shape for x in got] == [x.shape for x in ref]
+
+
+def test_smith_kernel_without_column_transform_matches_snf():
+    """What rides along never moves the diagonal: ``[A | I]`` alone and
+    the bare matrix give the diagonal, U and elementary divisors of the
+    full ``snf``."""
+    for a in transform_corpus(random.Random(127)):
+        s, u, _ = snf(a)
+        diag = [s[i, i] for i in range(min(a.shape))]
+        assert _smith_left(a) == (diag, u)
+        assert elementary_divisors(a) == tuple(x for x in diag if x)
 
 
 # -- quotients ---------------------------------------------------------

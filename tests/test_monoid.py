@@ -1,4 +1,4 @@
-"""Affine monoids: normalization, Hilbert bases, units, gradings.
+"""Affine monoids: normalization, Hilbert bases, units.
 
 Hilbert bases are checked against exhaustive box irreducibility with
 Fourier-Motzkin membership and against the whole-box scan they
@@ -16,12 +16,10 @@ from monograde import exact_linalg, monoid
 from monograde.monoid import (
     EnumerationLimitError,
     NonNormalError,
-    degree_group_analysis,
     hilbert_basis,
     is_normal,
     monoid_from_cone_rays,
     normalize_presentation,
-    unit_group,
 )
 from oracles import (
     box_hilbert_basis,
@@ -29,6 +27,7 @@ from oracles import (
     cone_corpus,
     degenerate_cone_corpus,
     dot,
+    hermite_cone_lattice,
     kernel_unit_rows,
     presentation_corpus,
     random_pointed_cones,
@@ -97,20 +96,20 @@ def test_units_split_off():
     z = normalize_presentation([(1,), (-1,)])
     assert z.is_normal
     assert hilbert_basis(z) == ()
-    assert unit_group(z) == ((1,),)
+    assert z.unit_basis() == ((1,),)
     mix = normalize_presentation([(1, 0), (-1, 0), (0, 2)])
     assert mix.is_normal
     assert hilbert_basis(mix) == ((0, 2),)
-    assert unit_group(mix) == ((1, 0),)
+    assert mix.unit_basis() == ((1, 0),)
     assert mix.contains((3, 2)) and not mix.contains((0, 1)) and not mix.contains((0, -2))
     halfplane = monoid_from_cone_rays([(1, 0), (-1, 0), (0, 1)])
     assert hilbert_basis(halfplane) == ((0, 1),)
-    assert unit_group(halfplane) == ((1, 0),)
+    assert halfplane.unit_basis() == ((1, 0),)
 
 
 def test_pointed_monoid_has_no_units():
     q = normalize_presentation([(0, 1), (1, 0)])
-    assert unit_group(q) == ()
+    assert q.unit_basis() == ()
     assert hilbert_basis(q) == ((0, 1), (1, 0))
 
 
@@ -123,7 +122,7 @@ def test_generator_order_does_not_matter():
         rng.shuffle(shuffled)
         m = normalize_presentation(shuffled)
         assert hilbert_basis(m) == hilbert_basis(base)
-        assert unit_group(m) == unit_group(base)
+        assert m.unit_basis() == base.unit_basis()
 
 
 def test_presentation_membership_is_closed_under_sums():
@@ -196,12 +195,35 @@ def test_normality_and_hilbert_basis_work_counts(monkeypatch):
     for gens in presentation_corpus(449, 60):
         normalize_presentation(gens).is_normal
     assert calls["presentation_member"] == calls["snf"] == calls["kernel_basis"] == 0
-    # a full-rank pointed cone: one Hermite form for the span of the rays
-    # and two for its saturated basis; the units come from the cone
+    # a full-rank pointed cone: L = Z^r needs no Hermite form, and the
+    # units come from the cone
     for _, rays in random_pointed_cones(12, 4, 3, seed=457):
         calls["hnf"] = 0
         hilbert_basis(monoid_from_cone_rays(rays))
-        assert calls["hnf"] == 3
+        assert calls["hnf"] == 0
+    # the same cones in a sublattice of Z^(r+1): two kernels, each one
+    # Hermite form and one for its canonical basis, saturate the span
+    rng = random.Random(459)
+    for _, rays in random_pointed_cones(12, 4, 3, seed=457):
+        w = [rng.randint(-2, 2) for _ in rays[0]]
+        calls["hnf"] = 0
+        hilbert_basis(monoid_from_cone_rays([r + (dot(w, r),) for r in rays]))
+        assert calls["hnf"] == 4
+
+
+def test_cone_monoid_lattice_matches_the_hermite_route():
+    """Full-rank rays skip the two kernels; every span, full or not,
+    keeps the Hermite route's basis of L and local generators."""
+    degenerate = [vs for vs, _ in degenerate_cone_corpus(409, 80) if any(map(any, vs))]
+    full = lower = 0
+    for rays in cone_corpus(401) + degenerate:
+        m = monoid_from_cone_rays(rays)
+        basis, local = hermite_cone_lattice(rays)
+        assert m.lattice_basis == basis
+        assert m.local_generators == local
+        full += m.rank == m.ambient_rank
+        lower += m.rank < m.ambient_rank
+    assert full > 30 and lower > 30
 
 
 # -- Hilbert basis against exhaustive irreducibility -------------------
@@ -283,21 +305,6 @@ def test_region_points_match_a_filtered_box_product():
     # 2x >= -1 and -3x >= -4: x from ceil(-1/2) = 0 to floor(4/3) = 1
     assert list(monoid._region_points(*fixed[0])) == [((0,), (0, 0)), ((1,), (2, -3))]
     assert empty > 20 and nonempty > 100
-
-
-# -- grading analysis ---------------------------------------------------
-
-
-def test_degree_group_analysis():
-    g = degree_group_analysis([(2, 0), (0, 3)])
-    assert g.sigma == 2
-    assert g.degree_basis == ((2, 0), (0, 3))
-    assert g.laurent_rank is None
-    g2 = degree_group_analysis([(1, 1), (2, 2)])
-    assert g2.sigma == 1
-    assert g2.degree_basis == ((1, 1),)
-    g3 = degree_group_analysis([(1, 0), (0, 1)], all_units=True)
-    assert g3.sigma == 2 and g3.laurent_rank == 2
 
 
 def test_enumeration_guard_raises():
