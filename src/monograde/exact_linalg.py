@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 Vec = tuple[int, ...]
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 class IntMatrix(tuple):
@@ -85,7 +86,7 @@ class IntMatrix(tuple):
 
 
 def as_tuple(v) -> Vec:
-    return tuple(int(x) for x in v)
+    return tuple(map(int, v))
 
 
 def _as_matrix(a, width: int | None = None) -> IntMatrix:
@@ -374,7 +375,7 @@ def cokernel(a, width: int | None = None) -> AbelianQuotient:
 
 def primitive(v) -> Vec:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    w = tuple(int(x) for x in v)
+    w = tuple(map(int, v))
     g = math.gcd(*w)
     if g == 1:
         return w
