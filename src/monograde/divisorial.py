@@ -6,10 +6,11 @@ facet form is at least ``heights[i]``.  Heights are indexed by the
 canonical order of ``monoid.facet_forms``.  The module enumerates
 members in a box, computes minimal module generators by an exact sweep
 over the ideal's points in a bounding box (``monoid._region_points``;
-the enumeration guard still bounds the whole box), builds the canonical
-module (all heights equal to one, the interior points), the divisor
-class group, shift witnesses between ideal classes, and the Gorenstein
-decision with a certificate.  The class group reads its invariant
+the enumeration guard still bounds the whole box) with every facet
+value capped by the region's vertices plus Caratheodory's bound on the
+rays, builds the canonical module (all heights equal to one, the
+interior points), the divisor class group, shift witnesses between
+ideal classes, and the Gorenstein decision with a certificate.  The class group reads its invariant
 factors from the elementary divisors of the facet matrix, with no
 transform, and decides principal classes by Hermite membership; the
 projection behind ``class_of`` needs a Smith form with a row transform
@@ -24,8 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from math import ceil, comb, floor, prod
+from math import comb, prod
 
 from .exact_linalg import (
     AbelianQuotient,
@@ -82,9 +82,10 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _region_vertices(forms, heights, dim) -> list[tuple[Fraction, ...]]:
-    """Rational vertices of {y : forms(y) >= heights} (plus possibly some
-    non-vertex tight points, which only widen the bounding box)."""
+def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
+    """Rational vertices x / d of {y : forms(y) >= heights}, as integer
+    pairs (x, d) with d > 0 (plus possibly some non-vertex tight points,
+    which only widen the bounding box and loosen the caps)."""
     _guard_box(comb(len(forms), dim), "vertex search", "facet subsets")
     verts = []
     for subset in itertools.combinations(range(len(forms)), dim):
@@ -99,21 +100,42 @@ def _region_vertices(forms, heights, dim) -> list[tuple[Fraction, ...]]:
         else:
             x = [row[dim] for row in rows]
         if all(_dot(f, x) >= h * d for f, h in zip(forms, heights)):
-            verts.append(tuple(Fraction(v, d) for v in x))
+            verts.append((tuple(x), d))
     return verts
+
+
+def _generator_caps(view, verts) -> list[int]:
+    """The cap per facet form f of the pointed view on the minimal
+    generators of a region with vertices ``verts`` (see
+    ``minimal_generators``).  V_f is the largest f(x) / d over the
+    vertices x / d, rounded by floor division."""
+    caps = []
+    for f, s in zip(view.forms, view.ray_sums):
+        tops = [(_dot(f, x), d) for x, d in verts]
+        if s:
+            caps.append(max(-(-t // d) for t, d in tops) + s - 1)  # ceil(V_f) + S_f - 1
+        else:
+            caps.append(max(t // d for t, d in tops))  # floor(V_f)
+    return caps
 
 
 def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     """Minimal generators of the ideal as a module over the monoid.
 
     Every member y splits as q + c with q in the convex hull of the
-    region's vertices and c in the recession cone; if c uses an extreme
-    ray with coefficient at least 1, subtracting that ray stays in the
-    region, so minimal members live in the vertex bounding box plus the
-    ray zonotope.  ``_region_points`` sweeps only the members in that
-    box; the guard still bounds the whole box.  Minimality itself is
-    exact: y is minimal iff no Hilbert basis element can be subtracted
-    without leaving the region.
+    region's vertices and c in the recession cone, and by Caratheodory
+    c = sum mu_k r_k over at most dim linearly independent extreme rays.
+    If some mu_k >= 1, subtracting r_k stays in the region, so a minimal
+    member has every mu_k < 1.  It therefore lies in the vertex bounding
+    box plus the ray zonotope, and each facet form f stays below
+    V_f + S_f, where V_f is the largest value of f on the vertices and
+    S_f the sum of its dim largest values on the rays: the sweep caps f
+    at ceil(V_f) + S_f - 1, or at floor(V_f) when S_f = 0
+    (``_generator_caps``).
+    ``_region_points`` sweeps only the members within box and caps; the
+    guard still bounds the whole box.  Minimality itself is exact on any
+    candidate set that holds the minimal generators: y is minimal iff no
+    Hilbert basis element can be subtracted without leaving the region.
     """
     m = ideal.monoid
     m.require_normal()
@@ -130,12 +152,12 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     verts = _region_vertices(forms, h, k)
     if not verts:
         raise RuntimeError("height region unexpectedly has no vertices")
-    lo = [floor(min(v[i] for v in verts)) + zlo[i] for i in range(k)]
-    hi = [ceil(max(v[i] for v in verts)) + zhi[i] for i in range(k)]
+    lo = [min(x[i] // d for x, d in verts) + zlo[i] for i in range(k)]
+    hi = [max(-(-x[i] // d) for x, d in verts) + zhi[i] for i in range(k)]
     _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
     hb_vals = [vals for _, vals in m._pointed_hilbert]
     minimal = []
-    for pt, vals in _region_points(forms, h, lo, hi):
+    for pt, vals in _region_points(forms, h, lo, hi, _generator_caps(view, verts)):
         reducible = False
         for bvals in hb_vals:
             if all(v - w >= hh for v, w, hh in zip(vals, bvals, h)):
@@ -192,7 +214,10 @@ class DivisorClassGroup:
         return row_lattice_basis(self.facet_matrix.T)
 
     def class_of(self, heights) -> Vec:
-        return self.quotient.project(as_tuple(heights))
+        heights = as_tuple(heights)
+        if len(heights) != self.facet_matrix.shape[0]:
+            raise ValueError("need one height per facet form")
+        return self.quotient.project(heights)
 
     def is_principal(self, heights) -> bool:
         return lattice_coordinates(self._column_lattice, as_tuple(heights)) is not None

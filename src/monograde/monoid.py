@@ -7,9 +7,11 @@ basis of L, where C is full-dimensional.  The module computes Hilbert
 bases by an exact sweep over the cone points of the generator
 zonotope's bounding box (``_region_points``, shared with the canonical
 module's generators in ``divisorial``; the enumeration guard still
-bounds the whole box), decides whether a generating set actually
-generates C cap L (with an explicit witness when it does not), and
-extracts unit subgroups.
+bounds the whole box).  Caratheodory's theorem caps every facet value
+of an irreducible point that is not a ray, so the sweep visits only the
+points below those caps and the rays are added back.  The module also
+decides whether a generating set actually generates C cap L (with an
+explicit witness when it does not) and extracts unit subgroups.
 
 Units are the lattice points of the cone's lineality space.  A
 presentation is normal iff its unit generators generate that lattice
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from operator import add
+from operator import add, ge
 
 from .cone import Cone, _quotient_transform, facets_of_rays
 from .exact_linalg import (
@@ -76,6 +78,16 @@ class _PointedView:
         lo = tuple(sum(min(0, r[i]) for r in self.rays) for i in range(self.dim))
         hi = tuple(sum(max(0, r[i]) for r in self.rays) for i in range(self.dim))
         return lo, hi
+
+    @cached_property
+    def ray_sums(self) -> Vec:
+        """S_f per facet form f: the sum of the dim largest values of f
+        on the rays, the most f reaches on a sum of at most dim distinct
+        rays (Caratheodory's bound, see ``_pointed_hilbert_basis``)."""
+        return tuple(
+            sum(sorted((_dot(f, r) for r in self.rays), reverse=True)[: self.dim])
+            for f in self.forms
+        )
 
 
 def _guard_box(count: int, what: str = "enumeration box", unit: str = "points") -> None:
@@ -170,54 +182,6 @@ class AffineMonoid:
         bound = 1 if interior else 0
         return all(v >= bound for v in self._facet_values_local(local))
 
-    def presentation_member(self, ambient) -> bool:
-        """Exact membership in the monoid generated by the presentation.
-
-        Decided facet by facet: generators with some positive facet value
-        admit only finitely many multiplicities, and the residual must lie
-        in the group generated by the unit generators (which is all the
-        unit generators can reach).  A monoid declared normal at
-        construction is the full saturation, so membership coincides with
-        ``contains``.
-        """
-        if self._assume_normal:
-            return self.contains(ambient)
-        local = self.to_local(ambient)
-        if local is None:
-            return False
-        target = self._facet_values_local(local)
-        if any(v < 0 for v in target):
-            return False
-        unit_gens = []
-        pointed = []
-        for g in self.local_generators:
-            vals = self._facet_values_local(g)
-            if any(vals):
-                pointed.append((g, vals))
-            else:
-                unit_gens.append(g)
-        unit_lattice = row_lattice_basis(unit_gens) if unit_gens else IntMatrix((), self.rank)
-
-        def in_unit_group(vec) -> bool:
-            return lattice_coordinates(unit_lattice, vec) is not None
-
-        def search(idx, remaining, residual) -> bool:
-            if all(v == 0 for v in remaining):
-                return in_unit_group(residual)
-            if idx == len(pointed):
-                return False
-            g, vals = pointed[idx]
-            cap = min(remaining[i] // vals[i] for i in range(len(vals)) if vals[i] > 0)
-            for n in range(cap + 1):
-                nxt = tuple(r - n * v for r, v in zip(remaining, vals))
-                if any(v < 0 for v in nxt):
-                    break
-                if search(idx + 1, nxt, tuple(x - n * y for x, y in zip(residual, g))):
-                    return True
-            return False
-
-        return search(0, target, local)
-
     # -- normality ----------------------------------------------------
 
     @cached_property
@@ -300,38 +264,50 @@ class AffineMonoid:
         return tuple(sorted(self.to_ambient(h) for h in self._hilbert_local()))
 
 
-def _region_points(forms, heights, lo, hi):
+def _region_points(forms, heights, lo, hi, caps=None):
     """Yield (y, forms(y)) for every integer y in the box [lo, hi] with
-    forms(y) >= heights, in the lexicographic order of the box.  The box
-    has at least one coordinate.
+    heights <= forms(y) <= caps, in the lexicographic order of the box.
+    ``caps`` holds one upper bound per form, None for no bound; without
+    it no form is bounded above.  The box has at least one coordinate.
 
     The sweep fixes one coordinate at a time and adds that coordinate's
     column of the forms to the running facet values, so no point costs a
     dot product.  At each coordinate the feasible values form an interval,
-    solved exactly by floor and ceiling division: every form must still
-    reach its height when the remaining coordinates add the most the box
-    allows.  That bound never drops a region point; at the last coordinate
-    nothing remains, so only region points are visited there.
+    solved exactly from both sides by floor and ceiling division: every
+    form must still reach its height when the remaining coordinates add
+    the most the box allows, and stay within its cap when they add the
+    least.  Those bounds never drop a point; at the last coordinate
+    nothing remains, so only the points yielded are visited there.
     """
     k = len(lo)
     cols = [tuple(f[i] for f in forms) for i in range(k)]
-    # need[i][j]: the value form j must have after coordinate i so that
-    # coordinates i+1.. can still lift it to heights[j]
+    # need[i][j] / top[i][j]: the least / greatest value form j may have
+    # after coordinate i so that coordinates i+1.. can still bring it
+    # into [heights[j], caps[j]]
     need = [()] * k
+    top = [()] * k
     acc = tuple(heights)
+    cap = tuple(caps) if caps is not None else (None,) * len(forms)
     for i in reversed(range(k)):
         need[i] = acc
+        top[i] = cap
         acc = tuple(a - max(c * lo[i], c * hi[i]) for a, c in zip(acc, cols[i]))
+        cap = tuple(None if u is None else u - min(c * lo[i], c * hi[i])
+                    for u, c in zip(cap, cols[i]))
 
     def sweep(i, prefix, vals):
         col = cols[i]
         a, b = lo[i], hi[i]
-        for v, c, h in zip(vals, col, need[i]):
+        for v, c, h, u in zip(vals, col, need[i], top[i]):
             if c > 0:
                 a = max(a, -((v - h) // c))  # v + c*t >= h, t >= ceil((h - v) / c)
+                if u is not None:
+                    b = min(b, (u - v) // c)  # v + c*t <= u, t <= floor((u - v) / c)
             elif c < 0:
                 b = min(b, (h - v) // c)  # t <= floor((h - v) / c)
-            elif v < h:
+                if u is not None:
+                    a = max(a, -((v - u) // c))  # t >= ceil((u - v) / c)
+            elif v < h or (u is not None and v > u):
                 return
         if a > b:
             return
@@ -347,39 +323,48 @@ def _region_points(forms, heights, lo, hi):
     yield from sweep(0, (), (0,) * len(forms))
 
 
+def _hilbert_caps(view: _PointedView) -> Vec:
+    """The cap max(S_f - 1, 0) per facet form f on the Hilbert basis
+    elements that are not rays (see ``_pointed_hilbert_basis``)."""
+    return tuple(max(s - 1, 0) for s in view.ray_sums)
+
+
 def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     """Hilbert basis of a pointed full-dimensional cone in Z^dim, as
     (element, facet values) pairs sorted by element.
 
-    Every irreducible lattice point is a subsum of the generator
-    zonotope (subtracting any extreme ray with coefficient >= 1 stays in
-    the cone), so the cone points of the zonotope bounding box are
-    exhaustive.  ``_region_points`` visits exactly those; the guard still
-    bounds the whole box.  Points are filtered by increasing total facet
-    value; that functional is strictly positive on nonzero cone points,
-    which makes the subtraction filter exact.
+    By Caratheodory an irreducible lattice point h that is not a ray
+    lies in the cone of at most dim linearly independent extreme rays,
+    h = sum c_k r_k, and every c_k < 1, since h - r_k would otherwise be
+    a nonzero cone point.  So h lies in the zonotope bounding box, and
+    f(h) < sum f(r_k) <= S_f for every facet form f unless that sum is
+    0, where S_f is the sum of the dim largest values of f on the rays:
+    the sweep caps f at max(S_f - 1, 0) (``_hilbert_caps``).  The rays
+    the caps cut off are added back, since primitive extreme rays are
+    irreducible; the guard still bounds the whole box.  Candidates are filtered by
+    increasing total facet value, which is strictly positive on nonzero
+    cone points; a candidate is dropped iff an earlier kept one lies
+    below it in every facet value.  That filter is exact on any
+    candidate set that holds the Hilbert basis, because each reducible
+    point lies above some Hilbert element of smaller total value.
     """
     if view.dim == 0 or not view.rays:
         return ()
     lo, hi = view.box
     _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
-    candidates = []
-    for pt, vals in _region_points(view.forms, (0,) * len(view.forms), lo, hi):
+    candidates = {}
+    for pt, vals in _region_points(view.forms, (0,) * len(view.forms), lo, hi,
+                                   _hilbert_caps(view)):
         if any(pt):
-            candidates.append((sum(vals), pt, vals))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    basis: list[Vec] = []
-    basis_vals: list[Vec] = []
-    for _, pt, vals in candidates:
-        reducible = False
-        for bvals in basis_vals:
-            if all(v >= w for v, w in zip(vals, bvals)):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(pt)
-            basis_vals.append(vals)
-    return tuple(sorted(zip(basis, basis_vals)))
+            candidates[pt] = vals
+    for r in view.rays:
+        if r not in candidates:
+            candidates[r] = tuple(_dot(f, r) for f in view.forms)
+    basis: list[tuple[Vec, Vec]] = []
+    for _, pt, vals in sorted((sum(vals), pt, vals) for pt, vals in candidates.items()):
+        if not any(all(map(ge, vals, bvals)) for _, bvals in basis):
+            basis.append((pt, vals))
+    return tuple(sorted(basis))
 
 
 def normalize_presentation(generators) -> AffineMonoid:

@@ -476,6 +476,17 @@ def cone_corpus(seed):
     return out
 
 
+def caratheodory_corpus(seed):
+    """Ray lists of rank 2-4: pointed full-dimensional cones, each also
+    with the line of one of its rays' opposite added."""
+    rng = random.Random(seed)
+    out = []
+    for _, rays in random_pointed_cones(50, 4, 3, seed):
+        out.append(rays)
+        out.append(rays + [tuple(-x for x in rng.choice(rays))])
+    return out
+
+
 def degenerate_cone_corpus(seed, count):
     """(vectors, ambient rank) pairs meant to hit every special case of
     the cone conversions, read either as generators or as forms: the
@@ -916,7 +927,8 @@ def box_minimal_generators(ideal):
     zlo = [sum(min(0, r[i]) for r in view.rays) for i in range(k)]
     zhi = [sum(max(0, r[i]) for r in view.rays) for i in range(k)]
     _guard_box(math.prod(b - a + 1 for a, b in zip(zlo, zhi)))
-    verts = divisorial._region_vertices(forms, h, k)
+    verts = [tuple(Fraction(v, d) for v in x)
+             for x, d in divisorial._region_vertices(forms, h, k)]
     if not verts:
         raise RuntimeError("height region unexpectedly has no vertices")
     lo = [math.floor(min(v[i] for v in verts)) + zlo[i] for i in range(k)]
@@ -967,11 +979,59 @@ def kernel_unit_rows(m):
     return kernel_basis(m.facet_matrix, width=m.rank)
 
 
+def presentation_member(m, ambient):
+    """Exact membership in the monoid generated by the presentation of
+    ``m``, by the recursive search ``AffineMonoid`` once carried as a
+    method.
+
+    Decided facet by facet: generators with some positive facet value
+    admit only finitely many multiplicities, and the residual must lie
+    in the group generated by the unit generators (which is all the
+    unit generators can reach).  A monoid declared normal at
+    construction is the full saturation, so membership coincides with
+    ``contains``.  The search has no limit: keep its inputs small.
+    """
+    if m._assume_normal:
+        return m.contains(ambient)
+    local = m.to_local(ambient)
+    if local is None:
+        return False
+    target = m._facet_values_local(local)
+    if any(v < 0 for v in target):
+        return False
+    unit_gens = []
+    pointed = []
+    for g in m.local_generators:
+        vals = m._facet_values_local(g)
+        if any(vals):
+            pointed.append((g, vals))
+        else:
+            unit_gens.append(g)
+    unit_lattice = row_lattice_basis(unit_gens) if unit_gens else IntMatrix((), m.rank)
+
+    def search(idx, remaining, residual):
+        if all(v == 0 for v in remaining):
+            return lattice_coordinates(unit_lattice, residual) is not None
+        if idx == len(pointed):
+            return False
+        g, vals = pointed[idx]
+        cap = min(remaining[i] // vals[i] for i in range(len(vals)) if vals[i] > 0)
+        for n in range(cap + 1):
+            nxt = tuple(r - n * v for r, v in zip(remaining, vals))
+            if any(v < 0 for v in nxt):
+                break
+            if search(idx + 1, nxt, tuple(x - n * y for x, y in zip(residual, g))):
+                return True
+        return False
+
+    return search(0, target, local)
+
+
 def search_normality(m):
     """``(is_normal, witness)`` by the route ``AffineMonoid._normality``
     replaced: the unit generators' lattice compared with the kernel
     units by Hermite bases, a Smith solve per missing row, and then the
-    ``presentation_member`` search on every Hilbert basis element."""
+    :func:`presentation_member` search on every Hilbert basis element."""
     if m._assume_normal:
         return True, None
     unit_gens = [g for g in m.local_generators
@@ -985,7 +1045,7 @@ def search_normality(m):
                     return False, m.to_ambient(row)
     for h in m._hilbert_local():
         amb = m.to_ambient(h)
-        if not m.presentation_member(amb):
+        if not presentation_member(m, amb):
             return False, amb
     return True, None
 

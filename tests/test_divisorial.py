@@ -10,10 +10,12 @@ import collections
 import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 from monograde import divisorial, monoid
+from monograde.exact_linalg import determinant
 from monograde.divisorial import (
     canonical_module,
     class_group,
@@ -33,6 +35,7 @@ from monograde.monoid import (
 from oracles import (
     box_minimal_generators,
     brute_minimal_interior,
+    caratheodory_corpus,
     cokernel_class_group,
     cone_corpus,
     coset_count,
@@ -160,7 +163,9 @@ def test_region_vertices_match_rational_solves():
         for _ in range(3):
             heights = [rng.randint(-3, 4) for _ in view.forms]
             got = divisorial._region_vertices(view.forms, heights, view.dim)
-            assert got == region_tight_points(view.forms, heights)
+            assert all(d > 0 for _, d in got)
+            assert [tuple(Fraction(v, d) for v in x) for x, d in got] == \
+                region_tight_points(view.forms, heights)
 
 
 def test_zonotope_box_guard_fires_before_vertex_enumeration(monkeypatch):
@@ -229,6 +234,54 @@ def test_guards_bound_the_box_not_the_points_visited(monkeypatch):
         canonical_module(m)
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 15625)
     assert len(canonical_module(m).generators) > 0
+
+
+def test_minimal_generators_meet_the_caratheodory_caps():
+    """Each generator the box oracle finds, at all-ones and at random
+    heights, stays within ceil(V_f) + S_f - 1 (floor(V_f) when S_f = 0)
+    on every facet form f, and the bound is met."""
+    rng = random.Random(463)
+    ranks, with_units, tight = set(), 0, 0
+    for rays in caratheodory_corpus(463):
+        m = monoid_from_cone_rays(rays)
+        view = m._pointed_view
+        lo, hi = view.box
+        if math.prod(b - a + 1 for a, b in zip(lo, hi)) > 4000:
+            continue  # beyond the box oracles' reach
+        s = len(m.facet_forms)
+        for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(2)]:
+            verts = divisorial._region_vertices(view.forms, h, view.dim)
+            caps = divisorial._generator_caps(view, verts)
+            for g in box_minimal_generators(divisorial_ideal(m, h)):
+                vals = m.facet_values(g)
+                assert all(map(operator.le, vals, caps)), (view, h, g)
+                tight += any(map(operator.eq, vals, caps))
+        ranks.add(m.rank)
+        with_units += m.unit_rank > 0
+    assert ranks == {2, 3, 4} and with_units > 20 and tight > 100
+
+
+def test_capped_sweeps_visit_det_points_on_the_thin_cone(monkeypatch):
+    # the simplicial thin cone of test_guards_bound_the_box_not_the_points_visited
+    # has |det| = 92: its capped sweeps visit 92 points each, not 387 and 414
+    rays = [(9, 7, 7), (7, 9, 7), (7, 7, 9)]
+    visited = collections.Counter()
+    real = monoid._region_points
+
+    def counting(kind):
+        def counted(*args):
+            for item in real(*args):
+                visited[kind] += 1
+                yield item
+        return counted
+
+    monkeypatch.setattr(monoid, "_region_points", counting("hilbert"))
+    monkeypatch.setattr(divisorial, "_region_points", counting("canonical"))
+    m = monoid_from_cone_rays(rays)
+    assert abs(determinant(rays)) == 92
+    hilbert_basis(m)
+    canonical_module(m)
+    assert visited == {"hilbert": 92, "canonical": 92}
 
 
 def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
@@ -337,6 +390,18 @@ def test_class_arithmetic():
         b = tuple(rng.randint(-4, 4) for _ in range(2))
         s = tuple(x + y for x, y in zip(a, b))
         assert cg.class_of(s)[0] == (cg.class_of(a)[0] + cg.class_of(b)[0]) % 3
+
+
+def test_class_of_needs_one_height_per_facet():
+    # RNC3 has two facets: a shorter or longer vector is refused, not
+    # truncated by the projection
+    cg = class_group(RNC3)
+    for heights in ((1,), (0, 1, 5)):
+        with pytest.raises(ValueError, match="one height per facet"):
+            cg.class_of(heights)
+        with pytest.raises(ValueError):
+            cg.is_principal(heights)
+    assert cg.class_of((0, 1)) == (1,)
 
 
 def test_same_class():

@@ -7,6 +7,7 @@ else against frozen values.
 """
 
 import itertools
+import operator
 import random
 from math import prod
 
@@ -24,12 +25,14 @@ from monograde.monoid import (
 from oracles import (
     box_hilbert_basis,
     brute_irreducibles,
+    caratheodory_corpus,
     cone_corpus,
     degenerate_cone_corpus,
     dot,
     hermite_cone_lattice,
     kernel_unit_rows,
     presentation_corpus,
+    presentation_member,
     random_pointed_cones,
     search_normality,
 )
@@ -56,7 +59,7 @@ def test_saturation_membership_vs_presentation_membership():
     # the saturation contains every nonnegative integer
     assert all(m.contains((k,)) for k in range(12))
     # the monoid itself has the classical gaps
-    gaps = [k for k in range(16) if not m.presentation_member((k,))]
+    gaps = [k for k in range(16) if not presentation_member(m, (k,))]
     assert gaps == [1, 2, 4, 7]
 
 
@@ -131,8 +134,8 @@ def test_presentation_membership_is_closed_under_sums():
     for _ in range(20):
         a = rng.randint(0, 4) * 2 + rng.randint(0, 4) * 3
         b = rng.randint(0, 4) * 2 + rng.randint(0, 4) * 3
-        assert m.presentation_member((a,))
-        assert m.presentation_member((a + b,))
+        assert presentation_member(m, (a,))
+        assert presentation_member(m, (a + b,))
 
 
 # -- units and normality against the routes they replaced -------------
@@ -167,7 +170,7 @@ def test_normality_matches_the_search_on_presentations():
         assert (ok, witness) == search_normality(m), gens
         with_units += m.unit_rank > 0
         if not ok:
-            assert m.contains(witness) and not m.presentation_member(witness)
+            assert m.contains(witness) and not presentation_member(m, witness)
             if any(m.facet_values(witness)):
                 hilbert_witnesses += 1
             else:
@@ -183,18 +186,15 @@ def _counting(calls, name, fn):
 
 
 def test_normality_and_hilbert_basis_work_counts(monkeypatch):
-    calls = dict.fromkeys(("hnf", "snf", "kernel_basis", "presentation_member"), 0)
+    calls = dict.fromkeys(("hnf", "snf", "kernel_basis"), 0)
     monkeypatch.setattr(exact_linalg, "hnf", _counting(calls, "hnf", exact_linalg.hnf))
     monkeypatch.setattr(exact_linalg, "snf", _counting(calls, "snf", exact_linalg.snf))
     monkeypatch.setattr(monoid, "kernel_basis",
                         _counting(calls, "kernel_basis", monoid.kernel_basis))
-    monkeypatch.setattr(monoid.AffineMonoid, "presentation_member",
-                        _counting(calls, "presentation_member",
-                                  monoid.AffineMonoid.presentation_member))
-    # a generator presentation is judged without a search or a Smith form
+    # a generator presentation is judged without a Smith form or a kernel
     for gens in presentation_corpus(449, 60):
         normalize_presentation(gens).is_normal
-    assert calls["presentation_member"] == calls["snf"] == calls["kernel_basis"] == 0
+    assert calls["snf"] == calls["kernel_basis"] == 0
     # a full-rank pointed cone: L = Z^r needs no Hermite form, and the
     # units come from the cone
     for _, rays in random_pointed_cones(12, 4, 3, seed=457):
@@ -236,7 +236,7 @@ def test_hilbert_basis_matches_brute_force_irreducibles():
         assert sorted(hb) == brute_irreducibles(rays, 0)
         # every Hilbert basis element is a member and every ray is reachable
         for h in hb:
-            assert m.contains(h) and m.presentation_member(h)
+            assert m.contains(h) and presentation_member(m, h)
 
 
 def test_hilbert_basis_reconstructs_the_monoid():
@@ -305,6 +305,65 @@ def test_region_points_match_a_filtered_box_product():
     # 2x >= -1 and -3x >= -4: x from ceil(-1/2) = 0 to floor(4/3) = 1
     assert list(monoid._region_points(*fixed[0])) == [((0,), (0, 0)), ((1,), (2, -3))]
     assert empty > 20 and nonempty > 100
+
+
+def test_capped_region_points_match_a_filtered_box_product():
+    rng = random.Random(419)
+    fixed = [
+        # rank 1: 2x in [-1, 1] and -3x >= -4 leave x = 0
+        (((2,), (-3,)), (-1, -4), (-3,), (3,), (1, None)),
+        # a zero column above its cap: y <= 0 fails before x is fixed
+        (((0, 1), (1, 1)), (0, -9), (-2, 1), (2, 3), (0, None)),
+        # emptied only by the caps: 2x + 2y = 1 and x = y have no integer
+        # solution, though (1, 1) meets both heights
+        (((2, 2), (1, -1)), (1, 0), (-2, -2), (2, 2), (1, 0)),
+    ]
+    cases = list(fixed)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        forms = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            for f in forms[: rng.randint(1, len(forms))]:
+                f[rng.randrange(k)] = 0
+        lo = [rng.randint(-3, 1) for _ in range(k)]
+        hi = [a + rng.randint(0, 4) for a in lo]
+        heights = [rng.randint(-8, 0) for _ in forms]
+        caps = [None if rng.random() < 0.3 else rng.randint(-1, 8) for _ in forms]
+        cases.append((tuple(map(tuple, forms)), tuple(heights), tuple(lo), tuple(hi), tuple(caps)))
+    empty = nonempty = capped = 0
+    for forms, heights, lo, hi, caps in cases:
+        got = list(monoid._region_points(forms, heights, lo, hi, caps))
+        uncapped = region_by_filter(forms, heights, lo, hi)
+        want = [(pt, vals) for pt, vals in uncapped
+                if all(u is None or v <= u for v, u in zip(vals, caps))]
+        assert got == want, (forms, heights, lo, hi, caps)
+        empty += not want
+        nonempty += bool(want)
+        capped += want != uncapped
+    assert list(monoid._region_points(*fixed[0])) == [((0,), (0, 0))]
+    assert region_by_filter(*fixed[1][:4]) and not list(monoid._region_points(*fixed[1]))
+    assert region_by_filter(*fixed[2][:4]) and not list(monoid._region_points(*fixed[2]))
+    assert empty > 40 and nonempty > 100 and capped > 80
+
+
+def test_hilbert_basis_meets_the_caratheodory_caps():
+    """Each element of the box oracle's Hilbert basis is a ray or stays
+    within max(S_f - 1, 0) on every facet form f, and the bound is met."""
+    ranks, with_units, tight = set(), 0, 0
+    for rays in caratheodory_corpus(461):
+        m = monoid_from_cone_rays(rays)
+        view = m._pointed_view
+        lo, hi = view.box
+        if prod(b - a + 1 for a, b in zip(lo, hi)) > 4000:
+            continue  # beyond the box oracle's reach
+        caps = monoid._hilbert_caps(view)
+        for p in box_hilbert_basis(view.rays, view.forms, view.dim):
+            vals = tuple(dot(f, p) for f in view.forms)
+            assert p in view.rays or all(map(operator.le, vals, caps)), (view, p)
+            tight += p not in view.rays and any(map(operator.eq, vals, caps))
+        ranks.add(m.rank)
+        with_units += m.unit_rank > 0
+    assert ranks == {2, 3, 4} and with_units > 20 and tight > 30
 
 
 def test_enumeration_guard_raises():
