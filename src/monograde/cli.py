@@ -24,6 +24,7 @@ from .groebner import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     IdealPresentation,
+    Polynomial,
     default_variables,
     format_polynomial,
     grevlex,
@@ -73,9 +74,14 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class JobSpec:
+    """A checked job.  ``polynomials`` holds the parsed ``ideal`` or
+    ``prime`` strings of a graded command, parsed once by ``parse_input``
+    while it checks them, and is empty for the cone commands."""
+
     command: str
     payload: dict
     options: dict
+    polynomials: tuple[Polynomial, ...]
 
 
 def _schema() -> dict:
@@ -190,6 +196,7 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
     for key in ("rays", "generators", "grading"):
         if key in payload:
             _check_vectors(key, payload[key])
+    polys = []
     if "vars" in payload:
         n = payload["vars"] = int(payload["vars"])
         if len(payload["grading"]) != n:
@@ -198,7 +205,7 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
         polys_key = "ideal" if "ideal" in payload else "prime"
         for i, s in enumerate(payload[polys_key]):
             try:
-                parse_polynomial(s, names)
+                polys.append(parse_polynomial(s, names))
             except ValueError as e:
                 raise InputError("%s[%d]: %s" % (polys_key, i, e)) from None
     env_budget = os.environ.get("MONOGRADE_BUDGET")
@@ -214,7 +221,7 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
             options[key] = value
     if options["budget"] < 1:
         raise InputError("options.budget: must be positive")
-    return JobSpec(command, payload, options)
+    return JobSpec(command, payload, options, tuple(polys))
 
 
 def _monoid_of(payload: dict):
@@ -223,12 +230,10 @@ def _monoid_of(payload: dict):
     return normalize_presentation(payload["generators"])
 
 
-def _graded_setup(payload: dict, key: str):
-    n = payload["vars"]
-    spec = GradedRingSpec(tuple(tuple(d) for d in payload["grading"]))
-    names = default_variables(n)
-    gens = tuple(parse_polynomial(s, names) for s in payload[key])
-    return spec, names, IdealPresentation(gens, grevlex(n))
+def _graded_setup(job: JobSpec):
+    n = job.payload["vars"]
+    spec = GradedRingSpec(tuple(tuple(d) for d in job.payload["grading"]))
+    return spec, default_variables(n), IdealPresentation(job.polynomials, grevlex(n))
 
 
 def execute(job: JobSpec) -> dict:
@@ -266,11 +271,11 @@ def execute(job: JobSpec) -> dict:
         gor, cert = is_gorenstein(m)
         result = {"gorenstein": gor, "certificate": None if cert is None else list(cert)}
     elif job.command == "graded-hull":
-        spec, names, ideal = _graded_setup(payload, "ideal")
+        spec, names, ideal = _graded_setup(job)
         hull = graded_hull(ideal, spec, budget=options["budget"])
         result = {"hull": [format_polynomial(g, names, ideal.order) for g in hull.generators]}
     elif job.command == "analyze-prime":
-        spec, names, ideal = _graded_setup(payload, "prime")
+        spec, names, ideal = _graded_setup(job)
         res = analyze_prime(ideal, spec, budget=options["budget"])
         result = {
             "p_star": [format_polynomial(g, names, ideal.order) for g in res.p_star.generators],

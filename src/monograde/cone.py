@@ -19,11 +19,19 @@ full-dimensional cone the facet forms are the unique primitive supports
 of the facets; otherwise they describe the cone modulo the orthogonal
 complement of its span and are made deterministic by the lattice
 normalizations used throughout.
+
+``facets_of_rays`` keeps its last few conversions in a small memo keyed
+by the cleaned generators (see its docstring), because a job that builds
+a monoid from the rays it has just converted asks the same question
+twice.  ``rays_of_facets`` has no memo: nothing asks it twice, and
+answering it from the cones ``facets_of_rays`` built would hide the cost
+of the other direction of the duality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact_linalg import (
     IntMatrix,
@@ -182,7 +190,8 @@ def _maximal_proper(sets: list[int], full: int) -> list[bool]:
     return [t != full and not any(t & w == t and w != t for w in proper) for t in sets]
 
 
-def _clean_vectors(vectors, width: int | None) -> tuple[list[Vec], int]:
+def _clean_vectors(vectors, width: int | None) -> tuple[tuple[Vec, ...], int]:
+    """The sorted distinct primitive forms of the nonzero vectors, and their width."""
     vs = [as_tuple(v) for v in vectors]
     if vs:
         w = len(vs[0])
@@ -197,7 +206,13 @@ def _clean_vectors(vectors, width: int | None) -> tuple[list[Vec], int]:
     for v in vs:
         if any(x != 0 for x in v):
             out.append(primitive(v))
-    return sorted(set(out)), width
+    return tuple(sorted(set(out))), width
+
+
+# a repeated conversion comes within one job, with no other ray set
+# converted in between, so one entry would catch it; the size only
+# bounds the memory the memo holds
+_MEMO_SIZE = 16
 
 
 def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
@@ -206,8 +221,23 @@ def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
     The dual cone of the input is computed by double description; its
     extreme rays are the facet forms.  Input vectors that are not
     extreme (or are duplicates or zero) are filtered from ``rays``.
+
+    The conversion is memoized on the cleaned input: the sorted set of
+    primitive nonzero generators and the width.  So a permuted, scaled
+    or duplicated ray list, or one holding zero vectors, is the same
+    question, and a monoid built from the rays a job has just converted
+    (``AffineMonoid.cone``) reads the cone back instead of running
+    double description again.  The memo keeps the last ``_MEMO_SIZE``
+    conversions; the repeat it serves sits within one job.  The ``Cone``
+    returned is then shared between callers, which is safe because it
+    is immutable.  Malformed input raises on every call.
     """
     gens, d = _clean_vectors(rays, ambient_rank)
+    return _facets_of_generators(gens, d)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _facets_of_generators(gens: tuple[Vec, ...], d: int) -> Cone:
     masks, span_cuts = _dd(IntMatrix(gens, d))  # span_cuts vanish on span(C)
     forms = sorted(masks)
     tight = _transpose([masks[f] for f in forms], len(gens))  # forms vanishing on each generator

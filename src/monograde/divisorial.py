@@ -3,18 +3,20 @@
 A divisorial ideal is described by one integer height per facet of the
 monoid's cone: it is the set of lattice points of L on which the i-th
 facet form is at least ``heights[i]``.  Heights are indexed by the
-canonical order of ``monoid.facet_forms``.  The module enumerates
-members in a box, computes minimal module generators by an exact sweep
-over the ideal's points in a bounding box (``monoid._region_points``;
-the enumeration guard still bounds the whole box) with every facet
-value capped by the region's vertices plus Caratheodory's bound on the
-rays, builds the canonical module (all heights equal to one, the
-interior points), the divisor class group, shift witnesses between
-ideal classes, and the Gorenstein decision with a certificate.  The class group reads its invariant
-factors from the elementary divisors of the facet matrix, with no
-transform, and decides principal classes by Hermite membership; the
-projection behind ``class_of`` needs a Smith form with a row transform
-as wide as the facet count, so it is built only on first use.
+canonical order of ``monoid.facet_forms``.  Both enumerations run on
+the exact row sweep of ``monoid._region_points``, with the enumeration
+guard still bounding the whole box: the members in an ambient box (the
+ambient coordinates are extra forms, capped on both sides), and the
+minimal module generators, with every facet value capped by the
+region's vertices plus Caratheodory's bound on the rays.  The module
+builds the canonical module (all heights equal to one, the interior
+points), the divisor class group, shift witnesses between ideal
+classes, and the Gorenstein decision with a certificate.  The class
+group reads its invariant factors from the elementary divisors of the
+facet matrix, with no transform, and decides principal classes by
+Hermite membership; the projection behind ``class_of`` needs a Smith
+form with a row transform as wide as the facet count, so it is built
+only on first use.
 
 Every operation requires the monoid presentation to be normal, since
 the height description only sees the saturation C cap L.
@@ -69,17 +71,35 @@ def divisorial_ideal(m: AffineMonoid, heights) -> DivisorialIdeal:
 
 
 def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
-    """All members with ambient coordinates in [-box, box], sorted."""
+    """All members with ambient coordinates in [-box, box], sorted.
+
+    One sweep of ``_region_points`` over the local coordinates y of L:
+    the facet forms at the ideal's heights, and the r ambient
+    coordinates of y, read off the columns of the lattice basis, with
+    height -box and cap box.  So only members are visited at the last
+    coordinate, and each is read off the ambient values with no lattice
+    solve.  The local box comes from the Hermite pivots of the basis:
+    the ambient coordinate at row i's pivot is y_i times the pivot plus
+    the earlier rows' entries there, which bounds |y_i| in turn.  The
+    guard counts the ambient box, (2 box + 1)^r points.
+    """
     if box < 0:
         raise ValueError("box bound must be nonnegative")
     m = ideal.monoid
     r = m.ambient_rank
     _guard_box((2 * box + 1) ** r)
-    out = []
-    for pt in itertools.product(range(-box, box + 1), repeat=r):
-        if ideal.contains(pt):
-            out.append(pt)
-    return tuple(sorted(out))
+    basis = m.lattice_basis
+    bounds = []
+    for i, row in enumerate(basis):
+        j = next(j for j, c in enumerate(row) if c)
+        rest = box + sum(b * abs(basis[k][j]) for k, b in enumerate(bounds))
+        bounds.append(rest // abs(row[j]))
+    s = len(ideal.heights)
+    forms = list(m.facet_forms) + [tuple(row[j] for row in basis) for j in range(r)]
+    heights = list(ideal.heights) + [-box] * r
+    caps = [None] * s + [box] * r
+    lo = [-b for b in bounds]
+    return tuple(sorted(vals[s:] for _, vals in _region_points(forms, heights, lo, bounds, caps)))
 
 
 def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:

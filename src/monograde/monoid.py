@@ -5,13 +5,14 @@ generated by the input (or the saturated span for cone-defined monoids)
 and C is the cone spanned by it; all further computations run in a
 basis of L, where C is full-dimensional.  The module computes Hilbert
 bases by an exact sweep over the cone points of the generator
-zonotope's bounding box (``_region_points``, shared with the canonical
-module's generators in ``divisorial``; the enumeration guard still
-bounds the whole box).  Caratheodory's theorem caps every facet value
-of an irreducible point that is not a ray, so the sweep visits only the
-points below those caps and the rays are added back.  The module also
-decides whether a generating set actually generates C cap L (with an
-explicit witness when it does not) and extracts unit subgroups.
+zonotope's bounding box (``_region_points``, shared with the members
+and minimal generators of divisorial ideals in ``divisorial``; the
+enumeration guard still bounds the whole box).  Caratheodory's theorem
+caps every facet value of an irreducible point that is not a ray, so
+the sweep visits only the points below those caps and the rays are
+added back.  The module also decides whether a generating set actually
+generates C cap L (with an explicit witness when it does not) and
+extracts unit subgroups.
 
 Units are the lattice points of the cone's lineality space.  A
 presentation is normal iff its unit generators generate that lattice

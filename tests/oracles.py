@@ -951,6 +951,16 @@ def box_minimal_generators(ideal):
     return tuple(sorted(m.to_ambient(m._lift_local(pt)) for pt in minimal))
 
 
+def box_members(ideal, box):
+    """``divisorial.members`` by a scan of all (2 box + 1)^r ambient
+    points with one lattice solve each: the route the region sweep
+    replaced."""
+    r = ideal.monoid.ambient_rank
+    _guard_box((2 * box + 1) ** r)
+    return tuple(pt for pt in itertools.product(range(-box, box + 1), repeat=r)
+                 if ideal.contains(pt))
+
+
 def hermite_cone_lattice(rays):
     """``(lattice_basis, local_generators)`` of ``monoid_from_cone_rays``
     by the route it takes for a lower-rank span, which it took for every

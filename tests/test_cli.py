@@ -21,7 +21,7 @@ import time
 import jsonschema
 import pytest
 
-from monograde import __version__, groebner, multigraded
+from monograde import __version__, cli, groebner, multigraded
 from monograde.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -164,6 +164,24 @@ def test_analyze_prime_report(monkeypatch, capsys):
         "tau": 1,
         "sigma": 1,
     }
+
+
+def test_each_polynomial_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counted(text, names):
+        calls.append(text)
+        return parse_polynomial(text, names)
+
+    monkeypatch.setattr(cli, "parse_polynomial", counted)
+    jobs = ['{"command":"graded-hull","vars":2,"grading":[[1],[1]],"ideal":["x1 + x2^2","x2"]}',
+            '{"command":"analyze-prime","vars":2,"grading":[[1],[1]],"prime":["x1 + 1","x2"]}',
+            '{"command":"graded-hull","vars":3,"grading":[[1],[1],[1]],"ideal":[]}']
+    for job in jobs:
+        calls.clear()
+        cli.execute(cli.parse_input(job))
+        payload = json.loads(job)
+        assert calls == payload.get("ideal", payload.get("prime"))
 
 
 STALL = ('{"command":"analyze-prime","vars":4,"grading":[[-2],[-2],[-2],[0]],'

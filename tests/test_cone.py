@@ -8,7 +8,9 @@ import pytest
 
 import monograde.cone as cone_module
 from monograde.cone import Cone, facets_of_rays, membership, rays_of_facets
+from monograde.divisorial import class_group
 from monograde.exact_linalg import IntMatrix, kernel_basis, rank
+from monograde.monoid import monoid_from_cone_rays
 from oracles import (
     cone_corpus,
     containment_extreme_rays,
@@ -288,3 +290,49 @@ def test_full_dimensional_pointed_conversions_make_no_rank_or_kernel_call(monkey
     # the counters see the calls a cone with lineality does need
     facets_of_rays([(1, 0), (-1, 0), (0, 1)])
     assert calls == {"kernel_basis": 1}
+
+
+def test_a_ray_set_is_converted_once(monkeypatch):
+    calls = count_calls(monkeypatch, ("_dd",))
+    # a cone-duality job: the monoid's cone is the cone just converted
+    d, rays = benchmark_rank_cones(seed=811)[0]
+    c = facets_of_rays([list(r) for r in rays])
+    class_group(monoid_from_cone_rays([list(r) for r in rays]))
+    assert calls["_dd"] == 1
+    memo = cone_module._facets_of_generators
+    # the same generators however they are written: the same Cone object
+    same = [list(reversed(rays)), [[3 * x for x in r] for r in rays],
+            rays + rays[:2], [(0,) * d] + rays]
+    for vectors in same:
+        assert facets_of_rays(vectors) is c
+    assert facets_of_rays(rays, d) is c and calls["_dd"] == 1
+    # a lower-rank span converts once in ambient and once in local
+    # coordinates, whose generators differ; the local ones are ``rays``
+    # again, so this starts from an empty memo
+    calls.clear()
+    memo.cache_clear()
+    embedded = [r + (r[0] + r[1],) for r in rays]
+    facets_of_rays(embedded)
+    class_group(monoid_from_cone_rays(embedded))
+    facets_of_rays(embedded)
+    assert calls["_dd"] == 2
+    # one more distinct conversion than the memo holds evicts the oldest
+    memo.cache_clear()
+    cones = [[(1, 0), (k, 1)] for k in range(cone_module._MEMO_SIZE + 1)]
+    for vectors in cones:
+        facets_of_rays(vectors)
+    assert memo.cache_info().currsize == cone_module._MEMO_SIZE
+    facets_of_rays(cones[-1])
+    assert memo.cache_info().hits == 1
+    facets_of_rays(cones[0])
+    assert memo.cache_info().hits == 1 and memo.cache_info().misses == len(cones) + 1
+
+
+def test_malformed_rays_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            facets_of_rays([(1, 0), (1, 2, 3)])
+        with pytest.raises(ValueError):
+            facets_of_rays([])
+        with pytest.raises(ValueError):
+            facets_of_rays([(1, 0)], 3)

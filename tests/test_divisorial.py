@@ -33,6 +33,7 @@ from monograde.monoid import (
     normalize_presentation,
 )
 from oracles import (
+    box_members,
     box_minimal_generators,
     brute_minimal_interior,
     caratheodory_corpus,
@@ -40,6 +41,7 @@ from oracles import (
     cone_corpus,
     coset_count,
     minor_gcd_factors,
+    presentation_corpus,
     random_pointed_cones,
     region_tight_points,
 )
@@ -59,6 +61,26 @@ def test_members_quadrant():
     assert pts == tuple(
         sorted((x, y) for x in range(-1, 3) for y in range(0, 3))
     )
+
+
+def test_members_match_the_box_scan_oracle():
+    rng = random.Random(437)
+    monoids = [monoid_from_cone_rays(rays) for rays in cone_corpus(437)]
+    monoids += [m for m in map(normalize_presentation, presentation_corpus(439, 60))
+                if m.is_normal]
+    kinds = collections.Counter()
+    for m in monoids + [QUAD, RNC3, VER2]:
+        kinds["units"] += m.unit_rank > 0
+        kinds["embedded"] += m.rank < m.ambient_rank
+        kinds["sublattice"] += m.rank == m.ambient_rank and m.lattice_basis != tuple(
+            tuple(int(i == j) for j in range(m.rank)) for i in range(m.rank))
+        s = len(m.facet_forms)
+        box = {1: 9, 2: 6, 3: 3, 4: 2}.get(m.ambient_rank, 1)
+        for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(2)]:
+            ideal = divisorial_ideal(m, h)
+            for b in (0, box):
+                assert members(ideal, b) == box_members(ideal, b), (m.generators, h, b)
+    assert kinds["units"] and kinds["embedded"] and kinds["sublattice"]
 
 
 def test_ideal_contains():
