@@ -8,15 +8,19 @@ the exact row sweep of ``monoid._region_points``, with the enumeration
 guard still bounding the whole box: the members in an ambient box (the
 ambient coordinates are extra forms, capped on both sides), and the
 minimal module generators, with every facet value capped by the
-region's vertices plus Caratheodory's bound on the rays.  The module
-builds the canonical module (all heights equal to one, the interior
-points), the divisor class group, shift witnesses between ideal
-classes, and the Gorenstein decision with a certificate.  The class
-group reads its invariant factors from the elementary divisors of the
-facet matrix, with no transform, and decides principal classes by
-Hermite membership; the projection behind ``class_of`` needs a Smith
-form with a row transform as wide as the facet count, so it is built
-only on first use.
+region's vertices plus Caratheodory's bound on the rays.  From
+dimension 3 on the generators are swept in the echelon coordinates of
+the pointed view's facet forms, like the Hilbert basis in ``monoid``.
+The module builds the canonical module (all heights equal to one, the
+interior points), the divisor class group, shift witnesses between
+ideal classes, and the Gorenstein decision with a certificate.  The
+class group reads its invariant factors from the elementary divisors
+of the facet matrix, with no transform, and decides principal classes
+by Hermite membership.  On a pointed monoid that Hermite form is the
+one the sweeps run in, computed once on first use; the invariant
+factors alone need none.  The projection behind ``class_of`` needs a
+Smith form with a row transform as wide as the facet count, so it is
+built only on first use.
 
 Every operation requires the monoid presentation to be normal, since
 the height description only sees the saturation C cap L.
@@ -25,7 +29,7 @@ the height description only sees the saturation C cap L.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, prod
 
@@ -42,7 +46,7 @@ from .exact_linalg import (
     row_lattice_basis,
     solve_integer,
 )
-from .monoid import AffineMonoid, _guard_box, _region_points
+from .monoid import AffineMonoid, _guard_box, _PointedView, _region_points
 
 
 @dataclass(frozen=True)
@@ -153,9 +157,14 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     at ceil(V_f) + S_f - 1, or at floor(V_f) when S_f = 0
     (``_generator_caps``).
     ``_region_points`` sweeps only the members within box and caps; the
-    guard still bounds the whole box.  Minimality itself is exact on any
-    candidate set that holds the minimal generators: y is minimal iff no
-    Hilbert basis element can be subtracted without leaving the region.
+    guard still bounds the whole box.  From dimension 3 on the sweep
+    runs in the echelon coordinates of ``_PointedView._sweep_frame``,
+    whose box follows from the pivot forms' heights and caps alone, so
+    it may visit capped members outside the vertex and zonotope box.
+    Minimality itself is exact on any candidate set that holds the
+    minimal generators: y is minimal iff no Hilbert basis element can be
+    subtracted without leaving the region.  So the extra members change
+    nothing, and only the minimal ones are mapped back.
     """
     m = ideal.monoid
     m.require_normal()
@@ -175,9 +184,11 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     lo = [min(x[i] // d for x, d in verts) + zlo[i] for i in range(k)]
     hi = [max(-(-x[i] // d) for x, d in verts) + zhi[i] for i in range(k)]
     _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
+    caps = _generator_caps(view, verts)
+    forms, lo, hi = view._sweep_frame(h, caps, lo, hi)
     hb_vals = [vals for _, vals in m._pointed_hilbert]
     minimal = []
-    for pt, vals in _region_points(forms, h, lo, hi, _generator_caps(view, verts)):
+    for pt, vals in _region_points(forms, h, lo, hi, caps):
         reducible = False
         for bvals in hb_vals:
             if all(v - w >= hh for v, w, hh in zip(vals, bvals, h)):
@@ -185,7 +196,7 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
                 break
         if not reducible:
             minimal.append(pt)
-    return tuple(sorted(m.to_ambient(m._lift_local(pt)) for pt in minimal))
+    return tuple(sorted(m.to_ambient(m._lift_local(view._unsweep(pt))) for pt in minimal))
 
 
 @dataclass(frozen=True)
@@ -218,12 +229,19 @@ class DivisorClassGroup:
     ``invariant_factors`` come from F's elementary divisors, with one
     free factor per missing rank.  ``is_principal`` asks whether the
     heights lie in the column lattice of F, by Hermite back-substitution.
-    Only ``class_of`` needs the projection of ``quotient``, which costs a
-    Smith form with an s x s row transform; it is built on first use.
+    That lattice is built on first use: on a pointed monoid it is the
+    Hermite form of F.T that the monoid's pointed view holds for its
+    sweeps (the view does not refer to the monoid, so nothing cycles),
+    otherwise the class group's own.  Only ``class_of`` needs the
+    projection of ``quotient``, which costs a Smith form with an s x s
+    row transform; it is built on first use.  Both check that the
+    heights have one entry per facet form.
     """
 
     invariant_factors: tuple[int, ...]
     facet_matrix: IntMatrix
+    # the monoid's pointed view when its forms are the facet forms
+    _view: _PointedView | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def quotient(self) -> AbelianQuotient:
@@ -231,16 +249,21 @@ class DivisorClassGroup:
 
     @cached_property
     def _column_lattice(self) -> IntMatrix:
+        if self._view is not None:
+            return self._view._echelon[0]
         return row_lattice_basis(self.facet_matrix.T)
 
-    def class_of(self, heights) -> Vec:
+    def _heights(self, heights) -> Vec:
         heights = as_tuple(heights)
         if len(heights) != self.facet_matrix.shape[0]:
             raise ValueError("need one height per facet form")
-        return self.quotient.project(heights)
+        return heights
+
+    def class_of(self, heights) -> Vec:
+        return self.quotient.project(self._heights(heights))
 
     def is_principal(self, heights) -> bool:
-        return lattice_coordinates(self._column_lattice, as_tuple(heights)) is not None
+        return lattice_coordinates(self._column_lattice, self._heights(heights)) is not None
 
 
 def class_group(m: AffineMonoid) -> DivisorClassGroup:
@@ -251,7 +274,8 @@ def class_group(m: AffineMonoid) -> DivisorClassGroup:
         divisors = elementary_divisors(m.facet_matrix)
         free = len(m.facet_forms) - len(divisors)
         factors = tuple(e for e in divisors if e > 1) + (0,) * free
-        m._class_group = DivisorClassGroup(factors, m.facet_matrix)
+        view = m._pointed_view if m.is_pointed else None
+        m._class_group = DivisorClassGroup(factors, m.facet_matrix, view)
     return m._class_group
 
 

@@ -4,15 +4,21 @@ A presentation is normalized to M = C cap L where L is the group
 generated by the input (or the saturated span for cone-defined monoids)
 and C is the cone spanned by it; all further computations run in a
 basis of L, where C is full-dimensional.  The module computes Hilbert
-bases by an exact sweep over the cone points of the generator
-zonotope's bounding box (``_region_points``, shared with the members
-and minimal generators of divisorial ideals in ``divisorial``; the
-enumeration guard still bounds the whole box).  Caratheodory's theorem
-caps every facet value of an irreducible point that is not a ray, so
-the sweep visits only the points below those caps and the rays are
-added back.  The module also decides whether a generating set actually
-generates C cap L (with an explicit witness when it does not) and
-extracts unit subgroups.
+bases by an exact row sweep (``_region_points``, shared with the
+members and minimal generators of divisorial ideals in ``divisorial``).
+Caratheodory's theorem caps every facet value of an irreducible point
+that is not a ray, so the sweep visits only the points below those caps
+and the rays are added back.  From dimension 3 on it runs in the
+echelon coordinates of the facet forms, y = V.T y' with V F.T the
+Hermite form H of the transposed forms F: there every form is zero
+after its own coordinate, so the sweep checks it exactly there, and
+the box of y' follows from the pivot forms and their caps.  That box
+may hold capped points outside the zonotope box, which the filter
+drops.  On a pointed monoid H is also the column lattice of the class
+group, which reads it from the same view.  The enumeration guard still
+bounds the zonotope box.  The module also decides whether a generating
+set actually generates C cap L (with an explicit witness when it does
+not) and extracts unit subgroups.
 
 Units are the lattice points of the cone's lineality space.  A
 presentation is normal iff its unit generators generate that lattice
@@ -37,6 +43,7 @@ from .exact_linalg import (
     _dot,
     _identity,
     as_tuple,
+    hnf,
     kernel_basis,
     lattice_coordinates,
     primitive,
@@ -66,7 +73,12 @@ class NonNormalError(ValueError):
 
 @dataclass(frozen=True)
 class _PointedView:
-    """The monoid modulo its unit group, in quotient coordinates."""
+    """The monoid modulo its unit group, in quotient coordinates.
+
+    From dimension 3 on, its capped sweeps run in echelon coordinates
+    (``_sweep_frame``); in dimension 1 and 2 they already enter about one
+    prefix per point, so they keep these coordinates.
+    """
 
     rays: tuple[Vec, ...]
     forms: tuple[Vec, ...]
@@ -89,6 +101,48 @@ class _PointedView:
             sum(sorted((_dot(f, r) for r in self.rays), reverse=True)[: self.dim])
             for f in self.forms
         )
+
+    @cached_property
+    def _echelon(self) -> tuple[IntMatrix, IntMatrix]:
+        """(H, V) with H = V @ F.T the row Hermite form of the transposed
+        forms F and V unimodular.  The forms span the dual space of a
+        pointed full-dimensional cone, so no row of H is zero.  In the
+        coordinates y' with y = V.T @ y', form j is column j of H, which
+        is zero below the last row whose pivot lies at or before j."""
+        return hnf(IntMatrix(self.forms, self.dim).T)
+
+    def _sweep_frame(self, heights, caps, lo, hi) -> tuple:
+        """(forms, lo, hi) for ``_region_points`` over the region where
+        heights <= F(y) <= caps, every cap finite; ``lo`` and ``hi`` are
+        the box of the view's coordinates it replaces.
+
+        In dimension 3 and up, the forms are the columns of H and the box
+        is in y' (``_echelon``).  Coordinate i is the last that row i's
+        pivot form p involves, with a positive coefficient, so the sweep
+        checks p and every form between the pivots exactly there.  Its
+        bounds come from p alone: p must reach heights[p] and stay within
+        caps[p] whatever coordinates 0..i-1 add inside their own bounds.
+        So no region point is lost, though points outside ``lo``, ``hi``
+        may be swept; ``_unsweep`` maps a swept point back.
+        """
+        if self.dim <= 2:
+            return self.forms, lo, hi
+        h, _ = self._echelon
+        lo, hi = [], []
+        for i, row in enumerate(h):
+            p = next(j for j, c in enumerate(row) if c)
+            least = most = 0  # the range of coordinates 0..i-1 on form p
+            for k in range(i):
+                c = h[k][p]
+                least += min(c * lo[k], c * hi[k])
+                most += max(c * lo[k], c * hi[k])
+            lo.append(-((most - heights[p]) // row[p]))
+            hi.append((caps[p] - least) // row[p])
+        return h.T, lo, hi
+
+    def _unsweep(self, point) -> Vec:
+        """A point of a ``_sweep_frame`` sweep in the view's coordinates."""
+        return point if self.dim <= 2 else point @ self._echelon[1]
 
 
 def _guard_box(count: int, what: str = "enumeration box", unit: str = "points") -> None:
@@ -114,6 +168,10 @@ class AffineMonoid:
         self.generators = tuple(as_tuple(g) for g in generators)
         self.lattice_basis = lattice_basis  # (d, r) rows, canonical Hermite basis
         self.local_generators = tuple(as_tuple(g) for g in local_generators)
+        # L = Z^r needs no coordinate change; a square Hermite basis is the
+        # identity iff every pivot is 1, as the entries above them are reduced
+        self._standard = len(lattice_basis) == self.ambient_rank and all(
+            row[i] == 1 for i, row in enumerate(lattice_basis))
         self._assume_normal = bool(assume_normal)
         self._canonical = None  # set by divisorial.canonical_module
         self._class_group = None  # set by divisorial.class_group
@@ -125,13 +183,18 @@ class AffineMonoid:
         return len(self.lattice_basis)
 
     def to_ambient(self, local) -> Vec:
-        return as_tuple(local) @ self.lattice_basis
+        local = as_tuple(local)
+        if self._standard and len(local) == self.rank:
+            return local
+        return local @ self.lattice_basis
 
     def to_local(self, ambient) -> Vec | None:
         """Coordinates in the basis of L, or None when the point is not in L."""
         ambient = as_tuple(ambient)
         if len(ambient) != self.ambient_rank:
             raise ValueError("point does not match the ambient rank")
+        if self._standard:
+            return ambient
         return lattice_coordinates(self.lattice_basis, ambient)
 
     # -- cone structure ----------------------------------------------
@@ -342,30 +405,33 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     0, where S_f is the sum of the dim largest values of f on the rays:
     the sweep caps f at max(S_f - 1, 0) (``_hilbert_caps``).  The rays
     the caps cut off are added back, since primitive extreme rays are
-    irreducible; the guard still bounds the whole box.  Candidates are filtered by
+    irreducible; the guard still bounds the zonotope box.  From
+    dimension 3 on the sweep runs in the echelon coordinates of
+    ``_PointedView._sweep_frame``, over every capped point, some of
+    them outside the zonotope box.  Candidates are keyed by their facet
+    values, which fix a point of a pointed cone, and filtered by
     increasing total facet value, which is strictly positive on nonzero
     cone points; a candidate is dropped iff an earlier kept one lies
     below it in every facet value.  That filter is exact on any
     candidate set that holds the Hilbert basis, because each reducible
-    point lies above some Hilbert element of smaller total value.
+    point lies above some Hilbert element of smaller total value, so
+    the extra points change nothing, and only the kept ones are mapped
+    back from the sweep's coordinates.
     """
     if view.dim == 0 or not view.rays:
         return ()
     lo, hi = view.box
     _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
-    candidates = {}
-    for pt, vals in _region_points(view.forms, (0,) * len(view.forms), lo, hi,
-                                   _hilbert_caps(view)):
-        if any(pt):
-            candidates[pt] = vals
-    for r in view.rays:
-        if r not in candidates:
-            candidates[r] = tuple(_dot(f, r) for f in view.forms)
-    basis: list[tuple[Vec, Vec]] = []
-    for _, pt, vals in sorted((sum(vals), pt, vals) for pt, vals in candidates.items()):
-        if not any(all(map(ge, vals, bvals)) for _, bvals in basis):
-            basis.append((pt, vals))
-    return tuple(sorted(basis))
+    zeros = (0,) * len(view.forms)
+    caps = _hilbert_caps(view)
+    forms, lo, hi = view._sweep_frame(zeros, caps, lo, hi)
+    swept = {vals: pt for pt, vals in _region_points(forms, zeros, lo, hi, caps) if any(vals)}
+    rays = {tuple(_dot(f, r) for f in view.forms): r for r in view.rays}
+    basis: list[Vec] = []
+    for _, vals in sorted((sum(vals), vals) for vals in swept.keys() | rays.keys()):
+        if not any(all(map(ge, vals, bvals)) for bvals in basis):
+            basis.append(vals)
+    return tuple(sorted((rays[v] if v in rays else view._unsweep(swept[v]), v) for v in basis))
 
 
 def normalize_presentation(generators) -> AffineMonoid:

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from monograde import divisorial, monoid
+import sweepcounts
+from monograde import divisorial, exact_linalg, monoid
 from monograde.exact_linalg import determinant
 from monograde.divisorial import (
     canonical_module,
@@ -33,6 +34,7 @@ from monograde.monoid import (
     normalize_presentation,
 )
 from oracles import (
+    box_hilbert_basis,
     box_members,
     box_minimal_generators,
     brute_minimal_interior,
@@ -40,6 +42,7 @@ from oracles import (
     cokernel_class_group,
     cone_corpus,
     coset_count,
+    dot,
     minor_gcd_factors,
     presentation_corpus,
     random_pointed_cones,
@@ -285,25 +288,102 @@ def test_minimal_generators_meet_the_caratheodory_caps():
 
 def test_capped_sweeps_visit_det_points_on_the_thin_cone(monkeypatch):
     # the simplicial thin cone of test_guards_bound_the_box_not_the_points_visited
-    # has |det| = 92: its capped sweeps visit 92 points each, not 387 and 414
+    # has |det| = 92: its capped sweeps visit 92 points each, not 387 and
+    # 414, and in echelon coordinates enter 278 prefixes in all, not 476
     rays = [(9, 7, 7), (7, 9, 7), (7, 7, 9)]
-    visited = collections.Counter()
+    counts = collections.defaultdict(lambda: [0, 0])  # kind, rank -> points, entries
     real = monoid._region_points
-
-    def counting(kind):
-        def counted(*args):
-            for item in real(*args):
-                visited[kind] += 1
-                yield item
-        return counted
-
-    monkeypatch.setattr(monoid, "_region_points", counting("hilbert"))
-    monkeypatch.setattr(divisorial, "_region_points", counting("canonical"))
+    for kind, module in sweepcounts.KINDS.items():
+        monkeypatch.setattr(module, "_region_points", sweepcounts._counting(kind, real, counts))
     m = monoid_from_cone_rays(rays)
     assert abs(determinant(rays)) == 92
     hilbert_basis(m)
     canonical_module(m)
-    assert visited == {"hilbert": 92, "canonical": 92}
+    assert {kind: row[0] for (kind, _), row in counts.items()} == {"hilbert": 92, "canonical": 92}
+    assert sum(row[1] for row in counts.values()) == 278
+
+
+def test_sweep_entries_stay_near_the_points_at_rank_4():
+    """On the traced seed-811 ``monoid-ring`` list the two sweeps enter
+    at most 3 prefixes per rank-4 point (2,668 for 1,161; 7,864 in the
+    view's own coordinates, where each form is bounded by the box)."""
+    counts, ranks = sweepcounts.sweep_counts(811)
+    points = counts["hilbert", 4][0] + counts["canonical", 4][0]
+    entries = counts["hilbert", 4][1] + counts["canonical", 4][1]
+    assert ranks[4] and points
+    assert entries <= 3 * points, (entries, points)
+
+
+def test_echelon_sweeps_match_the_box_oracles():
+    """Hilbert bases and minimal generators of views of dimension 3 to 5,
+    swept in the echelon coordinates of their facet forms, agree with
+    the whole-box scans: pointed cones, cones with a line of units, the
+    same in a sublattice of Z^(rank+1), and rank-5 cones of small rays."""
+    rng = random.Random(469)
+    corpus = caratheodory_corpus(467)
+    corpus += [[r + (dot(w, r),) for r in rays]
+               for rays in corpus[::4]
+               for w in [[rng.randint(-2, 2) for _ in rays[0]]]]
+    corpus += [rays for d, rays in random_pointed_cones(40, 5, 1, 471) if d == 5][:4]
+    kinds = collections.Counter()
+    for rays in corpus:
+        m = monoid_from_cone_rays(rays)
+        view = m._pointed_view
+        if view.dim < 3:
+            continue  # swept in the view's own coordinates
+        lo, hi = view.box
+        if math.prod(b - a + 1 for a, b in zip(lo, hi)) > 6000:
+            continue  # beyond the box oracles' reach
+        hb = box_hilbert_basis(view.rays, view.forms, view.dim)
+        assert tuple(p for p, _ in m._pointed_hilbert) == hb, rays
+        s = len(m.facet_forms)
+        draws = 0 if view.dim == 5 else 2
+        for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(draws)]:
+            ideal = divisorial_ideal(m, h)
+            assert minimal_generators(ideal) == box_minimal_generators(ideal), (rays, h)
+        kinds[view.dim] += 1
+        kinds["units"] += m.unit_rank > 0
+        kinds["embedded"] += m.rank < m.ambient_rank
+        kinds["non-simplicial"] += len(view.rays) > view.dim
+    assert kinds[3] > 10 and kinds[4] > 5 and kinds[5] >= 2, kinds
+    assert kinds["units"] > 5 and kinds["embedded"] > 3 and kinds["non-simplicial"] > 10, kinds
+
+
+def test_one_hermite_form_per_monoid(monkeypatch):
+    calls = []  # one entry per hnf call, through any module
+    real = exact_linalg.hnf
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for module in (exact_linalg, monoid, divisorial):
+        if hasattr(module, "hnf"):
+            monkeypatch.setattr(module, "hnf", counted)
+    # a non-simplicial rank-4 cone: the sweeps and is_principal share
+    # the Hermite form of the transposed facet matrix
+    rays = [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 2), (1, 0, 0, 1)]
+    m = monoid_from_cone_rays(rays)
+    assert m.rank == 4 and m.is_pointed and len(m.cone.rays) == 5
+    hilbert_basis(m)
+    canonical_module(m)
+    cg = class_group(m)
+    is_gorenstein(m)
+    assert cg.is_principal((1,) * len(m.facet_forms)) == is_gorenstein(m)[0]
+    assert len(calls) == 1
+    # the class group's invariant factors alone need no Hermite form
+    calls.clear()
+    assert class_group(monoid_from_cone_rays(rays)).invariant_factors == cg.invariant_factors
+    assert calls == []
+    # with units the view's forms are not the facet forms: the view and
+    # the class group build one each
+    m = monoid_from_cone_rays(rays + [(-1, 0, 0, 0)])
+    assert m.unit_rank == 1 and m._pointed_view.dim == 3
+    calls.clear()  # the cone's lineality kernel took two
+    hilbert_basis(m)
+    canonical_module(m)
+    is_gorenstein(m)
+    assert len(calls) == 2
 
 
 def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
@@ -424,6 +504,18 @@ def test_class_of_needs_one_height_per_facet():
         with pytest.raises(ValueError):
             cg.is_principal(heights)
     assert cg.class_of((0, 1)) == (1,)
+
+
+def test_is_principal_names_a_wrong_length_like_class_of():
+    # pointed (the column lattice shared with the sweeps) and with units
+    for m in (RNC3, monoid_from_cone_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+              monoid_from_cone_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)])):
+        cg = class_group(m)
+        s = len(m.facet_forms)
+        for heights in ((1,) * (s - 1), (1,) * (s + 1)):
+            with pytest.raises(ValueError, match="^need one height per facet form$"):
+                cg.is_principal(heights)
+        assert cg.is_principal(m.facet_matrix @ ((1,) * m.rank))
 
 
 def test_same_class():

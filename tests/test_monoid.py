@@ -6,10 +6,11 @@ replaced; the region sweep against a filtered box product; everything
 else against frozen values.
 """
 
+import collections
 import itertools
 import operator
 import random
-from math import prod
+from math import ceil, comb, floor, prod
 
 import pytest
 
@@ -34,6 +35,7 @@ from oracles import (
     presentation_corpus,
     presentation_member,
     random_pointed_cones,
+    region_tight_points,
     search_normality,
 )
 
@@ -186,8 +188,11 @@ def _counting(calls, name, fn):
 
 
 def test_normality_and_hilbert_basis_work_counts(monkeypatch):
-    calls = dict.fromkeys(("hnf", "snf", "kernel_basis"), 0)
+    calls = dict.fromkeys(("hnf", "snf", "kernel_basis", "echelon"), 0)
     monkeypatch.setattr(exact_linalg, "hnf", _counting(calls, "hnf", exact_linalg.hnf))
+    # the Hermite form of the facet forms that the sweeps of dimension 3
+    # and up run in, counted apart from the lattice's
+    monkeypatch.setattr(monoid, "hnf", _counting(calls, "echelon", monoid.hnf))
     monkeypatch.setattr(exact_linalg, "snf", _counting(calls, "snf", exact_linalg.snf))
     monkeypatch.setattr(monoid, "kernel_basis",
                         _counting(calls, "kernel_basis", monoid.kernel_basis))
@@ -197,18 +202,20 @@ def test_normality_and_hilbert_basis_work_counts(monkeypatch):
     assert calls["snf"] == calls["kernel_basis"] == 0
     # a full-rank pointed cone: L = Z^r needs no Hermite form, and the
     # units come from the cone
-    for _, rays in random_pointed_cones(12, 4, 3, seed=457):
-        calls["hnf"] = 0
+    for d, rays in random_pointed_cones(12, 4, 3, seed=457):
+        calls["hnf"] = calls["echelon"] = 0
         hilbert_basis(monoid_from_cone_rays(rays))
         assert calls["hnf"] == 0
+        assert calls["echelon"] == (d >= 3)
     # the same cones in a sublattice of Z^(r+1): two kernels, each one
     # Hermite form and one for its canonical basis, saturate the span
     rng = random.Random(459)
-    for _, rays in random_pointed_cones(12, 4, 3, seed=457):
+    for d, rays in random_pointed_cones(12, 4, 3, seed=457):
         w = [rng.randint(-2, 2) for _ in rays[0]]
-        calls["hnf"] = 0
+        calls["hnf"] = calls["echelon"] = 0
         hilbert_basis(monoid_from_cone_rays([r + (dot(w, r),) for r in rays]))
         assert calls["hnf"] == 4
+        assert calls["echelon"] == (d >= 3)
 
 
 def test_cone_monoid_lattice_matches_the_hermite_route():
@@ -364,6 +371,85 @@ def test_hilbert_basis_meets_the_caratheodory_caps():
         ranks.add(m.rank)
         with_units += m.unit_rank > 0
     assert ranks == {2, 3, 4} and with_units > 20 and tight > 30
+
+
+def capped_region_by_vertices(forms, heights, caps):
+    """Integer points of {heights <= forms(y) <= caps}, a polytope, by a
+    filtered scan of the box around its rational vertices."""
+    both = list(forms) + [tuple(-c for c in f) for f in forms]
+    verts = region_tight_points(both, list(heights) + [-u for u in caps])
+    if not verts:
+        return []
+    box = [range(floor(min(v[i] for v in verts)), ceil(max(v[i] for v in verts)) + 1)
+           for i in range(len(forms[0]))]
+    return sorted(pt for pt in itertools.product(*box)
+                  if all(h <= dot(f, pt) <= u for f, h, u in zip(forms, heights, caps)))
+
+
+def test_echelon_frames_sweep_exactly_the_capped_region():
+    """From dimension 3 on, a sweep in the frame of ``_sweep_frame``,
+    mapped back by ``_unsweep``, visits every point of the capped
+    region once, with its facet values, whatever the zonotope box: at
+    the Hilbert basis caps and at random heights and caps.  The y' it
+    sweeps stay in lexicographic order."""
+    rng = random.Random(473)
+    kinds = collections.Counter()
+    for rays in caratheodory_corpus(473):
+        m = monoid_from_cone_rays(rays)
+        view = m._pointed_view
+        s = len(view.forms)
+        if view.dim < 3 or comb(2 * s, view.dim) > 300:
+            continue  # swept as it is, or too many vertex candidates for the oracle
+        lo, hi = view.box
+        random_heights = [rng.randint(-2, 1) for _ in range(s)]
+        cases = [((0,) * s, monoid._hilbert_caps(view)),
+                 (random_heights, [h + rng.randint(0, 4) for h in random_heights])]
+        for heights, caps in cases:
+            forms, ylo, yhi = view._sweep_frame(heights, caps, lo, hi)
+            swept = list(monoid._region_points(forms, heights, ylo, yhi, caps))
+            assert [pt for pt, _ in swept] == sorted(pt for pt, _ in swept)
+            back = [(view._unsweep(pt), vals) for pt, vals in swept]
+            for y, vals in back:
+                assert vals == tuple(dot(f, y) for f in view.forms)
+            want = capped_region_by_vertices(view.forms, heights, caps)
+            assert sorted(y for y, _ in back) == want, (rays, heights, caps)
+            kinds["outside the zonotope box"] += any(
+                not a <= c <= b for y in want for a, c, b in zip(lo, y, hi))
+            kinds["empty"] += not want
+        kinds[view.dim] += 1
+        kinds["units"] += m.unit_rank > 0
+    assert kinds[3] > 10 and kinds[4] > 3 and kinds["units"] > 5, kinds
+    assert kinds["outside the zonotope box"] > 4 and kinds["empty"] > 10, kinds
+
+
+def test_standard_lattice_needs_no_coordinate_change(monkeypatch):
+    """L = Z^r has the identity as its Hermite basis: points go in and
+    out as they are, with no lattice solve and no row combination, and
+    a vector of the wrong length is still refused.  A sublattice keeps
+    the general route."""
+    calls = dict.fromkeys(("solve", "combine"), 0)
+    monkeypatch.setattr(monoid, "lattice_coordinates",
+                        _counting(calls, "solve", monoid.lattice_coordinates))
+    monkeypatch.setattr(exact_linalg.IntMatrix, "__rmatmul__",
+                        _counting(calls, "combine", exact_linalg.IntMatrix.__rmatmul__))
+    for d, rays in random_pointed_cones(8, 3, 3, seed=479):
+        m = monoid_from_cone_rays(rays)
+        assert m.lattice_basis == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        hb = hilbert_basis(m)
+        calls.update(solve=0, combine=0)
+        assert all(m.to_local(h) == h and m.to_ambient(h) == h for h in hb)
+        assert all(m.contains(h) for h in hb)
+        assert calls == {"solve": 0, "combine": 0}
+        with pytest.raises(ValueError):
+            m.to_ambient(hb[0] + (0,))
+        with pytest.raises(ValueError):
+            m.to_local(hb[0] + (0,))
+    m = normalize_presentation([(2, 0), (1, 1), (0, 2)])
+    assert m.lattice_basis == ((1, 1), (0, 2))
+    calls.update(solve=0, combine=0)
+    assert m.to_local((3, 1)) == (3, -1) and m.to_ambient((3, -1)) == (3, 1)
+    assert m.to_local((1, 0)) is None
+    assert calls == {"solve": 2, "combine": 1}
 
 
 def test_enumeration_guard_raises():
