@@ -160,7 +160,8 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     guard still bounds the whole box.  From dimension 3 on the sweep
     runs in the echelon coordinates of ``_PointedView._sweep_frame``,
     whose box follows from the pivot forms' heights and caps alone, so
-    it may visit capped members outside the vertex and zonotope box.
+    it may visit capped members outside the vertex and zonotope box;
+    the frame's own guard bounds that work.
     Minimality itself is exact on any candidate set that holds the
     minimal generators: y is minimal iff no Hilbert basis element can be
     subtracted without leaving the region.  So the extra members change

@@ -15,10 +15,11 @@ after its own coordinate, so the sweep checks it exactly there, and
 the box of y' follows from the pivot forms and their caps.  That box
 may hold capped points outside the zonotope box, which the filter
 drops.  On a pointed monoid H is also the column lattice of the class
-group, which reads it from the same view.  The enumeration guard still
-bounds the zonotope box.  The module also decides whether a generating
-set actually generates C cap L (with an explicit witness when it does
-not) and extracts unit subgroups.
+group, which reads it from the same view.  The enumeration guard
+bounds the zonotope box and, in echelon coordinates, the values the
+pivot forms can take, which bound the sweep's work.  The module also
+decides whether a generating set actually generates C cap L (with an
+explicit witness when it does not) and extracts unit subgroups.
 
 Units are the lattice points of the cone's lineality space.  A
 presentation is normal iff its unit generators generate that lattice
@@ -76,8 +77,10 @@ class _PointedView:
     """The monoid modulo its unit group, in quotient coordinates.
 
     From dimension 3 on, its capped sweeps run in echelon coordinates
-    (``_sweep_frame``); in dimension 1 and 2 they already enter about one
-    prefix per point, so they keep these coordinates.
+    (``_sweep_frame``).  In dimension 1 and 2 they keep these
+    coordinates: there the sweep already enters about one prefix per
+    point, so the Hermite form and the mapping back would cost more
+    than they save.
     """
 
     rays: tuple[Vec, ...]
@@ -114,21 +117,30 @@ class _PointedView:
     def _sweep_frame(self, heights, caps, lo, hi) -> tuple:
         """(forms, lo, hi) for ``_region_points`` over the region where
         heights <= F(y) <= caps, every cap finite; ``lo`` and ``hi`` are
-        the box of the view's coordinates it replaces.
+        the guarded box of the view's coordinates, kept in dimension 1
+        and 2.  ``_unsweep`` maps a swept point back.
 
         In dimension 3 and up, the forms are the columns of H and the box
         is in y' (``_echelon``).  Coordinate i is the last that row i's
-        pivot form p involves, with a positive coefficient, so the sweep
-        checks p and every form between the pivots exactly there.  Its
-        bounds come from p alone: p must reach heights[p] and stay within
-        caps[p] whatever coordinates 0..i-1 add inside their own bounds.
-        So no region point is lost, though points outside ``lo``, ``hi``
-        may be swept; ``_unsweep`` maps a swept point back.
+        pivot form p involves, with a positive coefficient c, so the
+        sweep checks p and every form between the pivots exactly there.
+        Its bounds come from p alone: p must reach heights[p] and stay
+        within caps[p] whatever coordinates 0..i-1 add inside their own
+        bounds.  So no region point is lost, though the box may hold
+        capped points outside ``lo``, ``hi``, which the callers guard.
+
+        The work is bounded by the pivot forms instead.  Once coordinates
+        0..i-1 are fixed, p takes values c apart, so coordinate i takes
+        at most n_i = (caps[p] - heights[p]) // c + 1 values, and the
+        sweep enters at most n_0 * ... * n_i prefixes of length i + 1.
+        The guard refuses a frame whose product of all max(n_i, 1) is
+        beyond the desk scale, which bounds every one of these counts.
         """
         if self.dim <= 2:
             return self.forms, lo, hi
         h, _ = self._echelon
         lo, hi = [], []
+        count = 1
         for i, row in enumerate(h):
             p = next(j for j, c in enumerate(row) if c)
             least = most = 0  # the range of coordinates 0..i-1 on form p
@@ -138,6 +150,8 @@ class _PointedView:
                 most += max(c * lo[k], c * hi[k])
             lo.append(-((most - heights[p]) // row[p]))
             hi.append((caps[p] - least) // row[p])
+            count *= max((caps[p] - heights[p]) // row[p] + 1, 1)
+        _guard_box(count, "echelon sweep")
         return h.T, lo, hi
 
     def _unsweep(self, point) -> Vec:
@@ -168,10 +182,6 @@ class AffineMonoid:
         self.generators = tuple(as_tuple(g) for g in generators)
         self.lattice_basis = lattice_basis  # (d, r) rows, canonical Hermite basis
         self.local_generators = tuple(as_tuple(g) for g in local_generators)
-        # L = Z^r needs no coordinate change; a square Hermite basis is the
-        # identity iff every pivot is 1, as the entries above them are reduced
-        self._standard = len(lattice_basis) == self.ambient_rank and all(
-            row[i] == 1 for i, row in enumerate(lattice_basis))
         self._assume_normal = bool(assume_normal)
         self._canonical = None  # set by divisorial.canonical_module
         self._class_group = None  # set by divisorial.class_group
@@ -183,18 +193,13 @@ class AffineMonoid:
         return len(self.lattice_basis)
 
     def to_ambient(self, local) -> Vec:
-        local = as_tuple(local)
-        if self._standard and len(local) == self.rank:
-            return local
-        return local @ self.lattice_basis
+        return as_tuple(local) @ self.lattice_basis
 
     def to_local(self, ambient) -> Vec | None:
         """Coordinates in the basis of L, or None when the point is not in L."""
         ambient = as_tuple(ambient)
         if len(ambient) != self.ambient_rank:
             raise ValueError("point does not match the ambient rank")
-        if self._standard:
-            return ambient
         return lattice_coordinates(self.lattice_basis, ambient)
 
     # -- cone structure ----------------------------------------------
@@ -407,16 +412,16 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     the caps cut off are added back, since primitive extreme rays are
     irreducible; the guard still bounds the zonotope box.  From
     dimension 3 on the sweep runs in the echelon coordinates of
-    ``_PointedView._sweep_frame``, over every capped point, some of
-    them outside the zonotope box.  Candidates are keyed by their facet
-    values, which fix a point of a pointed cone, and filtered by
-    increasing total facet value, which is strictly positive on nonzero
-    cone points; a candidate is dropped iff an earlier kept one lies
-    below it in every facet value.  That filter is exact on any
-    candidate set that holds the Hilbert basis, because each reducible
-    point lies above some Hilbert element of smaller total value, so
-    the extra points change nothing, and only the kept ones are mapped
-    back from the sweep's coordinates.
+    ``_PointedView._sweep_frame``, whose own guard bounds its work, over
+    every capped point, some of them outside the zonotope box.
+    Candidates are keyed by their facet values, which fix a point of a
+    pointed cone, and filtered by increasing total facet value, which is
+    strictly positive on nonzero cone points; a candidate is dropped iff
+    an earlier kept one lies below it in every facet value.  That filter
+    is exact on any candidate set that holds the Hilbert basis, because
+    each reducible point lies above some Hilbert element of smaller total
+    value, so the extra points change nothing, and only the kept ones
+    are mapped back from the sweep's coordinates.
     """
     if view.dim == 0 or not view.rays:
         return ()

@@ -14,6 +14,7 @@ from math import ceil, comb, floor, prod
 
 import pytest
 
+import sweepcounts
 from monograde import exact_linalg, monoid
 from monograde.monoid import (
     EnumerationLimitError,
@@ -386,12 +387,24 @@ def capped_region_by_vertices(forms, heights, caps):
                   if all(h <= dot(f, pt) <= u for f, h, u in zip(forms, heights, caps)))
 
 
+def _pivot_counts(view, heights, caps):
+    """n_i per row i of the echelon form: how many values coordinate i
+    of a capped sweep can take once coordinates 0..i-1 are fixed."""
+    counts = []
+    for row in view._echelon[0]:
+        p = next(j for j, c in enumerate(row) if c)
+        counts.append(max((caps[p] - heights[p]) // row[p] + 1, 0))
+    return counts
+
+
 def test_echelon_frames_sweep_exactly_the_capped_region():
     """From dimension 3 on, a sweep in the frame of ``_sweep_frame``,
     mapped back by ``_unsweep``, visits every point of the capped
     region once, with its facet values, whatever the zonotope box: at
     the Hilbert basis caps and at random heights and caps.  The y' it
-    sweeps stay in lexicographic order."""
+    sweeps stay in lexicographic order, and the pivot forms bound its
+    work: at most n_0 * ... * n_i prefixes of length i + 1
+    (``_pivot_counts``)."""
     rng = random.Random(473)
     kinds = collections.Counter()
     for rays in caratheodory_corpus(473):
@@ -406,13 +419,19 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
                  (random_heights, [h + rng.randint(0, 4) for h in random_heights])]
         for heights, caps in cases:
             forms, ylo, yhi = view._sweep_frame(heights, caps, lo, hi)
-            swept = list(monoid._region_points(forms, heights, ylo, yhi, caps))
+            counts = collections.defaultdict(lambda: [0, 0])  # points, entries
+            sweep = sweepcounts._counting("frame", monoid._region_points, counts)
+            swept = list(sweep(forms, heights, ylo, yhi, caps))
             assert [pt for pt, _ in swept] == sorted(pt for pt, _ in swept)
             back = [(view._unsweep(pt), vals) for pt, vals in swept]
             for y, vals in back:
                 assert vals == tuple(dot(f, y) for f in view.forms)
             want = capped_region_by_vertices(view.forms, heights, caps)
             assert sorted(y for y, _ in back) == want, (rays, heights, caps)
+            n = _pivot_counts(view, heights, caps)
+            bound = 1 + sum(prod(n[: i + 1]) for i in range(view.dim - 1))
+            points, entries = counts["frame", view.dim]
+            assert points == len(want) <= prod(n) and entries <= bound
             kinds["outside the zonotope box"] += any(
                 not a <= c <= b for y in want for a, c, b in zip(lo, y, hi))
             kinds["empty"] += not want
@@ -422,34 +441,39 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
     assert kinds["outside the zonotope box"] > 4 and kinds["empty"] > 10, kinds
 
 
-def test_standard_lattice_needs_no_coordinate_change(monkeypatch):
-    """L = Z^r has the identity as its Hermite basis: points go in and
-    out as they are, with no lattice solve and no row combination, and
-    a vector of the wrong length is still refused.  A sublattice keeps
-    the general route."""
-    calls = dict.fromkeys(("solve", "combine"), 0)
-    monkeypatch.setattr(monoid, "lattice_coordinates",
-                        _counting(calls, "solve", monoid.lattice_coordinates))
-    monkeypatch.setattr(exact_linalg.IntMatrix, "__rmatmul__",
-                        _counting(calls, "combine", exact_linalg.IntMatrix.__rmatmul__))
-    for d, rays in random_pointed_cones(8, 3, 3, seed=479):
-        m = monoid_from_cone_rays(rays)
-        assert m.lattice_basis == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        hb = hilbert_basis(m)
-        calls.update(solve=0, combine=0)
-        assert all(m.to_local(h) == h and m.to_ambient(h) == h for h in hb)
-        assert all(m.contains(h) for h in hb)
-        assert calls == {"solve": 0, "combine": 0}
-        with pytest.raises(ValueError):
-            m.to_ambient(hb[0] + (0,))
-        with pytest.raises(ValueError):
-            m.to_local(hb[0] + (0,))
-    m = normalize_presentation([(2, 0), (1, 1), (0, 2)])
-    assert m.lattice_basis == ((1, 1), (0, 2))
-    calls.update(solve=0, combine=0)
-    assert m.to_local((3, 1)) == (3, -1) and m.to_ambient((3, -1)) == (3, 1)
-    assert m.to_local((1, 0)) is None
-    assert calls == {"solve": 2, "combine": 1}
+def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
+    """The frame refuses a sweep whose pivot counts multiply beyond the
+    desk scale and names the product: 92 on the thin cone, whose
+    zonotope box holds 13824 points.  Where the pivot forms reach
+    beyond the zonotope box, a Hilbert basis that passes the box guard
+    still stops at the frame's."""
+    m = monoid_from_cone_rays([(9, 7, 7), (7, 9, 7), (7, 7, 9)])
+    view = m._pointed_view
+    caps = monoid._hilbert_caps(view)
+    zeros = (0,) * len(caps)
+    count = prod(_pivot_counts(view, zeros, caps))
+    assert count == 92
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count)
+    view._sweep_frame(zeros, caps, *view.box)
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count - 1)
+    with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
+        view._sweep_frame(zeros, caps, *view.box)
+    # the last pivot form capped below its height empties the region,
+    # yet the prefixes before it still count
+    assert view._echelon[0][2][:2] == (0, 0)
+    with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
+        view._sweep_frame(zeros, caps[:2] + (-1,), *view.box)
+    for rays in caratheodory_corpus(463):
+        view = monoid_from_cone_rays(rays)._pointed_view
+        caps = monoid._hilbert_caps(view)
+        box = prod(b - a + 1 for a, b in zip(*view.box))
+        if view.dim >= 3 and prod(_pivot_counts(view, (0,) * len(caps), caps)) > box:
+            break
+    else:
+        raise AssertionError("no frame reaches beyond its zonotope box")
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", box)
+    with pytest.raises(EnumerationLimitError, match="^echelon sweep has"):
+        hilbert_basis(monoid_from_cone_rays(rays))
 
 
 def test_enumeration_guard_raises():
