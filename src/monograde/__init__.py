@@ -3,8 +3,9 @@ multigraded polynomial ideals.
 
 The package computes, over arbitrary-precision integers and rationals:
 
-* fraction-free ranks, determinants and rational solves, Hermite and
-  Smith normal forms, integer kernels and solves, abelian quotients
+* fraction-free ranks, determinants and rational solves, Hermite
+  normal forms for lattice bases, integer kernels and integer solves,
+  and Smith forms for elementary divisors and abelian quotients
   (``exact_linalg``);
 * polyhedral cone duality by the double description method (``cone``);
 * affine monoid normalization, Hilbert bases, normality witnesses and
@@ -43,8 +44,6 @@ from .exact_linalg import (
     kernel_basis,
     primitive,
     rank,
-    snf,
-    solve_integer,
     unimodular_inverse,
 )
 from .groebner import (

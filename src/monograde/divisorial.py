@@ -15,12 +15,13 @@ The module builds the canonical module (all heights equal to one, the
 interior points), the divisor class group, shift witnesses between
 ideal classes, and the Gorenstein decision with a certificate.  The
 class group reads its invariant factors from the elementary divisors
-of the facet matrix, with no transform, and decides principal classes
-by Hermite membership.  On a pointed monoid that Hermite form is the
-one the sweeps run in, computed once on first use; the invariant
-factors alone need none.  The projection behind ``class_of`` needs a
-Smith form with a row transform as wide as the facet count, so it is
-built only on first use.
+of the facet matrix, with no transform.  Which point of L has given
+facet values, if any, is one question behind principal classes and
+shift witnesses, and both read it from the Hermite form the pointed
+view's sweeps run in (``_PointedView._preimage``), computed once on
+first use; the invariant factors alone need none.  The projection
+behind ``class_of`` needs a Smith form with a row transform as wide as
+the facet count, so it is built only on first use.
 
 Every operation requires the monoid presentation to be normal, since
 the height description only sees the saturation C cap L.
@@ -42,9 +43,6 @@ from .exact_linalg import (
     as_tuple,
     cokernel,
     elementary_divisors,
-    lattice_coordinates,
-    row_lattice_basis,
-    solve_integer,
 )
 from .monoid import AffineMonoid, _guard_box, _PointedView, _region_points
 
@@ -229,30 +227,21 @@ class DivisorClassGroup:
 
     ``invariant_factors`` come from F's elementary divisors, with one
     free factor per missing rank.  ``is_principal`` asks whether the
-    heights lie in the column lattice of F, by Hermite back-substitution.
-    That lattice is built on first use: on a pointed monoid it is the
-    Hermite form of F.T that the monoid's pointed view holds for its
-    sweeps (the view does not refer to the monoid, so nothing cycles),
-    otherwise the class group's own.  Only ``class_of`` needs the
-    projection of ``quotient``, which costs a Smith form with an s x s
-    row transform; it is built on first use.  Both check that the
-    heights have one entry per facet form.
+    heights are the facet values of a point of L, by back-substitution
+    in the Hermite form the monoid's pointed view holds for its sweeps
+    (the view does not refer to the monoid, so nothing cycles).  Only
+    ``class_of`` needs the projection of ``quotient``, which costs a
+    Smith form with an s x s row transform; it is built on first use.
+    Both check that the heights have one entry per facet form.
     """
 
     invariant_factors: tuple[int, ...]
     facet_matrix: IntMatrix
-    # the monoid's pointed view when its forms are the facet forms
-    _view: _PointedView | None = field(default=None, repr=False, compare=False)
+    _view: _PointedView = field(repr=False, compare=False)
 
     @cached_property
     def quotient(self) -> AbelianQuotient:
         return cokernel(self.facet_matrix)
-
-    @cached_property
-    def _column_lattice(self) -> IntMatrix:
-        if self._view is not None:
-            return self._view._echelon[0]
-        return row_lattice_basis(self.facet_matrix.T)
 
     def _heights(self, heights) -> Vec:
         heights = as_tuple(heights)
@@ -264,7 +253,7 @@ class DivisorClassGroup:
         return self.quotient.project(self._heights(heights))
 
     def is_principal(self, heights) -> bool:
-        return lattice_coordinates(self._column_lattice, self._heights(heights)) is not None
+        return self._view._preimage(self._heights(heights)) is not None
 
 
 def class_group(m: AffineMonoid) -> DivisorClassGroup:
@@ -275,8 +264,7 @@ def class_group(m: AffineMonoid) -> DivisorClassGroup:
         divisors = elementary_divisors(m.facet_matrix)
         free = len(m.facet_forms) - len(divisors)
         factors = tuple(e for e in divisors if e > 1) + (0,) * free
-        view = m._pointed_view if m.is_pointed else None
-        m._class_group = DivisorClassGroup(factors, m.facet_matrix, view)
+        m._class_group = DivisorClassGroup(factors, m.facet_matrix, m._pointed_view)
     return m._class_group
 
 
@@ -285,38 +273,43 @@ def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:
 
     Translation by g then maps a onto b, so the two ideals are
     isomorphic as modules exactly when a witness exists; returns None
-    when the classes differ.
+    when the classes differ.  On a pointed monoid the witness is
+    unique; with units any two witnesses differ by a unit, and the one
+    returned is the section representative of ``_PointedView._preimage``.
     """
     if a.monoid is not b.monoid and (
         a.monoid.facet_forms != b.monoid.facet_forms
         or a.monoid.lattice_basis != b.monoid.lattice_basis
     ):
         raise ValueError("ideals live over different monoids")
+    m = a.monoid
     delta = tuple(x - y for x, y in zip(b.heights, a.heights))
-    g = solve_integer(a.monoid.facet_matrix, delta)
+    g = m._pointed_view._preimage(delta)
     if g is None:
         return None
-    return a.monoid.to_ambient(g)
+    return m.to_ambient(m._lift_local(g))
 
 
 def is_gorenstein(m: AffineMonoid) -> tuple[bool, Vec | None]:
     """Whether the canonical module is principal, with a certificate.
 
     Three equivalent tests are run and must agree: the canonical module
-    has a single minimal generator, the all-ones height vector lies in
-    the column lattice of the facet matrix (Hermite membership, the
-    class group's ``is_principal``), and it has an exact integer
-    preimage under the facet forms (a Smith solve).  The certificate is
-    the generator, whose facet values are all exactly one.
+    has a single minimal generator, the all-ones height vector is the
+    facet values of a point of L (Hermite back-substitution, the class
+    group's ``is_principal``), and its class is zero (the Smith
+    cokernel projection, the class group's ``class_of``).  The
+    certificate is the generator, whose facet values are all exactly
+    one.
     """
     m.require_normal()
     s = len(m.facet_forms)
     ones = (1,) * s
     can = canonical_module(m)
     principal = len(can.generators) == 1
-    class_zero = class_group(m).is_principal(ones)
-    g = solve_integer(m.facet_matrix, ones)
-    if not (principal == class_zero == (g is not None)):
+    cg = class_group(m)
+    preimage = cg.is_principal(ones)
+    class_zero = not any(cg.class_of(ones))
+    if not (principal == preimage == class_zero):
         raise RuntimeError("Gorenstein criteria disagree; this is a bug")
     if not principal:
         return False, None

@@ -3,22 +3,22 @@
 Rational questions (rank, determinant, inverses of unimodular
 matrices) all run on one fraction-free Gauss-Jordan kernel,
 ``_eliminate``, which never leaves the integers.  Lattice questions
-need a unimodular transform and use the Hermite form (lattice bases,
-kernels, and membership by back-substitution, ``lattice_coordinates``)
-or the Smith form (cokernels, as abelian quotients in invariant-factor
-form, and integer solves).  Matrices are ``IntMatrix`` values, immutable
-tuples of row tuples of Python ints, so nothing here can overflow; the
-kernels work on mutable row lists inside.
+need a unimodular transform.  The Hermite form serves lattice bases,
+kernels and integer solves, by back-substitution in
+``lattice_coordinates``; the Smith form serves only invariant factors
+and cokernels, as abelian quotients in invariant-factor form.  Matrices
+are ``IntMatrix`` values, immutable tuples of row tuples of Python
+ints, so nothing here can overflow; the kernels work on mutable row
+lists inside.
 
 All three kernels share one convention: pivots come from the first
 columns, and further columns ride along.  ``_eliminate`` carries
 right-hand sides or an identity block that way, and ``hnf`` carries its
-row transform.  The Smith kernel ``_smith`` reduces the first m rows
-and n columns of whatever rows it is handed: ``snf`` hands it its row
-transform beside the matrix and its column transform in rows below it,
-``cokernel`` (through ``_smith_left``) only the row transform, and
-``elementary_divisors`` the bare matrix, so each caller pays for the
-transforms it reads and each operation is written once.
+row transform.  The Smith kernel ``_smith`` reduces the first n columns
+of the rows it is handed: ``cokernel`` (through ``_smith_left``) hands
+it the row transform beside the matrix, and ``elementary_divisors`` the
+bare matrix, so each caller pays for the transform it reads and each
+operation is written once.
 
 Conventions: matrices act on column vectors, so ``cokernel(A)`` is the
 quotient of ``Z^rows(A)`` by the column span of ``A``.  Lattices are
@@ -226,17 +226,16 @@ def rank(a) -> int:
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
-def _smith(s: list[list[int]], m: int, n: int) -> list[list[int]]:
-    """Smith-reduce the leading m x n block of the rows ``s`` in place,
-    and return them.
+def _smith(s: list[list[int]], n: int) -> list[list[int]]:
+    """Smith-reduce the first n columns of the rows ``s`` in place, and
+    return them.
 
-    Row operations act on the first m rows whole and column operations
-    on the first n columns of every row, so whatever else the list holds
-    rides along: columns past n follow the row operations (a row
-    transform), rows past m follow the column operations (a column
-    transform).  The pivots depend on the leading block alone, so what
-    rides along never changes the diagonal.
+    Row operations act on whole rows and column operations on the first
+    n columns, so columns past n ride along as a row transform.  The
+    pivots depend on the first n columns alone, so what rides along
+    never changes the diagonal.
     """
+    m = len(s)
     k = min(m, n)
     for t in range(k):
         # choose the remaining entry of least absolute value as pivot
@@ -295,28 +294,11 @@ def _smith(s: list[list[int]], m: int, n: int) -> list[list[int]]:
     return s
 
 
-def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form.
-
-    Returns (S, U, V) with S = U @ A @ V diagonal, U and V unimodular,
-    diagonal entries nonnegative and each dividing the next; zeros sink
-    to the end of the diagonal.  ``_smith`` reduces the m rows
-    ``[A | I]`` with the n rows of I below them, so U rides along beside
-    S and V below it.
-    """
-    a = _as_matrix(a)
-    m, n = a.shape
-    s = _smith(_with_identity(a) + _identity(n), m, n)
-    return (IntMatrix((row[:n] for row in s[:m]), n), IntMatrix((row[n:] for row in s[:m]), m),
-            IntMatrix(s[m:], n))
-
-
 def _smith_left(a) -> tuple[list[int], IntMatrix]:
     """The diagonal of the Smith form S = U @ A @ V, min(m, n) entries,
-    and U, for callers that never read V: only ``[A | I]`` is reduced.
-    Both agree with ``snf``."""
+    and U, for callers that never read V: only ``[A | I]`` is reduced."""
     m, n = a.shape
-    s = _smith(_with_identity(a), m, n)
+    s = _smith(_with_identity(a), n)
     return [s[i][i] for i in range(min(m, n))], IntMatrix((row[n:] for row in s), m)
 
 
@@ -325,7 +307,7 @@ def elementary_divisors(a) -> tuple[int, ...]:
     the bare matrix is reduced: no transform rides along."""
     a = _as_matrix(a)
     m, n = a.shape
-    s = _smith([list(row) for row in a], m, n)
+    s = _smith([list(row) for row in a], n)
     return tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
 
 
@@ -394,30 +376,6 @@ def kernel_basis(a, width: int | None = None) -> IntMatrix:
     h, u = hnf(a.T)
     zero = [row for hrow, row in zip(h, u) if not any(hrow)]
     return row_lattice_basis(zero) if zero else IntMatrix((), a.shape[1])
-
-
-def solve_integer(a, b) -> Vec | None:
-    """One integer solution x of A @ x = b, or None when none exists."""
-    a = _as_matrix(a)
-    m, n = a.shape
-    b = [int(x) for x in b]
-    if len(b) != m:
-        raise ValueError("right hand side length does not match")
-    s, u, v = snf(a)
-    c = u @ b
-    w = [0] * n
-    k = min(m, n)
-    for i in range(k):
-        d = s[i, i]
-        if d:
-            if c[i] % d:
-                return None
-            w[i] = c[i] // d
-        elif c[i]:
-            return None
-    if any(c[k:]):
-        return None
-    return v @ w
 
 
 def lattice_coordinates(basis, v) -> Vec | None:

@@ -660,7 +660,8 @@ def default_variables(n: int) -> tuple[str, ...]:
 def parse_polynomial(text: str, variables) -> Polynomial:
     """Parse '+'/'-' separated terms of '*'-joined (or juxtaposed)
     factors; factors are nonnegative integers, integer ratios like 3/4,
-    or variable names with optional '^' powers."""
+    or variable names with optional '^' powers.  A '*' must be followed
+    by a factor, so a product never silently becomes a sum."""
     variables = list(variables)
     index = {v: i for i, v in enumerate(variables)}
     n = len(variables)
@@ -735,6 +736,8 @@ def parse_polynomial(text: str, variables) -> Polynomial:
             kind, val = peek()
             if kind == "op" and val == "*":
                 i += 1
+                if peek()[0] not in ("num", "name"):
+                    raise ValueError("expected a factor after '*'")
                 continue
             if kind in ("num", "name"):
                 continue

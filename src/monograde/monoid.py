@@ -14,8 +14,9 @@ Hermite form H of the transposed forms F: there every form is zero
 after its own coordinate, so the sweep checks it exactly there, and
 the box of y' follows from the pivot forms and their caps.  That box
 may hold capped points outside the zonotope box, which the filter
-drops.  On a pointed monoid H is also the column lattice of the class
-group, which reads it from the same view.  The enumeration guard
+drops.  H also answers which point of L has given facet values
+(``_PointedView._preimage``), for the class group and the shift
+witnesses in ``divisorial``.  The enumeration guard
 bounds the zonotope box and, in echelon coordinates, the values the
 pivot forms can take, which bound the sweep's work.  The module also
 decides whether a generating set actually generates C cap L (with an
@@ -157,6 +158,19 @@ class _PointedView:
     def _unsweep(self, point) -> Vec:
         """A point of a ``_sweep_frame`` sweep in the view's coordinates."""
         return point if self.dim <= 2 else point @ self._echelon[1]
+
+    def _preimage(self, values) -> Vec | None:
+        """The y with F(y) = values, or None when values is not in F(Z^dim).
+
+        Back-substitution solves x @ H = values in the echelon form, and
+        y = x @ V.  F is injective, so y is the only solution.  With units
+        F is the facet matrix times ``lift``, which spans the same image
+        as the facet matrix on L, since the facet forms vanish on the
+        units; ``AffineMonoid._lift_local`` maps y back to L.
+        """
+        h, v = self._echelon
+        x = lattice_coordinates(h, values)
+        return None if x is None else x @ v
 
 
 def _guard_box(count: int, what: str = "enumeration box", unit: str = "points") -> None:

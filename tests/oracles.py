@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from monograde import cone, divisorial, groebner
+from monograde import cone, groebner
 from monograde.exact_linalg import (
     IntMatrix,
     _as_matrix,
@@ -39,7 +39,6 @@ from monograde.exact_linalg import (
     primitive,
     rank,
     row_lattice_basis,
-    solve_integer,
     xgcd,
 )
 from monograde.monoid import _guard_box
@@ -915,7 +914,8 @@ def box_minimal_generators(ideal):
     """``divisorial.minimal_generators`` by a scan of the whole vertex
     box plus zonotope box, one dot product per form and point, with the
     Hilbert basis from :func:`box_hilbert_basis`: the route the region
-    sweep replaced."""
+    sweep replaced.  The vertices come from the rational solves of
+    :func:`region_tight_points`, not from the package."""
     m = ideal.monoid
     m.require_normal()
     view = m._pointed_view
@@ -927,8 +927,7 @@ def box_minimal_generators(ideal):
     zlo = [sum(min(0, r[i]) for r in view.rays) for i in range(k)]
     zhi = [sum(max(0, r[i]) for r in view.rays) for i in range(k)]
     _guard_box(math.prod(b - a + 1 for a, b in zip(zlo, zhi)))
-    verts = [tuple(Fraction(v, d) for v in x)
-             for x, d in divisorial._region_vertices(forms, h, k)]
+    verts = region_tight_points(forms, h)
     if not verts:
         raise RuntimeError("height region unexpectedly has no vertices")
     lo = [math.floor(min(v[i] for v in verts)) + zlo[i] for i in range(k)]
@@ -1051,7 +1050,7 @@ def search_normality(m):
         gen_rows = IntMatrix(unit_gens, m.rank)
         if row_lattice_basis(gen_rows) != row_lattice_basis(n_rows):
             for row in n_rows:
-                if solve_integer(gen_rows.T, row) is None:
+                if smith_solve(gen_rows.T, row) is None:
                     return False, m.to_ambient(row)
     for h in m._hilbert_local():
         amb = m.to_ambient(h)
@@ -1170,9 +1169,11 @@ def reference_hnf(a):
 
 
 def reference_snf(a):
-    """``exact_linalg.snf`` as it was before the transforms rode along
-    with the matrix: every row operation written on S and U, every
-    column operation on S and V."""
+    """The two-sided Smith form (S, U, V), S = U @ A @ V, as
+    ``exact_linalg`` computed it before the transforms rode along with
+    the matrix: every row operation written on S and U, every column
+    operation on S and V.  The diagonal and U are those of
+    ``exact_linalg._smith_left``."""
     a = _as_matrix(a)
     m, n = a.shape
     s = [list(row) for row in a]
@@ -1249,3 +1250,30 @@ def reference_snf(a):
                 _combine_cols(v, i, i + 1, 1, 1, cs * (a0 // g), ct * (b0 // g))
                 changed = True
     return IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n)
+
+
+def smith_solve(a, b):
+    """One integer solution x of A @ x = b, or None when none exists,
+    through the two-sided Smith form of :func:`reference_snf`: the route
+    the package took for shift witnesses and the Gorenstein test before
+    every integer preimage read a Hermite form."""
+    a = _as_matrix(a)
+    m, n = a.shape
+    b = [int(x) for x in b]
+    if len(b) != m:
+        raise ValueError("right hand side length does not match")
+    s, u, v = reference_snf(a)
+    c = u @ b
+    w = [0] * n
+    k = min(m, n)
+    for i in range(k):
+        d = s[i, i]
+        if d:
+            if c[i] % d:
+                return None
+            w[i] = c[i] // d
+        elif c[i]:
+            return None
+    if any(c[k:]):
+        return None
+    return v @ w

@@ -293,7 +293,7 @@ def test_rejects_ragged_vectors(monkeypatch, capsys):
 def test_rejects_unparsable_polynomials(monkeypatch, capsys):
     job = '{"command":"%s","vars":2,"grading":[[1],[1]],"%s":["x2", "%s"]}'
     for command, key in (("graded-hull", "ideal"), ("analyze-prime", "prime")):
-        for text in ("x1 +", "x1 + 1/0", "3/0*x2"):
+        for text in ("x1 +", "x1 + 1/0", "3/0*x2", "x1*", "2*", "x1 * - x2"):
             code, message = error_of(monkeypatch, capsys, [command], job % (command, key, text))
             assert code == EXIT_INPUT
             assert message.startswith("%s[1]:" % key)

@@ -47,6 +47,7 @@ from oracles import (
     presentation_corpus,
     random_pointed_cones,
     region_tight_points,
+    smith_solve,
 )
 
 QUAD = monoid_from_cone_rays([(1, 0), (0, 1)])
@@ -375,15 +376,18 @@ def test_one_hermite_form_per_monoid(monkeypatch):
     calls.clear()
     assert class_group(monoid_from_cone_rays(rays)).invariant_factors == cg.invariant_factors
     assert calls == []
-    # with units the view's forms are not the facet forms: the view and
-    # the class group build one each
+    # with units the view's forms are the facet forms times the section
+    # of the quotient, whose Hermite form spans the same image of L: the
+    # class group reads the view's one too
     m = monoid_from_cone_rays(rays + [(-1, 0, 0, 0)])
+    calls.clear()
     assert m.unit_rank == 1 and m._pointed_view.dim == 3
-    calls.clear()  # the cone's lineality kernel took two
+    assert len(calls) == 2  # the cone's lineality kernel
+    calls.clear()
     hilbert_basis(m)
     canonical_module(m)
     is_gorenstein(m)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
@@ -420,12 +424,15 @@ def test_class_group_is_computed_once_per_monoid(monkeypatch):
     for name in calls:
         monkeypatch.setattr(divisorial, name, counting(name))
     first = class_group(m)
+    # the invariant factors need one transform-free Smith form, and
+    # principal classes a Hermite back-substitution: no projection
+    assert not first.is_principal((1, 1)) and first.is_principal((0, 3))
+    assert calls == {"cokernel": 0, "elementary_divisors": 1}
     assert is_gorenstein(m) == (False, None)
     assert class_group(m) is first
-    # the invariant factors need one transform-free Smith form and the
-    # Gorenstein test a Hermite membership: no cokernel projection
-    assert calls == {"cokernel": 0, "elementary_divisors": 1}
-    # the first class_of builds the projection, later ones reuse it
+    # the Gorenstein test builds the cokernel projection for its Smith
+    # route, and later class_of calls reuse it
+    assert calls == {"cokernel": 1, "elementary_divisors": 1}
     assert first.class_of((1, 1)) == (2,)
     assert first.class_of((0, 1)) == (1,)
     assert calls == {"cokernel": 1, "elementary_divisors": 1}
@@ -525,6 +532,77 @@ def test_same_class():
     assert g == (1, 0)
 
 
+# cones equal to their whole lattice: no facets, so no heights, and
+# every ideal is the whole group, in Z^2 and embedded in Z^3
+WHOLE_LATTICE = ([(1, 0), (-1, 0), (0, 1), (0, -1)],
+                 [(1, 0, 1), (-1, 0, -1), (0, 1, 1), (0, -1, -1)])
+
+
+def test_same_class_matches_the_smith_solve():
+    """Shift witnesses by Hermite back-substitution in the pointed
+    view's form agree with the two-sided Smith solve of the facet
+    matrix: None for the same pairs, the same witness on a pointed
+    monoid, and a witness with the height difference as its facet
+    values with units."""
+    rng = random.Random(409)
+    kinds = collections.Counter()
+    for rays in cone_corpus(401) + list(WHOLE_LATTICE):
+        m = monoid_from_cone_rays(rays)
+        s = len(m.facet_forms)
+        for _ in range(4):
+            a = tuple(rng.randint(-2, 2) for _ in range(s))
+            shift = m.facet_matrix @ [rng.randint(-2, 2) for _ in range(m.rank)]
+            noise = tuple(rng.randint(-1, 1) for _ in range(s))
+            for b in (tuple(map(operator.add, a, shift)),
+                      tuple(map(operator.add, a, noise))):
+                g = same_class(divisorial_ideal(m, a), divisorial_ideal(m, b))
+                want = smith_solve(m.facet_matrix, tuple(map(operator.sub, b, a)))
+                assert (g is None) == (want is None), (rays, a, b)
+                kinds["witness" if g is not None else "none"] += 1
+                if g is None:
+                    continue
+                assert m.facet_values(g) == tuple(map(operator.sub, b, a))
+                if m.is_pointed:
+                    assert g == m.to_ambient(want)
+        kinds["units"] += m.unit_rank > 0
+        kinds["embedded"] += m.rank < m.ambient_rank
+        kinds["whole lattice"] += s == 0
+    for rays in WHOLE_LATTICE:
+        m = monoid_from_cone_rays(rays)
+        assert m.facet_forms == () and m._pointed_view.dim == 0
+        assert class_group(m).is_principal(())
+        assert same_class(divisorial_ideal(m, ()), divisorial_ideal(m, ())) == (0,) * len(rays[0])
+    assert kinds["witness"] > 100 and kinds["none"] > 30, kinds
+    assert kinds["units"] > 10 and kinds["embedded"] > 10 and kinds["whole lattice"] >= 2, kinds
+
+
+def test_is_principal_with_units_matches_the_smith_solve():
+    """With units the class group reads the Hermite form of the pointed
+    view's forms, the facet forms times the section of the unit
+    quotient; membership agrees with the Smith solve of the facet
+    matrix itself, and the Gorenstein routes agree with it."""
+    rng = random.Random(419)
+    outcomes = collections.Counter()
+    unit_cones = 0
+    for rays in cone_corpus(401):
+        m = monoid_from_cone_rays(rays)
+        if m.is_pointed:
+            continue
+        unit_cones += 1
+        cg = class_group(m)
+        s = len(m.facet_forms)
+        for _ in range(8):
+            image = m.facet_matrix @ [rng.randint(-3, 3) for _ in range(m.rank)]
+            noise = tuple(rng.randint(-2, 2) for _ in range(s))
+            for heights in (image, tuple(map(operator.add, image, noise))):
+                want = smith_solve(m.facet_matrix, heights) is not None
+                assert cg.is_principal(heights) == want, (rays, heights)
+                outcomes[want] += 1
+        ones = (1,) * s
+        assert is_gorenstein(m)[0] == (smith_solve(m.facet_matrix, ones) is not None)
+    assert unit_cones > 10 and outcomes[True] > 100 and outcomes[False] > 30, outcomes
+
+
 # -- Gorenstein ----------------------------------------------------------
 
 
@@ -536,6 +614,8 @@ def test_gorenstein_fixtures():
     assert is_gorenstein(sq) == (True, (1, 1, 1))
     over = monoid_from_cone_rays([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
     assert is_gorenstein(over) == (True, (1, 1, 2))
+    for rays in WHOLE_LATTICE:
+        assert is_gorenstein(monoid_from_cone_rays(rays)) == (True, (0,) * len(rays[0]))
 
 
 def test_gorenstein_certificate_is_interior_with_unit_heights():

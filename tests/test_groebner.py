@@ -273,6 +273,10 @@ def test_parse_errors():
         poly("x1 +")
     with pytest.raises(ValueError, match="unexpected character"):
         poly("2x1 @")
+    # a '*' needs a factor after it: none of these is read as x1, 2 or x1 - x2
+    for text in ("x1*", "2*", "x1 * - x2", "x1 ** x2", "x1* + 1"):
+        with pytest.raises(ValueError, match="expected a factor after '\\*'"):
+            poly(text)
 
 
 def test_polynomial_basics():
