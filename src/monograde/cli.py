@@ -220,7 +220,9 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
         if value is not None:
             options[key] = value
     if options["budget"] < 1:
-        raise InputError("options.budget: must be positive")
+        # the schema already holds the job's own options.budget to >= 1
+        source = "--budget" if (overrides or {}).get("budget") is not None else "MONOGRADE_BUDGET"
+        raise InputError("%s: must be positive" % source)
     return JobSpec(command, payload, options, tuple(polys))
 
 

@@ -9,16 +9,19 @@ quotient ring read off the leading term ideal.  All loops that can run
 long honor a reduction-step budget and fail with
 :class:`BudgetExceededError` when it is exhausted.
 
-Each order compiles its sort key once and memoizes it per exponent.
-Buchberger's algorithm selects pairs by the sugar strategy: pending
-S-pairs sit in a heap keyed by their sugar (the degree the S-polynomial
-would have after homogenizing the input), then by the order key of
-their lcm, each pair pushed once, so picking the next pair costs a
-logarithm of the queue instead of a scan of it.  Inside it, basis
-elements are primitive integer polynomials and every S-pair and
-reduction step is fraction-free; the reduced basis is made monic over Q
-once, at the end.  The public :func:`normal_form` and
-:func:`s_polynomial` work over Q.
+Each order compiles its sort key once, for the public API.  Buchberger's
+algorithm does not call it: inside, every exponent is packed into one
+int whose integer order is the term order (see :class:`_Packing`), so
+the key of an exponent is the exponent itself, a monomial product is
+one addition and a divisibility test one subtraction and mask.  Pairs
+are selected by the sugar strategy: pending S-pairs sit in a heap keyed
+by their sugar (the degree the S-polynomial would have after
+homogenizing the input), then by their packed lcm, each pair pushed
+once, so picking the next pair costs a logarithm of the queue instead
+of a scan of it.  Basis elements are primitive integer polynomials and
+every S-pair and reduction step is fraction-free; the reduced basis is
+made monic over Q and unpacked to exponent tuples once, at the end.
+The public :func:`normal_form` and :func:`s_polynomial` work over Q.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, itemgetter, le, mul, sub
 
 Exponent = tuple[int, ...]
 
@@ -100,20 +103,6 @@ def _compile_key(kind, nvars, priority, drop):
     return raw
 
 
-class _KeyMemo(dict):
-    """Exponent -> order key, computed on the first lookup only."""
-
-    __slots__ = ("raw",)
-
-    def __init__(self, raw):
-        super().__init__()
-        self.raw = raw
-
-    def __missing__(self, e):
-        k = self[e] = self.raw(e)
-        return k
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """A monomial order on a fixed number of variables.
@@ -125,9 +114,11 @@ class TermOrder:
     polynomial is.
 
     ``key(e)`` is the sort key of exponent ``e``: larger means larger in
-    the order.  It is compiled once per order and memoized on the
-    instance, so an order lives (and its memo grows) only as long as the
-    computation that built it.
+    the order.  It is compiled once per order and serves the public API
+    (:meth:`Polynomial.leading`, :func:`format_polynomial`, the rational
+    :func:`normal_form`).  Buchberger's algorithm packs exponents instead
+    (see :class:`_Packing`), at a width it sets per call from the input
+    degrees, so the order holds no packing.
     """
 
     kind: str
@@ -145,8 +136,8 @@ class TermOrder:
                 raise ValueError("elimination order needs a set of dropped variables")
             if any(i < 0 or i >= self.nvars for i in self.drop):
                 raise ValueError("dropped variable out of range")
-        raw = _compile_key(self.kind, self.nvars, self.priority, self.drop)
-        object.__setattr__(self, "key", _KeyMemo(raw).__getitem__)
+        object.__setattr__(self, "key", _compile_key(self.kind, self.nvars,
+                                                     self.priority, self.drop))
 
 
 def grevlex(nvars: int, priority=None) -> TermOrder:
@@ -312,10 +303,6 @@ def _exp_lcm(e: Exponent, d: Exponent) -> Exponent:
     return tuple(map(max, e, d))
 
 
-def _poly_sort_key(f: Polynomial, order: TermOrder):
-    return sorted(((order.key(e), c) for e, c in f.terms.items()), reverse=True)
-
-
 # -- reduction and Buchberger ----------------------------------------
 
 
@@ -388,38 +375,135 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
 
 # -- the integer kernel ----------------------------------------------
 #
-# Inside Buchberger's algorithm a polynomial is held over Z.  A basis
-# element is a triple (leading exponent, leading coefficient, tail): the
-# coefficients are coprime integers, the leading one positive, and the
-# tail lists the other terms.  Each is a positive multiple of the monic
-# element the rational algorithm would hold, and a work polynomial is a
-# positive multiple of its rational counterpart, so both pick the same
-# terms, the same divisors and the same pairs.
+# Inside Buchberger's algorithm a polynomial is held over Z with packed
+# exponents: a dict from packed exponent (see _Packing) to integer.  A
+# basis element is a tuple (leading exponent, leading coefficient, tail,
+# top): the coefficients are coprime integers, the leading one positive,
+# the tail lists the other terms, and top is the largest total degree of
+# a term, in the degree field.  Each element is a positive multiple of
+# the monic element the rational algorithm would hold, and a work
+# polynomial is a positive multiple of its rational counterpart, so both
+# pick the same terms, the same divisors and the same pairs.
 
 
-def _integer_terms(f: Polynomial) -> dict[Exponent, int]:
-    """The terms of f times the least common denominator of its
-    coefficients."""
-    m = lcm(*(c.denominator for c in f.terms.values()))
-    return {e: c.numerator * (m // c.denominator) for e, c in f.terms.items()}
+class _Overflow(Exception):
+    """A total degree outgrew the fields of its packing."""
 
 
-def _element(terms: dict[Exponent, int], key):
+class _Packing:
+    """The exponents of one order packed into ints, at one field width w.
+
+    An exponent e packs to P(e) = sum(e_i * V_i).  From the top, P holds
+    the linear components of the order's key in base 2^w: grevlex is
+    (degree, -e read backwards), an elimination order each block's
+    (degree, -e read backwards), lex e in priority order.  Below them
+    sit the total degree and the exponents e_i, each in a w-bit field
+    whose top bit is a guard.  While every total degree is at most
+    ``cap`` = 2^(w-1) - 1, no field carries and two keys' components
+    differ by less than 2^w, so comparing the ints compares the keys, a
+    monomial product or quotient is ``+`` or ``-``, d divides e exactly
+    when ``((e | G) - d) & G == G``, and the total degree is
+    ``p >> ds & fm``.  Only the lcm of a pair is taken field by field,
+    from the exponent tuples of the two leading terms.
+
+    Before a reduction step or an S-pair multiplies an element by a
+    monomial, the kernel checks that the products stay within ``cap``
+    and raises :class:`_Overflow` otherwise; the call then starts over
+    at a wider packing (:func:`_widening`).  An lcm needs no check: its
+    fields are those of valid exponents, so its degree stays below 2^w,
+    where comparison, the coprimality and chain tests and the degree
+    read-out still hold, and the S-pair check covers it before it is
+    multiplied out.
+    """
+
+    __slots__ = ("order", "nvars", "cap", "V", "shifts", "fm", "ds", "G", "DG")
+
+    def __init__(self, order: TermOrder, degree: int):
+        n = self.nvars = order.nvars
+        w = max(8, degree.bit_length() + 3)  # cap >= 4 * degree
+        ds = n * w
+        V = [(1 << i * w) + (1 << ds) for i in range(n)]
+        at = ds + w  # the least significant component
+        if order.kind == "lex":
+            for i in reversed(order.priority or range(n)):
+                V[i] += 1 << at
+                at += w
+        else:
+            if order.kind == "elim":
+                blocks = ([i for i in range(n) if i not in order.drop], order.drop)
+            else:
+                blocks = (order.priority or range(n),)
+            for b in blocks:  # least significant block first
+                for i in b:
+                    V[i] -= 1 << at
+                    at += w
+                for i in b:
+                    V[i] += 1 << at
+                at += w
+        self.order, self.cap, self.V, self.ds = order, (1 << w - 1) - 1, V, ds
+        self.shifts = range(0, ds, w)
+        self.fm = (1 << w) - 1
+        self.G = sum(1 << s + w - 1 for s in self.shifts)
+        self.DG = 1 << ds + w - 1
+
+    def _pack(self, e) -> int:
+        return sum(map(mul, e, self.V))
+
+    def _unpack(self, p: int) -> Exponent:
+        fm = self.fm
+        return tuple([p >> s & fm for s in self.shifts])
+
+
+def _widening(pk: _Packing, budget: _Budget, run):
+    """``run(pk)``; if an exponent outgrows ``pk``, the budget's meter
+    goes back to its state on entry and ``run`` starts over at a wider
+    packing, so the answer and every count are those of a run that never
+    overflowed."""
+    entry = budget.remaining, budget.spairs, budget.zero_reductions
+    while True:
+        try:
+            return run(pk)
+        except _Overflow:
+            budget.remaining, budget.spairs, budget.zero_reductions = entry
+            pk = _Packing(pk.order, 2 * pk.cap)
+
+
+def _integer_terms(items) -> dict[int, int]:
+    """The (exponent, Fraction) pairs as a dict, times the least common
+    denominator of the coefficients."""
+    m = lcm(*(c.denominator for _, c in items))
+    return {e: c.numerator * (m // c.denominator) for e, c in items}
+
+
+def _packed_terms(f: Polynomial, pk: _Packing) -> dict[int, int]:
+    """The integer terms of f with packed exponents."""
+    if max(map(sum, f.terms), default=0) > pk.cap:
+        raise _Overflow
+    pack = pk._pack
+    return _integer_terms([(pack(e), c) for e, c in f.terms.items()])
+
+
+def _element(terms: dict[int, int], pk: _Packing):
     """The basis element of a nonzero integer polynomial: its content
     removed and its leading coefficient made positive."""
-    lt = max(terms, key=key)
+    lt = max(terms)
     d = gcd(*terms.values())
     if terms[lt] < 0:
         d = -d
-    return lt, terms[lt] // d, [(e, c // d) for e, c in terms.items() if e != lt]
+    ds, fm = pk.ds, pk.fm
+    top = max([e >> ds & fm for e in terms]) << ds
+    return lt, terms[lt] // d, [(e, c // d) for e, c in terms.items() if e != lt], top
 
 
-def _integer_basis(polys, order: TermOrder) -> list:
-    """Basis elements of nonzero rational polynomials, in the same order."""
-    return [_element(_integer_terms(g), order.key) for g in polys]
+def _integer_basis(polys, order: TermOrder, degree: int):
+    """What :func:`_in_ideal` reduces by: the packing, the packed elements
+    and the polynomials of a Groebner basis, at a width that holds total
+    degrees up to ``degree``."""
+    pk = _Packing(order, max([degree] + [max(map(sum, g.terms)) for g in polys]))
+    return pk, [_element(_packed_terms(g, pk), pk) for g in polys], polys
 
 
-def _reduce(work: dict[Exponent, int], basis, key, budget: _Budget) -> dict[Exponent, int]:
+def _reduce(work: dict[int, int], basis, pk: _Packing, budget: _Budget) -> dict[int, int]:
     """:func:`normal_form` over Z: a positive multiple of the remainder of
     ``work`` (which this consumes) modulo the basis elements.
 
@@ -428,12 +512,14 @@ def _reduce(work: dict[Exponent, int], basis, key, budget: _Budget) -> dict[Expo
     the work and the remainder by lc(g)/d > 0 and subtracts
     (c/d)*x^(e - lt(g))*g, which cancels the term, so nothing is divided.
     """
-    remainder: dict[Exponent, int] = {}
+    G, DG = pk.G, pk.DG
+    remainder: dict[int, int] = {}
     while work:
-        e = max(work, key=key)
+        e = max(work)
         c = work.pop(e)
-        for ge, gc, tail in basis:
-            if all(map(le, ge, e)):  # _divides(ge, e), inlined
+        eg = e | G
+        for ge, gc, tail, top in basis:
+            if (eg - ge) & G == G:
                 break
         else:
             remainder[e] = c
@@ -446,9 +532,11 @@ def _reduce(work: dict[Exponent, int], basis, key, budget: _Budget) -> dict[Expo
                 work = {em: a * v for em, v in work.items()}
                 for em in remainder:
                     remainder[em] *= a
-        shift = _exp_sub(e, ge)
+        shift = e - ge
+        if (shift + top) & DG:
+            raise _Overflow
         for e2, c2 in tail:
-            em = _exp_add(e2, shift)
+            em = e2 + shift
             if em not in work:
                 work[em] = -c * c2
             elif acc := work[em] - c * c2:
@@ -458,20 +546,21 @@ def _reduce(work: dict[Exponent, int], basis, key, budget: _Budget) -> dict[Expo
     return remainder
 
 
-def _s_pair(f, g) -> dict[Exponent, int]:
-    """A positive multiple of the S-polynomial of two basis elements:
-    (lc(g)/d)*x^a*f - (lc(f)/d)*x^b*g with d = gcd(lc(f), lc(g)), whose
-    leading terms cancel, so only the tails are added."""
-    fe, fc, ftail = f
-    ge, gc, gtail = g
-    l = _exp_lcm(fe, ge)
+def _s_pair(f, g, l: int, pk: _Packing) -> dict[int, int]:
+    """A positive multiple of the S-polynomial of two basis elements
+    whose leading terms have the lcm ``l``: (lc(g)/d)*x^a*f -
+    (lc(f)/d)*x^b*g with d = gcd(lc(f), lc(g)), whose leading terms
+    cancel, so only the tails are added."""
+    fe, fc, ftail, ftop = f
+    ge, gc, gtail, gtop = g
+    fshift, gshift = l - fe, l - ge
+    if ((fshift + ftop) | (gshift + gtop)) & pk.DG:
+        raise _Overflow
     d = gcd(fc, gc)
     a, b = gc // d, fc // d
-    shift = _exp_sub(l, fe)
-    out = {_exp_add(e, shift): a * c for e, c in ftail}
-    shift = _exp_sub(l, ge)
+    out = {e + fshift: a * c for e, c in ftail}
     for e, c in gtail:
-        em = _exp_add(e, shift)
+        em = e + gshift
         if em not in out:
             out[em] = -b * c
         elif acc := out[em] - b * c:
@@ -481,29 +570,38 @@ def _s_pair(f, g) -> dict[Exponent, int]:
     return out
 
 
-def _in_ideal(f: Polynomial, basis, order: TermOrder, budget: _Budget) -> bool:
-    """Whether f reduces to zero modulo the basis elements, spending the
-    reduction steps :func:`normal_form` would."""
-    return not _reduce(_integer_terms(f), basis, order.key, budget)
+def _in_ideal(f: Polynomial, basis, budget: _Budget) -> bool:
+    """Whether f reduces to zero modulo a basis from :func:`_integer_basis`,
+    spending the reduction steps :func:`normal_form` would.  If f or its
+    reduction outgrows the basis's packing, both are repacked wider."""
+    first, elements, polys = basis
+
+    def run(pk):
+        els = elements if pk is first else [_element(_packed_terms(g, pk), pk) for g in polys]
+        return not _reduce(_packed_terms(f, pk), els, pk, budget)
+
+    return _widening(first, budget, run)
 
 
-def _interreduce(basis: list, order: TermOrder, budget: _Budget) -> list[Polynomial]:
+def _interreduce(basis: list, pk: _Packing, budget: _Budget) -> list[Polynomial]:
     """The reduced basis from the elements of a Groebner basis: the
-    elements with a minimal leading term, each reduced modulo the others
-    and made monic over Q, sorted by leading term."""
-    key = order.key
+    elements with a minimal leading term, each reduced modulo the others,
+    made monic over Q and unpacked, sorted by leading term."""
+    G = pk.G
     kept: list = []
-    for el in sorted(basis, key=lambda el: key(el[0])):
-        if not any(_divides(k[0], el[0]) for k in kept):
+    for el in sorted(basis, key=itemgetter(0)):
+        eg = el[0] | G
+        if not any((eg - k[0]) & G == G for k in kept):
             kept.append(el)
+    unpack = pk._unpack
     final = []
-    for i, (lt, lc, tail) in enumerate(kept):
+    for i, (lt, lc, tail, _) in enumerate(kept):
         work = dict(tail)
         work[lt] = lc
-        r = _reduce(work, kept[:i] + kept[i + 1:], key, budget)
+        r = _reduce(work, kept[:i] + kept[i + 1:], pk, budget)
         lc = r[lt]
-        g = Polynomial.zero(order.nvars)
-        g.terms = {e: Fraction(c, lc) for e, c in r.items()}
+        g = Polynomial.zero(pk.nvars)
+        g.terms = {unpack(e): Fraction(c, lc) for e, c in r.items()}
         final.append(g)
     return final
 
@@ -518,7 +616,7 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
     The pair (i, j) with lcm l has sugar max(s_i + |l| - |lt_i|,
     s_j + |l| - |lt_j|), the degree its S-polynomial would have if the
     input were homogeneous.  Pending S-pairs sit in a heap keyed by
-    (sugar, order key of the lcm, (i, j)), so the least sugar is reduced
+    (sugar, lcm in the order, (i, j)), so the least sugar is reduced
     first, then the smallest lcm, then the lowest index.  For
     homogeneous input under grevlex this is the normal strategy; under
     elimination and lex orders it stops a pair of high degree, whose
@@ -528,10 +626,13 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
     once appended.  Coprime leading terms and the chain criterion prune
     pairs.
 
-    The basis is held as primitive integer polynomials (see
-    :func:`_reduce`), so no step divides; only the final interreduction
-    makes each element monic over Q.  The S-pairs reduced and those that
-    reduced to zero are counted on the budget.
+    The basis is held as primitive integer polynomials with packed
+    exponents (see :func:`_reduce` and :class:`_Packing`), so no step
+    divides and no step builds a key; only the final interreduction
+    makes each element monic over Q and unpacks it.  The field width
+    comes from the input degrees; a run that outgrows it starts over
+    wider, with the budget as it was on entry.  The S-pairs reduced and
+    those that reduced to zero are counted on the budget.
     """
     budget = _as_budget(budget)
     gens = [g for g in generators if not g.is_zero]
@@ -540,36 +641,48 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
     nv = gens[0].nvars
     if any(g.nvars != nv for g in gens):
         raise ValueError("mixed variable counts")
-    key = order.key
-    gens = sorted(gens, key=lambda g: _poly_sort_key(g, order))
+    degree = max([sum(e) for g in gens for e in g.terms])
+    return _widening(_Packing(order, degree), budget, lambda pk: _buchberger(gens, pk, budget))
+
+
+def _buchberger(gens, pk: _Packing, budget: _Budget) -> tuple[Polynomial, ...]:
+    """:func:`buchberger` at one packing."""
+    G, ds, fm, V = pk.G, pk.ds, pk.fm, pk.V
+    pack = pk._pack
+    rows = sorted(([(pack(e), c) for e, c in g.terms.items()] for g in gens),
+                  key=lambda t: sorted(t, reverse=True))
     basis: list = []
-    lts: list[Exponent] = []
-    sugars: list[int] = []
-    pending: list[tuple] = []  # heap of (sugar, key(lcm), (i, j), lcm)
+    lts: list[int] = []
+    unpacked: list[Exponent] = []  # the leading exponents as tuples
+    excess: list[int] = []  # sugar minus the degree of the leading term
+    pending: list[tuple] = []  # heap of (sugar, lcm, (i, j))
     done: set[tuple[int, int]] = set()
 
     def append(el, sugar: int) -> None:
-        basis.append(el)
         lt = el[0]
+        ex = sugar - (lt >> ds & fm)
+        t = pk._unpack(lt)
         new = len(lts)
-        excess = sugar - sum(lt)
-        for k, lk in enumerate(lts):
-            l = _exp_lcm(lk, lt)
-            s = sum(l) + max(sugars[k] - sum(lk), excess)
-            heapq.heappush(pending, (s, key(l), (k, new), l))
+        for k, tk in enumerate(unpacked):
+            l = sum(map(mul, map(max, tk, t), V))
+            heapq.heappush(pending, ((l >> ds & fm) + max(excess[k], ex), l, (k, new)))
+        basis.append(el)
         lts.append(lt)
-        sugars.append(sugar)
+        unpacked.append(t)
+        excess.append(ex)
 
-    for g in gens:
-        append(_element(_integer_terms(g), key), g.total_degree())
+    for row in rows:
+        el = _element(_integer_terms(row), pk)
+        append(el, el[3] >> ds)
     while pending:
-        s, _, (i, j), l = heapq.heappop(pending)
+        s, l, (i, j) = heapq.heappop(pending)
         done.add((i, j))
-        if l == _exp_add(lts[i], lts[j]):
+        if l == lts[i] + lts[j]:
             continue  # coprime leading terms reduce to zero
+        lg = l | G
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lts[k], l):
+        for k, lk in enumerate(lts):
+            if k in (i, j) or (lg - lk) & G != G:
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -579,12 +692,13 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
         if skip:
             continue
         budget.spairs += 1
-        h = _reduce(_s_pair(basis[i], basis[j]), basis, key, budget)
+        h = _reduce(_s_pair(basis[i], basis[j], l, pk), basis, pk, budget)
         if h:
-            append(_element(h, key), max(s, max(map(sum, h))))
+            el = _element(h, pk)
+            append(el, max(s, el[3] >> ds))
         else:
             budget.zero_reductions += 1
-    return tuple(_interreduce(basis, order, budget))
+    return tuple(_interreduce(basis, pk, budget))
 
 
 @dataclass(frozen=True)

@@ -170,17 +170,18 @@ class PrimeAnalysis:
     sigma: int
 
 
-def _random_nonmember(rng, n: int, basis, order, budget) -> Polynomial:
-    """A random polynomial outside the proper ideal whose Groebner basis
-    has the integer elements ``basis``; if all draws fall inside, as they
-    may for (x1, ..., xn), the last one plus 1."""
+def _random_nonmember(rng, n: int, basis, budget) -> Polynomial:
+    """A random polynomial of degree at most 2 in each variable outside
+    the proper ideal whose Groebner basis has the packed integer elements
+    ``basis``; if all draws fall inside, as they may for (x1, ..., xn),
+    the last one plus 1."""
     for _ in range(64):
         terms = {}
         for _ in range(rng.randint(1, 4)):
             e = tuple(rng.randint(0, 2) for _ in range(n))
             terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
         f = Polynomial(n, terms)
-        if not f.is_zero and not _in_ideal(f, basis, order, budget):
+        if not f.is_zero and not _in_ideal(f, basis, budget):
             return f
     return f + Polynomial.constant(1, n)
 
@@ -218,11 +219,12 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
 
     rng = random.Random(seed)
     if gb_star:
-        basis = _integer_basis(gb_star_deg, deg_order)
+        # packed wide enough for a product of two samples, of degree 4n
+        basis = _integer_basis(gb_star_deg, deg_order, 4 * n)
         for _ in range(samples):
-            a = _random_nonmember(rng, n, basis, deg_order, budget)
-            b = _random_nonmember(rng, n, basis, deg_order, budget)
-            if _in_ideal(a * b, basis, deg_order, budget):
+            a = _random_nonmember(rng, n, basis, budget)
+            b = _random_nonmember(rng, n, basis, budget)
+            if _in_ideal(a * b, basis, budget):
                 raise NotPrimeError(
                     "graded core contains a product of two nonmembers; "
                     "the input cannot be prime"

@@ -652,6 +652,13 @@ def reference_key(order, e):
     return e
 
 
+def poly_sort_key(f, order):
+    """The order in which Buchberger's algorithm takes its generators:
+    by their terms, largest first, compared by order key and then by
+    coefficient."""
+    return sorted(((order.key(e), c) for e, c in f.terms.items()), reverse=True)
+
+
 def rational_interreduce(basis, order, budget):
     """The reduced basis from a list of monic rational polynomials that
     generate the ideal as a Groebner basis, by :func:`groebner.normal_form`:
@@ -690,7 +697,7 @@ def rational_buchberger(generators, order, budget=None):
     if any(g.nvars != nv for g in gens):
         raise ValueError("mixed variable counts")
     key = order.key
-    gens = sorted(gens, key=lambda g: groebner._poly_sort_key(g, order))
+    gens = sorted(gens, key=lambda g: poly_sort_key(g, order))
     basis = []
     lts = []
     sugars = []
@@ -810,7 +817,7 @@ def normal_strategy_buchberger(generators, order, budget=None):
     if any(g.nvars != nv for g in gens):
         raise ValueError("mixed variable counts")
     key = order.key
-    gens = sorted(gens, key=lambda g: groebner._poly_sort_key(g, order))
+    gens = sorted(gens, key=lambda g: poly_sort_key(g, order))
     basis = []
     lts = []
     pending = []  # heap of (key(lcm), (i, j), lcm)

@@ -521,6 +521,20 @@ def test_env_budget_must_be_an_integer(monkeypatch, capsys):
     assert message == "MONOGRADE_BUDGET: expected an integer"
 
 
+def test_a_nonpositive_budget_names_where_it_came_from(monkeypatch, capsys):
+    job = '{"command":"graded-hull","vars":1,"grading":[[1]],"ideal":["x1"]}'
+    code, message = error_of(monkeypatch, capsys, ["graded-hull"], job, env_budget="-3")
+    assert code == EXIT_INPUT
+    assert message == "MONOGRADE_BUDGET: must be positive"
+    code, message = error_of(monkeypatch, capsys, ["graded-hull", "--budget", "0"], job)
+    assert code == EXIT_INPUT
+    assert message == "--budget: must be positive"
+    # a valid flag or job budget overrides a bad environment value
+    code, out, _ = run_cli(monkeypatch, capsys, ["graded-hull", "--budget", "5"], job,
+                           env_budget="-3")
+    assert code == EXIT_OK
+
+
 def test_reads_job_from_input_file(monkeypatch, capsys, tmp_path):
     path = tmp_path / "job.json"
     path.write_text(QUADRANT, encoding="utf-8")

@@ -100,22 +100,42 @@ def test_compiled_keys_match_the_reference_dispatch():
                 assert sorted(exps, key=o.key) == sorted(exps, key=lambda e: reference_key(o, e))
 
 
-def test_keys_are_memoized_per_order_instance():
-    o, p = grevlex(3), grevlex(3)
-    assert o == p and o.key((1, 2, 0)) is o.key((1, 2, 0))
-    assert o.key((1, 2, 0)) is not p.key((1, 2, 0))
+def test_packed_exponents_sort_as_the_reference_keys():
+    """At any width, the packed ints of exponents up to the packing's
+    degree cap sort as :func:`reference_key` does, unpack to the
+    exponents, add as the exponents add, and pass the guard-bit test
+    exactly when one exponent divides the other."""
+    rng = random.Random(83)
+    for n in range(1, 6):
+        for degree in (1, 20, 300, 2**40):
+            for o in seeded_orders(rng, n):
+                pk = groebner._Packing(o, degree)
+                hi = pk.cap // (2 * n)
+                exps = [tuple(rng.randint(0, rng.choice((1, hi))) for _ in range(n))
+                        for _ in range(40)]
+                packed = {e: pk._pack(e) for e in exps}
+                assert sorted(exps, key=packed.get) == \
+                    sorted(exps, key=lambda e: reference_key(o, e))
+                assert len(set(packed.values())) == len(set(exps))
+                G = pk.G
+                for a, b in zip(exps, exps[1:]):
+                    assert pk._unpack(packed[a]) == a
+                    assert packed[a] + packed[b] == pk._pack(groebner._exp_add(a, b))
+                    divides = (((packed[b] | G) - packed[a]) & G) == G
+                    assert divides == groebner._divides(a, b)
 
 
 def record_pairs(monkeypatch, spairs):
     """Append each S-pair either route reduces to ``spairs`` as the
     leading exponents (lt_i, lt_j) of its two elements: ``buchberger``
-    forms them with the integer kernel's ``_s_pair``, the rational
-    oracles with ``s_polynomial``."""
+    forms them with the integer kernel's ``_s_pair`` (whose packed
+    exponents the recorder unpacks), the rational oracles with
+    ``s_polynomial``."""
     real_pair, real_spoly = groebner._s_pair, groebner.s_polynomial
 
-    def integer_pair(f, g):
-        spairs.append((f[0], g[0]))
-        return real_pair(f, g)
+    def integer_pair(f, g, l, pk):
+        spairs.append((pk._unpack(f[0]), pk._unpack(g[0])))
+        return real_pair(f, g, l, pk)
 
     def rational_pair(f, g, order):
         spairs.append((f.leading(order)[0], g.leading(order)[0]))
@@ -243,6 +263,112 @@ def test_integer_kernel_matches_the_rational_route(monkeypatch):
         assert outcomes[0] == outcomes[1]
         cut += outcomes[0][0] is None
     assert len(cases) > 300 and 0 < cut < len(cases) // 4
+
+
+def record_packings(monkeypatch):
+    """The degree cap of every packing the kernel builds, in order."""
+    caps = []
+
+    class Recorded(groebner._Packing):
+        __slots__ = ()
+
+        def __init__(self, order, degree):
+            super().__init__(order, degree)
+            caps.append(self.cap)
+
+    monkeypatch.setattr(groebner, "_Packing", Recorded)
+    return caps
+
+
+def rational_meter(monkeypatch, gens, order, limit):
+    """``rational_buchberger``'s basis (None if the budget ran out), its
+    S-pairs, the S-polynomials that reduced to zero and its steps spent,
+    counted at ``s_polynomial`` and ``normal_form``."""
+    count = {"spairs": 0, "zero": 0}
+    last = [None]
+    real_spoly, real_nf = groebner.s_polynomial, groebner.normal_form
+
+    def spoly(f, g, order):
+        count["spairs"] += 1
+        last[0] = h = real_spoly(f, g, order)
+        return h
+
+    def nf(f, basis, order, budget=None):
+        r = real_nf(f, basis, order, budget)
+        count["zero"] += f is last[0] and r.is_zero
+        return r
+
+    budget = groebner._Budget(limit)
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "s_polynomial", spoly)
+        m.setattr(groebner, "normal_form", nf)
+        try:
+            gb = rational_buchberger(gens, order, budget)
+        except BudgetExceededError:
+            gb = None
+    return gb, count["spairs"], count["zero"], limit - budget.remaining
+
+
+def test_an_overflowing_width_restarts_wider_and_charges_once(monkeypatch):
+    """Degrees past the packing's cap restart the call at a wider packing,
+    with the budget's meter as it was on entry: the basis, the S-pairs,
+    the zero reductions and the steps spent are the rational route's,
+    also when the budget runs out before or after the restart.
+
+    - lex, x1 - x2^16 and x1^16: the S-pair reduces to x2^256, past the
+      cap of 127 that input degree 16 starts with, and with x1^13 to
+      x2^208, which still fits the 8-bit field but not under its guard;
+    - grevlex, the first overflow at an S-pair: lcms of the leading
+      terms outgrow the cap of 255 before any reduction step does;
+    - x1^(2^40) + x2 with x1*x2: an exponent no fixed width holds;
+    - x1 - x2^(2^40) and x1^8: the same, and x2^(2^43) is past its own
+      cap.
+    """
+    big = 2**40
+    grevlex_spair = [Polynomial(3, {(10, 0, 23): 1, (16, 0, 22): 1}),
+                     Polynomial(3, {(0, 11, 0): 1, (28, 0, 1): 1})]
+    cases = [  # generators, order, restarts, budgets
+        ([poly("x1 - x2^16"), poly("x1^16")], lex(2), 1, (5, 10, 20_000)),
+        ([poly("x1 - x2^16"), poly("x1^13")], lex(2), 1, (20_000,)),
+        (grevlex_spair, grevlex(3), 1, (40, 20_000)),
+        ([Polynomial(2, {(big, 0): 1, (0, 1): 1}), poly("x1*x2")], lex(2), 0, (2, 20_000)),
+        ([Polynomial(2, {(1, 0): 1, (0, big): -1}), poly("x1^8")], lex(2), 1, (3, 20_000)),
+    ]
+    for gens, o, restarts, limits in cases:
+        for limit in limits:
+            want = rational_meter(monkeypatch, gens, o, limit)
+            with monkeypatch.context() as m:
+                caps = record_packings(m)
+                budget = groebner._Budget(limit)
+                try:
+                    gb = buchberger(gens, o, budget)
+                except BudgetExceededError:
+                    gb = None
+            assert (gb, budget.spairs, budget.zero_reductions,
+                    limit - budget.remaining) == want
+            if gb is not None:
+                assert want[1] > 0
+                assert len(caps) == 1 + restarts
+                assert max(sum(e) for g in gb for e in g.terms) <= caps[-1]
+
+
+def test_membership_past_the_packed_basis_width_widens():
+    """``_in_ideal`` packs each polynomial at the width of the basis it
+    was handed.  One of higher degree repacks both wider, so its answer
+    and its steps are those of the rational ``normal_form``: x1^130 has
+    fields past the cap of 127 that divisibility by x1^5 must not
+    misread."""
+    order = grevlex(2)
+    g = poly("x1^5 - x2^5")
+    basis = groebner._integer_basis([g], order, 1)
+    assert basis[0].cap == 127
+    for text, member in (("x1^130 - x2^130", True), ("x1^130 - x2^129", False),
+                         ("x1^5*x2 - x2^6", True), ("x1^2 - x2^2", False)):
+        f = poly(text)
+        budgets = groebner._Budget(10_000), groebner._Budget(10_000)
+        assert groebner._in_ideal(f, basis, budgets[0]) is member
+        assert normal_form(f, [g], order, budgets[1]).is_zero is member
+        assert budgets[0].remaining == budgets[1].remaining
 
 
 # -- parsing and formatting ----------------------------------------------
