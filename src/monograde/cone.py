@@ -1,19 +1,19 @@
 """Rational polyhedral cones with exact ray and facet duality.
 
 Both conversion directions run the double description method over exact
-integers.  Its start cone comes from one fraction-free elimination, and
-its adjacency test is combinatorial: each ray carries a bitmask of the
-constraints tight on it, and two rays are adjacent iff no third ray's
-mask contains the AND of theirs.  That is decided on column bitsets,
-the set of rays tight on each constraint: ANDed over the constraints
-common to the pair, exactly the pair's own two bits must survive.
-Double description returns the masks, and the face questions are read
-off them by containment, with no further rank: a face is known by the
-set of facet forms vanishing on it, and a larger set means a smaller
-face.  So a generator is
-extreme iff its set is maximal among those short of all forms, and an
-input form supports a facet iff the set of rays it vanishes on is
-maximal among those short of all rays.  Cones may be non-pointed (the
+integers.  One fraction-free elimination gives the rank, the start rows
+and the start cone, and the adjacency test is combinatorial: each ray
+carries a bitmask of the constraints tight on it, and two rays are
+adjacent iff no third ray's mask contains the AND of theirs.  That is
+decided on column bitsets, the set of rays tight on each constraint:
+ANDed over the constraints common to the pair, exactly the pair's own
+two bits must survive.  Double description returns the masks, and the
+face questions are read off them by containment, with no further rank:
+a face is known by the set of facet forms vanishing on it, and a larger
+set means a smaller face.  So a generator is extreme iff its set is
+maximal among those short of all forms, and an input form supports a
+facet iff the set of rays it vanishes on is maximal among those short
+of all rays.  Cones may be non-pointed (the
 lineality space is reported separately) and lower-dimensional.  For a
 full-dimensional cone the facet forms are the unique primitive supports
 of the facets; otherwise they describe the cone modulo the orthogonal
@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from operator import mul
 
 from .exact_linalg import (
     IntMatrix,
@@ -76,67 +78,88 @@ class Cone:
         return membership(self, x, "interior" if interior else "closure")
 
 
-def _pointed_extreme_rays(a, d: int, base: list[int]) -> dict[Vec, int]:
+def _start_cone(a) -> tuple[list[int], list[Vec]]:
+    """Independent rows of A and the start cone they cut out, from one
+    fraction-free elimination of ``[A^T | I]``.
+
+    The pivot columns pick ``base``, a maximal independent set of the
+    rows of A.  The identity block rides along as E, and E @ B^T = e*I
+    for the rows B of A in ``base``: row k of E is tight on every row of
+    ``base`` but ``base[k]``, where it takes the value e.  So sgn(e)
+    times it is the start ray opposite ``base[k]``.
+    """
+    n = len(a)
+    rows, base, e, _ = _eliminate(_with_identity([list(col) for col in zip(*a)]), n)
+    sgn = 1 if e > 0 else -1
+    return base, [primitive([sgn * x for x in rows[k][n:]]) for k in range(len(base))]
+
+
+def _pointed_extreme_rays(a, d: int, base: list[int], start: list[Vec]) -> dict[Vec, int]:
     """Extreme rays of {x : A x >= 0} for A of full column rank d (pointed
     cone), each mapped to the bitmask of the rows of A tight on it.
 
-    ``base`` lists d independent rows of A.  Incremental double
-    description: start from the simplicial cone they cut out, then
+    ``base`` lists d independent rows of A, and ``start[k]`` is tight
+    on all of them but ``base[k]`` (see ``_start_cone``).  Incremental
+    double description: start from the simplicial cone they span, then
     insert the other rows one by one.  Each ray carries a bitmask of the
-    inserted rows tight on it.  A positive and a negative ray are
-    adjacent iff no third ray is tight on every row both are tight on
-    (Fukuda & Prodon 1996); only adjacent pairs combine into new rays.
-    The test reads column bitsets: the AND of the tight-ray sets of the
-    rows common to the pair keeps exactly the pair's own two bits iff
-    the pair is adjacent, and it stops as soon as only those two are
-    left.  A row's tight-ray set is built the first time a pair needs
-    it, at most once per insertion.  Once every row is inserted the
-    masks are the full incidences, and they are returned with the rays.
+    inserted rows tight on it, in a list beside the rays.  A positive
+    and a negative ray are adjacent iff no third ray is tight on every
+    row both are tight on (Fukuda & Prodon 1996); only adjacent pairs
+    combine into new rays.  The test reads column bitsets: the AND of
+    the tight-ray sets of the rows common to the pair keeps exactly the
+    pair's own two bits iff the pair is adjacent, and it stops as soon
+    as only those two are left.  A row's tight-ray set is built the
+    first time a pair needs it, at most once per insertion.  Once every
+    row is inserted the masks are the full incidences, and they are
+    returned with the rays.
     """
-    if d == 0:
-        return {}
-    # [B | I] reduces to [e*I | e*B^-1]; column j of B^-1 is tight on all of B but row j
-    rows, _, e, _ = _eliminate(_with_identity([a[i] for i in base]), d)
-    sgn = 1 if e > 0 else -1
     inserted = sum(1 << i for i in base)
-    masks = {primitive([sgn * row[d + j] for row in rows]): inserted ^ (1 << i)
-             for j, i in enumerate(base)}
+    rays, masks = start, [inserted ^ (1 << i) for i in base]
     for i, row in enumerate(a):
         bit = 1 << i
         if inserted & bit:
             continue
-        rays = list(masks)
-        ray_masks = list(masks.values())
-        vals = [_dot(row, r) for r in rays]
-        fresh = {r: m | (0 if v else bit) for r, m, v in zip(rays, ray_masks, vals) if v >= 0}
-        neg = [k for k, v in enumerate(vals) if v < 0]
+        # one pass: the signs on the new row, and the rays that survive it
+        vals, pos, neg, kept, kept_masks = [], [], [], [], []
+        for k, (r, m) in enumerate(zip(rays, masks)):
+            v = sum(map(mul, row, r))
+            vals.append(v)
+            if v < 0:
+                neg.append(k)
+                continue
+            if v:
+                pos.append(k)
+            kept.append(r)
+            kept_masks.append(m if v else m | bit)
         every = (1 << len(rays)) - 1
         tight = {}  # row bit -> the rays tight on that row, as bits of ray indices
-        for kp, vp in enumerate(vals):
-            if vp <= 0:
-                continue
+        for kp in pos:
+            mp, vp, rp, bp = masks[kp], vals[kp], rays[kp], 1 << kp
             for kn in neg:
-                common = ray_masks[kp] & ray_masks[kn]
+                common = mp & masks[kn]
                 # a 2-face is cut out by at least d - 2 constraints: a cheap first filter
                 if common.bit_count() < d - 2:
                     continue
                 # AND the tight-ray sets of the common rows; the pair itself always survives
-                pair = 1 << kp | 1 << kn
+                pair = bp | 1 << kn
                 alive, rest = every, common
                 while rest and alive != pair:
                     low = rest & -rest
                     col = tight.get(low)
                     if col is None:
-                        col = tight[low] = sum(1 << k for k, m in enumerate(ray_masks) if m & low)
+                        col = tight[low] = sum(1 << k for k, m in enumerate(masks) if m & low)
                     alive &= col
                     rest ^= low
                 if alive != pair:
                     continue
-                rp, rn, vn = rays[kp], rays[kn], vals[kn]
-                fresh[primitive([vp * y - vn * x for x, y in zip(rp, rn)])] = common | bit
-        masks = fresh
+                vn = vals[kn]
+                w = [vp * y - vn * x for x, y in zip(rp, rays[kn])]
+                g = gcd(*w)
+                kept.append(tuple(w) if g == 1 else tuple(x // g for x in w))
+                kept_masks.append(common | bit)
+        rays, masks = kept, kept_masks
         inserted |= bit
-    return masks
+    return dict(zip(rays, masks))
 
 
 def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -154,23 +177,25 @@ def _dd(a: IntMatrix) -> tuple[dict[Vec, int], IntMatrix]:
     """Extreme rays (modulo lineality) of {x : A x >= 0}, each mapped to
     the bitmask of the rows of A tight on it, and a lineality basis.
 
-    One elimination of A^T gives the rank and the start rows of double
-    description.  Only when the rank falls short of d is the lineality
-    computed; the cone is then solved in the pointed quotient and lifted
-    back.  ``lift`` is injective and extends to a unimodular basis, so
-    the start rows stay independent, lifted primitive rays stay
-    primitive, and row i of A @ lift is tight on y iff row i of A is
-    tight on lift @ y: the masks carry over unchanged.
+    One elimination, ``_start_cone``, gives the rank and the start cone
+    of double description.  Only when the rank falls short of d is the
+    lineality computed; the cone is then solved in the pointed quotient,
+    from the start cone of A @ lift, and lifted back.  ``lift`` is
+    injective and extends to a unimodular basis, so lifted primitive
+    rays stay primitive, and row i of A @ lift is tight on y iff row i
+    of A is tight on lift @ y: the masks carry over unchanged.
     """
     d = a.shape[1]
-    _, base, _, _ = _eliminate([list(col) for col in zip(*a)], len(a))
+    base, start = _start_cone(a)
     if len(base) == d:
-        return _pointed_extreme_rays(a, d, base), IntMatrix((), d)
+        return _pointed_extreme_rays(a, d, base, start), IntMatrix((), d)
     lin = kernel_basis(a)
     if not base:
         return {}, lin
     _, lift = _quotient_transform(lin)
-    rays = _pointed_extreme_rays(a @ lift, len(base), base)
+    a = a @ lift
+    base, start = _start_cone(a)
+    rays = _pointed_extreme_rays(a, len(base), base, start)
     return {lift @ y: m for y, m in rays.items()}, lin
 
 
@@ -202,11 +227,9 @@ def _clean_vectors(vectors, width: int | None) -> tuple[tuple[Vec, ...], int]:
         width = w
     elif width is None:
         raise ValueError("ambient rank is required when no vectors are given")
-    out: list[Vec] = []
-    for v in vs:
-        if any(x != 0 for x in v):
-            out.append(primitive(v))
-    return tuple(sorted(set(out))), width
+    # the zero vector, whose gcd is 0, is dropped
+    out = {v if g == 1 else tuple(x // g for x in v) for v in vs if (g := gcd(*v))}
+    return tuple(sorted(out)), width
 
 
 # a repeated conversion comes within one job, with no other ray set

@@ -238,12 +238,16 @@ def _smith(s: list[list[int]], n: int) -> list[list[int]]:
     m = len(s)
     k = min(m, n)
     for t in range(k):
-        # choose the remaining entry of least absolute value as pivot
-        best = None
+        # choose the first remaining entry of least absolute value as
+        # pivot, in row-major order; nothing beats a unit, so stop there
+        best, least = None, 0
         for i in range(t, m):
             for j in range(t, n):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(s[i][j])
+                if x and (best is None or x < least):
+                    best, least = (i, j), x
+            if least == 1:
+                break
         if best is None:
             break
         bi, bj = best

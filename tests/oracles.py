@@ -1099,11 +1099,15 @@ def rank_facet_forms(fs, rays, lin):
     return sorted(set(kept))
 
 
-def containment_extreme_rays(a, d, base):
+def containment_extreme_rays(a, d, base, start):
     """``cone._pointed_extreme_rays`` with the adjacency test it had
     before the column bitsets: a positive and a negative ray are
     adjacent iff no third ray's mask contains the AND of theirs, found
-    by a scan over every ray."""
+    by a scan over every ray.  ``start`` is ignored: the start cone
+    comes from its own elimination of ``[B | I]``, where B holds the
+    rows of ``base``, as it did before one elimination of ``[A^T | I]``
+    gave both the rows and the start cone, so the comparison covers
+    the start cone too."""
     if d == 0:
         return {}
     aug = [list(a[i]) + [int(j == k) for k in range(d)] for j, i in enumerate(base)]

@@ -9,7 +9,7 @@ import pytest
 import monograde.cone as cone_module
 from monograde.cone import Cone, facets_of_rays, membership, rays_of_facets
 from monograde.divisorial import class_group
-from monograde.exact_linalg import IntMatrix, kernel_basis, rank
+from monograde.exact_linalg import IntMatrix, _eliminate, _with_identity, kernel_basis, rank
 from monograde.monoid import monoid_from_cone_rays
 from oracles import (
     cone_corpus,
@@ -290,6 +290,30 @@ def test_full_dimensional_pointed_conversions_make_no_rank_or_kernel_call(monkey
     # the counters see the calls a cone with lineality does need
     facets_of_rays([(1, 0), (-1, 0), (0, 1)])
     assert calls == {"kernel_basis": 1}
+
+
+def test_a_double_description_makes_one_elimination(monkeypatch):
+    calls = count_calls(monkeypatch, ("_eliminate",))
+    # full rank and pointed: one elimination gives the rank, the start
+    # rows and the start cone
+    for d, rays in benchmark_rank_cones(seed=811):
+        for a in (IntMatrix(rays), IntMatrix(facets_of_rays(rays).facet_forms)):
+            calls.clear()
+            masks, lin = cone_module._dd(a)
+            assert calls == {"_eliminate": 1} and lin == ()
+            assert masks == containment_extreme_rays(a, d, *cone_module._start_cone(a))
+    # a negative last pivot e: the start rays are the rows of E times sgn(e)
+    a = IntMatrix([(0, -1), (1, 0), (1, -2)])
+    assert _eliminate(_with_identity(a.T), len(a))[2] < 0
+    calls.clear()
+    assert cone_module._dd(a) == ({(0, -1): 0b010, (1, 0): 0b001}, ())
+    assert calls == {"_eliminate": 1}
+    # the lower-rank route: one more elimination, of A @ lift in the quotient
+    for vectors, d in [([(1, 0, 1), (0, 1, 1), (1, 1, 2)], 3), ([(0, -1, 0), (1, 0, 0)], 3)]:
+        calls.clear()
+        masks, lin = cone_module._dd(IntMatrix(vectors, d))
+        assert calls == {"_eliminate": 2} and len(masks) == 2
+    assert lin == ((0, 0, 1),)
 
 
 def test_a_ray_set_is_converted_once(monkeypatch):

@@ -186,8 +186,13 @@ def test_transforms_ride_along_to_the_reference_forms():
 def test_smith_kernel_without_column_transform_matches_snf():
     """What rides along never moves the diagonal: ``[A | I]`` alone and
     the bare matrix give the diagonal, U and elementary divisors of the
-    two-sided reference form."""
-    for a in transform_corpus(random.Random(127)):
+    two-sided reference form.  The kernel stops its pivot search at the
+    first unit; the reference scans every entry, so matrices whose first
+    unit follows larger entries, with more units after it, check that
+    the same pivot is taken."""
+    units = [IntMatrix([[4, 2, -1], [1, 3, 1]]), IntMatrix([[6, 0], [3, 1], [-1, 1]]),
+             IntMatrix([[0, 5, 2, 7], [3, 0, 1, -1], [1, 1, 0, 2]])]
+    for a in units + transform_corpus(random.Random(127)):
         s, u, _ = reference_snf(a)
         diag = [s[i, i] for i in range(min(a.shape))]
         got = _smith_left(a)
