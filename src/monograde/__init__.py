@@ -60,7 +60,6 @@ from .groebner import (
     lex,
     normal_form,
     parse_polynomial,
-    s_polynomial,
 )
 from .monoid import (
     AffineMonoid,

@@ -175,8 +175,8 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
 
     Option precedence: command line flags, then the job's "options"
     object, then the MONOGRADE_BUDGET environment variable (budget
-    only), then the default budget=%d.
-    """ % DEFAULT_BUDGET
+    only), then the default budget=500000 (``DEFAULT_BUDGET``).
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -44,7 +44,7 @@ from .exact_linalg import (
     cokernel,
     elementary_divisors,
 )
-from .monoid import AffineMonoid, _guard_box, _PointedView, _region_points
+from .monoid import AffineMonoid, _echelon_box, _guard_box, _PointedView, _region_points
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,11 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
     coordinates of y, read off the columns of the lattice basis, with
     height -box and cap box.  So only members are visited at the last
     coordinate, and each is read off the ambient values with no lattice
-    solve.  The local box comes from the Hermite pivots of the basis:
-    the ambient coordinate at row i's pivot is y_i times the pivot plus
-    the earlier rows' entries there, which bounds |y_i| in turn.  The
-    guard counts the ambient box, (2 box + 1)^r points.
+    solve.  The local box comes from the Hermite pivots of the basis
+    (``_echelon_box``): the ambient coordinate at row i's pivot is y_i
+    times the pivot plus the earlier rows' entries there, which bounds
+    |y_i| in turn.  The guard counts the ambient box, (2 box + 1)^r
+    points.
     """
     if box < 0:
         raise ValueError("box bound must be nonnegative")
@@ -91,17 +92,12 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
     r = m.ambient_rank
     _guard_box((2 * box + 1) ** r)
     basis = m.lattice_basis
-    bounds = []
-    for i, row in enumerate(basis):
-        j = next(j for j, c in enumerate(row) if c)
-        rest = box + sum(b * abs(basis[k][j]) for k, b in enumerate(bounds))
-        bounds.append(rest // abs(row[j]))
+    lo, hi, _ = _echelon_box(basis, [-box] * r, [box] * r)
     s = len(ideal.heights)
     forms = list(m.facet_forms) + [tuple(row[j] for row in basis) for j in range(r)]
     heights = list(ideal.heights) + [-box] * r
     caps = [None] * s + [box] * r
-    lo = [-b for b in bounds]
-    return tuple(sorted(vals[s:] for _, vals in _region_points(forms, heights, lo, bounds, caps)))
+    return tuple(sorted(vals[s:] for _, vals in _region_points(forms, heights, lo, hi, caps)))
 
 
 def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:

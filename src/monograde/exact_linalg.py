@@ -39,6 +39,17 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
+def as_tuple(v) -> Vec:
+    """The entries of v as a tuple of ints.  Integral values such as 2.0
+    are taken; any other value, such as 2.7 or 1/2, raises ValueError
+    instead of being truncated."""
+    v = tuple(v)
+    t = tuple(map(int, v))
+    if t != v:
+        raise ValueError("not an integer vector: %r" % (v,))
+    return t
+
+
 class IntMatrix(tuple):
     """An immutable integer matrix: a tuple of equal-length row tuples.
 
@@ -50,7 +61,7 @@ class IntMatrix(tuple):
     """
 
     def __new__(cls, rows, width: int | None = None):
-        self = super().__new__(cls, (tuple(map(int, row)) for row in rows))
+        self = super().__new__(cls, map(as_tuple, rows))
         self._width = len(self[0]) if self and width is None else width
         if self._width is None:
             raise ValueError("width is required for an empty matrix")
@@ -83,10 +94,6 @@ class IntMatrix(tuple):
         if len(v) != len(self):
             raise ValueError("matrix shapes do not match")
         return tuple(sum(c * row[j] for c, row in zip(v, self)) for j in range(self._width))
-
-
-def as_tuple(v) -> Vec:
-    return tuple(map(int, v))
 
 
 def _as_matrix(a, width: int | None = None) -> IntMatrix:
@@ -222,7 +229,7 @@ def row_lattice_basis(a) -> IntMatrix:
 
 def rank(a) -> int:
     """Rank over Q of a matrix given as an IntMatrix or a sequence of rows."""
-    rows = [[int(x) for x in row] for row in a]
+    rows = [list(as_tuple(row)) for row in a]
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
@@ -329,7 +336,7 @@ class AbelianQuotient:
     projection: tuple[Vec, ...]
 
     def project(self, v) -> Vec:
-        v = [int(x) for x in v]
+        v = as_tuple(v)
         out = []
         for d, row in zip(self.invariant_factors, self.projection):
             c = _dot(row, v)
@@ -361,7 +368,7 @@ def cokernel(a, width: int | None = None) -> AbelianQuotient:
 
 def primitive(v) -> Vec:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    w = tuple(map(int, v))
+    w = as_tuple(v)
     g = math.gcd(*w)
     if g == 1:
         return w
@@ -390,7 +397,7 @@ def lattice_coordinates(basis, v) -> Vec | None:
     coordinate is the quotient there, and v is in the lattice iff
     nothing is left over.
     """
-    rest = [int(x) for x in v]
+    rest = list(as_tuple(v))
     if len(rest) != basis.shape[1]:
         raise ValueError("vector length does not match the basis")
     x = []

@@ -9,11 +9,11 @@ quotient ring read off the leading term ideal.  All loops that can run
 long honor a reduction-step budget and fail with
 :class:`BudgetExceededError` when it is exhausted.
 
-Each order compiles its sort key once, for the public API.  Buchberger's
-algorithm does not call it: inside, every exponent is packed into one
-int whose integer order is the term order (see :class:`_Packing`), so
-the key of an exponent is the exponent itself, a monomial product is
-one addition and a divisibility test one subtraction and mask.  Pairs
+Each order's sort key serves the public API.  Buchberger's algorithm
+does not call it: inside, every exponent is packed into one int whose
+integer order is the term order (see :class:`_Packing`), so the key of
+an exponent is the exponent itself, a monomial product is one addition
+and a divisibility test one subtraction and mask.  Pairs
 are selected by the sugar strategy: pending S-pairs sit in a heap keyed
 by their sugar (the degree the S-polynomial would have after
 homogenizing the input), then by their packed lcm, each pair pushed
@@ -21,7 +21,7 @@ once, so picking the next pair costs a logarithm of the queue instead
 of a scan of it.  Basis elements are primitive integer polynomials and
 every S-pair and reduction step is fraction-free; the reduced basis is
 made monic over Q and unpacked to exponent tuples once, at the end.
-The public :func:`normal_form` and :func:`s_polynomial` work over Q.
+The public :func:`normal_form` works over Q.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, itemgetter, le, mul, sub
+
+from .exact_linalg import as_tuple
 
 Exponent = tuple[int, ...]
 
@@ -76,31 +78,9 @@ def _as_budget(budget) -> _Budget:
 # -- term orders -----------------------------------------------------
 
 
-def _compile_key(kind, nvars, priority, drop):
-    """The key function of one order, with no dispatch left per call.
-
-    A grevlex key is ``(degree, negated exponents read backwards)``; a
-    lex key is the exponent read in priority order; an elimination key
-    is the grevlex key of the dropped block, then that of the rest.
-    """
-    if kind == "elim":
-        rdrop = drop[::-1]
-        rkeep = [i for i in reversed(range(nvars)) if i not in drop]
-
-        def raw(e):
-            d, k = [e[i] for i in rdrop], [e[i] for i in rkeep]
-            return (sum(d), tuple([-x for x in d])), (sum(k), tuple([-x for x in k]))
-    elif kind == "grevlex":
-        rev = (priority or range(nvars))[::-1]
-
-        def raw(e):
-            return sum(e), tuple([-e[i] for i in rev])
-    elif priority is None:
-        raw = tuple
-    else:
-        def raw(e):
-            return tuple([e[i] for i in priority])
-    return raw
+def _grevlex_key(e) -> tuple:
+    """(degree, negated exponents read backwards)."""
+    return sum(e), tuple([-x for x in reversed(e)])
 
 
 @dataclass(frozen=True)
@@ -113,12 +93,11 @@ class TermOrder:
     any leading term free of dropped variables certifies that the whole
     polynomial is.
 
-    ``key(e)`` is the sort key of exponent ``e``: larger means larger in
-    the order.  It is compiled once per order and serves the public API
-    (:meth:`Polynomial.leading`, :func:`format_polynomial`, the rational
-    :func:`normal_form`).  Buchberger's algorithm packs exponents instead
-    (see :class:`_Packing`), at a width it sets per call from the input
-    degrees, so the order holds no packing.
+    :meth:`key` serves the public API (:meth:`Polynomial.leading`,
+    :func:`format_polynomial`, the rational :func:`normal_form`).
+    Buchberger's algorithm packs exponents instead (see :class:`_Packing`),
+    at a width it sets per call from the input degrees, so the order holds
+    no packing.
     """
 
     kind: str
@@ -136,8 +115,18 @@ class TermOrder:
                 raise ValueError("elimination order needs a set of dropped variables")
             if any(i < 0 or i >= self.nvars for i in self.drop):
                 raise ValueError("dropped variable out of range")
-        object.__setattr__(self, "key", _compile_key(self.kind, self.nvars,
-                                                     self.priority, self.drop))
+
+    def key(self, e) -> tuple:
+        """The sort key of exponent ``e``: larger means larger in the
+        order.  A grevlex key is :func:`_grevlex_key`, a lex key the
+        exponent read in priority order, and an elimination key the
+        grevlex key of the dropped block, then that of the rest."""
+        if self.kind == "elim":
+            return (_grevlex_key([e[i] for i in self.drop]),
+                    _grevlex_key([x for i, x in enumerate(e) if i not in self.drop]))
+        if self.priority is not None:
+            e = [e[i] for i in self.priority]
+        return _grevlex_key(e) if self.kind == "grevlex" else tuple(e)
 
 
 def grevlex(nvars: int, priority=None) -> TermOrder:
@@ -168,7 +157,7 @@ class Polynomial:
                 c = Fraction(c)
             if not c:
                 continue
-            e = tuple(int(x) for x in e)
+            e = as_tuple(e)
             if len(e) != self.nvars or any(x < 0 for x in e):
                 raise ValueError("bad exponent %r" % (e,))
             if e not in clean:
@@ -182,6 +171,16 @@ class Polynomial:
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars, {})
+
+    @classmethod
+    def _clean(cls, nvars: int, terms: dict) -> "Polynomial":
+        """A polynomial on ``terms`` taken as they are: the package
+        already holds them clean, with valid exponent tuples and nonzero
+        Fraction coefficients, so nothing is checked or copied."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def constant(cls, c, nvars: int) -> "Polynomial":
@@ -229,14 +228,10 @@ class Polynomial:
                 out[e] = acc
             else:
                 del out[e]
-        p = Polynomial.zero(self.nvars)
-        p.terms = out
-        return p
+        return Polynomial._clean(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.zero(self.nvars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._clean(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -244,10 +239,8 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = other if type(other) is Fraction else Fraction(other)
-            p = Polynomial.zero(self.nvars)
-            if c:
-                p.terms = {e: c * v for e, v in self.terms.items()}
-            return p
+            terms = {e: c * v for e, v in self.terms.items()} if c else {}
+            return Polynomial._clean(self.nvars, terms)
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
         out: dict[Exponent, Fraction] = {}
@@ -260,9 +253,7 @@ class Polynomial:
                     out[e] = acc
                 else:
                     del out[e]
-        p = Polynomial.zero(self.nvars)
-        p.terms = out
-        return p
+        return Polynomial._clean(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -297,10 +288,6 @@ def _exp_sub(e: Exponent, d: Exponent) -> Exponent:
 
 def _exp_add(e: Exponent, d: Exponent) -> Exponent:
     return tuple(map(add, e, d))
-
-
-def _exp_lcm(e: Exponent, d: Exponent) -> Exponent:
-    return tuple(map(max, e, d))
 
 
 # -- reduction and Buchberger ----------------------------------------
@@ -340,37 +327,7 @@ def normal_form(f: Polynomial, basis, order: TermOrder, budget=None) -> Polynomi
                 work[em] = acc
             else:
                 del work[em]
-    out = Polynomial.zero(f.nvars)
-    out.terms = remainder
-    return out
-
-
-def _shifted_terms(f: Polynomial, shift: Exponent, lc: Fraction) -> dict:
-    """The terms of x^shift * f / lc; a monic basis element has lc 1 and
-    is shifted without any division."""
-    if lc == 1:
-        return {_exp_add(e, shift): c for e, c in f.terms.items()}
-    scale = 1 / lc
-    return {_exp_add(e, shift): scale * c for e, c in f.terms.items()}
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    fe, fc = f.leading(order)
-    ge, gc = g.leading(order)
-    if f.nvars != g.nvars:
-        raise ValueError("mixed variable counts")
-    l = _exp_lcm(fe, ge)
-    out = _shifted_terms(f, _exp_sub(l, fe), fc)
-    for e, c in _shifted_terms(g, _exp_sub(l, ge), gc).items():
-        if e not in out:
-            out[e] = -c
-        elif acc := out[e] - c:
-            out[e] = acc
-        else:
-            del out[e]
-    p = Polynomial.zero(f.nvars)
-    p.terms = out
-    return p
+    return Polynomial._clean(f.nvars, remainder)
 
 
 # -- the integer kernel ----------------------------------------------
@@ -600,9 +557,8 @@ def _interreduce(basis: list, pk: _Packing, budget: _Budget) -> list[Polynomial]
         work[lt] = lc
         r = _reduce(work, kept[:i] + kept[i + 1:], pk, budget)
         lc = r[lt]
-        g = Polynomial.zero(pk.nvars)
-        g.terms = {unpack(e): Fraction(c, lc) for e, c in r.items()}
-        final.append(g)
+        terms = {unpack(e): Fraction(c, lc) for e, c in r.items()}
+        final.append(Polynomial._clean(pk.nvars, terms))
     return final
 
 

@@ -122,36 +122,22 @@ class _PointedView:
         and 2.  ``_unsweep`` maps a swept point back.
 
         In dimension 3 and up, the forms are the columns of H and the box
-        is in y' (``_echelon``).  Coordinate i is the last that row i's
-        pivot form p involves, with a positive coefficient c, so the
-        sweep checks p and every form between the pivots exactly there.
-        Its bounds come from p alone: p must reach heights[p] and stay
-        within caps[p] whatever coordinates 0..i-1 add inside their own
-        bounds.  So no region point is lost, though the box may hold
-        capped points outside ``lo``, ``hi``, which the callers guard.
+        is in y' (``_echelon``), bounded by ``_echelon_box``.  Coordinate
+        i is the last that row i's pivot form p involves, so the sweep
+        checks p and every form between the pivots exactly there.  No
+        region point is lost, though the box may hold capped points
+        outside ``lo``, ``hi``, which the callers guard.
 
-        The work is bounded by the pivot forms instead.  Once coordinates
-        0..i-1 are fixed, p takes values c apart, so coordinate i takes
-        at most n_i = (caps[p] - heights[p]) // c + 1 values, and the
-        sweep enters at most n_0 * ... * n_i prefixes of length i + 1.
-        The guard refuses a frame whose product of all max(n_i, 1) is
-        beyond the desk scale, which bounds every one of these counts.
+        The work is bounded by the pivot forms instead: the sweep enters
+        at most n_0 * ... * n_i prefixes of length i + 1, with n_i from
+        ``_echelon_box``.  The guard refuses a frame whose product of all
+        max(n_i, 1) is beyond the desk scale, which bounds every one of
+        these counts.
         """
         if self.dim <= 2:
             return self.forms, lo, hi
         h, _ = self._echelon
-        lo, hi = [], []
-        count = 1
-        for i, row in enumerate(h):
-            p = next(j for j, c in enumerate(row) if c)
-            least = most = 0  # the range of coordinates 0..i-1 on form p
-            for k in range(i):
-                c = h[k][p]
-                least += min(c * lo[k], c * hi[k])
-                most += max(c * lo[k], c * hi[k])
-            lo.append(-((most - heights[p]) // row[p]))
-            hi.append((caps[p] - least) // row[p])
-            count *= max((caps[p] - heights[p]) // row[p] + 1, 1)
+        lo, hi, count = _echelon_box(h, heights, caps)
         _guard_box(count, "echelon sweep")
         return h.T, lo, hi
 
@@ -180,6 +166,35 @@ def _guard_box(count: int, what: str = "enumeration box", unit: str = "points") 
         raise EnumerationLimitError(
             "%s has %d %s, beyond the supported desk scale" % (what, count, unit)
         )
+
+
+def _echelon_box(h, heights, caps) -> tuple[list[int], list[int], int]:
+    """(lo, hi, count) for a sweep over the y with heights <= y @ h <=
+    caps, column by column, where ``h`` is an echelon form with positive
+    pivots.
+
+    Coordinate i is the last that column p, row i's pivot, involves, with
+    the coefficient c = h[i][p] > 0.  Its bounds come from column p
+    alone: it must reach heights[p] and stay within caps[p] whatever
+    coordinates 0..i-1 add inside their own bounds.  Once those are
+    fixed, column p takes values c apart, so coordinate i takes at most
+    n_i = (caps[p] - heights[p]) // c + 1 values; ``count`` is the
+    product of all max(n_i, 1).
+    """
+    lo, hi = [], []
+    count = 1
+    for i, row in enumerate(h):
+        p = next(j for j, c in enumerate(row) if c)
+        c = row[p]
+        least = most = 0  # the range of coordinates 0..i-1 on column p
+        for k in range(i):
+            a = h[k][p]
+            least += min(a * lo[k], a * hi[k])
+            most += max(a * lo[k], a * hi[k])
+        lo.append(-((most - heights[p]) // c))
+        hi.append((caps[p] - least) // c)
+        count *= max((caps[p] - heights[p]) // c + 1, 1)
+    return lo, hi, count
 
 
 class AffineMonoid:

@@ -112,7 +112,7 @@ def graded_hull_z(ideal: IdealPresentation, weights, budget=None) -> IdealPresen
     """
     budget = _as_budget(budget)
     n = ideal.nvars
-    wt = tuple(int(w) for w in weights)
+    wt = as_tuple(weights)
     if len(wt) != n:
         raise ValueError("need one weight per variable")
     ti, ui = n, n + 1

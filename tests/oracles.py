@@ -652,6 +652,38 @@ def reference_key(order, e):
     return e
 
 
+def _exp_lcm(e, d):
+    return tuple(map(max, e, d))
+
+
+def _shifted_terms(f, shift, lc):
+    """The terms of x^shift * f / lc; a monic basis element has lc 1 and
+    is shifted without any division."""
+    if lc == 1:
+        return {groebner._exp_add(e, shift): c for e, c in f.terms.items()}
+    scale = 1 / lc
+    return {groebner._exp_add(e, shift): scale * c for e, c in f.terms.items()}
+
+
+def s_polynomial(f, g, order):
+    """The S-polynomial of f and g over Q, each divided by its leading
+    coefficient: the rational step that ``groebner._s_pair`` replaced."""
+    fe, fc = f.leading(order)
+    ge, gc = g.leading(order)
+    if f.nvars != g.nvars:
+        raise ValueError("mixed variable counts")
+    l = _exp_lcm(fe, ge)
+    out = _shifted_terms(f, groebner._exp_sub(l, fe), fc)
+    for e, c in _shifted_terms(g, groebner._exp_sub(l, ge), gc).items():
+        if e not in out:
+            out[e] = -c
+        elif acc := out[e] - c:
+            out[e] = acc
+        else:
+            del out[e]
+    return groebner.Polynomial(f.nvars, out)
+
+
 def poly_sort_key(f, order):
     """The order in which Buchberger's algorithm takes its generators:
     by their terms, largest first, compared by order key and then by
@@ -682,12 +714,13 @@ def rational_interreduce(basis, order, budget):
 def rational_buchberger(generators, order, budget=None):
     """``groebner.buchberger`` as it was before the integer kernel: the
     same sugar heap over monic rational polynomials, each pair reduced by
-    :func:`groebner.normal_form` of :func:`groebner.s_polynomial`, and the
-    basis interreduced by :func:`rational_interreduce`.  Every integer
+    :func:`groebner.normal_form` of :func:`s_polynomial`, and the basis
+    interreduced by :func:`rational_interreduce`.  Every integer
     polynomial of the kernel is a positive multiple of the rational one
     here, so both routes must reduce the same pairs in the same order,
-    spend the same steps and return the same basis.  Module globals go
-    through ``groebner``, so a test can count the calls.
+    spend the same steps and return the same basis.  ``s_polynomial`` is
+    looked up in this module and ``normal_form`` in ``groebner``, so a
+    test can count the calls.
     """
     budget = groebner._as_budget(budget)
     gens = [g for g in generators if not g.is_zero]
@@ -710,7 +743,7 @@ def rational_buchberger(generators, order, budget=None):
         new = len(lts)
         excess = sugar - sum(lt)
         for k, lk in enumerate(lts):
-            l = groebner._exp_lcm(lk, lt)
+            l = _exp_lcm(lk, lt)
             s = sum(l) + max(sugars[k] - sum(lk), excess)
             heapq.heappush(pending, (s, key(l), (k, new), l))
         lts.append(lt)
@@ -734,7 +767,7 @@ def rational_buchberger(generators, order, budget=None):
                 break
         if skip:
             continue
-        h = groebner.normal_form(groebner.s_polynomial(basis[i], basis[j], order),
+        h = groebner.normal_form(s_polynomial(basis[i], basis[j], order),
                                  basis, order, budget)
         if not h.is_zero:
             append(h, max(s, h.total_degree()))
@@ -746,9 +779,10 @@ def reference_buchberger(generators, order, budget):
     whole pending set, with keys from :func:`reference_key` and each
     pair's sugar recomputed from the sugars of its two elements.
 
-    S-polynomials, reductions and the final interreduction go through
-    the ``groebner`` module's globals, so a test that counts them there
-    counts both routes alike.
+    S-polynomials go through this module's ``s_polynomial``, and
+    reductions and the final interreduction through the ``groebner``
+    module's globals, so a test that counts them there counts both
+    routes alike.
     """
     def key(e):
         return reference_key(order, e)
@@ -789,7 +823,7 @@ def reference_buchberger(generators, order, budget):
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
                for k in range(len(basis))):
             continue
-        h = groebner.normal_form(groebner.s_polynomial(basis[i], basis[j], order),
+        h = groebner.normal_form(s_polynomial(basis[i], basis[j], order),
                                  basis, order, budget)
         if h.is_zero:
             continue
@@ -806,8 +840,9 @@ def normal_strategy_buchberger(generators, order, budget=None):
     """``groebner.buchberger`` as it was before sugar: the pending heap is
     keyed by the order key of the lcm alone (the normal strategy).  The
     reduced basis is unique, so both routes must agree; the S-pair
-    counts show what the selection saves.  S-polynomials and reductions
-    go through the ``groebner`` module's globals.
+    counts show what the selection saves.  S-polynomials go through this
+    module's ``s_polynomial`` and reductions through ``groebner``'s
+    ``normal_form``.
     """
     budget = groebner._as_budget(budget)
     gens = [g for g in generators if not g.is_zero]
@@ -828,7 +863,7 @@ def normal_strategy_buchberger(generators, order, budget=None):
         lt = g.leading(order)[0]
         new = len(lts)
         for k, lk in enumerate(lts):
-            l = groebner._exp_lcm(lk, lt)
+            l = _exp_lcm(lk, lt)
             heapq.heappush(pending, (key(l), (k, new), l))
         lts.append(lt)
 
@@ -850,7 +885,7 @@ def normal_strategy_buchberger(generators, order, budget=None):
                 break
         if skip:
             continue
-        h = groebner.normal_form(groebner.s_polynomial(basis[i], basis[j], order),
+        h = groebner.normal_form(s_polynomial(basis[i], basis[j], order),
                                  basis, order, budget)
         if not h.is_zero:
             append(h)

@@ -514,6 +514,12 @@ def test_budget_precedence_flag_over_options_over_env(monkeypatch, capsys):
     assert json.loads(out)["options"]["budget"] == 999
 
 
+def test_parse_input_docstring_names_the_default_budget():
+    doc = cli.parse_input.__doc__
+    assert doc is not None and "Option precedence" in doc
+    assert "budget=%d" % groebner.DEFAULT_BUDGET in doc
+
+
 def test_env_budget_must_be_an_integer(monkeypatch, capsys):
     job = '{"command":"gorenstein","rays":[[1,0],[0,1]]}'
     code, message = error_of(monkeypatch, capsys, ["gorenstein"], job, env_budget="oops")

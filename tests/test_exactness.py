@@ -9,8 +9,23 @@ integral floats JSON may carry for integers (``2.0``).
 
 import ast
 import os
+from fractions import Fraction
+
+import pytest
 
 import monograde
+from monograde.cone import facets_of_rays
+from monograde.exact_linalg import (
+    IntMatrix,
+    as_tuple,
+    cokernel,
+    lattice_coordinates,
+    primitive,
+    rank,
+)
+from monograde.groebner import IdealPresentation, Polynomial, grevlex
+from monograde.monoid import normalize_presentation
+from monograde.multigraded import graded_hull_z
 
 PACKAGE = os.path.dirname(os.path.abspath(monograde.__file__))
 
@@ -72,3 +87,34 @@ def test_guard_sees_each_kind_of_float():
         (6, "math.pi"), (8, "float"),
     ]
     assert (8, "float") not in float_uses("cli.py", source)
+
+
+def test_non_integer_input_is_refused_not_truncated():
+    """Vectors, matrix rows, exponents and weights are read with ``int``,
+    which truncates 2.7 to 2; a value that is not integral raises
+    ValueError instead, and an integral one such as 2.0, which JSON may
+    carry, is taken as the integer."""
+    ideal = IdealPresentation((Polynomial(2, {(1, 0): 1, (0, 1): 1}),), grevlex(2))
+    quotient = cokernel([(2,)])
+    for bad in (1.5, Fraction(1, 2), 2.7):
+        with pytest.raises(ValueError):
+            as_tuple((bad, 1))
+        with pytest.raises(ValueError):
+            IntMatrix([(bad, 1), (0, 1)])
+        with pytest.raises(ValueError):
+            Polynomial(2, {(bad, 1): 1})
+        with pytest.raises(ValueError):
+            normalize_presentation([(bad, 1), (0, 1)])
+        with pytest.raises(ValueError):
+            facets_of_rays([(bad, 0), (0, 1)])
+        for call in (lambda: primitive((bad, 3)), lambda: rank([(bad, 1)]),
+                     lambda: lattice_coordinates(IntMatrix([(1, 0), (0, 1)]), (bad, 1)),
+                     lambda: quotient.project((bad,)), lambda: graded_hull_z(ideal, (bad, 1))):
+            with pytest.raises(ValueError):
+                call()
+    v = as_tuple((2.0, Fraction(4, 2), 1))
+    assert v == (2, 2, 1) and all(type(x) is int for x in v)
+    assert IntMatrix([(2.0, 1), (0, 1)]) == IntMatrix([(2, 1), (0, 1)])
+    assert Polynomial(2, {(2.0, 1): 1}) == Polynomial(2, {(2, 1): 1})
+    assert normalize_presentation([(2.0, 1), (0, 1)]).generators == ((2, 1), (0, 1))
+    assert facets_of_rays([(2.0, 0), (0, 1)]) == facets_of_rays([(2, 0), (0, 1)])
