@@ -19,9 +19,13 @@ by their sugar (the degree the S-polynomial would have after
 homogenizing the input), then by their packed lcm, each pair pushed
 once, so picking the next pair costs a logarithm of the queue instead
 of a scan of it.  Basis elements are primitive integer polynomials and
-every S-pair and reduction step is fraction-free; the reduced basis is
-made monic over Q and unpacked to exponent tuples once, at the end.
-The public :func:`normal_form` works over Q.
+every S-pair and reduction step is fraction-free.  The private entry
+:func:`_reduced_rows` hands the reduced basis back as primitive integer
+rows (dicts from exponent tuple to int), which the graded hulls and the
+prime analysis in ``multigraded`` feed straight into the next call;
+:func:`buchberger` makes them monic over Q, the only place a kernel
+answer becomes a :class:`Polynomial`.  The public :func:`normal_form`
+works over Q.
 """
 
 from __future__ import annotations
@@ -332,7 +336,12 @@ def normal_form(f: Polynomial, basis, order: TermOrder, budget=None) -> Polynomi
 
 # -- the integer kernel ----------------------------------------------
 #
-# Inside Buchberger's algorithm a polynomial is held over Z with packed
+# Between kernel calls a polynomial is a row: a dict from exponent tuple
+# to coefficient.  A row with Fraction coefficients is taken as given; a
+# row with int coefficients is a primitive kernel answer, leading term
+# first with a positive coefficient, and stands for its monic form (each
+# coefficient over the first).  Inside Buchberger's algorithm a
+# polynomial is held over Z with packed
 # exponents: a dict from packed exponent (see _Packing) to integer.  A
 # basis element is a tuple (leading exponent, leading coefficient, tail,
 # top): the coefficients are coprime integers, the leading one positive,
@@ -426,18 +435,18 @@ def _widening(pk: _Packing, budget: _Budget, run):
 
 
 def _integer_terms(items) -> dict[int, int]:
-    """The (exponent, Fraction) pairs as a dict, times the least common
-    denominator of the coefficients."""
+    """The (exponent, coefficient) pairs as a dict, times the least common
+    denominator of the coefficients (Fractions or ints)."""
     m = lcm(*(c.denominator for _, c in items))
     return {e: c.numerator * (m // c.denominator) for e, c in items}
 
 
-def _packed_terms(f: Polynomial, pk: _Packing) -> dict[int, int]:
-    """The integer terms of f with packed exponents."""
-    if max(map(sum, f.terms), default=0) > pk.cap:
+def _packed_terms(row: dict, pk: _Packing) -> dict[int, int]:
+    """The integer terms of a row with packed exponents."""
+    if max(map(sum, row), default=0) > pk.cap:
         raise _Overflow
     pack = pk._pack
-    return _integer_terms([(pack(e), c) for e, c in f.terms.items()])
+    return _integer_terms([(pack(e), c) for e, c in row.items()])
 
 
 def _element(terms: dict[int, int], pk: _Packing):
@@ -452,12 +461,12 @@ def _element(terms: dict[int, int], pk: _Packing):
     return lt, terms[lt] // d, [(e, c // d) for e, c in terms.items() if e != lt], top
 
 
-def _integer_basis(polys, order: TermOrder, degree: int):
+def _integer_basis(rows, order: TermOrder, degree: int):
     """What :func:`_in_ideal` reduces by: the packing, the packed elements
-    and the polynomials of a Groebner basis, at a width that holds total
-    degrees up to ``degree``."""
-    pk = _Packing(order, max([degree] + [max(map(sum, g.terms)) for g in polys]))
-    return pk, [_element(_packed_terms(g, pk), pk) for g in polys], polys
+    and the rows of a Groebner basis, at a width that holds total degrees
+    up to ``degree``."""
+    pk = _Packing(order, max([degree] + [max(map(sum, r)) for r in rows]))
+    return pk, [_element(_packed_terms(r, pk), pk) for r in rows], rows
 
 
 def _reduce(work: dict[int, int], basis, pk: _Packing, budget: _Budget) -> dict[int, int]:
@@ -527,23 +536,44 @@ def _s_pair(f, g, l: int, pk: _Packing) -> dict[int, int]:
     return out
 
 
-def _in_ideal(f: Polynomial, basis, budget: _Budget) -> bool:
-    """Whether f reduces to zero modulo a basis from :func:`_integer_basis`,
-    spending the reduction steps :func:`normal_form` would.  If f or its
-    reduction outgrows the basis's packing, both are repacked wider."""
-    first, elements, polys = basis
+def _in_ideal(terms: dict[int, int], basis, budget: _Budget) -> bool:
+    """Whether the integer ``terms``, packed at the packing of a basis
+    from :func:`_integer_basis` and of total degree at most its cap,
+    reduce to zero modulo the basis, spending the reduction steps
+    :func:`normal_form` would.  If the reduction outgrows the packing,
+    the terms and the basis are repacked wider."""
+    first, elements, rows = basis
 
     def run(pk):
-        els = elements if pk is first else [_element(_packed_terms(g, pk), pk) for g in polys]
-        return not _reduce(_packed_terms(f, pk), els, pk, budget)
+        if pk is first:
+            return not _reduce(dict(terms), elements, pk, budget)
+        unpack, pack = first._unpack, pk._pack
+        return not _reduce({pack(unpack(e)): c for e, c in terms.items()},
+                           [_element(_packed_terms(r, pk), pk) for r in rows], pk, budget)
 
     return _widening(first, budget, run)
 
 
-def _interreduce(basis: list, pk: _Packing, budget: _Budget) -> list[Polynomial]:
+def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two polynomials whose terms are packed at one
+    packing that holds it."""
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if e not in out:
+                out[e] = c1 * c2
+            elif acc := out[e] + c1 * c2:
+                out[e] = acc
+            else:
+                del out[e]
+    return out
+
+
+def _interreduce(basis: list, pk: _Packing, budget: _Budget) -> list[dict]:
     """The reduced basis from the elements of a Groebner basis: the
     elements with a minimal leading term, each reduced modulo the others,
-    made monic over Q and unpacked, sorted by leading term."""
+    as primitive integer rows sorted by leading term."""
     G = pk.G
     kept: list = []
     for el in sorted(basis, key=itemgetter(0)):
@@ -556,14 +586,50 @@ def _interreduce(basis: list, pk: _Packing, budget: _Budget) -> list[Polynomial]
         work = dict(tail)
         work[lt] = lc
         r = _reduce(work, kept[:i] + kept[i + 1:], pk, budget)
-        lc = r[lt]
-        terms = {unpack(e): Fraction(c, lc) for e, c in r.items()}
-        final.append(Polynomial._clean(pk.nvars, terms))
+        lc = r.pop(lt)
+        d = gcd(lc, *r.values())
+        row = {unpack(lt): lc // d}
+        for e, c in r.items():
+            row[unpack(e)] = c // d
+        final.append(row)
     return final
 
 
+def _row_key(items: list) -> list:
+    """The order in which :func:`_buchberger` takes its rows: the
+    (packed exponent, coefficient) pairs of a row, largest first.  An int
+    row compares as its monic form, a Fraction row as given."""
+    lc = items[0][1]
+    if type(lc) is int and lc != 1:
+        items = [(e, Fraction(c, lc)) for e, c in items]
+    return sorted(items, reverse=True)
+
+
+def _monic(rows, nvars: int) -> tuple[Polynomial, ...]:
+    """The monic polynomials of primitive integer rows."""
+    out = []
+    for row in rows:
+        lc = next(iter(row.values()))
+        out.append(Polynomial._clean(nvars, {e: Fraction(c, lc) for e, c in row.items()}))
+    return tuple(out)
+
+
 def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, ...]:
-    """The reduced Groebner basis of the ideal, sorted by leading term.
+    """The reduced Groebner basis of the ideal, sorted by leading term:
+    :func:`_reduced_rows` of the generators, made monic over Q."""
+    budget = _as_budget(budget)
+    gens = [g for g in generators if not g.is_zero]
+    if not gens:
+        return ()
+    nv = gens[0].nvars
+    if any(g.nvars != nv for g in gens):
+        raise ValueError("mixed variable counts")
+    return _monic(_reduced_rows([g.terms for g in gens], order, budget), order.nvars)
+
+
+def _reduced_rows(rows, order: TermOrder, budget: _Budget) -> list[dict]:
+    """The reduced Groebner basis of the ideal of nonzero ``rows``, as
+    primitive integer rows sorted by leading term.
 
     Pair selection follows the sugar strategy of Giovini, Mora, Niesi,
     Robbiano and Traverso (1991).  Each basis element carries a sugar:
@@ -580,33 +646,27 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
     pair is pushed once, when its second element joins the basis; its
     lcm and sugar never change, since leading terms and sugars are fixed
     once appended.  Coprime leading terms and the chain criterion prune
-    pairs.
+    pairs.  The rows are taken in the order of :func:`_row_key`.
 
     The basis is held as primitive integer polynomials with packed
     exponents (see :func:`_reduce` and :class:`_Packing`), so no step
     divides and no step builds a key; only the final interreduction
-    makes each element monic over Q and unpacks it.  The field width
-    comes from the input degrees; a run that outgrows it starts over
-    wider, with the budget as it was on entry.  The S-pairs reduced and
-    those that reduced to zero are counted on the budget.
+    unpacks.  The field width comes from the input degrees; a run that
+    outgrows it starts over wider, with the budget as it was on entry.
+    The S-pairs reduced and those that reduced to zero are counted on
+    the budget.
     """
-    budget = _as_budget(budget)
-    gens = [g for g in generators if not g.is_zero]
-    if not gens:
-        return ()
-    nv = gens[0].nvars
-    if any(g.nvars != nv for g in gens):
-        raise ValueError("mixed variable counts")
-    degree = max([sum(e) for g in gens for e in g.terms])
-    return _widening(_Packing(order, degree), budget, lambda pk: _buchberger(gens, pk, budget))
+    if not rows:
+        return []
+    degree = max([sum(e) for r in rows for e in r])
+    return _widening(_Packing(order, degree), budget, lambda pk: _buchberger(rows, pk, budget))
 
 
-def _buchberger(gens, pk: _Packing, budget: _Budget) -> tuple[Polynomial, ...]:
-    """:func:`buchberger` at one packing."""
+def _buchberger(rows, pk: _Packing, budget: _Budget) -> list[dict]:
+    """:func:`_reduced_rows` at one packing."""
     G, ds, fm, V = pk.G, pk.ds, pk.fm, pk.V
     pack = pk._pack
-    rows = sorted(([(pack(e), c) for e, c in g.terms.items()] for g in gens),
-                  key=lambda t: sorted(t, reverse=True))
+    rows = sorted(([(pack(e), c) for e, c in r.items()] for r in rows), key=_row_key)
     basis: list = []
     lts: list[int] = []
     unpacked: list[Exponent] = []  # the leading exponents as tuples
@@ -654,7 +714,7 @@ def _buchberger(gens, pk: _Packing, budget: _Budget) -> tuple[Polynomial, ...]:
             append(el, max(s, el[3] >> ds))
         else:
             budget.zero_reductions += 1
-    return tuple(_interreduce(basis, pk, budget))
+    return _interreduce(basis, pk, budget)
 
 
 @dataclass(frozen=True)
@@ -686,18 +746,17 @@ def ideal_dimension(ideal: IdealPresentation, budget=None) -> int:
     ideal is rejected.
     """
     budget = _as_budget(budget)
-    deg_order = grevlex(ideal.nvars)
-    return _grevlex_basis_dimension(buchberger(ideal.generators, deg_order, budget),
-                                    deg_order, budget)
+    n = ideal.nvars
+    rows = _reduced_rows([g.terms for g in ideal.generators], grevlex(n), budget)
+    return _grevlex_basis_dimension(rows, n, budget)
 
 
-def _grevlex_basis_dimension(gb, deg_order: TermOrder, budget: _Budget) -> int:
-    """:func:`ideal_dimension` of the ideal whose reduced basis under
-    ``deg_order``, a plain grevlex order, is ``gb``."""
-    n = deg_order.nvars
+def _grevlex_basis_dimension(rows, n: int, budget: _Budget) -> int:
+    """:func:`ideal_dimension` of the ideal whose reduced grevlex basis,
+    in ``n`` variables, has the rows ``rows`` (leading term first)."""
     supports = []
-    for g in gb:
-        e = g.leading(deg_order)[0]
+    for r in rows:
+        e = next(iter(r))
         if not any(e):
             raise ValueError("the ideal is the unit ideal")
         supports.append(sum(1 << i for i, x in enumerate(e) if x))
@@ -826,7 +885,7 @@ def parse_polynomial(text: str, variables) -> Polynomial:
             break
         if not (kind == "op" and val in "+-"):
             raise ValueError("expected '+' or '-' between terms")
-    return Polynomial(n, terms)
+    return Polynomial._clean(n, terms)
 
 
 def format_polynomial(f: Polynomial, variables=None, order: TermOrder | None = None) -> str:

@@ -12,12 +12,20 @@ t^(w_j) x_j with an auxiliary t that is invertible (an extra u with
 t*u = 1), then eliminate t and u.  A polynomial survives exactly when
 each of its graded components does, so iterating over the r coordinates
 yields the full multigraded hull.
+
+The hull passes and the prime analysis hold the primitive integer rows
+of ``groebner``'s kernel (dicts from exponent tuple to int) from the
+first call to the last: each pass substitutes, eliminates, filters and
+re-bases rows, the rows of one pass feed the next, and the primality
+samples are drawn, multiplied and reduced as packed integer terms.
+Polynomials over Q are built once, for the answer.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .exact_linalg import Vec, as_tuple, rank
 from .groebner import (
@@ -28,7 +36,9 @@ from .groebner import (
     _grevlex_basis_dimension,
     _in_ideal,
     _integer_basis,
-    buchberger,
+    _monic,
+    _packed_product,
+    _reduced_rows,
     elimination_order,
     grevlex,
 )
@@ -67,6 +77,8 @@ class GradedRingSpec:
         return tuple(d[axis] for d in self.degrees)
 
     def multidegree(self, exponent) -> Vec:
+        if len(exponent) != len(self.degrees):
+            raise ValueError("exponent does not match the grading")
         out = [0] * self.rank
         for x, d in zip(exponent, self.degrees):
             for i in range(self.rank):
@@ -85,19 +97,40 @@ def homogeneous_components(f: Polynomial, spec: GradedRingSpec) -> dict[Vec, Pol
     buckets: dict[Vec, dict] = {}
     for e, c in f.terms.items():
         buckets.setdefault(spec.multidegree(e), {})[e] = c
-    return {g: Polynomial(f.nvars, t) for g, t in sorted(buckets.items())}
+    return {g: Polynomial._clean(f.nvars, t) for g, t in sorted(buckets.items())}
 
 
 def delta_component(f: Polynomial, spec: GradedRingSpec, axis: int, value: int) -> Polynomial:
     """Terms whose multidegree has the given value in one coordinate."""
+    if f.nvars != spec.nvars:
+        raise ValueError("polynomial does not match the grading")
     if not 0 <= axis < spec.rank:
         raise ValueError("grading coordinate out of range")
     terms = {e: c for e, c in f.terms.items() if spec.multidegree(e)[axis] == value}
-    return Polynomial(f.nvars, terms)
+    return Polynomial._clean(f.nvars, terms)
 
 
 def is_graded(f: Polynomial, spec: GradedRingSpec) -> bool:
     return len(homogeneous_components(f, spec)) <= 1
+
+
+def _hull_pass(rows, weights: tuple[int, ...], order, budget):
+    """The reduced basis, under ``order``, of the largest subideal of the
+    ideal of ``rows`` generated by elements homogeneous for one weight
+    row, as primitive integer rows (see :func:`graded_hull_z`)."""
+    n = order.nvars
+    subst = []
+    for row in rows:
+        terms = {}
+        for e, c in row.items():
+            d = sum(map(mul, e, weights))
+            terms[e + ((d, 0) if d >= 0 else (0, -d))] = c
+        subst.append(terms)
+    subst.append({(0,) * n + (1, 1): 1, (0,) * (n + 2): -1})
+    gb = _reduced_rows(subst, elimination_order((n, n + 1), n + 2), budget)
+    # under the elimination order a t,u-free leading term makes a t,u-free row
+    kept = [{e[:n]: c for e, c in row.items()} for row in gb if not any(next(iter(row))[n:])]
+    return _reduced_rows(kept, order, budget)
 
 
 def graded_hull_z(ideal: IdealPresentation, weights, budget=None) -> IdealPresentation:
@@ -111,27 +144,18 @@ def graded_hull_z(ideal: IdealPresentation, weights, budget=None) -> IdealPresen
     of whose weight components lie in the ideal.
     """
     budget = _as_budget(budget)
-    n = ideal.nvars
     wt = as_tuple(weights)
-    if len(wt) != n:
+    if len(wt) != ideal.nvars:
         raise ValueError("need one weight per variable")
-    ti, ui = n, n + 1
-    subst = []
-    for g in ideal.generators:
-        terms = {}
-        for e, c in g.terms.items():
-            d = sum(x * w for x, w in zip(e, wt))
-            terms[e + ((d, 0) if d >= 0 else (0, -d))] = c
-        subst.append(Polynomial(n + 2, terms))
-    rel_terms = {(0,) * n + (1, 1): 1, (0,) * (n + 2): -1}
-    subst.append(Polynomial(n + 2, rel_terms))
-    order = elimination_order((ti, ui), n + 2)
-    gb = buchberger(subst, order, budget)
-    kept = []
-    for g in gb:
-        if all(e[ti] == 0 and e[ui] == 0 for e in g.terms):
-            kept.append(Polynomial(n, {e[:n]: c for e, c in g.terms.items()}))
-    return IdealPresentation(buchberger(kept, ideal.order, budget), ideal.order)
+    rows = _hull_pass([g.terms for g in ideal.generators], wt, ideal.order, budget)
+    return IdealPresentation(_monic(rows, ideal.nvars), ideal.order)
+
+
+def _hull_rows(rows, spec: GradedRingSpec, order, budget):
+    """The rows of the hull: one pass per grading coordinate."""
+    for axis in range(spec.rank):
+        rows = _hull_pass(rows, spec.weights(axis), order, budget)
+    return rows
 
 
 def graded_hull(ideal: IdealPresentation, spec: GradedRingSpec,
@@ -146,10 +170,8 @@ def graded_hull(ideal: IdealPresentation, spec: GradedRingSpec,
     if spec.nvars != ideal.nvars:
         raise ValueError("ideal does not match the grading")
     budget = _as_budget(budget)
-    out = ideal
-    for axis in range(spec.rank):
-        out = graded_hull_z(out, spec.weights(axis), budget)
-    return out
+    rows = _hull_rows([g.terms for g in ideal.generators], spec, ideal.order, budget)
+    return IdealPresentation(_monic(rows, ideal.nvars), ideal.order)
 
 
 @dataclass(frozen=True)
@@ -170,20 +192,24 @@ class PrimeAnalysis:
     sigma: int
 
 
-def _random_nonmember(rng, n: int, basis, budget) -> Polynomial:
+def _random_nonmember(rng, n: int, basis, budget) -> dict[int, int]:
     """A random polynomial of degree at most 2 in each variable outside
-    the proper ideal whose Groebner basis has the packed integer elements
-    ``basis``; if all draws fall inside, as they may for (x1, ..., xn),
-    the last one plus 1."""
+    the proper ideal of a basis from :func:`_integer_basis`, as integer
+    terms packed at its packing; if all draws fall inside, as they may
+    for (x1, ..., xn), the last one plus 1."""
+    randrange, pack = rng.randrange, basis[0]._pack
     for _ in range(64):
         terms = {}
-        for _ in range(rng.randint(1, 4)):
-            e = tuple(rng.randint(0, 2) for _ in range(n))
-            terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
-        f = Polynomial(n, terms)
-        if not f.is_zero and not _in_ideal(f, basis, budget):
-            return f
-    return f + Polynomial.constant(1, n)
+        for _ in range(randrange(1, 5)):
+            e = pack([randrange(3) for _ in range(n)])
+            terms[e] = terms.get(e, 0) + randrange(-2, 3)
+        terms = {e: c for e, c in terms.items() if c}
+        if terms and not _in_ideal(terms, basis, budget):
+            return terms
+    c = terms.pop(0, 0) + 1  # 0 is the packed constant exponent
+    if c:
+        terms[0] = c
+    return terms
 
 
 def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
@@ -199,32 +225,31 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
         raise ValueError("ideal does not match the grading")
     budget = _as_budget(budget)
     n = p.nvars
-    gb_p = buchberger(p.generators, p.order, budget)
-    if any(not any(g.leading(p.order)[0]) for g in gb_p):
+    rows_p = _reduced_rows([g.terms for g in p.generators], p.order, budget)
+    if any(not any(next(iter(r))) for r in rows_p):
         raise NotPrimeError("the unit ideal is not prime")
-    star = graded_hull(IdealPresentation(gb_p, p.order), spec, budget)
-    gb_star = star.generators
-    graded = list(gb_star) == list(gb_p)
+    rows_star = _hull_rows(rows_p, spec, p.order, budget)
+    graded = rows_star == rows_p
     # both bases are reduced in p.order, so under grevlex they serve as is
     deg_order = grevlex(n)
     if p.order == deg_order:
-        deg_order, gb_p_deg, gb_star_deg = p.order, gb_p, gb_star
+        rows_p_deg, rows_star_deg = rows_p, rows_star
     else:
-        gb_p_deg = buchberger(gb_p, deg_order, budget)
-        gb_star_deg = buchberger(gb_star, deg_order, budget)
-    dim_p = n - _grevlex_basis_dimension(gb_p_deg, deg_order, budget)
-    dim_star = n - _grevlex_basis_dimension(gb_star_deg, deg_order, budget)
+        rows_p_deg = _reduced_rows(rows_p, deg_order, budget)
+        rows_star_deg = _reduced_rows(rows_star, deg_order, budget)
+    dim_p = n - _grevlex_basis_dimension(rows_p_deg, n, budget)
+    dim_star = n - _grevlex_basis_dimension(rows_star_deg, n, budget)
     tau = dim_p - dim_star
     sigma = spec.sigma()
 
     rng = random.Random(seed)
-    if gb_star:
+    if rows_star:
         # packed wide enough for a product of two samples, of degree 4n
-        basis = _integer_basis(gb_star_deg, deg_order, 4 * n)
+        basis = _integer_basis(rows_star_deg, deg_order, 4 * n)
         for _ in range(samples):
             a = _random_nonmember(rng, n, basis, budget)
             b = _random_nonmember(rng, n, basis, budget)
-            if _in_ideal(a * b, basis, budget):
+            if _in_ideal(_packed_product(a, b), basis, budget):
                 raise NotPrimeError(
                     "graded core contains a product of two nonmembers; "
                     "the input cannot be prime"
@@ -238,4 +263,5 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
                 "dimension drop %d escapes the bound 1..%d expected for a "
                 "nongraded prime; the input cannot be prime" % (tau, sigma)
             )
+    star = IdealPresentation(_monic(rows_star, n), p.order)
     return PrimeAnalysis(star, graded, dim_p, dim_star, tau, sigma)

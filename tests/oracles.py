@@ -915,6 +915,161 @@ def reference_ideal_dimension(ideal):
     return 0
 
 
+def rows_route(route):
+    """``groebner._reduced_rows`` by an oracle ``route`` such as
+    :func:`rational_buchberger` or :func:`normal_strategy_buchberger`.
+    Each row becomes a rational polynomial (a Fraction row as given, an
+    int row as its monic form, as the kernel orders them), and each
+    monic polynomial of the answer a primitive integer row, leading term
+    first."""
+    def reduced_rows(rows, order, budget):
+        polys = [row_polynomial(row, order.nvars) for row in rows]
+        return [primitive_row(g, order) for g in route(polys, order, budget)]
+
+    return reduced_rows
+
+
+def row_polynomial(row, nvars):
+    """The rational polynomial a kernel row stands for: a Fraction row as
+    given, an int row made monic by its first coefficient."""
+    lc = next(iter(row.values()))
+    if type(lc) is int:
+        row = {e: Fraction(c, lc) for e, c in row.items()}
+    return groebner.Polynomial(nvars, row)
+
+
+def primitive_row(f, order):
+    """The primitive integer row of a nonzero polynomial: its leading
+    term first, with a positive coefficient."""
+    lt, lc = f.leading(order)
+    m = math.lcm(*(c.denominator for c in f.terms.values()))
+    ints = {e: int(c * m) for e, c in f.terms.items()}
+    d = gcd(*ints.values()) * (1 if lc > 0 else -1)
+    row = {lt: ints[lt] // d}
+    row.update((e, c // d) for e, c in ints.items() if e != lt)
+    return row
+
+
+# -- slow paths kept as references for multigraded ----------------------
+
+
+def polynomial_graded_hull_z(ideal, weights, budget):
+    """``multigraded.graded_hull_z`` as it was before the hull passes ran
+    on integer rows: the substituted generators, the elimination basis,
+    the t,u-free elements and the re-basis are all rational polynomials,
+    each basis from the public ``groebner.buchberger``."""
+    n = ideal.nvars
+    wt = tuple(weights)
+    ti, ui = n, n + 1
+    subst = []
+    for g in ideal.generators:
+        terms = {}
+        for e, c in g.terms.items():
+            d = sum(x * w for x, w in zip(e, wt))
+            terms[e + ((d, 0) if d >= 0 else (0, -d))] = c
+        subst.append(groebner.Polynomial(n + 2, terms))
+    rel_terms = {(0,) * n + (1, 1): 1, (0,) * (n + 2): -1}
+    subst.append(groebner.Polynomial(n + 2, rel_terms))
+    order = groebner.elimination_order((ti, ui), n + 2)
+    gb = groebner.buchberger(subst, order, budget)
+    kept = []
+    for g in gb:
+        if all(e[ti] == 0 and e[ui] == 0 for e in g.terms):
+            kept.append(groebner.Polynomial(n, {e[:n]: c for e, c in g.terms.items()}))
+    return groebner.IdealPresentation(groebner.buchberger(kept, ideal.order, budget),
+                                      ideal.order)
+
+
+def polynomial_graded_hull(ideal, spec, budget):
+    """``multigraded.graded_hull`` by :func:`polynomial_graded_hull_z`."""
+    for axis in range(spec.rank):
+        ideal = polynomial_graded_hull_z(ideal, spec.weights(axis), budget)
+    return ideal
+
+
+def polynomial_basis_dimension(gb, order, budget):
+    """``groebner._grevlex_basis_dimension`` read off the leading terms of
+    rational polynomials, one budget unit per branch of the cover search."""
+    n = order.nvars
+    supports = []
+    for g in gb:
+        e = g.leading(order)[0]
+        if not any(e):
+            raise ValueError("the ideal is the unit ideal")
+        supports.append(sum(1 << i for i, x in enumerate(e) if x))
+
+    def least_cover(met):
+        budget.spend("dimension search")
+        rest = next((s for s in supports if not s & met), 0)
+        if not rest:
+            return 0
+        best = n
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            best = min(best, 1 + least_cover(met | v))
+        return best
+
+    return n - least_cover(0)
+
+
+def polynomial_random_nonmember(rng, n, gb, order, budget):
+    """``multigraded._random_nonmember`` as it was before the samples were
+    packed: a rational polynomial drawn with ``randint``, its membership
+    tested by the rational ``groebner.normal_form``."""
+    for _ in range(64):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(0, 2) for _ in range(n))
+            terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
+        f = groebner.Polynomial(n, terms)
+        if not f.is_zero and not groebner.normal_form(f, gb, order, budget).is_zero:
+            return f
+    return f + groebner.Polynomial.constant(1, n)
+
+
+def polynomial_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
+    """``multigraded.analyze_prime`` on rational polynomials throughout,
+    by the slow paths above; each sample drawn is appended to ``draws``."""
+    from monograde.multigraded import NotPrimeError, PrimeAnalysis
+
+    budget = groebner._as_budget(budget)
+    n = p.nvars
+    gb_p = groebner.buchberger(p.generators, p.order, budget)
+    if any(not any(g.leading(p.order)[0]) for g in gb_p):
+        raise NotPrimeError("the unit ideal is not prime")
+    star = polynomial_graded_hull(groebner.IdealPresentation(gb_p, p.order), spec, budget)
+    gb_star = star.generators
+    graded = list(gb_star) == list(gb_p)
+    deg_order = groebner.grevlex(n)
+    if p.order == deg_order:
+        gb_p_deg, gb_star_deg = gb_p, gb_star
+    else:
+        gb_p_deg = groebner.buchberger(gb_p, deg_order, budget)
+        gb_star_deg = groebner.buchberger(gb_star, deg_order, budget)
+    dim_p = n - polynomial_basis_dimension(gb_p_deg, deg_order, budget)
+    dim_star = n - polynomial_basis_dimension(gb_star_deg, deg_order, budget)
+    tau = dim_p - dim_star
+    sigma = spec.sigma()
+    rng = random.Random(seed)
+    if gb_star:
+        for _ in range(samples):
+            a = polynomial_random_nonmember(rng, n, gb_star_deg, deg_order, budget)
+            draws.append(a)
+            b = polynomial_random_nonmember(rng, n, gb_star_deg, deg_order, budget)
+            draws.append(b)
+            if groebner.normal_form(a * b, gb_star_deg, deg_order, budget).is_zero:
+                raise NotPrimeError("graded core contains a product of two nonmembers; "
+                                    "the input cannot be prime")
+    if graded:
+        if tau != 0:
+            raise RuntimeError("graded input with a dimension drop; this is a bug")
+    elif not 1 <= tau <= sigma:
+        raise NotPrimeError("dimension drop %d escapes the bound 1..%d expected for a "
+                            "nongraded prime; the input cannot be prime" % (tau, sigma))
+    return PrimeAnalysis(star, graded, dim_p, dim_star, tau, sigma)
+
+
 # -- slow paths kept as references for monoid and divisorial -----------
 
 

@@ -35,7 +35,7 @@ from monograde.cli import (
 from monograde.groebner import IdealPresentation, default_variables, grevlex, parse_polynomial
 from monograde.multigraded import GradedRingSpec
 from hullcheck import assert_hull_contract
-from oracles import hull_job_corpus, normal_strategy_buchberger, rational_buchberger
+from oracles import hull_job_corpus, normal_strategy_buchberger, rational_buchberger, rows_route
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -208,12 +208,13 @@ def test_hull_elimination_that_stalled_fits_a_small_budget(monkeypatch, capsys):
 
 def hull_corpus_outcomes(monkeypatch, capsys, route=None):
     """(exit code, stdout, stderr) of the first 40 jobs of
-    ``hull_job_corpus(97, ...)`` at budget 1000, with ``route`` in place
-    of ``buchberger`` if one is given."""
+    ``hull_job_corpus(97, ...)`` at budget 1000, with ``route`` run on
+    rows (:func:`oracles.rows_route`) in place of the kernel entry
+    ``_reduced_rows`` if one is given."""
     with monkeypatch.context() as m:
         if route is not None:
-            m.setattr(groebner, "buchberger", route)
-            m.setattr(multigraded, "buchberger", route)
+            m.setattr(groebner, "_reduced_rows", rows_route(route))
+            m.setattr(multigraded, "_reduced_rows", rows_route(route))
         out = []
         for text in hull_job_corpus(97, 40):
             argv = [json.loads(text)["command"], "--budget", "1000"]

@@ -28,6 +28,7 @@ from monograde.multigraded import GradedRingSpec, graded_hull
 import oracles
 from oracles import (
     normal_strategy_buchberger,
+    poly_sort_key,
     rational_buchberger,
     reference_buchberger,
     reference_ideal_dimension,
@@ -183,15 +184,15 @@ def strategy_corpus(seed, monkeypatch):
             gens = [random_poly(rng, n) for _ in range(rng.randint(2, 3))]
             drop = rng.sample(range(n), rng.randint(1, n - 1))
             cases.extend((gens, o) for o in (grevlex(n), lex(n), elimination_order(drop, n)))
-    real = multigraded.buchberger
+    real = multigraded._reduced_rows
 
-    def recorded(gens, order, budget=None):
+    def recorded(rows, order, budget):
         if order.kind == "elim":
-            cases.append((list(gens), order))
-        return real(gens, order, budget)
+            cases.append(([oracles.row_polynomial(r, order.nvars) for r in rows], order))
+        return real(rows, order, budget)
 
     with monkeypatch.context() as m:
-        m.setattr(multigraded, "buchberger", recorded)
+        m.setattr(multigraded, "_reduced_rows", recorded)
         for n in range(2, 5):
             for _ in range(12):
                 gens = tuple(g for g in (random_poly(rng, n) for _ in range(rng.randint(1, 2)))
@@ -264,6 +265,34 @@ def test_integer_kernel_matches_the_rational_route(monkeypatch):
         assert outcomes[0] == outcomes[1]
         cut += outcomes[0][0] is None
     assert len(cases) > 300 and 0 < cut < len(cases) // 4
+
+
+def test_rows_are_taken_in_the_order_of_the_polynomials_they_stand_for(monkeypatch):
+    """``_reduced_rows`` takes its rows in the order the rational route
+    takes the polynomials they stand for (a Fraction row as given, an
+    int row as its monic form): under lex, the primitive rows x2^3 + x1
+    and 3*x2^2 + 2*x1 tie on x1, where the monic 2/3 ranks below 1
+    though the raw 2 ranks above it; the given 2*x1 + 1/2 ranks above
+    both."""
+    order = lex(2)
+    rows = [{(0, 3): 1, (1, 0): 1}, {(0, 2): 3, (1, 0): 2},
+            {(1, 0): Fraction(2), (0, 0): Fraction(1, 2)}]
+    taken = []
+    real = groebner._element
+
+    def element(terms, pk):
+        taken.append({pk._unpack(e): c for e, c in terms.items()})
+        return real(terms, pk)
+
+    monkeypatch.setattr(groebner, "_element", element)
+    groebner._reduced_rows(rows, order, groebner._Budget(1000))
+    want = sorted((oracles.row_polynomial(r, 2) for r in rows),
+                  key=lambda g: poly_sort_key(g, order))
+    got = [Polynomial(2, t).monic(order) for t in taken[:3]]
+    assert got == [g.monic(order) for g in want]
+    assert [g.terms for g in want] == [{(0, 2): 1, (1, 0): Fraction(2, 3)},
+                                       {(0, 3): 1, (1, 0): 1},
+                                       {(1, 0): 2, (0, 0): Fraction(1, 2)}]
 
 
 def record_packings(monkeypatch):
@@ -353,23 +382,34 @@ def test_an_overflowing_width_restarts_wider_and_charges_once(monkeypatch):
                 assert max(sum(e) for g in gb for e in g.terms) <= caps[-1]
 
 
-def test_membership_past_the_packed_basis_width_widens():
-    """``_in_ideal`` packs each polynomial at the width of the basis it
-    was handed.  One of higher degree repacks both wider, so its answer
-    and its steps are those of the rational ``normal_form``: x1^130 has
-    fields past the cap of 127 that divisibility by x1^5 must not
-    misread."""
-    order = grevlex(2)
-    g = poly("x1^5 - x2^5")
-    basis = groebner._integer_basis([g], order, 1)
-    assert basis[0].cap == 127
-    for text, member in (("x1^130 - x2^130", True), ("x1^130 - x2^129", False),
-                         ("x1^5*x2 - x2^6", True), ("x1^2 - x2^2", False)):
-        f = poly(text)
-        budgets = groebner._Budget(10_000), groebner._Budget(10_000)
-        assert groebner._in_ideal(f, basis, budgets[0]) is member
-        assert normal_form(f, [g], order, budgets[1]).is_zero is member
-        assert budgets[0].remaining == budgets[1].remaining
+def test_membership_past_the_packed_basis_width_widens(monkeypatch):
+    """``_in_ideal`` reduces terms packed at the width of the basis it was
+    handed.  A reduction that outgrows it repacks the terms and the basis
+    wider, so its answer and its steps are those of the rational
+    ``normal_form``: under lex, x1 - x2^127 (cap 511) rewrites x1^5 to
+    x2^635, whose fields divisibility must not misread, while under
+    grevlex, x1^5 - x2^5 (cap 127) reduces within its width."""
+    cases = (
+        (lex(2), "x1 - x2^127", (("x1^5", False), ("x1^5 + x1^4*x2", False),
+                                 ("x1^5 - x1*x2^508", True), ("x1^2 - x2^254", True))),
+        (grevlex(2), "x1^5 - x2^5", (("x1^5*x2 - x2^6", True), ("x1^2 - x2^2", False))),
+    )
+    widened = 0
+    for order, basis_text, members in cases:
+        g = poly(basis_text)
+        basis = groebner._integer_basis([g.terms], order, 1)
+        assert basis[0].cap == (511 if order.kind == "lex" else 127)
+        for text, member in members:
+            f = poly(text)
+            terms = groebner._packed_terms(f.terms, basis[0])
+            budgets = groebner._Budget(10_000), groebner._Budget(10_000)
+            with monkeypatch.context() as m:
+                caps = record_packings(m)
+                assert groebner._in_ideal(terms, basis, budgets[0]) is member
+            widened += bool(caps)
+            assert normal_form(f, [g], order, budgets[1]).is_zero is member
+            assert budgets[0].remaining == budgets[1].remaining
+    assert widened == 2
 
 
 # -- parsing and formatting ----------------------------------------------

@@ -1,5 +1,6 @@
 """Graded hulls and prime analysis under torus gradings."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from monograde import groebner, multigraded
 from monograde.groebner import (
+    BudgetExceededError,
     IdealPresentation,
     Polynomial,
     buchberger,
@@ -20,6 +22,7 @@ from monograde.groebner import (
 from monograde.multigraded import (
     GradedRingSpec,
     NotPrimeError,
+    PrimeAnalysis,
     analyze_prime,
     delta_component,
     graded_hull,
@@ -28,6 +31,7 @@ from monograde.multigraded import (
     is_graded,
 )
 from hullcheck import assert_hull_contract
+from oracles import hull_job_corpus, polynomial_analyze_prime, polynomial_graded_hull
 
 V1 = default_variables(1)
 V2 = default_variables(2)
@@ -51,6 +55,18 @@ def test_spec_basics():
     assert STD2.multidegree((2, 1)) == (2, 1)
     assert TOT2.multidegree((2, 1)) == (3,)
     assert GradedRingSpec(((1, 1), (2, 2))).sigma() == 1
+
+
+def test_mismatched_variable_counts_are_rejected():
+    f = parse_polynomial("x1 + x3^5", default_variables(3))
+    with pytest.raises(ValueError, match="does not match the grading"):
+        delta_component(f, STD2, 0, 0)
+    with pytest.raises(ValueError, match="does not match the grading"):
+        homogeneous_components(f, STD2)
+    with pytest.raises(ValueError, match="does not match the grading"):
+        STD2.multidegree((1, 2, 3))
+    with pytest.raises(ValueError, match="does not match the grading"):
+        STD2.multidegree((1,))
 
 
 def test_homogeneous_components_and_delta():
@@ -109,6 +125,28 @@ def test_hull_axis_order_does_not_matter():
     a = graded_hull(ideal, STD2)
     b = graded_hull(ideal, GradedRingSpec(tuple(d[::-1] for d in STD2.degrees)))
     assert a.generators == b.generators
+
+
+def test_rank_two_hull_builds_one_polynomial_per_generator(monkeypatch):
+    # the passes hand integer rows to each other; only the answer is
+    # made of polynomials, each built once through the private builder
+    ideal = IdealPresentation((poly("2*x1 + 3*x2"), poly("x2^2 - 1/2*x1*x2")), grevlex(2))
+    built = {"init": 0, "clean": 0}
+    real_init, real_clean = Polynomial.__init__, Polynomial._clean.__func__
+
+    def init(self, nvars, terms=None):
+        built["init"] += 1
+        real_init(self, nvars, terms)
+
+    def clean(cls, nvars, terms):
+        built["clean"] += 1
+        return real_clean(cls, nvars, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", init)
+    monkeypatch.setattr(Polynomial, "_clean", classmethod(clean))
+    hull = graded_hull(ideal, STD2)
+    assert len(hull.generators) == 3
+    assert built == {"init": 0, "clean": len(hull.generators)}
 
 
 def test_hull_respects_budget():
@@ -178,14 +216,13 @@ def test_prime_analysis_computes_each_basis_once(monkeypatch):
     # bases, which serve the dimensions and the primality samples alike;
     # under lex each of the two is recomputed once under grevlex
     calls = []
-    real = groebner.buchberger
+    real = multigraded._reduced_rows
 
-    def counted(gens, order, budget=None):
+    def counted(rows, order, budget):
         calls.append(order)
-        return real(gens, order, budget)
+        return real(rows, order, budget)
 
-    monkeypatch.setattr(groebner, "buchberger", counted)
-    monkeypatch.setattr(multigraded, "buchberger", counted)
+    monkeypatch.setattr(multigraded, "_reduced_rows", counted)
     V3 = default_variables(3)
     gens = ("x1 - 2", "x2 + 1", "x3 - 3")
     for spec in (GradedRingSpec(((1,), (1,), (1,))), GradedRingSpec(((1, 0), (0, 1), (1, 1))),
@@ -197,3 +234,90 @@ def test_prime_analysis_computes_each_basis_once(monkeypatch):
             out = analyze_prime(p, spec)
             assert not out.graded and 1 <= out.tau <= out.sigma
             assert len(calls) == 1 + 2 * r + extra
+
+
+# -- the row route against the polynomial route ------------------------------
+
+
+def metered(call, limit):
+    """(answer, or the error's type and message; then the budget's
+    remaining, spairs and zero_reductions) of ``call(budget)``."""
+    budget = groebner._Budget(limit)
+    try:
+        out = call(budget)
+    except (BudgetExceededError, ValueError) as e:
+        out = (type(e).__name__, str(e))
+    return out, budget.remaining, budget.spairs, budget.zero_reductions
+
+
+def record_draws(monkeypatch, draws, fallbacks):
+    """Append each sample ``analyze_prime`` draws to ``draws``, unpacked
+    to a polynomial, and to ``fallbacks`` whether it is the last draw
+    plus 1: a draw returns early only after a membership test says no."""
+    real_draw, real_in_ideal = multigraded._random_nonmember, multigraded._in_ideal
+    answers = []
+
+    def in_ideal(terms, basis, budget):
+        answers.append(real_in_ideal(terms, basis, budget))
+        return answers[-1]
+
+    def draw(rng, n, basis, budget):
+        answers.clear()
+        terms = real_draw(rng, n, basis, budget)
+        draws.append(Polynomial(n, {basis[0]._unpack(e): c for e, c in terms.items()}))
+        fallbacks.append(False not in answers)
+        return terms
+
+    monkeypatch.setattr(multigraded, "_in_ideal", in_ideal)
+    monkeypatch.setattr(multigraded, "_random_nonmember", draw)
+
+
+def test_row_route_matches_the_polynomial_route(monkeypatch):
+    """The hull passes on integer rows and the packed samples give the
+    hull, the prime analysis (or the error), the meter and the sample
+    draws of the polynomial route they replaced, on the hull job corpus
+    under grevlex and, for the primes, lex, at budgets that cut some
+    jobs short.  Lex re-bases the prime and its core under grevlex from
+    integer rows whose leading coefficients are not 1."""
+    draws, fallbacks = [], []
+    record_draws(monkeypatch, draws, fallbacks)
+    outcomes = []
+    sampled = 0
+    for text in hull_job_corpus(97, 200):
+        job = json.loads(text)
+        n = job["vars"]
+        names = default_variables(n)
+        spec = GradedRingSpec(tuple(tuple(d) for d in job["grading"]))
+        if job["command"] == "graded-hull":
+            routes = [(graded_hull, lambda i, s, b, d: polynomial_graded_hull(i, s, b),
+                       job["ideal"], grevlex(n))]
+        else:
+            routes = [(analyze_prime, polynomial_analyze_prime, job["prime"], o)
+                      for o in (grevlex(n), lex(n))]
+        for fast, slow, gens, order in routes:
+            ideal = IdealPresentation(tuple(parse_polynomial(t, names) for t in gens), order)
+            # a lex job that spends 4000 steps takes seconds
+            for limit in (40, 400, 4000) if order.kind == "grevlex" else (40, 400):
+                want_draws = []
+                want = metered(lambda b: slow(ideal, spec, b, want_draws), limit)
+                draws.clear()
+                got = metered(lambda b: fast(ideal, spec, b), limit)
+                assert got == want, text
+                assert draws == want_draws, text
+                sampled += bool(draws)
+                outcomes.append(type(got[0]))
+    assert tuple in outcomes and IdealPresentation in outcomes and PrimeAnalysis in outcomes
+    assert sampled > 20
+    # a graded monomial prime: samples fall inside it until one has a
+    # constant term, and when all 64 draws of a sample miss, it is the
+    # last draw plus 1
+    V4 = default_variables(4)
+    spec = GradedRingSpec(((1, 0), (0, 1), (1, 1), (2, -1)))
+    p = IdealPresentation(tuple(parse_polynomial(v, V4) for v in V4), grevlex(4))
+    want_draws = []
+    want = metered(lambda b: polynomial_analyze_prime(p, spec, b, want_draws, samples=16), 10**6)
+    draws.clear()
+    fallbacks.clear()
+    got = metered(lambda b: analyze_prime(p, spec, b, samples=16), 10**6)
+    assert got == want and draws == want_draws and len(draws) == 32
+    assert any(fallbacks) and not all(fallbacks)
