@@ -3,7 +3,7 @@ multigraded polynomial ideals.
 
 The package computes, over arbitrary-precision integers and rationals:
 
-* fraction-free ranks, determinants and rational solves, Hermite
+* fraction-free ranks, unimodular inverses and rational solves, Hermite
   normal forms for lattice bases, integer kernels and integer solves,
   and Smith forms for elementary divisors and abelian quotients
   (``exact_linalg``);
@@ -13,8 +13,8 @@ The package computes, over arbitrary-precision integers and rationals:
 * divisorial ideals, their minimal generators, the interior-point
   canonical module, divisor class groups and the Gorenstein decision
   (``divisorial``);
-* reduced Groebner bases, normal forms and quotient dimension over Q,
-  computed fraction-free inside Buchberger's algorithm (``groebner``);
+* reduced Groebner bases and normal forms over Q, computed
+  fraction-free inside Buchberger's algorithm (``groebner``);
 * multigraded hulls of ideals and graded-core diagnostics of primes
   (``multigraded``);
 * a deterministic JSON command line front end (``cli``).
@@ -38,7 +38,6 @@ from .divisorial import (
 from .exact_linalg import (
     AbelianQuotient,
     cokernel,
-    determinant,
     elementary_divisors,
     hnf,
     kernel_basis,
@@ -56,7 +55,6 @@ from .groebner import (
     elimination_order,
     format_polynomial,
     grevlex,
-    ideal_dimension,
     lex,
     normal_form,
     parse_polynomial,
@@ -66,7 +64,6 @@ from .monoid import (
     EnumerationLimitError,
     NonNormalError,
     hilbert_basis,
-    is_normal,
     monoid_from_cone_rays,
     normalize_presentation,
 )
@@ -75,11 +72,7 @@ from .multigraded import (
     NotPrimeError,
     PrimeAnalysis,
     analyze_prime,
-    delta_component,
     graded_hull,
-    graded_hull_z,
-    homogeneous_components,
-    is_graded,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -89,7 +89,7 @@ def _start_cone(a) -> tuple[list[int], list[Vec]]:
     times it is the start ray opposite ``base[k]``.
     """
     n = len(a)
-    rows, base, e, _ = _eliminate(_with_identity([list(col) for col in zip(*a)]), n)
+    rows, base, e = _eliminate(_with_identity([list(col) for col in zip(*a)]), n)
     sgn = 1 if e > 0 else -1
     return base, [primitive([sgn * x for x in rows[k][n:]]) for k in range(len(base))]
 

@@ -108,7 +108,7 @@ def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
     verts = []
     for subset in itertools.combinations(range(len(forms)), dim):
         aug = [list(forms[i]) + [heights[i]] for i in subset]
-        rows, pivots, d, _ = _eliminate(aug, dim)
+        rows, pivots, d = _eliminate(aug, dim)
         if len(pivots) < dim:
             continue
         # the tight point is x / d; test forms(x) >= heights * d in integers

@@ -1,7 +1,8 @@
 """Exact integer linear algebra on Python integers.
 
-Rational questions (rank, determinant, inverses of unimodular
-matrices) all run on one fraction-free Gauss-Jordan kernel,
+Rational questions (rank, inverses of unimodular matrices, and the
+solves and start cones of ``cone`` and ``divisorial``) all run on one
+fraction-free Gauss-Jordan kernel,
 ``_eliminate``, which never leaves the integers.  Lattice questions
 need a unimodular transform.  The Hermite form serves lattice bases,
 kernels and integer solves, by back-substitution in
@@ -114,21 +115,21 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x0, y0
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int, int]:
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer rows.
 
     Pivots are taken in the first ``ncols`` columns, leftmost first;
     further columns ride along as right-hand sides.  Returns
-    ``(rows, pivot_cols, d, sign)``: the k-th row has the entry ``d`` in
-    column ``pivot_cols[k]`` and zeros in every other pivot column, the
-    rows after the pivot rows are zero in the first ``ncols`` columns,
-    and ``sign`` is the parity of the row swaps.  Every entry stays a
-    minor of the input, so each division is exact; for a nonsingular
-    square block, ``sign * d`` is its determinant.
+    ``(rows, pivot_cols, d)``: the k-th row has the entry ``d`` in
+    column ``pivot_cols[k]`` and zeros in every other pivot column, and
+    the rows after the pivot rows are zero in the first ``ncols``
+    columns.  Every entry stays a minor of the input, so each division
+    is exact; for a nonsingular square block, ``d`` is its determinant
+    up to sign.
     """
     rows = [list(r) for r in rows]
     pivots: list[int] = []
-    d, sign = 1, 1
+    d = 1
     for j in range(ncols):
         r = len(pivots)
         p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
@@ -136,7 +137,6 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
         top = rows[r]
         pv = top[j]
         for i, row in enumerate(rows):
@@ -145,7 +145,7 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list
                 rows[i] = [(pv * x - f * y) // d for x, y in zip(row, top)]
         d = pv
         pivots.append(j)
-    return rows, pivots, d, sign
+    return rows, pivots, d
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -337,24 +337,13 @@ class AbelianQuotient:
 
     def project(self, v) -> Vec:
         v = as_tuple(v)
+        if self.projection and len(v) != len(self.projection[0]):
+            raise ValueError("vector length does not match the quotient")
         out = []
         for d, row in zip(self.invariant_factors, self.projection):
             c = _dot(row, v)
             out.append(c % d if d else c)
         return tuple(out)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
-    def order(self) -> int | None:
-        """Group order, or None when the group is infinite."""
-        n = 1
-        for d in self.invariant_factors:
-            if d == 0:
-                return None
-            n *= d
-        return n
 
 
 def cokernel(a, width: int | None = None) -> AbelianQuotient:
@@ -410,16 +399,6 @@ def lattice_coordinates(basis, v) -> Vec | None:
     return None if any(rest) else tuple(x)
 
 
-def determinant(a) -> int:
-    """Exact determinant, the last pivot of fraction-free elimination."""
-    a = _as_matrix(a)
-    m, n = a.shape
-    if m != n:
-        raise ValueError("determinant of a non-square matrix")
-    _, pivots, d, sign = _eliminate(a, n)
-    return sign * d if len(pivots) == n else 0
-
-
 def unimodular_inverse(m) -> IntMatrix:
     """Inverse of a unimodular integer matrix, exactly.
 
@@ -430,7 +409,7 @@ def unimodular_inverse(m) -> IntMatrix:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError("matrix is not square")
-    rows, pivots, d, _ = _eliminate(_with_identity(m), n)
+    rows, pivots, d = _eliminate(_with_identity(m), n)
     if len(pivots) < n or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
     return IntMatrix([[d * x for x in row[n:]] for row in rows], n)

@@ -2,11 +2,11 @@
 algorithm.
 
 Polynomials are sparse maps from exponent tuples to Fractions.  The
-module provides graded reverse lexicographic and lexicographic orders
-(with optional variable priority), block elimination orders, reduced
-Groebner bases, full normal forms, and the Krull dimension of the
-quotient ring read off the leading term ideal.  All loops that can run
-long honor a reduction-step budget and fail with
+module provides graded reverse lexicographic and lexicographic orders,
+block elimination orders, reduced Groebner bases and full normal forms;
+``multigraded`` reads quotient dimensions off the leading terms of the
+private grevlex rows (:func:`_grevlex_basis_dimension`).  All loops
+that can run long honor a reduction-step budget and fail with
 :class:`BudgetExceededError` when it is exhausted.
 
 Each order's sort key serves the public API.  Buchberger's algorithm
@@ -91,11 +91,9 @@ def _grevlex_key(e) -> tuple:
 class TermOrder:
     """A monomial order on a fixed number of variables.
 
-    ``kind`` is "grevlex", "lex", or "elim".  ``priority`` permutes the
-    variables (most significant first) for the single-block orders.  An
-    elimination order compares the ``drop`` block by grevlex first, so
-    any leading term free of dropped variables certifies that the whole
-    polynomial is.
+    ``kind`` is "grevlex", "lex", or "elim".  An elimination order
+    compares the ``drop`` block by grevlex first, so any leading term
+    free of dropped variables certifies that the whole polynomial is.
 
     :meth:`key` serves the public API (:meth:`Polynomial.leading`,
     :func:`format_polynomial`, the rational :func:`normal_form`).
@@ -106,14 +104,11 @@ class TermOrder:
 
     kind: str
     nvars: int
-    priority: tuple[int, ...] | None = None
     drop: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "lex", "elim"):
             raise ValueError("unknown order kind %r" % (self.kind,))
-        if self.priority is not None and sorted(self.priority) != list(range(self.nvars)):
-            raise ValueError("priority must be a permutation of the variables")
         if self.kind == "elim":
             if not self.drop or sorted(set(self.drop)) != sorted(self.drop):
                 raise ValueError("elimination order needs a set of dropped variables")
@@ -123,26 +118,24 @@ class TermOrder:
     def key(self, e) -> tuple:
         """The sort key of exponent ``e``: larger means larger in the
         order.  A grevlex key is :func:`_grevlex_key`, a lex key the
-        exponent read in priority order, and an elimination key the
-        grevlex key of the dropped block, then that of the rest."""
+        exponent itself, and an elimination key the grevlex key of the
+        dropped block, then that of the rest."""
         if self.kind == "elim":
             return (_grevlex_key([e[i] for i in self.drop]),
                     _grevlex_key([x for i, x in enumerate(e) if i not in self.drop]))
-        if self.priority is not None:
-            e = [e[i] for i in self.priority]
         return _grevlex_key(e) if self.kind == "grevlex" else tuple(e)
 
 
-def grevlex(nvars: int, priority=None) -> TermOrder:
-    return TermOrder("grevlex", nvars, None if priority is None else tuple(priority))
+def grevlex(nvars: int) -> TermOrder:
+    return TermOrder("grevlex", nvars)
 
 
-def lex(nvars: int, priority=None) -> TermOrder:
-    return TermOrder("lex", nvars, None if priority is None else tuple(priority))
+def lex(nvars: int) -> TermOrder:
+    return TermOrder("lex", nvars)
 
 
 def elimination_order(drop, nvars: int) -> TermOrder:
-    return TermOrder("elim", nvars, None, tuple(sorted(set(int(i) for i in drop))))
+    return TermOrder("elim", nvars, tuple(sorted(set(int(i) for i in drop))))
 
 
 # -- polynomials -----------------------------------------------------
@@ -173,10 +166,6 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
-
-    @classmethod
     def _clean(cls, nvars: int, terms: dict) -> "Polynomial":
         """A polynomial on ``terms`` taken as they are: the package
         already holds them clean, with valid exponent tuples and nonzero
@@ -185,16 +174,6 @@ class Polynomial:
         p.nvars = nvars
         p.terms = terms
         return p
-
-    @classmethod
-    def constant(cls, c, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> "Polynomial":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
 
     @classmethod
     def monomial(cls, e, c, nvars: int) -> "Polynomial":
@@ -214,60 +193,6 @@ class Polynomial:
             raise ValueError("the zero polynomial has no leading term")
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
-
-    def monic(self, order: TermOrder) -> "Polynomial":
-        _, c = self.leading(order)
-        if c == 1:
-            return self
-        return self * (1 / c)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable counts")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e not in out:
-                out[e] = c
-            elif acc := out[e] + c:
-                out[e] = acc
-            else:
-                del out[e]
-        return Polynomial._clean(self.nvars, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._clean(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            c = other if type(other) is Fraction else Fraction(other)
-            terms = {e: c * v for e, v in self.terms.items()} if c else {}
-            return Polynomial._clean(self.nvars, terms)
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable counts")
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _exp_add(e1, e2)
-                if e not in out:
-                    out[e] = c1 * c2
-                elif acc := out[e] + c1 * c2:
-                    out[e] = acc
-                else:
-                    del out[e]
-        return Polynomial._clean(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(1, self.nvars)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -303,6 +228,8 @@ def normal_form(f: Polynomial, basis, order: TermOrder, budget=None) -> Polynomi
     reducible term is rewritten by the first matching basis element."""
     budget = _as_budget(budget)
     basis = [g for g in basis if not g.is_zero]
+    if any(g.nvars != f.nvars for g in basis):
+        raise ValueError("mixed variable counts")
     lts = [(g, *g.leading(order)) for g in basis]
     work = dict(f.terms)
     remainder: dict[Exponent, Fraction] = {}
@@ -362,7 +289,7 @@ class _Packing:
     An exponent e packs to P(e) = sum(e_i * V_i).  From the top, P holds
     the linear components of the order's key in base 2^w: grevlex is
     (degree, -e read backwards), an elimination order each block's
-    (degree, -e read backwards), lex e in priority order.  Below them
+    (degree, -e read backwards), lex e itself.  Below them
     sit the total degree and the exponents e_i, each in a w-bit field
     whose top bit is a guard.  While every total degree is at most
     ``cap`` = 2^(w-1) - 1, no field carries and two keys' components
@@ -391,14 +318,14 @@ class _Packing:
         V = [(1 << i * w) + (1 << ds) for i in range(n)]
         at = ds + w  # the least significant component
         if order.kind == "lex":
-            for i in reversed(order.priority or range(n)):
+            for i in reversed(range(n)):
                 V[i] += 1 << at
                 at += w
         else:
             if order.kind == "elim":
                 blocks = ([i for i in range(n) if i not in order.drop], order.drop)
             else:
-                blocks = (order.priority or range(n),)
+                blocks = (range(n),)
             for b in blocks:  # least significant block first
                 for i in b:
                     V[i] -= 1 << at
@@ -672,7 +599,7 @@ def _buchberger(rows, pk: _Packing, budget: _Budget) -> list[dict]:
     unpacked: list[Exponent] = []  # the leading exponents as tuples
     excess: list[int] = []  # sugar minus the degree of the leading term
     pending: list[tuple] = []  # heap of (sugar, lcm, (i, j))
-    done: set[tuple[int, int]] = set()
+    done: list[int] = []  # bit k of done[i] is set once the pair (i, k) is popped
 
     def append(el, sugar: int) -> None:
         lt = el[0]
@@ -686,26 +613,27 @@ def _buchberger(rows, pk: _Packing, budget: _Budget) -> list[dict]:
         lts.append(lt)
         unpacked.append(t)
         excess.append(ex)
+        done.append(0)
 
     for row in rows:
         el = _element(_integer_terms(row), pk)
         append(el, el[3] >> ds)
     while pending:
         s, l, (i, j) = heapq.heappop(pending)
-        done.add((i, j))
+        done[i] |= 1 << j
+        done[j] |= 1 << i
         if l == lts[i] + lts[j]:
             continue  # coprime leading terms reduce to zero
+        # chain criterion: some k whose pairs with i and j are both popped
+        # has a leading term dividing l
         lg = l | G
-        skip = False
-        for k, lk in enumerate(lts):
-            if k in (i, j) or (lg - lk) & G != G:
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik in done and pjk in done:
-                skip = True
+        both = done[i] & done[j]
+        while both:
+            k = both.bit_length() - 1
+            if (lg - lts[k]) & G == G:
                 break
-        if skip:
+            both ^= 1 << k
+        if both:
             continue
         budget.spairs += 1
         h = _reduce(_s_pair(basis[i], basis[j], l, pk), basis, pk, budget)
@@ -735,25 +663,17 @@ class IdealPresentation:
         return self.order.nvars
 
 
-def ideal_dimension(ideal: IdealPresentation, budget=None) -> int:
-    """Krull dimension of the quotient by the ideal.
+def _grevlex_basis_dimension(rows, n: int, budget: _Budget) -> int:
+    """The Krull dimension of the quotient by the ideal whose reduced
+    grevlex basis, in ``n`` variables, has the rows ``rows`` (leading
+    term first).
 
-    The leading terms of a degree-compatible (grevlex) basis are taken,
-    and the answer is the largest set of variables none of them lives
-    on: n minus the fewest variables that meet the support of every
-    leading term.  That cover is found by branching on the variables of
-    the first support not yet met, one budget unit per branch; the unit
+    The answer is the largest set of variables no leading term lives on:
+    n minus the fewest variables that meet the support of every leading
+    term.  That cover is found by branching on the variables of the
+    first support not yet met, one budget unit per branch; the unit
     ideal is rejected.
     """
-    budget = _as_budget(budget)
-    n = ideal.nvars
-    rows = _reduced_rows([g.terms for g in ideal.generators], grevlex(n), budget)
-    return _grevlex_basis_dimension(rows, n, budget)
-
-
-def _grevlex_basis_dimension(rows, n: int, budget: _Budget) -> int:
-    """:func:`ideal_dimension` of the ideal whose reduced grevlex basis,
-    in ``n`` variables, has the rows ``rows`` (leading term first)."""
     supports = []
     for r in rows:
         e = next(iter(r))

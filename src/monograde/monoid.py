@@ -516,16 +516,5 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
     return AffineMonoid(r, rs, basis, local, assume_normal=True)
 
 
-def is_normal(generators) -> tuple[bool, Vec | None]:
-    """Whether the generators generate C cap L; if not, a witness point.
-
-    The witness lies in C cap L but outside the generated monoid: either
-    a missing unit-lattice basis vector or a missing Hilbert basis
-    element of the saturation.
-    """
-    m = normalize_presentation(generators)
-    return m.is_normal, m.normality_witness
-
-
 def hilbert_basis(m: AffineMonoid) -> tuple[Vec, ...]:
     return m.hilbert_basis()

@@ -1,8 +1,8 @@
 """Multigraded structure on polynomial rings over Q.
 
 A grading assigns each variable a degree in Z^r.  The module computes
-coordinate homogeneous components, the graded hull of an ideal (the
-largest subideal generated by multigraded elements), and, for a prime
+the graded hull of an ideal (the largest subideal generated by
+multigraded elements), and, for a prime
 ideal, the graded core diagnostics: the hull is again prime, localizing
 at it can only lower dimension, and the drop is bounded by the rank of
 the degree subgroup.
@@ -29,9 +29,7 @@ from operator import mul
 
 from .exact_linalg import Vec, as_tuple, rank
 from .groebner import (
-    BudgetExceededError,
     IdealPresentation,
-    Polynomial,
     _as_budget,
     _grevlex_basis_dimension,
     _in_ideal,
@@ -76,48 +74,23 @@ class GradedRingSpec:
     def weights(self, axis: int) -> tuple[int, ...]:
         return tuple(d[axis] for d in self.degrees)
 
-    def multidegree(self, exponent) -> Vec:
-        if len(exponent) != len(self.degrees):
-            raise ValueError("exponent does not match the grading")
-        out = [0] * self.rank
-        for x, d in zip(exponent, self.degrees):
-            for i in range(self.rank):
-                out[i] += x * d[i]
-        return tuple(out)
-
     def sigma(self) -> int:
         """Rank of the subgroup of Z^r generated by the variable degrees."""
         return rank(self.degrees)
 
 
-def homogeneous_components(f: Polynomial, spec: GradedRingSpec) -> dict[Vec, Polynomial]:
-    """Split into multidegree components; keys are the occurring degrees."""
-    if f.nvars != spec.nvars:
-        raise ValueError("polynomial does not match the grading")
-    buckets: dict[Vec, dict] = {}
-    for e, c in f.terms.items():
-        buckets.setdefault(spec.multidegree(e), {})[e] = c
-    return {g: Polynomial._clean(f.nvars, t) for g, t in sorted(buckets.items())}
-
-
-def delta_component(f: Polynomial, spec: GradedRingSpec, axis: int, value: int) -> Polynomial:
-    """Terms whose multidegree has the given value in one coordinate."""
-    if f.nvars != spec.nvars:
-        raise ValueError("polynomial does not match the grading")
-    if not 0 <= axis < spec.rank:
-        raise ValueError("grading coordinate out of range")
-    terms = {e: c for e, c in f.terms.items() if spec.multidegree(e)[axis] == value}
-    return Polynomial._clean(f.nvars, terms)
-
-
-def is_graded(f: Polynomial, spec: GradedRingSpec) -> bool:
-    return len(homogeneous_components(f, spec)) <= 1
-
-
 def _hull_pass(rows, weights: tuple[int, ...], order, budget):
     """The reduced basis, under ``order``, of the largest subideal of the
     ideal of ``rows`` generated by elements homogeneous for one weight
-    row, as primitive integer rows (see :func:`graded_hull_z`)."""
+    row, as primitive integer rows.
+
+    Substituting x_j -> t^(w_j) x_j with invertible t spreads each
+    polynomial over powers of t according to weighted degree; with the
+    relation t*u = 1 adjoined, negative weighted degrees become powers
+    of u.  The ideal is already saturated at t (t is a unit modulo the
+    relation), so eliminating t and u directly cuts out the elements all
+    of whose weight components lie in the ideal.
+    """
     n = order.nvars
     subst = []
     for row in rows:
@@ -131,24 +104,6 @@ def _hull_pass(rows, weights: tuple[int, ...], order, budget):
     # under the elimination order a t,u-free leading term makes a t,u-free row
     kept = [{e[:n]: c for e, c in row.items()} for row in gb if not any(next(iter(row))[n:])]
     return _reduced_rows(kept, order, budget)
-
-
-def graded_hull_z(ideal: IdealPresentation, weights, budget=None) -> IdealPresentation:
-    """Largest subideal generated by elements homogeneous for one weight row.
-
-    Substituting x_j -> t^(w_j) x_j with invertible t spreads each
-    polynomial over powers of t according to weighted degree; with the
-    relation t*u = 1 adjoined, negative weighted degrees become powers
-    of u.  The ideal is already saturated at t (t is a unit modulo the
-    relation), so eliminating t and u directly cuts out the elements all
-    of whose weight components lie in the ideal.
-    """
-    budget = _as_budget(budget)
-    wt = as_tuple(weights)
-    if len(wt) != ideal.nvars:
-        raise ValueError("need one weight per variable")
-    rows = _hull_pass([g.terms for g in ideal.generators], wt, ideal.order, budget)
-    return IdealPresentation(_monic(rows, ideal.nvars), ideal.order)
 
 
 def _hull_rows(rows, spec: GradedRingSpec, order, budget):

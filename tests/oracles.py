@@ -645,8 +645,6 @@ def reference_key(order, e):
             grevlex_key(tuple(e[i] for i in order.drop)),
             grevlex_key(tuple(e[i] for i in keep)),
         )
-    if order.priority is not None:
-        e = tuple(e[i] for i in order.priority)
     if order.kind == "grevlex":
         return grevlex_key(e)
     return e
@@ -654,6 +652,31 @@ def reference_key(order, e):
 
 def _exp_lcm(e, d):
     return tuple(map(max, e, d))
+
+
+def poly_sum(*fs):
+    """The sum of polynomials in one number of variables."""
+    terms = {}
+    for f in fs:
+        for e, c in f.terms.items():
+            terms[e] = terms.get(e, 0) + c
+    return groebner.Polynomial(fs[0].nvars, terms)
+
+
+def poly_product(f, g):
+    """The product of a polynomial with a polynomial or a rational."""
+    if not isinstance(g, groebner.Polynomial):
+        return groebner.Polynomial(f.nvars, {e: c * g for e, c in f.terms.items()})
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = groebner._exp_add(e1, e2)
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return groebner.Polynomial(f.nvars, terms)
+
+
+def monic(f, order):
+    return poly_product(f, 1 / f.leading(order)[1])
 
 
 def _shifted_terms(f, shift, lc):
@@ -706,7 +729,7 @@ def rational_interreduce(basis, order, budget):
     for i, g in enumerate(polys):
         others = polys[:i] + polys[i + 1:]
         r = groebner.normal_form(g, others, order, budget)
-        final.append(r.monic(order))
+        final.append(monic(r, order))
     final.sort(key=lambda g: order.key(g.leading(order)[0]))
     return final
 
@@ -738,7 +761,7 @@ def rational_buchberger(generators, order, budget=None):
     done = set()
 
     def append(g, sugar):
-        basis.append(g.monic(order))
+        basis.append(monic(g, order))
         lt = g.leading(order)[0]
         new = len(lts)
         excess = sugar - sum(lt)
@@ -794,7 +817,7 @@ def reference_buchberger(generators, order, budget):
                                              reverse=True))
     basis, lts, sugars = [], [], []
     for g in gens:
-        basis.append(g.monic(order))
+        basis.append(monic(g, order))
         lts.append(g.leading(order)[0])
         sugars.append(max(sum(e) for e in g.terms))
     pending, done = set(), set()
@@ -827,7 +850,7 @@ def reference_buchberger(generators, order, budget):
                                  basis, order, budget)
         if h.is_zero:
             continue
-        basis.append(h.monic(order))
+        basis.append(monic(h, order))
         lts.append(h.leading(order)[0])
         sugars.append(max(sugar((i, j)), max(sum(e) for e in h.terms)))
         new = len(basis) - 1
@@ -859,7 +882,7 @@ def normal_strategy_buchberger(generators, order, budget=None):
     done = set()
 
     def append(g):
-        basis.append(g.monic(order))
+        basis.append(monic(g, order))
         lt = g.leading(order)[0]
         new = len(lts)
         for k, lk in enumerate(lts):
@@ -893,8 +916,9 @@ def normal_strategy_buchberger(generators, order, budget=None):
 
 
 def reference_ideal_dimension(ideal):
-    """``groebner.ideal_dimension`` by the route it replaced: every set
-    of variables is tried, largest first, until none of the leading
+    """The quotient dimension that ``groebner._grevlex_basis_dimension``
+    reads off the reduced grevlex rows, by the route it replaced: every
+    set of variables is tried, largest first, until none of the leading
     terms of the grevlex basis lives on it."""
     n = ideal.nvars
     deg_order = groebner.grevlex(n)
@@ -954,10 +978,11 @@ def primitive_row(f, order):
 
 
 def polynomial_graded_hull_z(ideal, weights, budget):
-    """``multigraded.graded_hull_z`` as it was before the hull passes ran
-    on integer rows: the substituted generators, the elimination basis,
-    the t,u-free elements and the re-basis are all rational polynomials,
-    each basis from the public ``groebner.buchberger``."""
+    """One weight row's hull pass, ``multigraded._hull_pass``, as it was
+    before the hull passes ran on integer rows: the substituted
+    generators, the elimination basis, the t,u-free elements and the
+    re-basis are all rational polynomials, each basis from the public
+    ``groebner.buchberger``."""
     n = ideal.nvars
     wt = tuple(weights)
     ti, ui = n, n + 1
@@ -1025,7 +1050,7 @@ def polynomial_random_nonmember(rng, n, gb, order, budget):
         f = groebner.Polynomial(n, terms)
         if not f.is_zero and not groebner.normal_form(f, gb, order, budget).is_zero:
             return f
-    return f + groebner.Polynomial.constant(1, n)
+    return poly_sum(f, groebner.Polynomial(n, {(0,) * n: 1}))
 
 
 def polynomial_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
@@ -1058,7 +1083,7 @@ def polynomial_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
             draws.append(a)
             b = polynomial_random_nonmember(rng, n, gb_star_deg, deg_order, budget)
             draws.append(b)
-            if groebner.normal_form(a * b, gb_star_deg, deg_order, budget).is_zero:
+            if groebner.normal_form(poly_product(a, b), gb_star_deg, deg_order, budget).is_zero:
                 raise NotPrimeError("graded core contains a product of two nonmembers; "
                                     "the input cannot be prime")
     if graded:
@@ -1301,7 +1326,7 @@ def containment_extreme_rays(a, d, base, start):
     if d == 0:
         return {}
     aug = [list(a[i]) + [int(j == k) for k in range(d)] for j, i in enumerate(base)]
-    rows, _, e, _ = _eliminate(aug, d)
+    rows, _, e = _eliminate(aug, d)
     sgn = 1 if e > 0 else -1
     inserted = sum(1 << i for i in base)
     masks = {primitive([sgn * row[d + j] for row in rows]): inserted ^ (1 << i)

@@ -8,10 +8,13 @@ seeded so the gate is reproducible.
 
 import io
 import json
+import os
 import random
+import re
 import time
 from fractions import Fraction
 
+import monograde
 from monograde.cli import main as cli_main
 from monograde.cone import facets_of_rays, rays_of_facets
 from monograde.divisorial import (
@@ -29,8 +32,8 @@ from monograde.groebner import (
     parse_polynomial,
 )
 from monograde.monoid import monoid_from_cone_rays, normalize_presentation
-from monograde.multigraded import GradedRingSpec, analyze_prime, graded_hull, is_graded
-from hullcheck import assert_hull_contract
+from monograde.multigraded import GradedRingSpec, analyze_prime, graded_hull
+from hullcheck import assert_hull_contract, is_graded
 from oracles import (
     brute_irreducibles,
     brute_minimal_interior,
@@ -215,3 +218,21 @@ def test_cli_reports_are_byte_identical_across_runs(monkeypatch, capsys):
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1]
         json.loads(runs[0])
+
+
+def test_public_names_are_the_readme_table():
+    """``monograde.__all__`` is the table of public names in README, and
+    each name there lives in the module of its row, so a new public name
+    is a recorded decision."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Public names", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for line in section.splitlines():
+        names = re.findall(r"`(\w+)`", line) if line.startswith("| `") else ()
+        if names:
+            module = getattr(monograde, names[0])
+            assert all(hasattr(module, name) for name in names[1:]), line
+            listed.extend(names)
+    assert sorted(listed) == sorted(monograde.__all__)

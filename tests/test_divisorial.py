@@ -16,7 +16,6 @@ import pytest
 
 import sweepcounts
 from monograde import divisorial, exact_linalg, monoid
-from monograde.exact_linalg import determinant
 from monograde.divisorial import (
     canonical_module,
     class_group,
@@ -42,6 +41,7 @@ from oracles import (
     cokernel_class_group,
     cone_corpus,
     coset_count,
+    det_int,
     dot,
     minor_gcd_factors,
     presentation_corpus,
@@ -297,7 +297,7 @@ def test_capped_sweeps_visit_det_points_on_the_thin_cone(monkeypatch):
     for kind, module in sweepcounts.KINDS.items():
         monkeypatch.setattr(module, "_region_points", sweepcounts._counting(kind, real, counts))
     m = monoid_from_cone_rays(rays)
-    assert abs(determinant(rays)) == 92
+    assert abs(det_int(rays)) == 92
     hilbert_basis(m)
     canonical_module(m)
     assert {kind: row[0] for (kind, _), row in counts.items()} == {"hilbert": 92, "canonical": 92}

@@ -25,7 +25,7 @@ from monograde.exact_linalg import (
 )
 from monograde.groebner import IdealPresentation, Polynomial, grevlex
 from monograde.monoid import normalize_presentation
-from monograde.multigraded import graded_hull_z
+from monograde.multigraded import GradedRingSpec, graded_hull
 
 PACKAGE = os.path.dirname(os.path.abspath(monograde.__file__))
 
@@ -109,7 +109,7 @@ def test_non_integer_input_is_refused_not_truncated():
             facets_of_rays([(bad, 0), (0, 1)])
         for call in (lambda: primitive((bad, 3)), lambda: rank([(bad, 1)]),
                      lambda: lattice_coordinates(IntMatrix([(1, 0), (0, 1)]), (bad, 1)),
-                     lambda: quotient.project((bad,)), lambda: graded_hull_z(ideal, (bad, 1))):
+                     lambda: quotient.project((bad,)), lambda: graded_hull(ideal, GradedRingSpec(((bad,), (1,))))):
             with pytest.raises(ValueError):
                 call()
     v = as_tuple((2.0, Fraction(4, 2), 1))

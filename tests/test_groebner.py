@@ -19,7 +19,6 @@ from monograde.groebner import (
     elimination_order,
     format_polynomial,
     grevlex,
-    ideal_dimension,
     lex,
     normal_form,
     parse_polynomial,
@@ -27,8 +26,11 @@ from monograde.groebner import (
 from monograde.multigraded import GradedRingSpec, graded_hull
 import oracles
 from oracles import (
+    monic,
     normal_strategy_buchberger,
+    poly_product,
     poly_sort_key,
+    poly_sum,
     rational_buchberger,
     reference_buchberger,
     reference_ideal_dimension,
@@ -54,7 +56,7 @@ def random_poly(rng, n, max_terms=3, max_exp=2, bound=3):
         e = tuple(rng.randint(0, max_exp) for _ in range(n))
         terms[e] = terms.get(e, Fraction(0)) + Fraction(rng.randint(-bound, bound))
     terms = {e: c for e, c in terms.items() if c}
-    return Polynomial(n, terms) if terms else Polynomial.zero(n)
+    return Polynomial(n, terms)
 
 
 # -- term orders ---------------------------------------------------------
@@ -82,12 +84,10 @@ def test_elimination_order_separates_blocks():
 
 
 def seeded_orders(rng, n):
-    """grevlex and lex, each plain and with a shuffled priority, and an
-    elimination order of a random nonempty block (all variables too)."""
-    perm = list(range(n))
-    rng.shuffle(perm)
+    """grevlex, lex and an elimination order of a random nonempty block
+    (all variables too)."""
     drop = rng.sample(range(n), rng.randint(1, n))
-    return [grevlex(n), lex(n), grevlex(n, perm), lex(n, perm), elimination_order(drop, n)]
+    return [grevlex(n), lex(n), elimination_order(drop, n)]
 
 
 def test_compiled_keys_match_the_reference_dispatch():
@@ -156,7 +156,7 @@ def test_heap_selects_the_pairs_of_the_min_scan(monkeypatch):
     rng = random.Random(67)
     checked = 0
     for n in range(2, 6):
-        for _ in range(12):
+        for _ in range(20):
             gens = [random_poly(rng, n, max_terms=3, max_exp=2) for _ in range(rng.randint(2, 3))]
             for o in seeded_orders(rng, n):
                 outcomes = []
@@ -242,8 +242,9 @@ def test_integer_kernel_matches_the_rational_route(monkeypatch):
     cases = strategy_corpus(73, monkeypatch)
     rng = random.Random(79)
     for n in range(2, 5):
-        for _ in range(12):
-            gens = [random_poly(rng, n) * Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4))
+        for _ in range(20):
+            gens = [poly_product(random_poly(rng, n),
+                                 Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4)))
                     for _ in range(rng.randint(2, 3))]
             cases.extend((gens, o) for o in seeded_orders(rng, n))
     spairs = []
@@ -288,8 +289,8 @@ def test_rows_are_taken_in_the_order_of_the_polynomials_they_stand_for(monkeypat
     groebner._reduced_rows(rows, order, groebner._Budget(1000))
     want = sorted((oracles.row_polynomial(r, 2) for r in rows),
                   key=lambda g: poly_sort_key(g, order))
-    got = [Polynomial(2, t).monic(order) for t in taken[:3]]
-    assert got == [g.monic(order) for g in want]
+    got = [monic(Polynomial(2, t), order) for t in taken[:3]]
+    assert got == [monic(g, order) for g in want]
     assert [g.terms for g in want] == [{(0, 2): 1, (1, 0): Fraction(2, 3)},
                                        {(0, 3): 1, (1, 0): 1},
                                        {(1, 0): 2, (0, 0): Fraction(1, 2)}]
@@ -447,15 +448,14 @@ def test_parse_errors():
 
 
 def test_polynomial_basics():
-    f = poly("x1+x2")
-    g = poly("x1-x2")
-    assert f * g == poly("x1^2 - x2^2")
-    assert f + g == poly("2*x1")
-    assert (f - f).is_zero
-    assert poly("2*x1^2 - 4").monic(grevlex(2)) == poly("x1^2 - 2")
-    assert poly("x1^2*x2").total_degree() == 3
-    assert Polynomial.variable(0, 2) == poly("x1")
-    assert Polynomial.constant(Fraction(3, 4), 2) == poly("3/4")
+    f = Polynomial(2, {(1, 0): 1, (0, 1): 0, (2.0, 1): Fraction(3, 4)})
+    assert f == poly("3/4*x1^2*x2 + x1") and f.terms[2, 1] == Fraction(3, 4)
+    assert f.total_degree() == 3 and Polynomial(2, {}).total_degree() == -1
+    assert f.leading(grevlex(2)) == ((2, 1), Fraction(3, 4))
+    assert Polynomial.monomial((0, 2), 5, 2) == poly("5*x2^2")
+    assert Polynomial(2, {(0, 0): 0}).is_zero
+    with pytest.raises(ValueError, match="bad exponent"):
+        Polynomial(2, {(1, -1): 1})
 
 
 # -- Groebner bases -------------------------------------------------------
@@ -540,6 +540,15 @@ def test_normal_form_fixture():
     assert fmt(normal_form(poly("x1^2 + x2"), [poly("2*x1 - 1")], lex(2))) == "x2 + 1/4"
 
 
+def test_normal_form_refuses_mixed_variable_counts():
+    """x1^2 in 2 variables modulo x1 in 3 is refused, as ``buchberger``
+    refuses such generators, instead of reducing to a false zero."""
+    with pytest.raises(ValueError, match="mixed variable counts"):
+        normal_form(poly("x1^2"), [poly("x1", V3)], grevlex(2))
+    with pytest.raises(ValueError, match="mixed variable counts"):
+        normal_form(poly("x1^2"), [poly("x2"), poly("x1", V3)], grevlex(2))
+
+
 def test_normal_form_is_linear_and_idempotent():
     rng = random.Random(47)
     ideal = IdealPresentation((poly("x1^2 - x2"), poly("x2^2 - 1")), grevlex(2))
@@ -549,13 +558,22 @@ def test_normal_form_is_linear_and_idempotent():
         f = random_poly(rng, 2, max_terms=4, max_exp=4)
         g = random_poly(rng, 2, max_terms=4, max_exp=4)
         nf, ng = normal_form(f, gb, o), normal_form(g, gb, o)
-        assert normal_form(f + g, gb, o) == nf + ng
+        assert normal_form(poly_sum(f, g), gb, o) == poly_sum(nf, ng)
         assert normal_form(nf, gb, o) == nf
         # the reduction difference is in the ideal
-        assert normal_form(f - nf, gb, o).is_zero
+        assert normal_form(poly_sum(f, poly_product(nf, -1)), gb, o).is_zero
 
 
 # -- dimension -------------------------------------------------------------
+
+
+def ideal_dimension(ideal, budget=None):
+    """The quotient dimension as ``analyze_prime`` reads it: the cover
+    search of ``_grevlex_basis_dimension`` on the reduced grevlex rows."""
+    budget = groebner._as_budget(budget)
+    n = ideal.nvars
+    rows = groebner._reduced_rows([g.terms for g in ideal.generators], grevlex(n), budget)
+    return groebner._grevlex_basis_dimension(rows, n, budget)
 
 
 def test_ideal_dimension_fixtures():
@@ -576,7 +594,9 @@ def test_ideal_dimension_matches_the_subset_scan():
         gens = [Polynomial.monomial(e, 1, n) for e in exps if any(e)]
         if n <= 4 and len(gens) > 1:
             # a binomial keeps the ideal from being monomial
-            gens[0] = gens[0] - gens[1] * Polynomial.variable(rng.randrange(n), n)
+            v = rng.randrange(n)
+            minus_x = Polynomial.monomial([int(i == v) for i in range(n)], -1, n)
+            gens[0] = poly_sum(gens[0], poly_product(gens[1], minus_x))
         ideal = IdealPresentation(tuple(gens), grevlex(n))
         assert ideal_dimension(ideal) == reference_ideal_dimension(ideal)
 

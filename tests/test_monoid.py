@@ -20,7 +20,6 @@ from monograde.monoid import (
     EnumerationLimitError,
     NonNormalError,
     hilbert_basis,
-    is_normal,
     monoid_from_cone_rays,
     normalize_presentation,
 )
@@ -49,7 +48,6 @@ def test_numerical_monoid_2_3_is_not_normal():
     assert m.rank == 1
     assert not m.is_normal
     assert m.normality_witness == (1,)
-    assert is_normal([(2,), (3,)]) == (False, (1,))
     with pytest.raises(NonNormalError) as info:
         m.require_normal()
     assert info.value.witness == (1,)

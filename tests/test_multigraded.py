@@ -24,13 +24,9 @@ from monograde.multigraded import (
     NotPrimeError,
     PrimeAnalysis,
     analyze_prime,
-    delta_component,
     graded_hull,
-    graded_hull_z,
-    homogeneous_components,
-    is_graded,
 )
-from hullcheck import assert_hull_contract
+from hullcheck import assert_hull_contract, is_graded
 from oracles import hull_job_corpus, polynomial_analyze_prime, polynomial_graded_hull
 
 V1 = default_variables(1)
@@ -52,37 +48,17 @@ def fmt(p, variables=V2):
 
 def test_spec_basics():
     assert STD2.nvars == 2 and STD2.rank == 2 and STD2.sigma() == 2
-    assert STD2.multidegree((2, 1)) == (2, 1)
-    assert TOT2.multidegree((2, 1)) == (3,)
+    assert TOT2.weights(0) == (1, 1)
     assert GradedRingSpec(((1, 1), (2, 2))).sigma() == 1
 
 
 def test_mismatched_variable_counts_are_rejected():
     f = parse_polynomial("x1 + x3^5", default_variables(3))
+    ideal = IdealPresentation((f,), grevlex(3))
     with pytest.raises(ValueError, match="does not match the grading"):
-        delta_component(f, STD2, 0, 0)
+        graded_hull(ideal, STD2)
     with pytest.raises(ValueError, match="does not match the grading"):
-        homogeneous_components(f, STD2)
-    with pytest.raises(ValueError, match="does not match the grading"):
-        STD2.multidegree((1, 2, 3))
-    with pytest.raises(ValueError, match="does not match the grading"):
-        STD2.multidegree((1,))
-
-
-def test_homogeneous_components_and_delta():
-    f = poly("x1^2 + x1*x2")
-    comps = homogeneous_components(f, STD2)
-    assert {d: fmt(p) for d, p in comps.items()} == {(1, 1): "x1*x2", (2, 0): "x1^2"}
-    assert fmt(delta_component(f, STD2, 0, 2)) == "x1^2"
-    assert delta_component(f, STD2, 0, 5).is_zero
-    assert sum(comps.values(), Polynomial.zero(2)) == f
-
-
-def test_is_graded():
-    assert is_graded(poly("x1*x2"), STD2)
-    assert not is_graded(poly("x1 + x2^2"), STD2)
-    assert is_graded(poly("x1^2 + x1*x2"), TOT2)
-    assert is_graded(Polynomial.zero(2), STD2)
+        analyze_prime(ideal, STD2)
 
 
 # -- graded hull -----------------------------------------------------------
@@ -114,8 +90,20 @@ def test_hull_single_weight_grading():
     hull = graded_hull(ideal, TOT2)
     assert hull.generators == ()
     spec1 = GradedRingSpec(((1,),))
-    z = graded_hull_z(IdealPresentation((poly("x1+1", V1),), grevlex(1)), (1,))
+    z = graded_hull(IdealPresentation((poly("x1+1", V1),), grevlex(1)), spec1)
     assert z.generators == ()
+
+
+def test_hull_of_a_high_power_keeps_its_pairs_and_counts():
+    """The graded-hull job of (x1^150, x2) under the total degree: the
+    chain criterion prunes most of its pairs, and must prune exactly the
+    ones it always did, so the answer and the meter are pinned."""
+    ideal = IdealPresentation((poly("x1^150"), poly("x2")), grevlex(2))
+    budget = groebner._Budget(groebner.DEFAULT_BUDGET)
+    hull = graded_hull(ideal, TOT2, budget)
+    assert [fmt(g) for g in hull.generators] == ["x2", "x1^150"]
+    assert (budget.spairs, budget.zero_reductions) == (452, 301)
+    assert budget.remaining == groebner.DEFAULT_BUDGET  # no reduction step spent
 
 
 def test_hull_axis_order_does_not_matter():
