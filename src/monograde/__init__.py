@@ -5,8 +5,7 @@ The package computes, over arbitrary-precision integers and rationals:
 
 * fraction-free ranks, unimodular inverses and rational solves, Hermite
   normal forms for lattice bases, integer kernels and integer solves,
-  and Smith forms for elementary divisors and abelian quotients
-  (``exact_linalg``);
+  and Smith forms for elementary divisors (``exact_linalg``);
 * polyhedral cone duality by the double description method (``cone``);
 * affine monoid normalization, Hilbert bases, normality witnesses and
   unit groups (``monoid``);
@@ -36,8 +35,6 @@ from .divisorial import (
     same_class,
 )
 from .exact_linalg import (
-    AbelianQuotient,
-    cokernel,
     elementary_divisors,
     hnf,
     kernel_basis,

@@ -19,9 +19,8 @@ of the facet matrix, with no transform.  Which point of L has given
 facet values, if any, is one question behind principal classes and
 shift witnesses, and both read it from the Hermite form the pointed
 view's sweeps run in (``_PointedView._preimage``), computed once on
-first use; the invariant factors alone need none.  The projection
-behind ``class_of`` needs a Smith form with a row transform as wide as
-the facet count, so it is built only on first use.
+first use; the invariant factors alone need none.  No Smith form here
+carries a transform.
 
 Every operation requires the monoid presentation to be normal, since
 the height description only sees the saturation C cap L.
@@ -31,17 +30,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb, prod
 
 from .exact_linalg import (
-    AbelianQuotient,
     IntMatrix,
     Vec,
     _dot,
     _eliminate,
     as_tuple,
-    cokernel,
     elementary_divisors,
 )
 from .monoid import AffineMonoid, _echelon_box, _guard_box, _PointedView, _region_points
@@ -102,8 +98,8 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
 
 def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
     """Rational vertices x / d of {y : forms(y) >= heights}, as integer
-    pairs (x, d) with d > 0 (plus possibly some non-vertex tight points,
-    which only widen the bounding box and loosen the caps)."""
+    pairs (x, d) with d > 0.  A feasible point tight on dim independent
+    forms is a vertex; a degenerate vertex appears once per such set."""
     _guard_box(comb(len(forms), dim), "vertex search", "facet subsets")
     verts = []
     for subset in itertools.combinations(range(len(forms)), dim):
@@ -225,19 +221,13 @@ class DivisorClassGroup:
     free factor per missing rank.  ``is_principal`` asks whether the
     heights are the facet values of a point of L, by back-substitution
     in the Hermite form the monoid's pointed view holds for its sweeps
-    (the view does not refer to the monoid, so nothing cycles).  Only
-    ``class_of`` needs the projection of ``quotient``, which costs a
-    Smith form with an s x s row transform; it is built on first use.
-    Both check that the heights have one entry per facet form.
+    (the view does not refer to the monoid, so nothing cycles), and
+    checks that the heights have one entry per facet form.
     """
 
     invariant_factors: tuple[int, ...]
     facet_matrix: IntMatrix
     _view: _PointedView = field(repr=False, compare=False)
-
-    @cached_property
-    def quotient(self) -> AbelianQuotient:
-        return cokernel(self.facet_matrix)
 
     def _heights(self, heights) -> Vec:
         heights = as_tuple(heights)
@@ -245,11 +235,21 @@ class DivisorClassGroup:
             raise ValueError("need one height per facet form")
         return heights
 
-    def class_of(self, heights) -> Vec:
-        return self.quotient.project(self._heights(heights))
-
     def is_principal(self, heights) -> bool:
         return self._view._preimage(self._heights(heights)) is not None
+
+    def _in_image(self, heights) -> bool:
+        """Whether the heights lie in F(Z^d), read off Smith invariants
+        alone: appending them to F as a column leaves the count and the
+        product of F's nonzero elementary divisors unchanged exactly
+        then.  Outside Q F(Z^d) the rank rises; inside it but outside
+        F(Z^d) the lattice grows, so its index in its saturation, the
+        product, drops."""
+        f = self.facet_matrix
+        aug = elementary_divisors(IntMatrix([row + (h,) for row, h in zip(f, self._heights(heights))],
+                                            f.shape[1] + 1))
+        factors = self.invariant_factors
+        return len(aug) == len(f) - factors.count(0) and prod(aug) == prod(e for e in factors if e)
 
 
 def class_group(m: AffineMonoid) -> DivisorClassGroup:
@@ -289,13 +289,13 @@ def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:
 def is_gorenstein(m: AffineMonoid) -> tuple[bool, Vec | None]:
     """Whether the canonical module is principal, with a certificate.
 
-    Three equivalent tests are run and must agree: the canonical module
-    has a single minimal generator, the all-ones height vector is the
-    facet values of a point of L (Hermite back-substitution, the class
-    group's ``is_principal``), and its class is zero (the Smith
-    cokernel projection, the class group's ``class_of``).  The
-    certificate is the generator, whose facet values are all exactly
-    one.
+    Three equivalent tests, which share no step, are run and must
+    agree: the canonical module has a single minimal generator, the
+    all-ones height vector is the facet values of a point of L (Hermite
+    back-substitution, the class group's ``is_principal``), and
+    appending it to the facet matrix keeps the elementary divisors the
+    class group read (two bare Smith forms).  The certificate is the
+    generator, whose facet values are all exactly one.
     """
     m.require_normal()
     s = len(m.facet_forms)
@@ -304,7 +304,7 @@ def is_gorenstein(m: AffineMonoid) -> tuple[bool, Vec | None]:
     principal = len(can.generators) == 1
     cg = class_group(m)
     preimage = cg.is_principal(ones)
-    class_zero = not any(cg.class_of(ones))
+    class_zero = cg._in_image(ones)
     if not (principal == preimage == class_zero):
         raise RuntimeError("Gorenstein criteria disagree; this is a bug")
     if not principal:

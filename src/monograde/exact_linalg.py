@@ -6,8 +6,8 @@ fraction-free Gauss-Jordan kernel,
 ``_eliminate``, which never leaves the integers.  Lattice questions
 need a unimodular transform.  The Hermite form serves lattice bases,
 kernels and integer solves, by back-substitution in
-``lattice_coordinates``; the Smith form serves only invariant factors
-and cokernels, as abelian quotients in invariant-factor form.  Matrices
+``lattice_coordinates``; the Smith form serves elementary divisors and
+the unimodular basis change of ``cone``'s lineality quotient.  Matrices
 are ``IntMatrix`` values, immutable tuples of row tuples of Python
 ints, so nothing here can overflow; the kernels work on mutable row
 lists inside.
@@ -16,21 +16,19 @@ All three kernels share one convention: pivots come from the first
 columns, and further columns ride along.  ``_eliminate`` carries
 right-hand sides or an identity block that way, and ``hnf`` carries its
 row transform.  The Smith kernel ``_smith`` reduces the first n columns
-of the rows it is handed: ``cokernel`` (through ``_smith_left``) hands
-it the row transform beside the matrix, and ``elementary_divisors`` the
-bare matrix, so each caller pays for the transform it reads and each
-operation is written once.
+of the rows it is handed: ``_smith_left`` hands it the row transform
+beside the matrix, and ``elementary_divisors`` the bare matrix, so each
+caller pays for the transform it reads and each operation is written
+once.
 
-Conventions: matrices act on column vectors, so ``cokernel(A)`` is the
-quotient of ``Z^rows(A)`` by the column span of ``A``.  Lattices are
-handled as row-generator matrices; ``row_lattice_basis`` returns the
-canonical (Hermite) basis of the row span.
+Conventions: matrices act on column vectors.  Lattices are handled as
+row-generator matrices; ``row_lattice_basis`` returns the canonical
+(Hermite) basis of the row span.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
 Vec = tuple[int, ...]
@@ -320,39 +318,6 @@ def elementary_divisors(a) -> tuple[int, ...]:
     m, n = a.shape
     s = _smith([list(row) for row in a], n)
     return tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
-
-
-@dataclass(frozen=True)
-class AbelianQuotient:
-    """A finitely generated abelian group Z^s / subgroup.
-
-    ``invariant_factors`` lists the cyclic orders in divisibility order
-    with trivial (order 1) factors dropped; 0 stands for a free factor.
-    ``projection`` holds one integer functional per factor; ``project``
-    maps an ambient vector to its coordinates in the quotient.
-    """
-
-    invariant_factors: tuple[int, ...]
-    projection: tuple[Vec, ...]
-
-    def project(self, v) -> Vec:
-        v = as_tuple(v)
-        if self.projection and len(v) != len(self.projection[0]):
-            raise ValueError("vector length does not match the quotient")
-        out = []
-        for d, row in zip(self.invariant_factors, self.projection):
-            c = _dot(row, v)
-            out.append(c % d if d else c)
-        return tuple(out)
-
-
-def cokernel(a, width: int | None = None) -> AbelianQuotient:
-    """Quotient of Z^rows(A) by the span of the columns of A."""
-    diag, u = _smith_left(_as_matrix(a, width))
-    # one cyclic factor per row of U: the diagonal entry, 0 past its end
-    factors = [diag[i] if i < len(diag) else 0 for i in range(len(u))]
-    keep = [i for i, d in enumerate(factors) if d != 1]
-    return AbelianQuotient(tuple(factors[i] for i in keep), tuple(u[i] for i in keep))
 
 
 def primitive(v) -> Vec:

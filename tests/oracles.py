@@ -18,6 +18,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -30,10 +31,10 @@ from monograde.exact_linalg import (
     _combine_rows,
     _dot,
     _eliminate,
+    _smith_left,
     _sub_col,
     _sub_row,
     _swap_cols,
-    cokernel,
     kernel_basis,
     lattice_coordinates,
     primitive,
@@ -353,6 +354,28 @@ def brute_minimal_interior(rays):
         if not reducible:
             minimal.append(pt)
     return sorted(minimal)
+
+
+def cone_faces(incidence):
+    """The nonzero proper faces of a cone, each as the sorted tuple of the
+    indices of the rays it holds, from the facet incidence: one set of
+    tight ray indices per facet.  A proper face is the intersection of
+    the facets that contain it, so closing the facets under intersection
+    finds every one; the empty intersection, the zero face, is left out."""
+    facets = set(map(frozenset, incidence))
+    faces, frontier = set(facets), set(facets)
+    while frontier:
+        frontier = {a & b for a in frontier for b in facets} - faces - {frozenset()}
+        faces |= frontier
+    faces.discard(frozenset())
+    return sorted(tuple(sorted(f)) for f in faces)
+
+
+def componentwise_minimal(vectors):
+    """The vectors that no other one of the set is at most in every
+    coordinate, each once, sorted."""
+    vs = set(map(tuple, vectors))
+    return sorted(v for v in vs if not any(w != v and all(map(operator.le, w, v)) for w in vs))
 
 
 # -- abelian group oracles ---------------------------------------------
@@ -1195,12 +1218,23 @@ def hermite_cone_lattice(rays):
 
 
 def cokernel_class_group(m):
-    """The divisor class group as ``class_group`` built it before it read
-    its invariant factors from the elementary divisors: the cokernel of
-    the facet matrix, whose Smith form carries an s x s row transform.
-    Returns the quotient and its ``is_principal``, a zero projection."""
-    q = cokernel(m.facet_matrix, width=m.rank)
-    return q, lambda heights: not any(q.project(heights))
+    """The divisor class group as the package once built it, as the
+    cokernel of the facet matrix F: a Smith form S = U F V that carries
+    its s x s row transform U.  Returns the invariant factors (1s
+    dropped, a 0 per free factor) and the class of a height vector h,
+    the coordinates of U h with 1s dropped, each reduced modulo its
+    factor; h is principal iff its class is zero."""
+    diag, u = _smith_left(_as_matrix(m.facet_matrix, m.rank))
+    # one cyclic factor per row of U: the diagonal entry, 0 past its end
+    kept = [(diag[i] if i < len(diag) else 0, row) for i, row in enumerate(u)]
+    kept = [(f, row) for f, row in kept if f != 1]
+
+    def class_of(heights):
+        if len(heights) != len(u):
+            raise ValueError("need one height per facet form")
+        return tuple(dot(row, heights) % f if f else dot(row, heights) for f, row in kept)
+
+    return tuple(f for f, _ in kept), class_of
 
 
 def kernel_unit_rows(m):

@@ -6,6 +6,7 @@ promised runtime ceilings on a monotonic clock.  Random corpora are
 seeded so the gate is reproducible.
 """
 
+import collections
 import io
 import json
 import os
@@ -37,6 +38,9 @@ from hullcheck import assert_hull_contract, is_graded
 from oracles import (
     brute_irreducibles,
     brute_minimal_interior,
+    componentwise_minimal,
+    cone_corpus,
+    cone_faces,
     coset_count,
     dot,
     frac_rref,
@@ -103,6 +107,64 @@ def test_gorenstein_three_characterizations_agree():
             assert m.facet_values(witness) == (1,) * s
         if expected is not None:
             assert principal is expected
+
+
+def test_localization_at_a_face_restricts_the_facet_values():
+    """For a face F of a pointed cone with rays R, M_F = M + Z(M cap F)
+    is the monoid of cone(R, -R_F), a monoid with units, and K[M_F] is
+    K[M] localized at F's monomial prime.  Points of M_F with equal
+    values on the facets I that contain F differ by a unit, so five
+    exact checks need no box: M_F's facets are M's facets in I and its
+    unit rank is dim F; its Hilbert basis and the generators of its
+    canonical module take the componentwise minimal values of M's
+    (nonzero ones for the Hilbert basis) restricted to I; M's Gorenstein
+    certificate restricts to M_F's; and Cl(M_F) is Z^I modulo the
+    restricted facet values, by determinantal divisors, a quotient of
+    Cl(M) (Nagata), so its free rank is at most Cl(M)'s."""
+    t0 = time.monotonic()
+    faces = collections.Counter()
+    for rays in cone_corpus(437):
+        m = monoid_from_cone_rays(rays)
+        if not m.is_pointed:
+            continue
+        values = [m.facet_values(r) for r in rays]
+        hilbert = [m.facet_values(h) for h in m.hilbert_basis()]
+        omega = [m.facet_values(g) for g in canonical_module(m).generators]
+        gorenstein, cert = is_gorenstein(m)
+        free = class_group(m).invariant_factors.count(0)
+        incidence = [[k for k, vals in enumerate(values) if vals[i] == 0]
+                     for i in range(len(m.facet_forms))]
+        for face in cone_faces(incidence):
+            face_rays = [rays[k] for k in face]
+            mf = monoid_from_cone_rays(rays + [tuple(-x for x in r) for r in face_rays])
+            holding = [i for i, tight in enumerate(incidence) if set(face) <= set(tight)]
+            assert mf.lattice_basis == m.lattice_basis
+            assert sorted(mf.facet_forms) == sorted(m.facet_forms[i] for i in holding)
+            assert mf.unit_rank == frac_rref([[Fraction(x) for x in r] for r in face_rays])[0]
+            at = [m.facet_forms.index(f) for f in mf.facet_forms]
+
+            def restrict(vals):
+                return tuple(vals[i] for i in at)
+
+            assert sorted(mf.facet_values(h) for h in mf.hilbert_basis()) == \
+                componentwise_minimal(restrict(v) for v in hilbert if any(restrict(v)))
+            assert sorted(mf.facet_values(g) for g in canonical_module(mf).generators) == \
+                componentwise_minimal(map(restrict, omega))
+            gorenstein_f, cert_f = is_gorenstein(mf)
+            if gorenstein:
+                assert gorenstein_f and mf.facet_values(cert_f) == restrict(m.facet_values(cert))
+            minors = minor_gcd_factors([m.facet_forms[i] for i in at])
+            factors = class_group(mf).invariant_factors
+            assert factors == tuple(f for f in minors if f != 1) + (0,) * (len(at) - len(minors))
+            assert factors.count(0) <= free
+            faces[mf.unit_rank, gorenstein_f, bool(factors)] += 1
+    # every unit rank 1-4 occurs, and Gorenstein M_F with trivial and
+    # nontrivial class groups as well as others; a trivial class group
+    # makes M_F factorial, so Gorenstein
+    assert sum(faces.values()) > 200
+    assert {u for u, _, _ in faces} == {1, 2, 3, 4}
+    assert {(g, c) for _, g, c in faces} == {(True, False), (True, True), (False, True)}
+    assert time.monotonic() - t0 < 10
 
 
 def test_class_group_fixtures_match_determinant_and_coset_oracles():

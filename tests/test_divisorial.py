@@ -411,37 +411,33 @@ def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
 
 def test_class_group_is_computed_once_per_monoid(monkeypatch):
     m = monoid_from_cone_rays([(1, 0), (1, 3)])
-    calls = {"cokernel": 0, "elementary_divisors": 0}
+    riding = []
+    real = exact_linalg._smith
 
-    def counting(name):
-        real = getattr(divisorial, name)
+    def counted(rows, n):
+        # the columns past the n reduced ones are a transform riding along
+        riding.append(len(rows[0]) - n if rows else 0)
+        return real(rows, n)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(divisorial, name, counting(name))
+    monkeypatch.setattr(exact_linalg, "_smith", counted)
     first = class_group(m)
     # the invariant factors need one transform-free Smith form, and
-    # principal classes a Hermite back-substitution: no projection
+    # principal classes a Hermite back-substitution
     assert not first.is_principal((1, 1)) and first.is_principal((0, 3))
-    assert calls == {"cokernel": 0, "elementary_divisors": 1}
+    assert riding == [0]
     assert is_gorenstein(m) == (False, None)
     assert class_group(m) is first
-    # the Gorenstein test builds the cokernel projection for its Smith
-    # route, and later class_of calls reuse it
-    assert calls == {"cokernel": 1, "elementary_divisors": 1}
-    assert first.class_of((1, 1)) == (2,)
-    assert first.class_of((0, 1)) == (1,)
-    assert calls == {"cokernel": 1, "elementary_divisors": 1}
+    # the Gorenstein test's Smith route reduces one more bare matrix,
+    # the facet matrix with the all-ones column appended
+    assert riding == [0, 0]
 
 
 def test_class_group_fixtures():
     assert class_group(QUAD).invariant_factors == ()
     assert class_group(QUAD).is_principal((4, 7))
     assert class_group(RNC3).invariant_factors == (3,)
+    assert class_group(RNC3).is_principal((0, 3))
+    assert not class_group(RNC3).is_principal((1, 1))
     assert class_group(VER2).invariant_factors == (2,)
     sq = monoid_from_cone_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
     assert class_group(sq).invariant_factors == (0,)
@@ -459,15 +455,16 @@ def test_class_group_against_independent_oracles():
 
 def test_class_group_matches_the_cokernel_route():
     """Invariant factors from the elementary divisors, and principal
-    classes by Hermite membership, agree with the cokernel of the facet
-    matrix, and the factors with determinantal divisors."""
+    classes by Hermite membership and by the Smith invariants of F with
+    the heights appended, agree with the cokernel of the facet matrix,
+    and the factors with determinantal divisors."""
     rng = random.Random(79)
     outcomes = collections.Counter()
     for rays in cone_corpus(421):
         m = monoid_from_cone_rays(rays)
         cg = class_group(m)
-        quotient, principal = cokernel_class_group(m)
-        assert cg.invariant_factors == quotient.invariant_factors
+        factors, coordinates = cokernel_class_group(m)
+        assert cg.invariant_factors == factors
         minors = minor_gcd_factors(m.facet_matrix)
         free = len(m.facet_forms) - len(minors)
         assert cg.invariant_factors == tuple(f for f in minors if f != 1) + (0,) * free
@@ -476,53 +473,26 @@ def test_class_group_matches_the_cokernel_route():
             image = m.facet_matrix @ x
             noise = tuple(rng.randint(-2, 2) for _ in image)
             for heights in (image, tuple(map(operator.add, image, noise))):
-                want = principal(heights)
+                want = not any(coordinates(heights))
                 assert cg.is_principal(heights) == want
+                assert cg._in_image(heights) == want
                 outcomes[want] += 1
-        # compared last, so that is_principal ran before any projection was built
-        assert cg.quotient == quotient
     assert outcomes[True] > 200 and outcomes[False] > 100
 
 
-def test_class_arithmetic():
-    cg = class_group(RNC3)
-    assert cg.class_of((0, 1)) == (1,)
-    assert cg.class_of((0, 2)) == (2,)
-    assert cg.class_of((0, 3)) == (0,)
-    assert cg.class_of((1, 1)) == (2,)
-    assert cg.is_principal((0, 3))
-    assert not cg.is_principal((1, 1))
-    # projection is additive modulo the invariant factors
-    rng = random.Random(73)
-    for _ in range(20):
-        a = tuple(rng.randint(-4, 4) for _ in range(2))
-        b = tuple(rng.randint(-4, 4) for _ in range(2))
-        s = tuple(x + y for x, y in zip(a, b))
-        assert cg.class_of(s)[0] == (cg.class_of(a)[0] + cg.class_of(b)[0]) % 3
-
-
-def test_class_of_needs_one_height_per_facet():
-    # RNC3 has two facets: a shorter or longer vector is refused, not
-    # truncated by the projection
-    cg = class_group(RNC3)
-    for heights in ((1,), (0, 1, 5)):
-        with pytest.raises(ValueError, match="one height per facet"):
-            cg.class_of(heights)
-        with pytest.raises(ValueError):
-            cg.is_principal(heights)
-    assert cg.class_of((0, 1)) == (1,)
-
-
-def test_is_principal_names_a_wrong_length_like_class_of():
-    # pointed (the column lattice shared with the sweeps) and with units
+def test_heights_need_one_entry_per_facet():
+    # pointed (the column lattice shared with the sweeps) and with units;
+    # a shorter or longer vector is refused, not truncated
     for m in (RNC3, monoid_from_cone_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
               monoid_from_cone_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)])):
         cg = class_group(m)
         s = len(m.facet_forms)
-        for heights in ((1,) * (s - 1), (1,) * (s + 1)):
-            with pytest.raises(ValueError, match="^need one height per facet form$"):
-                cg.is_principal(heights)
-        assert cg.is_principal(m.facet_matrix @ ((1,) * m.rank))
+        for heights in ((1,) * (s - 1), (1,) * (s + 1), (0,) * (s - 1) + (1, 5)):
+            for test in (cg.is_principal, cg._in_image):
+                with pytest.raises(ValueError, match="^need one height per facet form$"):
+                    test(heights)
+        image = m.facet_matrix @ ((1,) * m.rank)
+        assert cg.is_principal(image) and cg._in_image(image)
 
 
 def test_same_class():
@@ -616,6 +586,44 @@ def test_gorenstein_fixtures():
     assert is_gorenstein(over) == (True, (1, 1, 2))
     for rays in WHOLE_LATTICE:
         assert is_gorenstein(monoid_from_cone_rays(rays)) == (True, (0,) * len(rays[0]))
+
+
+def test_every_gorenstein_route_is_live(monkeypatch):
+    """Flipping any one of the three routes makes ``is_gorenstein``
+    raise, on Gorenstein and other monoids, pointed and with units: an
+    extra or a missing canonical generator, a preimage lost or invented,
+    and elementary divisors of the facet matrix with the all-ones column
+    appended that change or keep F's.  So every route is read."""
+    real_canonical = divisorial.canonical_module
+    real_preimage = monoid._PointedView._preimage
+    real_divisors = divisorial.elementary_divisors
+
+    def canonical(m):
+        can = real_canonical(m)
+        gens = can.generators
+        return divisorial.CanonicalModule(can.ideal, gens[:1] if len(gens) > 1 else gens * 2)
+
+    def preimage(view, values):
+        return None if real_preimage(view, values) is not None else (0,) * view.dim
+
+    def divisors(a):
+        got, bare = real_divisors(a), real_divisors([row[:-1] for row in a])
+        return got + (2,) if got == bare else bare
+
+    breaks = ((divisorial, "canonical_module", canonical),
+              (monoid._PointedView, "_preimage", preimage),
+              (divisorial, "elementary_divisors", divisors))
+    answers = []
+    for m in (QUAD, VER2, RNC3, monoid_from_cone_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),
+              monoid_from_cone_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 3)])):
+        # computed unbroken first: the canonical module and class group are kept
+        answers.append((is_gorenstein(m)[0], m.is_pointed))
+        for owner, name, broken in breaks:
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, broken)
+                with pytest.raises(RuntimeError, match="^Gorenstein criteria disagree"):
+                    is_gorenstein(m)
+    assert answers == [(True, True), (True, True), (False, True), (True, False), (False, False)]
 
 
 def test_gorenstein_certificate_is_interior_with_unit_heights():
