@@ -170,7 +170,7 @@ def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     u = len(lin_rows)
     if any(x != 1 for x in diag):
         raise ValueError("sublattice is not saturated")
-    return p, IntMatrix([row[u:] for row in unimodular_inverse(p)], len(p) - u)
+    return p, IntMatrix._of((row[u:] for row in unimodular_inverse(p)), len(p) - u)
 
 
 def _dd(a: IntMatrix) -> tuple[dict[Vec, int], IntMatrix]:
@@ -188,7 +188,7 @@ def _dd(a: IntMatrix) -> tuple[dict[Vec, int], IntMatrix]:
     d = a.shape[1]
     base, start = _start_cone(a)
     if len(base) == d:
-        return _pointed_extreme_rays(a, d, base, start), IntMatrix((), d)
+        return _pointed_extreme_rays(a, d, base, start), IntMatrix._of((), d)
     lin = kernel_basis(a)
     if not base:
         return {}, lin
@@ -261,12 +261,13 @@ def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _facets_of_generators(gens: tuple[Vec, ...], d: int) -> Cone:
-    masks, span_cuts = _dd(IntMatrix(gens, d))  # span_cuts vanish on span(C)
+    masks, span_cuts = _dd(IntMatrix._of(gens, d))  # span_cuts vanish on span(C)
     forms = sorted(masks)
     tight = _transpose([masks[f] for f in forms], len(gens))  # forms vanishing on each generator
     full = (1 << len(forms)) - 1
     # the lineality space is a face, so it is nonzero iff some generator lies in it
-    lin = kernel_basis(forms + list(span_cuts), width=d) if full in tight else IntMatrix((), d)
+    lin = (kernel_basis(IntMatrix._of(forms + list(span_cuts), d)) if full in tight
+           else IntMatrix._of((), d))
     return Cone(
         rays=tuple(v for v, ext in zip(gens, _maximal_proper(tight, full)) if ext),
         facet_forms=tuple(forms),
@@ -283,7 +284,7 @@ def rays_of_facets(forms, ambient_rank: int) -> Cone:
     from ``facet_forms``.
     """
     fs, d = _clean_vectors(forms, ambient_rank)
-    masks, lin = _dd(IntMatrix(fs, d))
+    masks, lin = _dd(IntMatrix._of(fs, d))
     rays = sorted(masks)
     vanish = _transpose([masks[r] for r in rays], len(fs))  # rays each form vanishes on
     full = (1 << len(rays)) - 1

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, prod
+from operator import add, ge
 
 from .exact_linalg import (
     IntMatrix,
@@ -177,17 +178,17 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
     caps = _generator_caps(view, verts)
     forms, lo, hi = view._sweep_frame(h, caps, lo, hi)
-    hb_vals = [vals for _, vals in m._pointed_hilbert]
+    # y is reducible iff it lies above some floor b + h, b a Hilbert element's values
+    floors = [tuple(map(add, b, h)) for _, b in m._pointed_hilbert]
     minimal = []
     for pt, vals in _region_points(forms, h, lo, hi, caps):
-        reducible = False
-        for bvals in hb_vals:
-            if all(v - w >= hh for v, w, hh in zip(vals, bvals, h)):
-                reducible = True
+        for floor in floors:
+            if all(map(ge, vals, floor)):
                 break
-        if not reducible:
+        else:
             minimal.append(pt)
-    return tuple(sorted(m.to_ambient(m._lift_local(view._unsweep(pt))) for pt in minimal))
+    basis = m.lattice_basis
+    return tuple(sorted(m._lift_local(view._unsweep(pt)) @ basis for pt in minimal))
 
 
 @dataclass(frozen=True)
@@ -246,8 +247,8 @@ class DivisorClassGroup:
         F(Z^d) the lattice grows, so its index in its saturation, the
         product, drops."""
         f = self.facet_matrix
-        aug = elementary_divisors(IntMatrix([row + (h,) for row, h in zip(f, self._heights(heights))],
-                                            f.shape[1] + 1))
+        rows = [row + (h,) for row, h in zip(f, self._heights(heights))]
+        aug = elementary_divisors(IntMatrix._of(rows, f.shape[1] + 1))
         factors = self.invariant_factors
         return len(aug) == len(f) - factors.count(0) and prod(aug) == prod(e for e in factors if e)
 

@@ -10,7 +10,12 @@ kernels and integer solves, by back-substitution in
 the unimodular basis change of ``cone``'s lineality quotient.  Matrices
 are ``IntMatrix`` values, immutable tuples of row tuples of Python
 ints, so nothing here can overflow; the kernels work on mutable row
-lists inside.
+lists inside.  Input is validated at the boundary: the ``IntMatrix``
+constructor and both vector products read what callers pass with
+``as_tuple``, which refuses non-integral values.  The matrices the
+kernels build from their own rows are taken as built
+(``IntMatrix._of``), and ``v @ M`` reads the columns of M, transposed
+once and kept on the immutable matrix.
 
 All three kernels share one convention: pivots come from the first
 columns, and further columns ride along.  ``_eliminate`` carries
@@ -29,6 +34,7 @@ row-generator matrices; ``row_lattice_basis`` returns the canonical
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from operator import mul
 
 Vec = tuple[int, ...]
@@ -57,6 +63,13 @@ class IntMatrix(tuple):
     combines its rows, both giving a tuple.  The width is kept, so a
     matrix without rows still has a shape; it is required when ``rows``
     is empty and checked otherwise.
+
+    Input is validated at the boundary: the constructor reads every row,
+    and both vector products read the vector, with ``as_tuple``, and
+    check the lengths.  ``IntMatrix._of`` takes rows that the kernels
+    built themselves as they are.  ``v @ a`` reads the columns of ``a``,
+    the rows of ``a.T``, which is transposed once and kept on the
+    immutable matrix.
     """
 
     def __new__(cls, rows, width: int | None = None):
@@ -68,13 +81,21 @@ class IntMatrix(tuple):
             raise ValueError("rows have inconsistent lengths")
         return self
 
+    @classmethod
+    def _of(cls, rows, width: int) -> IntMatrix:
+        """The matrix of int-tuple rows of length ``width`` that a kernel
+        built, taken as built: nothing is checked."""
+        self = tuple.__new__(cls, rows)
+        self._width = width
+        return self
+
     @property
     def shape(self) -> tuple[int, int]:
         return len(self), self._width
 
-    @property
+    @cached_property
     def T(self) -> IntMatrix:
-        return IntMatrix(zip(*self) if self else [()] * self._width, len(self))
+        return IntMatrix._of(zip(*self) if self else ((),) * self._width, len(self))
 
     def __getitem__(self, key):
         if isinstance(key, tuple):
@@ -82,17 +103,21 @@ class IntMatrix(tuple):
         return tuple.__getitem__(self, key)
 
     def __matmul__(self, other):
+        if isinstance(other, IntMatrix):
+            if len(other) != self._width:
+                raise ValueError("matrix shapes do not match")
+            cols = other.T
+            return IntMatrix._of((tuple(_dot(row, c) for c in cols) for row in self), other._width)
+        other = as_tuple(other)
         if len(other) != self._width:
             raise ValueError("matrix shapes do not match")
-        if isinstance(other, IntMatrix):
-            cols = other.T
-            return IntMatrix([[_dot(row, c) for c in cols] for row in self], other._width)
         return tuple(_dot(row, other) for row in self)
 
     def __rmatmul__(self, v):
+        v = as_tuple(v)
         if len(v) != len(self):
             raise ValueError("matrix shapes do not match")
-        return tuple(sum(c * row[j] for c, row in zip(v, self)) for j in range(self._width))
+        return tuple(sum(map(mul, v, col)) for col in self.T)
 
 
 def _as_matrix(a, width: int | None = None) -> IntMatrix:
@@ -216,13 +241,14 @@ def hnf(a) -> tuple[IntMatrix, IntMatrix]:
             if q:
                 _sub_row(h, i, q, r)
         r += 1
-    return IntMatrix((row[:n] for row in h), n), IntMatrix((row[n:] for row in h), m)
+    return (IntMatrix._of((tuple(row[:n]) for row in h), n),
+            IntMatrix._of((tuple(row[n:]) for row in h), m))
 
 
 def row_lattice_basis(a) -> IntMatrix:
     """Canonical basis (nonzero Hermite rows) of the lattice spanned by the rows."""
     h, _ = hnf(a)
-    return IntMatrix([row for row in h if any(row)], h.shape[1])
+    return IntMatrix._of((row for row in h if any(row)), h.shape[1])
 
 
 def rank(a) -> int:
@@ -308,7 +334,7 @@ def _smith_left(a) -> tuple[list[int], IntMatrix]:
     and U, for callers that never read V: only ``[A | I]`` is reduced."""
     m, n = a.shape
     s = _smith(_with_identity(a), n)
-    return [s[i][i] for i in range(min(m, n))], IntMatrix((row[n:] for row in s), m)
+    return [s[i][i] for i in range(min(m, n))], IntMatrix._of((tuple(row[n:]) for row in s), m)
 
 
 def elementary_divisors(a) -> tuple[int, ...]:
@@ -340,7 +366,8 @@ def kernel_basis(a, width: int | None = None) -> IntMatrix:
     a = _as_matrix(a, width)
     h, u = hnf(a.T)
     zero = [row for hrow, row in zip(h, u) if not any(hrow)]
-    return row_lattice_basis(zero) if zero else IntMatrix((), a.shape[1])
+    n = a.shape[1]
+    return row_lattice_basis(IntMatrix._of(zero, n)) if zero else IntMatrix._of((), n)
 
 
 def lattice_coordinates(basis, v) -> Vec | None:
@@ -377,5 +404,5 @@ def unimodular_inverse(m) -> IntMatrix:
     rows, pivots, d = _eliminate(_with_identity(m), n)
     if len(pivots) < n or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return IntMatrix([[d * x for x in row[n:]] for row in rows], n)
+    return IntMatrix._of((tuple(d * x for x in row[n:]) for row in rows), n)
 

@@ -113,7 +113,7 @@ class _PointedView:
         pointed full-dimensional cone, so no row of H is zero.  In the
         coordinates y' with y = V.T @ y', form j is column j of H, which
         is zero below the last row whose pivot lies at or before j."""
-        return hnf(IntMatrix(self.forms, self.dim).T)
+        return hnf(IntMatrix._of(self.forms, self.dim).T)
 
     def _sweep_frame(self, heights, caps, lo, hi) -> tuple:
         """(forms, lo, hi) for ``_region_points`` over the region where
@@ -222,7 +222,7 @@ class AffineMonoid:
         return len(self.lattice_basis)
 
     def to_ambient(self, local) -> Vec:
-        return as_tuple(local) @ self.lattice_basis
+        return local @ self.lattice_basis
 
     def to_local(self, ambient) -> Vec | None:
         """Coordinates in the basis of L, or None when the point is not in L."""
@@ -243,7 +243,7 @@ class AffineMonoid:
 
     @cached_property
     def facet_matrix(self) -> IntMatrix:
-        return IntMatrix(self.cone.facet_forms, self.rank)
+        return IntMatrix._of(self.cone.facet_forms, self.rank)
 
     def facet_values(self, ambient) -> Vec:
         """Values of the facet forms at a point of L."""
@@ -297,7 +297,7 @@ class AffineMonoid:
         if self.unit_rank:
             unit_gens = [g for g in self.local_generators
                          if not any(self._facet_values_local(g))]
-            gen_lattice = row_lattice_basis(IntMatrix(unit_gens, self.rank))
+            gen_lattice = row_lattice_basis(IntMatrix._of(unit_gens, self.rank))
             for row in self.cone.lineality:
                 if lattice_coordinates(gen_lattice, row) is None:
                     return False, self.to_ambient(row)
@@ -338,10 +338,11 @@ class AffineMonoid:
         return _PointedView(tuple(rays), forms, d - u, lift)
 
     def _lift_local(self, point) -> Vec:
-        view = self._pointed_view
-        if view.lift is None:
-            return as_tuple(point)
-        return view.lift @ as_tuple(point)
+        """A point of the pointed view in the coordinates of L, through
+        the view's section; on a pointed monoid the two agree, and the
+        point comes back as it is."""
+        lift = self._pointed_view.lift
+        return point if lift is None else lift @ point
 
     @cached_property
     def _pointed_hilbert(self) -> tuple[tuple[Vec, Vec], ...]:
@@ -359,7 +360,8 @@ class AffineMonoid:
         must be normal, otherwise :class:`NonNormalError` explains the gap.
         """
         self.require_normal()
-        return tuple(sorted(self.to_ambient(h) for h in self._hilbert_local()))
+        basis = self.lattice_basis
+        return tuple(sorted(h @ basis for h in self._hilbert_local()))
 
 
 def _region_points(forms, heights, lo, hi, caps=None):
@@ -463,7 +465,10 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     rays = {tuple(_dot(f, r) for f in view.forms): r for r in view.rays}
     basis: list[Vec] = []
     for _, vals in sorted((sum(vals), vals) for vals in swept.keys() | rays.keys()):
-        if not any(all(map(ge, vals, bvals)) for bvals in basis):
+        for bvals in basis:
+            if all(map(ge, vals, bvals)):
+                break
+        else:
             basis.append(vals)
     return tuple(sorted((rays[v] if v in rays else view._unsweep(swept[v]), v) for v in basis))
 
@@ -509,7 +514,8 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
         raise ValueError("rays span the zero lattice")
     if rank(rs) == r:
         # L = Z^r: its Hermite basis is the identity, and the rays are local already
-        return AffineMonoid(r, rs, IntMatrix(_identity(r)), rs, assume_normal=True)
+        return AffineMonoid(r, rs, IntMatrix._of(map(tuple, _identity(r)), r), rs,
+                            assume_normal=True)
     orth = kernel_basis(rs, width=r)
     basis = kernel_basis(orth)
     local = [lattice_coordinates(basis, v) for v in rs]

@@ -50,6 +50,21 @@ def test_int_matrix_shape_transpose_and_products():
         a @ a
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
+    # random shapes, 0-5 rows and columns, each matrix multiplied by
+    # several vectors so that the kept columns are read again; the
+    # kernels' matrices equal the same rows built through the constructor
+    rng = random.Random(23)
+    for _ in range(120):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n)
+        for _ in range(4):
+            v = [rng.randint(-9, 9) for _ in range(m)]
+            w = [rng.randint(-9, 9) for _ in range(n)]
+            assert v @ a == tuple(sum(c * a[i][j] for i, c in enumerate(v)) for j in range(n))
+            assert a @ w == tuple(sum(c * x for c, x in zip(w, row)) for row in a)
+        for built in (*hnf(a), a.T, a.T.T):
+            again = IntMatrix([list(row) for row in built], built.shape[1])
+            assert built == again and built.shape == again.shape
 
 
 def test_int_matrix_without_rows_keeps_its_width():

@@ -15,6 +15,7 @@ import pytest
 
 import monograde
 from monograde.cone import facets_of_rays
+from monograde.divisorial import class_group, divisorial_ideal
 from monograde.exact_linalg import (
     IntMatrix,
     as_tuple,
@@ -23,7 +24,7 @@ from monograde.exact_linalg import (
     rank,
 )
 from monograde.groebner import IdealPresentation, Polynomial, grevlex
-from monograde.monoid import normalize_presentation
+from monograde.monoid import monoid_from_cone_rays, normalize_presentation
 from monograde.multigraded import GradedRingSpec, graded_hull
 
 PACKAGE = os.path.dirname(os.path.abspath(monograde.__file__))
@@ -107,12 +108,44 @@ def test_non_integer_input_is_refused_not_truncated():
             facets_of_rays([(bad, 0), (0, 1)])
         for call in (lambda: primitive((bad, 3)), lambda: rank([(bad, 1)]),
                      lambda: lattice_coordinates(IntMatrix([(1, 0), (0, 1)]), (bad, 1)),
+                     lambda: IntMatrix([(1, 0), (0, 1)]) @ (bad, 1),
+                     lambda: (bad, 1) @ IntMatrix([(1, 0), (0, 1)]),
                      lambda: graded_hull(ideal, GradedRingSpec(((bad,), (1,))))):
             with pytest.raises(ValueError):
                 call()
     v = as_tuple((2.0, Fraction(4, 2), 1))
     assert v == (2, 2, 1) and all(type(x) is int for x in v)
     assert IntMatrix([(2.0, 1), (0, 1)]) == IntMatrix([(2, 1), (0, 1)])
+    for w in (IntMatrix([(1, 0), (0, 1)]) @ (2.0, 1), (2.0, 1) @ IntMatrix([(1, 0), (0, 1)])):
+        assert w == (2, 1) and all(type(x) is int for x in w)
     assert Polynomial(2, {(2.0, 1): 1}) == Polynomial(2, {(2, 1): 1})
     assert normalize_presentation([(2.0, 1), (0, 1)]).generators == ((2, 1), (0, 1))
     assert facets_of_rays([(2.0, 0), (0, 1)]) == facets_of_rays([(2, 0), (0, 1)])
+
+
+def test_public_coordinate_maps_refuse_non_integral_input():
+    """Points the package builds itself skip the checks inside it; what a
+    caller passes to a coordinate map is still read with ``as_tuple`` and
+    measured, on L = Z^r and on a sublattice of lower rank alike."""
+    full = monoid_from_cone_rays([(1, 0), (1, 2)])
+    sub = normalize_presentation([(1, 1, 0), (1, -1, 0)])  # L: a + b even, c = 0
+    assert sub.rank == 2 and sub.lattice_basis != ((1, 0, 0), (0, 1, 0))
+    for m in (full, sub):
+        d, r, s = m.rank, m.ambient_rank, len(m.facet_forms)
+        cg = class_group(m)
+        calls = {
+            "to_ambient": (m.to_ambient, d),
+            "to_local": (m.to_local, r),
+            "facet_values": (m.facet_values, r),
+            "contains": (m.contains, r),
+            "divisorial_ideal": (lambda h: divisorial_ideal(m, h), s),
+            "is_principal": (cg.is_principal, s),
+        }
+        for name, (call, n) in calls.items():
+            for bad in (1.5, Fraction(1, 2), 2.7):
+                with pytest.raises(ValueError):
+                    call((bad,) + (0,) * (n - 1))
+            for length in (n - 1, n + 1):
+                with pytest.raises(ValueError):
+                    call((0,) * length)
+            assert call((2.0,) + (0,) * (n - 1)) == call((2,) + (0,) * (n - 1)), name
