@@ -216,7 +216,10 @@ def _maximal_proper(sets: list[int], full: int) -> list[bool]:
 
 
 def _clean_vectors(vectors, width: int | None) -> tuple[tuple[Vec, ...], int]:
-    """The sorted distinct primitive forms of the nonzero vectors, and their width."""
+    """The sorted distinct primitive forms of the nonzero vectors, and
+    their width.  A width stated with no vectors is read like every
+    integer input: 2.0 is taken as 2, and 2.5 or a negative width raises
+    ValueError; with vectors it must equal their length."""
     vs = [as_tuple(v) for v in vectors]
     if vs:
         w = len(vs[0])
@@ -227,6 +230,10 @@ def _clean_vectors(vectors, width: int | None) -> tuple[tuple[Vec, ...], int]:
         width = w
     elif width is None:
         raise ValueError("ambient rank is required when no vectors are given")
+    else:
+        (width,) = as_tuple((width,))
+        if width < 0:
+            raise ValueError("ambient rank must be nonnegative")
     # the zero vector, whose gcd is 0, is dropped
     out = {v if g == 1 else tuple(x // g for x in v) for v in vs if (g := gcd(*v))}
     return tuple(sorted(out)), width

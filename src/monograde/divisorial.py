@@ -6,11 +6,13 @@ facet form is at least ``heights[i]``.  Heights are indexed by the
 canonical order of ``monoid.facet_forms``.  Both enumerations run on
 the exact row sweep of ``monoid._region_points``, with the enumeration
 guard still bounding the whole box: the members in an ambient box (the
-ambient coordinates are extra forms, capped on both sides), and the
+ambient coordinates are extra forms, capped on both sides, and each
+facet form is capped at the most it reaches on the local box), and the
 minimal module generators, with every facet value capped by the
 region's vertices plus Caratheodory's bound on the rays.  From
 dimension 3 on the generators are swept in the echelon coordinates of
-the pointed view's facet forms, like the Hilbert basis in ``monoid``.
+the pointed view's facet forms, like the Hilbert basis in ``monoid``,
+and the pointed view's ``out`` maps each kept one to Z^r.
 The module builds the canonical module (all heights equal to one, the
 interior points), the divisor class group, shift witnesses between
 ideal classes, and the Gorenstein decision with a certificate.  The
@@ -80,9 +82,12 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
     solve.  The local box comes from the Hermite pivots of the basis
     (``_echelon_box``): the ambient coordinate at row i's pivot is y_i
     times the pivot plus the earlier rows' entries there, which bounds
-    |y_i| in turn.  The guard counts the ambient box, (2 box + 1)^r
-    points.
+    |y_i| in turn.  Each facet form is capped at the most it reaches on
+    that box, which no point of it exceeds.  The guard counts the
+    ambient box, (2 box + 1)^r points.  ``box`` is read like every
+    integer input: 2.0 is taken as 2, and 2.5 raises ValueError.
     """
+    (box,) = as_tuple((box,))
     if box < 0:
         raise ValueError("box bound must be nonnegative")
     m = ideal.monoid
@@ -93,7 +98,8 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
     s = len(ideal.heights)
     forms = list(m.facet_forms) + [tuple(row[j] for row in basis) for j in range(r)]
     heights = list(ideal.heights) + [-box] * r
-    caps = [None] * s + [box] * r
+    caps = [sum(max(c * a, c * b) for c, a, b in zip(f, lo, hi)) for f in m.facet_forms]
+    caps += [box] * r
     return tuple(sorted(vals[s:] for _, vals in _region_points(forms, heights, lo, hi, caps)))
 
 
@@ -187,8 +193,7 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
                 break
         else:
             minimal.append(pt)
-    basis = m.lattice_basis
-    return tuple(sorted(m._lift_local(view._unsweep(pt)) @ basis for pt in minimal))
+    return tuple(sorted(view._unsweep(pt) @ view.out for pt in minimal))
 
 
 @dataclass(frozen=True)
@@ -279,12 +284,10 @@ def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:
         or a.monoid.lattice_basis != b.monoid.lattice_basis
     ):
         raise ValueError("ideals live over different monoids")
-    m = a.monoid
+    view = a.monoid._pointed_view
     delta = tuple(x - y for x, y in zip(b.heights, a.heights))
-    g = m._pointed_view._preimage(delta)
-    if g is None:
-        return None
-    return m.to_ambient(m._lift_local(g))
+    g = view._preimage(delta)
+    return None if g is None else g @ view.out
 
 
 def is_gorenstein(m: AffineMonoid) -> tuple[bool, Vec | None]:

@@ -388,12 +388,12 @@ def _element(terms: dict[int, int], pk: _Packing):
     return lt, terms[lt] // d, [(e, c // d) for e, c in terms.items() if e != lt], top
 
 
-def _integer_basis(rows, order: TermOrder, degree: int):
-    """What :func:`_in_ideal` reduces by: the packing, the packed elements
-    and the rows of a Groebner basis, at a width that holds total degrees
-    up to ``degree``."""
-    pk = _Packing(order, max([degree] + [max(map(sum, r)) for r in rows]))
-    return pk, [_element(_packed_terms(r, pk), pk) for r in rows], rows
+def _integer_basis(rows, nvars: int, degree: int):
+    """What :func:`_in_ideal` reduces by: the grevlex packing and the
+    packed elements of a grevlex Groebner basis in ``nvars`` variables,
+    at a width that holds total degrees up to ``degree``."""
+    pk = _Packing(grevlex(nvars), max([degree] + [max(map(sum, r)) for r in rows]))
+    return pk, [_element(_packed_terms(r, pk), pk) for r in rows]
 
 
 def _reduce(work: dict[int, int], basis, pk: _Packing, budget: _Budget) -> dict[int, int]:
@@ -467,18 +467,10 @@ def _in_ideal(terms: dict[int, int], basis, budget: _Budget) -> bool:
     """Whether the integer ``terms``, packed at the packing of a basis
     from :func:`_integer_basis` and of total degree at most its cap,
     reduce to zero modulo the basis, spending the reduction steps
-    :func:`normal_form` would.  If the reduction outgrows the packing,
-    the terms and the basis are repacked wider."""
-    first, elements, rows = basis
-
-    def run(pk):
-        if pk is first:
-            return not _reduce(dict(terms), elements, pk, budget)
-        unpack, pack = first._unpack, pk._pack
-        return not _reduce({pack(unpack(e)): c for e, c in terms.items()},
-                           [_element(_packed_terms(r, pk), pk) for r in rows], pk, budget)
-
-    return _widening(first, budget, run)
+    :func:`normal_form` would.  Under grevlex a leading term has its
+    element's top degree, so no step raises a degree past the packing."""
+    pk, elements = basis
+    return not _reduce(dict(terms), elements, pk, budget)
 
 
 def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -5,7 +5,8 @@ generated by the input (or the saturated span for cone-defined monoids)
 and C is the cone spanned by it; all further computations run in a
 basis of L, where C is full-dimensional.  The module computes Hilbert
 bases by an exact row sweep (``_region_points``, shared with the
-members and minimal generators of divisorial ideals in ``divisorial``).
+members and minimal generators of divisorial ideals in ``divisorial``),
+which holds every form it checks between a height and a finite cap.
 Caratheodory's theorem caps every facet value of an irreducible point
 that is not a ray, so the sweep visits only the points below those caps
 and the rays are added back.  From dimension 3 on it runs in the
@@ -29,6 +30,9 @@ generator, so no membership search runs.
 
 Vectors returned to callers are always in the ambient Z^r coordinates,
 which keeps results independent of the internal basis choice for L.
+Points found in the pointed view (the monoid modulo its units) reach
+Z^r by one product with its ``out``: the lattice basis, composed with
+the unit quotient's section when there are units.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ class _PointedView:
     rays: tuple[Vec, ...]
     forms: tuple[Vec, ...]
     dim: int
-    lift: IntMatrix | None  # (d, dim) section; None when already pointed
+    out: IntMatrix  # (dim, r): view coordinates to ambient coordinates
 
     @cached_property
     def box(self) -> tuple[Vec, Vec]:
@@ -150,9 +154,9 @@ class _PointedView:
 
         Back-substitution solves x @ H = values in the echelon form, and
         y = x @ V.  F is injective, so y is the only solution.  With units
-        F is the facet matrix times ``lift``, which spans the same image
-        as the facet matrix on L, since the facet forms vanish on the
-        units; ``AffineMonoid._lift_local`` maps y back to L.
+        F is the facet matrix times the section of the unit quotient,
+        which spans the same image as the facet matrix on L, since the
+        facet forms vanish on the units; ``y @ out`` is y in Z^r.
         """
         h, v = self._echelon
         x = lattice_coordinates(h, values)
@@ -304,7 +308,7 @@ class AffineMonoid:
         gen_vals = {self._facet_values_local(g) for g in self.local_generators}
         for p, vals in self._pointed_hilbert:
             if vals not in gen_vals:
-                return False, self.to_ambient(self._lift_local(p))
+                return False, p @ self._pointed_view.out
         return True, None
 
     @property
@@ -331,26 +335,16 @@ class AffineMonoid:
         d = self.rank
         u = self.unit_rank
         if u == 0:
-            return _PointedView(self.cone.rays, self.cone.facet_forms, d, None)
+            return _PointedView(self.cone.rays, self.cone.facet_forms, d, self.lattice_basis)
         p, lift = _quotient_transform(self.cone.lineality)
         forms = tuple(self.facet_matrix @ lift)
         rays = sorted(set(primitive((p @ r)[u:]) for r in self.cone.rays))
-        return _PointedView(tuple(rays), forms, d - u, lift)
-
-    def _lift_local(self, point) -> Vec:
-        """A point of the pointed view in the coordinates of L, through
-        the view's section; on a pointed monoid the two agree, and the
-        point comes back as it is."""
-        lift = self._pointed_view.lift
-        return point if lift is None else lift @ point
+        return _PointedView(tuple(rays), forms, d - u, lift.T @ self.lattice_basis)
 
     @cached_property
     def _pointed_hilbert(self) -> tuple[tuple[Vec, Vec], ...]:
         """(element, facet values) of the pointed Hilbert basis, by element."""
         return _pointed_hilbert_basis(self._pointed_view)
-
-    def _hilbert_local(self) -> tuple[Vec, ...]:
-        return tuple(self._lift_local(p) for p, _ in self._pointed_hilbert)
 
     def hilbert_basis(self) -> tuple[Vec, ...]:
         """Irreducible nonunits of M, modulo units, in ambient coordinates.
@@ -360,15 +354,15 @@ class AffineMonoid:
         must be normal, otherwise :class:`NonNormalError` explains the gap.
         """
         self.require_normal()
-        basis = self.lattice_basis
-        return tuple(sorted(h @ basis for h in self._hilbert_local()))
+        out = self._pointed_view.out
+        return tuple(sorted(p @ out for p, _ in self._pointed_hilbert))
 
 
-def _region_points(forms, heights, lo, hi, caps=None):
+def _region_points(forms, heights, lo, hi, caps):
     """Yield (y, forms(y)) for every integer y in the box [lo, hi] with
     heights <= forms(y) <= caps, in the lexicographic order of the box.
-    ``caps`` holds one upper bound per form, None for no bound; without
-    it no form is bounded above.  The box has at least one coordinate.
+    ``caps`` holds one finite upper bound per form.  The box has at
+    least one coordinate.
 
     The sweep fixes one coordinate at a time and adds that coordinate's
     column of the forms to the running facet values, so no point costs a
@@ -387,13 +381,12 @@ def _region_points(forms, heights, lo, hi, caps=None):
     need = [()] * k
     top = [()] * k
     acc = tuple(heights)
-    cap = tuple(caps) if caps is not None else (None,) * len(forms)
+    cap = tuple(caps)
     for i in reversed(range(k)):
         need[i] = acc
         top[i] = cap
         acc = tuple(a - max(c * lo[i], c * hi[i]) for a, c in zip(acc, cols[i]))
-        cap = tuple(None if u is None else u - min(c * lo[i], c * hi[i])
-                    for u, c in zip(cap, cols[i]))
+        cap = tuple(u - min(c * lo[i], c * hi[i]) for u, c in zip(cap, cols[i]))
 
     def sweep(i, prefix, vals):
         col = cols[i]
@@ -401,13 +394,11 @@ def _region_points(forms, heights, lo, hi, caps=None):
         for v, c, h, u in zip(vals, col, need[i], top[i]):
             if c > 0:
                 a = max(a, -((v - h) // c))  # v + c*t >= h, t >= ceil((h - v) / c)
-                if u is not None:
-                    b = min(b, (u - v) // c)  # v + c*t <= u, t <= floor((u - v) / c)
+                b = min(b, (u - v) // c)  # v + c*t <= u, t <= floor((u - v) / c)
             elif c < 0:
                 b = min(b, (h - v) // c)  # t <= floor((h - v) / c)
-                if u is not None:
-                    a = max(a, -((v - u) // c))  # t >= ceil((u - v) / c)
-            elif v < h or (u is not None and v > u):
+                a = max(a, -((v - u) // c))  # t >= ceil((u - v) / c)
+            elif v < h or v > u:
                 return
         if a > b:
             return

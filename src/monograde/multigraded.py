@@ -200,7 +200,7 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
     rng = random.Random(1)  # fixed, so reports repeat run to run
     if rows_star:
         # packed wide enough for a product of two samples, of degree 4n
-        basis = _integer_basis(rows_star_deg, deg_order, 4 * n)
+        basis = _integer_basis(rows_star_deg, n, 4 * n)
         for _ in range(samples):
             a = _random_nonmember(rng, n, basis, budget)
             b = _random_nonmember(rng, n, basis, budget)

@@ -1121,6 +1121,17 @@ def polynomial_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
 # -- slow paths kept as references for monoid and divisorial -----------
 
 
+def view_to_ambient(m, pt):
+    """A point of ``m``'s pointed view in ambient coordinates by the
+    chain the view's ``out`` map replaced: into L through the section of
+    ``cone._quotient_transform`` when ``m`` has units, then
+    ``to_ambient``."""
+    if m.unit_rank:
+        _, lift = cone._quotient_transform(m.cone.lineality)
+        pt = lift @ pt
+    return m.to_ambient(pt)
+
+
 def box_hilbert_basis(rays, forms, dim):
     """Hilbert basis of a pointed full-dimensional cone in Z^dim by a
     scan of the whole zonotope bounding box, one dot product per form
@@ -1192,7 +1203,7 @@ def box_minimal_generators(ideal):
                 break
         if not reducible:
             minimal.append(pt)
-    return tuple(sorted(m.to_ambient(m._lift_local(pt)) for pt in minimal))
+    return tuple(sorted(view_to_ambient(m, pt) for pt in minimal))
 
 
 def box_members(ideal, box):
@@ -1308,8 +1319,8 @@ def search_normality(m):
             for row in n_rows:
                 if smith_solve(gen_rows.T, row) is None:
                     return False, m.to_ambient(row)
-    for h in m._hilbert_local():
-        amb = m.to_ambient(h)
+    for p, _ in m._pointed_hilbert:
+        amb = view_to_ambient(m, p)
         if not presentation_member(m, amb):
             return False, amb
     return True, None

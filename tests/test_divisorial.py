@@ -246,7 +246,8 @@ def test_guards_bound_the_box_not_the_points_visited(monkeypatch):
     rays = [(9, 7, 7), (7, 9, 7), (7, 7, 9)]
     view = monoid_from_cone_rays(rays)._pointed_view
     lo, hi = view.box
-    assert sum(1 for _ in monoid._region_points(view.forms, (0, 0, 0), lo, hi)) == 387
+    tops = [sum(max(c * a, c * b) for c, a, b in zip(f, lo, hi)) for f in view.forms]
+    assert sum(1 for _ in monoid._region_points(view.forms, (0, 0, 0), lo, hi, tops)) == 387
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 13823)
     message = r"^enumeration box has %d points, beyond the supported desk scale$"
     with pytest.raises(EnumerationLimitError, match=message % 13824):

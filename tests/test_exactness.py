@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 import monograde
-from monograde.cone import facets_of_rays
-from monograde.divisorial import class_group, divisorial_ideal
+from monograde.cone import facets_of_rays, rays_of_facets
+from monograde.divisorial import class_group, divisorial_ideal, members
 from monograde.exact_linalg import (
     IntMatrix,
     as_tuple,
@@ -90,11 +90,14 @@ def test_guard_sees_each_kind_of_float():
 
 
 def test_non_integer_input_is_refused_not_truncated():
-    """Vectors, matrix rows, exponents and weights are read with ``int``,
-    which truncates 2.7 to 2; a value that is not integral raises
-    ValueError instead, and an integral one such as 2.0, which JSON may
-    carry, is taken as the integer."""
+    """Vectors, matrix rows, exponents, weights, a stated ambient rank
+    and a member box are read with ``int``, which truncates 2.7 to 2; a
+    value that is not integral raises ValueError instead, and an
+    integral one such as 2.0, which JSON may carry, is taken as the
+    integer.  An ambient rank is also refused below 0, and a bool is
+    stored as the int it equals."""
     ideal = IdealPresentation((Polynomial(2, {(1, 0): 1, (0, 1): 1}),), grevlex(2))
+    plane = divisorial_ideal(monoid_from_cone_rays([(1, 0), (0, 1)]), (1, 1))
     for bad in (1.5, Fraction(1, 2), 2.7):
         with pytest.raises(ValueError):
             as_tuple((bad, 1))
@@ -110,9 +113,20 @@ def test_non_integer_input_is_refused_not_truncated():
                      lambda: lattice_coordinates(IntMatrix([(1, 0), (0, 1)]), (bad, 1)),
                      lambda: IntMatrix([(1, 0), (0, 1)]) @ (bad, 1),
                      lambda: (bad, 1) @ IntMatrix([(1, 0), (0, 1)]),
-                     lambda: graded_hull(ideal, GradedRingSpec(((bad,), (1,))))):
+                     lambda: graded_hull(ideal, GradedRingSpec(((bad,), (1,)))),
+                     lambda: facets_of_rays([], bad + 1), lambda: rays_of_facets([], bad + 1),
+                     lambda: members(plane, bad + 1)):
             with pytest.raises(ValueError):
                 call()
+    for call in (lambda: facets_of_rays([], -1), lambda: rays_of_facets([], -1),
+                 lambda: facets_of_rays([(1, 0)], -1)):
+        with pytest.raises(ValueError):
+            call()
+    assert facets_of_rays([], 2.0) == facets_of_rays([], 2)
+    assert rays_of_facets([], 2.0) == rays_of_facets([], 2)
+    for cone in (facets_of_rays([], True), rays_of_facets([], True), rays_of_facets([], 1.0)):
+        assert cone.ambient_rank == 1 and type(cone.ambient_rank) is int
+    assert members(plane, 2.0) == members(plane, 2) == ((1, 1), (1, 2), (2, 1), (2, 2))
     v = as_tuple((2.0, Fraction(4, 2), 1))
     assert v == (2, 2, 1) and all(type(x) is int for x in v)
     assert IntMatrix([(2.0, 1), (0, 1)]) == IntMatrix([(2, 1), (0, 1)])

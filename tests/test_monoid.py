@@ -37,6 +37,7 @@ from oracles import (
     random_pointed_cones,
     region_tight_points,
     search_normality,
+    view_to_ambient,
 )
 
 
@@ -267,7 +268,7 @@ def test_hilbert_basis_matches_the_box_scan_oracle():
         with_units += m.unit_rank > 0
         embedded += m.rank < m.ambient_rank
         pointed = box_hilbert_basis(view.rays, view.forms, view.dim)
-        assert hilbert_basis(m) == tuple(sorted(m.to_ambient(m._lift_local(p)) for p in pointed))
+        assert hilbert_basis(m) == tuple(sorted(view_to_ambient(m, p) for p in pointed))
         assert tuple(p for p, _ in m._pointed_hilbert) == pointed
         for p, vals in m._pointed_hilbert:
             assert vals == tuple(dot(f, p) for f in view.forms)
@@ -283,9 +284,23 @@ def region_by_filter(forms, heights, lo, hi):
     return out
 
 
-def test_region_points_match_a_filtered_box_product():
+def box_caps(forms, lo, hi, caps=None):
+    """Each form's cap, and for a form without one (None, or no caps at
+    all) the most it reaches on the box [lo, hi], which no point of the
+    box exceeds."""
+    caps = caps or (None,) * len(forms)
+    return tuple(sum(max(c * a, c * b) for c, a, b in zip(f, lo, hi)) if u is None else u
+                 for f, u in zip(forms, caps))
+
+
+def test_capped_region_points_match_a_filtered_box_product():
+    """The sweep against a filter of the whole box product.  Every form
+    carries a finite cap; a cap at the most the form reaches on the box
+    never binds, so the heights-only cases, capped that way, give the
+    filtered box product unchanged, and so does each form of the capped
+    cases drawn without a cap."""
     rng = random.Random(409)
-    fixed = [
+    heights_only = [
         # rank 1: no prefix, only the last coordinate's interval
         (((2,), (-3,)), (-1, -4), (-3,), (3,)),
         # empty region: x >= 1 and -x >= 1
@@ -294,7 +309,7 @@ def test_region_points_match_a_filtered_box_product():
         (((1, 0), (0, 1), (-1, 2)), (-1, 0, -2), (-2, -1), (2, 3)),
         (((2, 0, 0), (1, -1, 0), (0, 1, 3)), (-3, 0, 1), (-2, -2, -1), (1, 2, 2)),
     ]
-    cases = list(fixed)
+    heights_cases = list(heights_only)
     for _ in range(300):
         k = rng.randint(1, 4)
         forms = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 5))]
@@ -304,26 +319,27 @@ def test_region_points_match_a_filtered_box_product():
         lo = [rng.randint(-3, 1) for _ in range(k)]
         hi = [a + rng.randint(0, 4) for a in lo]
         heights = [rng.randint(-4, 3) for _ in forms]
-        cases.append((tuple(map(tuple, forms)), tuple(heights), tuple(lo), tuple(hi)))
+        heights_cases.append((tuple(map(tuple, forms)), tuple(heights), tuple(lo), tuple(hi)))
     empty = nonempty = 0
-    for forms, heights, lo, hi in cases:
-        got = list(monoid._region_points(forms, heights, lo, hi))
+    for forms, heights, lo, hi in heights_cases:
+        got = list(monoid._region_points(forms, heights, lo, hi, box_caps(forms, lo, hi)))
         want = region_by_filter(forms, heights, lo, hi)
         assert got == want, (forms, heights, lo, hi)
         empty += not want
         nonempty += bool(want)
-    # 2x >= -1 and -3x >= -4: x from ceil(-1/2) = 0 to floor(4/3) = 1
-    assert list(monoid._region_points(*fixed[0])) == [((0,), (0, 0)), ((1,), (2, -3))]
+    # 2x >= -1 and -3x >= -4: x from ceil(-1/2) = 0 to floor(4/3) = 1;
+    # on [-3, 3] the forms reach at most 6 and 9
+    assert list(monoid._region_points(*heights_only[0], (6, 9))) == [((0,), (0, 0)), ((1,), (2, -3))]
     assert empty > 20 and nonempty > 100
 
-
-def test_capped_region_points_match_a_filtered_box_product():
     rng = random.Random(419)
     fixed = [
-        # rank 1: 2x in [-1, 1] and -3x >= -4 leave x = 0
-        (((2,), (-3,)), (-1, -4), (-3,), (3,), (1, None)),
-        # a zero column above its cap: y <= 0 fails before x is fixed
-        (((0, 1), (1, 1)), (0, -9), (-2, 1), (2, 3), (0, None)),
+        # rank 1: 2x in [-1, 1] and -3x >= -4 leave x = 0; -3x reaches
+        # at most 9 on [-3, 3]
+        (((2,), (-3,)), (-1, -4), (-3,), (3,), (1, 9)),
+        # a zero column above its cap: y <= 0 fails before x is fixed;
+        # x + y reaches at most 5 on the box
+        (((0, 1), (1, 1)), (0, -9), (-2, 1), (2, 3), (0, 5)),
         # emptied only by the caps: 2x + 2y = 1 and x = y have no integer
         # solution, though (1, 1) meets both heights
         (((2, 2), (1, -1)), (1, 0), (-2, -2), (2, 2), (1, 0)),
@@ -342,7 +358,7 @@ def test_capped_region_points_match_a_filtered_box_product():
         cases.append((tuple(map(tuple, forms)), tuple(heights), tuple(lo), tuple(hi), tuple(caps)))
     empty = nonempty = capped = 0
     for forms, heights, lo, hi, caps in cases:
-        got = list(monoid._region_points(forms, heights, lo, hi, caps))
+        got = list(monoid._region_points(forms, heights, lo, hi, box_caps(forms, lo, hi, caps)))
         uncapped = region_by_filter(forms, heights, lo, hi)
         want = [(pt, vals) for pt, vals in uncapped
                 if all(u is None or v <= u for v, u in zip(vals, caps))]
