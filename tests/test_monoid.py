@@ -293,12 +293,11 @@ def box_caps(forms, lo, hi, caps=None):
                  for f, u in zip(forms, caps))
 
 
-def test_capped_region_points_match_a_filtered_box_product():
-    """The sweep against a filter of the whole box product.  Every form
-    carries a finite cap; a cap at the most the form reaches on the box
-    never binds, so the heights-only cases, capped that way, give the
-    filtered box product unchanged, and so does each form of the capped
-    cases drawn without a cap."""
+def test_region_points_match_a_filtered_box_product():
+    """The sweep against a filter of the whole box product, heights only.
+    Every form carries a finite cap; a cap at the most the form reaches
+    on the box never binds, so these cases, capped that way, give the
+    filtered box product unchanged."""
     rng = random.Random(409)
     heights_only = [
         # rank 1: no prefix, only the last coordinate's interval
@@ -332,6 +331,11 @@ def test_capped_region_points_match_a_filtered_box_product():
     assert list(monoid._region_points(*heights_only[0], (6, 9))) == [((0,), (0, 0)), ((1,), (2, -3))]
     assert empty > 20 and nonempty > 100
 
+
+def test_capped_region_points_match_a_filtered_box_product():
+    """The sweep against a filter of the whole box product, with caps.
+    A form drawn without a cap is capped at the most it reaches on the
+    box, which leaves the filtered box product unchanged."""
     rng = random.Random(419)
     fixed = [
         # rank 1: 2x in [-1, 1] and -3x >= -4 leave x = 0; -3x reaches
