@@ -41,7 +41,6 @@ from .exact_linalg import (
     _dot,
     _eliminate,
     _smith_left,
-    _with_identity,
     as_tuple,
     kernel_basis,
     primitive,
@@ -80,18 +79,17 @@ class Cone:
 
 def _start_cone(a) -> tuple[list[int], list[Vec]]:
     """Independent rows of A and the start cone they cut out, from one
-    fraction-free elimination of ``[A^T | I]``.
+    fraction-free elimination of the rows of A as vectors in Z^d.
 
-    The pivot columns pick ``base``, a maximal independent set of the
-    rows of A.  The identity block rides along as E, and E @ B^T = e*I
-    for the rows B of A in ``base``: row k of E is tight on every row of
-    ``base`` but ``base[k]``, where it takes the value e.  So sgn(e)
-    times it is the start ray opposite ``base[k]``.
+    The pivots pick ``base``, a maximal independent set of the rows of
+    A, and the transform T has T @ B^T = e*I for the rows B of A in
+    ``base``: row k of T is tight on every row of ``base`` but
+    ``base[k]``, where it takes the value e.  So sgn(e) times it is the
+    start ray opposite ``base[k]``.
     """
-    n = len(a)
-    rows, base, e = _eliminate(_with_identity([list(col) for col in zip(*a)]), n)
+    t, base, e = _eliminate(a, a.shape[1])
     sgn = 1 if e > 0 else -1
-    return base, [primitive([sgn * x for x in rows[k][n:]]) for k in range(len(base))]
+    return base, [primitive([sgn * x for x in t[k]]) for k in range(len(base))]
 
 
 def _pointed_extreme_rays(a, d: int, base: list[int], start: list[Vec]) -> dict[Vec, int]:

@@ -110,16 +110,16 @@ def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
     _guard_box(comb(len(forms), dim), "vertex search", "facet subsets")
     verts = []
     for subset in itertools.combinations(range(len(forms)), dim):
-        aug = [list(forms[i]) + [heights[i]] for i in subset]
-        rows, pivots, d = _eliminate(aug, dim)
+        t, pivots, d = _eliminate(zip(*[forms[i] for i in subset]), dim)
         if len(pivots) < dim:
             continue
-        # the tight point is x / d; test forms(x) >= heights * d in integers
+        # T @ F_I = d*I, so the tight point is x / d with x = T @ h_I;
+        # test forms(x) >= heights * d in integers
+        rhs = [heights[i] for i in subset]
+        x = [_dot(row, rhs) for row in t]
         if d < 0:
             d = -d
-            x = [-row[dim] for row in rows]
-        else:
-            x = [row[dim] for row in rows]
+            x = [-v for v in x]
         if all(_dot(f, x) >= h * d for f, h in zip(forms, heights)):
             verts.append((tuple(x), d))
     return verts

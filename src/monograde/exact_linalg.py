@@ -17,14 +17,19 @@ kernels build from their own rows are taken as built
 (``IntMatrix._of``), and ``v @ M`` reads the columns of M, transposed
 once and kept on the immutable matrix.
 
-All three kernels share one convention: pivots come from the first
-columns, and further columns ride along.  ``_eliminate`` carries
-right-hand sides or an identity block that way, and ``hnf`` carries its
-row transform.  The Smith kernel ``_smith`` reduces the first n columns
-of the rows it is handed: ``_smith_left`` hands it the row transform
-beside the matrix, and ``elementary_divisors`` the bare matrix, so each
-caller pays for the transform it reads and each operation is written
-once.
+Each kernel carries only what its callers read.  ``_eliminate`` takes
+vectors in Z^d as the columns of a matrix and carries only the d x d
+row transform T: a vector's column is formed as T @ v when the loop
+reaches it, and the loop stops at the d-th pivot.  Its callers read T:
+the start cone is its rows, an inverse is T itself up to sign, and a
+vertex is T applied to the right-hand side.  ``hnf`` reduces the rows
+of ``[A | I]``, pivots in the first columns, so its row transform
+rides along and each row operation is written once.  The Smith kernel
+``_smith`` reduces the first n columns of the rows it is handed:
+``_smith_left`` hands it the row transform beside the matrix, and
+``elementary_divisors`` the bare matrix, or its transpose when that
+has fewer rows.  Once a pivot's row pass has cleared its column, a
+column that is a multiple of the pivot costs one entry, not a column.
 
 Conventions: matrices act on column vectors.  Lattices are handled as
 row-generator matrices; ``row_lattice_basis`` returns the canonical
@@ -138,41 +143,58 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x0, y0
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer rows.
+def _identity(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
-    Pivots are taken in the first ``ncols`` columns, leftmost first;
-    further columns ride along as right-hand sides.  Returns
-    ``(rows, pivot_cols, d)``: the k-th row has the entry ``d`` in
-    column ``pivot_cols[k]`` and zeros in every other pivot column, and
-    the rows after the pivot rows are zero in the first ``ncols``
-    columns.  Every entry stays a minor of the input, so each division
-    is exact; for a nonsingular square block, ``d`` is its determinant
-    up to sign.
+
+def _eliminate(vectors, d: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the
+    matrix whose columns are ``vectors``, each of length d, carrying
+    only its d x d row transform T.
+
+    Column j is formed only when the loop reaches it, as T @ v_j, with
+    T still the identity before the first pivot; its first nonzero entry
+    at or below the pivot row is the pivot, and the Bareiss update is
+    applied to the rows of T alone.  The loop stops at the d-th pivot,
+    so no vector past it is read.  Returns ``(T, base, e)``: ``base``
+    lists the vectors that took a pivot, a maximal independent set of
+    those read; T @ v_j is e times the k-th unit vector for
+    ``j = base[k]``; and ``e`` is the last pivot, 1 when there is none.
+    Every entry of T stays a minor of the input, so each division is
+    exact; for d independent vectors, ``e`` is their determinant up to
+    sign.
     """
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    d = 1
-    for j in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
-        if p is None:
+    t = _identity(d)
+    base: list[int] = []
+    e = 1
+    for j, v in enumerate(vectors):
+        r = len(base)
+        col = list(v) if not r else [sum(map(mul, row, v)) for row in t]
+        for p in range(r, d):
+            if col[p]:
+                break
+        else:
             continue
         if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-        top = rows[r]
-        pv = top[j]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[j]
-                rows[i] = [(pv * x - f * y) // d for x, y in zip(row, top)]
-        d = pv
-        pivots.append(j)
-    return rows, pivots, d
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == k) for k in range(n)] for i in range(n)]
+            t[r], t[p] = t[p], t[r]
+            col[r], col[p] = col[p], col[r]
+        top, pv = t[r], col[r]
+        for i, f in enumerate(col):
+            # a row with f = 0 only scales by pv / e, and pv = e leaves it as it is
+            if i == r:
+                continue
+            if f:
+                t[i] = [(pv * x - f * y) // e for x, y in zip(t[i], top)]
+            elif pv != e:
+                t[i] = [pv * x // e for x in t[i]]
+        e = pv
+        base.append(j)
+        if r + 1 == d:
+            break
+    return t, base, e
 
 
 def _with_identity(a) -> list[list[int]]:
@@ -252,9 +274,16 @@ def row_lattice_basis(a) -> IntMatrix:
 
 
 def rank(a) -> int:
-    """Rank over Q of a matrix given as an IntMatrix or a sequence of rows."""
-    rows = [list(as_tuple(row)) for row in a]
-    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
+    """Rank over Q of a matrix given as an IntMatrix or a sequence of
+    rows.  The short side is eliminated: the rows, in Z^width, or the
+    columns when there are fewer rows than columns."""
+    rows = [as_tuple(row) for row in a]
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("rows have inconsistent lengths")
+    if len(rows) < width:
+        rows, width = list(zip(*rows)), len(rows)
+    return len(_eliminate(rows, width)[1])
 
 
 def _smith(s: list[list[int]], n: int) -> list[list[int]]:
@@ -264,7 +293,11 @@ def _smith(s: list[list[int]], n: int) -> list[list[int]]:
     Row operations act on whole rows and column operations on the first
     n columns, so columns past n ride along as a row transform.  The
     pivots depend on the first n columns alone, so what rides along
-    never changes the diagonal.
+    never changes the diagonal.  Each pivot's row pass leaves its column
+    zero off the pivot row, so a column that is a multiple of the pivot
+    is cleared by zeroing one entry, with no work on the other rows,
+    until a column combination in the same pass refills the pivot
+    column.
     """
     m = len(s)
     k = min(m, n)
@@ -299,14 +332,19 @@ def _smith(s: list[list[int]], n: int) -> list[list[int]]:
                 g, cs, ct = xgcd(s[t][t], s[i][t])
                 dirty = True
                 _combine_rows(s, t, i, cs, ct, s[t][t] // g, s[i][t] // g)
+            # column t is zero off row t until a column combination refills it
+            clean = True
             for j in range(t + 1, n):
                 if s[t][j] == 0:
                     continue
                 if s[t][j] % s[t][t] == 0:
-                    _sub_col(s, j, s[t][j] // s[t][t], t)
+                    if clean:
+                        s[t][j] = 0
+                    else:
+                        _sub_col(s, j, s[t][j] // s[t][t], t)
                     continue
                 g, cs, ct = xgcd(s[t][t], s[t][j])
-                dirty = True
+                dirty, clean = True, False
                 _combine_cols(s, t, j, cs, ct, s[t][t] // g, s[t][j] // g)
     for i in range(k):
         if s[i][i] < 0:
@@ -339,9 +377,13 @@ def _smith_left(a) -> tuple[list[int], IntMatrix]:
 
 def elementary_divisors(a) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order.  Only
-    the bare matrix is reduced: no transform rides along."""
+    the bare matrix is reduced, no transform rides along, and a matrix
+    with more rows than columns is reduced as its transpose, which has
+    the same factors, so column operations run over the short side."""
     a = _as_matrix(a)
     m, n = a.shape
+    if m > n:
+        a, m, n = a.T, n, m
     s = _smith([list(row) for row in a], n)
     return tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
 
@@ -394,15 +436,16 @@ def lattice_coordinates(basis, v) -> Vec | None:
 def unimodular_inverse(m) -> IntMatrix:
     """Inverse of a unimodular integer matrix, exactly.
 
-    Elimination of [M | I] leaves [d*I | d*M^-1], and M is unimodular
-    exactly when it has full rank and d is +1 or -1.
+    Elimination of the columns of M gives T with T @ M = d*I, and M is
+    unimodular exactly when it has full rank and d is +1 or -1; then
+    M^-1 = d*T.
     """
     m = _as_matrix(m)
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError("matrix is not square")
-    rows, pivots, d = _eliminate(_with_identity(m), n)
+    t, pivots, d = _eliminate(m.T, n)
     if len(pivots) < n or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return IntMatrix._of((tuple(d * x for x in row[n:]) for row in rows), n)
+    return IntMatrix._of((tuple(d * x for x in row) for row in t), n)
 

@@ -74,9 +74,17 @@ class _Budget:
 
 
 def _as_budget(budget) -> _Budget:
+    """The budget to spend: a ``_Budget`` as it is, None as the default
+    budget, and a number read like every integer input, so 2.0 is taken
+    as 2, while 2.5 or a budget below 1 raises ValueError."""
     if isinstance(budget, _Budget):
         return budget
-    return _Budget(DEFAULT_BUDGET if budget is None else int(budget))
+    if budget is None:
+        return _Budget(DEFAULT_BUDGET)
+    (limit,) = as_tuple((budget,))
+    if limit < 1:
+        raise ValueError("budget must be positive")
+    return _Budget(limit)
 
 
 # -- term orders -----------------------------------------------------
@@ -107,9 +115,17 @@ class TermOrder:
     drop: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # the variable count and the dropped variables are read like every
+        # integer input: 2.0 is taken as 2, and 2.5 raises ValueError
+        if type(self.nvars) is not int:
+            (nvars,) = as_tuple((self.nvars,))
+            object.__setattr__(self, "nvars", nvars)
+        if self.nvars < 0:
+            raise ValueError("number of variables must be nonnegative")
         if self.kind not in ("grevlex", "lex", "elim"):
             raise ValueError("unknown order kind %r" % (self.kind,))
         if self.kind == "elim":
+            object.__setattr__(self, "drop", as_tuple(self.drop))
             if not self.drop or sorted(set(self.drop)) != sorted(self.drop):
                 raise ValueError("elimination order needs a set of dropped variables")
             if any(i < 0 or i >= self.nvars for i in self.drop):
@@ -135,7 +151,7 @@ def lex(nvars: int) -> TermOrder:
 
 
 def elimination_order(drop, nvars: int) -> TermOrder:
-    return TermOrder("elim", nvars, tuple(sorted(set(int(i) for i in drop))))
+    return TermOrder("elim", nvars, tuple(sorted(set(as_tuple(drop)))))
 
 
 # -- polynomials -----------------------------------------------------

@@ -47,13 +47,13 @@ from .exact_linalg import (
     IntMatrix,
     Vec,
     _dot,
+    _eliminate,
     _identity,
     as_tuple,
     hnf,
     kernel_basis,
     lattice_coordinates,
     primitive,
-    rank,
     row_lattice_basis,
 )
 
@@ -211,7 +211,12 @@ class AffineMonoid:
 
     def __init__(self, ambient_rank, generators, lattice_basis, local_generators,
                  assume_normal):
-        self.ambient_rank = int(ambient_rank)
+        # read like every integer input: 2.0 is taken as 2, 2.5 raises ValueError
+        if type(ambient_rank) is not int:
+            (ambient_rank,) = as_tuple((ambient_rank,))
+        if ambient_rank < 0:
+            raise ValueError("ambient rank must be nonnegative")
+        self.ambient_rank = ambient_rank
         self.generators = tuple(as_tuple(g) for g in generators)
         self.lattice_basis = lattice_basis  # (d, r) rows, canonical Hermite basis
         self.local_generators = tuple(as_tuple(g) for g in local_generators)
@@ -491,8 +496,8 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
 
     L is the saturated lattice span(rays) cap Z^r, so the result is
     normal by definition whatever the rays generate.  One elimination
-    gives the rank of the rays; only a lower-rank span needs the two
-    kernels that saturate it.
+    of the rays as read here gives their rank, with no second reading;
+    only a lower-rank span needs the two kernels that saturate it.
     """
     rs = [as_tuple(v) for v in rays]
     if not rs:
@@ -503,7 +508,7 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
     rs = [v for v in rs if any(v)]
     if not rs:
         raise ValueError("rays span the zero lattice")
-    if rank(rs) == r:
+    if len(_eliminate(rs, r)[1]) == r:
         # L = Z^r: its Hermite basis is the identity, and the rays are local already
         return AffineMonoid(r, rs, IntMatrix._of(map(tuple, _identity(r)), r), rs,
                             assume_normal=True)

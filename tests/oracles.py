@@ -30,7 +30,6 @@ from monograde.exact_linalg import (
     _combine_cols,
     _combine_rows,
     _dot,
-    _eliminate,
     _smith_left,
     _sub_col,
     _sub_row,
@@ -474,6 +473,21 @@ def random_pointed_cones(count, max_rank, entry_bound, seed):
             continue  # not full-dimensional
         if positive_functional(rays, 3) is None:
             continue  # no cheap pointedness certificate
+        out.append((d, rays))
+    return out
+
+
+def benchmark_rank_cones(seed):
+    """Rank 5-6 cones with 8-12 rays, entries in [-1, 1] and first entry 1
+    (so they are pointed), full-dimensional, as the benchmark draws them."""
+    rng = random.Random(seed)
+    out = []
+    for d, count in ((5, 8), (5, 10), (5, 12), (6, 8), (6, 9), (6, 10), (5, 9), (5, 11), (6, 12)):
+        while True:
+            rays = sorted({(1,) + tuple(rng.randint(-1, 1) for _ in range(d - 1))
+                           for _ in range(count)})
+            if len(rays) == count and frac_rref(rays)[0] == d:
+                break
         out.append((d, rays))
     return out
 
@@ -1371,7 +1385,7 @@ def containment_extreme_rays(a, d, base, start):
     if d == 0:
         return {}
     aug = [list(a[i]) + [int(j == k) for k in range(d)] for j, i in enumerate(base)]
-    rows, _, e = _eliminate(aug, d)
+    rows, _, e = eager_eliminate(aug, d)
     sgn = 1 if e > 0 else -1
     inserted = sum(1 << i for i in base)
     masks = {primitive([sgn * row[d + j] for row in rows]): inserted ^ (1 << i)
@@ -1403,6 +1417,41 @@ def containment_extreme_rays(a, d, base, start):
 
 def _identity_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def eager_eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer rows,
+    as ``exact_linalg._eliminate`` did it before it carried only the
+    transform: every pivot rewrites every column of every row.
+
+    Pivots are taken in the first ``ncols`` columns, leftmost first;
+    further columns ride along as right-hand sides.  Returns
+    ``(rows, pivot_cols, d)``: the k-th row has the entry ``d`` in
+    column ``pivot_cols[k]`` and zeros in every other pivot column, and
+    the rows after the pivot rows are zero in the first ``ncols``
+    columns.  Every entry stays a minor of the input, so each division
+    is exact; for a nonsingular square block, ``d`` is its determinant
+    up to sign.
+    """
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    d = 1
+    for j in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        pv = top[j]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[j]
+                rows[i] = [(pv * x - f * y) // d for x, y in zip(row, top)]
+        d = pv
+        pivots.append(j)
+    return rows, pivots, d
 
 
 def reference_hnf(a):

@@ -9,9 +9,10 @@ import pytest
 import monograde.cone as cone_module
 from monograde.cone import Cone, facets_of_rays, membership, rays_of_facets
 from monograde.divisorial import class_group
-from monograde.exact_linalg import IntMatrix, _eliminate, _with_identity, kernel_basis, rank
+from monograde.exact_linalg import IntMatrix, _eliminate, kernel_basis, rank
 from monograde.monoid import monoid_from_cone_rays
 from oracles import (
+    benchmark_rank_cones,
     cone_corpus,
     containment_extreme_rays,
     degenerate_cone_corpus,
@@ -19,7 +20,6 @@ from oracles import (
     extreme_by_facets,
     fm_facets,
     fm_member,
-    frac_rref,
     large_cone_corpus,
     make_primitive,
     random_pointed_cones,
@@ -167,21 +167,6 @@ def test_lineality_round_trip():
             assert c.contains(lin) and c.contains(tuple(-x for x in lin))
 
 
-def benchmark_rank_cones(seed):
-    """Rank 5-6 cones with 8-12 rays, entries in [-1, 1] and first entry 1
-    (so they are pointed), full-dimensional, as the benchmark draws them."""
-    rng = random.Random(seed)
-    out = []
-    for d, count in ((5, 8), (5, 10), (5, 12), (6, 8), (6, 9), (6, 10), (5, 9), (5, 11), (6, 12)):
-        while True:
-            rays = sorted({(1,) + tuple(rng.randint(-1, 1) for _ in range(d - 1))
-                           for _ in range(count)})
-            if len(rays) == count and frac_rref(rays)[0] == d:
-                break
-        out.append((d, rays))
-    return out
-
-
 def test_double_description_matches_subset_facets_at_rank_5_and_6():
     for d, rays in benchmark_rank_cones(seed=811):
         forms = subset_facets(rays)
@@ -304,7 +289,7 @@ def test_a_double_description_makes_one_elimination(monkeypatch):
             assert masks == containment_extreme_rays(a, d, *cone_module._start_cone(a))
     # a negative last pivot e: the start rays are the rows of E times sgn(e)
     a = IntMatrix([(0, -1), (1, 0), (1, -2)])
-    assert _eliminate(_with_identity(a.T), len(a))[2] < 0
+    assert _eliminate(a, a.shape[1])[2] < 0
     calls.clear()
     assert cone_module._dd(a) == ({(0, -1): 0b010, (1, 0): 0b001}, ())
     assert calls == {"_eliminate": 1}

@@ -21,8 +21,10 @@ from monograde.exact_linalg import (
 )
 from monograde.cone import facets_of_rays
 from oracles import (
+    benchmark_rank_cones,
     cone_corpus,
     det_int,
+    eager_eliminate,
     frac_rref,
     minor_gcd_factors,
     reference_hnf,
@@ -170,6 +172,35 @@ def test_snf_against_minor_gcd_oracle():
         s, u, v = reference_snf(a)
         assert abs(det_int(v)) == 1
         assert u @ a @ v == s
+
+
+def test_elementary_divisors_match_minor_gcds_on_every_shape():
+    """Tall matrices are reduced as their transposes, and a column that
+    is a multiple of the pivot is cleared in place only while the pivot
+    column is still zero off its row.  In ``[[-3, 2, 3], [-2, 0, 0]]`` a
+    column combination comes before a divisible column in the same pass;
+    clearing that column in place anyway gives (1, 4) instead of
+    (1, 2)."""
+    rng = random.Random(109)
+    mats = [[[-3, 2, 3], [-2, 0, 0]], [[-3, -2], [2, 0], [3, 0]]]
+    for _ in range(25):
+        for m, n in ((rng.randint(3, 5), rng.randint(1, 2)), (rng.randint(1, 2), rng.randint(3, 5)),
+                     (rng.randint(1, 4),) * 2):
+            mats.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        # a product through an inner dimension k < min(m, n) has rank at most k
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        k = rng.randint(1, min(m, n) - 1)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        mats.append([[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+                     for i in range(m)])
+    for rows in mats:
+        a = IntMatrix(rows)
+        factors = minor_gcd_factors(rows)
+        assert elementary_divisors(a) == factors
+        diag, u = _smith_left(a)
+        assert tuple(x for x in diag if x) == factors and abs(det_int(u)) == 1
+    assert elementary_divisors(IntMatrix(mats[0])) == elementary_divisors(IntMatrix(mats[1])) == (1, 2)
 
 
 def transform_corpus(rng):
@@ -370,6 +401,10 @@ def test_rank_matches_rational_row_reduction():
         if rows:
             assert rank(IntMatrix(rows)) == frac_rref(rows)[0]
     assert rank(IntMatrix([], width=4)) == 0
+    # the elimination reads vectors by their products, so a short row is refused first
+    for ragged in ([(1, 2), (3,)], [(1,), (2, 3)], [(1, 0, 0), (0, 1)]):
+        with pytest.raises(ValueError):
+            rank(ragged)
 
 
 def test_determinant_matches_laplace_expansion_including_singular():
@@ -383,6 +418,34 @@ def test_determinant_matches_laplace_expansion_including_singular():
         singular = a[:-1] + [[x + 2 * y for x, y in zip(a[0], a[-2])]]
         assert last_pivot(singular) == 0 == det_int(singular)
     assert last_pivot([]) == 1
+
+
+def test_transform_kernel_matches_the_eager_elimination():
+    """``_eliminate(A, d)`` carries only the d x d transform of the
+    vectors A, in Z^d: on ``[A^T | I]`` the eager elimination takes the
+    same pivots and the same last pivot, and its identity block is the
+    transform, bit for bit.  Full-rank input is read only up to its d-th
+    pivot."""
+    cases = [(rows, len(rows[0])) for rows in shaped_matrices(random.Random(101)) if rows]
+    for d, rays in benchmark_rank_cones(811):
+        cases += [(rays, d), (list(facets_of_rays(rays).facet_forms), d)]
+    taken = []
+
+    def reading(vectors):
+        for v in vectors:
+            taken.append(v)
+            yield v
+
+    for vectors, d in cases:
+        eager = [list(col) + [int(i == k) for k in range(d)] for i, col in enumerate(zip(*vectors))]
+        rows, pivots, e = eager_eliminate(eager, len(vectors))
+        taken.clear()
+        t, base, last = _eliminate(reading(vectors), d)
+        assert base == pivots and last == e and t == [row[len(vectors):] for row in rows]
+        assert len(taken) == (base[-1] + 1 if len(base) == d else len(vectors))
+    # the later vectors are never read once d pivots are found
+    t, base, e = _eliminate(iter([(0, 0), (1, 2), (2, 4), (0, 1), "unread"]), 2)
+    assert base == [1, 3] and e == 1 and t == [[1, 0], [-2, 1]]
 
 
 def test_unimodular_inverse():

@@ -23,8 +23,15 @@ from monograde.exact_linalg import (
     primitive,
     rank,
 )
-from monograde.groebner import IdealPresentation, Polynomial, grevlex
-from monograde.monoid import monoid_from_cone_rays, normalize_presentation
+from monograde.groebner import (
+    IdealPresentation,
+    Polynomial,
+    buchberger,
+    elimination_order,
+    grevlex,
+    lex,
+)
+from monograde.monoid import AffineMonoid, monoid_from_cone_rays, normalize_presentation
 from monograde.multigraded import GradedRingSpec, graded_hull
 
 PACKAGE = os.path.dirname(os.path.abspath(monograde.__file__))
@@ -94,10 +101,13 @@ def test_non_integer_input_is_refused_not_truncated():
     and a member box are read with ``int``, which truncates 2.7 to 2; a
     value that is not integral raises ValueError instead, and an
     integral one such as 2.0, which JSON may carry, is taken as the
-    integer.  An ambient rank is also refused below 0, and a bool is
-    stored as the int it equals."""
+    integer.  An ambient rank or a term order's variable count is also
+    refused below 0, a Groebner budget below 1, and a bool is stored as
+    the int it equals."""
     ideal = IdealPresentation((Polynomial(2, {(1, 0): 1, (0, 1): 1}),), grevlex(2))
     plane = divisorial_ideal(monoid_from_cone_rays([(1, 0), (0, 1)]), (1, 1))
+    parabola = [Polynomial(2, {(2, 0): 1, (0, 1): -1})]
+    eye = IntMatrix([(1, 0), (0, 1)])
     for bad in (1.5, Fraction(1, 2), 2.7):
         with pytest.raises(ValueError):
             as_tuple((bad, 1))
@@ -115,13 +125,25 @@ def test_non_integer_input_is_refused_not_truncated():
                      lambda: (bad, 1) @ IntMatrix([(1, 0), (0, 1)]),
                      lambda: graded_hull(ideal, GradedRingSpec(((bad,), (1,)))),
                      lambda: facets_of_rays([], bad + 1), lambda: rays_of_facets([], bad + 1),
-                     lambda: members(plane, bad + 1)):
+                     lambda: members(plane, bad + 1),
+                     lambda: buchberger(parabola, grevlex(2), bad + 1),
+                     lambda: grevlex(bad + 1), lambda: lex(bad + 1),
+                     lambda: elimination_order((bad,), 3),
+                     lambda: AffineMonoid(bad + 1, [(1, 0), (0, 1)], eye, [(1, 0), (0, 1)], True)):
             with pytest.raises(ValueError):
                 call()
     for call in (lambda: facets_of_rays([], -1), lambda: rays_of_facets([], -1),
-                 lambda: facets_of_rays([(1, 0)], -1)):
+                 lambda: facets_of_rays([(1, 0)], -1),
+                 lambda: buchberger(parabola, grevlex(2), -3),
+                 lambda: buchberger(parabola, grevlex(2), 0), lambda: grevlex(-1),
+                 lambda: AffineMonoid(-1, [], IntMatrix([], width=0), [], True)):
         with pytest.raises(ValueError):
             call()
+    assert buchberger(parabola, grevlex(2), 2.0) == buchberger(parabola, grevlex(2), 2)
+    assert grevlex(2.0) == grevlex(2) and type(grevlex(2.0).nvars) is int
+    assert elimination_order((1.0, 0), 3.0) == elimination_order((0, 1), 3)
+    m = AffineMonoid(2.0, [(1, 0), (0, 1)], eye, [(1, 0), (0, 1)], True)
+    assert m.ambient_rank == 2 and type(m.ambient_rank) is int
     assert facets_of_rays([], 2.0) == facets_of_rays([], 2)
     assert rays_of_facets([], 2.0) == rays_of_facets([], 2)
     for cone in (facets_of_rays([], True), rays_of_facets([], True), rays_of_facets([], 1.0)):
