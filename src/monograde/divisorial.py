@@ -4,15 +4,16 @@ A divisorial ideal is described by one integer height per facet of the
 monoid's cone: it is the set of lattice points of L on which the i-th
 facet form is at least ``heights[i]``.  Heights are indexed by the
 canonical order of ``monoid.facet_forms``.  Both enumerations run on
-the exact row sweep of ``monoid._region_points``, with the enumeration
-guard still bounding the whole box: the members in an ambient box (the
+the exact row sweep of ``monoid._region_points``, each guarded once by
+the count of the frame it scans: the members in an ambient box (the
 ambient coordinates are extra forms, capped on both sides, and each
 facet form is capped at the most it reaches on the local box), and the
 minimal module generators, with every facet value capped by the
-region's vertices plus Caratheodory's bound on the rays.  From
-dimension 3 on the generators are swept in the echelon coordinates of
-the pointed view's facet forms, like the Hilbert basis in ``monoid``,
-and the pointed view's ``out`` maps each kept one to Z^r.
+region's vertices plus Caratheodory's bound on the rays.  The
+generators are swept in the frame ``_PointedView._sweep_frame`` builds
+and guards from the region's vertices, in echelon coordinates from
+dimension 3 on, like the Hilbert basis in ``monoid``, and the pointed
+view's ``out`` maps each kept one to Z^r.
 The module builds the canonical module (all heights equal to one, the
 interior points), the divisor class group, shift witnesses between
 ideal classes, and the Gorenstein decision with a certificate.  The
@@ -83,8 +84,9 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
     (``_echelon_box``): the ambient coordinate at row i's pivot is y_i
     times the pivot plus the earlier rows' entries there, which bounds
     |y_i| in turn.  Each facet form is capped at the most it reaches on
-    that box, which no point of it exceeds.  The guard counts the
-    ambient box, (2 box + 1)^r points.  ``box`` is read like every
+    that box, which no point of it exceeds.  The guard counts that frame,
+    at most (2 box + 1)^d points, which bounds the prefixes the sweep
+    enters, as in ``_PointedView._sweep_frame``.  ``box`` is read like every
     integer input: 2.0 is taken as 2, and 2.5 raises ValueError.
     """
     (box,) = as_tuple((box,))
@@ -92,9 +94,9 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
         raise ValueError("box bound must be nonnegative")
     m = ideal.monoid
     r = m.ambient_rank
-    _guard_box((2 * box + 1) ** r)
     basis = m.lattice_basis
-    lo, hi, _ = _echelon_box(basis, [-box] * r, [box] * r)
+    lo, hi, count = _echelon_box(basis, [-box] * r, [box] * r)
+    _guard_box(count, "echelon sweep")
     s = len(ideal.heights)
     forms = list(m.facet_forms) + [tuple(row[j] for row in basis) for j in range(r)]
     heights = list(ideal.heights) + [-box] * r
@@ -153,12 +155,11 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     S_f the sum of its dim largest values on the rays: the sweep caps f
     at ceil(V_f) + S_f - 1, or at floor(V_f) when S_f = 0
     (``_generator_caps``).
-    ``_region_points`` sweeps only the members within box and caps; the
-    guard still bounds the whole box.  From dimension 3 on the sweep
-    runs in the echelon coordinates of ``_PointedView._sweep_frame``,
-    whose box follows from the pivot forms' heights and caps alone, so
-    it may visit capped members outside the vertex and zonotope box;
-    the frame's own guard bounds that work.
+    ``_region_points`` sweeps only the members within the frame and the
+    caps, which ``_PointedView._sweep_frame`` builds from the vertices
+    and guards: the vertex box plus the zonotope box in dimension 1 and
+    2, from dimension 3 on the echelon frame, which may hold capped
+    members outside that box.
     Minimality itself is exact on any candidate set that holds the
     minimal generators: y is minimal iff no Hilbert basis element can be
     subtracted without leaving the region.  So the extra members change
@@ -170,20 +171,12 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     k = view.dim
     if k == 0:
         return (m.to_ambient((0,) * m.rank),)
-    forms = view.forms
     h = ideal.heights
-    zlo, zhi = view.box
-    # the full box is at least as wide as the zonotope box in every
-    # coordinate, so guard that one before the vertex subsets run
-    _guard_box(prod(b - a + 1 for a, b in zip(zlo, zhi)))
-    verts = _region_vertices(forms, h, k)
+    verts = _region_vertices(view.forms, h, k)
     if not verts:
         raise RuntimeError("height region unexpectedly has no vertices")
-    lo = [min(x[i] // d for x, d in verts) + zlo[i] for i in range(k)]
-    hi = [max(-(-x[i] // d) for x, d in verts) + zhi[i] for i in range(k)]
-    _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
     caps = _generator_caps(view, verts)
-    forms, lo, hi = view._sweep_frame(h, caps, lo, hi)
+    forms, lo, hi = view._sweep_frame(h, caps, verts)
     # y is reducible iff it lies above some floor b + h, b a Hilbert element's values
     floors = [tuple(map(add, b, h)) for _, b in m._pointed_hilbert]
     minimal = []

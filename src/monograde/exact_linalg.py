@@ -349,16 +349,15 @@ def _smith(s: list[list[int]], n: int) -> list[list[int]]:
     for i in range(k):
         if s[i][i] < 0:
             s[i] = [-x for x in s[i]]
+    # the main loop stops only at an all-zero trailing block and never
+    # touches an earlier diagonal entry, so the zero entries are trailing,
+    # and combining two nonzero entries keeps both nonzero
     changed = True
     while changed:
         changed = False
         for i in range(k - 1):
             a0, b0 = s[i][i], s[i + 1][i + 1]
-            if a0 == 0 and b0 != 0:
-                s[i], s[i + 1] = s[i + 1], s[i]
-                _swap_cols(s, i, i + 1)
-                changed = True
-            elif a0 and b0 and b0 % a0:
+            if a0 and b0 % a0:
                 g, cs, ct = xgcd(a0, b0)
                 _combine_rows(s, i, i + 1, cs, ct, a0 // g, b0 // g)
                 # paired column transform keeps the product diagonal: diag(g, a*b/g)

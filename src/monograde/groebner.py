@@ -163,7 +163,12 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = int(nvars)
+        # read like every integer input: 2.0 is taken as 2, 2.5 raises ValueError
+        if type(nvars) is not int:
+            (nvars,) = as_tuple((nvars,))
+        if nvars < 0:
+            raise ValueError("number of variables must be nonnegative")
+        self.nvars = nvars
         clean: dict[Exponent, Fraction] = {}
         for e, c in (terms or {}).items():
             if type(c) is not Fraction:
@@ -384,14 +389,6 @@ def _integer_terms(items) -> dict[int, int]:
     return {e: c.numerator * (m // c.denominator) for e, c in items}
 
 
-def _packed_terms(row: dict, pk: _Packing) -> dict[int, int]:
-    """The integer terms of a row with packed exponents."""
-    if max(map(sum, row), default=0) > pk.cap:
-        raise _Overflow
-    pack = pk._pack
-    return _integer_terms([(pack(e), c) for e, c in row.items()])
-
-
 def _element(terms: dict[int, int], pk: _Packing):
     """The basis element of a nonzero integer polynomial: its content
     removed and its leading coefficient made positive."""
@@ -407,9 +404,11 @@ def _element(terms: dict[int, int], pk: _Packing):
 def _integer_basis(rows, nvars: int, degree: int):
     """What :func:`_in_ideal` reduces by: the grevlex packing and the
     packed elements of a grevlex Groebner basis in ``nvars`` variables,
-    at a width that holds total degrees up to ``degree``."""
+    at a width that holds total degrees up to ``degree`` and those of the
+    rows, so the rows' exponents pack with no check."""
     pk = _Packing(grevlex(nvars), max([degree] + [max(map(sum, r)) for r in rows]))
-    return pk, [_element(_packed_terms(r, pk), pk) for r in rows]
+    pack = pk._pack
+    return pk, [_element(_integer_terms([(pack(e), c) for e, c in r.items()]), pk) for r in rows]
 
 
 def _reduce(work: dict[int, int], basis, pk: _Packing, budget: _Budget) -> dict[int, int]:

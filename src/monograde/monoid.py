@@ -17,9 +17,10 @@ the box of y' follows from the pivot forms and their caps.  That box
 may hold capped points outside the zonotope box, which the filter
 drops.  H also answers which point of L has given facet values
 (``_PointedView._preimage``), for the class group and the shift
-witnesses in ``divisorial``.  The enumeration guard
-bounds the zonotope box and, in echelon coordinates, the values the
-pivot forms can take, which bound the sweep's work.  The module also
+witnesses in ``divisorial``.  Every capped sweep is guarded once, by
+the count of the frame it scans, where ``_PointedView._sweep_frame``
+builds that frame: the box itself in dimension 1 and 2, the values the
+pivot forms can take in echelon coordinates.  The module also
 decides whether a generating set actually generates C cap L (with an
 explicit witness when it does not) and extracts unit subgroups.
 
@@ -81,11 +82,11 @@ class NonNormalError(ValueError):
 class _PointedView:
     """The monoid modulo its unit group, in quotient coordinates.
 
-    From dimension 3 on, its capped sweeps run in echelon coordinates
-    (``_sweep_frame``).  In dimension 1 and 2 they keep these
-    coordinates: there the sweep already enters about one prefix per
-    point, so the Hermite form and the mapping back would cost more
-    than they save.
+    ``_sweep_frame`` builds and guards the frame of every capped sweep.
+    From dimension 3 on, it is in echelon coordinates.  In dimension 1
+    and 2 the sweeps keep these coordinates: there the sweep already
+    enters about one prefix per point, so the Hermite form and the
+    mapping back would cost more than they save.
     """
 
     rays: tuple[Vec, ...]
@@ -119,26 +120,27 @@ class _PointedView:
         is zero below the last row whose pivot lies at or before j."""
         return hnf(IntMatrix._of(self.forms, self.dim).T)
 
-    def _sweep_frame(self, heights, caps, lo, hi) -> tuple:
-        """(forms, lo, hi) for ``_region_points`` over the region where
-        heights <= F(y) <= caps, every cap finite; ``lo`` and ``hi`` are
-        the guarded box of the view's coordinates, kept in dimension 1
-        and 2.  ``_unsweep`` maps a swept point back.
+    def _sweep_frame(self, heights, caps, verts) -> tuple:
+        """(forms, lo, hi) for ``_region_points`` over the y with heights
+        <= F(y) <= caps, every cap finite, in the bounding box of the
+        region's rational vertices x / d (``verts``) plus ``box``, the
+        frame guarded by the count of what it scans.  ``_unsweep`` maps a
+        swept point back.  In dimension 1 and 2 the frame is that box.
 
         In dimension 3 and up, the forms are the columns of H and the box
         is in y' (``_echelon``), bounded by ``_echelon_box``.  Coordinate
         i is the last that row i's pivot form p involves, so the sweep
         checks p and every form between the pivots exactly there.  No
-        region point is lost, though the box may hold capped points
-        outside ``lo``, ``hi``, which the callers guard.
-
-        The work is bounded by the pivot forms instead: the sweep enters
-        at most n_0 * ... * n_i prefixes of length i + 1, with n_i from
-        ``_echelon_box``.  The guard refuses a frame whose product of all
-        max(n_i, 1) is beyond the desk scale, which bounds every one of
-        these counts.
+        capped point is lost, though some may lie outside the vertex and
+        zonotope box.  The sweep enters at most n_0 * ... * n_i prefixes
+        of length i + 1, with n_i from ``_echelon_box``; the guard counts
+        the product of all max(n_i, 1), which bounds each of these.
         """
         if self.dim <= 2:
+            zlo, zhi = self.box
+            lo = [min(x[i] // d for x, d in verts) + zlo[i] for i in range(self.dim)]
+            hi = [max(-(-x[i] // d) for x, d in verts) + zhi[i] for i in range(self.dim)]
+            _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
             return self.forms, lo, hi
         h, _ = self._echelon
         lo, hi, count = _echelon_box(h, heights, caps)
@@ -437,10 +439,11 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     0, where S_f is the sum of the dim largest values of f on the rays:
     the sweep caps f at max(S_f - 1, 0) (``_hilbert_caps``).  The rays
     the caps cut off are added back, since primitive extreme rays are
-    irreducible; the guard still bounds the zonotope box.  From
-    dimension 3 on the sweep runs in the echelon coordinates of
-    ``_PointedView._sweep_frame``, whose own guard bounds its work, over
-    every capped point, some of them outside the zonotope box.
+    irreducible.  The region at height 0 has the origin as its only
+    vertex, so ``_PointedView._sweep_frame`` scans and guards the
+    zonotope box in dimension 1 and 2, and from dimension 3 on the
+    echelon frame, over every capped point, some of them outside the
+    zonotope box.
     Candidates are keyed by their facet values, which fix a point of a
     pointed cone, and filtered by increasing total facet value, which is
     strictly positive on nonzero cone points; a candidate is dropped iff
@@ -452,11 +455,9 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     """
     if view.dim == 0 or not view.rays:
         return ()
-    lo, hi = view.box
-    _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
     zeros = (0,) * len(view.forms)
     caps = _hilbert_caps(view)
-    forms, lo, hi = view._sweep_frame(zeros, caps, lo, hi)
+    forms, lo, hi = view._sweep_frame(zeros, caps, [((0,) * view.dim, 1)])
     swept = {vals: pt for pt, vals in _region_points(forms, zeros, lo, hi, caps) if any(vals)}
     rays = {tuple(_dot(f, r) for f in view.forms): r for r in view.rays}
     basis: list[Vec] = []

@@ -316,15 +316,16 @@ def test_exhausted_budget_exits_3(monkeypatch, capsys):
     assert "budget" in message
 
 
-def test_huge_canonical_box_exits_3_before_enumerating_vertices(monkeypatch, capsys):
-    # the moment curve's 8 rays give a cone with many facets and a huge
-    # zonotope box; the box guard must fire before the facet subsets run
+def test_huge_canonical_frame_exits_3_from_the_echelon_guard(monkeypatch, capsys):
+    # the moment curve's 8 rays give a cone with many facets; after the
+    # vertex search, the guard of the generators' echelon frame refuses
+    # it before any point is swept
     rays = [[1, t, t ** 2, t ** 3, t ** 4] for t in range(8)]
     job = json.dumps({"command": "canonical", "rays": rays})
     t0 = time.monotonic()
     code, message = error_of(monkeypatch, capsys, ["canonical"], job)
     assert code == EXIT_BUDGET
-    assert "enumeration box" in message
+    assert "echelon sweep" in message
     assert time.monotonic() - t0 < 5
 
 

@@ -7,6 +7,7 @@ determinantal divisors and coset counting.
 """
 
 import collections
+import itertools
 import math
 import operator
 import random
@@ -85,6 +86,21 @@ def test_members_match_the_box_scan_oracle():
             for b in (0, box):
                 assert members(ideal, b) == box_members(ideal, b), (m.generators, h, b)
     assert kinds["units"] and kinds["embedded"] and kinds["sublattice"]
+
+
+def test_members_guard_counts_the_frame_of_the_lattice(monkeypatch):
+    """A rank-3 sublattice of Z^6: the ambient box holds 13^6 points,
+    but the sweep runs over the 13^3 = 2197 values of the coordinates
+    that the Hermite pivots of the basis, all 1, allow."""
+    m = monoid_from_cone_rays([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)])
+    ideal = divisorial_ideal(m, (1, 1, 1))
+    want = [p for x1, x2, c in itertools.product(range(-6, 7), repeat=3)
+            for p in [(x1, x2, c, c, c, c)] if ideal.contains(p)]
+    assert members(ideal, 6) == tuple(want) and len(want) == 55
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 2196)
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^echelon sweep has 2197 points, beyond the supported desk scale$"):
+        members(ideal, 6)
 
 
 def test_ideal_contains():
@@ -182,6 +198,41 @@ def test_canonical_generators_match_interior_oracle():
         assert sorted(gens) == brute_minimal_interior(rays)
 
 
+# rank-6 cones of random_pointed_cones(10, 6, 2, seed) at seeds 1 and 3,
+# with 12 and 16 facets, whose zonotope boxes hold millions of points
+RANK_6_CONES = (
+    ([(-2, 2, 2, -1, 2, -2), (-1, 0, -2, 2, 2, 1), (0, -2, 1, -2, 1, -1), (0, 0, 0, -2, 0, -1),
+      (0, 0, 0, 1, 1, -1), (1, 0, -2, -2, 0, -2), (2, 1, -1, 2, 2, -2)], 12, 112, 96),
+    ([(-2, -2, 1, 1, -2, 0), (-2, 1, -1, -2, 0, 1), (-1, -2, 0, -2, -2, -2),
+      (1, -2, -2, 2, 2, -2), (1, 2, 0, 2, 0, 2), (2, -2, -1, 2, 0, 0), (2, 0, -1, -2, 0, 0),
+      (2, 2, -2, -1, 1, 0)], 16, 183, 171),
+)
+
+
+def test_rank_6_cones_are_answered_within_their_echelon_frames():
+    """Only the echelon frames are guarded, so these cones are answered.
+    Every extreme ray is a Hilbert element, and no Hilbert element minus
+    another lies in the cone.  Every canonical generator is interior,
+    and none minus a Hilbert element stays interior.  The facet values
+    are linear, so a difference is read off the values of its terms.
+    The three Gorenstein routes agree."""
+    for rays, facets, n_hilbert, n_canonical in RANK_6_CONES:
+        m = monoid_from_cone_rays(rays)
+        assert m.rank == 6 and len(m.facet_forms) == facets
+        basis = hilbert_basis(m)
+        gens = canonical_module(m).generators
+        assert (len(basis), len(gens)) == (n_hilbert, n_canonical)
+        assert {m.to_ambient(r) for r in m.cone.rays} <= set(basis)
+        hvals = [m.facet_values(b) for b in basis]
+        for a, b in itertools.permutations(hvals, 2):
+            assert min(map(operator.sub, a, b)) < 0, (a, b)
+        for g in map(m.facet_values, gens):
+            assert min(g) >= 1
+            for b in hvals:
+                assert min(map(operator.sub, g, b)) < 1, (g, b)
+        assert is_gorenstein(m) == (False, None)
+
+
 def test_region_vertices_match_rational_solves():
     rng = random.Random(233)
     for d, rays in random_pointed_cones(12, 4, 3, seed=233):
@@ -194,14 +245,16 @@ def test_region_vertices_match_rational_solves():
                 region_tight_points(view.forms, heights)
 
 
-def test_zonotope_box_guard_fires_before_vertex_enumeration(monkeypatch):
+def test_frame_guard_fires_before_any_point_is_swept(monkeypatch):
+    # the moment curve's 8 rays: the generators' echelon frame is beyond
+    # the desk scale, and its guard refuses it before the sweep starts
     m = monoid_from_cone_rays([(1, t, t ** 2, t ** 3, t ** 4) for t in range(8)])
 
     def refuse(*args):
-        raise AssertionError("facet subsets enumerated before the box guard")
+        raise AssertionError("points swept before the frame guard")
 
-    monkeypatch.setattr(divisorial, "_region_vertices", refuse)
-    with pytest.raises(EnumerationLimitError):
+    monkeypatch.setattr(divisorial, "_region_points", refuse)
+    with pytest.raises(EnumerationLimitError, match="^echelon sweep has"):
         canonical_module(m)
 
 
@@ -232,35 +285,51 @@ def test_limit_errors_name_what_they_counted(monkeypatch):
     rays = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 3)
     with pytest.raises(EnumerationLimitError,
-                       match=r"^enumeration box has 27 points, beyond the supported desk scale$"):
+                       match=r"^echelon sweep has 8 points, beyond the supported desk scale$"):
         hilbert_basis(monoid_from_cone_rays(rays))
+    # in rank 2 the frame is the box; the generators' box, 16 points,
+    # is counted before the Hilbert basis' 12
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^enumeration box has 12 points, beyond the supported desk scale$"):
+        hilbert_basis(monoid_from_cone_rays([(1, 0), (1, 3)]))
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^enumeration box has 16 points, beyond the supported desk scale$"):
+        canonical_module(monoid_from_cone_rays([(1, 0), (1, 3)]))
     view = monoid_from_cone_rays(rays)._pointed_view
     with pytest.raises(EnumerationLimitError,
                        match=r"^vertex search has 4 facet subsets, beyond the supported desk scale$"):
         divisorial._region_vertices(view.forms, [1] * len(view.forms), view.dim)
 
 
-def test_guards_bound_the_box_not_the_points_visited(monkeypatch):
-    # a thin cone: its boxes hold 13824 and 15625 points, of which the
-    # sweep visits 387 and 414, yet the guards keep counting the boxes
-    rays = [(9, 7, 7), (7, 9, 7), (7, 7, 9)]
-    view = monoid_from_cone_rays(rays)._pointed_view
-    lo, hi = view.box
-    tops = [sum(max(c * a, c * b) for c, a, b in zip(f, lo, hi)) for f in view.forms]
-    assert sum(1 for _ in monoid._region_points(view.forms, (0, 0, 0), lo, hi, tops)) == 387
-    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 13823)
-    message = r"^enumeration box has %d points, beyond the supported desk scale$"
-    with pytest.raises(EnumerationLimitError, match=message % 13824):
+def test_guards_count_the_frame_each_sweep_scans(monkeypatch):
+    """Each capped sweep is refused by the count of the frame it scans
+    and by no other box.  In rank 2 the frame is the box of the view's
+    coordinates, 36 points for both sweeps of this cone.  The thin
+    cone's zonotope box holds 13824 points, which no guard counts: its
+    sweeps run in echelon frames of 92 points each."""
+    rays = [(3, 2), (2, 3)]
+    message = r"^enumeration box has 36 points, beyond the supported desk scale$"
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 35)
+    with pytest.raises(EnumerationLimitError, match=message):
         hilbert_basis(monoid_from_cone_rays(rays))
-    with pytest.raises(EnumerationLimitError, match=message % 13824):
+    with pytest.raises(EnumerationLimitError, match=message):
         canonical_module(monoid_from_cone_rays(rays))
-    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 15624)
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 36)
     m = monoid_from_cone_rays(rays)
-    assert len(hilbert_basis(m)) > 0
-    with pytest.raises(EnumerationLimitError, match=message % 15625):
-        canonical_module(m)
-    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 15625)
-    assert len(canonical_module(m).generators) > 0
+    assert hilbert_basis(m) == ((1, 1), (2, 3), (3, 2))
+    assert canonical_module(m).generators == ((1, 1),)
+    thin = [(9, 7, 7), (7, 9, 7), (7, 7, 9)]
+    lo, hi = monoid_from_cone_rays(thin)._pointed_view.box
+    assert math.prod(b - a + 1 for a, b in zip(lo, hi)) == 13824
+    echelon = r"^echelon sweep has 92 points, beyond the supported desk scale$"
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 91)
+    with pytest.raises(EnumerationLimitError, match=echelon):
+        hilbert_basis(monoid_from_cone_rays(thin))
+    with pytest.raises(EnumerationLimitError, match=echelon):
+        canonical_module(monoid_from_cone_rays(thin))
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 92)
+    m = monoid_from_cone_rays(thin)
+    assert len(hilbert_basis(m)) == 10 and len(canonical_module(m).generators) == 4
 
 
 def test_minimal_generators_meet_the_caratheodory_caps():
@@ -289,7 +358,7 @@ def test_minimal_generators_meet_the_caratheodory_caps():
 
 
 def test_capped_sweeps_visit_det_points_on_the_thin_cone(monkeypatch):
-    # the simplicial thin cone of test_guards_bound_the_box_not_the_points_visited
+    # the simplicial thin cone of test_guards_count_the_frame_each_sweep_scans
     # has |det| = 92: its capped sweeps visit 92 points each, not 387 and
     # 414, and in echelon coordinates enter 278 prefixes in all, not 476
     rays = [(9, 7, 7), (7, 9, 7), (7, 7, 9)]

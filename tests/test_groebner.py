@@ -399,9 +399,10 @@ def test_membership_by_reduction_stays_within_the_grevlex_packing(monkeypatch):
         g = poly(basis_text)
         basis = groebner._integer_basis([g.terms], 2, 1)
         assert basis[0].cap == 127 and basis[0].order == order
+        pack = basis[0]._pack
         for text, member in members:
             f = poly(text)
-            terms = groebner._packed_terms(f.terms, basis[0])
+            terms = groebner._integer_terms([(pack(e), c) for e, c in f.terms.items()])
             budgets = groebner._Budget(10_000), groebner._Budget(10_000)
             with monkeypatch.context() as m:
                 caps = record_packings(m)
@@ -454,6 +455,16 @@ def test_polynomial_basics():
     assert Polynomial(2, {(0, 0): 0}).is_zero
     with pytest.raises(ValueError, match="bad exponent"):
         Polynomial(2, {(1, -1): 1})
+
+
+def test_variable_count_is_read_like_every_integer_input():
+    """2.0 variables are taken as 2; 2.7, 2.5 or a negative count raise
+    ValueError instead of being truncated or accepted."""
+    f = Polynomial(2.0, {(1, 0): 1})
+    assert f.nvars == 2 and type(f.nvars) is int and f == poly("x1")
+    for bad in (2.7, 2.5, -1):
+        with pytest.raises(ValueError):
+            Polynomial(bad, {})
 
 
 # -- Groebner bases -------------------------------------------------------

@@ -15,7 +15,7 @@ from math import ceil, comb, floor, prod
 import pytest
 
 import sweepcounts
-from monograde import exact_linalg, monoid
+from monograde import divisorial, exact_linalg, monoid
 from monograde.monoid import (
     EnumerationLimitError,
     NonNormalError,
@@ -437,10 +437,11 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
             continue  # swept as it is, or too many vertex candidates for the oracle
         lo, hi = view.box
         random_heights = [rng.randint(-2, 1) for _ in range(s)]
-        cases = [((0,) * s, monoid._hilbert_caps(view)),
-                 (random_heights, [h + rng.randint(0, 4) for h in random_heights])]
-        for heights, caps in cases:
-            forms, ylo, yhi = view._sweep_frame(heights, caps, lo, hi)
+        cases = [((0,) * s, monoid._hilbert_caps(view), [((0,) * view.dim, 1)]),
+                 (random_heights, [h + rng.randint(0, 4) for h in random_heights],
+                  divisorial._region_vertices(view.forms, random_heights, view.dim))]
+        for heights, caps, verts in cases:
+            forms, ylo, yhi = view._sweep_frame(heights, caps, verts)
             counts = collections.defaultdict(lambda: [0, 0])  # points, entries
             sweep = sweepcounts._counting("frame", monoid._region_points, counts)
             swept = list(sweep(forms, heights, ylo, yhi, caps))
@@ -467,24 +468,25 @@ def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
     """The frame refuses a sweep whose pivot counts multiply beyond the
     desk scale and names the product: 92 on the thin cone, whose
     zonotope box holds 13824 points.  Where the pivot forms reach
-    beyond the zonotope box, a Hilbert basis that passes the box guard
-    still stops at the frame's."""
+    beyond the zonotope box, a Hilbert basis whose zonotope box fits
+    the limit still stops at the frame's."""
     m = monoid_from_cone_rays([(9, 7, 7), (7, 9, 7), (7, 7, 9)])
     view = m._pointed_view
     caps = monoid._hilbert_caps(view)
     zeros = (0,) * len(caps)
+    origin = [((0,) * view.dim, 1)]
     count = prod(_pivot_counts(view, zeros, caps))
     assert count == 92
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count)
-    view._sweep_frame(zeros, caps, *view.box)
+    view._sweep_frame(zeros, caps, origin)
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count - 1)
     with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
-        view._sweep_frame(zeros, caps, *view.box)
+        view._sweep_frame(zeros, caps, origin)
     # the last pivot form capped below its height empties the region,
     # yet the prefixes before it still count
     assert view._echelon[0][2][:2] == (0, 0)
     with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
-        view._sweep_frame(zeros, caps[:2] + (-1,), *view.box)
+        view._sweep_frame(zeros, caps[:2] + (-1,), origin)
     for rays in caratheodory_corpus(463):
         view = monoid_from_cone_rays(rays)._pointed_view
         caps = monoid._hilbert_caps(view)
