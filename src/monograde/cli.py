@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from importlib import resources
 
 from . import __version__
 from .divisorial import canonical_module, class_group, is_gorenstein
@@ -82,11 +81,6 @@ class JobSpec:
     payload: dict
     options: dict
     polynomials: tuple[Polynomial, ...]
-
-
-def _schema() -> dict:
-    text = resources.files("monograde").joinpath("schema.json").read_text()
-    return json.loads(text)
 
 
 def _unexpected(path: str, keys: list, errors: list) -> None:

@@ -706,7 +706,17 @@ def _grevlex_basis_dimension(rows, n: int, budget: _Budget) -> int:
 # -- parsing and printing --------------------------------------------
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/]))")
+# a term is a run of signs, then factors joined by '*' or juxtaposed; a
+# factor is a number with an optional '/denominator' or a name with an
+# optional '^power', and an empty denominator or power matches as ''
+_UNEXPECTED = re.compile(r"[^\s\dA-Za-z_+*^/-]")
+_SIGNS = re.compile(r"[\s+-]*")
+_FACTOR = re.compile(
+    r"\s*(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d*))?"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(?P<power>\d*))?)"
+)
+_STAR = re.compile(r"\s*\*")
+_NEXT_TERM = re.compile(r"\s*(?:[+-]|\Z)")
 
 
 def default_variables(n: int) -> tuple[str, ...]:
@@ -721,98 +731,52 @@ def parse_polynomial(text: str, variables) -> Polynomial:
     variables = list(variables)
     index = {v: i for i, v in enumerate(variables)}
     n = len(variables)
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError("unexpected character %r in polynomial" % text[pos:].lstrip()[0])
-            break
-        tokens.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
-
+    bad = _UNEXPECTED.search(text)
+    if bad:
+        raise ValueError("unexpected character %r in polynomial" % bad.group())
     terms: dict[Exponent, Fraction] = {}
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None)
-
-    first = True
-    while i < len(tokens):
-        sign = Fraction(1)
-        kind, val = peek()
-        while kind == "op" and val in "+-":
-            if val == "-":
-                sign = -sign
-            i += 1
-            kind, val = peek()
-        if kind is None:
-            if first and sign == 1 and not tokens:
-                break
-            raise ValueError("dangling sign in polynomial")
-        coeff = sign
-        exp = [0] * n
-        saw_factor = False
-        while True:
-            kind, val = peek()
-            if kind == "num":
-                i += 1
-                num = int(val)
-                k2, v2 = peek()
-                if k2 == "op" and v2 == "/":
-                    i += 1
-                    k3, v3 = peek()
-                    if k3 != "num":
-                        raise ValueError("expected an integer denominator")
-                    if not int(v3):
-                        raise ValueError("zero denominator")
-                    i += 1
-                    coeff *= Fraction(num, int(v3))
-                else:
-                    coeff *= num
-                saw_factor = True
-            elif kind == "name":
-                if val not in index:
-                    raise ValueError("unknown variable %r" % val)
-                i += 1
-                power = 1
-                k2, v2 = peek()
-                if k2 == "op" and v2 == "^":
-                    i += 1
-                    k3, v3 = peek()
-                    if k3 != "num":
-                        raise ValueError("expected an integer exponent")
-                    i += 1
-                    power = int(v3)
-                exp[index[val]] += power
-                saw_factor = True
-            else:
-                break
-            kind, val = peek()
-            if kind == "op" and val == "*":
-                i += 1
-                if peek()[0] not in ("num", "name"):
-                    raise ValueError("expected a factor after '*'")
-                continue
-            if kind in ("num", "name"):
-                continue
-            break
-        if not saw_factor:
+    pos = 0
+    while True:
+        signs = _SIGNS.match(text, pos)
+        pos = signs.end()
+        if pos == len(text):
+            if signs.group().strip():
+                raise ValueError("dangling sign in polynomial")
+            return Polynomial._clean(n, terms)
+        factor = _FACTOR.match(text, pos)
+        if factor is None:
             raise ValueError("empty term in polynomial")
+        coeff = Fraction(-1 if signs.group().count("-") % 2 else 1)
+        exp = [0] * n
+        while factor:
+            num, den, name, power = factor.group("num", "den", "name", "power")
+            if name is None:
+                if den == "":
+                    raise ValueError("expected an integer denominator")
+                if den and not int(den):
+                    raise ValueError("zero denominator")
+                coeff *= Fraction(int(num), int(den)) if den else int(num)
+            else:
+                if name not in index:
+                    raise ValueError("unknown variable %r" % name)
+                if power == "":
+                    raise ValueError("expected an integer exponent")
+                exp[index[name]] += int(power) if power else 1
+            pos = factor.end()
+            star = _STAR.match(text, pos)
+            if star:
+                pos = star.end()
+            factor = _FACTOR.match(text, pos)
+            if star and factor is None:
+                raise ValueError("expected a factor after '*'")
         e = tuple(exp)
         acc = terms.get(e, Fraction(0)) + coeff
         if acc:
             terms[e] = acc
         else:
             terms.pop(e, None)
-        first = False
-        kind, val = peek()
-        if kind is None:
-            break
-        if not (kind == "op" and val in "+-"):
+        if not _NEXT_TERM.match(text, pos):
             raise ValueError("expected '+' or '-' between terms")
-    return Polynomial._clean(n, terms)
 
 
 def format_polynomial(f: Polynomial, variables=None, order: TermOrder | None = None) -> str:

@@ -14,10 +14,8 @@ and from round to round, and the two results must be equal, job by job,
 as ``tests/digests.py`` encodes them.  It prints the total time, p50 and
 p90 of the per-job times (each job's time summed over the rounds) for
 each side, and the ratios B/A.  Run A against itself to see the noise
-floor.  Times are wall-clock and unscaled.  ``cli``'s input schema is read
-from the package named ``monograde``, this checkout's, on both sides.
-The perfbench modules are only imported, and pytest does not collect
-this file.
+floor.  Times are wall-clock and unscaled.  The perfbench modules are
+only imported, and pytest does not collect this file.
 """
 
 from __future__ import annotations

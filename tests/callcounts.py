@@ -1,6 +1,8 @@
 """Calls per job of every function of the package, on the benchmark's job lists.
 
-    python3 tests/callcounts.py --seed 811 [--seconds 15] [--workload NAME ...]
+    python3 tests/callcounts.py --seed 811 [--seconds 15] [--workload NAME]...
+
+Repeat ``--workload`` for each workload to run; without it all four run.
 
 For each workload this generates the job list that ``tests/digests.py``
 digests (the one ``perfbench/run.py --seed N --seconds S --trace 0``
@@ -100,7 +102,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
-                        help="a workload to count (repeatable; default all four)")
+                        help="a workload to count; repeat the flag for more (default all four)")
     args = parser.parse_args(argv)
     names = args.workload or list(workloads.WORKLOADS)
     runs = [call_counts(name, args.seed, args.seconds) for name in names]

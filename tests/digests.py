@@ -1,6 +1,8 @@
 """Result digests of the benchmark's job lists, to pin "same answers".
 
-    python3 tests/digests.py --seed 811 [--seconds 15] [--workload NAME ...]
+    python3 tests/digests.py --seed 811 [--seconds 15] [--workload NAME]...
+
+Repeat ``--workload`` for each workload to run; without it all four run.
 
 For each workload this generates the job list that
 ``perfbench/run.py --seed N --seconds S --trace 0`` generates (the
@@ -57,7 +59,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
-                        help="a workload to digest (repeatable; default all four)")
+                        help="a workload to digest; repeat the flag for more (default all four)")
     args = parser.parse_args(argv)
     for name in args.workload or workloads.WORKLOADS:
         count, hexdigest = digest(name, args.seed, args.seconds)

@@ -20,6 +20,7 @@ import json
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -277,7 +278,9 @@ def brute_irreducibles(rays, floor_bound=5):
     The scan box covers both the requested bound and the generator
     zonotope, so every irreducible point is inside and reducibility can
     always be verified against an in-box summand.  Membership comes from
-    Fourier-Motzkin facets, not from the library.
+    Fourier-Motzkin facets, not from the library.  Each member's facet
+    values F(x) are computed once: a member z != x leaves x - z in the
+    cone iff F(z) <= F(x) componentwise, since F(x - z) = F(x) - F(z).
     """
     rays = [tuple(map(int, r)) for r in rays]
     d = len(rays[0])
@@ -285,22 +288,14 @@ def brute_irreducibles(rays, floor_bound=5):
     zlo, zhi = zonotope_box(rays)
     lo = [min(-floor_bound, zlo[i]) for i in range(d)]
     hi = [max(floor_bound, zhi[i]) for i in range(d)]
-    members = []
+    nonzero = []
     for pt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        if all(dot(f, pt) >= 0 for f in forms):
-            members.append(pt)
-    nonzero = [p for p in members if any(p)]
+        values = tuple(dot(f, pt) for f in forms)
+        if any(pt) and all(v >= 0 for v in values):
+            nonzero.append((pt, values))
     irred = []
-    for x in nonzero:
-        reducible = False
-        for z in nonzero:
-            if z == x:
-                continue
-            y = tuple(a - b for a, b in zip(x, z))
-            if any(y) and all(dot(f, y) >= 0 for f in forms):
-                reducible = True
-                break
-        if not reducible:
+    for x, fx in nonzero:
+        if not any(z != x and all(map(operator.le, fz, fx)) for z, fz in nonzero):
             irred.append(x)
     return sorted(irred)
 
@@ -667,7 +662,134 @@ def hull_job_corpus(seed, count):
     return out
 
 
+# pieces of polynomial text: names known under some variable lists and
+# not others, Unicode digits and spaces the reader takes, characters it
+# refuses, and every operator
+POLYNOMIAL_FUZZ_PIECES = (
+    "x1", "x2", "x3", "x1", "x2", "x", "y_2", "_", "x1x2",
+    "0", "1", "2", "07", "12", "\u0663", "\u00b2",
+    "+", "-", "+", "-", "*", "*", "^", "/", "^2", "/3", "/0",
+    " ", " ", "\t", "\x1c", "\u3000", "@",
+)
+
+
+def polynomial_fuzz_texts(seed, count):
+    """Seeded strings of 0-9 pieces of ``POLYNOMIAL_FUZZ_PIECES``, so
+    well formed terms, every parse error and their mixtures all occur."""
+    rng = random.Random(seed)
+    return ["".join(rng.choices(POLYNOMIAL_FUZZ_PIECES, k=rng.randint(0, 9)))
+            for _ in range(count)]
+
+
 # -- slow paths kept as references for groebner ------------------------
+
+
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/]))")
+
+
+def token_parse_polynomial(text: str, variables) -> groebner.Polynomial:
+    """Parse '+'/'-' separated terms of '*'-joined (or juxtaposed)
+    factors; factors are nonnegative integers, integer ratios like 3/4,
+    or variable names with optional '^' powers.  A '*' must be followed
+    by a factor, so a product never silently becomes a sum.
+
+    The token-stream reader that ``groebner.parse_polynomial`` replaced,
+    kept as the spec of its language and of the order of its errors."""
+    variables = list(variables)
+    index = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip():
+                raise ValueError("unexpected character %r in polynomial" % text[pos:].lstrip()[0])
+            break
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
+        pos = m.end()
+
+    terms: dict[groebner.Exponent, Fraction] = {}
+    i = 0
+
+    def peek():
+        return tokens[i] if i < len(tokens) else (None, None)
+
+    first = True
+    while i < len(tokens):
+        sign = Fraction(1)
+        kind, val = peek()
+        while kind == "op" and val in "+-":
+            if val == "-":
+                sign = -sign
+            i += 1
+            kind, val = peek()
+        if kind is None:
+            if first and sign == 1 and not tokens:
+                break
+            raise ValueError("dangling sign in polynomial")
+        coeff = sign
+        exp = [0] * n
+        saw_factor = False
+        while True:
+            kind, val = peek()
+            if kind == "num":
+                i += 1
+                num = int(val)
+                k2, v2 = peek()
+                if k2 == "op" and v2 == "/":
+                    i += 1
+                    k3, v3 = peek()
+                    if k3 != "num":
+                        raise ValueError("expected an integer denominator")
+                    if not int(v3):
+                        raise ValueError("zero denominator")
+                    i += 1
+                    coeff *= Fraction(num, int(v3))
+                else:
+                    coeff *= num
+                saw_factor = True
+            elif kind == "name":
+                if val not in index:
+                    raise ValueError("unknown variable %r" % val)
+                i += 1
+                power = 1
+                k2, v2 = peek()
+                if k2 == "op" and v2 == "^":
+                    i += 1
+                    k3, v3 = peek()
+                    if k3 != "num":
+                        raise ValueError("expected an integer exponent")
+                    i += 1
+                    power = int(v3)
+                exp[index[val]] += power
+                saw_factor = True
+            else:
+                break
+            kind, val = peek()
+            if kind == "op" and val == "*":
+                i += 1
+                if peek()[0] not in ("num", "name"):
+                    raise ValueError("expected a factor after '*'")
+                continue
+            if kind in ("num", "name"):
+                continue
+            break
+        if not saw_factor:
+            raise ValueError("empty term in polynomial")
+        e = tuple(exp)
+        acc = terms.get(e, Fraction(0)) + coeff
+        if acc:
+            terms[e] = acc
+        else:
+            terms.pop(e, None)
+        first = False
+        kind, val = peek()
+        if kind is None:
+            break
+        if not (kind == "op" and val in "+-"):
+            raise ValueError("expected '+' or '-' between terms")
+    return groebner.Polynomial._clean(n, terms)
 
 
 def grevlex_key(e):

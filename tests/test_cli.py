@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import jsonschema
 import pytest
@@ -28,7 +29,6 @@ from monograde.cli import (
     EXIT_MATH,
     EXIT_OK,
     _job_errors,
-    _schema,
     build_parser,
     main,
 )
@@ -66,6 +66,11 @@ def error_of(monkeypatch, capsys, argv, text, **kw):
     payload = json.loads(err)
     assert payload["exit"] == code
     return code, payload["error"]
+
+
+def _schema() -> dict:
+    """The ``schema.json`` the package ships beside ``cli``."""
+    return json.loads(resources.files("monograde").joinpath("schema.json").read_text())
 
 
 def test_shipped_schema_is_a_valid_draft_2020_12_schema():

@@ -446,6 +446,47 @@ def test_parse_errors():
             poly(text)
 
 
+def _parse_outcome(parse, text, variables):
+    try:
+        return parse(text, variables)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def test_factor_reader_keeps_the_token_parsers_language_and_errors():
+    """The factor reader against the token-stream parser it replaced:
+    the same Polynomial or the same ValueError message on seeded fuzz
+    strings under three variable lists, one with a repeated name and one
+    empty, and on the edge cases of the language."""
+    traps = {
+        "٣*x1": poly("3*x1"),
+        "²": "ValueError: unexpected character '²' in polynomial",
+        "x1\x1c+ 1": poly("x1 + 1"),
+        "x1x2": "ValueError: unknown variable 'x1x2'",
+        "2x1": poly("2*x1"),
+        "x1 2": poly("2*x1"),
+        "x1^2x2": poly("x1^2*x2"),
+        "- -x1": poly("x1"),
+        "1/2/3": "ValueError: expected '+' or '-' between terms",
+        "x1/2": "ValueError: expected '+' or '-' between terms",
+        "x1^2^3": "ValueError: expected '+' or '-' between terms",
+        "*x1": "ValueError: empty term in polynomial",
+        "x1 + ^2": "ValueError: empty term in polynomial",
+        "y^": "ValueError: unknown variable 'y'",
+        "1/0 + y": "ValueError: zero denominator",
+        "": poly("0"),
+        "  ": poly("0"),
+    }
+    for text, expected in traps.items():
+        assert _parse_outcome(parse_polynomial, text, V2) == expected, text
+        assert _parse_outcome(oracles.token_parse_polynomial, text, V2) == expected, text
+    for text in oracles.polynomial_fuzz_texts(2027, 20_000):
+        for variables in (("x1", "x2", "x3"), ("x1", "x1", "x2"), ()):
+            new = _parse_outcome(parse_polynomial, text, variables)
+            old = _parse_outcome(oracles.token_parse_polynomial, text, variables)
+            assert new == old and type(new) is type(old), (text, variables)
+
+
 def test_polynomial_basics():
     f = Polynomial(2, {(1, 0): 1, (0, 1): 0, (2.0, 1): Fraction(3, 4)})
     assert f == poly("3/4*x1^2*x2 + x1") and f.terms[2, 1] == Fraction(3, 4)
