@@ -4,17 +4,19 @@ Both conversion directions run the double description method over exact
 integers.  One fraction-free elimination gives the rank, the start rows
 and the start cone, and the adjacency test is combinatorial: each ray
 carries a bitmask of the constraints tight on it, and two rays are
-adjacent iff no third ray's mask contains the AND of theirs.  That is
-decided on column bitsets, the set of rays tight on each constraint:
-ANDed over the constraints common to the pair, exactly the pair's own
-two bits must survive.  Double description returns the masks, and the
-face questions are read off them by containment, with no further rank:
-a face is known by the set of facet forms vanishing on it, and a larger
-set means a smaller face.  So a generator is extreme iff its set is
-maximal among those short of all forms, and an input form supports a
-facet iff the set of rays it vanishes on is maximal among those short
-of all rays.  Cones may be non-pointed (the
-lineality space is reported separately) and lower-dimensional.  For a
+adjacent iff no third ray's mask contains the AND of theirs.  The
+kernel keeps the incidence columns as it goes, for each constraint the
+set of rays tight on it, and decides adjacency on them: ANDed over the
+constraints common to the pair, exactly the pair's own two bits must
+survive.  Double description returns the masks and the final columns,
+and both conversions read the face questions off the columns by
+containment, with no further rank: a face is known by the set of facet
+forms vanishing on it, and a larger set means a smaller face.  So a
+generator is extreme iff its set is maximal among those short of all
+forms, and an input form supports a facet iff the set of rays it
+vanishes on is maximal among those short of all rays.  Cones may be
+non-pointed (the lineality space is reported separately) and
+lower-dimensional.  For a
 full-dimensional cone the facet forms are the unique primitive supports
 of the facets; otherwise they describe the cone modulo the orthogonal
 complement of its span and are made deterministic by the lattice
@@ -92,72 +94,87 @@ def _start_cone(a) -> tuple[list[int], list[Vec]]:
     return base, [primitive([sgn * x for x in t[k]]) for k in range(len(base))]
 
 
-def _pointed_extreme_rays(a, d: int, base: list[int], start: list[Vec]) -> dict[Vec, int]:
+def _pointed_extreme_rays(a, d: int, base: list[int],
+                          start: list[Vec]) -> tuple[dict[Vec, int], list[int], int]:
     """Extreme rays of {x : A x >= 0} for A of full column rank d (pointed
-    cone), each mapped to the bitmask of the rows of A tight on it.
+    cone), each mapped to the bitmask of the rows of A tight on it; for
+    each row of A, its column, the set of rays tight on it; and
+    ``full``, the set of all the rays.
 
     ``base`` lists d independent rows of A, and ``start[k]`` is tight
     on all of them but ``base[k]`` (see ``_start_cone``).  Incremental
     double description: start from the simplicial cone they span, then
-    insert the other rows one by one.  Each ray carries a bitmask of the
-    inserted rows tight on it, in a list beside the rays.  A positive
-    and a negative ray are adjacent iff no third ray is tight on every
-    row both are tight on (Fukuda & Prodon 1996); only adjacent pairs
-    combine into new rays.  The test reads column bitsets: the AND of
-    the tight-ray sets of the rows common to the pair keeps exactly the
-    pair's own two bits iff the pair is adjacent, and it stops as soon
-    as only those two are left.  A row's tight-ray set is built the
-    first time a pair needs it, at most once per insertion.  Once every
-    row is inserted the masks are the full incidences, and they are
-    returned with the rays.
+    insert the other rows one by one.  Each ray keeps one index for the
+    whole run and a bitmask of the inserted rows tight on it, and each
+    inserted row keeps its column.  A ray that joins sets its bit in the
+    columns of its mask; a ray that leaves is only cleared from
+    ``alive``.  A positive and a negative ray are adjacent iff no third
+    ray is tight on every row both are tight on (Fukuda & Prodon 1996);
+    only adjacent pairs combine into new rays.  The test ANDs ``alive``
+    with the columns of the rows common to the pair: exactly the pair's
+    own two bits survive iff the pair is adjacent, and it stops as soon
+    as only those two are left.  Kept rays stay in order and new ones
+    follow, so the j-th ray returned is the j-th lowest bit of ``full``.
     """
     inserted = sum(1 << i for i in base)
-    rays, masks = start, [inserted ^ (1 << i) for i in base]
+    vecs, masks = list(start), [inserted ^ (1 << i) for i in base]
+    alive = (1 << d) - 1
+    cols = {1 << i: alive ^ (1 << k) for k, i in enumerate(base)}
+    live = list(range(d))
     for i, row in enumerate(a):
         bit = 1 << i
         if inserted & bit:
             continue
         # one pass: the signs on the new row, and the rays that survive it
-        vals, pos, neg, kept, kept_masks = [], [], [], [], []
-        for k, (r, m) in enumerate(zip(rays, masks)):
+        kept, pos, neg, zero, dead = [], [], [], 0, 0
+        for k in live:
+            r, b = vecs[k], 1 << k
             v = sum(map(mul, row, r))
-            vals.append(v)
             if v < 0:
-                neg.append(k)
+                neg.append((masks[k], b, r, v))
+                dead |= b
                 continue
+            kept.append(k)
             if v:
-                pos.append(k)
-            kept.append(r)
-            kept_masks.append(m if v else m | bit)
-        every = (1 << len(rays)) - 1
-        tight = {}  # row bit -> the rays tight on that row, as bits of ray indices
-        for kp in pos:
-            mp, vp, rp, bp = masks[kp], vals[kp], rays[kp], 1 << kp
-            for kn in neg:
-                common = mp & masks[kn]
+                pos.append((masks[k], b, r, v))
+            else:
+                zero |= b
+                masks[k] |= bit
+        made = 0
+        for mp, bp, rp, vp in pos:
+            for mn, bn, rn, vn in neg:
+                common = mp & mn
                 # a 2-face is cut out by at least d - 2 constraints: a cheap first filter
                 if common.bit_count() < d - 2:
                     continue
-                # AND the tight-ray sets of the common rows; the pair itself always survives
-                pair = bp | 1 << kn
-                alive, rest = every, common
-                while rest and alive != pair:
+                # AND the columns of the common rows; the pair itself always survives
+                pair = bp | bn
+                left, rest = alive, common
+                while rest and left != pair:
                     low = rest & -rest
-                    col = tight.get(low)
-                    if col is None:
-                        col = tight[low] = sum(1 << k for k, m in enumerate(masks) if m & low)
-                    alive &= col
+                    left &= cols[low]
                     rest ^= low
-                if alive != pair:
+                if left != pair:
                     continue
-                vn = vals[kn]
-                w = [vp * y - vn * x for x, y in zip(rp, rays[kn])]
+                w = [vp * y - vn * x for x, y in zip(rp, rn)]
                 g = gcd(*w)
-                kept.append(tuple(w) if g == 1 else tuple(x // g for x in w))
-                kept_masks.append(common | bit)
-        rays, masks = kept, kept_masks
+                k = len(vecs)
+                b = 1 << k
+                vecs.append(tuple(w) if g == 1 else tuple([x // g for x in w]))
+                masks.append(common | bit)
+                kept.append(k)
+                made |= b
+                # the new ray is not in ``alive`` yet, so later tests of this row skip it
+                while common:
+                    low = common & -common
+                    cols[low] |= b
+                    common ^= low
+        cols[bit] = zero | made
+        alive = alive & ~dead | made
+        live = kept
         inserted |= bit
-    return dict(zip(rays, masks))
+    return ({vecs[k]: masks[k] for k in live},
+            [cols[1 << i] & alive for i in range(len(a))], alive)
 
 
 def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -171,9 +188,12 @@ def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return p, IntMatrix._of((row[u:] for row in unimodular_inverse(p)), len(p) - u)
 
 
-def _dd(a: IntMatrix) -> tuple[dict[Vec, int], IntMatrix]:
+def _dd(a: IntMatrix) -> tuple[dict[Vec, int], list[int], int, IntMatrix]:
     """Extreme rays (modulo lineality) of {x : A x >= 0}, each mapped to
-    the bitmask of the rows of A tight on it, and a lineality basis.
+    the bitmask of the rows of A tight on it; the incidence columns, for
+    each row of A the set of those rays tight on it, over the bits of
+    ``full``, the set of all the rays (see ``_pointed_extreme_rays``);
+    and a lineality basis.
 
     One elimination, ``_start_cone``, gives the rank and the start cone
     of double description.  Only when the rank falls short of d is the
@@ -181,36 +201,38 @@ def _dd(a: IntMatrix) -> tuple[dict[Vec, int], IntMatrix]:
     from the start cone of A @ lift, and lifted back.  ``lift`` is
     injective and extends to a unimodular basis, so lifted primitive
     rays stay primitive, and row i of A @ lift is tight on y iff row i
-    of A is tight on lift @ y: the masks carry over unchanged.
+    of A is tight on lift @ y: the masks and columns carry over
+    unchanged.
     """
     d = a.shape[1]
     base, start = _start_cone(a)
     if len(base) == d:
-        return _pointed_extreme_rays(a, d, base, start), IntMatrix._of((), d)
+        return *_pointed_extreme_rays(a, d, base, start), IntMatrix._of((), d)
     lin = kernel_basis(a)
     if not base:
-        return {}, lin
+        return {}, [0] * len(a), 0, lin
     _, lift = _quotient_transform(lin)
     a = a @ lift
     base, start = _start_cone(a)
-    rays = _pointed_extreme_rays(a, len(base), base, start)
-    return {lift @ y: m for y, m in rays.items()}, lin
-
-
-def _transpose(masks: list[int], n: int) -> list[int]:
-    """Column masks of the bit matrix whose row i is ``masks[i]`` over n columns."""
-    cols = [0] * n
-    for i, m in enumerate(masks):
-        for j in range(n):
-            if m >> j & 1:
-                cols[j] |= 1 << i
-    return cols
+    rays, cols, full = _pointed_extreme_rays(a, len(base), base, start)
+    return {lift @ y: m for y, m in rays.items()}, cols, full, lin
 
 
 def _maximal_proper(sets: list[int], full: int) -> list[bool]:
-    """For each bitmask t of ``sets``: t != full and no w in ``sets`` has t < w != full."""
-    proper = [w for w in sets if w != full]
-    return [t != full and not any(t & w == t and w != t for w in proper) for t in sets]
+    """For each bitmask t of ``sets``: t != full and no w in ``sets`` has
+    t < w != full.  The distinct proper sets are taken by decreasing
+    size, and one is kept iff no kept set contains it: a set strictly
+    containing t is larger, so it came first, and it is kept or lies in
+    a kept set."""
+    kept = []
+    for t in sorted(set(sets) - {full}, key=int.bit_count, reverse=True):
+        for w in kept:
+            if t & w == t:
+                break
+        else:
+            kept.append(t)
+    kept = set(kept)
+    return [t in kept for t in sets]
 
 
 def _clean_vectors(vectors, width: int | None) -> tuple[tuple[Vec, ...], int]:
@@ -266,10 +288,9 @@ def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _facets_of_generators(gens: tuple[Vec, ...], d: int) -> Cone:
-    masks, span_cuts = _dd(IntMatrix._of(gens, d))  # span_cuts vanish on span(C)
+    # tight[j]: the forms vanishing on generator j; span_cuts vanish on span(C)
+    masks, tight, full, span_cuts = _dd(IntMatrix._of(gens, d))
     forms = sorted(masks)
-    tight = _transpose([masks[f] for f in forms], len(gens))  # forms vanishing on each generator
-    full = (1 << len(forms)) - 1
     # the lineality space is a face, so it is nonzero iff some generator lies in it
     lin = (kernel_basis(IntMatrix._of(forms + list(span_cuts), d)) if full in tight
            else IntMatrix._of((), d))
@@ -289,10 +310,8 @@ def rays_of_facets(forms, ambient_rank: int) -> Cone:
     from ``facet_forms``.
     """
     fs, d = _clean_vectors(forms, ambient_rank)
-    masks, lin = _dd(IntMatrix._of(fs, d))
+    masks, vanish, full, lin = _dd(IntMatrix._of(fs, d))  # vanish[i]: the rays fs[i] vanishes on
     rays = sorted(masks)
-    vanish = _transpose([masks[r] for r in rays], len(fs))  # rays each form vanishes on
-    full = (1 << len(rays)) - 1
     # without a form vanishing on the whole cone, some point is positive on every form
     dim = rank(rays + list(lin)) if full in vanish else d
     return Cone(

@@ -1,6 +1,7 @@
 """Double-description work on the benchmark's cone-duality jobs.
 
     python3 tests/ddcounts.py --seed 811
+    python3 tests/ddcounts.py --large
 
 This generates the job list that
 ``perfbench/run.py --workload cone-duality --seed N --trace 1`` runs
@@ -12,8 +13,15 @@ The memo of ``facets_of_rays`` is emptied first, so the counts do not
 depend on what ran before.  Calls are counted by wrapping the module
 attributes of ``cone`` from outside the package, so a call that
 ``exact_linalg`` makes to itself is not counted.  All counts are exact
-and repeat run to run.  The perfbench modules are only imported, and
-pytest does not collect this file.
+and repeat run to run.
+
+With ``--large`` it times ``cone._dd`` instead, best of 3, on large
+inputs: the rows of ``large_cone_corpus(7)`` from ``tests/oracles.py``
+as one set, and three cones from ``random.Random(7)`` of rank 8, 7 and
+8 spanned by 30, 40 and 40 distinct rays (1, r_2, ..., r_d) with r_i in
+-2..2, drawn in that order.  It prints the seconds and the rays double
+description returns, the facets of each cone.  The perfbench modules
+are only imported, and pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -21,7 +29,9 @@ from __future__ import annotations
 import argparse
 import collections
 import os
+import random
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -29,6 +39,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import jobs  # noqa: E402  (puts this checkout's src/ first on the path)
 import workloads  # noqa: E402
 from monograde import cone  # noqa: E402
+from monograde.exact_linalg import IntMatrix  # noqa: E402
+from oracles import large_cone_corpus  # noqa: E402
 
 COUNTED = ("_dd", "_eliminate", "primitive")
 COLUMNS = COUNTED + ("rays",)
@@ -71,10 +83,39 @@ def dd_counts(seed: int):
     return counts, classes
 
 
+def large_inputs() -> list[tuple[str, list[IntMatrix]]]:
+    """(name, matrices) of the inputs ``--large`` times."""
+    out = [("large_cone_corpus(7)", [IntMatrix(rows) for rows in large_cone_corpus(7)])]
+    rng = random.Random(7)
+    for d, count in ((8, 30), (7, 40), (8, 40)):
+        rays = set()
+        while len(rays) < count:
+            rays.add((1,) + tuple(rng.randint(-2, 2) for _ in range(d - 1)))
+        out.append(("rank %d, %d rays" % (d, count), [IntMatrix(sorted(rays))]))
+    return out
+
+
+def time_large() -> None:
+    print("cone._dd on large inputs, best of 3")
+    print("%-22s %8s %8s %9s" % ("input", "matrices", "rays out", "seconds"))
+    for name, matrices in large_inputs():
+        best = float("inf")
+        for _ in range(3):
+            t = time.perf_counter()
+            rays = sum(len(cone._dd(a)[0]) for a in matrices)
+            best = min(best, time.perf_counter() - t)
+        print("%-22s %8d %8d %9.3f" % (name, len(matrices), rays, best))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seed", type=int)
+    mode.add_argument("--large", action="store_true", help="time _dd on large cones instead")
     args = parser.parse_args(argv)
+    if args.large:
+        time_large()
+        return 0
     counts, classes = dd_counts(args.seed)
     print("cone-duality seed %d, %d traced jobs" % (args.seed, sum(classes.values())))
     print("rank  rays  jobs  dd runs  _eliminate  primitive  rays out")

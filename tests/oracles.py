@@ -1534,6 +1534,34 @@ def containment_extreme_rays(a, d, base, start):
     return masks
 
 
+def containment_dd_kernel(a, d, base, start):
+    """``containment_extreme_rays`` in the shape ``cone._pointed_extreme_rays``
+    returns: the masks, the columns ``transpose_masks`` makes of them,
+    one per row of A, and the set of all the rays, whose j-th bit is
+    the j-th ray."""
+    masks = containment_extreme_rays(a, d, base, start)
+    return masks, transpose_masks(list(masks.values()), len(a)), (1 << len(masks)) - 1
+
+
+def transpose_masks(masks, n):
+    """Column masks of the bit matrix whose row i is ``masks[i]`` over n
+    columns: how ``cone`` read the rays tight on each row before double
+    description kept its columns."""
+    cols = [0] * n
+    for i, m in enumerate(masks):
+        for j in range(n):
+            if m >> j & 1:
+                cols[j] |= 1 << i
+    return cols
+
+
+def scan_maximal_proper(sets, full):
+    """``cone._maximal_proper`` as a scan of every pair: for each bitmask
+    t of ``sets``, t != full and no w in ``sets`` has t < w != full."""
+    proper = [w for w in sets if w != full]
+    return [t != full and not any(t & w == t and w != t for w in proper) for t in sets]
+
+
 # -- slow paths kept as references for exact_linalg --------------------
 
 

@@ -14,6 +14,7 @@ from monograde.monoid import monoid_from_cone_rays
 from oracles import (
     benchmark_rank_cones,
     cone_corpus,
+    containment_dd_kernel,
     containment_extreme_rays,
     degenerate_cone_corpus,
     dot,
@@ -25,7 +26,9 @@ from oracles import (
     random_pointed_cones,
     rank_extreme_rays,
     rank_facet_forms,
+    scan_maximal_proper,
     subset_facets,
+    transpose_masks,
 )
 
 
@@ -182,21 +185,95 @@ def test_double_description_matches_subset_facets_at_rank_5_and_6():
         assert back.facet_forms == tuple(forms)
 
 
+def compact_columns(cols, full):
+    """The columns of ``_dd`` over the positions of the rays in the order
+    they are returned: the j-th ray returned is the j-th lowest bit of
+    ``full``."""
+    ids = [k for k in range(full.bit_length()) if full >> k & 1]
+    return [sum(1 << j for j, k in enumerate(ids) if col >> k & 1) for col in cols]
+
+
+def check_dd_against_containment(a, monkeypatch):
+    """``_dd(a)`` against ``_dd`` on the containment scan: the same rays
+    and masks in the same order and the same lineality.  For each row of
+    A, its column holds exactly the returned rays tight on it, as
+    transposed from the scan's masks, and ``full`` holds one bit per
+    returned ray."""
+    masks, cols, full, lin = cone_module._dd(a)
+    with monkeypatch.context() as patched:
+        patched.setattr(cone_module, "_pointed_extreme_rays", containment_dd_kernel)
+        want_masks, want_cols, want_full, want_lin = cone_module._dd(a)
+    assert list(masks.items()) == list(want_masks.items())
+    assert lin == want_lin
+    assert full.bit_count() == want_full.bit_count() == len(masks)
+    assert all(col & ~full == 0 for col in cols)
+    assert compact_columns(cols, full) == want_cols
+    return masks, lin
+
+
 def test_bitset_adjacency_matches_the_containment_test(monkeypatch):
     """The column-bitset adjacency test keeps every ray and mask, in the
-    same order, of the containment scan it replaced."""
+    same order, of the containment scan it replaced, and the columns it
+    keeps are the transposed masks."""
     largest, with_lineality = 0, 0
     for rows in large_cone_corpus(7):
-        a = IntMatrix(rows)
-        masks, lin = cone_module._dd(a)
-        with monkeypatch.context() as patched:
-            patched.setattr(cone_module, "_pointed_extreme_rays", containment_extreme_rays)
-            want_masks, want_lin = cone_module._dd(a)
-        assert list(masks.items()) == list(want_masks.items())
-        assert lin == want_lin
+        masks, lin = check_dd_against_containment(IntMatrix(rows), monkeypatch)
         largest = max(largest, len(masks))
         with_lineality += bool(lin) and len(masks) > 1
     assert largest > 500 and with_lineality >= 5
+
+
+def test_double_description_columns_on_zero_rows_and_equations(monkeypatch):
+    # all rows zero: no start rows, every column empty
+    masks, lin = check_dd_against_containment(IntMatrix([(0, 0, 0), (0, 0, 0)]), monkeypatch)
+    assert masks == {} and len(lin) == 3
+    # a zero row among others is tight on every ray
+    masks, lin = check_dd_against_containment(
+        IntMatrix([(1, 0), (0, 0), (1, 2), (0, 1)]), monkeypatch)
+    assert masks == {(0, 1): 0b0011, (1, 0): 0b1010} and lin == ()
+    # the rows rays_of_facets reads: equations of the span as pairs f, -f,
+    # pointed and with lineality, in the ambient and the quotient route
+    ray = facets_of_rays([(2, 4, 6)])
+    for forms in ([*ray.facet_forms, (0, 3, -2), (0, -3, 2), (3, 0, -1), (-3, 0, 1)],
+                  [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1), (0, -1, -1)],
+                  [(1, 1, 0, 0), (-1, -1, 0, 0), (0, 1, 0, 0), (0, 1, 2, 0)]):
+        fs, d = cone_module._clean_vectors(forms, None)
+        check_dd_against_containment(IntMatrix._of(fs, d), monkeypatch)
+    for d, rays in benchmark_rank_cones(seed=811)[:3]:
+        c = facets_of_rays([r + (r[0] + r[1],) for r in rays])
+        eqs = [s for e in kernel_basis(IntMatrix(c.rays)) for s in (e, tuple(-x for x in e))]
+        fs, d = cone_module._clean_vectors(list(c.facet_forms) + eqs, None)
+        masks, lin = check_dd_against_containment(IntMatrix._of(fs, d), monkeypatch)
+        assert lin == () and sorted(masks) == list(c.rays)
+
+
+def test_maximal_proper_matches_the_pair_scan():
+    full = 0b1111
+    hand = [
+        [0b0011, 0b0011, 0b0111, 0b0001],  # duplicates, one inside another
+        [0, 0, 0],  # the empty set alone is maximal
+        [0, 0b0100],
+        [full, full],  # full itself is never proper
+        [full, 0b1010, 0b0010, 0b1000, 0],
+        [0b0101],  # a single row
+        [],
+    ]
+    for sets in hand:
+        assert cone_module._maximal_proper(sets, full) == scan_maximal_proper(sets, full)
+    seen = 0
+    small = [(sorted({make_primitive(v) for v in vs if any(v)}), len(vs[0]))
+             for vs in cone_corpus(431)]
+    small += [(sorted({make_primitive(v) for v in vs if any(v)}), d)
+              for vs, d in degenerate_cone_corpus(433, 300)]
+    matrices = [a for gens, d in small
+                for a in (IntMatrix(gens, d), IntMatrix(facets_of_rays(gens, d).facet_forms, d))]
+    for a in matrices + [IntMatrix(rows) for rows in large_cone_corpus(7)]:
+        masks, cols, full, _ = cone_module._dd(a)
+        # the masks as sets of rows, and the columns as sets of rays
+        for sets, top in ((list(masks.values()), (1 << len(a)) - 1), (cols, full)):
+            assert cone_module._maximal_proper(sets, top) == scan_maximal_proper(sets, top)
+            seen += 1
+    assert seen > 1000
 
 
 # -- face decisions by mask containment against the rank oracles --------
@@ -284,19 +361,22 @@ def test_a_double_description_makes_one_elimination(monkeypatch):
     for d, rays in benchmark_rank_cones(seed=811):
         for a in (IntMatrix(rays), IntMatrix(facets_of_rays(rays).facet_forms)):
             calls.clear()
-            masks, lin = cone_module._dd(a)
+            masks, cols, full, lin = cone_module._dd(a)
             assert calls == {"_eliminate": 1} and lin == ()
-            assert masks == containment_extreme_rays(a, d, *cone_module._start_cone(a))
+            want = containment_extreme_rays(a, d, *cone_module._start_cone(a))
+            assert masks == want
+            assert compact_columns(cols, full) == transpose_masks(list(want.values()), len(a))
+            assert full.bit_count() == len(masks)
     # a negative last pivot e: the start rays are the rows of E times sgn(e)
     a = IntMatrix([(0, -1), (1, 0), (1, -2)])
     assert _eliminate(a, a.shape[1])[2] < 0
     calls.clear()
-    assert cone_module._dd(a) == ({(0, -1): 0b010, (1, 0): 0b001}, ())
+    assert cone_module._dd(a) == ({(0, -1): 0b010, (1, 0): 0b001}, [0b10, 0b01, 0], 0b11, ())
     assert calls == {"_eliminate": 1}
     # the lower-rank route: one more elimination, of A @ lift in the quotient
     for vectors, d in [([(1, 0, 1), (0, 1, 1), (1, 1, 2)], 3), ([(0, -1, 0), (1, 0, 0)], 3)]:
         calls.clear()
-        masks, lin = cone_module._dd(IntMatrix(vectors, d))
+        masks, _, _, lin = cone_module._dd(IntMatrix(vectors, d))
         assert calls == {"_eliminate": 2} and len(masks) == 2
     assert lin == ((0, 0, 1),)
 
