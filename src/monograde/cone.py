@@ -45,7 +45,6 @@ from .exact_linalg import (
     _smith_left,
     as_tuple,
     kernel_basis,
-    primitive,
     rank,
     unimodular_inverse,
 )
@@ -87,11 +86,16 @@ def _start_cone(a) -> tuple[list[int], list[Vec]]:
     A, and the transform T has T @ B^T = e*I for the rows B of A in
     ``base``: row k of T is tight on every row of ``base`` but
     ``base[k]``, where it takes the value e.  So sgn(e) times it is the
-    start ray opposite ``base[k]``.
+    start ray opposite ``base[k]``.  The rows are int lists the
+    elimination just built, so each is divided by its gcd, signed as e,
+    without the input checks of ``primitive``.
     """
     t, base, e = _eliminate(a, a.shape[1])
-    sgn = 1 if e > 0 else -1
-    return base, [primitive([sgn * x for x in t[k]]) for k in range(len(base))]
+    start = []
+    for row in t[:len(base)]:
+        g = gcd(*row) if e > 0 else -gcd(*row)
+        start.append(tuple([x // g for x in row]))
+    return base, start
 
 
 def _pointed_extreme_rays(a, d: int, base: list[int],

@@ -22,10 +22,14 @@ of a scan of it.  Basis elements are primitive integer polynomials and
 every S-pair and reduction step is fraction-free.  The private entry
 :func:`_reduced_rows` hands the reduced basis back as primitive integer
 rows (dicts from exponent tuple to int), which the graded hulls and the
-prime analysis in ``multigraded`` feed straight into the next call;
-:func:`buchberger` makes them monic over Q, the only place a kernel
-answer becomes a :class:`Polynomial`.  The public :func:`normal_form`
-works over Q.
+prime analysis in ``multigraded`` feed straight into the next call.
+Under an elimination order it can instead hand back the elimination
+ideal's reduced basis alone: only the elements free of the dropped
+variables are interreduced and unpacked, in the remaining ones, which
+is all a hull pass keeps.  :func:`buchberger` makes the rows monic over
+Q, the only place a kernel answer becomes a :class:`Polynomial`, and
+always returns the full basis.  The public :func:`normal_form` works
+over Q.
 """
 
 from __future__ import annotations
@@ -504,17 +508,31 @@ def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _interreduce(basis: list, pk: _Packing, budget: _Budget) -> list[dict]:
+def _interreduce(basis: list, pk: _Packing, budget: _Budget, eliminate: bool) -> list[dict]:
     """The reduced basis from the elements of a Groebner basis: the
     elements with a minimal leading term, each reduced modulo the others,
-    as primitive integer rows sorted by leading term."""
-    G = pk.G
+    as primitive integer rows sorted by leading term.
+
+    With ``eliminate`` (under an elimination order) only the elements
+    whose leading term is free of the dropped block are kept, reduced
+    and unpacked, in the remaining variables: these leading terms pack
+    below the least monomial with a dropped variable, which is the last
+    dropped variable alone.  Only such a leading term divides a monomial
+    free of the block, and the tail of such an element is free of it, so
+    each kept row takes the steps the full interreduction takes on it.
+    """
+    G, fm, shifts = pk.G, pk.fm, pk.shifts
+    elements = sorted(basis, key=itemgetter(0))
+    if eliminate:
+        drop = pk.order.drop
+        bound = pk.V[max(drop)]
+        elements = [el for el in elements if el[0] < bound]
+        shifts = [s for i, s in enumerate(shifts) if i not in drop]
     kept: list = []
-    for el in sorted(basis, key=itemgetter(0)):
+    for el in elements:
         eg = el[0] | G
         if not any((eg - k[0]) & G == G for k in kept):
             kept.append(el)
-    unpack = pk._unpack
     final = []
     for i, (lt, lc, tail, _) in enumerate(kept):
         work = dict(tail)
@@ -522,9 +540,9 @@ def _interreduce(basis: list, pk: _Packing, budget: _Budget) -> list[dict]:
         r = _reduce(work, kept[:i] + kept[i + 1:], pk, budget)
         lc = r.pop(lt)
         d = gcd(lc, *r.values())
-        row = {unpack(lt): lc // d}
+        row = {tuple([lt >> s & fm for s in shifts]): lc // d}
         for e, c in r.items():
-            row[unpack(e)] = c // d
+            row[tuple([e >> s & fm for s in shifts])] = c // d
         final.append(row)
     return final
 
@@ -561,9 +579,13 @@ def buchberger(generators, order: TermOrder, budget=None) -> tuple[Polynomial, .
     return _monic(_reduced_rows([g.terms for g in gens], order, budget), order.nvars)
 
 
-def _reduced_rows(rows, order: TermOrder, budget: _Budget) -> list[dict]:
+def _reduced_rows(rows, order: TermOrder, budget: _Budget, eliminate: bool = False) -> list[dict]:
     """The reduced Groebner basis of the ideal of nonzero ``rows``, as
-    primitive integer rows sorted by leading term.
+    primitive integer rows sorted by leading term.  With ``eliminate``,
+    under an elimination order, the reduced basis of the elimination
+    ideal instead: the rows whose leading term is free of the dropped
+    variables, in the remaining ones, reduced under grevlex (see
+    :func:`_interreduce`).
 
     Pair selection follows the sugar strategy of Giovini, Mora, Niesi,
     Robbiano and Traverso (1991).  Each basis element carries a sugar:
@@ -593,10 +615,11 @@ def _reduced_rows(rows, order: TermOrder, budget: _Budget) -> list[dict]:
     if not rows:
         return []
     degree = max([sum(e) for r in rows for e in r])
-    return _widening(_Packing(order, degree), budget, lambda pk: _buchberger(rows, pk, budget))
+    return _widening(_Packing(order, degree), budget,
+                     lambda pk: _buchberger(rows, pk, budget, eliminate))
 
 
-def _buchberger(rows, pk: _Packing, budget: _Budget) -> list[dict]:
+def _buchberger(rows, pk: _Packing, budget: _Budget, eliminate: bool) -> list[dict]:
     """:func:`_reduced_rows` at one packing."""
     G, ds, fm, V = pk.G, pk.ds, pk.fm, pk.V
     pack = pk._pack
@@ -649,7 +672,7 @@ def _buchberger(rows, pk: _Packing, budget: _Budget) -> list[dict]:
             append(el, max(s, el[3] >> ds))
         else:
             budget.zero_reductions += 1
-    return _interreduce(basis, pk, budget)
+    return _interreduce(basis, pk, budget, eliminate)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ yields the full multigraded hull.
 
 The hull passes and the prime analysis hold the primitive integer rows
 of ``groebner``'s kernel (dicts from exponent tuple to int) from the
-first call to the last: each pass substitutes, eliminates, filters and
-re-bases rows, the rows of one pass feed the next, and the primality
-samples are drawn, multiplied and reduced as packed integer terms.
-Polynomials over Q are built once, for the answer.
+first call to the last: each pass substitutes rows and asks the kernel
+for the eliminated ones alone, which are the reduced grevlex basis of
+its hull and feed the next pass as they are; only another term order
+re-bases the last pass's rows, once.  The primality samples are drawn,
+multiplied and reduced as packed integer terms.  Polynomials over Q are
+built once, for the answer.
 """
 
 from __future__ import annotations
@@ -79,19 +81,22 @@ class GradedRingSpec:
         return rank(self.degrees)
 
 
-def _hull_pass(rows, weights: tuple[int, ...], order, budget):
-    """The reduced basis, under ``order``, of the largest subideal of the
-    ideal of ``rows`` generated by elements homogeneous for one weight
-    row, as primitive integer rows.
+def _hull_pass(rows, weights: tuple[int, ...], budget):
+    """The reduced grevlex basis of the largest subideal of the ideal of
+    ``rows`` generated by elements homogeneous for one weight row, as
+    primitive integer rows.
 
     Substituting x_j -> t^(w_j) x_j with invertible t spreads each
     polynomial over powers of t according to weighted degree; with the
     relation t*u = 1 adjoined, negative weighted degrees become powers
     of u.  The ideal is already saturated at t (t is a unit modulo the
     relation), so eliminating t and u directly cuts out the elements all
-    of whose weight components lie in the ideal.
+    of whose weight components lie in the ideal.  The t,u-free elements
+    of a basis under the elimination order are a basis of that ideal
+    under the order on the rest, grevlex, so the kernel hands back only
+    those, already reduced.
     """
-    n = order.nvars
+    n = len(weights)
     subst = []
     for row in rows:
         terms = {}
@@ -100,16 +105,20 @@ def _hull_pass(rows, weights: tuple[int, ...], order, budget):
             terms[e + ((d, 0) if d >= 0 else (0, -d))] = c
         subst.append(terms)
     subst.append({(0,) * n + (1, 1): 1, (0,) * (n + 2): -1})
-    gb = _reduced_rows(subst, elimination_order((n, n + 1), n + 2), budget)
-    # under the elimination order a t,u-free leading term makes a t,u-free row
-    kept = [{e[:n]: c for e, c in row.items()} for row in gb if not any(next(iter(row))[n:])]
-    return _reduced_rows(kept, order, budget)
+    return _reduced_rows(subst, elimination_order((n, n + 1), n + 2), budget, eliminate=True)
 
 
 def _hull_rows(rows, spec: GradedRingSpec, order, budget):
-    """The rows of the hull: one pass per grading coordinate."""
+    """The rows of the hull, reduced under ``order``: one pass per
+    grading coordinate, each fed the grevlex rows of the last, until a
+    pass leaves none, since every later pass would return none too.
+    Only an order other than grevlex re-bases them, once, at the end."""
     for axis in range(spec.rank):
-        rows = _hull_pass(rows, spec.weights(axis), order, budget)
+        if not rows:
+            break
+        rows = _hull_pass(rows, spec.weights(axis), budget)
+    if order.kind != "grevlex":
+        rows = _reduced_rows(rows, order, budget)
     return rows
 
 
@@ -120,7 +129,9 @@ def graded_hull(ideal: IdealPresentation, spec: GradedRingSpec,
     One pass per grading coordinate; a polynomial lies in the hull
     exactly when all its multidegree components do, which each pass
     enforces for its own coordinate without breaking the previous ones.
-    The result does not depend on the pass order.
+    The result does not depend on the pass order.  The passes stop at a
+    zero hull, and their grevlex basis is re-based under the ideal's
+    order only when that order is not grevlex.
     """
     if spec.nvars != ideal.nvars:
         raise ValueError("ideal does not match the grading")

@@ -8,7 +8,8 @@ This generates the job list that
 (the warm-up job left out), runs every job through the same public API
 calls and prints, by rank and input ray count, how many times
 ``cone._dd`` runs, how many ``_eliminate`` and ``primitive`` calls the
-``cone`` module makes, and how many rays double description returns.
+``cone`` module makes (a name ``cone`` no longer imports reads 0), and
+how many rays double description returns.
 The memo of ``facets_of_rays`` is emptied first, so the counts do not
 depend on what ran before.  Calls are counted by wrapping the module
 attributes of ``cone`` from outside the package, so a call that
@@ -66,7 +67,7 @@ def dd_counts(seed: int):
     job_list = workloads.generate("cone-duality", seed, count + 1)[1:]
     counts = collections.defaultdict(collections.Counter)
     key = [None]
-    real = {name: getattr(cone, name) for name in COUNTED}
+    real = {name: getattr(cone, name) for name in COUNTED if hasattr(cone, name)}
     cone._facets_of_generators.cache_clear()
     try:
         for name, fn in real.items():

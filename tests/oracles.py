@@ -873,11 +873,16 @@ def poly_sort_key(f, order):
     return sorted(((order.key(e), c) for e, c in f.terms.items()), reverse=True)
 
 
-def rational_interreduce(basis, order, budget):
+def rational_interreduce(basis, order, budget, eliminate=False):
     """The reduced basis from a list of monic rational polynomials that
     generate the ideal as a Groebner basis, by :func:`groebner.normal_form`:
-    ``groebner._interreduce`` as it was before the integer kernel."""
+    ``groebner._interreduce`` as it was before the integer kernel.  With
+    ``eliminate``, under an elimination order, only the elements whose
+    leading term is free of the dropped variables are kept and reduced
+    among themselves, still in all the variables."""
     pairs = [(g.leading(order)[0], g) for g in basis]
+    if eliminate:
+        pairs = [(e, g) for e, g in pairs if not any(e[i] for i in order.drop)]
     pairs.sort(key=lambda t: order.key(t[0]))
     kept = []
     for e, g in pairs:
@@ -893,16 +898,17 @@ def rational_interreduce(basis, order, budget):
     return final
 
 
-def rational_buchberger(generators, order, budget=None):
+def rational_buchberger(generators, order, budget=None, eliminate=False):
     """``groebner.buchberger`` as it was before the integer kernel: the
     same sugar heap over monic rational polynomials, each pair reduced by
     :func:`groebner.normal_form` of :func:`s_polynomial`, and the basis
-    interreduced by :func:`rational_interreduce`.  Every integer
-    polynomial of the kernel is a positive multiple of the rational one
-    here, so both routes must reduce the same pairs in the same order,
-    spend the same steps and return the same basis.  ``s_polynomial`` is
-    looked up in this module and ``normal_form`` in ``groebner``, so a
-    test can count the calls.
+    interreduced by :func:`rational_interreduce` (with ``eliminate``
+    passed on).  Every integer polynomial of the kernel is a positive
+    multiple of the rational one here, so both routes must reduce the
+    same pairs in the same order, spend the same steps, count the same
+    S-pairs and zero reductions on the budget and return the same basis.
+    ``s_polynomial`` is looked up in this module and ``normal_form`` in
+    ``groebner``, so a test can count the calls.
     """
     budget = groebner._as_budget(budget)
     gens = [g for g in generators if not g.is_zero]
@@ -949,11 +955,14 @@ def rational_buchberger(generators, order, budget=None):
                 break
         if skip:
             continue
+        budget.spairs += 1
         h = groebner.normal_form(s_polynomial(basis[i], basis[j], order),
                                  basis, order, budget)
         if not h.is_zero:
             append(h, max(s, h.total_degree()))
-    return tuple(rational_interreduce(basis, order, budget))
+        else:
+            budget.zero_reductions += 1
+    return tuple(rational_interreduce(basis, order, budget, eliminate))
 
 
 def reference_buchberger(generators, order, budget):
@@ -1018,13 +1027,14 @@ def reference_buchberger(generators, order, budget):
     return tuple(rational_interreduce(basis, order, budget))
 
 
-def normal_strategy_buchberger(generators, order, budget=None):
+def normal_strategy_buchberger(generators, order, budget=None, eliminate=False):
     """``groebner.buchberger`` as it was before sugar: the pending heap is
     keyed by the order key of the lcm alone (the normal strategy).  The
     reduced basis is unique, so both routes must agree; the S-pair
     counts show what the selection saves.  S-polynomials go through this
     module's ``s_polynomial`` and reductions through ``groebner``'s
-    ``normal_form``.
+    ``normal_form``; ``eliminate`` is passed on to
+    :func:`rational_interreduce`.
     """
     budget = groebner._as_budget(budget)
     gens = [g for g in generators if not g.is_zero]
@@ -1071,7 +1081,7 @@ def normal_strategy_buchberger(generators, order, budget=None):
                                  basis, order, budget)
         if not h.is_zero:
             append(h)
-    return tuple(rational_interreduce(basis, order, budget))
+    return tuple(rational_interreduce(basis, order, budget, eliminate))
 
 
 def reference_ideal_dimension(ideal):
@@ -1104,12 +1114,21 @@ def rows_route(route):
     Each row becomes a rational polynomial (a Fraction row as given, an
     int row as its monic form, as the kernel orders them), and each
     monic polynomial of the answer a primitive integer row, leading term
-    first."""
-    def reduced_rows(rows, order, budget):
+    first; with ``eliminate`` the route keeps the elements free of the
+    dropped variables, and their rows are read in the remaining ones."""
+    def reduced_rows(rows, order, budget, eliminate=False):
         polys = [row_polynomial(row, order.nvars) for row in rows]
-        return [primitive_row(g, order) for g in route(polys, order, budget)]
+        out = [primitive_row(g, order) for g in route(polys, order, budget, eliminate)]
+        return [eliminated_row(row, order) for row in out] if eliminate else out
 
     return reduced_rows
+
+
+def eliminated_row(row, order):
+    """A row free of the variables an elimination order drops, read in
+    the remaining variables."""
+    keep = [i for i in range(order.nvars) if i not in order.drop]
+    return {tuple([e[i] for i in keep]): c for e, c in row.items()}
 
 
 def row_polynomial(row, nvars):
@@ -1136,12 +1155,35 @@ def primitive_row(f, order):
 # -- slow paths kept as references for multigraded ----------------------
 
 
+def full_hull_rows(rows, spec, order, budget):
+    """``multigraded._hull_rows`` as it was before a pass asked the kernel
+    for the eliminated rows alone: every pass runs, also on no rows, and
+    takes the whole reduced basis under the elimination order from
+    ``groebner._reduced_rows``, keeps its t,u-free rows and re-bases
+    them under ``order``."""
+    n = order.nvars
+    elim = groebner.elimination_order((n, n + 1), n + 2)
+    for axis in range(spec.rank):
+        weights = spec.weights(axis)
+        subst = []
+        for row in rows:
+            terms = {}
+            for e, c in row.items():
+                d = sum(x * w for x, w in zip(e, weights))
+                terms[e + ((d, 0) if d >= 0 else (0, -d))] = c
+            subst.append(terms)
+        subst.append({(0,) * n + (1, 1): 1, (0,) * (n + 2): -1})
+        gb = groebner._reduced_rows(subst, elim, budget)
+        kept = [{e[:n]: c for e, c in row.items()} for row in gb if not any(next(iter(row))[n:])]
+        rows = groebner._reduced_rows(kept, order, budget)
+    return rows
+
+
 def polynomial_graded_hull_z(ideal, weights, budget):
-    """One weight row's hull pass, ``multigraded._hull_pass``, as it was
-    before the hull passes ran on integer rows: the substituted
-    generators, the elimination basis, the t,u-free elements and the
-    re-basis are all rational polynomials, each basis from the public
-    ``groebner.buchberger``."""
+    """One weight row's hull pass, ``multigraded._hull_pass``, on rational
+    polynomials: the substituted generators, the elimination basis by
+    :func:`rational_buchberger` with only its t,u-free elements
+    interreduced, and those read as the hull's reduced grevlex basis."""
     n = ideal.nvars
     wt = tuple(weights)
     ti, ui = n, n + 1
@@ -1155,20 +1197,27 @@ def polynomial_graded_hull_z(ideal, weights, budget):
     rel_terms = {(0,) * n + (1, 1): 1, (0,) * (n + 2): -1}
     subst.append(groebner.Polynomial(n + 2, rel_terms))
     order = groebner.elimination_order((ti, ui), n + 2)
-    gb = groebner.buchberger(subst, order, budget)
     kept = []
-    for g in gb:
-        if all(e[ti] == 0 and e[ui] == 0 for e in g.terms):
-            kept.append(groebner.Polynomial(n, {e[:n]: c for e, c in g.terms.items()}))
-    return groebner.IdealPresentation(groebner.buchberger(kept, ideal.order, budget),
-                                      ideal.order)
+    for g in rational_buchberger(subst, order, budget, eliminate=True):
+        assert all(e[ti] == 0 and e[ui] == 0 for e in g.terms)
+        kept.append(groebner.Polynomial(n, {e[:n]: c for e, c in g.terms.items()}))
+    return groebner.IdealPresentation(tuple(kept), groebner.grevlex(n))
 
 
 def polynomial_graded_hull(ideal, spec, budget):
-    """``multigraded.graded_hull`` by :func:`polynomial_graded_hull_z`."""
+    """``multigraded.graded_hull`` by :func:`polynomial_graded_hull_z`:
+    the passes stop at a zero hull, and the last one's basis is re-based
+    by the public ``groebner.buchberger`` when the ideal's order is not
+    grevlex."""
+    order = ideal.order
     for axis in range(spec.rank):
+        if not ideal.generators:
+            break
         ideal = polynomial_graded_hull_z(ideal, spec.weights(axis), budget)
-    return ideal
+    gens = ideal.generators
+    if order.kind != "grevlex":
+        gens = groebner.buchberger(gens, order, budget)
+    return groebner.IdealPresentation(gens, order)
 
 
 def polynomial_basis_dimension(gb, order, budget):

@@ -35,7 +35,13 @@ from monograde.cli import (
 from monograde.groebner import IdealPresentation, default_variables, grevlex, parse_polynomial
 from monograde.multigraded import GradedRingSpec
 from hullcheck import assert_hull_contract
-from oracles import hull_job_corpus, normal_strategy_buchberger, rational_buchberger, rows_route
+from oracles import (
+    full_hull_rows,
+    hull_job_corpus,
+    normal_strategy_buchberger,
+    rational_buchberger,
+    rows_route,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -211,9 +217,9 @@ def test_hull_elimination_that_stalled_fits_a_small_budget(monkeypatch, capsys):
     assert_hull_contract(prime, p_star, spec, dmax=5)
 
 
-def hull_corpus_outcomes(monkeypatch, capsys, route=None):
+def hull_corpus_outcomes(monkeypatch, capsys, route=None, budget="1000"):
     """(exit code, stdout, stderr) of the first 40 jobs of
-    ``hull_job_corpus(97, ...)`` at budget 1000, with ``route`` run on
+    ``hull_job_corpus(97, ...)`` at ``budget``, with ``route`` run on
     rows (:func:`oracles.rows_route`) in place of the kernel entry
     ``_reduced_rows`` if one is given."""
     with monkeypatch.context() as m:
@@ -222,7 +228,7 @@ def hull_corpus_outcomes(monkeypatch, capsys, route=None):
             m.setattr(multigraded, "_reduced_rows", rows_route(route))
         out = []
         for text in hull_job_corpus(97, 40):
-            argv = [json.loads(text)["command"], "--budget", "1000"]
+            argv = [json.loads(text)["command"], "--budget", budget]
             out.append(run_cli(monkeypatch, capsys, argv, text))
         return out
 
@@ -235,6 +241,22 @@ def test_sugar_moves_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
     moved = [(a[0], b[0]) for a, b in zip(normal, sugar) if a[0] != b[0]]
     assert moved and set(moved) == {(EXIT_BUDGET, EXIT_OK)}
     assert all(a == b for a, b in zip(normal, sugar) if a[0] == b[0] != EXIT_BUDGET)
+
+
+def test_kept_rows_move_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
+    # a pass that interreduces only the rows it keeps, and re-bases them
+    # only off grevlex, spends fewer steps than the full route of
+    # oracles.full_hull_rows and nothing else changes: the reports are
+    # the same reduced bases.  At 250 steps job 18 now fits
+    for budget in ("250", "1000"):
+        kept = hull_corpus_outcomes(monkeypatch, capsys, budget=budget)
+        with monkeypatch.context() as m:
+            m.setattr(multigraded, "_hull_rows", full_hull_rows)
+            full = hull_corpus_outcomes(monkeypatch, capsys, budget=budget)
+        moved = [(a[0], b[0]) for a, b in zip(full, kept) if a[0] != b[0]]
+        assert set(moved) <= {(EXIT_BUDGET, EXIT_OK)}
+        assert bool(moved) == (budget == "250")
+        assert all(a == b for a, b in zip(full, kept) if a[0] == b[0] != EXIT_BUDGET)
 
 
 def test_integer_kernel_keeps_hull_reports_and_exit_codes(monkeypatch, capsys):

@@ -4,6 +4,7 @@ Known-answer fixtures were derived independently; randomized checks
 enforce the defining reduction properties of a reduced basis.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -23,9 +24,10 @@ from monograde.groebner import (
     normal_form,
     parse_polynomial,
 )
-from monograde.multigraded import GradedRingSpec, graded_hull
+from monograde.multigraded import GradedRingSpec, analyze_prime, graded_hull
 import oracles
 from oracles import (
+    hull_job_corpus,
     monic,
     normal_strategy_buchberger,
     poly_product,
@@ -186,10 +188,10 @@ def strategy_corpus(seed, monkeypatch):
             cases.extend((gens, o) for o in (grevlex(n), lex(n), elimination_order(drop, n)))
     real = multigraded._reduced_rows
 
-    def recorded(rows, order, budget):
-        if order.kind == "elim":
+    def recorded(rows, order, budget, eliminate=False):
+        if eliminate:
             cases.append(([oracles.row_polynomial(r, order.nvars) for r in rows], order))
-        return real(rows, order, budget)
+        return real(rows, order, budget, eliminate)
 
     with monkeypatch.context() as m:
         m.setattr(multigraded, "_reduced_rows", recorded)
@@ -205,6 +207,70 @@ def strategy_corpus(seed, monkeypatch):
                 except BudgetExceededError:
                     pass
     return cases
+
+
+def hull_corpus_eliminations(monkeypatch, count):
+    """(rows, order) of each elimination the hull passes of the first
+    ``count`` jobs of ``hull_job_corpus(97, ...)`` ask the kernel for,
+    each job run at budget 1000 under grevlex."""
+    cases = []
+    real = multigraded._reduced_rows
+
+    def recorded(rows, order, budget, eliminate=False):
+        if eliminate:
+            cases.append((rows, order))
+        return real(rows, order, budget, eliminate)
+
+    with monkeypatch.context() as m:
+        m.setattr(multigraded, "_reduced_rows", recorded)
+        for text in hull_job_corpus(97, count):
+            job = json.loads(text)
+            n = job["vars"]
+            names = default_variables(n)
+            spec = GradedRingSpec(tuple(tuple(d) for d in job["grading"]))
+            run = graded_hull if job["command"] == "graded-hull" else analyze_prime
+            gens = job["ideal"] if job["command"] == "graded-hull" else job["prime"]
+            ideal = IdealPresentation(tuple(parse_polynomial(t, names) for t in gens), grevlex(n))
+            try:
+                run(ideal, spec, 1000)
+            except (BudgetExceededError, ValueError):
+                pass
+    return cases
+
+
+def test_eliminated_rows_are_the_kept_rows_of_the_full_basis(monkeypatch):
+    """Asked for the elimination ideal alone, the kernel returns the rows
+    of the full reduced basis whose leading term is free of the dropped
+    variables, read in the remaining ones, term order included, after
+    the same S-pairs and fewer or as many steps.  Those rows are the
+    reduced grevlex basis of what they generate, so re-basing them
+    under grevlex returns them unchanged: the re-basis a hull pass
+    skips.  Checked on the elimination inputs of the strategy corpus,
+    whose dropped blocks are random, and of the hull corpus."""
+    cases = [([g.terms for g in gens if not g.is_zero], o)
+             for gens, o in strategy_corpus(83, monkeypatch) if o.kind == "elim"]
+    cases += hull_corpus_eliminations(monkeypatch, 100)
+    checked = discarded = saved = 0
+    for rows, order in cases:
+        full_budget, kept_budget = groebner._Budget(20_000), groebner._Budget(20_000)
+        try:
+            full = groebner._reduced_rows(rows, order, full_budget)
+        except BudgetExceededError:
+            continue
+        kept = groebner._reduced_rows(rows, order, kept_budget, eliminate=True)
+        want = [oracles.eliminated_row(r, order) for r in full
+                if not any(next(iter(r))[i] for i in order.drop)]
+        assert [list(r.items()) for r in kept] == [list(r.items()) for r in want]
+        assert (kept_budget.spairs, kept_budget.zero_reductions) \
+            == (full_budget.spairs, full_budget.zero_reductions)
+        assert kept_budget.remaining >= full_budget.remaining
+        rest = grevlex(order.nvars - len(order.drop))
+        again = groebner._reduced_rows(kept, rest, groebner._Budget(20_000))
+        assert [list(r.items()) for r in again] == [list(r.items()) for r in kept]
+        checked += bool(kept)
+        discarded += len(full) - len(kept)
+        saved += kept_budget.remaining - full_budget.remaining
+    assert len(cases) > 200 and checked > 150 and discarded > 500 and saved > 300
 
 
 def test_sugar_and_the_normal_strategy_reach_the_same_basis(monkeypatch):

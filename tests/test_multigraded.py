@@ -137,6 +137,36 @@ def test_rank_two_hull_builds_one_polynomial_per_generator(monkeypatch):
     assert built == {"init": 0, "clean": len(hull.generators)}
 
 
+def test_passes_stop_at_an_empty_hull(monkeypatch):
+    # the graph x2 = -5*x1^2 - 4 is no union of x1-orbits, so its hull
+    # is zero after the first pass; the second pass, one elimination of
+    # t*u - 1 alone, would spend nothing and return nothing, and is not
+    # run
+    eliminations = []
+    real = multigraded._reduced_rows
+
+    def counted(rows, order, budget, eliminate=False):
+        eliminations.append(eliminate)
+        return real(rows, order, budget, eliminate)
+
+    monkeypatch.setattr(multigraded, "_reduced_rows", counted)
+    ideal = IdealPresentation((poly("x2 + 5*x1^2 + 4"),), grevlex(2))
+    hull_budget = groebner._Budget(1000)
+    assert graded_hull(ideal, STD2, hull_budget).generators == ()
+    assert eliminations == [True]
+    first = groebner._Budget(1000)
+    assert multigraded._hull_pass([g.terms for g in ideal.generators], STD2.weights(0), first) == []
+    second = groebner._Budget(1000)
+    assert multigraded._hull_pass([], STD2.weights(1), second) == []
+    meter = (hull_budget.remaining, hull_budget.spairs, hull_budget.zero_reductions)
+    assert meter == (first.remaining, first.spairs, first.zero_reductions)
+    assert (second.remaining, second.spairs, second.zero_reductions) == (1000, 0, 0)
+    eliminations.clear()
+    out = analyze_prime(ideal, STD2)
+    assert (out.graded, out.p_star.generators, out.tau) == (False, (), 1)
+    assert eliminations == [False, True]
+
+
 def test_hull_respects_budget():
     from monograde.groebner import BudgetExceededError
 
@@ -199,16 +229,18 @@ def test_tau_bounds_hold_on_point_kernels():
 
 
 def test_prime_analysis_computes_each_basis_once(monkeypatch):
-    # one basis of the prime, two per hull pass, and under grevlex no
-    # more: the prime's basis and the core are already reduced grevlex
-    # bases, which serve the dimensions and the primality samples alike;
-    # under lex each of the two is recomputed once under grevlex
+    # one basis of the prime, one elimination per hull pass, and under
+    # grevlex no more: the passes hand back reduced grevlex bases, and
+    # the prime's basis and the core serve the dimensions and the
+    # primality samples alike; under lex the core is re-based once under
+    # lex after the last pass, and each of the two is recomputed once
+    # under grevlex
     calls = []
     real = multigraded._reduced_rows
 
-    def counted(rows, order, budget):
+    def counted(rows, order, budget, eliminate=False):
         calls.append(order)
-        return real(rows, order, budget)
+        return real(rows, order, budget, eliminate)
 
     monkeypatch.setattr(multigraded, "_reduced_rows", counted)
     V3 = default_variables(3)
@@ -216,12 +248,13 @@ def test_prime_analysis_computes_each_basis_once(monkeypatch):
     for spec in (GradedRingSpec(((1,), (1,), (1,))), GradedRingSpec(((1, 0), (0, 1), (1, 1))),
                  GradedRingSpec(((1, 0, 0), (0, 1, 0), (0, 0, 1)))):
         r = spec.rank
-        for order, extra in ((grevlex(3), 0), (lex(3), 2)):
+        for order, extra in ((grevlex(3), 0), (lex(3), 3)):
             calls.clear()
             p = IdealPresentation(tuple(parse_polynomial(t, V3) for t in gens), order)
             out = analyze_prime(p, spec)
             assert not out.graded and 1 <= out.tau <= out.sigma
-            assert len(calls) == 1 + 2 * r + extra
+            assert len(calls) == 1 + r + extra
+            assert sum(o.kind == "elim" for o in calls) == r
 
 
 # -- the row route against the polynomial route ------------------------------
