@@ -128,18 +128,12 @@ def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
 
 
 def _generator_caps(view, verts) -> list[int]:
-    """The cap per facet form f of the pointed view on the minimal
-    generators of a region with vertices ``verts`` (see
-    ``minimal_generators``).  V_f is the largest f(x) / d over the
-    vertices x / d, rounded by floor division."""
-    caps = []
-    for f, s in zip(view.forms, view.ray_sums):
-        tops = [(_dot(f, x), d) for x, d in verts]
-        if s:
-            caps.append(max(-(-t // d) for t, d in tops) + s - 1)  # ceil(V_f) + S_f - 1
-        else:
-            caps.append(max(t // d for t, d in tops))  # floor(V_f)
-    return caps
+    """The cap ceil(V_f) + S_f - 1 per facet form f of the pointed view
+    on the minimal generators of a region with vertices ``verts`` (see
+    ``minimal_generators``), where V_f is the largest f(x) / d over the
+    vertices x / d."""
+    return [max(-(-_dot(f, x) // d) for x, d in verts) + s - 1
+            for f, s in zip(view.forms, view.ray_sums)]
 
 
 def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
@@ -152,9 +146,8 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     member has every mu_k < 1.  It therefore lies in the vertex bounding
     box plus the ray zonotope, and each facet form f stays below
     V_f + S_f, where V_f is the largest value of f on the vertices and
-    S_f the sum of its dim largest values on the rays: the sweep caps f
-    at ceil(V_f) + S_f - 1, or at floor(V_f) when S_f = 0
-    (``_generator_caps``).
+    S_f >= 1 the sum of its dim largest values on the rays: the sweep
+    caps f at ceil(V_f) + S_f - 1 (``_generator_caps``).
     ``_region_points`` sweeps only the members within the frame and the
     caps, which ``_PointedView._sweep_frame`` builds from the vertices
     and guards: the vertex box plus the zonotope box in dimension 1 and

@@ -105,7 +105,9 @@ class _PointedView:
     def ray_sums(self) -> Vec:
         """S_f per facet form f: the sum of the dim largest values of f
         on the rays, the most f reaches on a sum of at most dim distinct
-        rays (Caratheodory's bound, see ``_pointed_hilbert_basis``)."""
+        rays (Caratheodory's bound, see ``_pointed_hilbert_basis``).
+        Each S_f is at least 1: f is nonzero and the cone full-dimensional,
+        so f is positive on some extreme ray."""
         return tuple(
             sum(sorted((_dot(f, r) for r in self.rays), reverse=True)[: self.dim])
             for f in self.forms
@@ -422,9 +424,9 @@ def _region_points(forms, heights, lo, hi, caps):
 
 
 def _hilbert_caps(view: _PointedView) -> Vec:
-    """The cap max(S_f - 1, 0) per facet form f on the Hilbert basis
-    elements that are not rays (see ``_pointed_hilbert_basis``)."""
-    return tuple(max(s - 1, 0) for s in view.ray_sums)
+    """The cap S_f - 1 per facet form f on the Hilbert basis elements
+    that are not rays (see ``_pointed_hilbert_basis``)."""
+    return tuple(s - 1 for s in view.ray_sums)
 
 
 def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
@@ -436,8 +438,8 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     h = sum c_k r_k, and every c_k < 1, since h - r_k would otherwise be
     a nonzero cone point.  So h lies in the zonotope bounding box, and
     f(h) < sum f(r_k) <= S_f for every facet form f unless that sum is
-    0, where S_f is the sum of the dim largest values of f on the rays:
-    the sweep caps f at max(S_f - 1, 0) (``_hilbert_caps``).  The rays
+    0, where S_f >= 1 is the sum of the dim largest values of f on the
+    rays: the sweep caps f at S_f - 1 (``_hilbert_caps``).  The rays
     the caps cut off are added back, since primitive extreme rays are
     irreducible.  The region at height 0 has the origin as its only
     vertex, so ``_PointedView._sweep_frame`` scans and guards the
@@ -453,7 +455,7 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     value, so the extra points change nothing, and only the kept ones
     are mapped back from the sweep's coordinates.
     """
-    if view.dim == 0 or not view.rays:
+    if view.dim == 0:
         return ()
     zeros = (0,) * len(view.forms)
     caps = _hilbert_caps(view)

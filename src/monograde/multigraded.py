@@ -17,8 +17,10 @@ The hull passes and the prime analysis hold the primitive integer rows
 of ``groebner``'s kernel (dicts from exponent tuple to int) from the
 first call to the last: each pass substitutes rows and asks the kernel
 for the eliminated ones alone, which are the reduced grevlex basis of
-its hull and feed the next pass as they are; only another term order
-re-bases the last pass's rows, once.  The primality samples are drawn,
+its hull and feed the next pass as they are.  The prime analysis works
+in grevlex throughout, since no term order enters its invariants; the
+caller's order, when it is another one, only re-bases the reported
+hull or core, once, at the end.  The primality samples are drawn,
 multiplied and reduced as packed integer terms.  Polynomials over Q are
 built once, for the answer.
 """
@@ -108,17 +110,14 @@ def _hull_pass(rows, weights: tuple[int, ...], budget):
     return _reduced_rows(subst, elimination_order((n, n + 1), n + 2), budget, eliminate=True)
 
 
-def _hull_rows(rows, spec: GradedRingSpec, order, budget):
-    """The rows of the hull, reduced under ``order``: one pass per
-    grading coordinate, each fed the grevlex rows of the last, until a
-    pass leaves none, since every later pass would return none too.
-    Only an order other than grevlex re-bases them, once, at the end."""
+def _hull_rows(rows, spec: GradedRingSpec, budget):
+    """The reduced grevlex rows of the hull: one pass per grading
+    coordinate, each fed the rows of the last, until a pass leaves none,
+    since every later pass would return none too."""
     for axis in range(spec.rank):
         if not rows:
             break
         rows = _hull_pass(rows, spec.weights(axis), budget)
-    if order.kind != "grevlex":
-        rows = _reduced_rows(rows, order, budget)
     return rows
 
 
@@ -131,12 +130,14 @@ def graded_hull(ideal: IdealPresentation, spec: GradedRingSpec,
     enforces for its own coordinate without breaking the previous ones.
     The result does not depend on the pass order.  The passes stop at a
     zero hull, and their grevlex basis is re-based under the ideal's
-    order only when that order is not grevlex.
+    order, once, only when that order is not grevlex.
     """
     if spec.nvars != ideal.nvars:
         raise ValueError("ideal does not match the grading")
     budget = _as_budget(budget)
-    rows = _hull_rows([g.terms for g in ideal.generators], spec, ideal.order, budget)
+    rows = _hull_rows([g.terms for g in ideal.generators], spec, budget)
+    if ideal.order.kind != "grevlex":
+        rows = _reduced_rows(rows, ideal.order, budget)
     return IdealPresentation(_monic(rows, ideal.nvars), ideal.order)
 
 
@@ -186,32 +187,28 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
     violated conclusion (a unit ideal, a product of nonmembers falling
     into the core, a dimension or rank bound failing) is reported as
     :class:`NotPrimeError` rather than returned as nonsense.
+
+    It runs in grevlex from the prime's first basis on, and re-bases
+    only the reported ``p_star`` under ``p.order``, after the checks.
     """
     if spec.nvars != p.nvars:
         raise ValueError("ideal does not match the grading")
     budget = _as_budget(budget)
     n = p.nvars
-    rows_p = _reduced_rows([g.terms for g in p.generators], p.order, budget)
+    rows_p = _reduced_rows([g.terms for g in p.generators], grevlex(n), budget)
     if any(not any(next(iter(r))) for r in rows_p):
         raise NotPrimeError("the unit ideal is not prime")
-    rows_star = _hull_rows(rows_p, spec, p.order, budget)
+    rows_star = _hull_rows(rows_p, spec, budget)
     graded = rows_star == rows_p
-    # both bases are reduced in p.order, so under grevlex they serve as is
-    deg_order = grevlex(n)
-    if p.order == deg_order:
-        rows_p_deg, rows_star_deg = rows_p, rows_star
-    else:
-        rows_p_deg = _reduced_rows(rows_p, deg_order, budget)
-        rows_star_deg = _reduced_rows(rows_star, deg_order, budget)
-    dim_p = n - _grevlex_basis_dimension(rows_p_deg, n, budget)
-    dim_star = n - _grevlex_basis_dimension(rows_star_deg, n, budget)
+    dim_p = n - _grevlex_basis_dimension(rows_p, n, budget)
+    dim_star = n - _grevlex_basis_dimension(rows_star, n, budget)
     tau = dim_p - dim_star
     sigma = spec.sigma()
 
     rng = random.Random(1)  # fixed, so reports repeat run to run
     if rows_star:
         # packed wide enough for a product of two samples, of degree 4n
-        basis = _integer_basis(rows_star_deg, n, 4 * n)
+        basis = _integer_basis(rows_star, n, 4 * n)
         for _ in range(samples):
             a = _random_nonmember(rng, n, basis, budget)
             b = _random_nonmember(rng, n, basis, budget)
@@ -229,5 +226,7 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
                 "dimension drop %d escapes the bound 1..%d expected for a "
                 "nongraded prime; the input cannot be prime" % (tau, sigma)
             )
+    if p.order.kind != "grevlex":
+        rows_star = _reduced_rows(rows_star, p.order, budget)
     star = IdealPresentation(_monic(rows_star, n), p.order)
     return PrimeAnalysis(star, graded, dim_p, dim_star, tau, sigma)

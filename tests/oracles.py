@@ -43,6 +43,7 @@ from monograde.exact_linalg import (
     xgcd,
 )
 from monograde.monoid import _guard_box
+from monograde.multigraded import NotPrimeError, PrimeAnalysis
 
 
 # -- small exact helpers ----------------------------------------------
@@ -1155,13 +1156,13 @@ def primitive_row(f, order):
 # -- slow paths kept as references for multigraded ----------------------
 
 
-def full_hull_rows(rows, spec, order, budget):
+def full_hull_rows(rows, spec, budget):
     """``multigraded._hull_rows`` as it was before a pass asked the kernel
     for the eliminated rows alone: every pass runs, also on no rows, and
     takes the whole reduced basis under the elimination order from
     ``groebner._reduced_rows``, keeps its t,u-free rows and re-bases
-    them under ``order``."""
-    n = order.nvars
+    them under grevlex."""
+    n = spec.nvars
     elim = groebner.elimination_order((n, n + 1), n + 2)
     for axis in range(spec.rank):
         weights = spec.weights(axis)
@@ -1175,7 +1176,7 @@ def full_hull_rows(rows, spec, order, budget):
         subst.append({(0,) * n + (1, 1): 1, (0,) * (n + 2): -1})
         gb = groebner._reduced_rows(subst, elim, budget)
         kept = [{e[:n]: c for e, c in row.items()} for row in gb if not any(next(iter(row))[n:])]
-        rows = groebner._reduced_rows(kept, order, budget)
+        rows = groebner._reduced_rows(kept, groebner.grevlex(n), budget)
     return rows
 
 
@@ -1263,35 +1264,71 @@ def polynomial_random_nonmember(rng, n, gb, order, budget):
 
 def polynomial_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
     """``multigraded.analyze_prime`` on rational polynomials throughout,
-    by the slow paths above; each sample drawn is appended to ``draws``."""
-    from monograde.multigraded import NotPrimeError, PrimeAnalysis
-
+    by the slow paths above; each sample drawn is appended to ``draws``.
+    The prime's basis, the passes and the checks run under grevlex, and
+    only the reported core is re-based under ``p.order``, after the
+    checks, by the public ``groebner.buchberger``."""
     budget = groebner._as_budget(budget)
-    n = p.nvars
-    gb_p = groebner.buchberger(p.generators, p.order, budget)
-    if any(not any(g.leading(p.order)[0]) for g in gb_p):
-        raise NotPrimeError("the unit ideal is not prime")
+    deg_order = groebner.grevlex(p.nvars)
+    gb_p = _polynomial_prime_basis(p.generators, deg_order, budget)
+    star = polynomial_graded_hull(groebner.IdealPresentation(gb_p, deg_order), spec, budget)
+    gb_star = star.generators
+    graded = list(gb_star) == list(gb_p)
+    diagnostics = _polynomial_prime_checks(spec, graded, gb_p, gb_star, budget, draws, samples,
+                                           seed)
+    if p.order != deg_order:
+        gb_star = groebner.buchberger(gb_star, p.order, budget)
+    return PrimeAnalysis(groebner.IdealPresentation(gb_star, p.order), *diagnostics)
+
+
+def two_order_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
+    """:func:`polynomial_analyze_prime` with the bookkeeping of two orders
+    that ``analyze_prime`` had before it worked in grevlex throughout:
+    the prime is reduced under ``p.order`` and that basis feeds the
+    passes, whose core is re-based under ``p.order``; off grevlex both
+    are then re-based under grevlex for the heights and the samples.
+    The answers are the same, since reduced bases are unique, but not
+    the work, and so not the budget errors."""
+    budget = groebner._as_budget(budget)
+    deg_order = groebner.grevlex(p.nvars)
+    gb_p = _polynomial_prime_basis(p.generators, p.order, budget)
     star = polynomial_graded_hull(groebner.IdealPresentation(gb_p, p.order), spec, budget)
     gb_star = star.generators
     graded = list(gb_star) == list(gb_p)
+    if p.order != deg_order:
+        gb_p = groebner.buchberger(gb_p, deg_order, budget)
+        gb_star = groebner.buchberger(gb_star, deg_order, budget)
+    diagnostics = _polynomial_prime_checks(spec, graded, gb_p, gb_star, budget, draws, samples,
+                                           seed)
+    return PrimeAnalysis(star, *diagnostics)
+
+
+def _polynomial_prime_basis(generators, order, budget):
+    """The reduced basis of a prime under ``order``, refusing the unit ideal."""
+    gb = groebner.buchberger(generators, order, budget)
+    if any(not any(g.leading(order)[0]) for g in gb):
+        raise NotPrimeError("the unit ideal is not prime")
+    return gb
+
+
+def _polynomial_prime_checks(spec, graded, gb_p, gb_star, budget, draws, samples, seed):
+    """(graded, dim_p, dim_p_star, tau, sigma) of a prime with reduced
+    grevlex basis ``gb_p`` and core ``gb_star``; the samples and the
+    bounds are checked as ``analyze_prime`` checks them."""
+    n = spec.nvars
     deg_order = groebner.grevlex(n)
-    if p.order == deg_order:
-        gb_p_deg, gb_star_deg = gb_p, gb_star
-    else:
-        gb_p_deg = groebner.buchberger(gb_p, deg_order, budget)
-        gb_star_deg = groebner.buchberger(gb_star, deg_order, budget)
-    dim_p = n - polynomial_basis_dimension(gb_p_deg, deg_order, budget)
-    dim_star = n - polynomial_basis_dimension(gb_star_deg, deg_order, budget)
+    dim_p = n - polynomial_basis_dimension(gb_p, deg_order, budget)
+    dim_star = n - polynomial_basis_dimension(gb_star, deg_order, budget)
     tau = dim_p - dim_star
     sigma = spec.sigma()
     rng = random.Random(seed)
     if gb_star:
         for _ in range(samples):
-            a = polynomial_random_nonmember(rng, n, gb_star_deg, deg_order, budget)
+            a = polynomial_random_nonmember(rng, n, gb_star, deg_order, budget)
             draws.append(a)
-            b = polynomial_random_nonmember(rng, n, gb_star_deg, deg_order, budget)
+            b = polynomial_random_nonmember(rng, n, gb_star, deg_order, budget)
             draws.append(b)
-            if groebner.normal_form(poly_product(a, b), gb_star_deg, deg_order, budget).is_zero:
+            if groebner.normal_form(poly_product(a, b), gb_star, deg_order, budget).is_zero:
                 raise NotPrimeError("graded core contains a product of two nonmembers; "
                                     "the input cannot be prime")
     if graded:
@@ -1300,7 +1337,7 @@ def polynomial_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
     elif not 1 <= tau <= sigma:
         raise NotPrimeError("dimension drop %d escapes the bound 1..%d expected for a "
                             "nongraded prime; the input cannot be prime" % (tau, sigma))
-    return PrimeAnalysis(star, graded, dim_p, dim_star, tau, sigma)
+    return graded, dim_p, dim_star, tau, sigma
 
 
 # -- slow paths kept as references for monoid and divisorial -----------

@@ -244,9 +244,9 @@ def test_sugar_moves_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
 
 
 def test_kept_rows_move_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
-    # a pass that interreduces only the rows it keeps, and re-bases them
-    # only off grevlex, spends fewer steps than the full route of
-    # oracles.full_hull_rows and nothing else changes: the reports are
+    # a pass that interreduces only the rows it keeps, and hands them to
+    # the next pass as they are, spends fewer steps than the full route
+    # of oracles.full_hull_rows and nothing else changes: the reports are
     # the same reduced bases.  At 250 steps job 18 now fits
     for budget in ("250", "1000"):
         kept = hull_corpus_outcomes(monkeypatch, capsys, budget=budget)

@@ -66,6 +66,8 @@ def test_members_quadrant():
     assert pts == tuple(
         sorted((x, y) for x in range(-1, 3) for y in range(0, 3))
     )
+    with pytest.raises(ValueError, match="^box bound must be nonnegative$"):
+        members(divisorial_ideal(QUAD, (1, 1)), -1)
 
 
 def test_members_match_the_box_scan_oracle():
@@ -334,8 +336,8 @@ def test_guards_count_the_frame_each_sweep_scans(monkeypatch):
 
 def test_minimal_generators_meet_the_caratheodory_caps():
     """Each generator the box oracle finds, at all-ones and at random
-    heights, stays within ceil(V_f) + S_f - 1 (floor(V_f) when S_f = 0)
-    on every facet form f, and the bound is met."""
+    heights, stays within ceil(V_f) + S_f - 1 on every facet form f,
+    and the bound is met."""
     rng = random.Random(463)
     ranks, with_units, tight = set(), 0, 0
     for rays in caratheodory_corpus(463):
@@ -570,6 +572,12 @@ def test_same_class():
     assert same_class(h0, divisorial_ideal(RNC3, (1, 1))) is None
     g = same_class(h0, divisorial_ideal(RNC3, (0, 3)))
     assert g == (1, 0)
+    # another monoid object with the same forms and lattice is the same
+    # monoid; one with other forms is refused
+    twin = monoid_from_cone_rays([(1, 0), (1, 3)])
+    assert twin is not RNC3 and same_class(h0, divisorial_ideal(twin, (0, 3))) == g
+    with pytest.raises(ValueError, match="^ideals live over different monoids$"):
+        same_class(h0, divisorial_ideal(QUAD, (0, 0)))
 
 
 # cones equal to their whole lattice: no facets, so no heights, and

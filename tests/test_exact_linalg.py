@@ -50,6 +50,8 @@ def test_int_matrix_shape_transpose_and_products():
     assert [list(row) for row in a] == [[1, 2, 3], [4, 5, 6]]
     with pytest.raises(ValueError):
         a @ a
+    with pytest.raises(ValueError, match="^matrix shapes do not match$"):
+        a @ (1, 0)
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
     # random shapes, 0-5 rows and columns, each matrix multiplied by
@@ -354,6 +356,8 @@ def test_lattice_coordinates_match_smith_solve():
     assert off_lattice > 20
     assert lattice_coordinates(IntMatrix([[2, 0], [0, 3]]), (1, 0)) is None
     assert lattice_coordinates(IntMatrix([[1, 1, 0]]), (1, 1, 1)) is None
+    with pytest.raises(ValueError, match="^vector length does not match the basis$"):
+        lattice_coordinates(IntMatrix([[1, 1, 0]]), (1, 1))
 
 
 # -- determinants and inverses ----------------------------------------
@@ -453,3 +457,5 @@ def test_unimodular_inverse():
     assert inv == ((1, -1), (-1, 2))
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        unimodular_inverse(IntMatrix([[1, 0, 0], [0, 1, 0]]))

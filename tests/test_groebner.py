@@ -83,6 +83,14 @@ def test_elimination_order_separates_blocks():
         with_drop = (rng.randint(1, 3), rng.randint(0, 5), rng.randint(0, 5))
         without = (0, rng.randint(0, 5), rng.randint(0, 5))
         assert o.key(with_drop) > o.key(without)
+    for drop in ((), (0, 0)):  # elimination_order itself drops repeats
+        with pytest.raises(ValueError, match="^elimination order needs a set of dropped variables$"):
+            groebner.TermOrder("elim", 3, drop)
+    for drop in ((3,), (-1,)):
+        with pytest.raises(ValueError, match="^dropped variable out of range$"):
+            elimination_order(drop, 3)
+    with pytest.raises(ValueError, match="^unknown order kind 'revlex'$"):
+        groebner.TermOrder("revlex", 3)
 
 
 def seeded_orders(rng, n):
@@ -560,6 +568,8 @@ def test_polynomial_basics():
     assert f.leading(grevlex(2)) == ((2, 1), Fraction(3, 4))
     assert Polynomial.monomial((0, 2), 5, 2) == poly("5*x2^2")
     assert Polynomial(2, {(0, 0): 0}).is_zero
+    with pytest.raises(ValueError, match="^the zero polynomial has no leading term$"):
+        Polynomial(2, {}).leading(grevlex(2))
     with pytest.raises(ValueError, match="bad exponent"):
         Polynomial(2, {(1, -1): 1})
 
@@ -658,11 +668,16 @@ def test_normal_form_fixture():
 
 def test_normal_form_refuses_mixed_variable_counts():
     """x1^2 in 2 variables modulo x1 in 3 is refused, as ``buchberger``
-    refuses such generators, instead of reducing to a false zero."""
+    refuses such generators and an ideal refuses generators its order
+    does not fit, instead of reducing to a false zero."""
     with pytest.raises(ValueError, match="mixed variable counts"):
         normal_form(poly("x1^2"), [poly("x1", V3)], grevlex(2))
     with pytest.raises(ValueError, match="mixed variable counts"):
         normal_form(poly("x1^2"), [poly("x2"), poly("x1", V3)], grevlex(2))
+    with pytest.raises(ValueError, match="^mixed variable counts$"):
+        buchberger([poly("x1^2"), poly("x1", V3)], grevlex(2))
+    with pytest.raises(ValueError, match="^generators do not match the order's variable count$"):
+        IdealPresentation((poly("x1", V3),), grevlex(2))
 
 
 def test_normal_form_is_linear_and_idempotent():

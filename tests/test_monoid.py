@@ -82,9 +82,15 @@ def test_generated_lattice_is_respected():
     assert m.is_normal
     assert hilbert_basis(m) == ((1, 0), (1, 2))
     assert not m.contains((1, 1))
+    with pytest.raises(ValueError, match="^point is not in the monoid's group L$"):
+        m.facet_values((1, 1))
     # over the full ambient lattice the interior point appears
     c = monoid_from_cone_rays([(1, 0), (1, 2)])
     assert hilbert_basis(c) == ((1, 0), (1, 1), (1, 2))
+    with pytest.raises(ValueError, match="^generators have inconsistent lengths$"):
+        normalize_presentation([(1, 0), (1,)])
+    with pytest.raises(ValueError, match="^rays have inconsistent lengths$"):
+        monoid_from_cone_rays([(1, 0), (1,)])
 
 
 def test_plane_curve_cone_hilbert_basis():
@@ -378,11 +384,15 @@ def test_capped_region_points_match_a_filtered_box_product():
 
 def test_hilbert_basis_meets_the_caratheodory_caps():
     """Each element of the box oracle's Hilbert basis is a ray or stays
-    within max(S_f - 1, 0) on every facet form f, and the bound is met."""
+    within S_f - 1 on every facet form f, and the bound is met.  Every
+    S_f is at least 1, and a view of positive dimension has rays: a
+    facet form of a pointed full-dimensional cone is positive on some
+    extreme ray."""
     ranks, with_units, tight = set(), 0, 0
     for rays in caratheodory_corpus(461):
         m = monoid_from_cone_rays(rays)
         view = m._pointed_view
+        assert all(s >= 1 for s in view.ray_sums) and bool(view.rays) == (view.dim > 0), view
         lo, hi = view.box
         if prod(b - a + 1 for a, b in zip(lo, hi)) > 4000:
             continue  # beyond the box oracle's reach

@@ -27,7 +27,12 @@ from monograde.multigraded import (
     graded_hull,
 )
 from hullcheck import assert_hull_contract, is_graded
-from oracles import hull_job_corpus, polynomial_analyze_prime, polynomial_graded_hull
+from oracles import (
+    hull_job_corpus,
+    polynomial_analyze_prime,
+    polynomial_graded_hull,
+    two_order_analyze_prime,
+)
 
 V1 = default_variables(1)
 V2 = default_variables(2)
@@ -50,6 +55,11 @@ def test_spec_basics():
     assert STD2.nvars == 2 and STD2.rank == 2 and STD2.sigma() == 2
     assert TOT2.weights(0) == (1, 1)
     assert GradedRingSpec(((1, 1), (2, 2))).sigma() == 1
+    for degrees, message in (((), "a grading needs at least one variable"),
+                             (((), ()), r"degrees must live in Z\^r with r >= 1"),
+                             (((1,), (1, 0)), "degrees have inconsistent lengths")):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            GradedRingSpec(degrees)
 
 
 def test_mismatched_variable_counts_are_rejected():
@@ -69,6 +79,9 @@ def test_hull_of_line_plus_square():
     hull = graded_hull(ideal, STD2)
     assert [fmt(g) for g in hull.generators] == ["x2^2", "x1*x2", "x1^2"]
     assert_hull_contract(ideal, hull, STD2)
+    # under lex the passes' grevlex basis is re-based once
+    lex_hull = graded_hull(IdealPresentation(ideal.generators, lex(2)), STD2)
+    assert lex_hull.order == lex(2) and lex_hull.generators == buchberger(hull.generators, lex(2))
 
 
 def test_hull_of_a_line_is_zero():
@@ -229,12 +242,11 @@ def test_tau_bounds_hold_on_point_kernels():
 
 
 def test_prime_analysis_computes_each_basis_once(monkeypatch):
-    # one basis of the prime, one elimination per hull pass, and under
-    # grevlex no more: the passes hand back reduced grevlex bases, and
-    # the prime's basis and the core serve the dimensions and the
-    # primality samples alike; under lex the core is re-based once under
-    # lex after the last pass, and each of the two is recomputed once
-    # under grevlex
+    # one grevlex basis of the prime, one elimination per hull pass, and
+    # under grevlex no more: the passes hand back reduced grevlex bases,
+    # and the prime's basis and the core serve the dimensions and the
+    # primality samples alike; under lex only the reported core is
+    # re-based once, under lex, after the checks
     calls = []
     real = multigraded._reduced_rows
 
@@ -248,13 +260,14 @@ def test_prime_analysis_computes_each_basis_once(monkeypatch):
     for spec in (GradedRingSpec(((1,), (1,), (1,))), GradedRingSpec(((1, 0), (0, 1), (1, 1))),
                  GradedRingSpec(((1, 0, 0), (0, 1, 0), (0, 0, 1)))):
         r = spec.rank
-        for order, extra in ((grevlex(3), 0), (lex(3), 3)):
+        for order, extra in ((grevlex(3), 0), (lex(3), 1)):
             calls.clear()
             p = IdealPresentation(tuple(parse_polynomial(t, V3) for t in gens), order)
             out = analyze_prime(p, spec)
             assert not out.graded and 1 <= out.tau <= out.sigma
             assert len(calls) == 1 + r + extra
             assert sum(o.kind == "elim" for o in calls) == r
+            assert calls[0] == grevlex(3) and calls[1 + r:] == [order] * extra
 
 
 # -- the row route against the polynomial route ------------------------------
@@ -298,8 +311,8 @@ def test_row_route_matches_the_polynomial_route(monkeypatch):
     hull, the prime analysis (or the error), the meter and the sample
     draws of the polynomial route they replaced, on the hull job corpus
     under grevlex and, for the primes, lex, at budgets that cut some
-    jobs short.  Lex re-bases the prime and its core under grevlex from
-    integer rows whose leading coefficients are not 1."""
+    jobs short.  Lex re-bases the core under lex from integer rows whose
+    leading coefficients are not 1."""
     draws, fallbacks = [], []
     record_draws(monkeypatch, draws, fallbacks)
     outcomes = []
@@ -342,3 +355,46 @@ def test_row_route_matches_the_polynomial_route(monkeypatch):
     got = metered(lambda b: analyze_prime(p, spec, b, samples=16), 10**6)
     assert got == want and draws == want_draws and len(draws) == 32
     assert any(fallbacks) and not all(fallbacks)
+
+
+def test_grevlex_inside_moves_lex_primes_only_out_of_budget_errors():
+    """Working in grevlex from the prime's first basis on spends less
+    than the bookkeeping of two orders that ``oracles`` keeps, and
+    nothing else changes: on the corpus's primes under lex every answer
+    and every other error is the old one.  The checks run before the
+    core is re-based under lex, so a lex prime is refused exactly as its
+    grevlex twin is, with the same meter."""
+    moved = 0
+    for text in hull_job_corpus(97, 200):
+        job = json.loads(text)
+        if job["command"] != "analyze-prime":
+            continue
+        n = job["vars"]
+        spec = GradedRingSpec(tuple(tuple(d) for d in job["grading"]))
+        gens = tuple(parse_polynomial(t, default_variables(n)) for t in job["prime"])
+        ideal, twin = IdealPresentation(gens, lex(n)), IdealPresentation(gens, grevlex(n))
+        for limit in (40, 400):
+            old = metered(lambda b: two_order_analyze_prime(ideal, spec, b, []), limit)
+            new = metered(lambda b: analyze_prime(ideal, spec, b), limit)
+            if old[0] != new[0]:
+                assert isinstance(old[0], tuple) and old[0][0] == "BudgetExceededError", text
+                moved += 1
+            grevlex_run = metered(lambda b: analyze_prime(twin, spec, b), limit)
+            if isinstance(grevlex_run[0], tuple):
+                assert new == grevlex_run, text
+    assert moved
+
+
+def test_lex_prime_is_refused_within_its_budget():
+    # fed its lex basis, as in two_order_analyze_prime, the passes of
+    # this lex job run out of 4000 steps, slowly; from its grevlex basis
+    # it is refused as its grevlex twin is, and the core is never re-based
+    text = hull_job_corpus(97, 63)[62]
+    job = json.loads(text)
+    spec = GradedRingSpec(tuple(tuple(d) for d in job["grading"]))
+    gens = tuple(parse_polynomial(t, default_variables(4)) for t in job["prime"])
+    outcomes = [metered(lambda b: analyze_prime(IdealPresentation(gens, o), spec, b), 4000)
+                for o in (lex(4), grevlex(4))]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == ("NotPrimeError", "dimension drop 0 escapes the bound 1..1 "
+                              "expected for a nongraded prime; the input cannot be prime")
