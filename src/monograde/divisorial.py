@@ -10,10 +10,10 @@ ambient coordinates are extra forms, capped on both sides, and each
 facet form is capped at the most it reaches on the local box), and the
 minimal module generators, with every facet value capped by the
 region's vertices plus Caratheodory's bound on the rays.  The
-generators are swept in the frame ``_PointedView._sweep_frame`` builds
-and guards from the region's vertices, in echelon coordinates from
-dimension 3 on, like the Hilbert basis in ``monoid``, and the pointed
-view's ``out`` maps each kept one to Z^r.
+generators are swept in the echelon frame ``_PointedView._sweep_frame``
+builds and guards, like the Hilbert basis in ``monoid``, and one
+product with V composed with the pointed view's ``out`` maps each kept
+one to Z^r.
 The module builds the canonical module (all heights equal to one, the
 interior points), the divisor class group, shift witnesses between
 ideal classes, and the Gorenstein decision with a certificate.  The
@@ -32,6 +32,7 @@ the height description only sees the saturation C cap L.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import comb, prod
 from operator import add, ge
@@ -148,15 +149,17 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     V_f + S_f, where V_f is the largest value of f on the vertices and
     S_f >= 1 the sum of its dim largest values on the rays: the sweep
     caps f at ceil(V_f) + S_f - 1 (``_generator_caps``).
-    ``_region_points`` sweeps only the members within the frame and the
-    caps, which ``_PointedView._sweep_frame`` builds from the vertices
-    and guards: the vertex box plus the zonotope box in dimension 1 and
-    2, from dimension 3 on the echelon frame, which may hold capped
-    members outside that box.
+    ``_region_points`` sweeps only the members within the caps, in the
+    echelon frame that ``_PointedView._sweep_frame`` builds and guards,
+    which may hold capped members outside the vertex box plus the
+    zonotope box.
     Minimality itself is exact on any candidate set that holds the
     minimal generators: y is minimal iff no Hilbert basis element can be
     subtracted without leaving the region.  So the extra members change
     nothing, and only the minimal ones are mapped back.
+    y is dropped iff F(y) >= F(b) + h for some Hilbert element b, which
+    needs sum(F(b)) <= sum(F(y)) - sum(h), summing over the facets.  So
+    the floors are scanned in order of sum(F(b)), up to that cut.
     """
     m = ideal.monoid
     m.require_normal()
@@ -169,17 +172,20 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     if not verts:
         raise RuntimeError("height region unexpectedly has no vertices")
     caps = _generator_caps(view, verts)
-    forms, lo, hi = view._sweep_frame(h, caps, verts)
+    forms, lo, hi = view._sweep_frame(h, caps)
     # y is reducible iff it lies above some floor b + h, b a Hilbert element's values
-    floors = [tuple(map(add, b, h)) for _, b in m._pointed_hilbert]
+    floors = sorted((sum(b), tuple(map(add, b, h))) for _, b in m._pointed_hilbert)
+    totals = [t for t, _ in floors]
+    cut = sum(h)
     minimal = []
     for pt, vals in _region_points(forms, h, lo, hi, caps):
-        for floor in floors:
+        for _, floor in itertools.islice(floors, bisect_right(totals, sum(vals) - cut)):
             if all(map(ge, vals, floor)):
                 break
         else:
             minimal.append(pt)
-    return tuple(sorted(view._unsweep(pt) @ view.out for pt in minimal))
+    out = view._echelon[1] @ view.out
+    return tuple(sorted(pt @ out for pt in minimal))
 
 
 @dataclass(frozen=True)

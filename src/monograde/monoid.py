@@ -9,7 +9,7 @@ members and minimal generators of divisorial ideals in ``divisorial``),
 which holds every form it checks between a height and a finite cap.
 Caratheodory's theorem caps every facet value of an irreducible point
 that is not a ray, so the sweep visits only the points below those caps
-and the rays are added back.  From dimension 3 on it runs in the
+and the rays are added back.  In every dimension it runs in the
 echelon coordinates of the facet forms, y = V.T y' with V F.T the
 Hermite form H of the transposed forms F: there every form is zero
 after its own coordinate, so the sweep checks it exactly there, and
@@ -19,10 +19,9 @@ drops.  H also answers which point of L has given facet values
 (``_PointedView._preimage``), for the class group and the shift
 witnesses in ``divisorial``.  Every capped sweep is guarded once, by
 the count of the frame it scans, where ``_PointedView._sweep_frame``
-builds that frame: the box itself in dimension 1 and 2, the values the
-pivot forms can take in echelon coordinates.  The module also
-decides whether a generating set actually generates C cap L (with an
-explicit witness when it does not) and extracts unit subgroups.
+builds that frame from the values the pivot forms can take.  The
+module also decides whether a generating set actually generates C cap L
+(with an explicit witness when it does not) and extracts unit subgroups.
 
 Units are the lattice points of the cone's lineality space.  A
 presentation is normal iff its unit generators generate that lattice
@@ -33,14 +32,18 @@ Vectors returned to callers are always in the ambient Z^r coordinates,
 which keeps results independent of the internal basis choice for L.
 Points found in the pointed view (the monoid modulo its units) reach
 Z^r by one product with its ``out``: the lattice basis, composed with
-the unit quotient's section when there are units.
+the unit quotient's section when there are units.  The sweeps run in
+echelon coordinates y': a minimal generator takes one product with
+V @ out, and a Hilbert element is kept in the view's coordinates, y' @ V,
+where the normality check reads it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from itertools import islice
 from operator import add, ge
 
 from .cone import Cone, _quotient_transform, facets_of_rays
@@ -82,24 +85,14 @@ class NonNormalError(ValueError):
 class _PointedView:
     """The monoid modulo its unit group, in quotient coordinates.
 
-    ``_sweep_frame`` builds and guards the frame of every capped sweep.
-    From dimension 3 on, it is in echelon coordinates.  In dimension 1
-    and 2 the sweeps keep these coordinates: there the sweep already
-    enters about one prefix per point, so the Hermite form and the
-    mapping back would cost more than they save.
+    ``_sweep_frame`` builds and guards the frame of every capped sweep,
+    in the echelon coordinates of the facet forms (``_echelon``).
     """
 
     rays: tuple[Vec, ...]
     forms: tuple[Vec, ...]
     dim: int
     out: IntMatrix  # (dim, r): view coordinates to ambient coordinates
-
-    @cached_property
-    def box(self) -> tuple[Vec, Vec]:
-        """Bounding box (lo, hi) of the zonotope spanned by the rays."""
-        lo = tuple(sum(min(0, r[i]) for r in self.rays) for i in range(self.dim))
-        hi = tuple(sum(max(0, r[i]) for r in self.rays) for i in range(self.dim))
-        return lo, hi
 
     @cached_property
     def ray_sums(self) -> Vec:
@@ -122,36 +115,25 @@ class _PointedView:
         is zero below the last row whose pivot lies at or before j."""
         return hnf(IntMatrix._of(self.forms, self.dim).T)
 
-    def _sweep_frame(self, heights, caps, verts) -> tuple:
+    def _sweep_frame(self, heights, caps) -> tuple:
         """(forms, lo, hi) for ``_region_points`` over the y with heights
-        <= F(y) <= caps, every cap finite, in the bounding box of the
-        region's rational vertices x / d (``verts``) plus ``box``, the
-        frame guarded by the count of what it scans.  ``_unsweep`` maps a
-        swept point back.  In dimension 1 and 2 the frame is that box.
+        <= F(y) <= caps, every cap finite, the frame guarded by the count
+        of what it scans.  A swept point y' is y' @ V in the view's
+        coordinates.
 
-        In dimension 3 and up, the forms are the columns of H and the box
-        is in y' (``_echelon``), bounded by ``_echelon_box``.  Coordinate
-        i is the last that row i's pivot form p involves, so the sweep
-        checks p and every form between the pivots exactly there.  No
-        capped point is lost, though some may lie outside the vertex and
-        zonotope box.  The sweep enters at most n_0 * ... * n_i prefixes
-        of length i + 1, with n_i from ``_echelon_box``; the guard counts
-        the product of all max(n_i, 1), which bounds each of these.
+        The forms are the columns of H and the box is in y'
+        (``_echelon``), bounded by ``_echelon_box``.  Coordinate i is the
+        last that row i's pivot form p involves, so the sweep checks p
+        and every form between the pivots exactly there.  No capped point
+        is lost, though some may lie outside the zonotope box.  The sweep
+        enters at most n_0 * ... * n_i prefixes of length i + 1, with n_i
+        from ``_echelon_box``; the guard counts the product of all
+        max(n_i, 1), which bounds each of these.
         """
-        if self.dim <= 2:
-            zlo, zhi = self.box
-            lo = [min(x[i] // d for x, d in verts) + zlo[i] for i in range(self.dim)]
-            hi = [max(-(-x[i] // d) for x, d in verts) + zhi[i] for i in range(self.dim)]
-            _guard_box(prod(b - a + 1 for a, b in zip(lo, hi)))
-            return self.forms, lo, hi
         h, _ = self._echelon
         lo, hi, count = _echelon_box(h, heights, caps)
         _guard_box(count, "echelon sweep")
         return h.T, lo, hi
-
-    def _unsweep(self, point) -> Vec:
-        """A point of a ``_sweep_frame`` sweep in the view's coordinates."""
-        return point if self.dim <= 2 else point @ self._echelon[1]
 
     def _preimage(self, values) -> Vec | None:
         """The y with F(y) = values, or None when values is not in F(Z^dim).
@@ -167,7 +149,7 @@ class _PointedView:
         return None if x is None else x @ v
 
 
-def _guard_box(count: int, what: str = "enumeration box", unit: str = "points") -> None:
+def _guard_box(count: int, what: str, unit: str = "points") -> None:
     """Refuse an enumeration of more than ``_MAX_ENUMERATION`` items; the
     error names what was counted, e.g. the box points or facet subsets."""
     if count > _MAX_ENUMERATION:
@@ -441,35 +423,42 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     0, where S_f >= 1 is the sum of the dim largest values of f on the
     rays: the sweep caps f at S_f - 1 (``_hilbert_caps``).  The rays
     the caps cut off are added back, since primitive extreme rays are
-    irreducible.  The region at height 0 has the origin as its only
-    vertex, so ``_PointedView._sweep_frame`` scans and guards the
-    zonotope box in dimension 1 and 2, and from dimension 3 on the
-    echelon frame, over every capped point, some of them outside the
+    irreducible.  ``_PointedView._sweep_frame`` scans and guards the
+    echelon frame over every capped point, some of them outside the
     zonotope box.
     Candidates are keyed by their facet values, which fix a point of a
     pointed cone, and filtered by increasing total facet value, which is
     strictly positive on nonzero cone points; a candidate is dropped iff
-    an earlier kept one lies below it in every facet value.  That filter
-    is exact on any candidate set that holds the Hilbert basis, because
-    each reducible point lies above some Hilbert element of smaller total
+    a kept one lies below it in every facet value.  That filter is exact
+    on any candidate set that holds the Hilbert basis, because each
+    reducible point lies above some Hilbert element of smaller total
     value, so the extra points change nothing, and only the kept ones
     are mapped back from the sweep's coordinates.
+    A candidate x of total t is compared only with the kept elements of
+    total at most t // 2, found by bisection on the kept totals.  If x
+    is reducible, x = a + b with a, b nonzero cone points, and totals
+    add, so one summand, say a, has total at most t // 2.  a lies above
+    a Hilbert element g of no larger total, so below t: g came before x
+    and was kept, and x lies above g.
     """
     if view.dim == 0:
         return ()
     zeros = (0,) * len(view.forms)
     caps = _hilbert_caps(view)
-    forms, lo, hi = view._sweep_frame(zeros, caps, [((0,) * view.dim, 1)])
+    forms, lo, hi = view._sweep_frame(zeros, caps)
     swept = {vals: pt for pt, vals in _region_points(forms, zeros, lo, hi, caps) if any(vals)}
     rays = {tuple(_dot(f, r) for f in view.forms): r for r in view.rays}
     basis: list[Vec] = []
-    for _, vals in sorted((sum(vals), vals) for vals in swept.keys() | rays.keys()):
-        for bvals in basis:
+    totals: list[int] = []
+    for t, vals in sorted((sum(vals), vals) for vals in swept.keys() | rays.keys()):
+        for bvals in islice(basis, bisect_right(totals, t // 2)):
             if all(map(ge, vals, bvals)):
                 break
         else:
             basis.append(vals)
-    return tuple(sorted((rays[v] if v in rays else view._unsweep(swept[v]), v) for v in basis))
+            totals.append(t)
+    v = view._echelon[1]
+    return tuple(sorted((rays[x] if x in rays else swept[x] @ v, x) for x in basis))
 
 
 def normalize_presentation(generators) -> AffineMonoid:

@@ -267,7 +267,7 @@ def fm_member(rays, x):
 
 
 def zonotope_box(rays):
-    d = len(rays[0])
+    d = len(rays[0]) if rays else 0
     lo = [sum(min(0, r[i]) for r in rays) for i in range(d)]
     hi = [sum(max(0, r[i]) for r in rays) for i in range(d)]
     return lo, hi
@@ -1365,7 +1365,7 @@ def box_hilbert_basis(rays, forms, dim):
     volume = 1
     for a, b in zip(lo, hi):
         volume *= b - a + 1
-    _guard_box(volume)
+    _guard_box(volume, "enumeration box")
     candidates = []
     for pt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
         if not any(pt):
@@ -1404,13 +1404,13 @@ def box_minimal_generators(ideal):
     h = ideal.heights
     zlo = [sum(min(0, r[i]) for r in view.rays) for i in range(k)]
     zhi = [sum(max(0, r[i]) for r in view.rays) for i in range(k)]
-    _guard_box(math.prod(b - a + 1 for a, b in zip(zlo, zhi)))
+    _guard_box(math.prod(b - a + 1 for a, b in zip(zlo, zhi)), "enumeration box")
     verts = region_tight_points(forms, h)
     if not verts:
         raise RuntimeError("height region unexpectedly has no vertices")
     lo = [math.floor(min(v[i] for v in verts)) + zlo[i] for i in range(k)]
     hi = [math.ceil(max(v[i] for v in verts)) + zhi[i] for i in range(k)]
-    _guard_box(math.prod(b - a + 1 for a, b in zip(lo, hi)))
+    _guard_box(math.prod(b - a + 1 for a, b in zip(lo, hi)), "enumeration box")
     hb = box_hilbert_basis(view.rays, forms, k)
     hb_vals = [tuple(_dot(f, b) for f in forms) for b in hb]
     minimal = []
@@ -1428,12 +1428,43 @@ def box_minimal_generators(ideal):
     return tuple(sorted(view_to_ambient(m, pt) for pt in minimal))
 
 
+def full_scan_hilbert_filter(candidates):
+    """The facet values of the Hilbert basis among ``candidates``, facet
+    value vectors of nonzero cone points that hold the Hilbert basis, by
+    comparing each candidate, in order of total, with every kept one:
+    the loop ``monoid._pointed_hilbert_basis`` ran before it stopped at
+    half the candidate's total."""
+    basis = []
+    for _, vals in sorted((sum(vals), vals) for vals in candidates):
+        for bvals in basis:
+            if all(map(operator.ge, vals, bvals)):
+                break
+        else:
+            basis.append(vals)
+    return basis
+
+
+def full_scan_floor_filter(points, floors):
+    """The (point, values) pairs of ``points`` that lie above none of
+    ``floors``, each compared with every floor: the loop
+    ``divisorial.minimal_generators`` ran before it stopped at the
+    floors' totals."""
+    minimal = []
+    for pt, vals in points:
+        for floor in floors:
+            if all(map(operator.ge, vals, floor)):
+                break
+        else:
+            minimal.append((pt, vals))
+    return minimal
+
+
 def box_members(ideal, box):
     """``divisorial.members`` by a scan of all (2 box + 1)^r ambient
     points with one lattice solve each: the route the region sweep
     replaced."""
     r = ideal.monoid.ambient_rank
-    _guard_box((2 * box + 1) ** r)
+    _guard_box((2 * box + 1) ** r, "enumeration box")
     return tuple(pt for pt in itertools.product(range(-box, box + 1), repeat=r)
                  if ideal.contains(pt))
 

@@ -44,11 +44,13 @@ from oracles import (
     coset_count,
     det_int,
     dot,
+    full_scan_floor_filter,
     minor_gcd_factors,
     presentation_corpus,
     random_pointed_cones,
     region_tight_points,
     smith_solve,
+    zonotope_box,
 )
 
 QUAD = monoid_from_cone_rays([(1, 0), (0, 1)])
@@ -289,13 +291,17 @@ def test_limit_errors_name_what_they_counted(monkeypatch):
     with pytest.raises(EnumerationLimitError,
                        match=r"^echelon sweep has 8 points, beyond the supported desk scale$"):
         hilbert_basis(monoid_from_cone_rays(rays))
-    # in rank 2 the frame is the box; the generators' box, 16 points,
-    # is counted before the Hilbert basis' 12
+    # in rank 2 the frame is the echelon frame too: 3 points for the
+    # Hilbert basis and 3 for the generators
+    m = monoid_from_cone_rays([(1, 0), (1, 3)])
+    assert hilbert_basis(m) == ((1, 0), (1, 1), (1, 2), (1, 3))
+    assert canonical_module(m).generators == ((1, 1), (1, 2))
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 2)
     with pytest.raises(EnumerationLimitError,
-                       match=r"^enumeration box has 12 points, beyond the supported desk scale$"):
+                       match=r"^echelon sweep has 3 points, beyond the supported desk scale$"):
         hilbert_basis(monoid_from_cone_rays([(1, 0), (1, 3)]))
     with pytest.raises(EnumerationLimitError,
-                       match=r"^enumeration box has 16 points, beyond the supported desk scale$"):
+                       match=r"^echelon sweep has 3 points, beyond the supported desk scale$"):
         canonical_module(monoid_from_cone_rays([(1, 0), (1, 3)]))
     view = monoid_from_cone_rays(rays)._pointed_view
     with pytest.raises(EnumerationLimitError,
@@ -305,23 +311,23 @@ def test_limit_errors_name_what_they_counted(monkeypatch):
 
 def test_guards_count_the_frame_each_sweep_scans(monkeypatch):
     """Each capped sweep is refused by the count of the frame it scans
-    and by no other box.  In rank 2 the frame is the box of the view's
-    coordinates, 36 points for both sweeps of this cone.  The thin
-    cone's zonotope box holds 13824 points, which no guard counts: its
-    sweeps run in echelon frames of 92 points each."""
+    and by no other box.  In rank 2 the frame is the echelon frame too,
+    5 points for both sweeps of this cone, whose zonotope box holds 36.
+    The thin cone's zonotope box holds 13824 points, which no guard
+    counts: its sweeps run in echelon frames of 92 points each."""
     rays = [(3, 2), (2, 3)]
-    message = r"^enumeration box has 36 points, beyond the supported desk scale$"
-    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 35)
+    message = r"^echelon sweep has 5 points, beyond the supported desk scale$"
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 4)
     with pytest.raises(EnumerationLimitError, match=message):
         hilbert_basis(monoid_from_cone_rays(rays))
     with pytest.raises(EnumerationLimitError, match=message):
         canonical_module(monoid_from_cone_rays(rays))
-    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 36)
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 5)
     m = monoid_from_cone_rays(rays)
     assert hilbert_basis(m) == ((1, 1), (2, 3), (3, 2))
     assert canonical_module(m).generators == ((1, 1),)
     thin = [(9, 7, 7), (7, 9, 7), (7, 7, 9)]
-    lo, hi = monoid_from_cone_rays(thin)._pointed_view.box
+    lo, hi = zonotope_box(thin)
     assert math.prod(b - a + 1 for a, b in zip(lo, hi)) == 13824
     echelon = r"^echelon sweep has 92 points, beyond the supported desk scale$"
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 91)
@@ -334,6 +340,59 @@ def test_guards_count_the_frame_each_sweep_scans(monkeypatch):
     assert len(hilbert_basis(m)) == 10 and len(canonical_module(m).generators) == 4
 
 
+def test_floor_filter_compares_only_floors_within_the_total(monkeypatch):
+    """On the thin cones the interior points of least total are the
+    3,999 generators, and only floors of no larger total are compared:
+    a few componentwise comparisons per generator, where a full scan
+    makes about N^2."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return a >= b
+
+    monkeypatch.setattr(divisorial, "ge", counted)
+    for rays in ([(1, 0), (1, 4000)], [(1, 0, 0), (1, 4000, 0), (0, 0, 1)]):
+        m = monoid_from_cone_rays(rays)
+        hilbert_basis(m)
+        calls.clear()
+        assert len(canonical_module(m).generators) == 3999
+        assert len(calls) <= 4010, (rays, len(calls))
+
+
+def test_floor_filter_matches_the_full_scan(monkeypatch):
+    """The filter that scans the floors only up to a member's total keeps
+    what the full scan over every floor keeps, on the very members the
+    sweep found, at all-ones and random heights."""
+    rng = random.Random(487)
+    swept = []
+    real = divisorial._region_points
+
+    def recorded(*args):
+        points = list(real(*args))
+        swept.extend(points)
+        return iter(points)
+
+    monkeypatch.setattr(divisorial, "_region_points", recorded)
+    kinds = collections.Counter()
+    for rays in cone_corpus(421) + caratheodory_corpus(487):
+        m = monoid_from_cone_rays(rays)
+        view = m._pointed_view
+        if view.dim == 0:
+            continue
+        s = len(m.facet_forms)
+        out = view._echelon[1] @ view.out
+        for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(2)]:
+            swept.clear()
+            got = minimal_generators(divisorial_ideal(m, h))
+            floors = [tuple(map(operator.add, b, h)) for _, b in m._pointed_hilbert]
+            kept = full_scan_floor_filter(swept, floors)
+            assert got == tuple(sorted(pt @ out for pt, _ in kept)), (rays, h)
+            kinds[view.dim] += 1
+            kinds["reducible"] += len(swept) > len(kept)
+    assert all(kinds[d] > 10 for d in range(1, 5)) and kinds["reducible"] > 100, kinds
+
+
 def test_minimal_generators_meet_the_caratheodory_caps():
     """Each generator the box oracle finds, at all-ones and at random
     heights, stays within ceil(V_f) + S_f - 1 on every facet form f,
@@ -343,7 +402,7 @@ def test_minimal_generators_meet_the_caratheodory_caps():
     for rays in caratheodory_corpus(463):
         m = monoid_from_cone_rays(rays)
         view = m._pointed_view
-        lo, hi = view.box
+        lo, hi = zonotope_box(view.rays)
         if math.prod(b - a + 1 for a, b in zip(lo, hi)) > 4000:
             continue  # beyond the box oracles' reach
         s = len(m.facet_forms)
@@ -388,7 +447,7 @@ def test_sweep_entries_stay_near_the_points_at_rank_4():
 
 
 def test_echelon_sweeps_match_the_box_oracles():
-    """Hilbert bases and minimal generators of views of dimension 3 to 5,
+    """Hilbert bases and minimal generators of views of dimension 1 to 5,
     swept in the echelon coordinates of their facet forms, agree with
     the whole-box scans: pointed cones, cones with a line of units, the
     same in a sublattice of Z^(rank+1), and rank-5 cones of small rays."""
@@ -402,9 +461,9 @@ def test_echelon_sweeps_match_the_box_oracles():
     for rays in corpus:
         m = monoid_from_cone_rays(rays)
         view = m._pointed_view
-        if view.dim < 3:
-            continue  # swept in the view's own coordinates
-        lo, hi = view.box
+        if view.dim == 0:
+            continue  # nothing to sweep
+        lo, hi = zonotope_box(view.rays)
         if math.prod(b - a + 1 for a, b in zip(lo, hi)) > 6000:
             continue  # beyond the box oracles' reach
         hb = box_hilbert_basis(view.rays, view.forms, view.dim)
@@ -418,6 +477,7 @@ def test_echelon_sweeps_match_the_box_oracles():
         kinds["units"] += m.unit_rank > 0
         kinds["embedded"] += m.rank < m.ambient_rank
         kinds["non-simplicial"] += len(view.rays) > view.dim
+    assert kinds[1] > 10 and kinds[2] > 10, kinds
     assert kinds[3] > 10 and kinds[4] > 5 and kinds[5] >= 2, kinds
     assert kinds["units"] > 5 and kinds["embedded"] > 3 and kinds["non-simplicial"] > 10, kinds
 

@@ -30,6 +30,7 @@ from oracles import (
     cone_corpus,
     degenerate_cone_corpus,
     dot,
+    full_scan_hilbert_filter,
     hermite_cone_lattice,
     kernel_unit_rows,
     presentation_corpus,
@@ -38,6 +39,7 @@ from oracles import (
     region_tight_points,
     search_normality,
     view_to_ambient,
+    zonotope_box,
 )
 
 
@@ -160,7 +162,7 @@ def test_units_and_normality_match_the_kernel_and_the_search():
                 continue  # no vectors, or only zero ones
             assert m.cone.lineality == kernel_unit_rows(m)
             with_units += m.unit_rank > 0
-            lo, hi = m._pointed_view.box
+            lo, hi = zonotope_box(m._pointed_view.rays)
             if prod(b - a + 1 for a, b in zip(lo, hi)) > 5000:
                 continue  # the search oracle needs the Hilbert basis
             assert m._normality == search_normality(m), vs
@@ -196,8 +198,8 @@ def _counting(calls, name, fn):
 def test_normality_and_hilbert_basis_work_counts(monkeypatch):
     calls = dict.fromkeys(("hnf", "smith", "quotient", "kernel_basis", "echelon"), 0)
     monkeypatch.setattr(exact_linalg, "hnf", _counting(calls, "hnf", exact_linalg.hnf))
-    # the Hermite form of the facet forms that the sweeps of dimension 3
-    # and up run in, counted apart from the lattice's
+    # the Hermite form of the facet forms that the sweeps of every
+    # dimension run in, counted apart from the lattice's
     monkeypatch.setattr(monoid, "hnf", _counting(calls, "echelon", monoid.hnf))
     # the Smith kernel behind every Smith form, with or without transforms
     monkeypatch.setattr(exact_linalg, "_smith", _counting(calls, "smith", exact_linalg._smith))
@@ -216,7 +218,7 @@ def test_normality_and_hilbert_basis_work_counts(monkeypatch):
         calls["hnf"] = calls["echelon"] = 0
         hilbert_basis(monoid_from_cone_rays(rays))
         assert calls["hnf"] == 0
-        assert calls["echelon"] == (d >= 3)
+        assert calls["echelon"] == (d >= 1)
     # the same cones in a sublattice of Z^(r+1): two kernels, each one
     # Hermite form and one for its canonical basis, saturate the span
     rng = random.Random(459)
@@ -225,7 +227,7 @@ def test_normality_and_hilbert_basis_work_counts(monkeypatch):
         calls["hnf"] = calls["echelon"] = 0
         hilbert_basis(monoid_from_cone_rays([r + (dot(w, r),) for r in rays]))
         assert calls["hnf"] == 4
-        assert calls["echelon"] == (d >= 3)
+        assert calls["echelon"] == (d >= 1)
 
 
 def test_cone_monoid_lattice_matches_the_hermite_route():
@@ -382,6 +384,49 @@ def test_capped_region_points_match_a_filtered_box_product():
     assert empty > 40 and nonempty > 100 and capped > 80
 
 
+THIN_CONES = ([(1, 0), (1, 4000)], [(1, 0, 0), (1, 4000, 0), (0, 0, 1)])
+
+
+def test_hilbert_filter_compares_only_below_half_the_total(monkeypatch):
+    """The thin cones' 4,001 and 4,002 Hilbert elements share one total
+    (plus the third ray), so no candidate meets a kept element of at
+    most half its total: the filter makes about one componentwise
+    comparison per element, where a full scan makes about N^2."""
+    calls = {"ge": 0}
+    monkeypatch.setattr(monoid, "ge", _counting(calls, "ge", operator.ge))
+    for rays in THIN_CONES:
+        calls["ge"] = 0
+        hb = hilbert_basis(monoid_from_cone_rays(rays))
+        assert len(hb) == 4001 + (len(rays) == 3)
+        assert calls["ge"] <= 4002, (rays, calls)
+
+
+def test_hilbert_filter_matches_the_full_scan(monkeypatch):
+    """The filter that stops at half a candidate's total keeps what the
+    full scan keeps, on the very candidates the sweep found."""
+    swept = []
+    real = monoid._region_points
+
+    def recorded(*args):
+        points = list(real(*args))
+        swept.extend(points)
+        return iter(points)
+
+    monkeypatch.setattr(monoid, "_region_points", recorded)
+    kinds = collections.Counter()
+    for rays in cone_corpus(401) + caratheodory_corpus(479):
+        swept.clear()
+        m = monoid_from_cone_rays(rays)
+        view = m._pointed_view
+        got = sorted(vals for _, vals in m._pointed_hilbert)
+        candidates = {vals for _, vals in swept if any(vals)}
+        candidates |= {tuple(dot(f, r) for f in view.forms) for r in view.rays}
+        assert got == sorted(full_scan_hilbert_filter(candidates)), rays
+        kinds[view.dim] += 1
+        kinds["reducible"] += len(candidates) > len(got)
+    assert all(kinds[d] > 10 for d in range(1, 5)) and kinds["reducible"] > 50, kinds
+
+
 def test_hilbert_basis_meets_the_caratheodory_caps():
     """Each element of the box oracle's Hilbert basis is a ray or stays
     within S_f - 1 on every facet form f, and the bound is met.  Every
@@ -393,7 +438,7 @@ def test_hilbert_basis_meets_the_caratheodory_caps():
         m = monoid_from_cone_rays(rays)
         view = m._pointed_view
         assert all(s >= 1 for s in view.ray_sums) and bool(view.rays) == (view.dim > 0), view
-        lo, hi = view.box
+        lo, hi = zonotope_box(view.rays)
         if prod(b - a + 1 for a, b in zip(lo, hi)) > 4000:
             continue  # beyond the box oracle's reach
         caps = monoid._hilbert_caps(view)
@@ -430,8 +475,8 @@ def _pivot_counts(view, heights, caps):
 
 
 def test_echelon_frames_sweep_exactly_the_capped_region():
-    """From dimension 3 on, a sweep in the frame of ``_sweep_frame``,
-    mapped back by ``_unsweep``, visits every point of the capped
+    """In every dimension, a sweep in the frame of ``_sweep_frame``,
+    mapped back by V, visits every point of the capped
     region once, with its facet values, whatever the zonotope box: at
     the Hilbert basis caps and at random heights and caps.  The y' it
     sweeps stay in lexicographic order, and the pivot forms bound its
@@ -443,20 +488,19 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
         m = monoid_from_cone_rays(rays)
         view = m._pointed_view
         s = len(view.forms)
-        if view.dim < 3 or comb(2 * s, view.dim) > 300:
-            continue  # swept as it is, or too many vertex candidates for the oracle
-        lo, hi = view.box
+        if view.dim == 0 or comb(2 * s, view.dim) > 300:
+            continue  # nothing to sweep, or too many vertex candidates for the oracle
+        lo, hi = zonotope_box(view.rays)
         random_heights = [rng.randint(-2, 1) for _ in range(s)]
-        cases = [((0,) * s, monoid._hilbert_caps(view), [((0,) * view.dim, 1)]),
-                 (random_heights, [h + rng.randint(0, 4) for h in random_heights],
-                  divisorial._region_vertices(view.forms, random_heights, view.dim))]
-        for heights, caps, verts in cases:
-            forms, ylo, yhi = view._sweep_frame(heights, caps, verts)
+        cases = [((0,) * s, monoid._hilbert_caps(view)),
+                 (random_heights, [h + rng.randint(0, 4) for h in random_heights])]
+        for heights, caps in cases:
+            forms, ylo, yhi = view._sweep_frame(heights, caps)
             counts = collections.defaultdict(lambda: [0, 0])  # points, entries
             sweep = sweepcounts._counting("frame", monoid._region_points, counts)
             swept = list(sweep(forms, heights, ylo, yhi, caps))
             assert [pt for pt, _ in swept] == sorted(pt for pt, _ in swept)
-            back = [(view._unsweep(pt), vals) for pt, vals in swept]
+            back = [(pt @ view._echelon[1], vals) for pt, vals in swept]
             for y, vals in back:
                 assert vals == tuple(dot(f, y) for f in view.forms)
             want = capped_region_by_vertices(view.forms, heights, caps)
@@ -470,6 +514,7 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
             kinds["empty"] += not want
         kinds[view.dim] += 1
         kinds["units"] += m.unit_rank > 0
+    assert kinds[1] > 10 and kinds[2] > 10, kinds
     assert kinds[3] > 10 and kinds[4] > 3 and kinds["units"] > 5, kinds
     assert kinds["outside the zonotope box"] > 4 and kinds["empty"] > 10, kinds
 
@@ -484,23 +529,22 @@ def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
     view = m._pointed_view
     caps = monoid._hilbert_caps(view)
     zeros = (0,) * len(caps)
-    origin = [((0,) * view.dim, 1)]
     count = prod(_pivot_counts(view, zeros, caps))
     assert count == 92
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count)
-    view._sweep_frame(zeros, caps, origin)
+    view._sweep_frame(zeros, caps)
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count - 1)
     with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
-        view._sweep_frame(zeros, caps, origin)
+        view._sweep_frame(zeros, caps)
     # the last pivot form capped below its height empties the region,
     # yet the prefixes before it still count
     assert view._echelon[0][2][:2] == (0, 0)
     with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
-        view._sweep_frame(zeros, caps[:2] + (-1,), origin)
+        view._sweep_frame(zeros, caps[:2] + (-1,))
     for rays in caratheodory_corpus(463):
         view = monoid_from_cone_rays(rays)._pointed_view
         caps = monoid._hilbert_caps(view)
-        box = prod(b - a + 1 for a, b in zip(*view.box))
+        box = prod(b - a + 1 for a, b in zip(*zonotope_box(view.rays)))
         if view.dim >= 3 and prod(_pivot_counts(view, (0,) * len(caps), caps)) > box:
             break
     else:
@@ -511,7 +555,8 @@ def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
 
 
 def test_enumeration_guard_raises():
-    # a cone wide enough that the scan box explodes must fail loudly
-    m = monoid_from_cone_rays([(1, 0), (1, 2000000)])
-    with pytest.raises(EnumerationLimitError):
+    # a cone thin enough that its echelon frame, 4,000,000 points, is
+    # beyond the desk scale must fail loudly
+    m = monoid_from_cone_rays([(1, 0), (1, 4000000)])
+    with pytest.raises(EnumerationLimitError, match="^echelon sweep has 4000000 points"):
         hilbert_basis(m)
