@@ -415,7 +415,8 @@ def _integer_basis(rows, nvars: int, degree: int):
     return pk, [_element(_integer_terms([(pack(e), c) for e, c in r.items()]), pk) for r in rows]
 
 
-def _reduce(work: dict[int, int], basis, pk: _Packing, budget: _Budget) -> dict[int, int]:
+def _reduce(work: dict[int, int], basis, pk: _Packing, budget: _Budget,
+            lead_only: bool = False) -> dict[int, int]:
     """:func:`normal_form` over Z: a positive multiple of the remainder of
     ``work`` (which this consumes) modulo the basis elements.
 
@@ -423,6 +424,13 @@ def _reduce(work: dict[int, int], basis, pk: _Packing, budget: _Budget) -> dict[
     g whose leading term divides it.  With d = gcd(c, lc(g)), it scales
     the work and the remainder by lc(g)/d > 0 and subtracts
     (c/d)*x^(e - lt(g))*g, which cancels the term, so nothing is divided.
+
+    With ``lead_only`` it returns the work as soon as its largest term is
+    irreducible: k*f minus a combination of the basis elements, for an
+    integer k > 0, and empty exactly when the full remainder is, since
+    an irreducible term stays in the remainder once it is there.  Its
+    steps are a prefix of the full reduction's, and all of them when f
+    lies in the ideal, where no term is ever irreducible.
     """
     G, DG = pk.G, pk.DG
     remainder: dict[int, int] = {}
@@ -434,6 +442,9 @@ def _reduce(work: dict[int, int], basis, pk: _Packing, budget: _Budget) -> dict[
             if (eg - ge) & G == G:
                 break
         else:
+            if lead_only:
+                work[e] = c
+                return work
             remainder[e] = c
             continue
         budget.spend()
@@ -484,12 +495,14 @@ def _s_pair(f, g, l: int, pk: _Packing) -> dict[int, int]:
 
 def _in_ideal(terms: dict[int, int], basis, budget: _Budget) -> bool:
     """Whether the integer ``terms``, packed at the packing of a basis
-    from :func:`_integer_basis` and of total degree at most its cap,
-    reduce to zero modulo the basis, spending the reduction steps
-    :func:`normal_form` would.  Under grevlex a leading term has its
-    element's top degree, so no step raises a degree past the packing."""
+    from :func:`_integer_basis` and of total degree at most its cap, lie
+    in its ideal.  The reduction stops at the first irreducible leading
+    term (``_reduce``'s ``lead_only``), so it spends the steps
+    :func:`normal_form` would on a member and a prefix of them on a
+    nonmember.  Under grevlex a leading term has its element's top
+    degree, so no step raises a degree past the packing."""
     pk, elements = basis
-    return not _reduce(dict(terms), elements, pk, budget)
+    return not _reduce(dict(terms), elements, pk, budget, lead_only=True)
 
 
 def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -20,14 +20,21 @@ for the eliminated ones alone, which are the reduced grevlex basis of
 its hull and feed the next pass as they are.  The prime analysis works
 in grevlex throughout, since no term order enters its invariants; the
 caller's order, when it is another one, only re-bases the reported
-hull or core, once, at the end.  The primality samples are drawn,
-multiplied and reduced as packed integer terms.  Polynomials over Q are
-built once, for the answer.
+hull or core, once, at the end.  Polynomials over Q are built once, for
+the answer.
+
+The primality samples run on packed integer terms.  Their draws come
+from one process-wide stream per variable count, the draws of
+``random.Random(1)``, which every call reads from the start.  A draw's
+membership test stops at the first irreducible leading term, and what
+it leaves, a positive multiple of the draw modulo the core, is what the
+product test multiplies.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from operator import mul
 
@@ -40,6 +47,7 @@ from .groebner import (
     _integer_basis,
     _monic,
     _packed_product,
+    _reduce,
     _reduced_rows,
     elimination_order,
     grevlex,
@@ -159,24 +167,76 @@ class PrimeAnalysis:
     sigma: int
 
 
-def _random_nonmember(rng, n: int, basis, budget) -> dict[int, int]:
-    """A random polynomial of degree at most 2 in each variable outside
-    the proper ideal of a basis from :func:`_integer_basis`, as integer
-    terms packed at its packing; if all draws fall inside, as they may
-    for (x1, ..., xn), the last one plus 1."""
-    randrange, pack = rng.randrange, basis[0]._pack
-    for _ in range(64):
-        terms = {}
-        for _ in range(randrange(1, 5)):
-            e = pack([randrange(3) for _ in range(n)])
-            terms[e] = terms.get(e, 0) + randrange(-2, 3)
-        terms = {e: c for e, c in terms.items() if c}
-        if terms and not _in_ideal(terms, basis, budget):
-            return terms
+# n -> (the draws random.Random(1) has made in n variables, unpacked; the
+# generator).  The draws never depend on the ideal, so every call shares
+# them; the lock lets one thread at a time extend a stream.
+_draw_streams: dict[int, tuple[list, random.Random]] = {}
+_draw_lock = threading.Lock()
+
+
+def _draw(n: int, i: int) -> list:
+    """The i-th polynomial drawn in ``n`` variables, as (exponent,
+    coefficient) pairs with nonzero coefficients: 1-4 terms of exponents
+    0..2 and coefficients -2..2, a repeated exponent adding to its term."""
+    stream = _draw_streams.get(n)
+    if stream is None or i >= len(stream[0]):
+        with _draw_lock:
+            stream = _draw_streams.setdefault(n, ([], random.Random(1)))
+            draws, randrange = stream[0], stream[1].randrange
+            while len(draws) <= i:
+                terms = {}
+                for _ in range(randrange(1, 5)):
+                    e = tuple([randrange(3) for _ in range(n)])
+                    terms[e] = terms.get(e, 0) + randrange(-2, 3)
+                draws.append([(e, c) for e, c in terms.items() if c])
+    return stream[0][i]
+
+
+def _random_nonmember(n: int, i: int, basis, budget):
+    """(index after it, draw, representative) of the first draw from the
+    ``i``-th on (:func:`_draw`) outside the proper ideal of a basis from
+    :func:`_integer_basis`, packed at its packing.
+
+    The representative is the draw reduced until its leading term is
+    irreducible (``_reduce``'s ``lead_only``, which is the membership
+    test): r = k*a modulo the ideal for an integer k > 0.  If all 64
+    draws fall inside, as they may for (x1, ..., xn), the sample is the
+    last one plus 1 and its own representative, the very dict."""
+    pk, elements = basis
+    pack = pk._pack
+    for i in range(i, i + 64):
+        terms = {pack(e): c for e, c in _draw(n, i)}
+        if terms and (rep := _reduce(dict(terms), elements, pk, budget, lead_only=True)):
+            return i + 1, terms, rep
     c = terms.pop(0, 0) + 1  # 0 is the packed constant exponent
     if c:
         terms[0] = c
-    return terms
+    return i + 1, terms, terms
+
+
+def _check_samples(rows, n: int, samples: int, budget) -> None:
+    """Refuse a prime whose graded core, the proper ideal of the reduced
+    grevlex ``rows``, contains the product of two sampled nonmembers a
+    and b, for ``samples`` pairs drawn in turn.
+
+    The test multiplies their representatives r_a = k_a*a and r_b = k_b*b
+    modulo the core, with k_a, k_b > 0 (:func:`_random_nonmember`): then
+    r_a*r_b = k_a*k_b*ab modulo the core, and k_a*k_b is a unit of Q, so
+    r_a*r_b lies in the core exactly when ab does, and every decision is
+    the raw product's.  A grevlex step never raises a total degree, so a
+    representative has degree at most 2n, as its draw, and the product
+    fits the packing of degree 4n.
+    """
+    basis = _integer_basis(rows, n, 4 * n)
+    i = 0
+    for _ in range(samples):
+        i, _, ra = _random_nonmember(n, i, basis, budget)
+        i, _, rb = _random_nonmember(n, i, basis, budget)
+        if _in_ideal(_packed_product(ra, rb), basis, budget):
+            raise NotPrimeError(
+                "graded core contains a product of two nonmembers; "
+                "the input cannot be prime"
+            )
 
 
 def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
@@ -186,13 +246,19 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
     Assumes ``p`` is prime; cheap sampled checks back that up, and any
     violated conclusion (a unit ideal, a product of nonmembers falling
     into the core, a dimension or rank bound failing) is reported as
-    :class:`NotPrimeError` rather than returned as nonsense.
+    :class:`NotPrimeError` rather than returned as nonsense.  The core
+    is tested on ``samples`` products (:func:`_check_samples`), a count
+    read like every integer input: 2.0 is taken as 2, while 2.5 or a
+    negative count raises ValueError.
 
     It runs in grevlex from the prime's first basis on, and re-bases
     only the reported ``p_star`` under ``p.order``, after the checks.
     """
     if spec.nvars != p.nvars:
         raise ValueError("ideal does not match the grading")
+    (samples,) = as_tuple((samples,))
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     budget = _as_budget(budget)
     n = p.nvars
     rows_p = _reduced_rows([g.terms for g in p.generators], grevlex(n), budget)
@@ -205,18 +271,8 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
     tau = dim_p - dim_star
     sigma = spec.sigma()
 
-    rng = random.Random(1)  # fixed, so reports repeat run to run
     if rows_star:
-        # packed wide enough for a product of two samples, of degree 4n
-        basis = _integer_basis(rows_star, n, 4 * n)
-        for _ in range(samples):
-            a = _random_nonmember(rng, n, basis, budget)
-            b = _random_nonmember(rng, n, basis, budget)
-            if _in_ideal(_packed_product(a, b), basis, budget):
-                raise NotPrimeError(
-                    "graded core contains a product of two nonmembers; "
-                    "the input cannot be prime"
-                )
+        _check_samples(rows_star, n, samples, budget)
     if graded:
         if tau != 0:
             raise RuntimeError("graded input with a dimension drop; this is a bug")

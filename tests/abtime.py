@@ -1,6 +1,7 @@
 """Interleaved A/B timing of two checkouts on one workload, in one process.
 
     python3 tests/abtime.py A B --workload monoid-ring --seed 811 [--seconds 15] [--rounds 3]
+                            [--by PROP[,PROP...]]
 
 A and B are the roots of two checkouts of this repository.  Each one's
 ``src/monograde`` is imported under its own package name, ``monograde_a``
@@ -14,8 +15,13 @@ and from round to round, and the two results must be equal, job by job,
 as ``tests/digests.py`` encodes them.  It prints the total time, p50 and
 p90 of the per-job times (each job's time summed over the rounds) for
 each side, and the ratios B/A.  Run A against itself to see the noise
-floor.  Times are wall-clock and unscaled.  The perfbench modules are
-only imported, and pytest does not collect this file.
+floor.  With ``--by``, it also groups the jobs by the named entries of
+their ``props`` (``op,vars`` on ``graded-ideal``, say) and prints, per
+class, the jobs, each side's total, the ratio B/A and how many of the
+class's jobs take at most that side's p50, so a p50 move can be traced
+to the classes that crossed the median.  Times are wall-clock and
+unscaled.  The perfbench modules are only imported, and pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -100,6 +106,22 @@ def figures(times: list[float]) -> tuple[float, float, float]:
     return sum(times), 1e3 * statistics.median(times), 1e3 * p90
 
 
+def print_classes(ran: list, times: list, props: list) -> None:
+    """Per class of ``props``: jobs, each side's total and B/A, and each
+    side's count of the class's jobs at or below its p50."""
+    medians = [statistics.median(t) for t in times]
+    groups: dict = {}
+    for i, job in enumerate(ran):
+        groups.setdefault(tuple(job["props"][p] for p in props), []).append(i)
+    print("%-24s %5s %9s %9s %7s %6s %6s"
+          % (",".join(props), "jobs", "A_s", "B_s", "B/A", "A<=p50", "B<=p50"))
+    for key in sorted(groups, key=str):
+        a, b = ([t[i] for i in groups[key]] for t in times)
+        print("%-24s %5d %9.3f %9.3f %7.3f %6d %6d"
+              % (",".join(map(str, key)), len(a), sum(a), sum(b), sum(b) / sum(a),
+                 sum(x <= medians[0] for x in a), sum(x <= medians[1] for x in b)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="root of checkout A")
@@ -108,11 +130,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--by", metavar="PROP[,PROP...]",
+                        help="also print per-class figures, the jobs grouped by these props")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     job_list = workloads.generate(args.workload, args.seed,
                                   workloads.job_count(args.workload, args.seconds) + 1)
+    props = args.by.split(",") if args.by else []
+    unknown = [p for p in props if p not in job_list[0]["props"]]
+    if unknown:
+        parser.error("--by: %s jobs have no prop %s (they have %s)" % (
+            args.workload, ", ".join(unknown), ", ".join(job_list[0]["props"])))
     sides = []
     for checkout, name in ((args.a, "monograde_a"), (args.b, "monograde_b")):
         package = load_package(checkout, name)
@@ -139,6 +168,8 @@ def main(argv=None) -> int:
     print("%-6s %10.3f %10.4f %10.4f" % ("A", *a))
     print("%-6s %10.3f %10.4f %10.4f" % ("B", *b))
     print("%-6s %10.3f %10.3f %10.3f" % ("B/A", *(y / x for x, y in zip(a, b))))
+    if props:
+        print_classes(ran, times, props)
     return 0
 
 

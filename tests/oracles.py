@@ -1247,19 +1247,105 @@ def polynomial_basis_dimension(gb, order, budget):
     return n - least_cover(0)
 
 
+def lead_normal_form(f, gb, order, budget):
+    """``groebner.normal_form`` stopped at the first irreducible leading
+    term: what is left then, zero exactly when ``f`` lies in the ideal of
+    the Groebner basis ``gb``."""
+    lts = [(g, *g.leading(order)) for g in gb]
+    work = dict(f.terms)
+    while work:
+        e = max(work, key=order.key)
+        hit = next((h for h in lts if all(map(operator.le, h[1], e))), None)
+        if hit is None:
+            break
+        budget.spend()
+        g, ge, gc = hit
+        ratio = work.pop(e) / gc
+        for e2, c2 in g.terms.items():
+            if e2 != ge:
+                em = tuple(x + y - z for x, y, z in zip(e2, e, ge))
+                c = work.get(em, 0) - ratio * c2
+                if c:
+                    work[em] = c
+                else:
+                    work.pop(em, None)
+    return groebner.Polynomial(f.nvars, work)
+
+
 def polynomial_random_nonmember(rng, n, gb, order, budget):
-    """``multigraded._random_nonmember`` as it was before the samples were
-    packed: a rational polynomial drawn with ``randint``, its membership
-    tested by the rational ``groebner.normal_form``."""
+    """``multigraded._random_nonmember`` on rational polynomials: (sample,
+    representative), drawn with ``randint``, the representative what
+    :func:`lead_normal_form` leaves; the fallback, the last draw plus 1,
+    is its own."""
     for _ in range(64):
         terms = {}
         for _ in range(rng.randint(1, 4)):
             e = tuple(rng.randint(0, 2) for _ in range(n))
             terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
         f = groebner.Polynomial(n, terms)
-        if not f.is_zero and not groebner.normal_form(f, gb, order, budget).is_zero:
-            return f
-    return poly_sum(f, groebner.Polynomial(n, {(0,) * n: 1}))
+        if not f.is_zero and not (rep := lead_normal_form(f, gb, order, budget)).is_zero:
+            return f, rep
+    f = poly_sum(f, groebner.Polynomial(n, {(0,) * n: 1}))
+    return f, f
+
+
+def fresh_draws(n):
+    """The polynomials ``multigraded._draw`` gives in ``n`` variables, in
+    turn, from a fresh ``random.Random(1)``, as exponent dicts."""
+    randrange = random.Random(1).randrange
+    while True:
+        terms = {}
+        for _ in range(randrange(1, 5)):
+            e = tuple([randrange(3) for _ in range(n)])
+            terms[e] = terms.get(e, 0) + randrange(-2, 3)
+        yield {e: c for e, c in terms.items() if c}
+
+
+def raw_product_samples(rows, n, samples, budget, draws=None):
+    """``multigraded._check_samples`` as it was before the draw streams:
+    a fresh ``random.Random(1)`` per call, membership by the full
+    reduction, and the raw product of the two draws.  Each sample is
+    appended to ``draws`` as a polynomial; returns the draws made."""
+    pk, elements = groebner._integer_basis(rows, n, 4 * n)
+    stream, made = fresh_draws(n), 0
+
+    def nonmember():
+        nonlocal made
+        for made in range(made + 1, made + 65):
+            terms = {pk._pack(e): c for e, c in next(stream).items()}
+            if terms and groebner._reduce(dict(terms), elements, pk, budget):
+                return terms
+        c = terms.pop(0, 0) + 1
+        return {**terms, 0: c} if c else terms
+
+    for _ in range(samples):
+        pair = nonmember(), nonmember()
+        if draws is not None:
+            draws += [groebner.Polynomial(n, {pk._unpack(e): c for e, c in t.items()})
+                      for t in pair]
+        if not groebner._reduce(groebner._packed_product(*pair), elements, pk, budget):
+            raise NotPrimeError("graded core contains a product of two nonmembers; "
+                                "the input cannot be prime")
+    return made
+
+
+def toric_ideal(rays):
+    """Generators of the toric ideal I_A of the columns a_i = ``rays[i]``,
+    the kernel of x_i -> t^(a_i) into the Laurent ring, a prime: the
+    public ``buchberger`` eliminates t_1..t_d and u from t_1*...*t_d*u - 1
+    and each x_i - t^(a_i + s_i*(1, ..., 1)) * u^(s_i), with s_i =
+    max(0, -min(a_i)), so no exponent is negative."""
+    m, d = len(rays), len(rays[0])
+    gens = [groebner.Polynomial(m + d + 1, {(0,) * (m + d) + (0,): -1,
+                                            (0,) * m + (1,) * (d + 1): 1})]
+    for i, a in enumerate(rays):
+        s = max(0, -min(a))
+        x = tuple(int(j == i) for j in range(m))
+        gens.append(groebner.Polynomial(m + d + 1, {x + (0,) * (d + 1): 1,
+                                                    (0,) * m + tuple(v + s for v in a) + (s,): -1}))
+    gb = groebner.buchberger(gens, groebner.elimination_order(range(m, m + d + 1), m + d + 1))
+    return tuple(groebner.Polynomial(m, {e[:m]: c for e, c in g.terms.items()})
+                 for g in gb if not any(x for e in g.terms for x in e[m:]))
 
 
 def polynomial_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
@@ -1324,11 +1410,11 @@ def _polynomial_prime_checks(spec, graded, gb_p, gb_star, budget, draws, samples
     rng = random.Random(seed)
     if gb_star:
         for _ in range(samples):
-            a = polynomial_random_nonmember(rng, n, gb_star, deg_order, budget)
+            a, ra = polynomial_random_nonmember(rng, n, gb_star, deg_order, budget)
             draws.append(a)
-            b = polynomial_random_nonmember(rng, n, gb_star, deg_order, budget)
+            b, rb = polynomial_random_nonmember(rng, n, gb_star, deg_order, budget)
             draws.append(b)
-            if groebner.normal_form(poly_product(a, b), gb_star, deg_order, budget).is_zero:
+            if lead_normal_form(poly_product(ra, rb), gb_star, deg_order, budget).is_zero:
                 raise NotPrimeError("graded core contains a product of two nonmembers; "
                                     "the input cannot be prime")
     if graded:

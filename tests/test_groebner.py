@@ -4,6 +4,7 @@ Known-answer fixtures were derived independently; randomized checks
 enforce the defining reduction properties of a reduced basis.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -461,12 +462,15 @@ def test_membership_by_reduction_stays_within_the_grevlex_packing(monkeypatch):
     """``_in_ideal`` reduces terms packed at the grevlex width of the
     basis it was handed, and no packing restarts: a step never raises a
     term's degree, so even terms at the cap, x1^127 under x1 - x2 (cap
-    127), reduce within the width.  The answer and the steps are those
-    of the rational ``normal_form``."""
+    127), reduce within the width.  The answer is that of the rational
+    ``normal_form``, and the steps are those of ``lead_normal_form``,
+    which stops at the first irreducible leading term: on a member all
+    of ``normal_form``'s, on x1^2*x2^4 + x1^5 none of its one."""
     cases = (
-        ("x1^5 - x2^5", (("x1^5*x2 - x2^6", True), ("x1^2 - x2^2", False))),
         ("x1 - x2", (("x1^120 - x2^120", True), ("x1^127", False),
                      ("x1^127 - x1^3*x2^124", True))),
+        ("x1^5 - x2^5", (("x1^5*x2 - x2^6", True), ("x1^2 - x2^2", False),
+                         ("x1^2*x2^4 + x1^5", False))),
     )
     order = grevlex(2)
     for basis_text, members in cases:
@@ -477,13 +481,56 @@ def test_membership_by_reduction_stays_within_the_grevlex_packing(monkeypatch):
         for text, member in members:
             f = poly(text)
             terms = groebner._integer_terms([(pack(e), c) for e, c in f.terms.items()])
-            budgets = groebner._Budget(10_000), groebner._Budget(10_000)
+            budgets = [groebner._Budget(10_000) for _ in range(3)]
             with monkeypatch.context() as m:
                 caps = record_packings(m)
                 assert groebner._in_ideal(terms, basis, budgets[0]) is member
             assert caps == []
             assert normal_form(f, [g], order, budgets[1]).is_zero is member
-            assert budgets[0].remaining == budgets[1].remaining
+            assert oracles.lead_normal_form(f, [g], order, budgets[2]).is_zero is member
+            assert budgets[0].remaining == budgets[2].remaining
+            if member:
+                assert budgets[1].remaining == budgets[2].remaining
+    assert (budgets[0].remaining, budgets[1].remaining) == (10_000, 9_999)
+
+
+def test_lead_only_reduction_is_a_prefix_of_the_full_one():
+    """``_reduce``'s ``lead_only`` answers membership as the full
+    reduction does and spends a prefix of its steps, all of them on a
+    member; what it returns is a positive multiple of the rational
+    ``lead_normal_form``.  Checked on the products of two sample draws
+    modulo the grevlex bases of the hull job corpus's ideals."""
+    members = shorter = 0
+    for text in hull_job_corpus(97, 60):
+        job = json.loads(text)
+        n = job["vars"]
+        names = default_variables(n)
+        order = grevlex(n)
+        gb = buchberger([parse_polynomial(t, names) for t in job.get("ideal", job.get("prime"))],
+                        order)
+        if any(not any(g.leading(order)[0]) for g in gb):
+            continue  # the unit ideal
+        pk, elements = groebner._integer_basis([g.terms for g in gb], n, 4 * n)
+        draws = list(itertools.islice(oracles.fresh_draws(n), 12))
+        for a, b in zip(draws[::2], draws[1::2]):
+            f = poly_product(Polynomial(n, a), Polynomial(n, b))
+            terms = {pk._pack(e): int(c) for e, c in f.terms.items()}
+            budgets = [groebner._Budget(10**6) for _ in range(3)]
+            lead = groebner._reduce(dict(terms), elements, pk, budgets[0], lead_only=True)
+            full = groebner._reduce(dict(terms), elements, pk, budgets[1])
+            want = oracles.lead_normal_form(f, gb, order, budgets[2])
+            assert budgets[0].remaining == budgets[2].remaining >= budgets[1].remaining
+            assert (not lead) == (not full) == want.is_zero
+            if lead:
+                rep = Polynomial(n, {pk._unpack(e): c for e, c in lead.items()})
+                e, c = rep.leading(order)
+                k = c / want.terms[e]
+                assert k > 0 and rep == poly_product(want, k)
+                shorter += budgets[0].remaining > budgets[1].remaining
+            else:
+                assert budgets[0].remaining == budgets[1].remaining
+                members += 1
+    assert members and shorter
 
 
 # -- parsing and formatting ----------------------------------------------

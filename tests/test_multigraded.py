@@ -1,7 +1,10 @@
 """Graded hulls and prime analysis under torus gradings."""
 
+import itertools
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -28,9 +31,13 @@ from monograde.multigraded import (
 )
 from hullcheck import assert_hull_contract, is_graded
 from oracles import (
+    fresh_draws,
     hull_job_corpus,
     polynomial_analyze_prime,
     polynomial_graded_hull,
+    random_pointed_cones,
+    raw_product_samples,
+    toric_ideal,
     two_order_analyze_prime,
 )
 
@@ -286,23 +293,18 @@ def metered(call, limit):
 
 def record_draws(monkeypatch, draws, fallbacks):
     """Append each sample ``analyze_prime`` draws to ``draws``, unpacked
-    to a polynomial, and to ``fallbacks`` whether it is the last draw
-    plus 1: a draw returns early only after a membership test says no."""
-    real_draw, real_in_ideal = multigraded._random_nonmember, multigraded._in_ideal
-    answers = []
+    to a polynomial (the draw, not its representative), and to
+    ``fallbacks`` whether it is the last draw plus 1, which is the one
+    sample that is its own representative."""
+    real_draw = multigraded._random_nonmember
 
-    def in_ideal(terms, basis, budget):
-        answers.append(real_in_ideal(terms, basis, budget))
-        return answers[-1]
-
-    def draw(rng, n, basis, budget):
-        answers.clear()
-        terms = real_draw(rng, n, basis, budget)
+    def draw(n, i, basis, budget):
+        out = real_draw(n, i, basis, budget)
+        _, terms, rep = out
         draws.append(Polynomial(n, {basis[0]._unpack(e): c for e, c in terms.items()}))
-        fallbacks.append(False not in answers)
-        return terms
+        fallbacks.append(rep is terms)
+        return out
 
-    monkeypatch.setattr(multigraded, "_in_ideal", in_ideal)
     monkeypatch.setattr(multigraded, "_random_nonmember", draw)
 
 
@@ -398,3 +400,165 @@ def test_lex_prime_is_refused_within_its_budget():
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == ("NotPrimeError", "dimension drop 0 escapes the bound 1..1 "
                               "expected for a nongraded prime; the input cannot be prime")
+
+
+# -- the primality samples ----------------------------------------------------
+
+
+def test_samples_move_primes_only_out_of_budget_errors(monkeypatch):
+    """The draw streams, the lead-only membership test and the product of
+    the representatives decide every sample as the packed route of
+    ``raw_product_samples`` did: on the corpus's primes every answer and
+    every other error is the old one, the Groebner counts do not move,
+    and the units spent never rise at an equal outcome."""
+    moved = fewer = 0
+    for text in hull_job_corpus(97, 200):
+        job = json.loads(text)
+        if job["command"] != "analyze-prime":
+            continue
+        n = job["vars"]
+        spec = GradedRingSpec(tuple(tuple(d) for d in job["grading"]))
+        gens = tuple(parse_polynomial(t, default_variables(n)) for t in job["prime"])
+        ideal = IdealPresentation(gens, grevlex(n))
+        for limit in (40, 400, 4000):
+            new = metered(lambda b: analyze_prime(ideal, spec, b), limit)
+            with monkeypatch.context() as m:
+                m.setattr(multigraded, "_check_samples", raw_product_samples)
+                old = metered(lambda b: analyze_prime(ideal, spec, b), limit)
+            assert new[2:] == old[2:], text
+            if new[0] != old[0]:
+                assert old[0][0] == "BudgetExceededError", text
+                moved += 1
+            else:
+                assert new[1] >= old[1], text
+                fewer += new[1] > old[1]
+    assert moved and fewer
+
+
+def prime_cases():
+    """(n, samples, graded prime, grading) for n = 1..5 and 8, 16 and 32
+    samples, the variable counts interleaved: the monomial prime (x1, ...,
+    xn) under the total degree, whose samples can fall back to the last
+    draw plus 1, or (x1 - x2, ..., x(n-1) - xn, xn^2 + xn + 1) under the
+    zero grading, which is its own core."""
+    cases = []
+    for samples in (8, 16, 32):
+        for n in (3, 1, 5, 2, 4):
+            names = default_variables(n)
+            if (n + samples // 8) % 2:
+                texts, degree = names, 1
+            else:
+                texts = ["x%d - x%d" % (i, i + 1) for i in range(1, n)]
+                texts, degree = texts + ["x%d^2 + x%d + 1" % (n, n)], 0
+            gens = tuple(parse_polynomial(t, names) for t in texts)
+            cases.append((n, samples, IdealPresentation(gens, grevlex(n)),
+                          GradedRingSpec(((degree,),) * n)))
+    return cases
+
+
+def test_draw_streams_repeat_a_fresh_generator_per_call(monkeypatch):
+    """Every call draws the samples a fresh ``random.Random(1)`` gives it,
+    whatever ran before, with any variable count; each stream is as long
+    as the most draws one call has read; and once the streams hold them,
+    a call draws no random number."""
+    monkeypatch.setattr(multigraded, "_draw_streams", {})
+    real_check = multigraded._check_samples
+    reads = {}
+
+    def check(rows, n, samples, budget):
+        draws, fallbacks, want = [], [], []
+        with monkeypatch.context() as m:
+            record_draws(m, draws, fallbacks)
+            real_check(rows, n, samples, budget)
+        made = raw_product_samples(rows, n, samples, groebner._Budget(None), want)
+        assert draws == want and len(draws) == 2 * samples
+        reads[n] = max(reads.get(n, 0), made)
+        assert len(multigraded._draw_streams[n][0]) == reads[n]
+        check.fallbacks += sum(fallbacks)
+
+    check.fallbacks = 0
+    cases = prime_cases()
+    with monkeypatch.context() as m:
+        m.setattr(multigraded, "_check_samples", check)
+        outs = [analyze_prime(p, spec, samples=samples) for _, samples, p, spec in cases]
+    assert sorted(reads) == [1, 2, 3, 4, 5] and check.fallbacks
+    assert all(out.graded and out.tau == 0 for out in outs)
+
+    def no_draw(*args):
+        raise AssertionError("a filled stream drew a random number")
+
+    monkeypatch.setattr(random.Random, "randrange", no_draw)
+    assert [analyze_prime(p, spec, samples=samples) for _, samples, p, spec in cases] == outs
+
+
+def test_two_threads_draw_one_stream(monkeypatch):
+    """Two threads reading one variable count's stream at once, while it
+    grows, each read the draws of a fresh ``random.Random(1)``."""
+    monkeypatch.setattr(multigraded, "_draw_streams", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [None, None]
+
+        def read(k):
+            got[k] = [dict(multigraded._draw(3, i)) for i in range(0, 600, 1 + k)]
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    want = list(itertools.islice(fresh_draws(3), 600))
+    assert got[0] == want and got[1] == want[::2]
+    assert len(multigraded._draw_streams[3][0]) == 600
+
+
+def test_samples_are_read_like_every_integer_input(monkeypatch):
+    # 2.0 samples are 2; 2.5, a negative count and text are refused, so
+    # -1 no longer skips the samples that refuse (x1^2)
+    seen = []
+    real = multigraded._check_samples
+
+    def check(rows, n, samples, budget):
+        seen.append(samples)
+        real(rows, n, samples, budget)
+
+    monkeypatch.setattr(multigraded, "_check_samples", check)
+    p = IdealPresentation((poly("x2"),), grevlex(2))
+    assert analyze_prime(p, STD2, samples=2.0) == analyze_prime(p, STD2, samples=2)
+    assert seen == [2, 2] and type(seen[0]) is int
+    for bad in (2.5, -1, "2"):
+        with pytest.raises(ValueError):
+            analyze_prime(p, STD2, samples=bad)
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        analyze_prime(IdealPresentation((poly("x1^2"),), grevlex(2)), STD2, samples=-1)
+    assert seen == [2, 2]
+
+
+def test_certified_toric_primes_are_never_refused():
+    """Toric ideals are prime, so under any grading ``analyze_prime``
+    refuses none of them: a graded one has no drop, and any other one a
+    drop between 1 and the rank of its degree group.  Each nonzero one
+    is also analyzed under its own grading, by the columns a_i, where it
+    is graded and is its own core, so its samples run on it."""
+    rng = random.Random(859)
+    outcomes = []
+    for _, rays in random_pointed_cones(60, 3, 2, 7)[:50]:
+        m = len(rays)
+        p = IdealPresentation(toric_ideal(rays), grevlex(m))
+        r = rng.randint(1, 2)
+        specs = [GradedRingSpec(tuple(tuple(rng.randint(-2, 2) for _ in range(r))
+                                      for _ in range(m)))]
+        if p.generators:
+            specs.append(GradedRingSpec(tuple(rays)))
+        for spec in specs:
+            out = analyze_prime(p, spec)
+            if out.graded:
+                assert out.tau == 0
+            else:
+                assert 1 <= out.tau <= out.sigma
+            outcomes.append((out.graded, bool(out.p_star.generators)))
+    assert set(outcomes) == {(True, False), (True, True), (False, False), (False, True)}
+    assert outcomes.count((True, True)) > 20
