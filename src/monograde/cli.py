@@ -4,7 +4,9 @@ A job is a single JSON object naming a command and its payload; see
 ``schema.json`` next to this module.  Reports echo the payload and the
 resolved options together with the result and the package version, as
 one line of JSON on stdout, byte-identical across repeated runs on the
-same input.  Failures print one line of JSON on stderr and exit with 2
+same input and command line: the budget comes from ``--budget``, then
+the job's options, then the default, and nothing is read from the
+environment.  Failures print one line of JSON on stderr and exit with 2
 for malformed input, 3 for exhausted budgets or enumeration limits, and
 4 for violated mathematical preconditions.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -37,16 +38,6 @@ from .monoid import (
 )
 from .multigraded import GradedRingSpec, NotPrimeError, analyze_prime, graded_hull
 
-COMMANDS = (
-    "hilbert-basis",
-    "canonical",
-    "class-group",
-    "gorenstein",
-    "normalize",
-    "graded-hull",
-    "analyze-prime",
-)
-
 # the payload fields of each command; a cone command takes exactly one
 # of its two, the others take all of theirs
 _PAYLOAD_KEYS = {
@@ -58,6 +49,7 @@ _PAYLOAD_KEYS = {
     "graded-hull": ("vars", "grading", "ideal"),
     "analyze-prime": ("vars", "grading", "prime"),
 }
+COMMANDS = tuple(_PAYLOAD_KEYS)
 _FIELDS = {"command", "options"}.union(*_PAYLOAD_KEYS.values())
 _OPTIONS = {"budget"}
 
@@ -168,8 +160,7 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
     """Check a JSON job against the rules of the shipped schema and resolve options.
 
     Option precedence: command line flags, then the job's "options"
-    object, then the MONOGRADE_BUDGET environment variable (budget
-    only), then the default budget=500000 (``DEFAULT_BUDGET``).
+    object, then the default budget=500000 (``DEFAULT_BUDGET``).
     """
     try:
         data = json.loads(text)
@@ -202,21 +193,14 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
                 polys.append(parse_polynomial(s, names))
             except ValueError as e:
                 raise InputError("%s[%d]: %s" % (polys_key, i, e)) from None
-    env_budget = os.environ.get("MONOGRADE_BUDGET")
-    options = {"budget": DEFAULT_BUDGET}
-    if env_budget is not None:
-        try:
-            options["budget"] = int(env_budget)
-        except ValueError:
-            raise InputError("MONOGRADE_BUDGET: expected an integer") from None
-    options.update(data.get("options", {}))
+    options = {"budget": DEFAULT_BUDGET, **data.get("options", {})}
     for key, value in (overrides or {}).items():
         if value is not None:
             options[key] = value
     if options["budget"] < 1:
-        # the schema already holds the job's own options.budget to >= 1
-        source = "--budget" if (overrides or {}).get("budget") is not None else "MONOGRADE_BUDGET"
-        raise InputError("%s: must be positive" % source)
+        # the schema already holds the job's own options.budget to >= 1,
+        # so only the flag can be below it
+        raise InputError("--budget: must be positive")
     return JobSpec(command, payload, options, tuple(polys))
 
 

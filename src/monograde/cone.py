@@ -40,6 +40,7 @@ from operator import mul
 from .exact_linalg import (
     IntMatrix,
     Vec,
+    _as_count,
     _dot,
     _eliminate,
     _smith_left,
@@ -255,9 +256,7 @@ def _clean_vectors(vectors, width: int | None) -> tuple[tuple[Vec, ...], int]:
     elif width is None:
         raise ValueError("ambient rank is required when no vectors are given")
     else:
-        (width,) = as_tuple((width,))
-        if width < 0:
-            raise ValueError("ambient rank must be nonnegative")
+        width = _as_count(width, 0, "ambient rank must be nonnegative")
     # the zero vector, whose gcd is 0, is dropped
     out = {v if g == 1 else tuple(x // g for x in v) for v in vs if (g := gcd(*v))}
     return tuple(sorted(out)), width

@@ -40,6 +40,7 @@ from operator import add, ge
 from .exact_linalg import (
     IntMatrix,
     Vec,
+    _as_count,
     _dot,
     _eliminate,
     as_tuple,
@@ -90,9 +91,7 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
     enters, as in ``_PointedView._sweep_frame``.  ``box`` is read like every
     integer input: 2.0 is taken as 2, and 2.5 raises ValueError.
     """
-    (box,) = as_tuple((box,))
-    if box < 0:
-        raise ValueError("box bound must be nonnegative")
+    box = _as_count(box, 0, "box bound must be nonnegative")
     m = ideal.monoid
     r = m.ambient_rank
     basis = m.lattice_basis

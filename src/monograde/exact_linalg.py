@@ -60,6 +60,17 @@ def as_tuple(v) -> Vec:
     return t
 
 
+def _as_count(x, floor: int, message: str) -> int:
+    """A count read like every integer input: an integral value such as
+    2.0 is taken as an int, any other value raises ValueError, and so does
+    a count below ``floor``, with ``message``."""
+    if type(x) is not int:
+        (x,) = as_tuple((x,))
+    if x < floor:
+        raise ValueError(message)
+    return x
+
+
 class IntMatrix(tuple):
     """An immutable integer matrix: a tuple of equal-length row tuples.
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, itemgetter, le, mul, sub
 
-from .exact_linalg import as_tuple
+from .exact_linalg import _as_count, as_tuple
 
 Exponent = tuple[int, ...]
 
@@ -85,10 +85,7 @@ def _as_budget(budget) -> _Budget:
         return budget
     if budget is None:
         return _Budget(DEFAULT_BUDGET)
-    (limit,) = as_tuple((budget,))
-    if limit < 1:
-        raise ValueError("budget must be positive")
-    return _Budget(limit)
+    return _Budget(_as_count(budget, 1, "budget must be positive"))
 
 
 # -- term orders -----------------------------------------------------
@@ -121,11 +118,8 @@ class TermOrder:
     def __post_init__(self):
         # the variable count and the dropped variables are read like every
         # integer input: 2.0 is taken as 2, and 2.5 raises ValueError
-        if type(self.nvars) is not int:
-            (nvars,) = as_tuple((self.nvars,))
-            object.__setattr__(self, "nvars", nvars)
-        if self.nvars < 0:
-            raise ValueError("number of variables must be nonnegative")
+        nvars = _as_count(self.nvars, 0, "number of variables must be nonnegative")
+        object.__setattr__(self, "nvars", nvars)
         if self.kind not in ("grevlex", "lex", "elim"):
             raise ValueError("unknown order kind %r" % (self.kind,))
         if self.kind == "elim":
@@ -167,12 +161,7 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        # read like every integer input: 2.0 is taken as 2, 2.5 raises ValueError
-        if type(nvars) is not int:
-            (nvars,) = as_tuple((nvars,))
-        if nvars < 0:
-            raise ValueError("number of variables must be nonnegative")
-        self.nvars = nvars
+        self.nvars = _as_count(nvars, 0, "number of variables must be nonnegative")
         clean: dict[Exponent, Fraction] = {}
         for e, c in (terms or {}).items():
             if type(c) is not Fraction:

@@ -50,6 +50,7 @@ from .cone import Cone, _quotient_transform, facets_of_rays
 from .exact_linalg import (
     IntMatrix,
     Vec,
+    _as_count,
     _dot,
     _eliminate,
     _identity,
@@ -197,12 +198,7 @@ class AffineMonoid:
 
     def __init__(self, ambient_rank, generators, lattice_basis, local_generators,
                  assume_normal):
-        # read like every integer input: 2.0 is taken as 2, 2.5 raises ValueError
-        if type(ambient_rank) is not int:
-            (ambient_rank,) = as_tuple((ambient_rank,))
-        if ambient_rank < 0:
-            raise ValueError("ambient rank must be nonnegative")
-        self.ambient_rank = ambient_rank
+        self.ambient_rank = _as_count(ambient_rank, 0, "ambient rank must be nonnegative")
         self.generators = tuple(as_tuple(g) for g in generators)
         self.lattice_basis = lattice_basis  # (d, r) rows, canonical Hermite basis
         self.local_generators = tuple(as_tuple(g) for g in local_generators)

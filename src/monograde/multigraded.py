@@ -25,10 +25,12 @@ the answer.
 
 The primality samples run on packed integer terms.  Their draws come
 from one process-wide stream per variable count, the draws of
-``random.Random(1)``, which every call reads from the start.  A draw's
-membership test stops at the first irreducible leading term, and what
-it leaves, a positive multiple of the draw modulo the core, is what the
-product test multiplies.
+``random.Random(1)``, which every call reads from the start.  A call
+reads at most 64 draws per nonmember and two nonmembers per sample, so
+no stream grows past 2 * 64 * ``_SAMPLES`` draws.  A draw's membership
+test stops at the first irreducible leading term, and what it leaves, a
+positive multiple of the draw modulo the core, is what the product test
+multiplies.
 """
 
 from __future__ import annotations
@@ -167,6 +169,9 @@ class PrimeAnalysis:
     sigma: int
 
 
+# the products of two nonmembers each prime analysis tests
+_SAMPLES = 8
+
 # n -> (the draws random.Random(1) has made in n variables, unpacked; the
 # generator).  The draws never depend on the ideal, so every call shares
 # them; the lock lets one thread at a time extend a stream.
@@ -239,26 +244,20 @@ def _check_samples(rows, n: int, samples: int, budget) -> None:
             )
 
 
-def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
-                  samples: int = 8) -> PrimeAnalysis:
+def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None) -> PrimeAnalysis:
     """Graded core of a prime with dimension and rank diagnostics.
 
     Assumes ``p`` is prime; cheap sampled checks back that up, and any
     violated conclusion (a unit ideal, a product of nonmembers falling
     into the core, a dimension or rank bound failing) is reported as
     :class:`NotPrimeError` rather than returned as nonsense.  The core
-    is tested on ``samples`` products (:func:`_check_samples`), a count
-    read like every integer input: 2.0 is taken as 2, while 2.5 or a
-    negative count raises ValueError.
+    is tested on ``_SAMPLES`` products (:func:`_check_samples`).
 
     It runs in grevlex from the prime's first basis on, and re-bases
     only the reported ``p_star`` under ``p.order``, after the checks.
     """
     if spec.nvars != p.nvars:
         raise ValueError("ideal does not match the grading")
-    (samples,) = as_tuple((samples,))
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
     budget = _as_budget(budget)
     n = p.nvars
     rows_p = _reduced_rows([g.terms for g in p.generators], grevlex(n), budget)
@@ -272,7 +271,7 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None,
     sigma = spec.sigma()
 
     if rows_star:
-        _check_samples(rows_star, n, samples, budget)
+        _check_samples(rows_star, n, _SAMPLES, budget)
     if graded:
         if tau != 0:
             raise RuntimeError("graded input with a dimension drop; this is a bug")

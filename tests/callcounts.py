@@ -117,5 +117,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    os.environ.pop("MONOGRADE_BUDGET", None)  # the CLI jobs use the default budget
     sys.exit(main())

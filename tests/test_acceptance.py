@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 import monograde
+from monograde import multigraded
 from monograde.cli import main as cli_main
 from monograde.cone import facets_of_rays, rays_of_facets
 from monograde.divisorial import (
@@ -244,14 +245,15 @@ def test_graded_hull_contract_on_fixture_ideals():
     assert time.monotonic() - t0 < 120
 
 
-def test_prime_graded_core_diagnostics():
+def test_prime_graded_core_diagnostics(monkeypatch):
+    monkeypatch.setattr(multigraded, "_SAMPLES", 16)
     p = ideal_of(["x1 + 1", "x2"], V2)
-    a = analyze_prime(p, STD2, samples=16)
+    a = analyze_prime(p, STD2)
     assert not a.graded
     assert [format_polynomial(g, V2, p.order) for g in a.p_star.generators] == ["x2"]
     assert (a.dim_p, a.dim_p_star, a.tau, a.sigma) == (2, 1, 1, 2)
     q = ideal_of(["x1 - 1"], V1)
-    b = analyze_prime(q, GradedRingSpec(((1,),)), samples=16)
+    b = analyze_prime(q, GradedRingSpec(((1,),)))
     assert not b.graded and b.p_star.generators == ()
     assert (b.dim_p, b.dim_p_star, b.tau, b.sigma) == (1, 0, 1, 1)
     rng = random.Random(17)
@@ -259,7 +261,7 @@ def test_prime_graded_core_diagnostics():
         pt = (rng.randint(1, 4), rng.randint(1, 4))
         # kernel of evaluation at a point with nonzero coordinates
         p = ideal_of(["x1 - %d" % pt[0], "x2 - %d" % pt[1]], V2)
-        out = analyze_prime(p, STD2, samples=16)
+        out = analyze_prime(p, STD2)
         assert not out.graded
         assert all(is_graded(g, STD2) for g in out.p_star.generators)
         assert out.dim_p - out.dim_p_star == out.tau

@@ -49,11 +49,8 @@ QUADRANT = '{"command":"canonical","rays":[[1,0],[0,1]]}'
 DEG3 = '{"command":"class-group","rays":[[1,0],[1,3]]}'
 
 
-def run_cli(monkeypatch, capsys, argv, text, env_budget=None):
+def run_cli(monkeypatch, capsys, argv, text):
     """Run main() on the given stdin text and return (code, stdout, stderr)."""
-    monkeypatch.delenv("MONOGRADE_BUDGET", raising=False)
-    if env_budget is not None:
-        monkeypatch.setenv("MONOGRADE_BUDGET", env_budget)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code = main(argv)
     captured = capsys.readouterr()
@@ -66,8 +63,8 @@ def report_of(monkeypatch, capsys, argv, text):
     return json.loads(out)
 
 
-def error_of(monkeypatch, capsys, argv, text, **kw):
-    code, out, err = run_cli(monkeypatch, capsys, argv, text, **kw)
+def error_of(monkeypatch, capsys, argv, text):
+    code, out, err = run_cli(monkeypatch, capsys, argv, text)
     assert out == ""
     payload = json.loads(err)
     assert payload["exit"] == code
@@ -530,16 +527,14 @@ def test_repeated_runs_are_byte_identical(monkeypatch, capsys):
     assert outputs.pop().endswith("\n")
 
 
-def test_budget_precedence_flag_over_options_over_env(monkeypatch, capsys):
+def test_budget_precedence_flag_over_options_over_default(monkeypatch, capsys):
     job = '{"command":"gorenstein","rays":[[1,0],[0,1]]}'
-    code, out, _ = run_cli(monkeypatch, capsys, ["gorenstein"], job, env_budget="777")
-    assert json.loads(out)["options"]["budget"] == 777
+    code, out, _ = run_cli(monkeypatch, capsys, ["gorenstein"], job)
+    assert json.loads(out)["options"]["budget"] == groebner.DEFAULT_BUDGET
     job_opt = '{"command":"gorenstein","rays":[[1,0],[0,1]],"options":{"budget":888}}'
-    code, out, _ = run_cli(monkeypatch, capsys, ["gorenstein"], job_opt, env_budget="777")
+    code, out, _ = run_cli(monkeypatch, capsys, ["gorenstein"], job_opt)
     assert json.loads(out)["options"]["budget"] == 888
-    code, out, _ = run_cli(
-        monkeypatch, capsys, ["gorenstein", "--budget", "999"], job_opt, env_budget="777"
-    )
+    code, out, _ = run_cli(monkeypatch, capsys, ["gorenstein", "--budget", "999"], job_opt)
     assert json.loads(out)["options"]["budget"] == 999
 
 
@@ -549,25 +544,11 @@ def test_parse_input_docstring_names_the_default_budget():
     assert "budget=%d" % groebner.DEFAULT_BUDGET in doc
 
 
-def test_env_budget_must_be_an_integer(monkeypatch, capsys):
-    job = '{"command":"gorenstein","rays":[[1,0],[0,1]]}'
-    code, message = error_of(monkeypatch, capsys, ["gorenstein"], job, env_budget="oops")
-    assert code == EXIT_INPUT
-    assert message == "MONOGRADE_BUDGET: expected an integer"
-
-
 def test_a_nonpositive_budget_names_where_it_came_from(monkeypatch, capsys):
     job = '{"command":"graded-hull","vars":1,"grading":[[1]],"ideal":["x1"]}'
-    code, message = error_of(monkeypatch, capsys, ["graded-hull"], job, env_budget="-3")
-    assert code == EXIT_INPUT
-    assert message == "MONOGRADE_BUDGET: must be positive"
     code, message = error_of(monkeypatch, capsys, ["graded-hull", "--budget", "0"], job)
     assert code == EXIT_INPUT
     assert message == "--budget: must be positive"
-    # a valid flag or job budget overrides a bad environment value
-    code, out, _ = run_cli(monkeypatch, capsys, ["graded-hull", "--budget", "5"], job,
-                           env_budget="-3")
-    assert code == EXIT_OK
 
 
 def test_reads_job_from_input_file(monkeypatch, capsys, tmp_path):

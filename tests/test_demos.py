@@ -18,7 +18,6 @@ def test_there_are_demos():
 @pytest.mark.parametrize("path", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
 def test_demo_exits_0(path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    env.pop("MONOGRADE_BUDGET", None)
     proc = subprocess.run([sys.executable, path], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

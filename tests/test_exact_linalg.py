@@ -19,7 +19,10 @@ from monograde.exact_linalg import (
     row_lattice_basis,
     unimodular_inverse,
 )
-from monograde.cone import facets_of_rays
+from monograde.cone import _clean_vectors, facets_of_rays
+from monograde.divisorial import divisorial_ideal, members
+from monograde.groebner import Polynomial, TermOrder, _as_budget
+from monograde.monoid import AffineMonoid, monoid_from_cone_rays
 from oracles import (
     benchmark_rank_cones,
     cone_corpus,
@@ -79,6 +82,39 @@ def test_int_matrix_without_rows_keeps_its_width():
     assert () @ e == (0, 0, 0)
     with pytest.raises(ValueError):
         IntMatrix([])
+
+
+# -- counts ------------------------------------------------------------
+
+QUAD_IDEAL = divisorial_ideal(monoid_from_cone_rays([(1, 0), (0, 1)]), (1, 1))
+
+# every integer count the package reads: (reader, its floor, the message
+# below the floor)
+COUNT_READERS = [
+    (lambda x: _clean_vectors((), x)[1], 0, "ambient rank must be nonnegative"),
+    (lambda x: members(QUAD_IDEAL, x), 0, "box bound must be nonnegative"),
+    (lambda x: _as_budget(x).remaining, 1, "budget must be positive"),
+    (lambda x: TermOrder("grevlex", x).nvars, 0, "number of variables must be nonnegative"),
+    (lambda x: Polynomial(x).nvars, 0, "number of variables must be nonnegative"),
+    (lambda x: AffineMonoid(x, (), (), (), True).ambient_rank, 0,
+     "ambient rank must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("reader, floor, message", COUNT_READERS,
+                         ids=["cone-width", "members-box", "budget", "order-nvars",
+                              "polynomial-nvars", "monoid-rank"])
+def test_counts_are_read_alike(reader, floor, message):
+    # repr tells 2.0 from 2, also inside the members' tuples
+    assert repr(reader(2.0)) == repr(reader(2))
+    assert repr(reader(float(floor))) == repr(reader(floor))
+    for bad in (2.5, "2"):
+        with pytest.raises(ValueError):
+            reader(bad)
+    for low in (floor - 1, float(floor - 1)):
+        with pytest.raises(ValueError) as err:
+            reader(low)
+        assert str(err.value) == message
 
 
 # -- Hermite form ------------------------------------------------------

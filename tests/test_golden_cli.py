@@ -28,7 +28,6 @@ with open(os.path.join(HERE, "golden_cli.json"), encoding="utf-8") as fh:
 
 @pytest.mark.parametrize("case", CASES, ids=["%02d-%s" % (i, c["argv"][0]) for i, c in enumerate(CASES)])
 def test_golden_report_is_byte_identical(monkeypatch, capsys, case):
-    monkeypatch.delenv("MONOGRADE_BUDGET", raising=False)
     monkeypatch.setattr("sys.stdin", io.StringIO(case["stdin"]))
     code = main(case["argv"])
     out = capsys.readouterr().out

@@ -615,6 +615,7 @@ def test_polynomial_basics():
     assert f.leading(grevlex(2)) == ((2, 1), Fraction(3, 4))
     assert Polynomial.monomial((0, 2), 5, 2) == poly("5*x2^2")
     assert Polynomial(2, {(0, 0): 0}).is_zero
+    assert repr(Polynomial(2.0, {(1, 0): 2})) == "Polynomial(2, {(1, 0): Fraction(2, 1)})"
     with pytest.raises(ValueError, match="^the zero polynomial has no leading term$"):
         Polynomial(2, {}).leading(grevlex(2))
     with pytest.raises(ValueError, match="bad exponent"):

@@ -223,15 +223,14 @@ def test_graded_prime_has_no_drop():
     assert a.dim_p == a.dim_p_star == 1
 
 
-def test_prime_analysis_catches_obvious_nonprimes():
+def test_prime_analysis_catches_obvious_nonprimes(monkeypatch):
     with pytest.raises(NotPrimeError, match="unit ideal"):
         analyze_prime(
             IdealPresentation((poly("x1"), poly("x1-1")), grevlex(2)), STD2
         )
+    monkeypatch.setattr(multigraded, "_SAMPLES", 32)
     with pytest.raises(NotPrimeError, match="product of two nonmembers"):
-        analyze_prime(
-            IdealPresentation((poly("x1^2"),), grevlex(2)), STD2, samples=32
-        )
+        analyze_prime(IdealPresentation((poly("x1^2"),), grevlex(2)), STD2)
 
 
 def test_tau_bounds_hold_on_point_kernels():
@@ -354,7 +353,8 @@ def test_row_route_matches_the_polynomial_route(monkeypatch):
     want = metered(lambda b: polynomial_analyze_prime(p, spec, b, want_draws, samples=16), 10**6)
     draws.clear()
     fallbacks.clear()
-    got = metered(lambda b: analyze_prime(p, spec, b, samples=16), 10**6)
+    monkeypatch.setattr(multigraded, "_SAMPLES", 16)
+    got = metered(lambda b: analyze_prime(p, spec, b), 10**6)
     assert got == want and draws == want_draws and len(draws) == 32
     assert any(fallbacks) and not all(fallbacks)
 
@@ -478,9 +478,17 @@ def test_draw_streams_repeat_a_fresh_generator_per_call(monkeypatch):
 
     check.fallbacks = 0
     cases = prime_cases()
+
+    def analyze_all():
+        outs = []
+        for _, samples, p, spec in cases:
+            monkeypatch.setattr(multigraded, "_SAMPLES", samples)
+            outs.append(analyze_prime(p, spec))
+        return outs
+
     with monkeypatch.context() as m:
         m.setattr(multigraded, "_check_samples", check)
-        outs = [analyze_prime(p, spec, samples=samples) for _, samples, p, spec in cases]
+        outs = analyze_all()
     assert sorted(reads) == [1, 2, 3, 4, 5] and check.fallbacks
     assert all(out.graded and out.tau == 0 for out in outs)
 
@@ -488,7 +496,7 @@ def test_draw_streams_repeat_a_fresh_generator_per_call(monkeypatch):
         raise AssertionError("a filled stream drew a random number")
 
     monkeypatch.setattr(random.Random, "randrange", no_draw)
-    assert [analyze_prime(p, spec, samples=samples) for _, samples, p, spec in cases] == outs
+    assert analyze_all() == outs
 
 
 def test_two_threads_draw_one_stream(monkeypatch):
@@ -515,26 +523,22 @@ def test_two_threads_draw_one_stream(monkeypatch):
     assert len(multigraded._draw_streams[3][0]) == 600
 
 
-def test_samples_are_read_like_every_integer_input(monkeypatch):
-    # 2.0 samples are 2; 2.5, a negative count and text are refused, so
-    # -1 no longer skips the samples that refuse (x1^2)
-    seen = []
-    real = multigraded._check_samples
-
-    def check(rows, n, samples, budget):
-        seen.append(samples)
-        real(rows, n, samples, budget)
-
-    monkeypatch.setattr(multigraded, "_check_samples", check)
-    p = IdealPresentation((poly("x2"),), grevlex(2))
-    assert analyze_prime(p, STD2, samples=2.0) == analyze_prime(p, STD2, samples=2)
-    assert seen == [2, 2] and type(seen[0]) is int
-    for bad in (2.5, -1, "2"):
-        with pytest.raises(ValueError):
-            analyze_prime(p, STD2, samples=bad)
-    with pytest.raises(ValueError, match="samples must be nonnegative"):
-        analyze_prime(IdealPresentation((poly("x1^2"),), grevlex(2)), STD2, samples=-1)
-    assert seen == [2, 2]
+def test_default_samples_bound_every_stream(monkeypatch):
+    """The samples are a fixed count, not a parameter, so no call reads a
+    stream past 2 * 64 * ``_SAMPLES`` draws, not even on the monomial
+    prime (x1, ..., xn) under the total degree, whose draws mostly fall
+    inside it."""
+    monkeypatch.setattr(multigraded, "_draw_streams", {})
+    for n in range(1, 7):
+        names = default_variables(n)
+        p = IdealPresentation(tuple(parse_polynomial(v, names) for v in names), grevlex(n))
+        out = analyze_prime(p, GradedRingSpec(((1,),) * n))
+        assert out.graded and out.tau == 0
+    streams = multigraded._draw_streams
+    assert sorted(streams) == [1, 2, 3, 4, 5, 6]
+    assert all(len(draws) <= 2 * 64 * multigraded._SAMPLES for draws, _ in streams.values())
+    with pytest.raises(TypeError):
+        analyze_prime(p, GradedRingSpec(((1,),) * 6), samples=8)
 
 
 def test_certified_toric_primes_are_never_refused():
