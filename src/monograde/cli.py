@@ -156,11 +156,11 @@ def _check_vectors(name: str, rows) -> None:
             raise InputError("%s[%d]: expected %d entries, got %d" % (name, i, width, len(row)))
 
 
-def parse_input(text: str, cli_command: str | None = None, overrides: dict | None = None) -> JobSpec:
+def parse_input(text: str, cli_command: str | None = None, budget: int | None = None) -> JobSpec:
     """Check a JSON job against the rules of the shipped schema and resolve options.
 
-    Option precedence: command line flags, then the job's "options"
-    object, then the default budget=500000 (``DEFAULT_BUDGET``).
+    Option precedence: ``budget`` (the --budget flag), then the job's
+    "options" object, then the default budget=500000 (``DEFAULT_BUDGET``).
     """
     try:
         data = json.loads(text)
@@ -194,9 +194,8 @@ def parse_input(text: str, cli_command: str | None = None, overrides: dict | Non
             except ValueError as e:
                 raise InputError("%s[%d]: %s" % (polys_key, i, e)) from None
     options = {"budget": DEFAULT_BUDGET, **data.get("options", {})}
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            options[key] = value
+    if budget is not None:
+        options["budget"] = budget
     if options["budget"] < 1:
         # the schema already holds the job's own options.budget to >= 1,
         # so only the flag can be below it
@@ -303,9 +302,8 @@ def main(argv=None) -> int:
                 text = fh.read()
         except OSError as e:
             return _fail("cannot read %s: %s" % (args.input, e.strerror), EXIT_INPUT)
-    overrides = {"budget": args.budget}
     try:
-        job = parse_input(text, args.command, overrides)
+        job = parse_input(text, args.command, args.budget)
     except InputError as e:
         return _fail(str(e), EXIT_INPUT)
     try:

@@ -127,31 +127,14 @@ def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
     return verts
 
 
-def _generator_caps(view, verts) -> list[int]:
-    """The cap ceil(V_f) + S_f - 1 per facet form f of the pointed view
-    on the minimal generators of a region with vertices ``verts`` (see
-    ``minimal_generators``), where V_f is the largest f(x) / d over the
-    vertices x / d."""
-    return [max(-(-_dot(f, x) // d) for x, d in verts) + s - 1
-            for f, s in zip(view.forms, view.ray_sums)]
-
-
 def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     """Minimal generators of the ideal as a module over the monoid.
 
-    Every member y splits as q + c with q in the convex hull of the
-    region's vertices and c in the recession cone, and by Caratheodory
-    c = sum mu_k r_k over at most dim linearly independent extreme rays.
-    If some mu_k >= 1, subtracting r_k stays in the region, so a minimal
-    member has every mu_k < 1.  It therefore lies in the vertex bounding
-    box plus the ray zonotope, and each facet form f stays below
-    V_f + S_f, where V_f is the largest value of f on the vertices and
-    S_f >= 1 the sum of its dim largest values on the rays: the sweep
-    caps f at ceil(V_f) + S_f - 1 (``_generator_caps``).
-    ``_region_points`` sweeps only the members within the caps, in the
-    echelon frame that ``_PointedView._sweep_frame`` builds and guards,
-    which may hold capped members outside the vertex box plus the
-    zonotope box.
+    By Caratheodory each facet form f is at most ceil(V_f) + S_f - 1 on
+    a minimal member, where V_f is the largest value of f on the
+    region's vertices (``_PointedView._caps``).  ``_region_points``
+    sweeps only the members within these caps, in the echelon frame
+    that ``_PointedView._sweep_frame`` builds and guards.
     Minimality itself is exact on any candidate set that holds the
     minimal generators: y is minimal iff no Hilbert basis element can be
     subtracted without leaving the region.  So the extra members change
@@ -170,7 +153,7 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     verts = _region_vertices(view.forms, h, k)
     if not verts:
         raise RuntimeError("height region unexpectedly has no vertices")
-    caps = _generator_caps(view, verts)
+    caps = view._caps(verts)
     forms, lo, hi = view._sweep_frame(h, caps)
     # y is reducible iff it lies above some floor b + h, b a Hilbert element's values
     floors = sorted((sum(b), tuple(map(add, b, h))) for _, b in m._pointed_hilbert)

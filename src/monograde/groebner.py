@@ -28,8 +28,10 @@ ideal's reduced basis alone: only the elements free of the dropped
 variables are interreduced and unpacked, in the remaining ones, which
 is all a hull pass keeps.  :func:`buchberger` makes the rows monic over
 Q, the only place a kernel answer becomes a :class:`Polynomial`, and
-always returns the full basis.  The public :func:`normal_form` works
-over Q.
+always returns the full basis.  The private entry
+:func:`_splits_a_product` runs the prime analysis's sampled product test
+on such rows, so no packed exponent leaves the module.  The public
+:func:`normal_form` works over Q.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import add, itemgetter, le, mul, sub
 
@@ -394,16 +397,6 @@ def _element(terms: dict[int, int], pk: _Packing):
     return lt, terms[lt] // d, [(e, c // d) for e, c in terms.items() if e != lt], top
 
 
-def _integer_basis(rows, nvars: int, degree: int):
-    """What :func:`_in_ideal` reduces by: the grevlex packing and the
-    packed elements of a grevlex Groebner basis in ``nvars`` variables,
-    at a width that holds total degrees up to ``degree`` and those of the
-    rows, so the rows' exponents pack with no check."""
-    pk = _Packing(grevlex(nvars), max([degree] + [max(map(sum, r)) for r in rows]))
-    pack = pk._pack
-    return pk, [_element(_integer_terms([(pack(e), c) for e, c in r.items()]), pk) for r in rows]
-
-
 def _reduce(work: dict[int, int], basis, pk: _Packing, budget: _Budget,
             lead_only: bool = False) -> dict[int, int]:
     """:func:`normal_form` over Z: a positive multiple of the remainder of
@@ -479,34 +472,6 @@ def _s_pair(f, g, l: int, pk: _Packing) -> dict[int, int]:
             out[em] = acc
         else:
             del out[em]
-    return out
-
-
-def _in_ideal(terms: dict[int, int], basis, budget: _Budget) -> bool:
-    """Whether the integer ``terms``, packed at the packing of a basis
-    from :func:`_integer_basis` and of total degree at most its cap, lie
-    in its ideal.  The reduction stops at the first irreducible leading
-    term (``_reduce``'s ``lead_only``), so it spends the steps
-    :func:`normal_form` would on a member and a prefix of them on a
-    nonmember.  Under grevlex a leading term has its element's top
-    degree, so no step raises a degree past the packing."""
-    pk, elements = basis
-    return not _reduce(dict(terms), elements, pk, budget, lead_only=True)
-
-
-def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two polynomials whose terms are packed at one
-    packing that holds it."""
-    out: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e not in out:
-                out[e] = c1 * c2
-            elif acc := out[e] + c1 * c2:
-                out[e] = acc
-            else:
-                del out[e]
     return out
 
 
@@ -726,6 +691,61 @@ def _grevlex_basis_dimension(rows, n: int, budget: _Budget) -> int:
         return best
 
     return n - least_cover(0)
+
+
+def _splits_a_product(rows, n: int, draws, samples: int, budget: _Budget) -> bool:
+    """Whether the proper ideal of the reduced grevlex ``rows``, in ``n``
+    variables, contains the product of two nonmembers a and b, for
+    ``samples`` pairs taken in turn from ``draws``: an iterator of
+    polynomials as (exponent, coefficient) pairs with nonzero integer
+    coefficients, of total degree at most 2n.
+
+    A nonmember is the first of the next 64 draws outside the ideal; if
+    all of them fall inside, as they may for (x1, ..., xn), it is the
+    last one plus 1.  So a call reads at most 2 * 64 * ``samples``
+    draws.  A draw's membership test stops at the first irreducible
+    leading term (``_reduce``'s ``lead_only``): it spends the steps
+    :func:`normal_form` would on a member and a prefix of them on a
+    nonmember, and leaves r = k*a modulo the ideal for an integer k > 0.
+    The test multiplies these representatives: r_a*r_b = k_a*k_b*ab
+    modulo the ideal, and k_a*k_b is a unit of Q, so r_a*r_b lies in the
+    ideal exactly when ab does, and every decision is the raw product's.
+    The fallback is its own representative.
+
+    The rows pack at the grevlex width of total degree 4n, or of the
+    rows if higher.  A grevlex step never raises a total degree, since a
+    leading term has its element's top degree, so a representative has
+    degree at most 2n, as its draw, and the product fits the packing.
+    """
+    pk = _Packing(grevlex(n), max([4 * n] + [max(map(sum, r)) for r in rows]))
+    pack = pk._pack
+    elements = [_element(_integer_terms([(pack(e), c) for e, c in r.items()]), pk) for r in rows]
+
+    def nonmember() -> dict[int, int]:
+        for draw in islice(draws, 64):
+            terms = {pack(e): c for e, c in draw}
+            if terms and (rep := _reduce(dict(terms), elements, pk, budget, lead_only=True)):
+                return rep
+        c = terms.pop(0, 0) + 1  # 0 is the packed constant exponent
+        if c:
+            terms[0] = c
+        return terms
+
+    for _ in range(samples):
+        a, b = nonmember(), nonmember()
+        product: dict[int, int] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                if e not in product:
+                    product[e] = c1 * c2
+                elif acc := product[e] + c1 * c2:
+                    product[e] = acc
+                else:
+                    del product[e]
+        if not _reduce(product, elements, pk, budget, lead_only=True):
+            return True
+    return False
 
 
 # -- parsing and printing --------------------------------------------

@@ -99,7 +99,7 @@ class _PointedView:
     def ray_sums(self) -> Vec:
         """S_f per facet form f: the sum of the dim largest values of f
         on the rays, the most f reaches on a sum of at most dim distinct
-        rays (Caratheodory's bound, see ``_pointed_hilbert_basis``).
+        rays (Caratheodory's bound, see ``_caps``).
         Each S_f is at least 1: f is nonzero and the cone full-dimensional,
         so f is positive on some extreme ray."""
         return tuple(
@@ -115,6 +115,26 @@ class _PointedView:
         coordinates y' with y = V.T @ y', form j is column j of H, which
         is zero below the last row whose pivot lies at or before j."""
         return hnf(IntMatrix._of(self.forms, self.dim).T)
+
+    def _caps(self, verts) -> Vec:
+        """The cap ceil(V_f) + S_f - 1 per facet form f on the minimal
+        members of a region {y : F(y) >= h} with the rational vertices
+        ``verts``, pairs (x, d) for x / d, where V_f is the largest
+        f(x) / d over the vertices and S_f is ``ray_sums``.
+
+        Every member y splits as q + c with q in the convex hull of the
+        vertices and c in the cone, and by Caratheodory c = sum mu_k r_k
+        over at most dim linearly independent extreme rays.  If some
+        mu_k >= 1, y - r_k still lies in the region, so a minimal member
+        has every mu_k < 1.  Then f(y) <= V_f + sum mu_k f(r_k), and
+        that sum is below S_f unless it is 0, where S_f >= 1; so the
+        integer f(y) is at most ceil(V_f) + S_f - 1.  The Hilbert basis
+        is the height-0 region's case, with the one vertex 0 and the cap
+        S_f - 1: an irreducible h with some mu_k >= 1 is the ray r_k,
+        since h - r_k would otherwise be a nonzero cone point.
+        """
+        return tuple([max(-(-_dot(f, x) // d) for x, d in verts) + s - 1
+                      for f, s in zip(self.forms, self.ray_sums)])
 
     def _sweep_frame(self, heights, caps) -> tuple:
         """(forms, lo, hi) for ``_region_points`` over the y with heights
@@ -401,27 +421,17 @@ def _region_points(forms, heights, lo, hi, caps):
     yield from sweep(0, (), (0,) * len(forms))
 
 
-def _hilbert_caps(view: _PointedView) -> Vec:
-    """The cap S_f - 1 per facet form f on the Hilbert basis elements
-    that are not rays (see ``_pointed_hilbert_basis``)."""
-    return tuple(s - 1 for s in view.ray_sums)
-
-
 def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     """Hilbert basis of a pointed full-dimensional cone in Z^dim, as
     (element, facet values) pairs sorted by element.
 
-    By Caratheodory an irreducible lattice point h that is not a ray
-    lies in the cone of at most dim linearly independent extreme rays,
-    h = sum c_k r_k, and every c_k < 1, since h - r_k would otherwise be
-    a nonzero cone point.  So h lies in the zonotope bounding box, and
-    f(h) < sum f(r_k) <= S_f for every facet form f unless that sum is
-    0, where S_f >= 1 is the sum of the dim largest values of f on the
-    rays: the sweep caps f at S_f - 1 (``_hilbert_caps``).  The rays
-    the caps cut off are added back, since primitive extreme rays are
-    irreducible.  ``_PointedView._sweep_frame`` scans and guards the
-    echelon frame over every capped point, some of them outside the
-    zonotope box.
+    By Caratheodory every Hilbert basis element that is not a ray has
+    each facet value f at most S_f - 1 (``_PointedView._caps`` at the
+    origin, the height-0 region's one vertex), so the sweep caps f
+    there.  The rays the caps cut off are added back, since primitive
+    extreme rays are irreducible.  ``_PointedView._sweep_frame`` scans
+    and guards the echelon frame over every capped point, some of them
+    outside the zonotope box.
     Candidates are keyed by their facet values, which fix a point of a
     pointed cone, and filtered by increasing total facet value, which is
     strictly positive on nonzero cone points; a candidate is dropped iff
@@ -440,7 +450,7 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     if view.dim == 0:
         return ()
     zeros = (0,) * len(view.forms)
-    caps = _hilbert_caps(view)
+    caps = view._caps([((0,) * view.dim, 1)])
     forms, lo, hi = view._sweep_frame(zeros, caps)
     swept = {vals: pt for pt, vals in _region_points(forms, zeros, lo, hi, caps) if any(vals)}
     rays = {tuple(_dot(f, r) for f in view.forms): r for r in view.rays}

@@ -21,16 +21,10 @@ its hull and feed the next pass as they are.  The prime analysis works
 in grevlex throughout, since no term order enters its invariants; the
 caller's order, when it is another one, only re-bases the reported
 hull or core, once, at the end.  Polynomials over Q are built once, for
-the answer.
-
-The primality samples run on packed integer terms.  Their draws come
-from one process-wide stream per variable count, the draws of
-``random.Random(1)``, which every call reads from the start.  A call
-reads at most 64 draws per nonmember and two nonmembers per sample, so
-no stream grows past 2 * 64 * ``_SAMPLES`` draws.  A draw's membership
-test stops at the first irreducible leading term, and what it leaves, a
-positive multiple of the draw modulo the core, is what the product test
-multiplies.
+the answer.  The kernel also runs the primality samples
+(``groebner._splits_a_product``); this module only sets their policy,
+``_SAMPLES`` products on draws from one process-wide stream per
+variable count.
 """
 
 from __future__ import annotations
@@ -38,6 +32,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
+from itertools import count
 from operator import mul
 
 from .exact_linalg import Vec, as_tuple, rank
@@ -45,12 +40,9 @@ from .groebner import (
     IdealPresentation,
     _as_budget,
     _grevlex_basis_dimension,
-    _in_ideal,
-    _integer_basis,
     _monic,
-    _packed_product,
-    _reduce,
     _reduced_rows,
+    _splits_a_product,
     elimination_order,
     grevlex,
 )
@@ -172,9 +164,11 @@ class PrimeAnalysis:
 # the products of two nonmembers each prime analysis tests
 _SAMPLES = 8
 
-# n -> (the draws random.Random(1) has made in n variables, unpacked; the
+# n -> (the draws random.Random(1) has made in n variables; the
 # generator).  The draws never depend on the ideal, so every call shares
-# them; the lock lets one thread at a time extend a stream.
+# them and reads them from the start, and no stream grows past the
+# 2 * 64 * _SAMPLES draws a call reads at most; the lock lets one thread
+# at a time extend a stream.
 _draw_streams: dict[int, tuple[list, random.Random]] = {}
 _draw_lock = threading.Lock()
 
@@ -197,53 +191,6 @@ def _draw(n: int, i: int) -> list:
     return stream[0][i]
 
 
-def _random_nonmember(n: int, i: int, basis, budget):
-    """(index after it, draw, representative) of the first draw from the
-    ``i``-th on (:func:`_draw`) outside the proper ideal of a basis from
-    :func:`_integer_basis`, packed at its packing.
-
-    The representative is the draw reduced until its leading term is
-    irreducible (``_reduce``'s ``lead_only``, which is the membership
-    test): r = k*a modulo the ideal for an integer k > 0.  If all 64
-    draws fall inside, as they may for (x1, ..., xn), the sample is the
-    last one plus 1 and its own representative, the very dict."""
-    pk, elements = basis
-    pack = pk._pack
-    for i in range(i, i + 64):
-        terms = {pack(e): c for e, c in _draw(n, i)}
-        if terms and (rep := _reduce(dict(terms), elements, pk, budget, lead_only=True)):
-            return i + 1, terms, rep
-    c = terms.pop(0, 0) + 1  # 0 is the packed constant exponent
-    if c:
-        terms[0] = c
-    return i + 1, terms, terms
-
-
-def _check_samples(rows, n: int, samples: int, budget) -> None:
-    """Refuse a prime whose graded core, the proper ideal of the reduced
-    grevlex ``rows``, contains the product of two sampled nonmembers a
-    and b, for ``samples`` pairs drawn in turn.
-
-    The test multiplies their representatives r_a = k_a*a and r_b = k_b*b
-    modulo the core, with k_a, k_b > 0 (:func:`_random_nonmember`): then
-    r_a*r_b = k_a*k_b*ab modulo the core, and k_a*k_b is a unit of Q, so
-    r_a*r_b lies in the core exactly when ab does, and every decision is
-    the raw product's.  A grevlex step never raises a total degree, so a
-    representative has degree at most 2n, as its draw, and the product
-    fits the packing of degree 4n.
-    """
-    basis = _integer_basis(rows, n, 4 * n)
-    i = 0
-    for _ in range(samples):
-        i, _, ra = _random_nonmember(n, i, basis, budget)
-        i, _, rb = _random_nonmember(n, i, basis, budget)
-        if _in_ideal(_packed_product(ra, rb), basis, budget):
-            raise NotPrimeError(
-                "graded core contains a product of two nonmembers; "
-                "the input cannot be prime"
-            )
-
-
 def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None) -> PrimeAnalysis:
     """Graded core of a prime with dimension and rank diagnostics.
 
@@ -251,7 +198,8 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None) -> Pr
     violated conclusion (a unit ideal, a product of nonmembers falling
     into the core, a dimension or rank bound failing) is reported as
     :class:`NotPrimeError` rather than returned as nonsense.  The core
-    is tested on ``_SAMPLES`` products (:func:`_check_samples`).
+    is tested on ``_SAMPLES`` products of two nonmembers drawn by
+    :func:`_draw` (``groebner._splits_a_product``).
 
     It runs in grevlex from the prime's first basis on, and re-bases
     only the reported ``p_star`` under ``p.order``, after the checks.
@@ -270,8 +218,12 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None) -> Pr
     tau = dim_p - dim_star
     sigma = spec.sigma()
 
-    if rows_star:
-        _check_samples(rows_star, n, _SAMPLES, budget)
+    if rows_star and _splits_a_product(rows_star, n, (_draw(n, i) for i in count()),
+                                       _SAMPLES, budget):
+        raise NotPrimeError(
+            "graded core contains a product of two nonmembers; "
+            "the input cannot be prime"
+        )
     if graded:
         if tau != 0:
             raise RuntimeError("graded input with a dimension drop; this is a bug")

@@ -1273,10 +1273,10 @@ def lead_normal_form(f, gb, order, budget):
 
 
 def polynomial_random_nonmember(rng, n, gb, order, budget):
-    """``multigraded._random_nonmember`` on rational polynomials: (sample,
-    representative), drawn with ``randint``, the representative what
-    :func:`lead_normal_form` leaves; the fallback, the last draw plus 1,
-    is its own."""
+    """A nonmember of ``groebner._splits_a_product`` on rational
+    polynomials: (sample, representative), drawn with ``randint``, the
+    representative what :func:`lead_normal_form` leaves; the fallback,
+    the last draw plus 1, is its own."""
     for _ in range(64):
         terms = {}
         for _ in range(rng.randint(1, 4)):
@@ -1301,12 +1301,32 @@ def fresh_draws(n):
         yield {e: c for e, c in terms.items() if c}
 
 
+def packed_grevlex_basis(rows, n, degree):
+    """(packing, elements) of primitive integer grevlex ``rows`` in ``n``
+    variables, packed at the grevlex width of total degree ``degree``, or
+    of the rows if higher: the basis ``groebner._splits_a_product``
+    reduces by at ``degree`` = 4n."""
+    pk = groebner._Packing(groebner.grevlex(n), max([degree] + [max(map(sum, r)) for r in rows]))
+    terms = [groebner._integer_terms([(pk._pack(e), c) for e, c in r.items()]) for r in rows]
+    return pk, [groebner._element(t, pk) for t in terms]
+
+
+def packed_product(a, b):
+    """The product of two polynomials packed at one packing that holds it."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
 def raw_product_samples(rows, n, samples, budget, draws=None):
-    """``multigraded._check_samples`` as it was before the draw streams:
-    a fresh ``random.Random(1)`` per call, membership by the full
-    reduction, and the raw product of the two draws.  Each sample is
-    appended to ``draws`` as a polynomial; returns the draws made."""
-    pk, elements = groebner._integer_basis(rows, n, 4 * n)
+    """The primality samples as they were before the draw streams: a
+    fresh ``random.Random(1)`` per call, membership by the full
+    reduction, and the raw product of the two draws, raising
+    ``NotPrimeError`` when it lies in the ideal.  Each sample is appended
+    to ``draws`` as a polynomial; returns the draws made."""
+    pk, elements = packed_grevlex_basis(rows, n, 4 * n)
     stream, made = fresh_draws(n), 0
 
     def nonmember():
@@ -1323,7 +1343,7 @@ def raw_product_samples(rows, n, samples, budget, draws=None):
         if draws is not None:
             draws += [groebner.Polynomial(n, {pk._unpack(e): c for e, c in t.items()})
                       for t in pair]
-        if not groebner._reduce(groebner._packed_product(*pair), elements, pk, budget):
+        if not groebner._reduce(packed_product(*pair), elements, pk, budget):
             raise NotPrimeError("graded core contains a product of two nonmembers; "
                                 "the input cannot be prime")
     return made

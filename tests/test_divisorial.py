@@ -408,7 +408,7 @@ def test_minimal_generators_meet_the_caratheodory_caps():
         s = len(m.facet_forms)
         for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(2)]:
             verts = divisorial._region_vertices(view.forms, h, view.dim)
-            caps = divisorial._generator_caps(view, verts)
+            caps = view._caps(verts)
             for g in box_minimal_generators(divisorial_ideal(m, h)):
                 vals = m.facet_values(g)
                 assert all(map(operator.le, vals, caps)), (view, h, g)

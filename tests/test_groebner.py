@@ -459,13 +459,15 @@ def test_an_overflowing_width_restarts_wider_and_charges_once(monkeypatch):
 
 
 def test_membership_by_reduction_stays_within_the_grevlex_packing(monkeypatch):
-    """``_in_ideal`` reduces terms packed at the grevlex width of the
-    basis it was handed, and no packing restarts: a step never raises a
-    term's degree, so even terms at the cap, x1^127 under x1 - x2 (cap
-    127), reduce within the width.  The answer is that of the rational
-    ``normal_form``, and the steps are those of ``lead_normal_form``,
-    which stops at the first irreducible leading term: on a member all
-    of ``normal_form``'s, on x1^2*x2^4 + x1^5 none of its one."""
+    """The lead-only ``_reduce`` that ``_splits_a_product`` tests
+    membership with reduces terms packed at the grevlex width of the
+    basis, and no packing restarts: a step never raises a term's degree,
+    so even terms at the cap, x1^127 under x1 - x2 (cap 127, the width
+    the entry packs two variables at), reduce within the width.  The
+    answer is that of the rational ``normal_form``, and the steps are
+    those of ``lead_normal_form``, which stops at the first irreducible
+    leading term: on a member all of ``normal_form``'s, on
+    x1^2*x2^4 + x1^5 none of its one."""
     cases = (
         ("x1 - x2", (("x1^120 - x2^120", True), ("x1^127", False),
                      ("x1^127 - x1^3*x2^124", True))),
@@ -475,16 +477,22 @@ def test_membership_by_reduction_stays_within_the_grevlex_packing(monkeypatch):
     order = grevlex(2)
     for basis_text, members in cases:
         g = poly(basis_text)
-        basis = groebner._integer_basis([g.terms], 2, 1)
-        assert basis[0].cap == 127 and basis[0].order == order
-        pack = basis[0]._pack
+        with monkeypatch.context() as m:
+            caps = record_packings(m)
+            groebner._splits_a_product([g.terms], 2, map(dict.items, oracles.fresh_draws(2)),
+                                       8, groebner._Budget(None))
+        assert caps == [127]
+        pk, elements = oracles.packed_grevlex_basis([g.terms], 2, 1)
+        assert pk.cap == 127 and pk.order == order
+        pack = pk._pack
         for text, member in members:
             f = poly(text)
             terms = groebner._integer_terms([(pack(e), c) for e, c in f.terms.items()])
             budgets = [groebner._Budget(10_000) for _ in range(3)]
             with monkeypatch.context() as m:
                 caps = record_packings(m)
-                assert groebner._in_ideal(terms, basis, budgets[0]) is member
+                rest = groebner._reduce(terms, elements, pk, budgets[0], lead_only=True)
+            assert (not rest) is member
             assert caps == []
             assert normal_form(f, [g], order, budgets[1]).is_zero is member
             assert oracles.lead_normal_form(f, [g], order, budgets[2]).is_zero is member
@@ -510,7 +518,7 @@ def test_lead_only_reduction_is_a_prefix_of_the_full_one():
                         order)
         if any(not any(g.leading(order)[0]) for g in gb):
             continue  # the unit ideal
-        pk, elements = groebner._integer_basis([g.terms for g in gb], n, 4 * n)
+        pk, elements = oracles.packed_grevlex_basis([g.terms for g in gb], n, 4 * n)
         draws = list(itertools.islice(oracles.fresh_draws(n), 12))
         for a, b in zip(draws[::2], draws[1::2]):
             f = poly_product(Polynomial(n, a), Polynomial(n, b))
@@ -615,6 +623,9 @@ def test_polynomial_basics():
     assert f.leading(grevlex(2)) == ((2, 1), Fraction(3, 4))
     assert Polynomial.monomial((0, 2), 5, 2) == poly("5*x2^2")
     assert Polynomial(2, {(0, 0): 0}).is_zero
+    # keys that read as one exponent add up, and cancel to nothing
+    assert Polynomial(2, {(0, 1): 1, range(2): 2}) == poly("3*x2")
+    assert Polynomial(2, {(0, 1): 1, range(2): -1}).is_zero
     assert repr(Polynomial(2.0, {(1, 0): 2})) == "Polynomial(2, {(1, 0): Fraction(2, 1)})"
     with pytest.raises(ValueError, match="^the zero polynomial has no leading term$"):
         Polynomial(2, {}).leading(grevlex(2))

@@ -441,7 +441,7 @@ def test_hilbert_basis_meets_the_caratheodory_caps():
         lo, hi = zonotope_box(view.rays)
         if prod(b - a + 1 for a, b in zip(lo, hi)) > 4000:
             continue  # beyond the box oracle's reach
-        caps = monoid._hilbert_caps(view)
+        caps = view._caps([((0,) * view.dim, 1)])
         for p in box_hilbert_basis(view.rays, view.forms, view.dim):
             vals = tuple(dot(f, p) for f in view.forms)
             assert p in view.rays or all(map(operator.le, vals, caps)), (view, p)
@@ -492,7 +492,7 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
             continue  # nothing to sweep, or too many vertex candidates for the oracle
         lo, hi = zonotope_box(view.rays)
         random_heights = [rng.randint(-2, 1) for _ in range(s)]
-        cases = [((0,) * s, monoid._hilbert_caps(view)),
+        cases = [((0,) * s, view._caps([((0,) * view.dim, 1)])),
                  (random_heights, [h + rng.randint(0, 4) for h in random_heights])]
         for heights, caps in cases:
             forms, ylo, yhi = view._sweep_frame(heights, caps)
@@ -527,7 +527,7 @@ def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
     the limit still stops at the frame's."""
     m = monoid_from_cone_rays([(9, 7, 7), (7, 9, 7), (7, 7, 9)])
     view = m._pointed_view
-    caps = monoid._hilbert_caps(view)
+    caps = view._caps([((0,) * view.dim, 1)])
     zeros = (0,) * len(caps)
     count = prod(_pivot_counts(view, zeros, caps))
     assert count == 92
@@ -543,7 +543,7 @@ def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
         view._sweep_frame(zeros, caps[:2] + (-1,))
     for rays in caratheodory_corpus(463):
         view = monoid_from_cone_rays(rays)._pointed_view
-        caps = monoid._hilbert_caps(view)
+        caps = view._caps([((0,) * view.dim, 1)])
         box = prod(b - a + 1 for a, b in zip(*zonotope_box(view.rays)))
         if view.dim >= 3 and prod(_pivot_counts(view, (0,) * len(caps), caps)) > box:
             break

@@ -33,6 +33,8 @@ from hullcheck import assert_hull_contract, is_graded
 from oracles import (
     fresh_draws,
     hull_job_corpus,
+    poly_product,
+    poly_sum,
     polynomial_analyze_prime,
     polynomial_graded_hull,
     random_pointed_cones,
@@ -294,17 +296,71 @@ def record_draws(monkeypatch, draws, fallbacks):
     """Append each sample ``analyze_prime`` draws to ``draws``, unpacked
     to a polynomial (the draw, not its representative), and to
     ``fallbacks`` whether it is the last draw plus 1, which is the one
-    sample that is its own representative."""
-    real_draw = multigraded._random_nonmember
+    sample that is its own representative.
 
-    def draw(n, i, basis, budget):
-        out = real_draw(n, i, basis, budget)
-        _, terms, rep = out
-        draws.append(Polynomial(n, {basis[0]._unpack(e): c for e, c in terms.items()}))
-        fallbacks.append(rep is terms)
+    The samples are read off what ``_splits_a_product`` does in turn: it
+    takes draws, reduces each nonzero one lead-only, and a reduction that
+    leaves terms, the representative, makes its draw the sample; after
+    64 draws that fall inside, the sample is the last one plus 1; after
+    each two samples it reduces the product of their representatives,
+    which is checked.  A run cut short by the budget ends wherever the
+    budget ran out."""
+    real, real_reduce = groebner._splits_a_product, groebner._reduce
+    events = []  # each draw; (input, output) of each lead-only reduction
+
+    def reduce(work, basis, pk, budget, lead_only=False):
+        if not lead_only:
+            return real_reduce(work, basis, pk, budget)
+        def unpack(terms):
+            return Polynomial(pk.nvars, {pk._unpack(e): c for e, c in terms.items()})
+
+        given = unpack(work)
+        out = real_reduce(work, basis, pk, budget, lead_only)
+        events.append((given, unpack(out)))
         return out
 
-    monkeypatch.setattr(multigraded, "_random_nonmember", draw)
+    def splits(rows, n, stream, samples, budget):
+        def take(draw):
+            events.append(Polynomial(n, dict(draw)))
+            return draw
+
+        events.clear()
+        try:
+            return real(rows, n, map(take, stream), samples, budget)
+        finally:
+            read_samples(iter(events), n, draws, fallbacks)
+
+    monkeypatch.setattr(groebner, "_reduce", reduce)
+    monkeypatch.setattr(multigraded, "_splits_a_product", splits)
+
+
+def read_samples(events, n, draws, fallbacks):
+    """Append the samples of ``record_draws``'s events to ``draws`` and
+    ``fallbacks`` until the events end, checking that each membership
+    test reduces its draw and each product test the product of the two
+    representatives."""
+    try:
+        while True:
+            reps = []
+            for _ in range(2):
+                for _ in range(64):
+                    f = next(events)
+                    if not f.is_zero:
+                        given, rep = next(events)
+                        assert given == f
+                        if not rep.is_zero:
+                            draws.append(f)
+                            fallbacks.append(False)
+                            break
+                else:
+                    rep = poly_sum(f, Polynomial(n, {(0,) * n: 1}))
+                    draws.append(rep)
+                    fallbacks.append(True)
+                reps.append(rep)
+            given, _ = next(events)
+            assert given == poly_product(*reps)
+    except StopIteration:
+        pass
 
 
 def test_row_route_matches_the_polynomial_route(monkeypatch):
@@ -405,6 +461,16 @@ def test_lex_prime_is_refused_within_its_budget():
 # -- the primality samples ----------------------------------------------------
 
 
+def raw_splits(rows, n, stream, samples, budget):
+    """``raw_product_samples`` in the place of ``_splits_a_product``,
+    which draws its own samples, so ``stream`` goes unread."""
+    try:
+        raw_product_samples(rows, n, samples, budget)
+    except NotPrimeError:
+        return True
+    return False
+
+
 def test_samples_move_primes_only_out_of_budget_errors(monkeypatch):
     """The draw streams, the lead-only membership test and the product of
     the representatives decide every sample as the packed route of
@@ -423,7 +489,7 @@ def test_samples_move_primes_only_out_of_budget_errors(monkeypatch):
         for limit in (40, 400, 4000):
             new = metered(lambda b: analyze_prime(ideal, spec, b), limit)
             with monkeypatch.context() as m:
-                m.setattr(multigraded, "_check_samples", raw_product_samples)
+                m.setattr(multigraded, "_splits_a_product", raw_splits)
                 old = metered(lambda b: analyze_prime(ideal, spec, b), limit)
             assert new[2:] == old[2:], text
             if new[0] != old[0]:
@@ -462,19 +528,19 @@ def test_draw_streams_repeat_a_fresh_generator_per_call(monkeypatch):
     as the most draws one call has read; and once the streams hold them,
     a call draws no random number."""
     monkeypatch.setattr(multigraded, "_draw_streams", {})
-    real_check = multigraded._check_samples
     reads = {}
 
-    def check(rows, n, samples, budget):
+    def check(rows, n, stream, samples, budget):
         draws, fallbacks, want = [], [], []
         with monkeypatch.context() as m:
             record_draws(m, draws, fallbacks)
-            real_check(rows, n, samples, budget)
+            split = multigraded._splits_a_product(rows, n, stream, samples, budget)
         made = raw_product_samples(rows, n, samples, groebner._Budget(None), want)
         assert draws == want and len(draws) == 2 * samples
         reads[n] = max(reads.get(n, 0), made)
         assert len(multigraded._draw_streams[n][0]) == reads[n]
         check.fallbacks += sum(fallbacks)
+        return split
 
     check.fallbacks = 0
     cases = prime_cases()
@@ -487,7 +553,7 @@ def test_draw_streams_repeat_a_fresh_generator_per_call(monkeypatch):
         return outs
 
     with monkeypatch.context() as m:
-        m.setattr(multigraded, "_check_samples", check)
+        m.setattr(multigraded, "_splits_a_product", check)
         outs = analyze_all()
     assert sorted(reads) == [1, 2, 3, 4, 5] and check.fallbacks
     assert all(out.graded and out.tau == 0 for out in outs)
