@@ -17,7 +17,7 @@ attributes of ``cone`` from outside the package, so a call that
 and repeat run to run.
 
 With ``--large`` it times ``cone._dd`` instead, best of 3, on large
-inputs: the rows of ``large_cone_corpus(7)`` from ``tests/oracles.py``
+inputs: the rows of ``large_cone_corpus(7)`` from ``tests/corpora.py``
 as one set, and three cones from ``random.Random(7)`` of rank 8, 7 and
 8 spanned by 30, 40 and 40 distinct rays (1, r_2, ..., r_d) with r_i in
 -2..2, drawn in that order.  It prints the seconds and the rays double
@@ -41,7 +41,7 @@ import jobs  # noqa: E402  (puts this checkout's src/ first on the path)
 import workloads  # noqa: E402
 from monograde import cone  # noqa: E402
 from monograde.exact_linalg import IntMatrix  # noqa: E402
-from oracles import large_cone_corpus  # noqa: E402
+from corpora import large_cone_corpus  # noqa: E402
 
 COUNTED = ("_dd", "_eliminate", "primitive")
 COLUMNS = COUNTED + ("rays",)

@@ -8,6 +8,7 @@ identical output.
 """
 
 import copy
+import functools
 import io
 import json
 import os
@@ -34,14 +35,9 @@ from monograde.cli import (
 )
 from monograde.groebner import IdealPresentation, default_variables, grevlex, parse_polynomial
 from monograde.multigraded import GradedRingSpec
+from corpora import hull_job_corpus
 from hullcheck import assert_hull_contract
-from oracles import (
-    full_hull_rows,
-    hull_job_corpus,
-    normal_strategy_buchberger,
-    rational_buchberger,
-    rows_route,
-)
+from references import full_hull_rows, rational_buchberger, rows_route
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -217,7 +213,7 @@ def test_hull_elimination_that_stalled_fits_a_small_budget(monkeypatch, capsys):
 def hull_corpus_outcomes(monkeypatch, capsys, route=None, budget="1000"):
     """(exit code, stdout, stderr) of the first 40 jobs of
     ``hull_job_corpus(97, ...)`` at ``budget``, with ``route`` run on
-    rows (:func:`oracles.rows_route`) in place of the kernel entry
+    rows (:func:`references.rows_route`) in place of the kernel entry
     ``_reduced_rows`` if one is given."""
     with monkeypatch.context() as m:
         if route is not None:
@@ -234,7 +230,8 @@ def test_sugar_moves_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
     # the pair selection changes which inputs a budget suffices for, and
     # nothing else: the reduced bases, hence the reports, are unique
     sugar = hull_corpus_outcomes(monkeypatch, capsys)
-    normal = hull_corpus_outcomes(monkeypatch, capsys, normal_strategy_buchberger)
+    normal = hull_corpus_outcomes(monkeypatch, capsys,
+                                  functools.partial(rational_buchberger, strategy="normal"))
     moved = [(a[0], b[0]) for a, b in zip(normal, sugar) if a[0] != b[0]]
     assert moved and set(moved) == {(EXIT_BUDGET, EXIT_OK)}
     assert all(a == b for a, b in zip(normal, sugar) if a[0] == b[0] != EXIT_BUDGET)
@@ -243,7 +240,7 @@ def test_sugar_moves_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
 def test_kept_rows_move_hull_jobs_only_from_exit_3_to_exit_0(monkeypatch, capsys):
     # a pass that interreduces only the rows it keeps, and hands them to
     # the next pass as they are, spends fewer steps than the full route
-    # of oracles.full_hull_rows and nothing else changes: the reports are
+    # of references.full_hull_rows and nothing else changes: the reports are
     # the same reduced bases.  At 250 steps job 18 now fits
     for budget in ("250", "1000"):
         kept = hull_corpus_outcomes(monkeypatch, capsys, budget=budget)

@@ -11,19 +11,19 @@ from monograde.cone import Cone, facets_of_rays, membership, rays_of_facets
 from monograde.divisorial import class_group
 from monograde.exact_linalg import IntMatrix, _eliminate, kernel_basis, rank
 from monograde.monoid import monoid_from_cone_rays
-from oracles import (
+from corpora import (
     benchmark_rank_cones,
     cone_corpus,
+    degenerate_cone_corpus,
+    large_cone_corpus,
+    random_pointed_cones,
+)
+from oracles import dot, fm_facets, make_primitive
+from references import (
     containment_dd_kernel,
     containment_extreme_rays,
-    degenerate_cone_corpus,
-    dot,
     extreme_by_facets,
-    fm_facets,
     fm_member,
-    large_cone_corpus,
-    make_primitive,
-    random_pointed_cones,
     rank_extreme_rays,
     rank_facet_forms,
     scan_maximal_proper,

@@ -33,24 +33,23 @@ from monograde.monoid import (
     monoid_from_cone_rays,
     normalize_presentation,
 )
+from corpora import caratheodory_corpus, cone_corpus, presentation_corpus, random_pointed_cones
 from oracles import (
+    brute_minimal_interior,
+    det_int,
+    dot,
+    minor_gcd_factors,
+    region_tight_points,
+    zonotope_box,
+)
+from references import (
     box_hilbert_basis,
     box_members,
     box_minimal_generators,
-    brute_minimal_interior,
-    caratheodory_corpus,
     cokernel_class_group,
-    cone_corpus,
     coset_count,
-    det_int,
-    dot,
     full_scan_floor_filter,
-    minor_gcd_factors,
-    presentation_corpus,
-    random_pointed_cones,
-    region_tight_points,
     smith_solve,
-    zonotope_box,
 )
 
 QUAD = monoid_from_cone_rays([(1, 0), (0, 1)])

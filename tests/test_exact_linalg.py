@@ -23,17 +23,9 @@ from monograde.cone import _clean_vectors, facets_of_rays
 from monograde.divisorial import divisorial_ideal, members
 from monograde.groebner import Polynomial, TermOrder, _as_budget
 from monograde.monoid import AffineMonoid, monoid_from_cone_rays
-from oracles import (
-    benchmark_rank_cones,
-    cone_corpus,
-    det_int,
-    eager_eliminate,
-    frac_rref,
-    minor_gcd_factors,
-    reference_hnf,
-    reference_snf,
-    smith_solve,
-)
+from corpora import benchmark_rank_cones, cone_corpus
+from oracles import det_int, frac_rref, minor_gcd_factors
+from references import eager_eliminate, reference_hnf, reference_snf, smith_solve
 
 
 def rand_matrix(rng, m, n, bound=9):
@@ -239,6 +231,26 @@ def test_elementary_divisors_match_minor_gcds_on_every_shape():
         diag, u = _smith_left(a)
         assert tuple(x for x in diag if x) == factors and abs(det_int(u)) == 1
     assert elementary_divisors(IntMatrix(mats[0])) == elementary_divisors(IntMatrix(mats[1])) == (1, 2)
+
+
+def test_elementary_divisors_match_sympy():
+    """sympy's invariant factors share no code with the package or with
+    the minor-gcd oracle; they keep a 0 per missing rank, which
+    ``elementary_divisors`` leaves out."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(137)
+    mats = [rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)) for _ in range(400)]
+    for _ in range(40):
+        # rank at most k through a thin product
+        m, n = rng.randint(2, 7), rng.randint(2, 7)
+        k = rng.randint(1, min(m, n) - 1)
+        mats.append(rand_matrix(rng, m, k, 3) @ rand_matrix(rng, k, n, 3))
+    for a in mats:
+        want = tuple(int(x) for x in invariant_factors(Matrix(list(map(list, a))), domain=ZZ) if x)
+        assert elementary_divisors(a) == want, a
 
 
 def transform_corpus(rng):

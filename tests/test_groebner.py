@@ -26,11 +26,10 @@ from monograde.groebner import (
     parse_polynomial,
 )
 from monograde.multigraded import GradedRingSpec, analyze_prime, graded_hull
-import oracles
-from oracles import (
-    hull_job_corpus,
+import references
+from corpora import hull_job_corpus, polynomial_fuzz_texts
+from references import (
     monic,
-    normal_strategy_buchberger,
     poly_product,
     poly_sort_key,
     poly_sum,
@@ -144,7 +143,7 @@ def record_pairs(monkeypatch, spairs):
     forms them with the integer kernel's ``_s_pair`` (whose packed
     exponents the recorder unpacks), the rational oracles with
     ``s_polynomial``."""
-    real_pair, real_spoly = groebner._s_pair, oracles.s_polynomial
+    real_pair, real_spoly = groebner._s_pair, references.s_polynomial
 
     def integer_pair(f, g, l, pk):
         spairs.append((pk._unpack(f[0]), pk._unpack(g[0])))
@@ -155,7 +154,7 @@ def record_pairs(monkeypatch, spairs):
         return real_spoly(f, g, order)
 
     monkeypatch.setattr(groebner, "_s_pair", integer_pair)
-    monkeypatch.setattr(oracles, "s_polynomial", rational_pair)
+    monkeypatch.setattr(references, "s_polynomial", rational_pair)
 
 
 def test_heap_selects_the_pairs_of_the_min_scan(monkeypatch):
@@ -199,7 +198,7 @@ def strategy_corpus(seed, monkeypatch):
 
     def recorded(rows, order, budget, eliminate=False):
         if eliminate:
-            cases.append(([oracles.row_polynomial(r, order.nvars) for r in rows], order))
+            cases.append(([references.row_polynomial(r, order.nvars) for r in rows], order))
         return real(rows, order, budget, eliminate)
 
     with monkeypatch.context() as m:
@@ -267,7 +266,7 @@ def test_eliminated_rows_are_the_kept_rows_of_the_full_basis(monkeypatch):
         except BudgetExceededError:
             continue
         kept = groebner._reduced_rows(rows, order, kept_budget, eliminate=True)
-        want = [oracles.eliminated_row(r, order) for r in full
+        want = [references.eliminated_row(r, order) for r in full
                 if not any(next(iter(r))[i] for i in order.drop)]
         assert [list(r.items()) for r in kept] == [list(r.items()) for r in want]
         assert (kept_budget.spairs, kept_budget.zero_reductions) \
@@ -300,7 +299,7 @@ def test_sugar_and_the_normal_strategy_reach_the_same_basis(monkeypatch):
         totals[0] += budget.spairs
         spairs.clear()
         try:
-            normal = normal_strategy_buchberger(gens, o, 2000)
+            normal = rational_buchberger(gens, o, 2000, strategy="normal")
         except BudgetExceededError:
             normal = None
         totals[1] += len(spairs)
@@ -362,7 +361,7 @@ def test_rows_are_taken_in_the_order_of_the_polynomials_they_stand_for(monkeypat
 
     monkeypatch.setattr(groebner, "_element", element)
     groebner._reduced_rows(rows, order, groebner._Budget(1000))
-    want = sorted((oracles.row_polynomial(r, 2) for r in rows),
+    want = sorted((references.row_polynomial(r, 2) for r in rows),
                   key=lambda g: poly_sort_key(g, order))
     got = [monic(Polynomial(2, t), order) for t in taken[:3]]
     assert got == [monic(g, order) for g in want]
@@ -392,7 +391,7 @@ def rational_meter(monkeypatch, gens, order, limit):
     counted at ``s_polynomial`` and ``normal_form``."""
     count = {"spairs": 0, "zero": 0}
     last = [None]
-    real_spoly, real_nf = oracles.s_polynomial, groebner.normal_form
+    real_spoly, real_nf = references.s_polynomial, groebner.normal_form
 
     def spoly(f, g, order):
         count["spairs"] += 1
@@ -406,7 +405,7 @@ def rational_meter(monkeypatch, gens, order, limit):
 
     budget = groebner._Budget(limit)
     with monkeypatch.context() as m:
-        m.setattr(oracles, "s_polynomial", spoly)
+        m.setattr(references, "s_polynomial", spoly)
         m.setattr(groebner, "normal_form", nf)
         try:
             gb = rational_buchberger(gens, order, budget)
@@ -479,10 +478,10 @@ def test_membership_by_reduction_stays_within_the_grevlex_packing(monkeypatch):
         g = poly(basis_text)
         with monkeypatch.context() as m:
             caps = record_packings(m)
-            groebner._splits_a_product([g.terms], 2, map(dict.items, oracles.fresh_draws(2)),
+            groebner._splits_a_product([g.terms], 2, map(dict.items, references.fresh_draws(2)),
                                        8, groebner._Budget(None))
         assert caps == [127]
-        pk, elements = oracles.packed_grevlex_basis([g.terms], 2, 1)
+        pk, elements = references.packed_grevlex_basis([g.terms], 2, 1)
         assert pk.cap == 127 and pk.order == order
         pack = pk._pack
         for text, member in members:
@@ -495,7 +494,7 @@ def test_membership_by_reduction_stays_within_the_grevlex_packing(monkeypatch):
             assert (not rest) is member
             assert caps == []
             assert normal_form(f, [g], order, budgets[1]).is_zero is member
-            assert oracles.lead_normal_form(f, [g], order, budgets[2]).is_zero is member
+            assert references.lead_normal_form(f, [g], order, budgets[2]).is_zero is member
             assert budgets[0].remaining == budgets[2].remaining
             if member:
                 assert budgets[1].remaining == budgets[2].remaining
@@ -518,15 +517,15 @@ def test_lead_only_reduction_is_a_prefix_of_the_full_one():
                         order)
         if any(not any(g.leading(order)[0]) for g in gb):
             continue  # the unit ideal
-        pk, elements = oracles.packed_grevlex_basis([g.terms for g in gb], n, 4 * n)
-        draws = list(itertools.islice(oracles.fresh_draws(n), 12))
+        pk, elements = references.packed_grevlex_basis([g.terms for g in gb], n, 4 * n)
+        draws = list(itertools.islice(references.fresh_draws(n), 12))
         for a, b in zip(draws[::2], draws[1::2]):
             f = poly_product(Polynomial(n, a), Polynomial(n, b))
             terms = {pk._pack(e): int(c) for e, c in f.terms.items()}
             budgets = [groebner._Budget(10**6) for _ in range(3)]
             lead = groebner._reduce(dict(terms), elements, pk, budgets[0], lead_only=True)
             full = groebner._reduce(dict(terms), elements, pk, budgets[1])
-            want = oracles.lead_normal_form(f, gb, order, budgets[2])
+            want = references.lead_normal_form(f, gb, order, budgets[2])
             assert budgets[0].remaining == budgets[2].remaining >= budgets[1].remaining
             assert (not lead) == (not full) == want.is_zero
             if lead:
@@ -608,11 +607,11 @@ def test_factor_reader_keeps_the_token_parsers_language_and_errors():
     }
     for text, expected in traps.items():
         assert _parse_outcome(parse_polynomial, text, V2) == expected, text
-        assert _parse_outcome(oracles.token_parse_polynomial, text, V2) == expected, text
-    for text in oracles.polynomial_fuzz_texts(2027, 20_000):
+        assert _parse_outcome(references.token_parse_polynomial, text, V2) == expected, text
+    for text in polynomial_fuzz_texts(2027, 20_000):
         for variables in (("x1", "x2", "x3"), ("x1", "x1", "x2"), ()):
             new = _parse_outcome(parse_polynomial, text, variables)
-            old = _parse_outcome(oracles.token_parse_polynomial, text, variables)
+            old = _parse_outcome(references.token_parse_polynomial, text, variables)
             assert new == old and type(new) is type(old), (text, variables)
 
 

@@ -1,10 +1,15 @@
-"""The packed kernel format stays in ``groebner``.
+"""Two boundaries, checked on parsed source, nothing imported.
 
-Every module under ``src/monograde`` other than ``groebner`` is parsed,
-not imported, and searched for the names of the packed kernel: packed
-exponents and basis elements are read and written only inside
-``groebner``, and the other modules hand it rows (dicts from exponent
-tuple to coefficient) through its private entries.
+The packed kernel format stays in ``groebner``: every module under
+``src/monograde`` other than ``groebner`` is searched for the names of
+the packed kernel.  Packed exponents and basis elements are read and
+written only inside ``groebner``, and the other modules hand it rows
+(dicts from exponent tuple to coefficient) through its private entries.
+
+The benchmark compiles only the oracles it calls: ``tests/oracles.py``,
+which ``perfbench/check.py`` and ``perfbench/workloads.py`` import,
+defines exactly the functions they read from it and the ones those
+call, and imports nothing from the package.
 """
 
 import ast
@@ -13,6 +18,7 @@ import os
 import monograde
 
 PACKAGE = os.path.dirname(os.path.abspath(monograde.__file__))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 KERNEL_NAMES = {"_Packing", "_Overflow", "_widening", "_integer_terms", "_element",
                 "_reduce", "_s_pair", "_interreduce", "_buchberger"}
@@ -60,3 +66,38 @@ def test_guard_sees_each_kind_of_kernel_use():
     assert kernel_uses("multigraded.py", source) == [
         (1, "_reduce"), (2, "_Packing"), (5, "_element"), (5, "_widening"),
     ]
+
+
+def parsed(*parts):
+    path = os.path.join(ROOT, *parts)
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def test_oracles_hold_what_the_benchmark_calls_and_no_package_code():
+    """No import of ``monograde`` or of a relative module, and the
+    top-level names are the ``oracles.X`` names that the two benchmark
+    files read, closed under the top-level names each definition reads."""
+    tree = parsed("tests", "oracles.py")
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names]
+    imported += [node.module or "." for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in imported if m.split(".")[0] in ("monograde", "")] == []
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    reached = set()
+    frontier = {node.attr for name in ("check.py", "workloads.py")
+                for node in ast.walk(parsed("perfbench", name))
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "oracles"}
+    assert frontier, "the benchmark calls no oracle"
+    while frontier:
+        reached |= frontier
+        frontier = {node.id for name in frontier & defined.keys()
+                    for node in ast.walk(defined[name])
+                    if isinstance(node, ast.Name) and node.id in defined} - reached
+    assert set(defined) == reached

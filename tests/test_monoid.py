@@ -23,23 +23,22 @@ from monograde.monoid import (
     monoid_from_cone_rays,
     normalize_presentation,
 )
-from oracles import (
-    box_hilbert_basis,
-    brute_irreducibles,
+from corpora import (
     caratheodory_corpus,
     cone_corpus,
     degenerate_cone_corpus,
-    dot,
+    presentation_corpus,
+    random_pointed_cones,
+)
+from oracles import brute_irreducibles, dot, region_tight_points, zonotope_box
+from references import (
+    box_hilbert_basis,
     full_scan_hilbert_filter,
     hermite_cone_lattice,
     kernel_unit_rows,
-    presentation_corpus,
     presentation_member,
-    random_pointed_cones,
-    region_tight_points,
     search_normality,
     view_to_ambient,
-    zonotope_box,
 )
 
 

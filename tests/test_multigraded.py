@@ -30,14 +30,13 @@ from monograde.multigraded import (
     graded_hull,
 )
 from hullcheck import assert_hull_contract, is_graded
-from oracles import (
+from corpora import hull_job_corpus, random_pointed_cones
+from references import (
     fresh_draws,
-    hull_job_corpus,
     poly_product,
     poly_sum,
     polynomial_analyze_prime,
     polynomial_graded_hull,
-    random_pointed_cones,
     raw_product_samples,
     toric_ideal,
     two_order_analyze_prime,
@@ -417,7 +416,7 @@ def test_row_route_matches_the_polynomial_route(monkeypatch):
 
 def test_grevlex_inside_moves_lex_primes_only_out_of_budget_errors():
     """Working in grevlex from the prime's first basis on spends less
-    than the bookkeeping of two orders that ``oracles`` keeps, and
+    than the bookkeeping of two orders that ``references`` keeps, and
     nothing else changes: on the corpus's primes under lex every answer
     and every other error is the old one.  The checks run before the
     core is re-based under lex, so a lex prime is refused exactly as its
