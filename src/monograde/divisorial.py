@@ -3,17 +3,11 @@
 A divisorial ideal is described by one integer height per facet of the
 monoid's cone: it is the set of lattice points of L on which the i-th
 facet form is at least ``heights[i]``.  Heights are indexed by the
-canonical order of ``monoid.facet_forms``.  Both enumerations run on
-the exact row sweep of ``monoid._region_points``, each guarded once by
-the count of the frame it scans: the members in an ambient box (the
-ambient coordinates are extra forms, capped on both sides, and each
-facet form is capped at the most it reaches on the local box), and the
-minimal module generators, with every facet value capped by the
-region's vertices plus Caratheodory's bound on the rays.  The
-generators are swept in the echelon frame ``_PointedView._sweep_frame``
-builds and guards, like the Hilbert basis in ``monoid``, and one
-product with V composed with the pointed view's ``out`` maps each kept
-one to Z^r.
+canonical order of ``monoid.facet_forms``.  Its members in a box and its
+minimal module generators are height regions that ``monoid`` sweeps
+(``AffineMonoid._members`` and ``_PointedView._sweep``); this module
+keeps the module theory on top.  Minimality is decided by the floor
+filter against the Hilbert basis.
 The module builds the canonical module (all heights equal to one, the
 interior points), the divisor class group, shift witnesses between
 ideal classes, and the Gorenstein decision with a certificate.  The
@@ -31,22 +25,14 @@ the height description only sees the saturation C cap L.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import comb, prod
+from itertools import islice
+from math import prod
 from operator import add, ge
 
-from .exact_linalg import (
-    IntMatrix,
-    Vec,
-    _as_count,
-    _dot,
-    _eliminate,
-    as_tuple,
-    elementary_divisors,
-)
-from .monoid import AffineMonoid, _echelon_box, _guard_box, _PointedView, _region_points
+from .exact_linalg import IntMatrix, Vec, _as_count, as_tuple, elementary_divisors
+from .monoid import AffineMonoid, _PointedView
 
 
 @dataclass(frozen=True)
@@ -75,56 +61,11 @@ def divisorial_ideal(m: AffineMonoid, heights) -> DivisorialIdeal:
 
 
 def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
-    """All members with ambient coordinates in [-box, box], sorted.
-
-    One sweep of ``_region_points`` over the local coordinates y of L:
-    the facet forms at the ideal's heights, and the r ambient
-    coordinates of y, read off the columns of the lattice basis, with
-    height -box and cap box.  So only members are visited at the last
-    coordinate, and each is read off the ambient values with no lattice
-    solve.  The local box comes from the Hermite pivots of the basis
-    (``_echelon_box``): the ambient coordinate at row i's pivot is y_i
-    times the pivot plus the earlier rows' entries there, which bounds
-    |y_i| in turn.  Each facet form is capped at the most it reaches on
-    that box, which no point of it exceeds.  The guard counts that frame,
-    at most (2 box + 1)^d points, which bounds the prefixes the sweep
-    enters, as in ``_PointedView._sweep_frame``.  ``box`` is read like every
-    integer input: 2.0 is taken as 2, and 2.5 raises ValueError.
-    """
+    """All members with ambient coordinates in [-box, box], sorted
+    (``AffineMonoid._members``).  ``box`` is read like every integer
+    input: 2.0 is taken as 2, and 2.5 raises ValueError."""
     box = _as_count(box, 0, "box bound must be nonnegative")
-    m = ideal.monoid
-    r = m.ambient_rank
-    basis = m.lattice_basis
-    lo, hi, count = _echelon_box(basis, [-box] * r, [box] * r)
-    _guard_box(count, "echelon sweep")
-    s = len(ideal.heights)
-    forms = list(m.facet_forms) + [tuple(row[j] for row in basis) for j in range(r)]
-    heights = list(ideal.heights) + [-box] * r
-    caps = [sum(max(c * a, c * b) for c, a, b in zip(f, lo, hi)) for f in m.facet_forms]
-    caps += [box] * r
-    return tuple(sorted(vals[s:] for _, vals in _region_points(forms, heights, lo, hi, caps)))
-
-
-def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
-    """Rational vertices x / d of {y : forms(y) >= heights}, as integer
-    pairs (x, d) with d > 0.  A feasible point tight on dim independent
-    forms is a vertex; a degenerate vertex appears once per such set."""
-    _guard_box(comb(len(forms), dim), "vertex search", "facet subsets")
-    verts = []
-    for subset in itertools.combinations(range(len(forms)), dim):
-        t, pivots, d = _eliminate(zip(*[forms[i] for i in subset]), dim)
-        if len(pivots) < dim:
-            continue
-        # T @ F_I = d*I, so the tight point is x / d with x = T @ h_I;
-        # test forms(x) >= heights * d in integers
-        rhs = [heights[i] for i in subset]
-        x = [_dot(row, rhs) for row in t]
-        if d < 0:
-            d = -d
-            x = [-v for v in x]
-        if all(_dot(f, x) >= h * d for f, h in zip(forms, heights)):
-            verts.append((tuple(x), d))
-    return verts
+    return ideal.monoid._members(ideal.heights, box)
 
 
 def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
@@ -132,9 +73,8 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
 
     By Caratheodory each facet form f is at most ceil(V_f) + S_f - 1 on
     a minimal member, where V_f is the largest value of f on the
-    region's vertices (``_PointedView._caps``).  ``_region_points``
-    sweeps only the members within these caps, in the echelon frame
-    that ``_PointedView._sweep_frame`` builds and guards.
+    region's vertices, and ``_PointedView._sweep`` visits only the
+    members within these caps.
     Minimality itself is exact on any candidate set that holds the
     minimal generators: y is minimal iff no Hilbert basis element can be
     subtracted without leaving the region.  So the extra members change
@@ -146,28 +86,22 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     m = ideal.monoid
     m.require_normal()
     view = m._pointed_view
-    k = view.dim
-    if k == 0:
+    if view.dim == 0:
         return (m.to_ambient((0,) * m.rank),)
     h = ideal.heights
-    verts = _region_vertices(view.forms, h, k)
-    if not verts:
-        raise RuntimeError("height region unexpectedly has no vertices")
-    caps = view._caps(verts)
-    forms, lo, hi = view._sweep_frame(h, caps)
+    sweep = view._sweep(h)
     # y is reducible iff it lies above some floor b + h, b a Hilbert element's values
     floors = sorted((sum(b), tuple(map(add, b, h))) for _, b in m._pointed_hilbert)
     totals = [t for t, _ in floors]
     cut = sum(h)
     minimal = []
-    for pt, vals in _region_points(forms, h, lo, hi, caps):
-        for _, floor in itertools.islice(floors, bisect_right(totals, sum(vals) - cut)):
+    for pt, vals in sweep:
+        for _, floor in islice(floors, bisect_right(totals, sum(vals) - cut)):
             if all(map(ge, vals, floor)):
                 break
         else:
             minimal.append(pt)
-    out = view._echelon[1] @ view.out
-    return tuple(sorted(pt @ out for pt in minimal))
+    return view._ambient(minimal)
 
 
 @dataclass(frozen=True)

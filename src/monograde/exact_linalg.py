@@ -51,10 +51,13 @@ def _dot(a, b) -> int:
 
 def as_tuple(v) -> Vec:
     """The entries of v as a tuple of ints.  Integral values such as 2.0
-    are taken; any other value, such as 2.7 or 1/2, raises ValueError
-    instead of being truncated."""
+    are taken; any other value, such as 2.7, 1/2 or an infinite float,
+    raises ValueError instead of being truncated."""
     v = tuple(v)
-    t = tuple(map(int, v))
+    try:
+        t = tuple(map(int, v))
+    except OverflowError:  # int() of an infinite float
+        t = None
     if t != v:
         raise ValueError("not an integer vector: %r" % (v,))
     return t

@@ -4,22 +4,23 @@ A presentation is normalized to M = C cap L where L is the group
 generated by the input (or the saturated span for cone-defined monoids)
 and C is the cone spanned by it; all further computations run in a
 basis of L, where C is full-dimensional.  The module computes Hilbert
-bases by an exact row sweep (``_region_points``, shared with the
-members and minimal generators of divisorial ideals in ``divisorial``),
-which holds every form it checks between a height and a finite cap.
-Caratheodory's theorem caps every facet value of an irreducible point
-that is not a ray, so the sweep visits only the points below those caps
-and the rays are added back.  In every dimension it runs in the
-echelon coordinates of the facet forms, y = V.T y' with V F.T the
-Hermite form H of the transposed forms F: there every form is zero
-after its own coordinate, so the sweep checks it exactly there, and
-the box of y' follows from the pivot forms and their caps.  That box
-may hold capped points outside the zonotope box, which the filter
-drops.  H also answers which point of L has given facet values
-(``_PointedView._preimage``), for the class group and the shift
-witnesses in ``divisorial``.  Every capped sweep is guarded once, by
-the count of the frame it scans, where ``_PointedView._sweep_frame``
-builds that frame from the values the pivot forms can take.  The
+bases by an exact row sweep (``_region_points``), which holds every
+form it checks between a height and a finite cap, and owns every sweep
+of a height region {y : F(y) >= h}: ``divisorial`` asks for members and
+minimal generators through ``AffineMonoid._members`` and
+``_PointedView._sweep``, the one entry to a capped sweep.
+Caratheodory's theorem caps every facet value of a minimal member that
+is not a ray (``_PointedView._caps``), so the sweep visits only the
+points below those caps, and the Hilbert basis adds the rays back.  In
+every dimension it runs in the echelon coordinates of the facet forms,
+y = V.T y' with V F.T the Hermite form H of the transposed forms F:
+there every form is zero after its own coordinate, so the sweep checks
+it exactly there, and the box of y' follows from the pivot forms and
+their caps.  That box may hold capped points outside the zonotope box,
+which the filters drop.  Every sweep is guarded once, before any point,
+by the count of the frame it scans (``_echelon_box``).  H also answers
+which point of L has given facet values (``_PointedView._preimage``),
+for the class group and the shift witnesses in ``divisorial``.  The
 module also decides whether a generating set actually generates C cap L
 (with an explicit witness when it does not) and extracts unit subgroups.
 
@@ -34,16 +35,18 @@ Points found in the pointed view (the monoid modulo its units) reach
 Z^r by one product with its ``out``: the lattice basis, composed with
 the unit quotient's section when there are units.  The sweeps run in
 echelon coordinates y': a minimal generator takes one product with
-V @ out, and a Hilbert element is kept in the view's coordinates, y' @ V,
-where the normality check reads it.
+V @ out (``_PointedView._ambient``), and a Hilbert element is kept in
+the view's coordinates, y' @ V, where the normality check reads it.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from math import comb
 from operator import add, ge
 
 from .cone import Cone, _quotient_transform, facets_of_rays
@@ -86,8 +89,8 @@ class NonNormalError(ValueError):
 class _PointedView:
     """The monoid modulo its unit group, in quotient coordinates.
 
-    ``_sweep_frame`` builds and guards the frame of every capped sweep,
-    in the echelon coordinates of the facet forms (``_echelon``).
+    ``_sweep`` is the one entry to every capped sweep, in the echelon
+    coordinates of the facet forms (``_echelon``).
     """
 
     rays: tuple[Vec, ...]
@@ -136,25 +139,31 @@ class _PointedView:
         return tuple([max(-(-_dot(f, x) // d) for x, d in verts) + s - 1
                       for f, s in zip(self.forms, self.ray_sums)])
 
-    def _sweep_frame(self, heights, caps) -> tuple:
-        """(forms, lo, hi) for ``_region_points`` over the y with heights
-        <= F(y) <= caps, every cap finite, the frame guarded by the count
-        of what it scans.  A swept point y' is y' @ V in the view's
-        coordinates.
+    def _sweep(self, heights, verts=None):
+        """``_region_points`` over the y with heights <= F(y) <= caps, the
+        caps ``_caps(verts)`` on the rational vertices of {y : F(y) >=
+        heights}, found by ``_region_vertices`` when not given.  The
+        frame is guarded here, before any point is swept.
 
-        The forms are the columns of H and the box is in y'
-        (``_echelon``), bounded by ``_echelon_box``.  Coordinate i is the
-        last that row i's pivot form p involves, so the sweep checks p
-        and every form between the pivots exactly there.  No capped point
-        is lost, though some may lie outside the zonotope box.  The sweep
-        enters at most n_0 * ... * n_i prefixes of length i + 1, with n_i
-        from ``_echelon_box``; the guard counts the product of all
-        max(n_i, 1), which bounds each of these.
+        It yields (y', F(y)) with y = V.T @ y': the forms are the columns
+        of H and the box is in y' (``_echelon``), bounded by
+        ``_echelon_box``.  Coordinate i is the last that row i's pivot
+        form p involves, so the sweep checks p and every form between
+        the pivots exactly there.  No capped point is lost, though some
+        may lie outside the zonotope box.
         """
+        if verts is None:
+            verts = _region_vertices(self.forms, heights, self.dim)
+            if not verts:
+                raise RuntimeError("height region unexpectedly has no vertices")
+        caps = self._caps(verts)
         h, _ = self._echelon
-        lo, hi, count = _echelon_box(h, heights, caps)
-        _guard_box(count, "echelon sweep")
-        return h.T, lo, hi
+        return _region_points(h.T, heights, *_echelon_box(h, heights, caps), caps)
+
+    def _ambient(self, swept) -> tuple[Vec, ...]:
+        """Swept points y', sorted in Z^r: one product each with V @ out."""
+        out = self._echelon[1] @ self.out
+        return tuple(sorted(pt @ out for pt in swept))
 
     def _preimage(self, values) -> Vec | None:
         """The y with F(y) = values, or None when values is not in F(Z^dim).
@@ -179,18 +188,19 @@ def _guard_box(count: int, what: str, unit: str = "points") -> None:
         )
 
 
-def _echelon_box(h, heights, caps) -> tuple[list[int], list[int], int]:
-    """(lo, hi, count) for a sweep over the y with heights <= y @ h <=
-    caps, column by column, where ``h`` is an echelon form with positive
-    pivots.
+def _echelon_box(h, heights, caps) -> tuple[list[int], list[int]]:
+    """(lo, hi) for a sweep over the y with heights <= y @ h <= caps,
+    column by column, where ``h`` is an echelon form with positive
+    pivots, guarded by the count of the frame.
 
     Coordinate i is the last that column p, row i's pivot, involves, with
     the coefficient c = h[i][p] > 0.  Its bounds come from column p
     alone: it must reach heights[p] and stay within caps[p] whatever
     coordinates 0..i-1 add inside their own bounds.  Once those are
     fixed, column p takes values c apart, so coordinate i takes at most
-    n_i = (caps[p] - heights[p]) // c + 1 values; ``count`` is the
-    product of all max(n_i, 1).
+    n_i = (caps[p] - heights[p]) // c + 1 values.  The sweep enters at
+    most n_0 * ... * n_i prefixes of length i + 1; the guard counts the
+    product of all max(n_i, 1), which bounds each of these.
     """
     lo, hi = [], []
     count = 1
@@ -205,7 +215,8 @@ def _echelon_box(h, heights, caps) -> tuple[list[int], list[int], int]:
         lo.append(-((most - heights[p]) // c))
         hi.append((caps[p] - least) // c)
         count *= max((caps[p] - heights[p]) // c + 1, 1)
-    return lo, hi, count
+    _guard_box(count, "echelon sweep")
+    return lo, hi
 
 
 class AffineMonoid:
@@ -364,6 +375,32 @@ class AffineMonoid:
         out = self._pointed_view.out
         return tuple(sorted(p @ out for p, _ in self._pointed_hilbert))
 
+    def _members(self, heights, box: int) -> tuple[Vec, ...]:
+        """The points of L with facet values at least ``heights`` and
+        ambient coordinates in [-box, box], sorted.
+
+        One sweep of ``_region_points`` over the local coordinates y of L:
+        the facet forms at the heights, and the r ambient coordinates of
+        y, read off the columns of the lattice basis, with height -box and
+        cap box.  So only members are visited at the last coordinate, and
+        each is read off the ambient values with no lattice solve.  The
+        local box comes from the Hermite pivots of the basis
+        (``_echelon_box``): the ambient coordinate at row i's pivot is y_i
+        times the pivot plus the earlier rows' entries there, which bounds
+        |y_i| in turn.  Each facet form is capped at the most it reaches
+        on that box, which no point of it exceeds.  The guard counts that
+        frame, at most (2 box + 1)^d points.
+        """
+        r = self.ambient_rank
+        basis = self.lattice_basis
+        lo, hi = _echelon_box(basis, [-box] * r, [box] * r)
+        s = len(heights)
+        forms = list(self.facet_forms) + [tuple(row[j] for row in basis) for j in range(r)]
+        heights = list(heights) + [-box] * r
+        caps = [sum(max(c * a, c * b) for c, a, b in zip(f, lo, hi)) for f in self.facet_forms]
+        caps += [box] * r
+        return tuple(sorted(vals[s:] for _, vals in _region_points(forms, heights, lo, hi, caps)))
+
 
 def _region_points(forms, heights, lo, hi, caps):
     """Yield (y, forms(y)) for every integer y in the box [lo, hi] with
@@ -421,6 +458,28 @@ def _region_points(forms, heights, lo, hi, caps):
     yield from sweep(0, (), (0,) * len(forms))
 
 
+def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
+    """Rational vertices x / d of {y : forms(y) >= heights}, as integer
+    pairs (x, d) with d > 0.  A feasible point tight on dim independent
+    forms is a vertex; a degenerate vertex appears once per such set."""
+    _guard_box(comb(len(forms), dim), "vertex search", "facet subsets")
+    verts = []
+    for subset in itertools.combinations(range(len(forms)), dim):
+        t, pivots, d = _eliminate(zip(*[forms[i] for i in subset]), dim)
+        if len(pivots) < dim:
+            continue
+        # T @ F_I = d*I, so the tight point is x / d with x = T @ h_I;
+        # test forms(x) >= heights * d in integers
+        rhs = [heights[i] for i in subset]
+        x = [_dot(row, rhs) for row in t]
+        if d < 0:
+            d = -d
+            x = [-v for v in x]
+        if all(_dot(f, x) >= h * d for f, h in zip(forms, heights)):
+            verts.append((tuple(x), d))
+    return verts
+
+
 def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     """Hilbert basis of a pointed full-dimensional cone in Z^dim, as
     (element, facet values) pairs sorted by element.
@@ -429,8 +488,8 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     each facet value f at most S_f - 1 (``_PointedView._caps`` at the
     origin, the height-0 region's one vertex), so the sweep caps f
     there.  The rays the caps cut off are added back, since primitive
-    extreme rays are irreducible.  ``_PointedView._sweep_frame`` scans
-    and guards the echelon frame over every capped point, some of them
+    extreme rays are irreducible.  ``_PointedView._sweep`` scans and
+    guards the echelon frame over every capped point, some of them
     outside the zonotope box.
     Candidates are keyed by their facet values, which fix a point of a
     pointed cone, and filtered by increasing total facet value, which is
@@ -449,10 +508,8 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     """
     if view.dim == 0:
         return ()
-    zeros = (0,) * len(view.forms)
-    caps = view._caps([((0,) * view.dim, 1)])
-    forms, lo, hi = view._sweep_frame(zeros, caps)
-    swept = {vals: pt for pt, vals in _region_points(forms, zeros, lo, hi, caps) if any(vals)}
+    sweep = view._sweep((0,) * len(view.forms), [((0,) * view.dim, 1)])
+    swept = {vals: pt for pt, vals in sweep if any(vals)}
     rays = {tuple(_dot(f, r) for f in view.forms): r for r in view.rays}
     basis: list[Vec] = []
     totals: list[int] = []

@@ -7,9 +7,8 @@ This generates the job list that
 ``perfbench/run.py --workload cone-duality --seed N --trace 1`` runs
 (the warm-up job left out), runs every job through the same public API
 calls and prints, by rank and input ray count, how many times
-``cone._dd`` runs, how many ``_eliminate`` and ``primitive`` calls the
-``cone`` module makes (a name ``cone`` no longer imports reads 0), and
-how many rays double description returns.
+``cone._dd`` runs, how many ``_eliminate`` calls the ``cone`` module
+makes, and how many rays double description returns.
 The memo of ``facets_of_rays`` is emptied first, so the counts do not
 depend on what ran before.  Calls are counted by wrapping the module
 attributes of ``cone`` from outside the package, so a call that
@@ -43,7 +42,7 @@ from monograde import cone  # noqa: E402
 from monograde.exact_linalg import IntMatrix  # noqa: E402
 from corpora import large_cone_corpus  # noqa: E402
 
-COUNTED = ("_dd", "_eliminate", "primitive")
+COUNTED = ("_dd", "_eliminate")
 COLUMNS = COUNTED + ("rays",)
 
 
@@ -67,7 +66,7 @@ def dd_counts(seed: int):
     job_list = workloads.generate("cone-duality", seed, count + 1)[1:]
     counts = collections.defaultdict(collections.Counter)
     key = [None]
-    real = {name: getattr(cone, name) for name in COUNTED if hasattr(cone, name)}
+    real = {name: getattr(cone, name) for name in COUNTED}
     cone._facets_of_generators.cache_clear()
     try:
         for name, fn in real.items():
@@ -119,8 +118,8 @@ def main(argv=None) -> int:
         return 0
     counts, classes = dd_counts(args.seed)
     print("cone-duality seed %d, %d traced jobs" % (args.seed, sum(classes.values())))
-    print("rank  rays  jobs  dd runs  _eliminate  primitive  rays out")
-    line = "%4s  %4s  %4d  %7d  %10d  %9d  %8d"
+    print("rank  rays  jobs  dd runs  _eliminate  rays out")
+    line = "%4s  %4s  %4d  %7d  %10d  %8d"
     total = collections.Counter()
     for k in sorted(classes):
         total.update(counts[k])

@@ -6,14 +6,16 @@ This generates the job list that
 ``perfbench/run.py --workload monoid-ring --seed N --trace 1`` runs (the
 warm-up job left out), runs every job through the same public API calls
 and prints, by rank, how many points ``monoid._region_points`` yields
-for the Hilbert bases (called from ``monoid``) and for the canonical
-generators (called from ``divisorial``), and how many times its inner
-sweep is entered (one entry per prefix tried, the empty one included).
-Points are counted by wrapping ``_region_points`` from outside the
-package; entries by a profile hook on the sweep's frames while a
-wrapped call runs.  Both counts are exact and repeat run to run.  The
-perfbench modules are only imported, and pytest does not collect this
-file.
+for the Hilbert bases (asked for by ``monoid._pointed_hilbert_basis``)
+and for the canonical generators (asked for by
+``divisorial.minimal_generators``), and how many times its inner sweep
+is entered (one entry per prefix tried, the empty one included).  Both
+ask through ``_PointedView._sweep``, so each sweep is told by the
+function that called that entry.  Points are counted by wrapping
+``_region_points`` from outside the package; entries by a profile hook
+on the sweep's frames while a wrapped call runs.  Both counts are exact
+and repeat run to run.  The perfbench modules are only imported, and
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -28,31 +30,45 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import jobs  # noqa: E402  (puts this checkout's src/ first on the path)
 import workloads  # noqa: E402
-from monograde import divisorial, monoid  # noqa: E402
+from monograde import monoid  # noqa: E402
 
-KINDS = {"hilbert": monoid, "canonical": divisorial}
+KINDS = {"_pointed_hilbert_basis": "hilbert", "minimal_generators": "canonical"}
 
 
-def _counting(kind, real, counts):
+def _caller(frame) -> str:
+    """The kind of sweep that ``frame``, the caller of ``_region_points``,
+    runs: the function that asked for it through ``_PointedView._sweep``,
+    or the caller itself, named by ``KINDS`` where it has a name there."""
+    if frame.f_code.co_name == "_sweep":
+        frame = frame.f_back
+    return KINDS.get(frame.f_code.co_name, frame.f_code.co_name)
+
+
+def _counting(real, counts):
     """``real`` with every point it yields and every sweep it enters
-    added to ``counts[(kind, rank)]``."""
+    added to ``counts[(kind, rank)]``, the kind read off its caller."""
     def wrapped(forms, heights, lo, hi, *rest):
-        row = counts[kind, len(lo)]
-        entered = set()  # the frames themselves, so no id is reused
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "sweep" and frame not in entered:
-                entered.add(frame)
-
-        sys.setprofile(profile)
-        try:
-            for item in real(forms, heights, lo, hi, *rest):
-                row[0] += 1
-                yield item
-        finally:
-            sys.setprofile(None)
-            row[1] += len(entered)
+        row = counts[_caller(sys._getframe(1)), len(lo)]
+        return _counted(real(forms, heights, lo, hi, *rest), row)
     return wrapped
+
+
+def _counted(points, row):
+    """``points`` as they come, counted in ``row``: [points, entries]."""
+    entered = set()  # the frames themselves, so no id is reused
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "sweep" and frame not in entered:
+            entered.add(frame)
+
+    sys.setprofile(profile)
+    try:
+        for item in points:
+            row[0] += 1
+            yield item
+    finally:
+        sys.setprofile(None)
+        row[1] += len(entered)
 
 
 def sweep_counts(seed: int):
@@ -63,15 +79,13 @@ def sweep_counts(seed: int):
     counts = collections.defaultdict(lambda: [0, 0])
     real = monoid._region_points
     try:
-        for kind, module in KINDS.items():
-            module._region_points = _counting(kind, real, counts)
+        monoid._region_points = _counting(real, counts)
         ranks = collections.Counter()
         for job in job_list:
             ranks[len(job["input"][0])] += 1
             jobs.run(job)
     finally:
-        for module in KINDS.values():
-            module._region_points = real
+        monoid._region_points = real
     return counts, ranks
 
 

@@ -242,7 +242,7 @@ def test_region_vertices_match_rational_solves():
         view = monoid_from_cone_rays(rays)._pointed_view
         for _ in range(3):
             heights = [rng.randint(-3, 4) for _ in view.forms]
-            got = divisorial._region_vertices(view.forms, heights, view.dim)
+            got = monoid._region_vertices(view.forms, heights, view.dim)
             assert all(d > 0 for _, d in got)
             assert [tuple(Fraction(v, d) for v in x) for x, d in got] == \
                 region_tight_points(view.forms, heights)
@@ -256,7 +256,7 @@ def test_frame_guard_fires_before_any_point_is_swept(monkeypatch):
     def refuse(*args):
         raise AssertionError("points swept before the frame guard")
 
-    monkeypatch.setattr(divisorial, "_region_points", refuse)
+    monkeypatch.setattr(monoid, "_region_points", refuse)
     with pytest.raises(EnumerationLimitError, match="^echelon sweep has"):
         canonical_module(m)
 
@@ -267,20 +267,20 @@ def test_facet_subset_guard_fires_before_any_elimination(monkeypatch):
     heights = [1] * len(view.forms)
     subsets = math.comb(len(view.forms), view.dim)
     calls = []
-    real = divisorial._eliminate
+    real = monoid._eliminate
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(divisorial, "_eliminate", counted)
+    monkeypatch.setattr(monoid, "_eliminate", counted)
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", subsets)
-    assert divisorial._region_vertices(view.forms, heights, view.dim)
+    assert monoid._region_vertices(view.forms, heights, view.dim)
     assert len(calls) == subsets == 4
     calls.clear()
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", subsets - 1)
     with pytest.raises(EnumerationLimitError):
-        divisorial._region_vertices(view.forms, heights, view.dim)
+        monoid._region_vertices(view.forms, heights, view.dim)
     assert calls == []
 
 
@@ -305,7 +305,7 @@ def test_limit_errors_name_what_they_counted(monkeypatch):
     view = monoid_from_cone_rays(rays)._pointed_view
     with pytest.raises(EnumerationLimitError,
                        match=r"^vertex search has 4 facet subsets, beyond the supported desk scale$"):
-        divisorial._region_vertices(view.forms, [1] * len(view.forms), view.dim)
+        monoid._region_vertices(view.forms, [1] * len(view.forms), view.dim)
 
 
 def test_guards_count_the_frame_each_sweep_scans(monkeypatch):
@@ -365,14 +365,14 @@ def test_floor_filter_matches_the_full_scan(monkeypatch):
     sweep found, at all-ones and random heights."""
     rng = random.Random(487)
     swept = []
-    real = divisorial._region_points
+    real = monoid._region_points
 
     def recorded(*args):
         points = list(real(*args))
         swept.extend(points)
         return iter(points)
 
-    monkeypatch.setattr(divisorial, "_region_points", recorded)
+    monkeypatch.setattr(monoid, "_region_points", recorded)
     kinds = collections.Counter()
     for rays in cone_corpus(421) + caratheodory_corpus(487):
         m = monoid_from_cone_rays(rays)
@@ -381,10 +381,11 @@ def test_floor_filter_matches_the_full_scan(monkeypatch):
             continue
         s = len(m.facet_forms)
         out = view._echelon[1] @ view.out
+        hilbert = m._pointed_hilbert  # swept here, so that only the generators' sweep is recorded
         for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(2)]:
             swept.clear()
             got = minimal_generators(divisorial_ideal(m, h))
-            floors = [tuple(map(operator.add, b, h)) for _, b in m._pointed_hilbert]
+            floors = [tuple(map(operator.add, b, h)) for _, b in hilbert]
             kept = full_scan_floor_filter(swept, floors)
             assert got == tuple(sorted(pt @ out for pt, _ in kept)), (rays, h)
             kinds[view.dim] += 1
@@ -406,7 +407,7 @@ def test_minimal_generators_meet_the_caratheodory_caps():
             continue  # beyond the box oracles' reach
         s = len(m.facet_forms)
         for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(2)]:
-            verts = divisorial._region_vertices(view.forms, h, view.dim)
+            verts = monoid._region_vertices(view.forms, h, view.dim)
             caps = view._caps(verts)
             for g in box_minimal_generators(divisorial_ideal(m, h)):
                 vals = m.facet_values(g)
@@ -423,9 +424,8 @@ def test_capped_sweeps_visit_det_points_on_the_thin_cone(monkeypatch):
     # 414, and in echelon coordinates enter 278 prefixes in all, not 476
     rays = [(9, 7, 7), (7, 9, 7), (7, 7, 9)]
     counts = collections.defaultdict(lambda: [0, 0])  # kind, rank -> points, entries
-    real = monoid._region_points
-    for kind, module in sweepcounts.KINDS.items():
-        monkeypatch.setattr(module, "_region_points", sweepcounts._counting(kind, real, counts))
+    counting = sweepcounts._counting(monoid._region_points, counts)
+    monkeypatch.setattr(monoid, "_region_points", counting)
     m = monoid_from_cone_rays(rays)
     assert abs(det_int(rays)) == 92
     hilbert_basis(m)

@@ -10,6 +10,7 @@ from monograde.exact_linalg import (
     IntMatrix,
     _eliminate,
     _smith_left,
+    as_tuple,
     elementary_divisors,
     hnf,
     kernel_basis,
@@ -23,6 +24,7 @@ from monograde.cone import _clean_vectors, facets_of_rays
 from monograde.divisorial import divisorial_ideal, members
 from monograde.groebner import Polynomial, TermOrder, _as_budget
 from monograde.monoid import AffineMonoid, monoid_from_cone_rays
+from monograde.multigraded import GradedRingSpec
 from corpora import benchmark_rank_cones, cone_corpus
 from oracles import det_int, frac_rref, minor_gcd_factors
 from references import eager_eliminate, reference_hnf, reference_snf, smith_solve
@@ -100,13 +102,21 @@ def test_counts_are_read_alike(reader, floor, message):
     # repr tells 2.0 from 2, also inside the members' tuples
     assert repr(reader(2.0)) == repr(reader(2))
     assert repr(reader(float(floor))) == repr(reader(floor))
-    for bad in (2.5, "2"):
+    for bad in (2.5, "2", float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
             reader(bad)
     for low in (floor - 1, float(floor - 1)):
         with pytest.raises(ValueError) as err:
             reader(low)
         assert str(err.value) == message
+
+
+def test_vectors_with_infinite_or_nan_entries_raise_value_error():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        for reader in (as_tuple, lambda v: monoid_from_cone_rays([v]),
+                       lambda v: facets_of_rays([v]), lambda v: GradedRingSpec((v,))):
+            with pytest.raises(ValueError):
+                reader([bad, 1])
 
 
 # -- Hermite form ------------------------------------------------------

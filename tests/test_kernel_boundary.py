@@ -1,10 +1,15 @@
-"""Two boundaries, checked on parsed source, nothing imported.
+"""Three boundaries, checked on parsed source, nothing imported.
 
 The packed kernel format stays in ``groebner``: every module under
 ``src/monograde`` other than ``groebner`` is searched for the names of
 the packed kernel.  Packed exponents and basis elements are read and
 written only inside ``groebner``, and the other modules hand it rows
 (dicts from exponent tuple to coefficient) through its private entries.
+
+The capped sweep stays in ``monoid``: no other module under
+``src/monograde`` imports or reads the sweep's caps, echelon frame,
+guard or row sweep.  They ask for a height region through
+``_PointedView._sweep`` and ``AffineMonoid._members``.
 
 The benchmark compiles only the oracles it calls: ``tests/oracles.py``,
 which ``perfbench/check.py`` and ``perfbench/workloads.py`` import,
@@ -65,6 +70,45 @@ def test_guard_sees_each_kind_of_kernel_use():
     )
     assert kernel_uses("multigraded.py", source) == [
         (1, "_reduce"), (2, "_Packing"), (5, "_element"), (5, "_widening"),
+    ]
+
+
+SWEEP_NAMES = {"_region_points", "_echelon_box", "_guard_box", "_echelon", "_caps"}
+
+
+def sweep_uses(filename, source):
+    """``(line, name)`` for each sweep-internal name the source of one
+    module imports from ``monoid``, or reads as an attribute of anything
+    (a view, a monoid, the ``monoid`` module)."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("monoid", "monograde.monoid"):
+            found.extend((node.lineno, a.name) for a in node.names if a.name in SWEEP_NAMES)
+        elif isinstance(node, ast.Attribute) and node.attr in SWEEP_NAMES:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_only_monoid_knows_the_capped_sweep():
+    modules = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    assert "monoid.py" in modules and "divisorial.py" in modules
+    for filename in modules:
+        if filename != "monoid.py":
+            with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
+                assert sweep_uses(filename, fh.read()) == [], filename
+
+
+def test_guard_sees_each_kind_of_sweep_use():
+    source = (
+        "from .monoid import AffineMonoid, _region_points\n"
+        "from monograde.monoid import _guard_box as guard\n"
+        "from . import monoid\n"
+        "x = monoid._echelon_box(h, a, b) + view._echelon[1] + m._pointed_view._caps(v)\n"
+        "y = view._sweep(h) + view._ambient(p) + m._members(h, 2) + view._preimage(v)\n"
+    )
+    assert sweep_uses("divisorial.py", source) == [
+        (1, "_region_points"), (2, "_guard_box"), (4, "_caps"), (4, "_echelon"),
+        (4, "_echelon_box"),
     ]
 
 

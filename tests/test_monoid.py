@@ -473,14 +473,23 @@ def _pivot_counts(view, heights, caps):
     return counts
 
 
+def capped_sweep(view, heights, caps, counts):
+    """``view._sweep`` at the given caps, whatever vertices would give
+    them, with its points and entries counted in ``counts`` under the
+    caller's name, as ``tests/sweepcounts.py`` counts them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monoid._PointedView, "_caps", lambda self, verts: tuple(caps))
+        mp.setattr(monoid, "_region_points", sweepcounts._counting(monoid._region_points, counts))
+        return view._sweep(heights, ())
+
+
 def test_echelon_frames_sweep_exactly_the_capped_region():
-    """In every dimension, a sweep in the frame of ``_sweep_frame``,
-    mapped back by V, visits every point of the capped
-    region once, with its facet values, whatever the zonotope box: at
-    the Hilbert basis caps and at random heights and caps.  The y' it
-    sweeps stay in lexicographic order, and the pivot forms bound its
-    work: at most n_0 * ... * n_i prefixes of length i + 1
-    (``_pivot_counts``)."""
+    """In every dimension, a sweep in the frame of ``_sweep``, mapped
+    back by V, visits every point of the capped region once, with its
+    facet values, whatever the zonotope box: at the Hilbert basis caps
+    and at random heights and caps.  The y' it sweeps stay in
+    lexicographic order, and the pivot forms bound its work: at most
+    n_0 * ... * n_i prefixes of length i + 1 (``_pivot_counts``)."""
     rng = random.Random(473)
     kinds = collections.Counter()
     for rays in caratheodory_corpus(473):
@@ -494,10 +503,8 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
         cases = [((0,) * s, view._caps([((0,) * view.dim, 1)])),
                  (random_heights, [h + rng.randint(0, 4) for h in random_heights])]
         for heights, caps in cases:
-            forms, ylo, yhi = view._sweep_frame(heights, caps)
             counts = collections.defaultdict(lambda: [0, 0])  # points, entries
-            sweep = sweepcounts._counting("frame", monoid._region_points, counts)
-            swept = list(sweep(forms, heights, ylo, yhi, caps))
+            swept = list(capped_sweep(view, heights, caps, counts))
             assert [pt for pt, _ in swept] == sorted(pt for pt, _ in swept)
             back = [(pt @ view._echelon[1], vals) for pt, vals in swept]
             for y, vals in back:
@@ -506,7 +513,7 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
             assert sorted(y for y, _ in back) == want, (rays, heights, caps)
             n = _pivot_counts(view, heights, caps)
             bound = 1 + sum(prod(n[: i + 1]) for i in range(view.dim - 1))
-            points, entries = counts["frame", view.dim]
+            points, entries = counts["capped_sweep", view.dim]
             assert points == len(want) <= prod(n) and entries <= bound
             kinds["outside the zonotope box"] += any(
                 not a <= c <= b for y in want for a, c, b in zip(lo, y, hi))
@@ -526,20 +533,21 @@ def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
     the limit still stops at the frame's."""
     m = monoid_from_cone_rays([(9, 7, 7), (7, 9, 7), (7, 7, 9)])
     view = m._pointed_view
-    caps = view._caps([((0,) * view.dim, 1)])
+    origin = [((0,) * view.dim, 1)]
+    caps = view._caps(origin)
     zeros = (0,) * len(caps)
     count = prod(_pivot_counts(view, zeros, caps))
     assert count == 92
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count)
-    view._sweep_frame(zeros, caps)
+    view._sweep(zeros, origin)
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count - 1)
     with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
-        view._sweep_frame(zeros, caps)
+        view._sweep(zeros, origin)
     # the last pivot form capped below its height empties the region,
     # yet the prefixes before it still count
     assert view._echelon[0][2][:2] == (0, 0)
     with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
-        view._sweep_frame(zeros, caps[:2] + (-1,))
+        capped_sweep(view, zeros, caps[:2] + (-1,), collections.defaultdict(lambda: [0, 0]))
     for rays in caratheodory_corpus(463):
         view = monoid_from_cone_rays(rays)._pointed_view
         caps = view._caps([((0,) * view.dim, 1)])
