@@ -149,11 +149,13 @@ def _job_errors(data) -> list[tuple[str, str]]:
     return errors
 
 
-def _check_vectors(name: str, rows) -> None:
+def _check_vectors(name: str, rows) -> list[list[int]]:
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise InputError("%s[%d]: expected %d entries, got %d" % (name, i, width, len(row)))
+    # the schema took integral floats such as 2.0; the job runs, and echoes, their ints
+    return [list(map(int, row)) for row in rows]
 
 
 def parse_input(text: str, cli_command: str | None = None, budget: int | None = None) -> JobSpec:
@@ -180,7 +182,7 @@ def parse_input(text: str, cli_command: str | None = None, budget: int | None = 
         raise InputError("$.%s: not a field of the %r command" % (sorted(extra)[0], command))
     for key in ("rays", "generators", "grading"):
         if key in payload:
-            _check_vectors(key, payload[key])
+            payload[key] = _check_vectors(key, payload[key])
     polys = []
     if "vars" in payload:
         n = payload["vars"] = int(payload["vars"])
@@ -194,8 +196,7 @@ def parse_input(text: str, cli_command: str | None = None, budget: int | None = 
             except ValueError as e:
                 raise InputError("%s[%d]: %s" % (polys_key, i, e)) from None
     options = {"budget": DEFAULT_BUDGET, **data.get("options", {})}
-    if budget is not None:
-        options["budget"] = budget
+    options["budget"] = int(options["budget"]) if budget is None else budget
     if options["budget"] < 1:
         # the schema already holds the job's own options.budget to >= 1,
         # so only the flag can be below it
@@ -211,7 +212,7 @@ def _monoid_of(payload: dict):
 
 def _graded_setup(job: JobSpec):
     n = job.payload["vars"]
-    spec = GradedRingSpec(tuple(tuple(d) for d in job.payload["grading"]))
+    spec = GradedRingSpec(job.payload["grading"])
     return spec, default_variables(n), IdealPresentation(job.polynomials, grevlex(n))
 
 

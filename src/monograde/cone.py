@@ -41,10 +41,11 @@ from .exact_linalg import (
     IntMatrix,
     Vec,
     _as_count,
+    _as_vector,
+    _as_vectors,
     _dot,
     _eliminate,
     _smith_left,
-    as_tuple,
     kernel_basis,
     rank,
     unimodular_inverse,
@@ -245,14 +246,11 @@ def _clean_vectors(vectors, width: int | None) -> tuple[tuple[Vec, ...], int]:
     their width.  A width stated with no vectors is read like every
     integer input: 2.0 is taken as 2, and 2.5 or a negative width raises
     ValueError; with vectors it must equal their length."""
-    vs = [as_tuple(v) for v in vectors]
+    vs = _as_vectors(vectors, "vectors")
     if vs:
-        w = len(vs[0])
-        if any(len(v) != w for v in vs):
-            raise ValueError("vectors have inconsistent lengths")
-        if width is not None and w != width:
+        if width is not None and len(vs[0]) != width:
             raise ValueError("vectors do not match the stated ambient rank")
-        width = w
+        width = len(vs[0])
     elif width is None:
         raise ValueError("ambient rank is required when no vectors are given")
     else:
@@ -335,9 +333,7 @@ def membership(cone: Cone, x, mode: str = "closure") -> bool:
     only inside its linear span, so points off the span are rejected
     first.
     """
-    x = as_tuple(x)
-    if len(x) != cone.ambient_rank:
-        raise ValueError("point does not match the ambient rank")
+    x = _as_vector(x, cone.ambient_rank, "point does not match the ambient rank")
     if mode not in ("closure", "interior"):
         raise ValueError("mode must be 'closure' or 'interior'")
     if cone.dim < cone.ambient_rank and rank(cone.rays + cone.lineality + (x,)) > cone.dim:

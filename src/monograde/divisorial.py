@@ -20,7 +20,10 @@ first use; the invariant factors alone need none.  No Smith form here
 carries a transform.
 
 Every operation requires the monoid presentation to be normal, since
-the height description only sees the saturation C cap L.
+the height description only sees the saturation C cap L.  An ideal
+checks that, then one height per facet form, where it is built
+(``DivisorialIdeal``); the class group, which takes no ideal, checks
+normality itself.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import islice
 from math import prod
 from operator import add, ge
 
-from .exact_linalg import IntMatrix, Vec, _as_count, as_tuple, elementary_divisors
+from .exact_linalg import IntMatrix, Vec, _as_count, _as_vector, elementary_divisors
 from .monoid import AffineMonoid, _PointedView
 
 
@@ -43,9 +46,9 @@ class DivisorialIdeal:
     heights: Vec
 
     def __post_init__(self):
-        object.__setattr__(self, "heights", as_tuple(self.heights))
-        if len(self.heights) != len(self.monoid.facet_forms):
-            raise ValueError("need one height per facet form")
+        self.monoid.require_normal()
+        object.__setattr__(self, "heights", _as_vector(
+            self.heights, len(self.monoid.facet_forms), "need one height per facet form"))
 
     def contains(self, ambient) -> bool:
         local = self.monoid.to_local(ambient)
@@ -56,8 +59,7 @@ class DivisorialIdeal:
 
 
 def divisorial_ideal(m: AffineMonoid, heights) -> DivisorialIdeal:
-    m.require_normal()
-    return DivisorialIdeal(m, as_tuple(heights))
+    return DivisorialIdeal(m, heights)
 
 
 def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
@@ -84,7 +86,6 @@ def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
     the floors are scanned in order of sum(F(b)), up to that cut.
     """
     m = ideal.monoid
-    m.require_normal()
     view = m._pointed_view
     if view.dim == 0:
         return (m.to_ambient((0,) * m.rank),)
@@ -119,7 +120,6 @@ def canonical_module(m: AffineMonoid) -> CanonicalModule:
     same as being strictly inside the cone.  The result is kept on the
     monoid, so later calls (``is_gorenstein`` among them) reuse it.
     """
-    m.require_normal()
     if m._canonical is None:
         ideal = DivisorialIdeal(m, (1,) * len(m.facet_forms))
         m._canonical = CanonicalModule(ideal, minimal_generators(ideal))
@@ -144,10 +144,7 @@ class DivisorClassGroup:
     _view: _PointedView = field(repr=False, compare=False)
 
     def _heights(self, heights) -> Vec:
-        heights = as_tuple(heights)
-        if len(heights) != self.facet_matrix.shape[0]:
-            raise ValueError("need one height per facet form")
-        return heights
+        return _as_vector(heights, self.facet_matrix.shape[0], "need one height per facet form")
 
     def is_principal(self, heights) -> bool:
         return self._view._preimage(self._heights(heights)) is not None
@@ -209,7 +206,6 @@ def is_gorenstein(m: AffineMonoid) -> tuple[bool, Vec | None]:
     class group read (two bare Smith forms).  The certificate is the
     generator, whose facet values are all exactly one.
     """
-    m.require_normal()
     s = len(m.facet_forms)
     ones = (1,) * s
     can = canonical_module(m)

@@ -10,12 +10,12 @@ kernels and integer solves, by back-substitution in
 the unimodular basis change of ``cone``'s lineality quotient.  Matrices
 are ``IntMatrix`` values, immutable tuples of row tuples of Python
 ints, so nothing here can overflow; the kernels work on mutable row
-lists inside.  Input is validated at the boundary: the ``IntMatrix``
-constructor and both vector products read what callers pass with
-``as_tuple``, which refuses non-integral values.  The matrices the
-kernels build from their own rows are taken as built
-(``IntMatrix._of``), and ``v @ M`` reads the columns of M, transposed
-once and kept on the immutable matrix.
+lists inside.  The package reads integer input where the value is built,
+with one reader per kind: ``_as_count``, ``_as_vector`` (of a required
+length) and ``_as_vectors`` (of one length), each on ``as_tuple``,
+which refuses non-integral values.  Kernel-built matrices are taken as
+built (``IntMatrix._of``), and ``v @ M`` reads the columns of M,
+transposed once and kept on the immutable matrix.
 
 Each kernel carries only what its callers read.  ``_eliminate`` takes
 vectors in Z^d as the columns of a matrix and carries only the d x d
@@ -74,6 +74,24 @@ def _as_count(x, floor: int, message: str) -> int:
     return x
 
 
+def _as_vector(v, n: int, message: str) -> Vec:
+    """A vector read with ``as_tuple``; one without exactly n entries
+    raises ValueError with ``message``."""
+    v = as_tuple(v)
+    if len(v) != n:
+        raise ValueError(message)
+    return v
+
+
+def _as_vectors(vectors, what: str) -> tuple[Vec, ...]:
+    """Vectors each read with ``as_tuple``; unless all have one length,
+    ValueError says that ``what`` have inconsistent lengths."""
+    vs = tuple(map(as_tuple, vectors))
+    if vs and any(len(v) != len(vs[0]) for v in vs):
+        raise ValueError("%s have inconsistent lengths" % what)
+    return vs
+
+
 class IntMatrix(tuple):
     """An immutable integer matrix: a tuple of equal-length row tuples.
 
@@ -83,20 +101,20 @@ class IntMatrix(tuple):
     matrix without rows still has a shape; it is required when ``rows``
     is empty and checked otherwise.
 
-    Input is validated at the boundary: the constructor reads every row,
-    and both vector products read the vector, with ``as_tuple``, and
-    check the lengths.  ``IntMatrix._of`` takes rows that the kernels
+    Input is validated at the boundary: the constructor reads its rows
+    with ``_as_vectors``, and both vector products read the vector with
+    ``_as_vector``.  ``IntMatrix._of`` takes rows that the kernels
     built themselves as they are.  ``v @ a`` reads the columns of ``a``,
     the rows of ``a.T``, which is transposed once and kept on the
     immutable matrix.
     """
 
     def __new__(cls, rows, width: int | None = None):
-        self = super().__new__(cls, map(as_tuple, rows))
-        self._width = len(self[0]) if self and width is None else width
-        if self._width is None:
+        self = super().__new__(cls, _as_vectors(rows, "rows"))
+        if width is None and not self:
             raise ValueError("width is required for an empty matrix")
-        if any(len(row) != self._width for row in self):
+        self._width = len(self[0]) if self else width
+        if width is not None and self._width != width:
             raise ValueError("rows have inconsistent lengths")
         return self
 
@@ -127,15 +145,11 @@ class IntMatrix(tuple):
                 raise ValueError("matrix shapes do not match")
             cols = other.T
             return IntMatrix._of((tuple(_dot(row, c) for c in cols) for row in self), other._width)
-        other = as_tuple(other)
-        if len(other) != self._width:
-            raise ValueError("matrix shapes do not match")
+        other = _as_vector(other, self._width, "matrix shapes do not match")
         return tuple(_dot(row, other) for row in self)
 
     def __rmatmul__(self, v):
-        v = as_tuple(v)
-        if len(v) != len(self):
-            raise ValueError("matrix shapes do not match")
+        v = _as_vector(v, len(self), "matrix shapes do not match")
         return tuple(sum(map(mul, v, col)) for col in self.T)
 
 
@@ -291,10 +305,8 @@ def rank(a) -> int:
     """Rank over Q of a matrix given as an IntMatrix or a sequence of
     rows.  The short side is eliminated: the rows, in Z^width, or the
     columns when there are fewer rows than columns."""
-    rows = [as_tuple(row) for row in a]
+    rows = _as_vectors(a, "rows")
     width = len(rows[0]) if rows else 0
-    if any(len(row) != width for row in rows):
-        raise ValueError("rows have inconsistent lengths")
     if len(rows) < width:
         rows, width = list(zip(*rows)), len(rows)
     return len(_eliminate(rows, width)[1])
@@ -433,9 +445,7 @@ def lattice_coordinates(basis, v) -> Vec | None:
     coordinate is the quotient there, and v is in the lattice iff
     nothing is left over.
     """
-    rest = list(as_tuple(v))
-    if len(rest) != basis.shape[1]:
-        raise ValueError("vector length does not match the basis")
+    rest = _as_vector(v, basis.shape[1], "vector length does not match the basis")
     x = []
     for row in basis:
         j = next(j for j, c in enumerate(row) if c)

@@ -54,10 +54,11 @@ from .exact_linalg import (
     IntMatrix,
     Vec,
     _as_count,
+    _as_vector,
+    _as_vectors,
     _dot,
     _eliminate,
     _identity,
-    as_tuple,
     hnf,
     kernel_basis,
     lattice_coordinates,
@@ -230,9 +231,9 @@ class AffineMonoid:
     def __init__(self, ambient_rank, generators, lattice_basis, local_generators,
                  assume_normal):
         self.ambient_rank = _as_count(ambient_rank, 0, "ambient rank must be nonnegative")
-        self.generators = tuple(as_tuple(g) for g in generators)
+        self.generators = _as_vectors(generators, "generators")
         self.lattice_basis = lattice_basis  # (d, r) rows, canonical Hermite basis
-        self.local_generators = tuple(as_tuple(g) for g in local_generators)
+        self.local_generators = _as_vectors(local_generators, "local generators")
         self._assume_normal = bool(assume_normal)
         self._canonical = None  # set by divisorial.canonical_module
         self._class_group = None  # set by divisorial.class_group
@@ -248,9 +249,7 @@ class AffineMonoid:
 
     def to_local(self, ambient) -> Vec | None:
         """Coordinates in the basis of L, or None when the point is not in L."""
-        ambient = as_tuple(ambient)
-        if len(ambient) != self.ambient_rank:
-            raise ValueError("point does not match the ambient rank")
+        ambient = _as_vector(ambient, self.ambient_rank, "point does not match the ambient rank")
         return lattice_coordinates(self.lattice_basis, ambient)
 
     # -- cone structure ----------------------------------------------
@@ -532,12 +531,10 @@ def normalize_presentation(generators) -> AffineMonoid:
     full-dimensional.  The result represents C cap L; whether the input
     actually generates all of it is reported by ``is_normal``.
     """
-    gens = [as_tuple(g) for g in generators]
+    gens = _as_vectors(generators, "generators")
     if not gens:
         raise ValueError("generator list is empty")
     r = len(gens[0])
-    if any(len(g) != r for g in gens):
-        raise ValueError("generators have inconsistent lengths")
     if all(not any(g) for g in gens):
         raise ValueError("generators span the zero lattice")
     basis = row_lattice_basis(gens)
@@ -554,12 +551,10 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
     of the rays as read here gives their rank, with no second reading;
     only a lower-rank span needs the two kernels that saturate it.
     """
-    rs = [as_tuple(v) for v in rays]
+    rs = _as_vectors(rays, "rays")
     if not rs:
         raise ValueError("ray list is empty")
     r = len(rs[0])
-    if any(len(v) != r for v in rs):
-        raise ValueError("rays have inconsistent lengths")
     rs = [v for v in rs if any(v)]
     if not rs:
         raise ValueError("rays span the zero lattice")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import count
 from operator import mul
 
-from .exact_linalg import Vec, as_tuple, rank
+from .exact_linalg import Vec, _as_vectors, rank
 from .groebner import (
     IdealPresentation,
     _as_budget,
@@ -59,15 +59,11 @@ class GradedRingSpec:
     degrees: tuple[Vec, ...]
 
     def __post_init__(self):
-        degs = tuple(as_tuple(d) for d in self.degrees)
-        object.__setattr__(self, "degrees", degs)
-        if not degs:
+        object.__setattr__(self, "degrees", _as_vectors(self.degrees, "degrees"))
+        if not self.degrees:
             raise ValueError("a grading needs at least one variable")
-        r = len(degs[0])
-        if r < 1:
+        if not self.degrees[0]:
             raise ValueError("degrees must live in Z^r with r >= 1")
-        if any(len(d) != r for d in degs):
-            raise ValueError("degrees have inconsistent lengths")
 
     @property
     def nvars(self) -> int:

@@ -25,6 +25,7 @@ import pytest
 
 from monograde import __version__, cli, groebner, multigraded
 from monograde.cli import (
+    COMMANDS,
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_MATH,
@@ -296,6 +297,30 @@ def test_integral_float_vars_behave_as_integers(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["graded-hull"], job % "2.0")
     assert (code, err) == (EXIT_OK, "")
     assert out == run_cli(monkeypatch, capsys, ["graded-hull"], job % "2")[1]
+
+
+def _as_floats(x):
+    """The JSON value with every integer written as a float, N as N.0."""
+    if isinstance(x, dict):
+        return {k: _as_floats(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_as_floats(v) for v in x]
+    return float(x) if type(x) is int else x
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_integral_floats_are_echoed_as_the_ints_the_job_ran_with(monkeypatch, capsys, command):
+    # the first golden job of each command, with a budget option, and its twin
+    # with every integer written N.0: vars, budget and every vector entry
+    with open(os.path.join(HERE, "golden_cli.json"), encoding="utf-8") as fh:
+        case = next(c for c in json.load(fh) if c["argv"] == [command])
+    job = dict(json.loads(case["stdin"]), options={"budget": 1000})
+    twin = json.dumps(_as_floats(job))
+    assert twin.count(".0") > 2 and '"budget": 1000.0' in twin
+    code, out, err = run_cli(monkeypatch, capsys, [command], twin)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == run_cli(monkeypatch, capsys, [command], json.dumps(job))[1]
+    assert '"options":{"budget":1000}' in out
 
 
 def test_rejects_fields_of_other_commands(monkeypatch, capsys):

@@ -18,6 +18,7 @@ import pytest
 import sweepcounts
 from monograde import divisorial, exact_linalg, monoid
 from monograde.divisorial import (
+    DivisorialIdeal,
     canonical_module,
     class_group,
     divisorial_ideal,
@@ -119,6 +120,17 @@ def test_heights_must_match_facets():
 def test_requires_normal_monoid():
     with pytest.raises(NonNormalError):
         divisorial_ideal(normalize_presentation([(2,), (3,)]), (1,))
+
+
+def test_every_ideal_operation_refuses_a_non_normal_presentation():
+    # the heights describe C cap L, here all of N (1, 0), though the
+    # presentation misses (1, 0): the ideal is refused where it is built
+    m = normalize_presentation([(2, 0), (3, 0)])
+    for call in (lambda: DivisorialIdeal(m, (0,)), lambda: members(DivisorialIdeal(m, (0,)), 2),
+                 lambda: same_class(DivisorialIdeal(m, (0,)), DivisorialIdeal(m, (1,)))):
+        with pytest.raises(NonNormalError) as info:
+            call()
+        assert info.value.witness == (1, 0)
 
 
 # -- minimal generators --------------------------------------------------

@@ -20,10 +20,10 @@ from monograde.exact_linalg import (
     row_lattice_basis,
     unimodular_inverse,
 )
-from monograde.cone import _clean_vectors, facets_of_rays
-from monograde.divisorial import divisorial_ideal, members
+from monograde.cone import _clean_vectors, facets_of_rays, membership
+from monograde.divisorial import DivisorialIdeal, class_group, divisorial_ideal, members
 from monograde.groebner import Polynomial, TermOrder, _as_budget
-from monograde.monoid import AffineMonoid, monoid_from_cone_rays
+from monograde.monoid import AffineMonoid, monoid_from_cone_rays, normalize_presentation
 from monograde.multigraded import GradedRingSpec
 from corpora import benchmark_rank_cones, cone_corpus
 from oracles import det_int, frac_rref, minor_gcd_factors
@@ -76,6 +76,10 @@ def test_int_matrix_without_rows_keeps_its_width():
     assert () @ e == (0, 0, 0)
     with pytest.raises(ValueError):
         IntMatrix([])
+    # a stated width is checked against the rows
+    assert IntMatrix([[1, 2]], width=2).shape == (1, 2)
+    with pytest.raises(ValueError, match="^rows have inconsistent lengths$"):
+        IntMatrix([[1, 2]], width=3)
 
 
 # -- counts ------------------------------------------------------------
@@ -109,6 +113,69 @@ def test_counts_are_read_alike(reader, floor, message):
         with pytest.raises(ValueError) as err:
             reader(low)
         assert str(err.value) == message
+
+
+# -- vectors -------------------------------------------------------------
+
+EYE = IntMatrix([(1, 0), (0, 1)])
+QUAD = QUAD_IDEAL.monoid
+
+
+def _monoid_vectors(gens, local):
+    m = AffineMonoid(2, gens, EYE, local, True)
+    return m.generators, m.local_generators
+
+
+# every integer vector and vector list the package reads: (reader of a
+# vector or list holding the entry x, a call with a vector of the wrong
+# length or a ragged list, the message of that call)
+VECTOR_READERS = [
+    (lambda x: EYE @ (x, 1), lambda: EYE @ (1,), "matrix shapes do not match"),
+    (lambda x: (x, 1) @ EYE, lambda: (1, 0, 0) @ EYE, "matrix shapes do not match"),
+    (lambda x: lattice_coordinates(EYE, (x, 1)), lambda: lattice_coordinates(EYE, (1,)),
+     "vector length does not match the basis"),
+    (lambda x: QUAD.to_local((x, 1)), lambda: QUAD.to_local((1, 0, 0)),
+     "point does not match the ambient rank"),
+    (lambda x: membership(QUAD.cone, (x, -1)), lambda: membership(QUAD.cone, (1,)),
+     "point does not match the ambient rank"),
+    (lambda x: DivisorialIdeal(QUAD, (x, 1)).heights, lambda: DivisorialIdeal(QUAD, (1,)),
+     "need one height per facet form"),
+    (lambda x: class_group(QUAD)._heights((x, 1)), lambda: class_group(QUAD)._heights((1,)),
+     "need one height per facet form"),
+    (lambda x: IntMatrix([(x, 1), (0, 1)]), lambda: IntMatrix([(1, 0), (1,)]),
+     "rows have inconsistent lengths"),
+    (lambda x: rank([(x, 1), (4, 2)]), lambda: rank([(1, 0), (1,)]),
+     "rows have inconsistent lengths"),
+    (lambda x: _clean_vectors([(x, 1)], None), lambda: _clean_vectors([(1, 0), (1,)], None),
+     "vectors have inconsistent lengths"),
+    (lambda x: normalize_presentation([(x, 1), (0, 1)]).generators,
+     lambda: normalize_presentation([(1, 0), (1,)]), "generators have inconsistent lengths"),
+    (lambda x: monoid_from_cone_rays([(x, 1), (0, 1)]).generators,
+     lambda: monoid_from_cone_rays([(1, 0), (1,)]), "rays have inconsistent lengths"),
+    (lambda x: GradedRingSpec(((x, 1), (0, 1))).degrees,
+     lambda: GradedRingSpec(((1, 0), (1,))), "degrees have inconsistent lengths"),
+    (lambda x: _monoid_vectors([(x, 1)], [(1, 0)]),
+     lambda: _monoid_vectors([(1, 0), (1,)], [(1, 0)]), "generators have inconsistent lengths"),
+    (lambda x: _monoid_vectors([(1, 0)], [(x, 1)]),
+     lambda: _monoid_vectors([(1, 0)], [(1, 0), (1,)]),
+     "local generators have inconsistent lengths"),
+]
+
+
+@pytest.mark.parametrize("reader, misshapen, message", VECTOR_READERS,
+                         ids=["matmul", "rmatmul", "lattice-coordinates", "to-local",
+                              "membership", "ideal-heights", "class-heights", "matrix-rows",
+                              "rank-rows", "cone-vectors", "presentation", "cone-rays",
+                              "grading", "monoid-generators", "monoid-local-generators"])
+def test_vectors_are_read_alike(reader, misshapen, message):
+    # repr tells 2.0 from 2, also inside tuples
+    assert repr(reader(2.0)) == repr(reader(2))
+    for bad in (2.5, "2", float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            reader(bad)
+    with pytest.raises(ValueError) as err:
+        misshapen()
+    assert str(err.value) == message
 
 
 def test_vectors_with_infinite_or_nan_entries_raise_value_error():

@@ -1,4 +1,4 @@
-"""Three boundaries, checked on parsed source, nothing imported.
+"""Four boundaries, checked on parsed source, nothing imported.
 
 The packed kernel format stays in ``groebner``: every module under
 ``src/monograde`` other than ``groebner`` is searched for the names of
@@ -10,6 +10,11 @@ The capped sweep stays in ``monoid``: no other module under
 ``src/monograde`` imports or reads the sweep's caps, echelon frame,
 guard or row sweep.  They ask for a height region through
 ``_PointedView._sweep`` and ``AffineMonoid._members``.
+
+Integer vectors are read by the readers of ``exact_linalg``: no module
+under ``src/monograde`` other than ``exact_linalg`` and ``groebner``
+names ``as_tuple``.  The others read a vector or a list of vectors with
+``_as_vector`` or ``_as_vectors``, which check the length as they read.
 
 The benchmark compiles only the oracles it calls: ``tests/oracles.py``,
 which ``perfbench/check.py`` and ``perfbench/workloads.py`` import,
@@ -110,6 +115,40 @@ def test_guard_sees_each_kind_of_sweep_use():
         (1, "_region_points"), (2, "_guard_box"), (4, "_caps"), (4, "_echelon"),
         (4, "_echelon_box"),
     ]
+
+
+def as_tuple_uses(filename, source):
+    """The lines on which the source of one module names ``as_tuple``:
+    an import, a name or an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.alias) and "as_tuple" in (node.name, node.asname):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "as_tuple":
+            found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "as_tuple":
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_exact_linalg_and_groebner_name_as_tuple():
+    modules = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    assert "exact_linalg.py" in modules and "divisorial.py" in modules
+    for filename in modules:
+        if filename not in ("exact_linalg.py", "groebner.py"):
+            with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
+                assert as_tuple_uses(filename, fh.read()) == [], filename
+
+
+def test_guard_sees_each_kind_of_as_tuple_use():
+    source = (
+        "from .exact_linalg import _as_vector, as_tuple\n"
+        "from monograde.exact_linalg import as_tuple as read\n"
+        "from . import exact_linalg\n"
+        "v = exact_linalg.as_tuple(w) + _as_vector(w, 2, 'no')\n"
+        "u = tuple(map(as_tuple, rows))\n"
+    )
+    assert as_tuple_uses("cone.py", source) == [1, 2, 4, 5]
 
 
 def parsed(*parts):
