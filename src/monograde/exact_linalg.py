@@ -99,7 +99,8 @@ class IntMatrix(tuple):
     matrices, ``a @ v`` applies a matrix to a vector and ``v @ a``
     combines its rows, both giving a tuple.  The width is kept, so a
     matrix without rows still has a shape; it is required when ``rows``
-    is empty and checked otherwise.
+    is empty, and read then as a count with ``_as_count``, and checked
+    otherwise.
 
     Input is validated at the boundary: the constructor reads its rows
     with ``_as_vectors``, and both vector products read the vector with
@@ -113,7 +114,7 @@ class IntMatrix(tuple):
         self = super().__new__(cls, _as_vectors(rows, "rows"))
         if width is None and not self:
             raise ValueError("width is required for an empty matrix")
-        self._width = len(self[0]) if self else width
+        self._width = len(self[0]) if self else _as_count(width, 0, "width must be nonnegative")
         if width is not None and self._width != width:
             raise ValueError("rows have inconsistent lengths")
         return self

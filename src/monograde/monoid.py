@@ -234,6 +234,10 @@ class AffineMonoid:
         self.generators = _as_vectors(generators, "generators")
         self.lattice_basis = lattice_basis  # (d, r) rows, canonical Hermite basis
         self.local_generators = _as_vectors(local_generators, "local generators")
+        if self.generators and len(self.generators[0]) != self.ambient_rank:
+            raise ValueError("generators do not match the ambient rank")
+        if self.local_generators and len(self.local_generators[0]) != len(lattice_basis):
+            raise ValueError("local generators do not match the lattice basis")
         self._assume_normal = bool(assume_normal)
         self._canonical = None  # set by divisorial.canonical_module
         self._class_group = None  # set by divisorial.class_group

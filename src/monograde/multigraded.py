@@ -13,17 +13,25 @@ t*u = 1), then eliminate t and u.  A polynomial survives exactly when
 each of its graded components does, so iterating over the r coordinates
 yields the full multigraded hull.
 
+The weighted degrees of a pass's rows, read in the substitution, decide
+two cases before any elimination.  If every row is homogeneous for the
+weight, the ideal is graded and is its own hull, so the pass returns its
+reduced grevlex basis.  If there is a single row f and it is not
+homogeneous, the hull is zero: Q[x] graded by the weight is a domain,
+and the top and bottom weighted components of f*q are the products of
+those of f and q, so f*q is homogeneous only when f is.
+
 The hull passes and the prime analysis hold the primitive integer rows
 of ``groebner``'s kernel (dicts from exponent tuple to int) from the
-first call to the last: each pass substitutes rows and asks the kernel
-for the eliminated ones alone, which are the reduced grevlex basis of
-its hull and feed the next pass as they are.  The prime analysis works
-in grevlex throughout, since no term order enters its invariants; the
-caller's order, when it is another one, only re-bases the reported
-hull or core, once, at the end.  Polynomials over Q are built once, for
-the answer.  The kernel also runs the primality samples
-(``groebner._splits_a_product``); this module only sets their policy,
-``_SAMPLES`` products on draws from one process-wide stream per
+first call to the last: each pass the degrees do not decide substitutes
+rows and asks the kernel for the eliminated ones alone, which are the
+reduced grevlex basis of its hull and feed the next pass as they are.
+The prime analysis works in grevlex throughout, since no term order
+enters its invariants; the caller's order, when it is another one, only
+re-bases the reported hull or core, once, at the end.  Polynomials over
+Q are built once, for the answer.  The kernel also runs the primality
+samples (``groebner._splits_a_product``); this module only sets their
+policy, ``_SAMPLES`` products on draws from one process-wide stream per
 variable count.
 """
 
@@ -95,15 +103,32 @@ def _hull_pass(rows, weights: tuple[int, ...], budget):
     of a basis under the elimination order are a basis of that ideal
     under the order on the rest, grevlex, so the kernel hands back only
     those, already reduced.
+
+    The weighted degrees of the rows decide two cases with no
+    elimination.  When every row is homogeneous for the weight, the
+    ideal is graded, so its hull is the ideal itself, and the pass
+    returns its reduced grevlex basis.  When there is one row and it is
+    not homogeneous, the hull is zero: Q[x] graded by the weight is a
+    domain, and the top and bottom weighted components of f*q are the
+    products of those of f and q, so a nonzero homogeneous multiple of f
+    forces f to be homogeneous, and (f) holds no nonzero homogeneous
+    element.
     """
     n = len(weights)
     subst = []
+    graded = True
     for row in rows:
-        terms = {}
+        terms, degrees = {}, set()
         for e, c in row.items():
             d = sum(map(mul, e, weights))
+            degrees.add(d)
             terms[e + ((d, 0) if d >= 0 else (0, -d))] = c
         subst.append(terms)
+        graded = graded and len(degrees) == 1
+    if graded:
+        return _reduced_rows(rows, grevlex(n), budget)
+    if len(rows) == 1:
+        return []
     subst.append({(0,) * n + (1, 1): 1, (0,) * (n + 2): -1})
     return _reduced_rows(subst, elimination_order((n, n + 1), n + 2), budget, eliminate=True)
 

@@ -590,47 +590,82 @@ def primitive_row(f, order):
 # -- slow paths kept as references for multigraded ----------------------
 
 
-def full_hull_rows(rows, spec, budget):
+def substituted_rows(rows, weights):
+    """The rows a hull pass for one weight row hands the elimination:
+    x_j -> t^(w_j) x_j on each row, a negative weighted degree read as a
+    power of u, and the relation t*u - 1 appended."""
+    n = len(weights)
+    subst = []
+    for row in rows:
+        terms = {}
+        for e, c in row.items():
+            d = sum(x * w for x, w in zip(e, weights))
+            terms[e + ((d, 0) if d >= 0 else (0, -d))] = c
+        subst.append(terms)
+    subst.append({(0,) * n + (1, 1): 1, (0,) * (n + 2): -1})
+    return subst
+
+
+def full_hull_rows(rows, spec, budget, eliminations=None):
     """``multigraded._hull_rows`` as it was before a pass asked the kernel
-    for the eliminated rows alone: every pass runs, also on no rows, and
-    takes the whole reduced basis under the elimination order from
-    ``groebner._reduced_rows``, keeps its t,u-free rows and re-bases
-    them under grevlex."""
+    for the eliminated rows alone or read the weighted degrees of its
+    rows: every pass runs, also on no rows, and takes the whole reduced
+    basis under the elimination order from ``groebner._reduced_rows``,
+    keeps its t,u-free rows and re-bases them under grevlex.  Each pass
+    that gets rows first appends its (substituted rows, elimination
+    order) to ``eliminations``, if given."""
     n = spec.nvars
     elim = groebner.elimination_order((n, n + 1), n + 2)
     for axis in range(spec.rank):
-        weights = spec.weights(axis)
-        subst = []
-        for row in rows:
-            terms = {}
-            for e, c in row.items():
-                d = sum(x * w for x, w in zip(e, weights))
-                terms[e + ((d, 0) if d >= 0 else (0, -d))] = c
-            subst.append(terms)
-        subst.append({(0,) * n + (1, 1): 1, (0,) * (n + 2): -1})
+        subst = substituted_rows(rows, spec.weights(axis))
+        if eliminations is not None and rows:
+            eliminations.append((subst, elim))
         gb = groebner._reduced_rows(subst, elim, budget)
         kept = [{e[:n]: c for e, c in row.items()} for row in gb if not any(next(iter(row))[n:])]
         rows = groebner._reduced_rows(kept, groebner.grevlex(n), budget)
     return rows
 
 
+def hull_eliminations(rows, spec, budget):
+    """(substituted rows, elimination order) of each pass of
+    :func:`full_hull_rows` on ``rows`` that gets rows, whatever their
+    weighted degrees decide, up to the pass in which ``budget`` runs
+    out: the inputs the unskipped passes hand the kernel, for tests that
+    harvest elimination cases."""
+    eliminations = []
+    try:
+        full_hull_rows(rows, spec, groebner._as_budget(budget), eliminations)
+    except groebner.BudgetExceededError:
+        pass
+    return eliminations
+
+
+def weighted_degrees(terms, weights):
+    """The set of weighted degrees of the exponents of ``terms``."""
+    return {sum(x * w for x, w in zip(e, weights)) for e in terms}
+
+
 def polynomial_graded_hull_z(ideal, weights, budget):
     """One weight row's hull pass, ``multigraded._hull_pass``, on rational
-    polynomials: the substituted generators, the elimination basis by
-    :func:`rational_buchberger` with only its t,u-free elements
-    interreduced, and those read as the hull's reduced grevlex basis."""
+    polynomials.  The weighted degrees decide two cases as the pass does:
+    when every generator is homogeneous for the weight, the hull is the
+    ideal, read as its reduced grevlex basis by
+    :func:`rational_buchberger`; when the one generator is not, the hull
+    is zero.  Otherwise the substituted generators go to the
+    elimination basis by :func:`rational_buchberger`, with only its
+    t,u-free elements interreduced, and those are read as the hull's
+    reduced grevlex basis."""
     n = ideal.nvars
     wt = tuple(weights)
+    gens = ideal.generators
+    if all(len(weighted_degrees(g.terms, wt)) == 1 for g in gens):
+        return groebner.IdealPresentation(rational_buchberger(gens, groebner.grevlex(n), budget),
+                                          groebner.grevlex(n))
+    if len(gens) == 1:
+        return groebner.IdealPresentation((), groebner.grevlex(n))
     ti, ui = n, n + 1
-    subst = []
-    for g in ideal.generators:
-        terms = {}
-        for e, c in g.terms.items():
-            d = sum(x * w for x, w in zip(e, wt))
-            terms[e + ((d, 0) if d >= 0 else (0, -d))] = c
-        subst.append(groebner.Polynomial(n + 2, terms))
-    rel_terms = {(0,) * n + (1, 1): 1, (0,) * (n + 2): -1}
-    subst.append(groebner.Polynomial(n + 2, rel_terms))
+    subst = [groebner.Polynomial(n + 2, terms)
+             for terms in substituted_rows([g.terms for g in gens], wt)]
     order = groebner.elimination_order((ti, ui), n + 2)
     kept = []
     for g in rational_buchberger(subst, order, budget, eliminate=True):

@@ -96,12 +96,13 @@ COUNT_READERS = [
     (lambda x: Polynomial(x).nvars, 0, "number of variables must be nonnegative"),
     (lambda x: AffineMonoid(x, (), (), (), True).ambient_rank, 0,
      "ambient rank must be nonnegative"),
+    (lambda x: IntMatrix([], width=x).shape, 0, "width must be nonnegative"),
 ]
 
 
 @pytest.mark.parametrize("reader, floor, message", COUNT_READERS,
                          ids=["cone-width", "members-box", "budget", "order-nvars",
-                              "polynomial-nvars", "monoid-rank"])
+                              "polynomial-nvars", "monoid-rank", "matrix-width"])
 def test_counts_are_read_alike(reader, floor, message):
     # repr tells 2.0 from 2, also inside the members' tuples
     assert repr(reader(2.0)) == repr(reader(2))
@@ -176,6 +177,24 @@ def test_vectors_are_read_alike(reader, misshapen, message):
     with pytest.raises(ValueError) as err:
         misshapen()
     assert str(err.value) == message
+
+
+def test_monoid_vectors_must_match_the_ranks_they_live_in():
+    # generators live in the ambient lattice and local generators in the
+    # coordinates of the lattice basis; a mismatch is refused when the
+    # monoid is built, not later in a membership test
+    with pytest.raises(ValueError) as err:
+        AffineMonoid(3, [(1, 0)], EYE, [(1, 0)], True)
+    assert str(err.value) == "generators do not match the ambient rank"
+    with pytest.raises(ValueError) as err:
+        AffineMonoid(2, [(1, 0)], EYE, [(1, 0, 5)], True)
+    assert str(err.value) == "local generators do not match the lattice basis"
+    with pytest.raises(ValueError) as err:
+        AffineMonoid(3, [(1, 0)], EYE, [(1, 0, 5)], True)
+    assert str(err.value) == "generators do not match the ambient rank"
+    m = AffineMonoid(3, [(1, 0, 0)], IntMatrix([(1, 0, 0), (0, 1, 0)]), [(1, 0)], True)
+    assert (m.ambient_rank, m.rank, m.generators, m.local_generators) \
+        == (3, 2, ((1, 0, 0),), ((1, 0),))
 
 
 def test_vectors_with_infinite_or_nan_entries_raise_value_error():

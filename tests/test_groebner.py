@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from monograde import groebner, multigraded
+from monograde import groebner
 from monograde.groebner import (
     BudgetExceededError,
     IdealPresentation,
@@ -25,7 +25,7 @@ from monograde.groebner import (
     normal_form,
     parse_polynomial,
 )
-from monograde.multigraded import GradedRingSpec, analyze_prime, graded_hull
+from monograde.multigraded import GradedRingSpec
 import references
 from corpora import hull_job_corpus, polynomial_fuzz_texts
 from references import (
@@ -183,10 +183,12 @@ def test_heap_selects_the_pairs_of_the_min_scan(monkeypatch):
     assert checked > 150
 
 
-def strategy_corpus(seed, monkeypatch):
+def strategy_corpus(seed):
     """Random ideals in 2-4 variables under grevlex, lex and an
-    elimination order, plus the torus-substituted inputs that graded
-    hulls of further random ideals hand to the elimination order."""
+    elimination order, plus the torus-substituted inputs of the passes
+    of further random ideals' graded hulls, each run at budget 2000, as
+    the unskipped passes of ``references.hull_eliminations`` build
+    them."""
     rng = random.Random(seed)
     cases = []
     for n in range(2, 5):
@@ -194,59 +196,45 @@ def strategy_corpus(seed, monkeypatch):
             gens = [random_poly(rng, n) for _ in range(rng.randint(2, 3))]
             drop = rng.sample(range(n), rng.randint(1, n - 1))
             cases.extend((gens, o) for o in (grevlex(n), lex(n), elimination_order(drop, n)))
-    real = multigraded._reduced_rows
-
-    def recorded(rows, order, budget, eliminate=False):
-        if eliminate:
-            cases.append(([references.row_polynomial(r, order.nvars) for r in rows], order))
-        return real(rows, order, budget, eliminate)
-
-    with monkeypatch.context() as m:
-        m.setattr(multigraded, "_reduced_rows", recorded)
-        for n in range(2, 5):
-            for _ in range(12):
-                gens = tuple(g for g in (random_poly(rng, n) for _ in range(rng.randint(1, 2)))
-                             if not g.is_zero)
-                r = rng.randint(1, 2)
-                spec = GradedRingSpec(tuple(tuple(rng.randint(-2, 2) for _ in range(r))
-                                            for _ in range(n)))
-                try:
-                    graded_hull(IdealPresentation(gens, grevlex(n)), spec, budget=2000)
-                except BudgetExceededError:
-                    pass
+    for n in range(2, 5):
+        for _ in range(12):
+            gens = tuple(g for g in (random_poly(rng, n) for _ in range(rng.randint(1, 2)))
+                         if not g.is_zero)
+            r = rng.randint(1, 2)
+            spec = GradedRingSpec(tuple(tuple(rng.randint(-2, 2) for _ in range(r))
+                                        for _ in range(n)))
+            for rows, order in references.hull_eliminations([g.terms for g in gens], spec, 2000):
+                cases.append(([references.row_polynomial(r, order.nvars) for r in rows], order))
     return cases
 
 
-def hull_corpus_eliminations(monkeypatch, count):
-    """(rows, order) of each elimination the hull passes of the first
-    ``count`` jobs of ``hull_job_corpus(97, ...)`` ask the kernel for,
-    each job run at budget 1000 under grevlex."""
+def hull_corpus_eliminations(count):
+    """(rows, order) of each elimination the unskipped hull passes of
+    ``references.hull_eliminations`` hand the kernel on the first
+    ``count`` jobs of ``hull_job_corpus(97, ...)``, each job run at
+    budget 1000 under grevlex: a prime's passes start from its reduced
+    grevlex basis, as ``analyze_prime``'s do, and a unit ideal has none."""
     cases = []
-    real = multigraded._reduced_rows
-
-    def recorded(rows, order, budget, eliminate=False):
-        if eliminate:
-            cases.append((rows, order))
-        return real(rows, order, budget, eliminate)
-
-    with monkeypatch.context() as m:
-        m.setattr(multigraded, "_reduced_rows", recorded)
-        for text in hull_job_corpus(97, count):
-            job = json.loads(text)
-            n = job["vars"]
-            names = default_variables(n)
-            spec = GradedRingSpec(tuple(tuple(d) for d in job["grading"]))
-            run = graded_hull if job["command"] == "graded-hull" else analyze_prime
-            gens = job["ideal"] if job["command"] == "graded-hull" else job["prime"]
-            ideal = IdealPresentation(tuple(parse_polynomial(t, names) for t in gens), grevlex(n))
+    for text in hull_job_corpus(97, count):
+        job = json.loads(text)
+        n = job["vars"]
+        names = default_variables(n)
+        spec = GradedRingSpec(tuple(tuple(d) for d in job["grading"]))
+        budget = groebner._Budget(1000)
+        rows = [parse_polynomial(t, names).terms for t in job.get("ideal", job.get("prime"))]
+        rows = [r for r in rows if r]
+        if job["command"] == "analyze-prime":
             try:
-                run(ideal, spec, 1000)
-            except (BudgetExceededError, ValueError):
-                pass
+                rows = groebner._reduced_rows(rows, grevlex(n), budget)
+            except BudgetExceededError:
+                continue
+            if any(not any(next(iter(r))) for r in rows):
+                continue
+        cases += references.hull_eliminations(rows, spec, budget)
     return cases
 
 
-def test_eliminated_rows_are_the_kept_rows_of_the_full_basis(monkeypatch):
+def test_eliminated_rows_are_the_kept_rows_of_the_full_basis():
     """Asked for the elimination ideal alone, the kernel returns the rows
     of the full reduced basis whose leading term is free of the dropped
     variables, read in the remaining ones, term order included, after
@@ -256,8 +244,8 @@ def test_eliminated_rows_are_the_kept_rows_of_the_full_basis(monkeypatch):
     skips.  Checked on the elimination inputs of the strategy corpus,
     whose dropped blocks are random, and of the hull corpus."""
     cases = [([g.terms for g in gens if not g.is_zero], o)
-             for gens, o in strategy_corpus(83, monkeypatch) if o.kind == "elim"]
-    cases += hull_corpus_eliminations(monkeypatch, 100)
+             for gens, o in strategy_corpus(83) if o.kind == "elim"]
+    cases += hull_corpus_eliminations(100)
     checked = discarded = saved = 0
     for rows, order in cases:
         full_budget, kept_budget = groebner._Budget(20_000), groebner._Budget(20_000)
@@ -288,7 +276,7 @@ def test_sugar_and_the_normal_strategy_reach_the_same_basis(monkeypatch):
     is what it spent before the budget ran out).  Sugar's count is read
     from the budget's meter, the oracle's by counting its
     ``s_polynomial`` calls."""
-    cases = strategy_corpus(71, monkeypatch)
+    cases = strategy_corpus(71)
     assert sum(o.kind == "elim" for _, o in cases) > 60
     spairs = []
     record_pairs(monkeypatch, spairs)
@@ -313,7 +301,7 @@ def test_integer_kernel_matches_the_rational_route(monkeypatch):
     the same basis as the rational route it replaced, on the strategy
     corpus and on random ideals with fractional coefficients, including
     runs cut short by the budget."""
-    cases = strategy_corpus(73, monkeypatch)
+    cases = strategy_corpus(73)
     rng = random.Random(79)
     for n in range(2, 5):
         for _ in range(20):

@@ -31,15 +31,20 @@ from monograde.multigraded import (
 )
 from hullcheck import assert_hull_contract, is_graded
 from corpora import hull_job_corpus, random_pointed_cones
+import digests  # noqa: F401  (puts perfbench on the path)
+import workloads
 from references import (
     fresh_draws,
+    full_hull_rows,
     poly_product,
     poly_sum,
     polynomial_analyze_prime,
     polynomial_graded_hull,
     raw_product_samples,
+    substituted_rows,
     toric_ideal,
     two_order_analyze_prime,
+    weighted_degrees,
 )
 
 V1 = default_variables(1)
@@ -117,14 +122,24 @@ def test_hull_single_weight_grading():
 
 def test_hull_of_a_high_power_keeps_its_pairs_and_counts():
     """The graded-hull job of (x1^150, x2) under the total degree: the
-    chain criterion prunes most of its pairs, and must prune exactly the
-    ones it always did, so the answer and the meter are pinned."""
+    ideal is graded, so its one pass reduces the two monomials under
+    grevlex and eliminates nothing, and the meter reads no S-pair.  The
+    elimination the pass skips, run on the same substituted rows, is
+    where the chain criterion prunes most of the pairs, and must prune
+    exactly the ones it always did, so its rows and meter are pinned."""
     ideal = IdealPresentation((poly("x1^150"), poly("x2")), grevlex(2))
     budget = groebner._Budget(groebner.DEFAULT_BUDGET)
     hull = graded_hull(ideal, TOT2, budget)
     assert [fmt(g) for g in hull.generators] == ["x2", "x1^150"]
-    assert (budget.spairs, budget.zero_reductions) == (452, 301)
+    assert (budget.spairs, budget.zero_reductions) == (0, 0)
     assert budget.remaining == groebner.DEFAULT_BUDGET  # no reduction step spent
+    rows = substituted_rows([g.terms for g in ideal.generators], TOT2.weights(0))
+    budget = groebner._Budget(groebner.DEFAULT_BUDGET)
+    kept = groebner._reduced_rows(rows, groebner.elimination_order((2, 3), 4), budget,
+                                  eliminate=True)
+    assert kept == [{(0, 1): 1}, {(150, 0): 1}]
+    assert (budget.spairs, budget.zero_reductions) == (452, 301)
+    assert budget.remaining == groebner.DEFAULT_BUDGET
 
 
 def test_hull_axis_order_does_not_matter():
@@ -160,9 +175,12 @@ def test_rank_two_hull_builds_one_polynomial_per_generator(monkeypatch):
 
 def test_passes_stop_at_an_empty_hull(monkeypatch):
     # the graph x2 = -5*x1^2 - 4 is no union of x1-orbits, so its hull
-    # is zero after the first pass; the second pass, one elimination of
-    # t*u - 1 alone, would spend nothing and return nothing, and is not
-    # run
+    # is zero after the first pass; that pass gets one row, not
+    # homogeneous for the weight (1, 0), so its weighted degrees decide
+    # it with no elimination and a meter that reads nothing.  Times
+    # (x1, x2), the graph leaves two rows, so the first pass eliminates,
+    # and its empty hull ends the passes there.  The second pass, on no
+    # rows, would spend nothing and return nothing, and is not run
     eliminations = []
     real = multigraded._reduced_rows
 
@@ -174,18 +192,26 @@ def test_passes_stop_at_an_empty_hull(monkeypatch):
     ideal = IdealPresentation((poly("x2 + 5*x1^2 + 4"),), grevlex(2))
     hull_budget = groebner._Budget(1000)
     assert graded_hull(ideal, STD2, hull_budget).generators == ()
+    assert eliminations == []
+    assert (hull_budget.remaining, hull_budget.spairs, hull_budget.zero_reductions) \
+        == (1000, 0, 0)
+    times = IdealPresentation((poly("x1*x2 + 5*x1^3 + 4*x1"), poly("x2^2 + 5*x1^2*x2 + 4*x2")),
+                              grevlex(2))
+    hull_budget = groebner._Budget(1000)
+    assert graded_hull(times, STD2, hull_budget).generators == ()
     assert eliminations == [True]
     first = groebner._Budget(1000)
-    assert multigraded._hull_pass([g.terms for g in ideal.generators], STD2.weights(0), first) == []
+    assert multigraded._hull_pass([g.terms for g in times.generators], STD2.weights(0),
+                                  first) == []
     second = groebner._Budget(1000)
     assert multigraded._hull_pass([], STD2.weights(1), second) == []
     meter = (hull_budget.remaining, hull_budget.spairs, hull_budget.zero_reductions)
-    assert meter == (first.remaining, first.spairs, first.zero_reductions)
+    assert meter == (first.remaining, first.spairs, first.zero_reductions) != (1000, 0, 0)
     assert (second.remaining, second.spairs, second.zero_reductions) == (1000, 0, 0)
     eliminations.clear()
     out = analyze_prime(ideal, STD2)
     assert (out.graded, out.p_star.generators, out.tau) == (False, (), 1)
-    assert eliminations == [False, True]
+    assert eliminations == [False]
 
 
 def test_hull_respects_budget():
@@ -194,6 +220,96 @@ def test_hull_respects_budget():
     ideal = IdealPresentation((poly("x1+x2"), poly("x2^2")), grevlex(2))
     with pytest.raises(BudgetExceededError):
         graded_hull(ideal, STD2, budget=1)
+
+
+# -- the passes the weighted degrees decide -----------------------------------
+
+
+def test_decided_passes_return_what_the_elimination_returns(monkeypatch):
+    """A pass whose rows are all homogeneous for its weight returns their
+    reduced grevlex basis, and a pass whose one row is not returns no
+    rows; in both cases the elimination the pass skips, run on the same
+    substituted rows, returns the same rows, term for term.  Checked on
+    every decided pass of the hull job corpus (graded hulls and prime
+    analyses, at a budget that cuts some short) and of the benchmark's
+    ``graded-ideal`` jobs, seed 811.  Each rule fires at least 20 times,
+    and the principal one at least 20 times on the benchmark's jobs,
+    which are rarely graded."""
+    decided = {"graded": 0, "principal": 0}
+    real = multigraded._hull_pass
+
+    def checked(rows, weights, budget):
+        out = real(rows, weights, budget)
+        spread = [len(weighted_degrees(r, weights)) for r in rows]
+        rule = "graded" if set(spread) == {1} else "principal" if len(spread) == 1 else None
+        if rule is not None:
+            n = len(weights)
+            want = groebner._reduced_rows(substituted_rows(rows, weights),
+                                          groebner.elimination_order((n, n + 1), n + 2),
+                                          groebner._Budget(20_000), eliminate=True)
+            assert [list(r.items()) for r in out] == [list(r.items()) for r in want]
+            decided[rule] += 1
+        return out
+
+    monkeypatch.setattr(multigraded, "_hull_pass", checked)
+    for text in hull_job_corpus(97, 200):
+        job = json.loads(text)
+        n = job["vars"]
+        spec = GradedRingSpec(tuple(tuple(d) for d in job["grading"]))
+        run, field = (graded_hull, "ideal") if job["command"] == "graded-hull" \
+            else (analyze_prime, "prime")
+        gens = tuple(parse_polynomial(t, default_variables(n)) for t in job[field])
+        try:
+            run(IdealPresentation(gens, grevlex(n)), spec, 4000)
+        except (BudgetExceededError, ValueError):
+            pass
+    corpus = dict(decided)
+    for job in workloads.generate("graded-ideal", 811, 120):
+        inp = job["input"]
+        n = inp["vars"]
+        spec = GradedRingSpec(tuple(tuple(d) for d in inp["grading"]))
+        gens = tuple(parse_polynomial(t, default_variables(n)) for t in inp["polys"])
+        run = graded_hull if inp["op"] == "hull" else analyze_prime
+        run(IdealPresentation(gens, grevlex(n)), spec)
+    assert min(decided.values()) >= 20 and decided["principal"] - corpus["principal"] >= 20, \
+        (corpus, decided)
+
+
+def test_rational_normal_curves_fit_a_small_budget(monkeypatch):
+    """The rational normal curve of degree N, the toric ideal of the
+    columns (1, 0), (1, 1), ..., (1, N), is graded by them, so its hull
+    passes eliminate nothing and ``analyze_prime`` answers within 3000
+    units for N = 6..12.  The passes that eliminate, those of
+    ``references.full_hull_rows``, run out of those units at N = 8."""
+    for N in range(6, 13):
+        cols = tuple((1, i) for i in range(N + 1))
+        p = IdealPresentation(toric_ideal(cols), grevlex(N + 1))
+        assert len(p.generators) == N * (N - 1) // 2
+        out = analyze_prime(p, GradedRingSpec(cols), 3000)
+        assert out.graded and out.tau == 0
+        assert out.p_star.generators == buchberger(p.generators, grevlex(N + 1))
+    monkeypatch.setattr(multigraded, "_hull_rows", full_hull_rows)
+    with pytest.raises(BudgetExceededError):
+        analyze_prime(IdealPresentation(toric_ideal(cols[:9]), grevlex(9)),
+                      GradedRingSpec(cols[:9]), 3000)
+
+
+def test_decided_passes_reduce_no_pair_of_a_high_degree():
+    """The graded hull of x1^1000 - x2 under the degrees (1, 2), the
+    prime analysis of x1^1000 - x2 - 1 and the graded hull of (x1^600,
+    x2) under the total degree reduce no S-pair: their passes are
+    decided, one principal and not homogeneous, the last graded.  The
+    eliminations they skip reduced 1,004, 1,002 and 1,802 S-pairs."""
+    cases = ((graded_hull, ("x1^1000 - x2",), ((1,), (2,)), []),
+             (analyze_prime, ("x1^1000 - x2 - 1",), TOT2.degrees, []),
+             (graded_hull, ("x1^600", "x2"), TOT2.degrees, ["x2", "x1^600"]))
+    for run, gens, degrees, want in cases:
+        budget = groebner._Budget(groebner.DEFAULT_BUDGET)
+        out = run(IdealPresentation(tuple(map(poly, gens)), grevlex(2)),
+                  GradedRingSpec(degrees), budget)
+        hull = out if run is graded_hull else out.p_star
+        assert [fmt(g) for g in hull.generators] == want
+        assert (budget.spairs, budget.zero_reductions) == (0, 0)
 
 
 # -- prime analysis ----------------------------------------------------------
@@ -249,11 +365,13 @@ def test_tau_bounds_hold_on_point_kernels():
 
 
 def test_prime_analysis_computes_each_basis_once(monkeypatch):
-    # one grevlex basis of the prime, one elimination per hull pass, and
-    # under grevlex no more: the passes hand back reduced grevlex bases,
-    # and the prime's basis and the core serve the dimensions and the
-    # primality samples alike; under lex only the reported core is
-    # re-based once, under lex, after the checks
+    # one grevlex basis of the prime, one elimination per hull pass that
+    # the weighted degrees do not decide, and under grevlex no more: the
+    # passes hand back reduced grevlex bases, and the prime's basis and
+    # the core serve the dimensions and the primality samples alike;
+    # under lex only the reported core is re-based once, under lex, after
+    # the checks.  Under the standard grading the third pass gets the one
+    # row x3 - 3, not homogeneous for (0, 0, 1), so it eliminates nothing
     calls = []
     real = multigraded._reduced_rows
 
@@ -264,9 +382,9 @@ def test_prime_analysis_computes_each_basis_once(monkeypatch):
     monkeypatch.setattr(multigraded, "_reduced_rows", counted)
     V3 = default_variables(3)
     gens = ("x1 - 2", "x2 + 1", "x3 - 3")
-    for spec in (GradedRingSpec(((1,), (1,), (1,))), GradedRingSpec(((1, 0), (0, 1), (1, 1))),
-                 GradedRingSpec(((1, 0, 0), (0, 1, 0), (0, 0, 1)))):
-        r = spec.rank
+    for spec, r in ((GradedRingSpec(((1,), (1,), (1,))), 1),
+                    (GradedRingSpec(((1, 0), (0, 1), (1, 1))), 2),
+                    (GradedRingSpec(((1, 0, 0), (0, 1, 0), (0, 0, 1))), 2)):
         for order, extra in ((grevlex(3), 0), (lex(3), 1)):
             calls.clear()
             p = IdealPresentation(tuple(parse_polynomial(t, V3) for t in gens), order)
