@@ -30,13 +30,8 @@ from .groebner import (
     grevlex,
     parse_polynomial,
 )
-from .monoid import (
-    EnumerationLimitError,
-    NonNormalError,
-    monoid_from_cone_rays,
-    normalize_presentation,
-)
-from .multigraded import GradedRingSpec, NotPrimeError, analyze_prime, graded_hull
+from .monoid import EnumerationLimitError, monoid_from_cone_rays, normalize_presentation
+from .multigraded import GradedRingSpec, analyze_prime, graded_hull
 
 # the payload fields of each command; a cone command takes exactly one
 # of its two, the others take all of theirs
@@ -223,33 +218,33 @@ def execute(job: JobSpec) -> dict:
         m = normalize_presentation(payload["generators"])
         result = {
             "rank": m.rank,
-            "lattice_basis": [list(r) for r in m.lattice_basis],
-            "normalized_generators": [list(g) for g in m.local_generators],
+            "lattice_basis": m.lattice_basis,
+            "normalized_generators": m.local_generators,
             "is_normal": m.is_normal,
-            "witness": None if m.is_normal else list(m.normality_witness),
+            "witness": m.normality_witness,
         }
     elif job.command == "hilbert-basis":
         m = _monoid_of(payload)
         result = {
-            "hilbert_basis": [list(v) for v in m.hilbert_basis()],
-            "unit_basis": [list(v) for v in m.unit_basis()],
+            "hilbert_basis": m.hilbert_basis(),
+            "unit_basis": m.unit_basis(),
         }
     elif job.command == "canonical":
         m = _monoid_of(payload)
         can = canonical_module(m)
         gor, _ = is_gorenstein(m)
         result = {
-            "h": list(can.ideal.heights),
-            "generators": [list(v) for v in can.generators],
+            "h": can.ideal.heights,
+            "generators": can.generators,
             "gorenstein": gor,
         }
     elif job.command == "class-group":
         m = _monoid_of(payload)
-        result = {"invariant_factors": list(class_group(m).invariant_factors)}
+        result = {"invariant_factors": class_group(m).invariant_factors}
     elif job.command == "gorenstein":
         m = _monoid_of(payload)
         gor, cert = is_gorenstein(m)
-        result = {"gorenstein": gor, "certificate": None if cert is None else list(cert)}
+        result = {"gorenstein": gor, "certificate": cert}
     elif job.command == "graded-hull":
         spec, names, ideal = _graded_setup(job)
         hull = graded_hull(ideal, spec, budget=options["budget"])
@@ -311,7 +306,7 @@ def main(argv=None) -> int:
         report = execute(job)
     except (BudgetExceededError, EnumerationLimitError) as e:
         return _fail(str(e), EXIT_BUDGET)
-    except (NonNormalError, NotPrimeError, ValueError) as e:
+    except ValueError as e:
         return _fail(str(e), EXIT_MATH)
     sys.stdout.write(json.dumps(report, separators=(",", ":")) + "\n")
     return EXIT_OK

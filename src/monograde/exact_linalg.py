@@ -25,11 +25,14 @@ the start cone is its rows, an inverse is T itself up to sign, and a
 vertex is T applied to the right-hand side.  ``hnf`` reduces the rows
 of ``[A | I]``, pivots in the first columns, so its row transform
 rides along and each row operation is written once.  The Smith kernel
-``_smith`` reduces the first n columns of the rows it is handed:
-``_smith_left`` hands it the row transform beside the matrix, and
-``elementary_divisors`` the bare matrix, or its transpose when that
-has fewer rows.  Once a pivot's row pass has cleared its column, a
-column that is a multiple of the pivot costs one entry, not a column.
+``_smith`` reduces the first n columns of the rows it is handed to a
+diagonal and stops there: ``elementary_divisors`` hands it the bare
+matrix, or its transpose when that has fewer rows, and chains the
+diagonal by gcd and lcm; ``_smith_left`` hands it the row transform
+beside a saturated lattice, whose diagonal is all ones, so no
+divisibility pass ever moves U.  Once a pivot's row pass has cleared
+its column, a column that is a multiple of the pivot costs one entry,
+not a column.
 
 Conventions: matrices act on column vectors.  Lattices are handled as
 row-generator matrices; ``row_lattice_basis`` returns the canonical
@@ -95,12 +98,12 @@ def _as_vectors(vectors, what: str) -> tuple[Vec, ...]:
 class IntMatrix(tuple):
     """An immutable integer matrix: a tuple of equal-length row tuples.
 
-    ``m[i]`` is a row and ``m[i, j]`` an entry; ``a @ b`` multiplies
-    matrices, ``a @ v`` applies a matrix to a vector and ``v @ a``
-    combines its rows, both giving a tuple.  The width is kept, so a
-    matrix without rows still has a shape; it is required when ``rows``
-    is empty, and read then as a count with ``_as_count``, and checked
-    otherwise.
+    ``m[i]`` is a row and ``m[i][j]`` an entry, as in any tuple of
+    tuples; ``a @ b`` multiplies matrices, ``a @ v`` applies a matrix to
+    a vector and ``v @ a`` combines its rows, both giving a tuple.  The
+    width is kept, so a matrix without rows still has a shape; it is
+    required when ``rows`` is empty, and read then as a count with
+    ``_as_count``, and checked otherwise.
 
     Input is validated at the boundary: the constructor reads its rows
     with ``_as_vectors``, and both vector products read the vector with
@@ -134,11 +137,6 @@ class IntMatrix(tuple):
     @cached_property
     def T(self) -> IntMatrix:
         return IntMatrix._of(zip(*self) if self else ((),) * self._width, len(self))
-
-    def __getitem__(self, key):
-        if isinstance(key, tuple):
-            return tuple.__getitem__(self, key[0])[key[1]]
-        return tuple.__getitem__(self, key)
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
@@ -314,8 +312,9 @@ def rank(a) -> int:
 
 
 def _smith(s: list[list[int]], n: int) -> list[list[int]]:
-    """Smith-reduce the first n columns of the rows ``s`` in place, and
-    return them.
+    """Reduce the first n columns of the rows ``s`` in place to a
+    diagonal, left in the signs and order the pivots gave it, and return
+    them.
 
     Row operations act on whole rows and column operations on the first
     n columns, so columns past n ride along as a row transform.  The
@@ -373,45 +372,41 @@ def _smith(s: list[list[int]], n: int) -> list[list[int]]:
                 g, cs, ct = xgcd(s[t][t], s[t][j])
                 dirty, clean = True, False
                 _combine_cols(s, t, j, cs, ct, s[t][t] // g, s[t][j] // g)
-    for i in range(k):
-        if s[i][i] < 0:
-            s[i] = [-x for x in s[i]]
-    # the main loop stops only at an all-zero trailing block and never
-    # touches an earlier diagonal entry, so the zero entries are trailing,
-    # and combining two nonzero entries keeps both nonzero
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a0, b0 = s[i][i], s[i + 1][i + 1]
-            if a0 and b0 % a0:
-                g, cs, ct = xgcd(a0, b0)
-                _combine_rows(s, i, i + 1, cs, ct, a0 // g, b0 // g)
-                # paired column transform keeps the product diagonal: diag(g, a*b/g)
-                _combine_cols(s, i, i + 1, 1, 1, cs * (a0 // g), ct * (b0 // g))
-                changed = True
     return s
 
 
 def _smith_left(a) -> tuple[list[int], IntMatrix]:
-    """The diagonal of the Smith form S = U @ A @ V, min(m, n) entries,
-    and U, for callers that never read V: only ``[A | I]`` is reduced."""
+    """The diagonal of D = U @ A @ V, min(m, n) entries made
+    nonnegative, and U, for callers that never read V: only ``[A | I]``
+    is reduced.  D is the Smith form when its diagonal is all ones, as on
+    the saturated lattices ``cone._quotient_transform`` hands in."""
     m, n = a.shape
     s = _smith(_with_identity(a), n)
-    return [s[i][i] for i in range(min(m, n))], IntMatrix._of((tuple(row[n:]) for row in s), m)
+    k = min(m, n)
+    for i in range(k):
+        if s[i][i] < 0:
+            s[i] = [-x for x in s[i]]
+    return [s[i][i] for i in range(k)], IntMatrix._of((tuple(row[n:]) for row in s), m)
 
 
 def elementary_divisors(a) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order.  Only
-    the bare matrix is reduced, no transform rides along, and a matrix
-    with more rows than columns is reduced as its transpose, which has
-    the same factors, so column operations run over the short side."""
+    the bare matrix is reduced to a diagonal, no transform rides along,
+    and a matrix with more rows than columns is reduced as its
+    transpose, which has the same factors, so column operations run
+    over the short side.  Replacing two entries by their gcd and lcm
+    keeps each prime's exponents and sorts them, so a pass over the
+    pairs turns the diagonal's absolute values into the chain."""
     a = _as_matrix(a)
     m, n = a.shape
     if m > n:
         a, m, n = a.T, n, m
     s = _smith([list(row) for row in a], n)
-    return tuple(s[i][i] for i in range(min(m, n)) if s[i][i] != 0)
+    d = [abs(s[i][i]) for i in range(m) if s[i][i]]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return tuple(d)
 
 
 def primitive(v) -> Vec:

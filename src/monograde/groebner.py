@@ -60,24 +60,23 @@ class BudgetExceededError(RuntimeError):
 class _Budget:
     """The reduction-step budget of one computation, and its meter.
 
-    ``remaining`` counts down one unit per reduction step or dimension
-    search branch (``None`` is no limit), so the steps spent are the
-    limit minus ``remaining``.  ``spairs`` counts the S-pairs Buchberger's
+    ``remaining`` counts down from the int limit one unit per reduction
+    step or dimension search branch, so the steps spent are the limit
+    minus ``remaining``.  ``spairs`` counts the S-pairs Buchberger's
     algorithm reduced and ``zero_reductions`` those that reduced to zero.
     """
 
     __slots__ = ("remaining", "spairs", "zero_reductions")
 
-    def __init__(self, limit: int | None):
+    def __init__(self, limit: int):
         self.remaining = limit
         self.spairs = 0
         self.zero_reductions = 0
 
     def spend(self, what: str = "reduction step") -> None:
-        if self.remaining is not None:
-            self.remaining -= 1
-            if self.remaining < 0:
-                raise BudgetExceededError("%s budget exceeded" % what)
+        self.remaining -= 1
+        if self.remaining < 0:
+            raise BudgetExceededError("%s budget exceeded" % what)
 
 
 def _as_budget(budget) -> _Budget:

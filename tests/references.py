@@ -28,7 +28,6 @@ from monograde.exact_linalg import (
     _combine_cols,
     _combine_rows,
     _dot,
-    _smith_left,
     _sub_col,
     _sub_row,
     _swap_cols,
@@ -1059,11 +1058,13 @@ def hermite_cone_lattice(rays):
 def cokernel_class_group(m):
     """The divisor class group as the package once built it, as the
     cokernel of the facet matrix F: a Smith form S = U F V that carries
-    its s x s row transform U.  Returns the invariant factors (1s
-    dropped, a 0 per free factor) and the class of a height vector h,
-    the coordinates of U h with 1s dropped, each reduced modulo its
-    factor; h is principal iff its class is zero."""
-    diag, u = _smith_left(_as_matrix(m.facet_matrix, m.rank))
+    its s x s row transform U, that of :func:`reference_snf`.  Returns
+    the invariant factors (1s dropped, a 0 per free factor) and the
+    class of a height vector h, the coordinates of U h with 1s dropped,
+    each reduced modulo its factor; h is principal iff its class is
+    zero."""
+    s, u, _ = reference_snf(_as_matrix(m.facet_matrix, m.rank))
+    diag = [s[i][i] for i in range(min(s.shape))]
     # one cyclic factor per row of U: the diagonal entry, 0 past its end
     kept = [(diag[i] if i < len(diag) else 0, row) for i, row in enumerate(u)]
     kept = [(f, row) for f, row in kept if f != 1]
@@ -1333,9 +1334,12 @@ def reference_hnf(a):
 def reference_snf(a):
     """The two-sided Smith form (S, U, V), S = U @ A @ V, as
     ``exact_linalg`` computed it before the transforms rode along with
-    the matrix: every row operation written on S and U, every column
-    operation on S and V.  The diagonal and U are those of
-    ``exact_linalg._smith_left``."""
+    the matrix and before its kernel stopped at the diagonal: every row
+    operation written on S and U, every column operation on S and V, and
+    a last pass that chains the diagonal by divisibility.  Its nonzero
+    diagonal is ``exact_linalg.elementary_divisors``; on a saturated
+    lattice, where that pass does nothing, the diagonal and U are those
+    of ``exact_linalg._smith_left``."""
     a = _as_matrix(a)
     m, n = a.shape
     s = [list(row) for row in a]
@@ -1429,7 +1433,7 @@ def smith_solve(a, b):
     w = [0] * n
     k = min(m, n)
     for i in range(k):
-        d = s[i, i]
+        d = s[i][i]
         if d:
             if c[i] % d:
                 return None

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import monograde.cone as cone_module
-from monograde.cone import Cone, facets_of_rays, membership, rays_of_facets
+from monograde.cone import facets_of_rays, membership, rays_of_facets
 from monograde.divisorial import class_group
 from monograde.exact_linalg import IntMatrix, _eliminate, kernel_basis, rank
 from monograde.monoid import monoid_from_cone_rays

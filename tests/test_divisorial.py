@@ -781,7 +781,7 @@ def test_gorenstein_certificate_is_interior_with_unit_heights():
         flag, cert = is_gorenstein(m)
         if flag:
             lam = m.facet_matrix
-            vals = [sum(int(lam[i, j]) * cert[j] for j in range(d)) for i in range(lam.shape[0])]
+            vals = [sum(int(lam[i][j]) * cert[j] for j in range(d)) for i in range(lam.shape[0])]
             assert all(v == 1 for v in vals)
             assert canonical_module(m).generators == (cert,)
         else:

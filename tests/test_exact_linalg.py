@@ -20,12 +20,12 @@ from monograde.exact_linalg import (
     row_lattice_basis,
     unimodular_inverse,
 )
-from monograde.cone import _clean_vectors, facets_of_rays, membership
+from monograde.cone import _clean_vectors, facets_of_rays, membership, rays_of_facets
 from monograde.divisorial import DivisorialIdeal, class_group, divisorial_ideal, members
 from monograde.groebner import Polynomial, TermOrder, _as_budget
 from monograde.monoid import AffineMonoid, monoid_from_cone_rays, normalize_presentation
 from monograde.multigraded import GradedRingSpec
-from corpora import benchmark_rank_cones, cone_corpus
+from corpora import benchmark_rank_cones, cone_corpus, degenerate_cone_corpus
 from oracles import det_int, frac_rref, minor_gcd_factors
 from references import eager_eliminate, reference_hnf, reference_snf, smith_solve
 
@@ -39,7 +39,7 @@ def rand_matrix(rng, m, n, bound=9):
 
 def test_int_matrix_shape_transpose_and_products():
     a = IntMatrix([[1, 2, 3], [4, 5, 6]])
-    assert a.shape == (2, 3) and a[1, 2] == 6 and a[0] == (1, 2, 3)
+    assert a.shape == (2, 3) and a[0] == (1, 2, 3)
     assert a.T == ((1, 4), (2, 5), (3, 6)) and a.T.shape == (3, 2)
     assert a @ a.T == ((14, 32), (32, 77)) and isinstance(a @ a.T, IntMatrix)
     assert a @ (1, 0, -1) == (-2, -2)
@@ -261,33 +261,43 @@ def test_row_lattice_membership_random():
         # every small integer combination of the original rows lies in the basis lattice
         for _ in range(10):
             coeffs = [rng.randint(-2, 2) for _ in range(3)]
-            v = [sum(c * int(a[i, j]) for i, c in enumerate(coeffs)) for j in range(3)]
+            v = [sum(c * int(a[i][j]) for i, c in enumerate(coeffs)) for j in range(3)]
             assert lattice_coordinates(basis, v) is not None
 
 
 # -- Smith form --------------------------------------------------------
 
 
+def smith_diagonal(s):
+    return [s[i][i] for i in range(min(s.shape))]
+
+
+def nonzero(diag):
+    return tuple(x for x in diag if x)
+
+
 def test_snf_known_values():
-    assert _smith_left(IntMatrix([[2, 0], [0, 3]]))[0] == [1, 6]
-    assert _smith_left(IntMatrix([[0, 1], [3, -1]]))[0] == [1, 3]
+    assert elementary_divisors(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
     assert elementary_divisors(IntMatrix([[0, 1], [3, -1]])) == (1, 3)
     assert elementary_divisors(IntMatrix([[0, 0], [0, 0]])) == ()
+    assert elementary_divisors(IntMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 10]])) == (2, 2, 60)
     s, u, v = reference_snf(IntMatrix([[2, 0], [0, 3]]))
     assert s == ((1, 0), (0, 6))
+    assert smith_diagonal(reference_snf(IntMatrix([[0, 1], [3, -1]]))[0]) == [1, 3]
 
 
 def test_snf_against_minor_gcd_oracle():
-    """The Smith kernel's diagonal divides down, its row transform is
-    unimodular, and its elementary divisors are the determinantal
-    divisors; the reference form it is compared with in turn is an
-    exact two-sided factorisation."""
+    """The reference Smith diagonal divides down, its transforms are
+    unimodular and it is an exact two-sided factorisation; the kernel's
+    elementary divisors are the determinantal divisors and that
+    diagonal's nonzero entries."""
     rng = random.Random(31)
     for _ in range(40):
         m, n = rng.randint(1, 3), rng.randint(1, 4)
         a = rand_matrix(rng, m, n, 7)
-        diag, u = _smith_left(a)
-        assert abs(det_int(u)) == 1
+        s, u, v = reference_snf(a)
+        diag = smith_diagonal(s)
+        assert abs(det_int(u)) == 1 and abs(det_int(v)) == 1
         for i in range(len(diag) - 1):
             if diag[i + 1]:
                 assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
@@ -295,8 +305,7 @@ def test_snf_against_minor_gcd_oracle():
             if diag[i] == 0:
                 assert diag[i + 1] == 0
         assert elementary_divisors(a) == minor_gcd_factors([list(map(int, row)) for row in a])
-        s, u, v = reference_snf(a)
-        assert abs(det_int(v)) == 1
+        assert elementary_divisors(a) == nonzero(diag)
         assert u @ a @ v == s
 
 
@@ -324,9 +333,56 @@ def test_elementary_divisors_match_minor_gcds_on_every_shape():
         a = IntMatrix(rows)
         factors = minor_gcd_factors(rows)
         assert elementary_divisors(a) == factors
-        diag, u = _smith_left(a)
-        assert tuple(x for x in diag if x) == factors and abs(det_int(u)) == 1
+        s, u, _ = reference_snf(a)
+        assert nonzero(smith_diagonal(s)) == factors and abs(det_int(u)) == 1
     assert elementary_divisors(IntMatrix(mats[0])) == elementary_divisors(IntMatrix(mats[1])) == (1, 2)
+
+
+def scrambled(rng, diag, m, n):
+    """An m x n matrix with the given diagonal, its rows and columns
+    mixed by random elementary operations, so it has the diagonal's
+    elementary divisors."""
+    rows = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)] for i in range(m)]
+    for _ in range(3 * (m + n)):
+        q = rng.randint(-3, 3)
+        if rng.random() < 0.5 and m > 1:
+            i, r = rng.sample(range(m), 2)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[r])]
+        elif n > 1:
+            j, c = rng.sample(range(n), 2)
+            for row in rows:
+                row[j] += q * row[c]
+    return IntMatrix(rows, n)
+
+
+def smith_corpus(rng):
+    """Tall, wide and square matrices, ones with zero rows and zero
+    columns mixed in, and scrambled diagonals whose entries share
+    primes (2, 4, 12), are coprime (4, 9, 25) or repeat."""
+    out = []
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        a = [list(row) for row in rand_matrix(rng, m, n)]
+        if rng.random() < 0.3:
+            a.insert(rng.randint(0, m), [0] * n)
+        if rng.random() < 0.3:
+            c = rng.randint(0, n)
+            a = [row[:c] + [0] + row[c:] for row in a]
+        out.append(IntMatrix(a))
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        diag = [rng.choice((1, 2, 3, 4, 6, 9, 12, 25, 0)) for _ in range(min(m, n))]
+        out.append(scrambled(rng, diag, m, n))
+    return out
+
+
+def test_elementary_divisors_chain_the_reference_diagonal():
+    """The kernel stops at a diagonal and chains it by gcd and lcm; the
+    reference form chains it by row and column operations.  Scrambled
+    diagonals of repeated and coprime factors need the chain most."""
+    for a in smith_corpus(random.Random(139)):
+        s, _, _ = reference_snf(a)
+        assert elementary_divisors(a) == nonzero(smith_diagonal(s)), a
 
 
 def test_elementary_divisors_match_sympy():
@@ -374,20 +430,44 @@ def test_transforms_ride_along_to_the_reference_forms():
 
 
 def test_smith_kernel_without_column_transform_matches_snf():
-    """What rides along never moves the diagonal: ``[A | I]`` alone and
-    the bare matrix give the diagonal, U and elementary divisors of the
-    two-sided reference form.  The kernel stops its pivot search at the
-    first unit; the reference scans every entry, so matrices whose first
-    unit follows larger entries, with more units after it, check that
-    the same pivot is taken."""
+    """What rides along never moves the diagonal: the bare matrix gives
+    the elementary divisors of the two-sided reference form, and
+    ``[A | I]`` gives its diagonal and U wherever that diagonal is all
+    ones, so the reference's divisibility pass has nothing to do.  The
+    kernel stops its pivot search at the first unit; the reference scans
+    every entry, so matrices whose first unit follows larger entries,
+    with more units after it, check that the same pivot is taken; the
+    last three of them have an all-ones diagonal."""
     units = [IntMatrix([[4, 2, -1], [1, 3, 1]]), IntMatrix([[6, 0], [3, 1], [-1, 1]]),
+             IntMatrix([[4, 2, -1], [1, 3, 2]]), IntMatrix([[6, 0], [3, 1], [-1, 2]]),
              IntMatrix([[0, 5, 2, 7], [3, 0, 1, -1], [1, 1, 0, 2]])]
+    saturated = 0
     for a in units + transform_corpus(random.Random(127)):
         s, u, _ = reference_snf(a)
-        diag = [s[i, i] for i in range(min(a.shape))]
-        got = _smith_left(a)
-        assert got == (diag, u) and got[1].shape == u.shape
-        assert elementary_divisors(a) == tuple(x for x in diag if x)
+        diag = smith_diagonal(s)
+        assert elementary_divisors(a) == nonzero(diag)
+        if all(x == 1 for x in diag):
+            got = _smith_left(a)
+            assert got == (diag, u) and got[1].shape == u.shape
+            saturated += 1
+    assert saturated > 100
+
+
+def test_smith_left_on_every_lineality_basis():
+    """``cone._quotient_transform`` hands ``_smith_left`` the transpose
+    of a lineality basis, a saturated lattice: the diagonal is all ones
+    and U is the reference form's, whose divisibility pass has nothing
+    to do there."""
+    seen = 0
+    for vectors, d in degenerate_cone_corpus(433, 300):
+        for c in (facets_of_rays(vectors, d), rays_of_facets(vectors, d)):
+            if not c.lineality:
+                continue
+            a = IntMatrix(c.lineality).T
+            s, u, _ = reference_snf(a)
+            assert _smith_left(a) == ([1] * len(c.lineality), u)
+            seen += 1
+    assert seen > 100
 
 
 # -- quotients ---------------------------------------------------------
@@ -414,7 +494,7 @@ def test_cokernel_column_order_invariant():
         a = rand_matrix(rng, 3, 3, 6)
         cols = list(range(3))
         rng.shuffle(cols)
-        b = IntMatrix([[int(a[i, j]) for j in cols] for i in range(3)])
+        b = IntMatrix([[int(a[i][j]) for j in cols] for i in range(3)])
         assert cokernel_factors(a) == cokernel_factors(b)
 
 
@@ -440,7 +520,7 @@ def test_kernel_basis_is_saturated():
         k = kernel_basis(a)
         for row in k:
             assert all(
-                sum(int(a[i, j]) * int(row[j]) for j in range(a.shape[1])) == 0
+                sum(int(a[i][j]) * int(row[j]) for j in range(a.shape[1])) == 0
                 for i in range(a.shape[0])
             )
         assert len(k) == a.shape[1] - rank(a)
@@ -467,13 +547,13 @@ def test_solve_integer_matches_box_search():
         got = smith_solve(a, b)
         if got is not None:
             assert all(
-                sum(int(a[i, j]) * got[j] for j in range(n)) == b[i] for i in range(m)
+                sum(int(a[i][j]) * got[j] for j in range(n)) == b[i] for i in range(m)
             )
         else:
             # no solution may exist even in a generous box
             for x in itertools.product(range(-8, 9), repeat=n):
                 assert any(
-                    sum(int(a[i, j]) * x[j] for j in range(n)) != b[i]
+                    sum(int(a[i][j]) * x[j] for j in range(n)) != b[i]
                     for i in range(m)
                 )
 

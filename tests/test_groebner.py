@@ -467,7 +467,7 @@ def test_membership_by_reduction_stays_within_the_grevlex_packing(monkeypatch):
         with monkeypatch.context() as m:
             caps = record_packings(m)
             groebner._splits_a_product([g.terms], 2, map(dict.items, references.fresh_draws(2)),
-                                       8, groebner._Budget(None))
+                                       8, groebner._Budget(groebner.DEFAULT_BUDGET))
         assert caps == [127]
         pk, elements = references.packed_grevlex_basis([g.terms], 2, 1)
         assert pk.cap == 127 and pk.order == order

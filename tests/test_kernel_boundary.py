@@ -1,4 +1,4 @@
-"""Four boundaries, checked on parsed source, nothing imported.
+"""Five boundaries, checked on parsed source, nothing imported.
 
 The packed kernel format stays in ``groebner``: every module under
 ``src/monograde`` other than ``groebner`` is searched for the names of
@@ -20,6 +20,11 @@ The benchmark compiles only the oracles it calls: ``tests/oracles.py``,
 which ``perfbench/check.py`` and ``perfbench/workloads.py`` import,
 defines exactly the functions they read from it and the ones those
 call, and imports nothing from the package.
+
+Every import is read: no module under ``src/monograde``, ``tests/`` or
+``demos/`` imports a name it never reads.  ``from __future__`` imports,
+the re-exports of ``__init__.py`` and imports marked ``# noqa: F401``,
+which are made for their side effect, are exempt.
 """
 
 import ast
@@ -184,3 +189,54 @@ def test_oracles_hold_what_the_benchmark_calls_and_no_package_code():
                     for node in ast.walk(defined[name])
                     if isinstance(node, ast.Name) and node.id in defined} - reached
     assert set(defined) == reached
+
+
+def unused_imports(filename, source):
+    """``(line, name)`` for each name an import in the source binds and
+    no expression reads: ``import a.b`` binds ``a``, ``as`` binds the
+    alias.  A ``__future__`` import and one whose line carries
+    ``# noqa: F401`` bind nothing here."""
+    tree = ast.parse(source, filename)
+    lines = source.splitlines()
+    bound = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for a in node.names:
+            if "# noqa: F401" not in lines[node.lineno - 1] + lines[a.lineno - 1]:
+                bound.setdefault(a.asname or a.name.split(".")[0], a.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [os.path.join(PACKAGE, f) for f in os.listdir(PACKAGE)
+             if f.endswith(".py") and f != "__init__.py"]
+    for folder in ("tests", "demos"):
+        paths += [os.path.join(ROOT, folder, f) for f in os.listdir(os.path.join(ROOT, folder))
+                  if f.endswith(".py")]
+    assert len(paths) > 30
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as fh:
+            assert unused_imports(path, fh.read()) == [], path
+
+
+def test_guard_sees_each_kind_of_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, sys\n"
+        "import digests  # noqa: F401  (a side effect)\n"
+        "from fractions import Fraction as F, Fraction\n"
+        "from monograde.groebner import (\n"
+        "    grevlex,\n"
+        "    normal_form,  # noqa: F401\n"
+        "    lex,\n"
+        ")\n"
+        "def f(x: F) -> int:\n"
+        "    sys = os.getcwd()\n"
+        "    return grevlex(x)\n"
+    )
+    assert unused_imports("test_x.py", source) == [(2, "sys"), (4, "Fraction"), (8, "lex")]

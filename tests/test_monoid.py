@@ -15,7 +15,7 @@ from math import ceil, comb, floor, prod
 import pytest
 
 import sweepcounts
-from monograde import divisorial, exact_linalg, monoid
+from monograde import exact_linalg, monoid
 from monograde.monoid import (
     EnumerationLimitError,
     NonNormalError,

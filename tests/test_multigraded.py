@@ -5,7 +5,6 @@ import json
 import random
 import sys
 import threading
-from fractions import Fraction
 
 import pytest
 
@@ -19,7 +18,6 @@ from monograde.groebner import (
     format_polynomial,
     grevlex,
     lex,
-    normal_form,
     parse_polynomial,
 )
 from monograde.multigraded import (
@@ -652,7 +650,7 @@ def test_draw_streams_repeat_a_fresh_generator_per_call(monkeypatch):
         with monkeypatch.context() as m:
             record_draws(m, draws, fallbacks)
             split = multigraded._splits_a_product(rows, n, stream, samples, budget)
-        made = raw_product_samples(rows, n, samples, groebner._Budget(None), want)
+        made = raw_product_samples(rows, n, samples, groebner._Budget(groebner.DEFAULT_BUDGET), want)
         assert draws == want and len(draws) == 2 * samples
         reads[n] = max(reads.get(n, 0), made)
         assert len(multigraded._draw_streams[n][0]) == reads[n]
