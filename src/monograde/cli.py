@@ -232,11 +232,10 @@ def execute(job: JobSpec) -> dict:
     elif job.command == "canonical":
         m = _monoid_of(payload)
         can = canonical_module(m)
-        gor, _ = is_gorenstein(m)
         result = {
             "h": can.ideal.heights,
             "generators": can.generators,
-            "gorenstein": gor,
+            "gorenstein": len(can.generators) == 1,
         }
     elif job.command == "class-group":
         m = _monoid_of(payload)

@@ -13,17 +13,25 @@ interior points), the divisor class group, shift witnesses between
 ideal classes, and the Gorenstein decision with a certificate.  The
 class group reads its invariant factors from the elementary divisors
 of the facet matrix, with no transform.  Which point of L has given
-facet values, if any, is one question behind principal classes and
-shift witnesses, and both read it from the Hermite form the pointed
-view's sweeps run in (``_PointedView._preimage``), computed once on
-first use; the invariant factors alone need none.  No Smith form here
-carries a transform.
+facet values, if any, is one question behind principal classes, shift
+witnesses and the Gorenstein test, and all three read it from the
+Hermite form the pointed view's sweeps run in
+(``_PointedView._preimage``), computed once on first use; the invariant
+factors alone need none.  No Smith form here carries a transform.
+
+By Danilov and Stanley the canonical module is the divisorial ideal of
+height one on every facet.  A divisorial ideal is principal iff its
+heights are the facet values of a point of L, and that point then
+generates it.  So K[M] is Gorenstein iff the all-ones heights lie in
+F(L), and the point with those values is both the canonical module's
+one generator and the certificate: one back-substitution decides, with
+no sweep and no Smith form.
 
 Every operation requires the monoid presentation to be normal, since
 the height description only sees the saturation C cap L.  An ideal
 checks that, then one height per facet form, where it is built
-(``DivisorialIdeal``); the class group, which takes no ideal, checks
-normality itself.
+(``DivisorialIdeal``); the class group and the Gorenstein test, which
+take no ideal, check normality themselves.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
-from math import prod
 from operator import add, ge
 
 from .exact_linalg import IntMatrix, Vec, _as_count, _as_vector, elementary_divisors
@@ -117,13 +124,10 @@ def canonical_module(m: AffineMonoid) -> CanonicalModule:
     """Module of interior lattice points: every facet height equals one.
 
     On lattice points, being at least one on every facet form is the
-    same as being strictly inside the cone.  The result is kept on the
-    monoid, so later calls (``is_gorenstein`` among them) reuse it.
+    same as being strictly inside the cone.
     """
-    if m._canonical is None:
-        ideal = DivisorialIdeal(m, (1,) * len(m.facet_forms))
-        m._canonical = CanonicalModule(ideal, minimal_generators(ideal))
-    return m._canonical
+    ideal = DivisorialIdeal(m, (1,) * len(m.facet_forms))
+    return CanonicalModule(ideal, minimal_generators(ideal))
 
 
 @dataclass(frozen=True)
@@ -149,30 +153,13 @@ class DivisorClassGroup:
     def is_principal(self, heights) -> bool:
         return self._view._preimage(self._heights(heights)) is not None
 
-    def _in_image(self, heights) -> bool:
-        """Whether the heights lie in F(Z^d), read off Smith invariants
-        alone: appending them to F as a column leaves the count and the
-        product of F's nonzero elementary divisors unchanged exactly
-        then.  Outside Q F(Z^d) the rank rises; inside it but outside
-        F(Z^d) the lattice grows, so its index in its saturation, the
-        product, drops."""
-        f = self.facet_matrix
-        rows = [row + (h,) for row, h in zip(f, self._heights(heights))]
-        aug = elementary_divisors(IntMatrix._of(rows, f.shape[1] + 1))
-        factors = self.invariant_factors
-        return len(aug) == len(f) - factors.count(0) and prod(aug) == prod(e for e in factors if e)
-
 
 def class_group(m: AffineMonoid) -> DivisorClassGroup:
-    """Kept on the monoid like the canonical module, so that
-    ``is_gorenstein`` reuses the job's class group."""
     m.require_normal()
-    if m._class_group is None:
-        divisors = elementary_divisors(m.facet_matrix)
-        free = len(m.facet_forms) - len(divisors)
-        factors = tuple(e for e in divisors if e > 1) + (0,) * free
-        m._class_group = DivisorClassGroup(factors, m.facet_matrix, m._pointed_view)
-    return m._class_group
+    divisors = elementary_divisors(m.facet_matrix)
+    free = len(m.facet_forms) - len(divisors)
+    factors = tuple(e for e in divisors if e > 1) + (0,) * free
+    return DivisorClassGroup(factors, m.facet_matrix, m._pointed_view)
 
 
 def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:
@@ -198,26 +185,18 @@ def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:
 def is_gorenstein(m: AffineMonoid) -> tuple[bool, Vec | None]:
     """Whether the canonical module is principal, with a certificate.
 
-    Three equivalent tests, which share no step, are run and must
-    agree: the canonical module has a single minimal generator, the
-    all-ones height vector is the facet values of a point of L (Hermite
-    back-substitution, the class group's ``is_principal``), and
-    appending it to the facet matrix keeps the elementary divisors the
-    class group read (two bare Smith forms).  The certificate is the
-    generator, whose facet values are all exactly one.
+    The canonical module is the divisorial ideal of height one on every
+    facet, so it is principal iff the all-ones heights are the facet
+    values of a point g of L, and g is then its generator: one Hermite
+    back-substitution in the pointed view (``_PointedView._preimage``)
+    decides.  The facet forms are injective on the view, so g is its
+    only point with those values, and the certificate is exactly the
+    canonical module's single generator.  With units it is the section representative, the
+    one ``same_class`` and ``minimal_generators`` return; any point of
+    g + units has the same facet values.  On a cone equal to its whole
+    lattice there are no facets, and the certificate is 0.
     """
-    s = len(m.facet_forms)
-    ones = (1,) * s
-    can = canonical_module(m)
-    principal = len(can.generators) == 1
-    cg = class_group(m)
-    preimage = cg.is_principal(ones)
-    class_zero = cg._in_image(ones)
-    if not (principal == preimage == class_zero):
-        raise RuntimeError("Gorenstein criteria disagree; this is a bug")
-    if not principal:
-        return False, None
-    cert = can.generators[0]
-    if m.facet_values(cert) != ones:
-        raise RuntimeError("canonical generator does not sit at height one; this is a bug")
-    return True, cert
+    m.require_normal()
+    view = m._pointed_view
+    g = view._preimage((1,) * len(m.facet_forms))
+    return (False, None) if g is None else (True, g @ view.out)

@@ -239,8 +239,6 @@ class AffineMonoid:
         if self.local_generators and len(self.local_generators[0]) != len(lattice_basis):
             raise ValueError("local generators do not match the lattice basis")
         self._assume_normal = bool(assume_normal)
-        self._canonical = None  # set by divisorial.canonical_module
-        self._class_group = None  # set by divisorial.class_group
 
     # -- coordinates -------------------------------------------------
 

@@ -5,8 +5,10 @@ is the same on every run: pointed cones of small rank for the box
 oracles, degenerate cones and cones with lineality for the conversions,
 rank 5-7 cones for double description, presentations of non-normal
 monoids, graded CLI jobs for the hull passes and polynomial text for
-the parser.  Only ``large_cone_corpus`` asks the package for anything,
-the facet forms of one cone, and only to use them as input rows.
+the parser.  Only two ask the package for anything:
+``large_cone_corpus``, the facet forms of one cone, and only to use them
+as input rows, and ``localized_faces``, the monoids of the pointed cones
+of a corpus and of their faces' localizations.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import random
 from fractions import Fraction
 
 from monograde import cone
+from monograde.monoid import monoid_from_cone_rays
 from oracles import dot, frac_rref, make_primitive
+from references import cone_faces
 
 
 # -- random corpora ---------------------------------------------------
@@ -98,6 +102,24 @@ def cone_corpus(seed):
                 w = [rng.randint(-2, 2) for _ in range(rank)]
                 out.append([r + (dot(w, r),) for r in rays])
     return out
+
+
+def localized_faces(seed):
+    """Each pointed cone of ``cone_corpus(seed)`` with its localizations,
+    as (m, rays, incidence, faces).  ``incidence[i]`` lists the indices
+    of the rays on m's i-th facet, and ``faces`` pairs every nonzero
+    proper face (its sorted ray indices) with M_F = M + Z(M cap F), the
+    monoid of cone(rays, -rays of F)."""
+    for rays in cone_corpus(seed):
+        m = monoid_from_cone_rays(rays)
+        if not m.is_pointed:
+            continue
+        values = [m.facet_values(r) for r in rays]
+        incidence = [[k for k, vals in enumerate(values) if vals[i] == 0]
+                     for i in range(len(m.facet_forms))]
+        faces = [(face, monoid_from_cone_rays(rays + [tuple(-x for x in rays[k]) for k in face]))
+                 for face in cone_faces(incidence)]
+        yield m, rays, incidence, faces
 
 
 def caratheodory_corpus(seed):

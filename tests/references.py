@@ -5,9 +5,10 @@ facets from ray subsets, membership by Fourier-Motzkin, faces by
 intersection and coset counts, which import nothing from the package.
 And the slow paths: a fast path keeps the route it replaced here as its
 reference (the rational Buchberger routes, the token parser, the
-full-basis hull passes and primality samples, the box scans, the eager
-elimination and the two-sided Smith form), built on the package's own
-primitives, so a test can run both on the same inputs.
+full-basis hull passes and primality samples, the box scans, the
+Gorenstein test's two cross-checks, the eager elimination and the
+two-sided Smith form), built on the package's own primitives, so a
+test can run both on the same inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from monograde import cone, groebner
+from monograde import cone, divisorial, groebner
 from monograde.exact_linalg import (
     IntMatrix,
     _as_matrix,
@@ -31,6 +32,7 @@ from monograde.exact_linalg import (
     _sub_col,
     _sub_row,
     _swap_cols,
+    elementary_divisors,
     kernel_basis,
     lattice_coordinates,
     primitive,
@@ -926,6 +928,32 @@ def view_to_ambient(m, pt):
         _, lift = cone._quotient_transform(m.cone.lineality)
         pt = lift @ pt
     return m.to_ambient(pt)
+
+
+def smith_in_image(cg, heights):
+    """Whether the heights lie in F(Z^d), F the class group's facet
+    matrix, read off Smith invariants alone: the route
+    ``DivisorClassGroup`` carried as ``_in_image`` to check the
+    Gorenstein test.  Appending the heights to F as a column leaves the
+    count and the product of F's nonzero elementary divisors unchanged
+    exactly then.  Outside Q F(Z^d) the rank rises; inside it but
+    outside F(Z^d) the lattice grows, so its index in its saturation,
+    the product, drops.  The heights are read by the class group's
+    reader, as ``is_principal`` reads them."""
+    f = cg.facet_matrix
+    rows = [row + (h,) for row, h in zip(f, cg._heights(heights))]
+    aug = elementary_divisors(IntMatrix._of(rows, f.shape[1] + 1))
+    factors = cg.invariant_factors
+    return len(aug) == len(f) - factors.count(0) and math.prod(aug) == math.prod(
+        e for e in factors if e)
+
+
+def canonical_gorenstein(m):
+    """The Gorenstein decision by the canonical module's generator
+    count, with its one generator as the certificate: the full sweep
+    ``is_gorenstein`` once ran to check its answer."""
+    gens = divisorial.canonical_module(m).generators
+    return (True, gens[0]) if len(gens) == 1 else (False, None)
 
 
 def box_hilbert_basis(rays, forms, dim):

@@ -36,7 +36,7 @@ from monograde.groebner import (
 from monograde.monoid import monoid_from_cone_rays, normalize_presentation
 from monograde.multigraded import GradedRingSpec, analyze_prime, graded_hull
 from hullcheck import assert_hull_contract, is_graded
-from corpora import cone_corpus, random_pointed_cones
+from corpora import localized_faces, random_pointed_cones
 from oracles import (
     brute_irreducibles,
     brute_minimal_interior,
@@ -45,7 +45,7 @@ from oracles import (
     minor_gcd_factors,
     vec_gcd,
 )
-from references import componentwise_minimal, cone_faces, coset_count
+from references import componentwise_minimal, coset_count
 
 QUAD = monoid_from_cone_rays([(1, 0), (0, 1)])
 RNC3 = monoid_from_cone_rays([(1, 0), (1, 3)])
@@ -112,20 +112,13 @@ def _localized_faces(seed):
     of the pointed cones of ``cone_corpus(seed)``; count the faces by
     (unit rank, Gorenstein, nontrivial class group) of M_F."""
     faces = collections.Counter()
-    for rays in cone_corpus(seed):
-        m = monoid_from_cone_rays(rays)
-        if not m.is_pointed:
-            continue
-        values = [m.facet_values(r) for r in rays]
+    for m, rays, incidence, localized in localized_faces(seed):
         hilbert = [m.facet_values(h) for h in m.hilbert_basis()]
         omega = [m.facet_values(g) for g in canonical_module(m).generators]
         gorenstein, cert = is_gorenstein(m)
         free = class_group(m).invariant_factors.count(0)
-        incidence = [[k for k, vals in enumerate(values) if vals[i] == 0]
-                     for i in range(len(m.facet_forms))]
-        for face in cone_faces(incidence):
+        for face, mf in localized:
             face_rays = [rays[k] for k in face]
-            mf = monoid_from_cone_rays(rays + [tuple(-x for x in r) for r in face_rays])
             holding = [i for i, tight in enumerate(incidence) if set(face) <= set(tight)]
             assert mf.lattice_basis == m.lattice_basis
             assert sorted(mf.facet_forms) == sorted(m.facet_forms[i] for i in holding)

@@ -7,6 +7,7 @@ packaging wiring, and one replays the same job to pin down byte
 identical output.
 """
 
+import collections
 import copy
 import functools
 import io
@@ -36,7 +37,7 @@ from monograde.cli import (
 )
 from monograde.groebner import IdealPresentation, default_variables, grevlex, parse_polynomial
 from monograde.multigraded import GradedRingSpec
-from corpora import hull_job_corpus
+from corpora import cone_corpus, hull_job_corpus, presentation_corpus
 from hullcheck import assert_hull_contract
 from references import full_hull_rows, rational_buchberger, rows_route
 
@@ -106,6 +107,34 @@ def test_gorenstein_reports_certificate_or_null(monkeypatch, capsys):
     bad = '{"command":"gorenstein","rays":[[1,0],[1,3]]}'
     report = report_of(monkeypatch, capsys, ["gorenstein"], bad)
     assert report["result"] == {"gorenstein": False, "certificate": None}
+
+
+def test_canonical_and_gorenstein_commands_agree_on_the_flag(monkeypatch, capsys):
+    """``canonical`` reads its flag off the generator count and
+    ``gorenstein`` off one Hermite back-substitution.  On every golden
+    job with rays or generators, the cones of ``cone_corpus(401)`` (with
+    units and embedded among them), the whole lattice and the
+    presentations of ``presentation_corpus`` (non-normal ones among
+    them), the two commands print the same flag, or the same error with
+    the same exit code."""
+    with open(os.path.join(HERE, "golden_cli.json"), encoding="utf-8") as fh:
+        jobs = [json.loads(case["stdin"]) for case in json.load(fh)]
+    payloads = [{k: job[k]} for job in jobs for k in ("rays", "generators") if k in job]
+    payloads += [{"rays": rays} for rays in cone_corpus(401)]
+    payloads += [{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]]},
+                 {"rays": [[1, 0, 1], [-1, 0, -1], [0, 1, 1], [0, -1, -1]]}]
+    payloads += [{"generators": gens} for gens in presentation_corpus(443, 60)]
+    seen = collections.Counter()
+    for payload in payloads:
+        outcomes = []
+        for command in ("canonical", "gorenstein"):
+            code, out, err = run_cli(monkeypatch, capsys, [command],
+                                     json.dumps(dict(payload, command=command)))
+            outcomes.append((code, json.loads(out)["result"]["gorenstein"] if out else err))
+        assert outcomes[0] == outcomes[1], payload
+        code, flag = outcomes[0]
+        seen[code, flag if code == EXIT_OK else None] += 1
+    assert seen[EXIT_OK, True] > 60 and seen[EXIT_OK, False] > 25 and seen[EXIT_MATH, None] > 10, seen
 
 
 def test_normalize_report_flags_the_gap(monkeypatch, capsys):

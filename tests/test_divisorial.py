@@ -7,6 +7,7 @@ determinantal divisors and coset counting.
 """
 
 import collections
+import functools
 import itertools
 import math
 import operator
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import sweepcounts
-from monograde import divisorial, exact_linalg, monoid
+from monograde import cli, divisorial, exact_linalg, monoid
 from monograde.divisorial import (
     DivisorialIdeal,
     canonical_module,
@@ -34,7 +35,13 @@ from monograde.monoid import (
     monoid_from_cone_rays,
     normalize_presentation,
 )
-from corpora import caratheodory_corpus, cone_corpus, presentation_corpus, random_pointed_cones
+from corpora import (
+    caratheodory_corpus,
+    cone_corpus,
+    localized_faces,
+    presentation_corpus,
+    random_pointed_cones,
+)
 from oracles import (
     brute_minimal_interior,
     det_int,
@@ -47,9 +54,11 @@ from references import (
     box_hilbert_basis,
     box_members,
     box_minimal_generators,
+    canonical_gorenstein,
     cokernel_class_group,
     coset_count,
     full_scan_floor_filter,
+    smith_in_image,
     smith_solve,
 )
 
@@ -124,10 +133,12 @@ def test_requires_normal_monoid():
 
 def test_every_ideal_operation_refuses_a_non_normal_presentation():
     # the heights describe C cap L, here all of N (1, 0), though the
-    # presentation misses (1, 0): the ideal is refused where it is built
+    # presentation misses (1, 0): the ideal is refused where it is built,
+    # and the operations that take no ideal refuse the monoid themselves
     m = normalize_presentation([(2, 0), (3, 0)])
     for call in (lambda: DivisorialIdeal(m, (0,)), lambda: members(DivisorialIdeal(m, (0,)), 2),
-                 lambda: same_class(DivisorialIdeal(m, (0,)), DivisorialIdeal(m, (1,)))):
+                 lambda: same_class(DivisorialIdeal(m, (0,)), DivisorialIdeal(m, (1,))),
+                 lambda: is_gorenstein(m), lambda: canonical_module(m), lambda: class_group(m)):
         with pytest.raises(NonNormalError) as info:
             call()
         assert info.value.witness == (1, 0)
@@ -534,19 +545,26 @@ def test_one_hermite_form_per_monoid(monkeypatch):
 
 
 def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
-    m = monoid_from_cone_rays([(1, 0), (1, 3)])
-    calls = []
+    """Nothing is kept on the monoid, and no job asks twice: each
+    ``canonical_module`` call sweeps once, the ``canonical`` command
+    calls it once, and the Gorenstein test sweeps nothing."""
+    sweeps = []
     real = divisorial.minimal_generators
 
     def counted(ideal):
-        calls.append(ideal)
+        sweeps.append(ideal)
         return real(ideal)
 
     monkeypatch.setattr(divisorial, "minimal_generators", counted)
+    m = monoid_from_cone_rays([(1, 0), (1, 3)])
+    assert is_gorenstein(m) == (False, None) and is_gorenstein(QUAD) == (True, (1, 1))
+    assert sweeps == []
     first = canonical_module(m)
-    assert is_gorenstein(m) == (False, None)
-    assert canonical_module(m) is first
-    assert len(calls) == 1
+    assert canonical_module(m) == first and len(sweeps) == 2
+    for command, count in (("canonical", 1), ("gorenstein", 0), ("class-group", 0)):
+        sweeps.clear()
+        cli.execute(cli.parse_input('{"command": "%s", "rays": [[1, 0], [1, 3]]}' % command))
+        assert len(sweeps) == count, command
 
 
 # -- class group ---------------------------------------------------------
@@ -568,11 +586,16 @@ def test_class_group_is_computed_once_per_monoid(monkeypatch):
     # principal classes a Hermite back-substitution
     assert not first.is_principal((1, 1)) and first.is_principal((0, 3))
     assert riding == [0]
+    # the Gorenstein test reads the same Hermite form and runs no Smith form
     assert is_gorenstein(m) == (False, None)
-    assert class_group(m) is first
-    # the Gorenstein test's Smith route reduces one more bare matrix,
-    # the facet matrix with the all-ones column appended
-    assert riding == [0, 0]
+    assert riding == [0]
+    # nothing is kept on the monoid, and of the commands only
+    # ``class-group`` asks for the factors, once
+    assert class_group(m) == first and riding == [0, 0]
+    for command, count in (("canonical", 0), ("gorenstein", 0), ("class-group", 1)):
+        riding.clear()
+        cli.execute(cli.parse_input('{"command": "%s", "rays": [[1, 0], [1, 3]]}' % command))
+        assert riding == [0] * count, command
 
 
 def test_class_group_fixtures():
@@ -599,8 +622,9 @@ def test_class_group_against_independent_oracles():
 def test_class_group_matches_the_cokernel_route():
     """Invariant factors from the elementary divisors, and principal
     classes by Hermite membership and by the Smith invariants of F with
-    the heights appended, agree with the cokernel of the facet matrix,
-    and the factors with determinantal divisors."""
+    the heights appended (the reference ``smith_in_image``), agree with
+    the cokernel of the facet matrix, and the factors with determinantal
+    divisors."""
     rng = random.Random(79)
     outcomes = collections.Counter()
     for rays in cone_corpus(421):
@@ -618,7 +642,7 @@ def test_class_group_matches_the_cokernel_route():
             for heights in (image, tuple(map(operator.add, image, noise))):
                 want = not any(coordinates(heights))
                 assert cg.is_principal(heights) == want
-                assert cg._in_image(heights) == want
+                assert smith_in_image(cg, heights) == want
                 outcomes[want] += 1
     assert outcomes[True] > 200 and outcomes[False] > 100
 
@@ -631,11 +655,11 @@ def test_heights_need_one_entry_per_facet():
         cg = class_group(m)
         s = len(m.facet_forms)
         for heights in ((1,) * (s - 1), (1,) * (s + 1), (0,) * (s - 1) + (1, 5)):
-            for test in (cg.is_principal, cg._in_image):
+            for test in (cg.is_principal, functools.partial(smith_in_image, cg)):
                 with pytest.raises(ValueError, match="^need one height per facet form$"):
                     test(heights)
         image = m.facet_matrix @ ((1,) * m.rank)
-        assert cg.is_principal(image) and cg._in_image(image)
+        assert cg.is_principal(image) and smith_in_image(cg, image)
 
 
 def test_same_class():
@@ -737,42 +761,38 @@ def test_gorenstein_fixtures():
         assert is_gorenstein(monoid_from_cone_rays(rays)) == (True, (0,) * len(rays[0]))
 
 
-def test_every_gorenstein_route_is_live(monkeypatch):
-    """Flipping any one of the three routes makes ``is_gorenstein``
-    raise, on Gorenstein and other monoids, pointed and with units: an
-    extra or a missing canonical generator, a preimage lost or invented,
-    and elementary divisors of the facet matrix with the all-ones column
-    appended that change or keep F's.  So every route is read."""
-    real_canonical = divisorial.canonical_module
-    real_preimage = monoid._PointedView._preimage
-    real_divisors = divisorial.elementary_divisors
-
-    def canonical(m):
-        can = real_canonical(m)
-        gens = can.generators
-        return divisorial.CanonicalModule(can.ideal, gens[:1] if len(gens) > 1 else gens * 2)
-
-    def preimage(view, values):
-        return None if real_preimage(view, values) is not None else (0,) * view.dim
-
-    def divisors(a):
-        got, bare = real_divisors(a), real_divisors([row[:-1] for row in a])
-        return got + (2,) if got == bare else bare
-
-    breaks = ((divisorial, "canonical_module", canonical),
-              (monoid._PointedView, "_preimage", preimage),
-              (divisorial, "elementary_divisors", divisors))
-    answers = []
-    for m in (QUAD, VER2, RNC3, monoid_from_cone_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),
-              monoid_from_cone_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 3)])):
-        # computed unbroken first: the canonical module and class group are kept
-        answers.append((is_gorenstein(m)[0], m.is_pointed))
-        for owner, name, broken in breaks:
-            with monkeypatch.context() as patch:
-                patch.setattr(owner, name, broken)
-                with pytest.raises(RuntimeError, match="^Gorenstein criteria disagree"):
-                    is_gorenstein(m)
-    assert answers == [(True, True), (True, True), (False, True), (True, False), (False, False)]
+def test_gorenstein_route_matches_both_oracles():
+    """The Hermite back-substitution that decides ``is_gorenstein``
+    agrees with the two routes it once ran as cross-checks: the flag
+    with the canonical module's generator count and with the Smith
+    invariants of the facet matrix with the all-ones column appended,
+    and the certificate with the canonical module's one generator, the
+    section representative with units, whose facet values are all one.
+    On the fixtures, the random corpus of the acceptance gate, the cones
+    of ``cone_corpus(401)`` with units, the whole lattice (no facets)
+    and every localization of the acceptance gate's faces."""
+    monoids = [QUAD, VER2, RNC3,
+               monoid_from_cone_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+               monoid_from_cone_rays([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]),
+               monoid_from_cone_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),
+               monoid_from_cone_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 3)])]
+    monoids += [monoid_from_cone_rays(rays) for _, rays in random_pointed_cones(20, 3, 6, seed=307)]
+    monoids += [m for m in map(monoid_from_cone_rays, cone_corpus(401)) if not m.is_pointed]
+    monoids += [monoid_from_cone_rays(rays) for rays in WHOLE_LATTICE]
+    for seed in (401, 431, 437):
+        monoids += [mf for *_, localized in localized_faces(seed) for _, mf in localized]
+    kinds = collections.Counter()
+    for m in monoids:
+        ones = (1,) * len(m.facet_forms)
+        flag, cert = is_gorenstein(m)
+        assert (flag, cert) == canonical_gorenstein(m), m.cone.rays
+        assert smith_in_image(class_group(m), ones) == flag, m.cone.rays
+        assert cert is None or m.facet_values(cert) == ones
+        kinds[flag, m.unit_rank > 0] += 1
+        kinds["whole lattice"] += not ones
+    assert kinds[True, False] >= 5 and kinds[False, False] > 10, kinds
+    assert kinds[True, True] > 100 and kinds[False, True] > 100, kinds
+    assert kinds["whole lattice"] >= 2, kinds
 
 
 def test_gorenstein_certificate_is_interior_with_unit_heights():
