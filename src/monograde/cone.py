@@ -16,11 +16,11 @@ generator is extreme iff its set is maximal among those short of all
 forms, and an input form supports a facet iff the set of rays it
 vanishes on is maximal among those short of all rays.  Cones may be
 non-pointed (the lineality space is reported separately) and
-lower-dimensional.  For a
-full-dimensional cone the facet forms are the unique primitive supports
-of the facets; otherwise they describe the cone modulo the orthogonal
-complement of its span and are made deterministic by the lattice
-normalizations used throughout.
+lower-dimensional.  For a full-dimensional cone the facet forms are the
+unique primitive supports of the facets; otherwise they describe the
+cone modulo the orthogonal complement of its span.  A ray or form that
+double description finds modulo a lattice is reduced by its Hermite
+basis (``exact_linalg._divmod``), whatever quotient basis it ran in.
 
 ``facets_of_rays`` keeps its last few conversions in a small memo keyed
 by the cleaned generators (see its docstring), because a job that builds
@@ -43,9 +43,10 @@ from .exact_linalg import (
     _as_count,
     _as_vector,
     _as_vectors,
+    _divmod,
     _dot,
     _eliminate,
-    _smith_left,
+    hnf,
     kernel_basis,
     rank,
     unimodular_inverse,
@@ -186,10 +187,12 @@ def _pointed_extreme_rays(a, d: int, base: list[int],
 def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Unimodular P sending the saturated sublattice spanned by the given
     u rows onto the first u coordinates, and the last columns of P^-1,
-    which lift the quotient coordinates back; returns (P, lift)."""
-    diag, p = _smith_left(lin_rows.T)
+    which lift the quotient coordinates back; returns (P, lift).  P is
+    the transform of the Hermite form of lin_rows.T, whose top u x u
+    block is the identity exactly when the lattice is saturated."""
+    h, p = hnf(lin_rows.T)
     u = len(lin_rows)
-    if any(x != 1 for x in diag):
+    if any(h[i][i] != 1 for i in range(u)):
         raise ValueError("sublattice is not saturated")
     return p, IntMatrix._of((row[u:] for row in unimodular_inverse(p)), len(p) - u)
 
@@ -208,7 +211,8 @@ def _dd(a: IntMatrix) -> tuple[dict[Vec, int], list[int], int, IntMatrix]:
     injective and extends to a unimodular basis, so lifted primitive
     rays stay primitive, and row i of A @ lift is tight on y iff row i
     of A is tight on lift @ y: the masks and columns carry over
-    unchanged.
+    unchanged.  Both hold still when ``_divmod`` reduces lift @ y by
+    ``lin``, on which A vanishes, so no ray depends on the lift.
     """
     d = a.shape[1]
     base, start = _start_cone(a)
@@ -221,7 +225,7 @@ def _dd(a: IntMatrix) -> tuple[dict[Vec, int], list[int], int, IntMatrix]:
     a = a @ lift
     base, start = _start_cone(a)
     rays, cols, full = _pointed_extreme_rays(a, len(base), base, start)
-    return {lift @ y: m for y, m in rays.items()}, cols, full, lin
+    return {_divmod(lin, lift @ y)[1]: m for y, m in rays.items()}, cols, full, lin
 
 
 def _maximal_proper(sets: list[int], full: int) -> list[bool]:

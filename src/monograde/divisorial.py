@@ -169,7 +169,7 @@ def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:
     isomorphic as modules exactly when a witness exists; returns None
     when the classes differ.  On a pointed monoid the witness is
     unique; with units any two witnesses differ by a unit, and the one
-    returned is the section representative of ``_PointedView._preimage``.
+    returned is reduced by the units' Hermite basis (``to_ambient``).
     """
     if a.monoid is not b.monoid and (
         a.monoid.facet_forms != b.monoid.facet_forms
@@ -179,7 +179,7 @@ def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:
     view = a.monoid._pointed_view
     delta = tuple(x - y for x, y in zip(b.heights, a.heights))
     g = view._preimage(delta)
-    return None if g is None else g @ view.out
+    return None if g is None else view.to_ambient(g)
 
 
 def is_gorenstein(m: AffineMonoid) -> tuple[bool, Vec | None]:
@@ -191,12 +191,12 @@ def is_gorenstein(m: AffineMonoid) -> tuple[bool, Vec | None]:
     back-substitution in the pointed view (``_PointedView._preimage``)
     decides.  The facet forms are injective on the view, so g is its
     only point with those values, and the certificate is exactly the
-    canonical module's single generator.  With units it is the section representative, the
-    one ``same_class`` and ``minimal_generators`` return; any point of
-    g + units has the same facet values.  On a cone equal to its whole
+    canonical module's single generator.  With units it is reduced by the
+    units' Hermite basis, as every point ``same_class`` and
+    ``minimal_generators`` return is.  On a cone equal to its whole
     lattice there are no facets, and the certificate is 0.
     """
     m.require_normal()
     view = m._pointed_view
     g = view._preimage((1,) * len(m.facet_forms))
-    return (False, None) if g is None else (True, g @ view.out)
+    return (False, None) if g is None else (True, view.to_ambient(g))

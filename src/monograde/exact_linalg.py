@@ -4,10 +4,11 @@ Rational questions (rank, inverses of unimodular matrices, and the
 solves and start cones of ``cone`` and ``divisorial``) all run on one
 fraction-free Gauss-Jordan kernel,
 ``_eliminate``, which never leaves the integers.  Lattice questions
-need a unimodular transform.  The Hermite form serves lattice bases,
-kernels and integer solves, by back-substitution in
-``lattice_coordinates``; the Smith form serves elementary divisors and
-the unimodular basis change of ``cone``'s lineality quotient.  Matrices
+need a unimodular transform, and the Hermite form serves them all:
+lattice bases, kernels, ``cone``'s lineality quotient, and integer
+solves by back-substitution (``_divmod``), whose remainder is the one
+representative modulo a lattice that every answer up to units takes.
+The Smith form serves only elementary divisors.  Matrices
 are ``IntMatrix`` values, immutable tuples of row tuples of Python
 ints, so nothing here can overflow; the kernels work on mutable row
 lists inside.  The package reads integer input where the value is built,
@@ -25,14 +26,12 @@ the start cone is its rows, an inverse is T itself up to sign, and a
 vertex is T applied to the right-hand side.  ``hnf`` reduces the rows
 of ``[A | I]``, pivots in the first columns, so its row transform
 rides along and each row operation is written once.  The Smith kernel
-``_smith`` reduces the first n columns of the rows it is handed to a
-diagonal and stops there: ``elementary_divisors`` hands it the bare
-matrix, or its transpose when that has fewer rows, and chains the
-diagonal by gcd and lcm; ``_smith_left`` hands it the row transform
-beside a saturated lattice, whose diagonal is all ones, so no
-divisibility pass ever moves U.  Once a pivot's row pass has cleared
-its column, a column that is a multiple of the pivot costs one entry,
-not a column.
+``_smith`` carries no transform: it reduces the rows it is handed to a
+diagonal and stops there, and ``elementary_divisors``, its one caller,
+hands it the bare matrix, or its transpose when that has fewer rows,
+and chains the diagonal by gcd and lcm.  Once a pivot's row pass has
+cleared its column, a column that is a multiple of the pivot costs one
+entry, not a column.
 
 Conventions: matrices act on column vectors.  Lattices are handled as
 row-generator matrices; ``row_lattice_basis`` returns the canonical
@@ -224,11 +223,6 @@ def _eliminate(vectors, d: int) -> tuple[list[list[int]], list[int], int]:
     return t, base, e
 
 
-def _with_identity(a) -> list[list[int]]:
-    """The rows ``a_i + e_i`` of ``[A | I]``, for a transform to ride along."""
-    return [list(row) + e for row, e in zip(a, _identity(len(a)))]
-
-
 def _combine_rows(m: list[list[int]], r: int, i: int, s: int, t: int, u: int, v: int) -> None:
     # row_r' = s*row_r + t*row_i ; row_i' = -v*row_r + u*row_i ; s*u + t*v = 1
     a, b = m[r], m[i]
@@ -270,7 +264,7 @@ def hnf(a) -> tuple[IntMatrix, IntMatrix]:
     """
     a = _as_matrix(a)
     m, n = a.shape
-    h = _with_identity(a)
+    h = [list(row) + e for row, e in zip(a, _identity(m))]
     r = 0
     for j in range(n):
         if r == m:
@@ -311,21 +305,17 @@ def rank(a) -> int:
     return len(_eliminate(rows, width)[1])
 
 
-def _smith(s: list[list[int]], n: int) -> list[list[int]]:
-    """Reduce the first n columns of the rows ``s`` in place to a
-    diagonal, left in the signs and order the pivots gave it, and return
-    them.
+def _smith(s: list[list[int]]) -> list[list[int]]:
+    """Reduce the rows ``s``, all of one length, in place to a diagonal,
+    left in the signs and order the pivots gave it, and return them.
 
-    Row operations act on whole rows and column operations on the first
-    n columns, so columns past n ride along as a row transform.  The
-    pivots depend on the first n columns alone, so what rides along
-    never changes the diagonal.  Each pivot's row pass leaves its column
-    zero off the pivot row, so a column that is a multiple of the pivot
-    is cleared by zeroing one entry, with no work on the other rows,
-    until a column combination in the same pass refills the pivot
-    column.
+    Each pivot's row pass leaves its column zero off the pivot row, so a
+    column that is a multiple of the pivot is cleared by zeroing one
+    entry, with no work on the other rows, until a column combination in
+    the same pass refills the pivot column.
     """
     m = len(s)
+    n = len(s[0]) if s else 0
     k = min(m, n)
     for t in range(k):
         # choose the first remaining entry of least absolute value as
@@ -375,20 +365,6 @@ def _smith(s: list[list[int]], n: int) -> list[list[int]]:
     return s
 
 
-def _smith_left(a) -> tuple[list[int], IntMatrix]:
-    """The diagonal of D = U @ A @ V, min(m, n) entries made
-    nonnegative, and U, for callers that never read V: only ``[A | I]``
-    is reduced.  D is the Smith form when its diagonal is all ones, as on
-    the saturated lattices ``cone._quotient_transform`` hands in."""
-    m, n = a.shape
-    s = _smith(_with_identity(a), n)
-    k = min(m, n)
-    for i in range(k):
-        if s[i][i] < 0:
-            s[i] = [-x for x in s[i]]
-    return [s[i][i] for i in range(k)], IntMatrix._of((tuple(row[n:]) for row in s), m)
-
-
 def elementary_divisors(a) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order.  Only
     the bare matrix is reduced to a diagonal, no transform rides along,
@@ -400,8 +376,8 @@ def elementary_divisors(a) -> tuple[int, ...]:
     a = _as_matrix(a)
     m, n = a.shape
     if m > n:
-        a, m, n = a.T, n, m
-    s = _smith([list(row) for row in a], n)
+        a, m = a.T, n
+    s = _smith([list(row) for row in a])
     d = [abs(s[i][i]) for i in range(m) if s[i][i]]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -433,23 +409,32 @@ def kernel_basis(a, width: int | None = None) -> IntMatrix:
     return row_lattice_basis(IntMatrix._of(zero, n)) if zero else IntMatrix._of((), n)
 
 
-def lattice_coordinates(basis, v) -> Vec | None:
-    """The x with x @ basis = v, or None when v is not in the row lattice.
-
-    ``basis`` must be a row echelon form without zero rows, such as a
-    ``row_lattice_basis``.  Later rows vanish at a row's pivot, so each
-    coordinate is the quotient there, and v is in the lattice iff
-    nothing is left over.
-    """
-    rest = _as_vector(v, basis.shape[1], "vector length does not match the basis")
+def _divmod(basis, v) -> tuple[Vec, Vec]:
+    """(x, rest) with v = x @ basis + rest, by back-substitution in a
+    row echelon ``basis`` without zero rows: each coordinate is the floor
+    quotient at its row's pivot, where later rows vanish.  On a Hermite
+    basis, rest is the one point of v + lattice in [0, pivot) at the pivots."""
+    rest = v
     x = []
     for row in basis:
         j = next(j for j, c in enumerate(row) if c)
         q = rest[j] // row[j]
         x.append(q)
         if q:
-            rest = [a - q * b for a, b in zip(rest, row)]
-    return None if any(rest) else tuple(x)
+            rest = tuple([a - q * b for a, b in zip(rest, row)])
+    return tuple(x), rest
+
+
+def lattice_coordinates(basis, v) -> Vec | None:
+    """The x with x @ basis = v, or None when v is not in the row lattice.
+
+    ``basis`` must be a row echelon form without zero rows, such as a
+    ``row_lattice_basis``; v is in the lattice iff ``_divmod`` leaves
+    nothing over.
+    """
+    v = _as_vector(v, basis.shape[1], "vector length does not match the basis")
+    x, rest = _divmod(basis, v)
+    return None if any(rest) else x
 
 
 def unimodular_inverse(m) -> IntMatrix:

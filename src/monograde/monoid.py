@@ -31,12 +31,14 @@ generator, so no membership search runs.
 
 Vectors returned to callers are always in the ambient Z^r coordinates,
 which keeps results independent of the internal basis choice for L.
-Points found in the pointed view (the monoid modulo its units) reach
-Z^r by one product with its ``out``: the lattice basis, composed with
-the unit quotient's section when there are units.  The sweeps run in
-echelon coordinates y': a minimal generator takes one product with
-V @ out (``_PointedView._ambient``), and a Hilbert element is kept in
-the view's coordinates, y' @ V, where the normality check reads it.
+A point of the pointed view (the monoid modulo its units) leaves it by
+one exit, ``_PointedView.to_ambient``: a product with ``out``, the
+lattice basis composed with the unit quotient's section, reduced by the
+units' Hermite basis, so each answer up to a unit is one representative
+whatever section the quotient picked.  The sweeps run in echelon
+coordinates y': a minimal generator leaves as y' @ V
+(``_PointedView._ambient``), and a Hilbert element is kept in the
+view's coordinates, y' @ V, where the normality check reads it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .exact_linalg import (
     _as_count,
     _as_vector,
     _as_vectors,
+    _divmod,
     _dot,
     _eliminate,
     _identity,
@@ -98,6 +101,12 @@ class _PointedView:
     forms: tuple[Vec, ...]
     dim: int
     out: IntMatrix  # (dim, r): view coordinates to ambient coordinates
+    units: IntMatrix  # the Hermite basis of the ambient unit lattice, no rows when pointed
+
+    def to_ambient(self, y) -> Vec:
+        """The point y of the view in Z^r: y @ out reduced by ``units``,
+        the one point of its class with entries in [0, pivot) at their pivots."""
+        return _divmod(self.units, y @ self.out)[1]
 
     @cached_property
     def ray_sums(self) -> Vec:
@@ -162,9 +171,9 @@ class _PointedView:
         return _region_points(h.T, heights, *_echelon_box(h, heights, caps), caps)
 
     def _ambient(self, swept) -> tuple[Vec, ...]:
-        """Swept points y', sorted in Z^r: one product each with V @ out."""
-        out = self._echelon[1] @ self.out
-        return tuple(sorted(pt @ out for pt in swept))
+        """Swept points y', sorted in Z^r: each y' @ V leaves by ``to_ambient``."""
+        v = self._echelon[1]
+        return tuple(sorted(self.to_ambient(pt @ v) for pt in swept))
 
     def _preimage(self, values) -> Vec | None:
         """The y with F(y) = values, or None when values is not in F(Z^dim).
@@ -173,7 +182,7 @@ class _PointedView:
         y = x @ V.  F is injective, so y is the only solution.  With units
         F is the facet matrix times the section of the unit quotient,
         which spans the same image as the facet matrix on L, since the
-        facet forms vanish on the units; ``y @ out`` is y in Z^r.
+        facet forms vanish on the units; ``to_ambient(y)`` is y in Z^r.
         """
         h, v = self._echelon
         x = lattice_coordinates(h, values)
@@ -287,11 +296,9 @@ class AffineMonoid:
         return self.unit_rank == 0
 
     def unit_basis(self) -> tuple[Vec, ...]:
-        """Canonical ambient basis of the unit group {x in M : -x in M}."""
-        if self.unit_rank == 0:
-            return ()
-        ambient_rows = self.cone.lineality @ self.lattice_basis
-        return row_lattice_basis(ambient_rows)
+        """Canonical (Hermite) ambient basis of the unit group
+        {x in M : -x in M}, empty when M is pointed."""
+        return self._pointed_view.units
 
     # -- membership ---------------------------------------------------
 
@@ -313,7 +320,8 @@ class AffineMonoid:
         generate its lattice as a monoid once they do as a group.  A
         Hilbert element is irreducible modulo units, and points with
         equal facet values differ by a unit, so the generators reach it
-        iff one of them has its facet values.
+        iff one of them has its facet values; the witness is the least
+        missing Hilbert representative in ambient order.
         """
         if self._assume_normal:
             return True, None
@@ -325,10 +333,9 @@ class AffineMonoid:
                 if lattice_coordinates(gen_lattice, row) is None:
                     return False, self.to_ambient(row)
         gen_vals = {self._facet_values_local(g) for g in self.local_generators}
-        for p, vals in self._pointed_hilbert:
-            if vals not in gen_vals:
-                return False, p @ self._pointed_view.out
-        return True, None
+        view = self._pointed_view
+        missing = [view.to_ambient(p) for p, vals in self._pointed_hilbert if vals not in gen_vals]
+        return (False, min(missing)) if missing else (True, None)
 
     @property
     def is_normal(self) -> bool:
@@ -354,11 +361,13 @@ class AffineMonoid:
         d = self.rank
         u = self.unit_rank
         if u == 0:
-            return _PointedView(self.cone.rays, self.cone.facet_forms, d, self.lattice_basis)
+            return _PointedView(self.cone.rays, self.cone.facet_forms, d, self.lattice_basis,
+                                IntMatrix._of((), self.ambient_rank))
         p, lift = _quotient_transform(self.cone.lineality)
         forms = tuple(self.facet_matrix @ lift)
         rays = sorted(set(primitive((p @ r)[u:]) for r in self.cone.rays))
-        return _PointedView(tuple(rays), forms, d - u, lift.T @ self.lattice_basis)
+        units = row_lattice_basis(self.cone.lineality @ self.lattice_basis)
+        return _PointedView(tuple(rays), forms, d - u, lift.T @ self.lattice_basis, units)
 
     @cached_property
     def _pointed_hilbert(self) -> tuple[tuple[Vec, Vec], ...]:
@@ -368,13 +377,13 @@ class AffineMonoid:
     def hilbert_basis(self) -> tuple[Vec, ...]:
         """Irreducible nonunits of M, modulo units, in ambient coordinates.
 
-        With units present, each class gets the deterministic section
-        representative induced by the unit quotient.  The presentation
-        must be normal, otherwise :class:`NonNormalError` explains the gap.
+        With units present, each class gets its representative reduced
+        by the units' Hermite basis.  The presentation must be normal,
+        otherwise :class:`NonNormalError` explains the gap.
         """
         self.require_normal()
-        out = self._pointed_view.out
-        return tuple(sorted(p @ out for p, _ in self._pointed_hilbert))
+        view = self._pointed_view
+        return tuple(sorted(view.to_ambient(p) for p, _ in self._pointed_hilbert))
 
     def _members(self, heights, box: int) -> tuple[Vec, ...]:
         """The points of L with facet values at least ``heights`` and

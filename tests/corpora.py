@@ -3,8 +3,8 @@
 Each generator draws from its own ``random.Random(seed)``, so a corpus
 is the same on every run: pointed cones of small rank for the box
 oracles, degenerate cones and cones with lineality for the conversions,
-rank 5-7 cones for double description, presentations of non-normal
-monoids, graded CLI jobs for the hull passes and polynomial text for
+rank 5-7 cones for double description, cones with units of rank 1-5,
+presentations of non-normal monoids, graded CLI jobs for the hull passes and polynomial text for
 the parser.  Only two ask the package for anything:
 ``large_cone_corpus``, the facet forms of one cone, and only to use them
 as input rows, and ``localized_faces``, the monoids of the pointed cones
@@ -120,6 +120,22 @@ def localized_faces(seed):
         faces = [(face, monoid_from_cone_rays(rays + [tuple(-x for x in rays[k]) for k in face]))
                  for face in cone_faces(incidence)]
         yield m, rays, incidence, faces
+
+
+def unit_cone_corpus(seed, count):
+    """Ray lists of monoids with units, of unit rank 1-5: ``count``
+    pointed cones of ``random_pointed_cones`` of rank 2-5 with the
+    opposites of 1-3 of their rays added, then the cones of
+    ``cone_corpus`` 401 and 431 that hold the opposite of their first
+    ray."""
+    rng = random.Random(seed)
+    out = []
+    for _, rays in random_pointed_cones(count, 5, 2, seed):
+        negated = rng.sample(rays, rng.randint(1, min(3, len(rays))))
+        out.append(rays + [tuple(-x for x in r) for r in negated])
+    for s in (401, 431):
+        out += [rays for rays in cone_corpus(s) if tuple(-x for x in rays[0]) in rays]
+    return out
 
 
 def caratheodory_corpus(seed):

@@ -6,9 +6,9 @@ intersection and coset counts, which import nothing from the package.
 And the slow paths: a fast path keeps the route it replaced here as its
 reference (the rational Buchberger routes, the token parser, the
 full-basis hull passes and primality samples, the box scans, the
-Gorenstein test's two cross-checks, the eager elimination and the
-two-sided Smith form), built on the package's own primitives, so a
-test can run both on the same inputs.
+Gorenstein test's two cross-checks, the eager elimination, the
+two-sided Smith form and the unit quotient's Smith route), built on
+the package's own primitives, so a test can run both on the same inputs.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from monograde.exact_linalg import (
     primitive,
     rank,
     row_lattice_basis,
+    unimodular_inverse,
     xgcd,
 )
 from monograde.monoid import _guard_box
@@ -921,13 +922,21 @@ def _polynomial_prime_checks(spec, graded, gb_p, gb_star, budget, draws, samples
 
 def view_to_ambient(m, pt):
     """A point of ``m``'s pointed view in ambient coordinates by the
-    chain the view's ``out`` map replaced: into L through the section of
-    ``cone._quotient_transform`` when ``m`` has units, then
-    ``to_ambient``."""
-    if m.unit_rank:
-        _, lift = cone._quotient_transform(m.cone.lineality)
-        pt = lift @ pt
-    return m.to_ambient(pt)
+    chain the view's ``to_ambient`` replaced: into L through the section
+    of ``cone._quotient_transform`` when ``m`` has units, then
+    ``to_ambient``, then reduced modulo the units by the
+    :func:`reference_hnf` basis of their ambient rows, each entry at a
+    pivot floored into [0, pivot)."""
+    if not m.unit_rank:
+        return m.to_ambient(pt)
+    _, lift = cone._quotient_transform(m.cone.lineality)
+    x = m.to_ambient(lift @ pt)
+    units, _ = reference_hnf([m.to_ambient(row) for row in m.cone.lineality])
+    for row in units:  # independent rows: none is zero
+        j = next(j for j, c in enumerate(row) if c)
+        q = x[j] // row[j]
+        x = tuple(a - q * b for a, b in zip(x, row))
+    return x
 
 
 def smith_in_image(cg, heights):
@@ -1164,7 +1173,8 @@ def search_normality(m):
     """``(is_normal, witness)`` by the route ``AffineMonoid._normality``
     replaced: the unit generators' lattice compared with the kernel
     units by Hermite bases, a Smith solve per missing row, and then the
-    :func:`presentation_member` search on every Hilbert basis element."""
+    :func:`presentation_member` search on every Hilbert basis element,
+    whose least miss in ambient order is the witness."""
     if m._assume_normal:
         return True, None
     unit_gens = [g for g in m.local_generators
@@ -1176,14 +1186,24 @@ def search_normality(m):
             for row in n_rows:
                 if smith_solve(gen_rows.T, row) is None:
                     return False, m.to_ambient(row)
-    for p, _ in m._pointed_hilbert:
-        amb = view_to_ambient(m, p)
-        if not presentation_member(m, amb):
-            return False, amb
-    return True, None
+    missing = [amb for amb in (view_to_ambient(m, p) for p, _ in m._pointed_hilbert)
+               if not presentation_member(m, amb)]
+    return (False, min(missing)) if missing else (True, None)
 
 
 # -- slow paths kept as references for cone ----------------------------
+
+
+def smith_quotient_transform(lin_rows):
+    """``cone._quotient_transform`` by the route it took before it read P
+    off a Hermite form: U of the Smith form S = U @ lin.T @ V of
+    :func:`reference_snf`, whose diagonal is all ones on a saturated
+    lattice.  Returns (P, lift), lift the last columns of P^-1."""
+    s, p, _ = reference_snf(_as_matrix(lin_rows).T)
+    u = len(lin_rows)
+    if any(s[i][i] != 1 for i in range(u)):
+        raise ValueError("sublattice is not saturated")
+    return p, IntMatrix._of((row[u:] for row in unimodular_inverse(p)), len(p) - u)
 
 
 def rank_extreme_rays(gens, forms, span_cuts, lin_dim):
@@ -1366,8 +1386,8 @@ def reference_snf(a):
     operation written on S and U, every column operation on S and V, and
     a last pass that chains the diagonal by divisibility.  Its nonzero
     diagonal is ``exact_linalg.elementary_divisors``; on a saturated
-    lattice, where that pass does nothing, the diagonal and U are those
-    of ``exact_linalg._smith_left``."""
+    lattice, where that pass does nothing, U is the unit quotient's P of
+    :func:`smith_quotient_transform`."""
     a = _as_matrix(a)
     m, n = a.shape
     s = [list(row) for row in a]

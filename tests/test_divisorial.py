@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import sweepcounts
-from monograde import cli, divisorial, exact_linalg, monoid
+from monograde import cli, cone, divisorial, exact_linalg, monoid
 from monograde.divisorial import (
     DivisorialIdeal,
     canonical_module,
@@ -60,6 +60,7 @@ from references import (
     full_scan_floor_filter,
     smith_in_image,
     smith_solve,
+    view_to_ambient,
 )
 
 QUAD = monoid_from_cone_rays([(1, 0), (0, 1)])
@@ -403,14 +404,14 @@ def test_floor_filter_matches_the_full_scan(monkeypatch):
         if view.dim == 0:
             continue
         s = len(m.facet_forms)
-        out = view._echelon[1] @ view.out
+        v = view._echelon[1]
         hilbert = m._pointed_hilbert  # swept here, so that only the generators' sweep is recorded
         for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(2)]:
             swept.clear()
             got = minimal_generators(divisorial_ideal(m, h))
             floors = [tuple(map(operator.add, b, h)) for _, b in hilbert]
             kept = full_scan_floor_filter(swept, floors)
-            assert got == tuple(sorted(pt @ out for pt, _ in kept)), (rays, h)
+            assert got == tuple(sorted(view_to_ambient(m, pt @ v) for pt, _ in kept)), (rays, h)
             kinds[view.dim] += 1
             kinds["reducible"] += len(swept) > len(kept)
     assert all(kinds[d] > 10 for d in range(1, 5)) and kinds["reducible"] > 100, kinds
@@ -512,7 +513,7 @@ def test_one_hermite_form_per_monoid(monkeypatch):
         calls.append(a)
         return real(a)
 
-    for module in (exact_linalg, monoid, divisorial):
+    for module in (exact_linalg, cone, monoid, divisorial):
         if hasattr(module, "hnf"):
             monkeypatch.setattr(module, "hnf", counted)
     # a non-simplicial rank-4 cone: the sweeps and is_principal share
@@ -536,7 +537,10 @@ def test_one_hermite_form_per_monoid(monkeypatch):
     m = monoid_from_cone_rays(rays + [(-1, 0, 0, 0)])
     calls.clear()
     assert m.unit_rank == 1 and m._pointed_view.dim == 3
-    assert len(calls) == 2  # the cone's lineality kernel
+    # two for the cone's lineality kernel, one for the unit quotient's
+    # transform, and one for the Hermite basis of the ambient units, by
+    # which every point leaves the view
+    assert len(calls) == 4
     calls.clear()
     hilbert_basis(m)
     canonical_module(m)
@@ -575,10 +579,10 @@ def test_class_group_is_computed_once_per_monoid(monkeypatch):
     riding = []
     real = exact_linalg._smith
 
-    def counted(rows, n):
-        # the columns past the n reduced ones are a transform riding along
-        riding.append(len(rows[0]) - n if rows else 0)
-        return real(rows, n)
+    def counted(rows):
+        # columns past the facet matrix's own would be a transform riding along
+        riding.append(len(rows[0]) - max(m.facet_matrix.shape) if rows else 0)
+        return real(rows)
 
     monkeypatch.setattr(exact_linalg, "_smith", counted)
     first = class_group(m)
@@ -681,6 +685,18 @@ WHOLE_LATTICE = ([(1, 0), (-1, 0), (0, 1), (0, -1)],
                  [(1, 0, 1), (-1, 0, -1), (0, 1, 1), (0, -1, -1)])
 
 
+def test_smith_form_of_a_matrix_without_rows_or_columns():
+    """The Smith kernel reads no row of a matrix that has none, so
+    ``elementary_divisors`` of an empty shape, and the class group of a
+    cone with no facets, has no factor."""
+    for m, n in ((0, 3), (0, 0), (2, 0)):
+        assert exact_linalg.elementary_divisors(exact_linalg.IntMatrix([()] * m, n)) == ()
+    for rays in WHOLE_LATTICE:
+        m = monoid_from_cone_rays(rays)
+        assert m.facet_matrix.shape == (0, m.rank)
+        assert class_group(m).invariant_factors == ()
+
+
 def test_same_class_matches_the_smith_solve():
     """Shift witnesses by Hermite back-substitution in the pointed
     view's form agree with the two-sided Smith solve of the facet
@@ -766,8 +782,9 @@ def test_gorenstein_route_matches_both_oracles():
     agrees with the two routes it once ran as cross-checks: the flag
     with the canonical module's generator count and with the Smith
     invariants of the facet matrix with the all-ones column appended,
-    and the certificate with the canonical module's one generator, the
-    section representative with units, whose facet values are all one.
+    and the certificate with the canonical module's one generator, with
+    units the representative reduced by the units' Hermite basis, whose
+    facet values are all one.
     On the fixtures, the random corpus of the acceptance gate, the cones
     of ``cone_corpus(401)`` with units, the whole lattice (no facets)
     and every localization of the acceptance gate's faces."""

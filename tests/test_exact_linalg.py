@@ -9,7 +9,6 @@ import pytest
 from monograde.exact_linalg import (
     IntMatrix,
     _eliminate,
-    _smith_left,
     as_tuple,
     elementary_divisors,
     hnf,
@@ -20,14 +19,26 @@ from monograde.exact_linalg import (
     row_lattice_basis,
     unimodular_inverse,
 )
-from monograde.cone import _clean_vectors, facets_of_rays, membership, rays_of_facets
+from monograde.cone import (
+    _clean_vectors,
+    _quotient_transform,
+    facets_of_rays,
+    membership,
+    rays_of_facets,
+)
 from monograde.divisorial import DivisorialIdeal, class_group, divisorial_ideal, members
 from monograde.groebner import Polynomial, TermOrder, _as_budget
 from monograde.monoid import AffineMonoid, monoid_from_cone_rays, normalize_presentation
 from monograde.multigraded import GradedRingSpec
 from corpora import benchmark_rank_cones, cone_corpus, degenerate_cone_corpus
 from oracles import det_int, frac_rref, minor_gcd_factors
-from references import eager_eliminate, reference_hnf, reference_snf, smith_solve
+from references import (
+    eager_eliminate,
+    reference_hnf,
+    reference_snf,
+    smith_quotient_transform,
+    smith_solve,
+)
 
 
 def rand_matrix(rng, m, n, bound=9):
@@ -430,42 +441,43 @@ def test_transforms_ride_along_to_the_reference_forms():
 
 
 def test_smith_kernel_without_column_transform_matches_snf():
-    """What rides along never moves the diagonal: the bare matrix gives
-    the elementary divisors of the two-sided reference form, and
-    ``[A | I]`` gives its diagonal and U wherever that diagonal is all
-    ones, so the reference's divisibility pass has nothing to do.  The
-    kernel stops its pivot search at the first unit; the reference scans
-    every entry, so matrices whose first unit follows larger entries,
-    with more units after it, check that the same pivot is taken; the
-    last three of them have an all-ones diagonal."""
+    """The bare matrix gives the elementary divisors of the two-sided
+    reference form, on every matrix of the corpus, those without rows
+    or columns included.  The kernel stops its pivot search at the first
+    unit; the reference scans every entry, so matrices whose first unit
+    follows larger entries, with more units after it, check that the
+    pivot taken there reaches the same factors."""
     units = [IntMatrix([[4, 2, -1], [1, 3, 1]]), IntMatrix([[6, 0], [3, 1], [-1, 1]]),
              IntMatrix([[4, 2, -1], [1, 3, 2]]), IntMatrix([[6, 0], [3, 1], [-1, 2]]),
              IntMatrix([[0, 5, 2, 7], [3, 0, 1, -1], [1, 1, 0, 2]])]
-    saturated = 0
     for a in units + transform_corpus(random.Random(127)):
-        s, u, _ = reference_snf(a)
-        diag = smith_diagonal(s)
-        assert elementary_divisors(a) == nonzero(diag)
-        if all(x == 1 for x in diag):
-            got = _smith_left(a)
-            assert got == (diag, u) and got[1].shape == u.shape
-            saturated += 1
-    assert saturated > 100
+        s, _, _ = reference_snf(a)
+        assert elementary_divisors(a) == nonzero(smith_diagonal(s))
 
 
-def test_smith_left_on_every_lineality_basis():
-    """``cone._quotient_transform`` hands ``_smith_left`` the transpose
-    of a lineality basis, a saturated lattice: the diagonal is all ones
-    and U is the reference form's, whose divisibility pass has nothing
-    to do there."""
+def test_hermite_quotient_on_every_lineality_basis():
+    """``cone._quotient_transform`` reads P off the row Hermite form of
+    the transpose of a lineality basis, a saturated lattice: P is
+    unimodular, P @ lin.T is [I; 0], and the lift is the last columns
+    of P^-1.  The Smith route it replaced sends the lattice onto the
+    first u coordinates too, by another unimodular top block."""
     seen = 0
     for vectors, d in degenerate_cone_corpus(433, 300):
         for c in (facets_of_rays(vectors, d), rays_of_facets(vectors, d)):
             if not c.lineality:
                 continue
-            a = IntMatrix(c.lineality).T
-            s, u, _ = reference_snf(a)
-            assert _smith_left(a) == ([1] * len(c.lineality), u)
+            u = len(c.lineality)
+            lin = IntMatrix(c.lineality)
+            identity = IntMatrix([[int(i == j) for j in range(u)] for i in range(d)])
+            p, lift = _quotient_transform(lin)
+            assert p @ lin.T == identity
+            assert lift == IntMatrix([row[u:] for row in unimodular_inverse(p)], d - u)
+            assert lift.shape == (d, d - u)
+            p, lift = smith_quotient_transform(lin)
+            image = p @ lin.T
+            assert not any(map(any, image[u:]))
+            unimodular_inverse(IntMatrix(image[:u]))
+            assert lift == IntMatrix([row[u:] for row in unimodular_inverse(p)], d - u)
             seen += 1
     assert seen > 100
 

@@ -9,7 +9,11 @@ twice, each time when options that did nothing left the reports:
 ``"box":4,"trunc":8,`` and later ``,"output":"json"`` were deleted
 from each stdout, and nothing else changed.  They cover all seven commands,
 rank 5 and 6 cones, a non-pointed cone, a lower-dimensional cone and
-non-normal presentations.
+non-normal presentations.  The last five, of unit rank 2, were recorded
+once every answer modulo units was reduced by the Hermite basis of the
+unit lattice, and pin that representative: a Hilbert basis, canonical
+generators, a Gorenstein certificate, a class group and a non-normal
+presentation's witness.
 """
 
 import io

@@ -200,17 +200,17 @@ def test_normality_and_hilbert_basis_work_counts(monkeypatch):
     # the Hermite form of the facet forms that the sweeps of every
     # dimension run in, counted apart from the lattice's
     monkeypatch.setattr(monoid, "hnf", _counting(calls, "echelon", monoid.hnf))
-    # the Smith kernel behind every Smith form, with or without transforms
+    # the Smith kernel behind every Smith form
     monkeypatch.setattr(exact_linalg, "_smith", _counting(calls, "smith", exact_linalg._smith))
     monkeypatch.setattr(monoid, "_quotient_transform",
                         _counting(calls, "quotient", monoid._quotient_transform))
     monkeypatch.setattr(monoid, "kernel_basis",
                         _counting(calls, "kernel_basis", monoid.kernel_basis))
-    # a generator presentation is judged without a kernel, and without a
-    # Smith form beyond the one-sided one the unit quotient takes
+    # a generator presentation is judged without a kernel and without a
+    # Smith form: the unit quotient reads a Hermite form
     for gens in presentation_corpus(449, 60):
         normalize_presentation(gens).is_normal
-    assert calls["smith"] == calls["quotient"] > 0 and calls["kernel_basis"] == 0
+    assert calls["smith"] == 0 < calls["quotient"] and calls["kernel_basis"] == 0
     # a full-rank pointed cone: L = Z^r needs no Hermite form, and the
     # units come from the cone
     for d, rays in random_pointed_cones(12, 4, 3, seed=457):
