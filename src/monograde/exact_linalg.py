@@ -107,9 +107,9 @@ class IntMatrix(tuple):
     Input is validated at the boundary: the constructor reads its rows
     with ``_as_vectors``, and both vector products read the vector with
     ``_as_vector``.  ``IntMatrix._of`` takes rows that the kernels
-    built themselves as they are.  ``v @ a`` reads the columns of ``a``,
-    the rows of ``a.T``, which is transposed once and kept on the
-    immutable matrix.
+    built themselves as they are, and ``_rmul`` such a vector.
+    ``v @ a`` reads the columns of ``a``, the rows of ``a.T``, which is
+    transposed once and kept on the immutable matrix.
     """
 
     def __new__(cls, rows, width: int | None = None):
@@ -147,7 +147,11 @@ class IntMatrix(tuple):
         return tuple(_dot(row, other) for row in self)
 
     def __rmatmul__(self, v):
-        v = _as_vector(v, len(self), "matrix shapes do not match")
+        return self._rmul(_as_vector(v, len(self), "matrix shapes do not match"))
+
+    def _rmul(self, v) -> Vec:
+        """v @ self for an int tuple v of length ``len(self)`` that a
+        kernel built, taken as built: nothing is checked."""
         return tuple(sum(map(mul, v, col)) for col in self.T)
 
 

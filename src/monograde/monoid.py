@@ -11,7 +11,10 @@ minimal generators through ``AffineMonoid._members`` and
 ``_PointedView._sweep``, the one entry to a capped sweep.
 Caratheodory's theorem caps every facet value of a minimal member that
 is not a ray (``_PointedView._caps``), so the sweep visits only the
-points below those caps, and the Hilbert basis adds the rays back.  In
+points below those caps, and the Hilbert basis adds the rays back.  The
+caps come from the region's vertices; a simplicial view's one vertex is
+where the forms equal the heights, so only other regions search the
+facet subsets for vertices (``_region_vertices``).  In
 every dimension it runs in the echelon coordinates of the facet forms,
 y = V.T y' with V F.T the Hermite form H of the transposed forms F:
 there every form is zero after its own coordinate, so the sweep checks
@@ -36,9 +39,11 @@ one exit, ``_PointedView.to_ambient``: a product with ``out``, the
 lattice basis composed with the unit quotient's section, reduced by the
 units' Hermite basis, so each answer up to a unit is one representative
 whatever section the quotient picked.  The sweeps run in echelon
-coordinates y': a minimal generator leaves as y' @ V
-(``_PointedView._ambient``), and a Hilbert element is kept in the
-view's coordinates, y' @ V, where the normality check reads it.
+coordinates y': a minimal generator leaves by one product with V @ out,
+composed once per view (``_PointedView._ambient``), and a Hilbert
+element is kept in the view's coordinates, y' @ V, where the normality
+check reads it.  Each of these products takes the int tuple the package
+built as it is (``IntMatrix._rmul``), with no second reading.
 """
 
 from __future__ import annotations
@@ -104,9 +109,11 @@ class _PointedView:
     units: IntMatrix  # the Hermite basis of the ambient unit lattice, no rows when pointed
 
     def to_ambient(self, y) -> Vec:
-        """The point y of the view in Z^r: y @ out reduced by ``units``,
-        the one point of its class with entries in [0, pivot) at their pivots."""
-        return _divmod(self.units, y @ self.out)[1]
+        """The point y of the view, an int tuple the package built, in
+        Z^r: y @ out, taken as built (``IntMatrix._rmul``), reduced by
+        ``units``, the one point of its class with entries in [0, pivot)
+        at their pivots."""
+        return _divmod(self.units, self.out._rmul(y))[1]
 
     @cached_property
     def ray_sums(self) -> Vec:
@@ -155,6 +162,16 @@ class _PointedView:
         heights}, found by ``_region_vertices`` when not given.  The
         frame is guarded here, before any point is swept.
 
+        A simplicial view, with exactly dim forms, needs no vertex
+        search: its forms are the rows of a dim x dim matrix F of rank
+        dim (they span the dual of a full-dimensional cone), so F is
+        invertible over Q.  The region then has exactly one vertex, the
+        one point where F = heights; it lies in the region, and any
+        vertex is tight on dim independent forms, here all of them.  So
+        V_f = heights_f, an integer, and the caps are heights + S - 1
+        with no elimination.  Every other region keeps the subset search
+        and its guard.
+
         It yields (y', F(y)) with y = V.T @ y': the forms are the columns
         of H and the box is in y' (``_echelon``), bounded by
         ``_echelon_box``.  Coordinate i is the last that row i's pivot
@@ -162,18 +179,28 @@ class _PointedView:
         the pivots exactly there.  No capped point is lost, though some
         may lie outside the zonotope box.
         """
-        if verts is None:
-            verts = _region_vertices(self.forms, heights, self.dim)
-            if not verts:
-                raise RuntimeError("height region unexpectedly has no vertices")
-        caps = self._caps(verts)
+        if verts is None and len(self.forms) == self.dim:
+            caps = tuple([h + s - 1 for h, s in zip(heights, self.ray_sums)])
+        else:
+            if verts is None:
+                verts = _region_vertices(self.forms, heights, self.dim)
+                if not verts:
+                    raise RuntimeError("height region unexpectedly has no vertices")
+            caps = self._caps(verts)
         h, _ = self._echelon
         return _region_points(h.T, heights, *_echelon_box(h, heights, caps), caps)
 
+    @cached_property
+    def _sweep_out(self) -> IntMatrix:
+        """V @ out, composed once: a swept y' to Z^r in one product."""
+        return self._echelon[1] @ self.out
+
     def _ambient(self, swept) -> tuple[Vec, ...]:
-        """Swept points y', sorted in Z^r: each y' @ V leaves by ``to_ambient``."""
-        v = self._echelon[1]
-        return tuple(sorted(self.to_ambient(pt @ v) for pt in swept))
+        """Swept points y', sorted in Z^r: each leaves by one product,
+        y' @ (V @ out) (``_sweep_out``), reduced by ``units`` as
+        ``to_ambient`` reduces y @ out for y = y' @ V."""
+        vout = self._sweep_out
+        return tuple(sorted(_divmod(self.units, vout._rmul(pt))[1] for pt in swept))
 
     def _preimage(self, values) -> Vec | None:
         """The y with F(y) = values, or None when values is not in F(Z^dim).
@@ -186,7 +213,7 @@ class _PointedView:
         """
         h, v = self._echelon
         x = lattice_coordinates(h, values)
-        return None if x is None else x @ v
+        return None if x is None else v._rmul(x)
 
 
 def _guard_box(count: int, what: str, unit: str = "points") -> None:
@@ -248,6 +275,19 @@ class AffineMonoid:
         if self.local_generators and len(self.local_generators[0]) != len(lattice_basis):
             raise ValueError("local generators do not match the lattice basis")
         self._assume_normal = bool(assume_normal)
+
+    @classmethod
+    def _of(cls, ambient_rank: int, generators, lattice_basis, local_generators,
+            assume_normal: bool) -> AffineMonoid:
+        """The monoid of int-tuple vectors that a factory has read, taken
+        as read: nothing is checked or read again."""
+        self = cls.__new__(cls)
+        self.ambient_rank = ambient_rank
+        self.generators = generators
+        self.lattice_basis = lattice_basis
+        self.local_generators = local_generators
+        self._assume_normal = assume_normal
+        return self
 
     # -- coordinates -------------------------------------------------
 
@@ -421,14 +461,17 @@ def _region_points(forms, heights, lo, hi, caps):
     The sweep fixes one coordinate at a time and adds that coordinate's
     column of the forms to the running facet values, so no point costs a
     dot product.  At each coordinate the feasible values form an interval,
-    solved exactly from both sides by floor and ceiling division: every
+    solved exactly from both sides by floor and ceiling division
+    (``interval``, once per prefix tried, the empty one included): every
     form must still reach its height when the remaining coordinates add
     the most the box allows, and stay within its cap when they add the
     least.  Those bounds never drop a point; at the last coordinate
-    nothing remains, so only the points yielded are visited there.
+    nothing remains, so only the points yielded are visited there.  One
+    loop walks the prefixes depth first, with the value, the interval's
+    end and the running values of each fixed coordinate on a stack.
     """
     k = len(lo)
-    cols = [tuple(f[i] for f in forms) for i in range(k)]
+    cols = [tuple([f[i] for f in forms]) for i in range(k)]
     # need[i][j] / top[i][j]: the least / greatest value form j may have
     # after coordinate i so that coordinates i+1.. can still bring it
     # into [heights[j], caps[j]]
@@ -439,33 +482,60 @@ def _region_points(forms, heights, lo, hi, caps):
     for i in reversed(range(k)):
         need[i] = acc
         top[i] = cap
-        acc = tuple(a - max(c * lo[i], c * hi[i]) for a, c in zip(acc, cols[i]))
-        cap = tuple(u - min(c * lo[i], c * hi[i]) for u, c in zip(cap, cols[i]))
-
-    def sweep(i, prefix, vals):
-        col = cols[i]
         a, b = lo[i], hi[i]
-        for v, c, h, u in zip(vals, col, need[i], top[i]):
-            if c > 0:
-                a = max(a, -((v - h) // c))  # v + c*t >= h, t >= ceil((h - v) / c)
-                b = min(b, (u - v) // c)  # v + c*t <= u, t <= floor((u - v) / c)
-            elif c < 0:
-                b = min(b, (h - v) // c)  # t <= floor((h - v) / c)
-                a = max(a, -((v - u) // c))  # t >= ceil((u - v) / c)
-            elif v < h or v > u:
-                return
-        if a > b:
-            return
-        vals = tuple(v + a * c for v, c in zip(vals, col))
-        last = i == k - 1
-        for t in range(a, b + 1):
-            if last:
-                yield prefix + (t,), vals
-            else:
-                yield from sweep(i + 1, prefix + (t,), vals)
-            vals = tuple(map(add, vals, col))
+        acc = tuple([s - (c * b if c > 0 else c * a) for s, c in zip(acc, cols[i])])
+        cap = tuple([u - (c * a if c > 0 else c * b) for u, c in zip(cap, cols[i])])
 
-    yield from sweep(0, (), (0,) * len(forms))
+    def interval(i, vals):
+        """(a, b), the values coordinate i may take after a prefix with the
+        running values ``vals``, or None when there is none."""
+        a, b = lo[i], hi[i]
+        for v, c, h, u in zip(vals, cols[i], need[i], top[i]):
+            if c > 0:
+                t = -((v - h) // c)  # v + c*t >= h, t >= ceil((h - v) / c)
+                if t > a:
+                    a = t
+                t = (u - v) // c  # v + c*t <= u, t <= floor((u - v) / c)
+                if t < b:
+                    b = t
+            elif c < 0:
+                t = (h - v) // c  # t <= floor((h - v) / c)
+                if t < b:
+                    b = t
+                t = -((v - u) // c)  # t >= ceil((u - v) / c)
+                if t > a:
+                    a = t
+            elif v < h or v > u:
+                return None
+        return (a, b) if a <= b else None
+
+    # the stack: value, interval end and running values per prefix coordinate
+    last = k - 1
+    ts, ends, rows = [0] * last, [0] * last, [()] * last
+    i, vals = 0, (0,) * len(forms)
+    while True:
+        span = interval(i, vals)
+        if span is not None:
+            a, b = span
+            vals = tuple([v + a * c for v, c in zip(vals, cols[i])])
+            if i < last:
+                ts[i], ends[i], rows[i] = a, b, vals
+                i += 1
+                continue
+            head = tuple(ts)
+            col = cols[i]
+            for t in range(a, b + 1):
+                yield head + (t,), vals
+                vals = tuple(map(add, vals, col))
+        # back to the deepest fixed coordinate with a value left
+        i -= 1
+        while i >= 0 and ts[i] == ends[i]:
+            i -= 1
+        if i < 0:
+            return
+        ts[i] += 1
+        vals = rows[i] = tuple(map(add, rows[i], cols[i]))
+        i += 1
 
 
 def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
@@ -531,7 +601,7 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
             basis.append(vals)
             totals.append(t)
     v = view._echelon[1]
-    return tuple(sorted((rays[x] if x in rays else swept[x] @ v, x) for x in basis))
+    return tuple(sorted((rays[x] if x in rays else v._rmul(swept[x]), x) for x in basis))
 
 
 def normalize_presentation(generators) -> AffineMonoid:
@@ -540,7 +610,8 @@ def normalize_presentation(generators) -> AffineMonoid:
     L is the group they generate; the generators are rewritten in the
     canonical (Hermite) basis of L, where the cone they span is
     full-dimensional.  The result represents C cap L; whether the input
-    actually generates all of it is reported by ``is_normal``.
+    actually generates all of it is reported by ``is_normal``.  The
+    monoid takes the generators as read here (``AffineMonoid._of``).
     """
     gens = _as_vectors(generators, "generators")
     if not gens:
@@ -549,9 +620,8 @@ def normalize_presentation(generators) -> AffineMonoid:
     if all(not any(g) for g in gens):
         raise ValueError("generators span the zero lattice")
     basis = row_lattice_basis(gens)
-    local = [lattice_coordinates(basis, g) for g in gens]
-    local = [g for g in local if any(g)]
-    return AffineMonoid(r, gens, basis, local, assume_normal=False)
+    local = tuple(x for x in (_divmod(basis, g)[0] for g in gens) if any(x))
+    return AffineMonoid._of(r, gens, basis, local, False)
 
 
 def monoid_from_cone_rays(rays) -> AffineMonoid:
@@ -560,23 +630,23 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
     L is the saturated lattice span(rays) cap Z^r, so the result is
     normal by definition whatever the rays generate.  One elimination
     of the rays as read here gives their rank, with no second reading;
-    only a lower-rank span needs the two kernels that saturate it.
+    only a lower-rank span needs the two kernels that saturate it.  The
+    monoid takes the rays as read here (``AffineMonoid._of``).
     """
     rs = _as_vectors(rays, "rays")
     if not rs:
         raise ValueError("ray list is empty")
     r = len(rs[0])
-    rs = [v for v in rs if any(v)]
+    rs = tuple(v for v in rs if any(v))
     if not rs:
         raise ValueError("rays span the zero lattice")
     if len(_eliminate(rs, r)[1]) == r:
         # L = Z^r: its Hermite basis is the identity, and the rays are local already
-        return AffineMonoid(r, rs, IntMatrix._of(map(tuple, _identity(r)), r), rs,
-                            assume_normal=True)
-    orth = kernel_basis(rs, width=r)
+        return AffineMonoid._of(r, rs, IntMatrix._of(map(tuple, _identity(r)), r), rs, True)
+    orth = kernel_basis(IntMatrix._of(rs, r))
     basis = kernel_basis(orth)
-    local = [lattice_coordinates(basis, v) for v in rs]
-    return AffineMonoid(r, rs, basis, local, assume_normal=True)
+    local = tuple(_divmod(basis, v)[0] for v in rs)
+    return AffineMonoid._of(r, rs, basis, local, True)
 
 
 def hilbert_basis(m: AffineMonoid) -> tuple[Vec, ...]:

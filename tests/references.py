@@ -6,9 +6,10 @@ intersection and coset counts, which import nothing from the package.
 And the slow paths: a fast path keeps the route it replaced here as its
 reference (the rational Buchberger routes, the token parser, the
 full-basis hull passes and primality samples, the box scans, the
-Gorenstein test's two cross-checks, the eager elimination, the
-two-sided Smith form and the unit quotient's Smith route), built on
-the package's own primitives, so a test can run both on the same inputs.
+recursive region sweep, the Gorenstein test's two cross-checks, the
+eager elimination, the two-sided Smith form and the unit quotient's
+Smith route), built on the package's own primitives, so a test can run
+both on the same inputs.
 """
 
 from __future__ import annotations
@@ -963,6 +964,49 @@ def canonical_gorenstein(m):
     ``is_gorenstein`` once ran to check its answer."""
     gens = divisorial.canonical_module(m).generators
     return (True, gens[0]) if len(gens) == 1 else (False, None)
+
+
+def recursive_region_points(forms, heights, lo, hi, caps):
+    """The capped region sweep by the recursive generator chain that
+    ``monoid._region_points`` replaced with one loop and a stack: the
+    same (y, forms(y)) in the same lexicographic order, one nested
+    ``sweep`` frame entered per prefix tried, the empty one included."""
+    k = len(lo)
+    cols = [tuple(f[i] for f in forms) for i in range(k)]
+    need = [()] * k
+    top = [()] * k
+    acc = tuple(heights)
+    cap = tuple(caps)
+    for i in reversed(range(k)):
+        need[i] = acc
+        top[i] = cap
+        acc = tuple(a - max(c * lo[i], c * hi[i]) for a, c in zip(acc, cols[i]))
+        cap = tuple(u - min(c * lo[i], c * hi[i]) for u, c in zip(cap, cols[i]))
+
+    def sweep(i, prefix, vals):
+        col = cols[i]
+        a, b = lo[i], hi[i]
+        for v, c, h, u in zip(vals, col, need[i], top[i]):
+            if c > 0:
+                a = max(a, -((v - h) // c))  # v + c*t >= h, t >= ceil((h - v) / c)
+                b = min(b, (u - v) // c)  # v + c*t <= u, t <= floor((u - v) / c)
+            elif c < 0:
+                b = min(b, (h - v) // c)  # t <= floor((h - v) / c)
+                a = max(a, -((v - u) // c))  # t >= ceil((u - v) / c)
+            elif v < h or v > u:
+                return
+        if a > b:
+            return
+        vals = tuple(v + a * c for v, c in zip(vals, col))
+        last = i == k - 1
+        for t in range(a, b + 1):
+            if last:
+                yield prefix + (t,), vals
+            else:
+                yield from sweep(i + 1, prefix + (t,), vals)
+            vals = tuple(map(operator.add, vals, col))
+
+    yield from sweep(0, (), (0,) * len(forms))
 
 
 def box_hilbert_basis(rays, forms, dim):

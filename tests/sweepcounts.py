@@ -8,14 +8,17 @@ warm-up job left out), runs every job through the same public API calls
 and prints, by rank, how many points ``monoid._region_points`` yields
 for the Hilbert bases (asked for by ``monoid._pointed_hilbert_basis``)
 and for the canonical generators (asked for by
-``divisorial.minimal_generators``), and how many times its inner sweep
-is entered (one entry per prefix tried, the empty one included).  Both
-ask through ``_PointedView._sweep``, so each sweep is told by the
-function that called that entry.  Points are counted by wrapping
-``_region_points`` from outside the package; entries by a profile hook
-on the sweep's frames while a wrapped call runs.  Both counts are exact
-and repeat run to run.  The perfbench modules are only imported, and
-pytest does not collect this file.
+``divisorial.minimal_generators``), how many prefixes it tries (one
+call of its nested ``interval`` per prefix, the empty one included),
+and how many vertex searches (``monoid._region_vertices``) the sweeps
+ask for, which simplicial regions skip.  All ask through
+``_PointedView._sweep``, so each sweep is told by the function that
+called that entry.  Points and vertex searches are counted by wrapping
+``_region_points`` and ``_region_vertices`` from outside the package;
+entries by a profile hook on the calls of ``interval``'s code while a
+wrapped sweep runs.  All counts are exact and repeat run to run.  The
+perfbench modules are only imported, and pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ import workloads  # noqa: E402
 from monograde import monoid  # noqa: E402
 
 KINDS = {"_pointed_hilbert_basis": "hilbert", "minimal_generators": "canonical"}
+# the code of the sweep's per-prefix helper; a sweep without one fails here, at import
+INTERVAL = next(c for c in monoid._region_points.__code__.co_consts
+                if getattr(c, "co_name", None) == "interval")
 
 
 def _caller(frame) -> str:
@@ -45,7 +51,7 @@ def _caller(frame) -> str:
 
 
 def _counting(real, counts):
-    """``real`` with every point it yields and every sweep it enters
+    """``real`` with every point it yields and every prefix it tries
     added to ``counts[(kind, rank)]``, the kind read off its caller."""
     def wrapped(forms, heights, lo, hi, *rest):
         row = counts[_caller(sys._getframe(1)), len(lo)]
@@ -55,11 +61,9 @@ def _counting(real, counts):
 
 def _counted(points, row):
     """``points`` as they come, counted in ``row``: [points, entries]."""
-    entered = set()  # the frames themselves, so no id is reused
-
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "sweep" and frame not in entered:
-            entered.add(frame)
+        if event == "call" and frame.f_code is INTERVAL:
+            row[1] += 1
 
     sys.setprofile(profile)
     try:
@@ -68,38 +72,49 @@ def _counted(points, row):
             yield item
     finally:
         sys.setprofile(None)
-        row[1] += len(entered)
+
+
+def _searching(real, searches):
+    """``real``, the vertex search, with every call added to
+    ``searches[rank]``, the rank read off its dimension argument."""
+    def wrapped(forms, heights, dim):
+        searches[dim] += 1
+        return real(forms, heights, dim)
+    return wrapped
 
 
 def sweep_counts(seed: int):
-    """{(kind, rank): [points, entries]} and {rank: jobs} on the traced
-    ``monoid-ring`` job list of ``seed``."""
+    """{(kind, rank): [points, entries]}, {rank: jobs} and {rank: vertex
+    searches} on the traced ``monoid-ring`` job list of ``seed``."""
     count = workloads.WORKLOADS["monoid-ring"][2]
     job_list = workloads.generate("monoid-ring", seed, count + 1)[1:]
     counts = collections.defaultdict(lambda: [0, 0])
-    real = monoid._region_points
+    searches = collections.Counter()
+    real = monoid._region_points, monoid._region_vertices
     try:
-        monoid._region_points = _counting(real, counts)
+        monoid._region_points = _counting(real[0], counts)
+        monoid._region_vertices = _searching(real[1], searches)
         ranks = collections.Counter()
         for job in job_list:
             ranks[len(job["input"][0])] += 1
             jobs.run(job)
     finally:
-        monoid._region_points = real
-    return counts, ranks
+        monoid._region_points, monoid._region_vertices = real
+    return counts, ranks, searches
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    counts, ranks = sweep_counts(args.seed)
+    counts, ranks, searches = sweep_counts(args.seed)
     print("monoid-ring seed %d, %d traced jobs" % (args.seed, sum(ranks.values())))
-    print("rank  jobs  hilbert points  hilbert entries  canonical points  canonical entries")
-    line = "%4s  %4d  %14d  %15d  %16d  %17d"
-    total = [0, 0, 0, 0]
+    print("rank  jobs  hilbert points  hilbert entries  canonical points  canonical entries"
+          "  vertex searches")
+    line = "%4s  %4d  %14d  %15d  %16d  %17d  %15d"
+    total = [0, 0, 0, 0, 0]
     for rank in sorted(ranks):
-        row = counts["hilbert", rank] + counts["canonical", rank]
+        row = counts["hilbert", rank] + counts["canonical", rank] + [searches[rank]]
         total = [a + b for a, b in zip(total, row)]
         print(line % (rank, ranks[rank], *row))
     print(line % ("all", sum(ranks.values()), *total))

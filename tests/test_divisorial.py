@@ -272,6 +272,34 @@ def test_region_vertices_match_rational_solves():
                 region_tight_points(view.forms, heights)
 
 
+def test_simplicial_caps_need_no_vertex_search(monkeypatch):
+    """On a simplicial view F is invertible over Q, so the region's one
+    vertex is where F = heights, and ``_sweep`` caps it at heights +
+    S - 1 with no vertex search: the caps the search would give."""
+    rng = random.Random(239)
+    real = monoid._region_vertices
+    caps = []
+
+    def refuse(*args):
+        raise AssertionError("vertex search on a simplicial view")
+
+    monkeypatch.setattr(monoid, "_region_vertices", refuse)
+    monkeypatch.setattr(monoid, "_region_points", lambda *args: caps.append(args[-1]))
+    corpus = cone_corpus(401) + [rays for _, rays in random_pointed_cones(12, 4, 3, seed=233)]
+    dims = collections.Counter()
+    for rays in corpus:
+        view = monoid_from_cone_rays(rays)._pointed_view
+        if view.dim == 0 or len(view.forms) != view.dim:
+            continue
+        for _ in range(3):
+            heights = tuple(rng.randint(-3, 4) for _ in view.forms)
+            view._sweep(heights)
+            verts = real(view.forms, heights, view.dim)
+            assert len(verts) == 1 and caps.pop() == view._caps(verts), (rays, heights)
+        dims[view.dim] += 1
+    assert all(dims[d] >= 3 for d in range(1, 5)), dims
+
+
 def test_frame_guard_fires_before_any_point_is_swept(monkeypatch):
     # the moment curve's 8 rays: the generators' echelon frame is beyond
     # the desk scale, and its guard refuses it before the sweep starts
@@ -460,13 +488,16 @@ def test_capped_sweeps_visit_det_points_on_the_thin_cone(monkeypatch):
 
 def test_sweep_entries_stay_near_the_points_at_rank_4():
     """On the traced seed-811 ``monoid-ring`` list the two sweeps enter
-    at most 3 prefixes per rank-4 point (2,668 for 1,161; 7,864 in the
-    view's own coordinates, where each form is bounded by the box)."""
-    counts, ranks = sweepcounts.sweep_counts(811)
+    at most 3 prefixes per rank-4 point: exactly 2,668 for 1,161 (7,864
+    in the view's own coordinates, where each form is bounded by the
+    box).  Both counts are pinned, so a counter that stops counting
+    fails here rather than passing below the bound."""
+    counts, ranks, _ = sweepcounts.sweep_counts(811)
     points = counts["hilbert", 4][0] + counts["canonical", 4][0]
     entries = counts["hilbert", 4][1] + counts["canonical", 4][1]
-    assert ranks[4] and points
-    assert entries <= 3 * points, (entries, points)
+    assert ranks[4] == 48
+    assert (points, entries) == (1161, 2668)
+    assert entries <= 3 * points
 
 
 def test_echelon_sweeps_match_the_box_oracles():

@@ -37,6 +37,7 @@ from references import (
     hermite_cone_lattice,
     kernel_unit_rows,
     presentation_member,
+    recursive_region_points,
     search_normality,
     view_to_ambient,
 )
@@ -381,6 +382,35 @@ def test_capped_region_points_match_a_filtered_box_product():
     assert region_by_filter(*fixed[1][:4]) and not list(monoid._region_points(*fixed[1]))
     assert region_by_filter(*fixed[2][:4]) and not list(monoid._region_points(*fixed[2]))
     assert empty > 40 and nonempty > 100 and capped > 80
+
+
+def _checking_recursive(real, sweeps):
+    """``real`` with each sweep's points checked against
+    ``references.recursive_region_points`` on the same arguments, and
+    counted in ``sweeps`` by the box's dimension."""
+    def checked(*args):
+        got = list(real(*args))
+        assert got == list(recursive_region_points(*args)), args
+        sweeps[len(args[2])] += 1
+        return iter(got)
+    return checked
+
+
+def test_iterative_sweep_matches_the_recursive_reference(monkeypatch):
+    """The one loop with a stack yields what the recursive generator
+    chain it replaced yields, in the same order: on every random box of
+    the two filtered box product tests, run as they are, and on every
+    sweep of the seed-811 ``monoid-ring`` list, two per job."""
+    sweeps = collections.Counter()
+    monkeypatch.setattr(monoid, "_region_points",
+                        _checking_recursive(monoid._region_points, sweeps))
+    test_region_points_match_a_filtered_box_product()
+    test_capped_region_points_match_a_filtered_box_product()
+    assert sum(sweeps.values()) > 600 and set(sweeps) == {1, 2, 3, 4}, sweeps
+    sweeps.clear()
+    _, ranks, _ = sweepcounts.sweep_counts(811)
+    assert sum(sweeps.values()) == 2 * sum(ranks.values()) == 320
+    assert set(sweeps) == {2, 3, 4}
 
 
 THIN_CONES = ([(1, 0), (1, 4000)], [(1, 0, 0), (1, 4000, 0), (0, 0, 1)])
