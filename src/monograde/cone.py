@@ -259,9 +259,15 @@ def _clean_vectors(vectors, width: int | None) -> tuple[tuple[Vec, ...], int]:
         raise ValueError("ambient rank is required when no vectors are given")
     else:
         width = _as_count(width, 0, "ambient rank must be nonnegative")
+    return _primitive_set(vs), width
+
+
+def _primitive_set(vectors) -> tuple[Vec, ...]:
+    """The sorted distinct primitive forms of the nonzero int-tuple
+    vectors, taken as read: the memo key of ``_facets_of_generators``."""
     # the zero vector, whose gcd is 0, is dropped
-    out = {v if g == 1 else tuple(x // g for x in v) for v in vs if (g := gcd(*v))}
-    return tuple(sorted(out)), width
+    out = {v if g == 1 else tuple(x // g for x in v) for v in vectors if (g := gcd(*v))}
+    return tuple(sorted(out))
 
 
 # on the seed-811 benchmark lists, each cone-duality job hits once, within
@@ -281,11 +287,13 @@ def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
     primitive nonzero generators and the width.  So a permuted, scaled
     or duplicated ray list, or one holding zero vectors, is the same
     question, and a monoid built from the rays a job has just converted
-    (``AffineMonoid.cone``) reads the cone back instead of running
-    double description again.  The memo keeps the last ``_MEMO_SIZE``
-    conversions, whose measured traffic the comment there gives.  The
-    ``Cone`` returned is then shared between callers, which is safe
-    because it is immutable.  Malformed input raises on every call.
+    reads the cone back instead of running double description again:
+    ``AffineMonoid.cone`` asks ``_facets_of_generators`` under the same
+    key, from the vectors it has read already (``_primitive_set``).  The
+    memo keeps the last ``_MEMO_SIZE`` conversions, whose measured
+    traffic the comment there gives.  The ``Cone`` returned is then
+    shared between callers, which is safe because it is immutable.
+    Malformed input raises on every call.
     """
     gens, d = _clean_vectors(rays, ambient_rank)
     return _facets_of_generators(gens, d)

@@ -12,11 +12,12 @@ minimal generators through ``AffineMonoid._members`` and
 Caratheodory's theorem caps every facet value of a minimal member that
 is not a ray (``_PointedView._caps``), so the sweep visits only the
 points below those caps, and the Hilbert basis adds the rays back.  The
-caps come from the region's vertices; a simplicial view's one vertex is
-where the forms equal the heights, so only other regions search the
-facet subsets for vertices (``_region_vertices``).  In
-every dimension it runs in the echelon coordinates of the facet forms,
-y = V.T y' with V F.T the Hermite form H of the transposed forms F:
+caps come from the region's vertices.  A simplicial view, or the
+height-0 region, has one vertex, where the forms equal the heights;
+every other region's vertices are the extreme rays of its homogenized
+cone, by the double description of ``cone`` (``_region_vertices``).  In
+every dimension the sweep runs in the echelon coordinates of the facet
+forms, y = V.T y' with V F.T the Hermite form H of the transposed forms F:
 there every form is zero after its own coordinate, so the sweep checks
 it exactly there, and the box of y' follows from the pivot forms and
 their caps.  That box may hold capped points outside the zonotope box,
@@ -48,15 +49,13 @@ built as it is (``IntMatrix._rmul``), with no second reading.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import comb
 from operator import add, ge
 
-from .cone import Cone, _quotient_transform, facets_of_rays
+from .cone import Cone, _dd, _facets_of_generators, _primitive_set, _quotient_transform
 from .exact_linalg import (
     IntMatrix,
     Vec,
@@ -136,11 +135,11 @@ class _PointedView:
         is zero below the last row whose pivot lies at or before j."""
         return hnf(IntMatrix._of(self.forms, self.dim).T)
 
-    def _caps(self, verts) -> Vec:
+    def _caps(self, heights) -> Vec:
         """The cap ceil(V_f) + S_f - 1 per facet form f on the minimal
-        members of a region {y : F(y) >= h} with the rational vertices
-        ``verts``, pairs (x, d) for x / d, where V_f is the largest
-        f(x) / d over the vertices and S_f is ``ray_sums``.
+        members of the region {y : F(y) >= heights}, where V_f is the
+        largest value of f on the region's rational vertices and S_f is
+        ``ray_sums``.
 
         Every member y splits as q + c with q in the convex hull of the
         vertices and c in the cone, and by Caratheodory c = sum mu_k r_k
@@ -149,28 +148,31 @@ class _PointedView:
         has every mu_k < 1.  Then f(y) <= V_f + sum mu_k f(r_k), and
         that sum is below S_f unless it is 0, where S_f >= 1; so the
         integer f(y) is at most ceil(V_f) + S_f - 1.  The Hilbert basis
-        is the height-0 region's case, with the one vertex 0 and the cap
-        S_f - 1: an irreducible h with some mu_k >= 1 is the ray r_k,
-        since h - r_k would otherwise be a nonzero cone point.
+        is the height-0 region's case, with the cap S_f - 1: an
+        irreducible h with some mu_k >= 1 is the ray r_k, since h - r_k
+        would otherwise be a nonzero cone point.
+
+        The region has one vertex, the point where F = heights, when the
+        heights are all 0 (the cone is pointed) or the view is
+        simplicial: its dim forms are the rows of a dim x dim matrix F of
+        rank dim (they span the dual of a full-dimensional cone), so F is
+        invertible over Q, and any vertex is tight on dim independent
+        forms, here all of them.  Then V_f = heights_f, an integer, and
+        the caps are heights + S - 1.  Every other region reads its
+        vertices off ``_region_vertices``.
         """
-        return tuple([max(-(-_dot(f, x) // d) for x, d in verts) + s - 1
+        if len(self.forms) == self.dim or not any(heights):
+            return tuple([h + s - 1 for h, s in zip(heights, self.ray_sums)])
+        verts = _region_vertices(self.forms, heights, self.dim)
+        if not verts:
+            raise RuntimeError("height region unexpectedly has no vertices")
+        return tuple([max(-(-_dot(f, y) // t) for y, t in verts) + s - 1
                       for f, s in zip(self.forms, self.ray_sums)])
 
-    def _sweep(self, heights, verts=None):
+    def _sweep(self, heights):
         """``_region_points`` over the y with heights <= F(y) <= caps, the
-        caps ``_caps(verts)`` on the rational vertices of {y : F(y) >=
-        heights}, found by ``_region_vertices`` when not given.  The
-        frame is guarded here, before any point is swept.
-
-        A simplicial view, with exactly dim forms, needs no vertex
-        search: its forms are the rows of a dim x dim matrix F of rank
-        dim (they span the dual of a full-dimensional cone), so F is
-        invertible over Q.  The region then has exactly one vertex, the
-        one point where F = heights; it lies in the region, and any
-        vertex is tight on dim independent forms, here all of them.  So
-        V_f = heights_f, an integer, and the caps are heights + S - 1
-        with no elimination.  Every other region keeps the subset search
-        and its guard.
+        caps ``_caps(heights)``.  The frame is guarded here, before any
+        point is swept.
 
         It yields (y', F(y)) with y = V.T @ y': the forms are the columns
         of H and the box is in y' (``_echelon``), bounded by
@@ -179,14 +181,7 @@ class _PointedView:
         the pivots exactly there.  No capped point is lost, though some
         may lie outside the zonotope box.
         """
-        if verts is None and len(self.forms) == self.dim:
-            caps = tuple([h + s - 1 for h, s in zip(heights, self.ray_sums)])
-        else:
-            if verts is None:
-                verts = _region_vertices(self.forms, heights, self.dim)
-                if not verts:
-                    raise RuntimeError("height region unexpectedly has no vertices")
-            caps = self._caps(verts)
+        caps = self._caps(heights)
         h, _ = self._echelon
         return _region_points(h.T, heights, *_echelon_box(h, heights, caps), caps)
 
@@ -216,12 +211,12 @@ class _PointedView:
         return None if x is None else v._rmul(x)
 
 
-def _guard_box(count: int, what: str, unit: str = "points") -> None:
-    """Refuse an enumeration of more than ``_MAX_ENUMERATION`` items; the
-    error names what was counted, e.g. the box points or facet subsets."""
+def _guard_box(count: int, what: str) -> None:
+    """Refuse an enumeration of more than ``_MAX_ENUMERATION`` points; the
+    error names the frame or box that was counted."""
     if count > _MAX_ENUMERATION:
         raise EnumerationLimitError(
-            "%s has %d %s, beyond the supported desk scale" % (what, count, unit)
+            "%s has %d points, beyond the supported desk scale" % (what, count)
         )
 
 
@@ -307,7 +302,7 @@ class AffineMonoid:
 
     @cached_property
     def cone(self) -> Cone:
-        return facets_of_rays(self.local_generators, self.rank)
+        return _facets_of_generators(_primitive_set(self.local_generators), self.rank)
 
     @property
     def facet_forms(self) -> tuple[Vec, ...]:
@@ -539,25 +534,16 @@ def _region_points(forms, heights, lo, hi, caps):
 
 
 def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
-    """Rational vertices x / d of {y : forms(y) >= heights}, as integer
-    pairs (x, d) with d > 0.  A feasible point tight on dim independent
-    forms is a vertex; a degenerate vertex appears once per such set."""
-    _guard_box(comb(len(forms), dim), "vertex search", "facet subsets")
-    verts = []
-    for subset in itertools.combinations(range(len(forms)), dim):
-        t, pivots, d = _eliminate(zip(*[forms[i] for i in subset]), dim)
-        if len(pivots) < dim:
-            continue
-        # T @ F_I = d*I, so the tight point is x / d with x = T @ h_I;
-        # test forms(x) >= heights * d in integers
-        rhs = [heights[i] for i in subset]
-        x = [_dot(row, rhs) for row in t]
-        if d < 0:
-            d = -d
-            x = [-v for v in x]
-        if all(_dot(f, x) >= h * d for f, h in zip(forms, heights)):
-            verts.append((tuple(x), d))
-    return verts
+    """Rational vertices y / t of {y : forms(y) >= heights}, as integer
+    pairs (y, t) with t > 0, each once: the extreme rays with t > 0 of
+    the homogenized cone {(y, t) : forms(y) >= t * heights, t >= 0}, by
+    double description (``cone._dd``).  That cone is pointed, since the
+    forms have full column rank, so a ray with t = 0 is a ray of the
+    region's recession cone and every other ray is a vertex, scaled."""
+    rows = [f + (-h,) for f, h in zip(forms, heights)]
+    rows.append((0,) * dim + (1,))
+    rays = _dd(IntMatrix._of(rows, dim + 1))[0]
+    return [(r[:-1], r[-1]) for r in rays if r[-1] > 0]
 
 
 def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
@@ -565,9 +551,9 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     (element, facet values) pairs sorted by element.
 
     By Caratheodory every Hilbert basis element that is not a ray has
-    each facet value f at most S_f - 1 (``_PointedView._caps`` at the
-    origin, the height-0 region's one vertex), so the sweep caps f
-    there.  The rays the caps cut off are added back, since primitive
+    each facet value f at most S_f - 1 (``_PointedView._caps`` of the
+    height-0 region, whose one vertex is the origin), so the sweep caps
+    f there.  The rays the caps cut off are added back, since primitive
     extreme rays are irreducible.  ``_PointedView._sweep`` scans and
     guards the echelon frame over every capped point, some of them
     outside the zonotope box.
@@ -588,7 +574,7 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     """
     if view.dim == 0:
         return ()
-    sweep = view._sweep((0,) * len(view.forms), [((0,) * view.dim, 1)])
+    sweep = view._sweep((0,) * len(view.forms))
     swept = {vals: pt for pt, vals in sweep if any(vals)}
     rays = {tuple(_dot(f, r) for f in view.forms): r for r in view.rays}
     basis: list[Vec] = []

@@ -10,8 +10,9 @@ for the Hilbert bases (asked for by ``monoid._pointed_hilbert_basis``)
 and for the canonical generators (asked for by
 ``divisorial.minimal_generators``), how many prefixes it tries (one
 call of its nested ``interval`` per prefix, the empty one included),
-and how many vertex searches (``monoid._region_vertices``) the sweeps
-ask for, which simplicial regions skip.  All ask through
+and how many vertex searches (``monoid._region_vertices``, one double
+description each) the sweeps ask for, which simplicial regions and
+height-0 regions skip.  All ask through
 ``_PointedView._sweep``, so each sweep is told by the function that
 called that entry.  Points and vertex searches are counted by wrapping
 ``_region_points`` and ``_region_vertices`` from outside the package;

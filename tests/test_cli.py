@@ -392,9 +392,9 @@ def test_exhausted_budget_exits_3(monkeypatch, capsys):
 
 
 def test_huge_canonical_frame_exits_3_from_the_echelon_guard(monkeypatch, capsys):
-    # the moment curve's 8 rays give a cone with many facets; after the
-    # vertex search, the guard of the generators' echelon frame refuses
-    # it before any point is swept
+    # the moment curve's 8 rays give a cone with 20 facets; once double
+    # description has found the region's vertices, the guard of the
+    # generators' echelon frame refuses it before any point is swept
     rays = [[1, t, t ** 2, t ** 3, t ** 4] for t in range(8)]
     job = json.dumps({"command": "canonical", "rays": rays})
     t0 = time.monotonic()

@@ -225,14 +225,17 @@ def test_canonical_generators_match_interior_oracle():
         assert sorted(gens) == brute_minimal_interior(rays)
 
 
-# rank-6 cones of random_pointed_cones(10, 6, 2, seed) at seeds 1 and 3,
-# with 12 and 16 facets, whose zonotope boxes hold millions of points
+# rank-6 cones of random_pointed_cones(10, 6, 2, seed) at seeds 1, 3 and
+# 4, with 12, 16 and 20 facets, whose zonotope boxes hold millions of points
 RANK_6_CONES = (
     ([(-2, 2, 2, -1, 2, -2), (-1, 0, -2, 2, 2, 1), (0, -2, 1, -2, 1, -1), (0, 0, 0, -2, 0, -1),
       (0, 0, 0, 1, 1, -1), (1, 0, -2, -2, 0, -2), (2, 1, -1, 2, 2, -2)], 12, 112, 96),
     ([(-2, -2, 1, 1, -2, 0), (-2, 1, -1, -2, 0, 1), (-1, -2, 0, -2, -2, -2),
       (1, -2, -2, 2, 2, -2), (1, 2, 0, 2, 0, 2), (2, -2, -1, 2, 0, 0), (2, 0, -1, -2, 0, 0),
       (2, 2, -2, -1, 1, 0)], 16, 183, 171),
+    ([(-2, 0, 0, -1, -1, 0), (-1, 1, 0, -1, 0, 1), (0, -2, -2, -2, 1, 0), (0, 0, -2, 2, 0, 1),
+      (0, 0, -1, -2, 0, -1), (0, 1, 1, -1, -1, 0), (0, 2, -1, 1, 1, 2), (2, -1, -1, -1, 1, 0)],
+     20, 53, 46),
 )
 
 
@@ -261,21 +264,37 @@ def test_rank_6_cones_are_answered_within_their_echelon_frames():
 
 
 def test_region_vertices_match_rational_solves():
+    """The vertices double description finds are the oracle's tight
+    points, each once, though the oracle lists a degenerate vertex once
+    per tight subset: at random heights on small cones, and on the
+    seed-1 rank-6 survey cone (12 facets) at the canonical heights."""
     rng = random.Random(233)
+    regions = []
     for d, rays in random_pointed_cones(12, 4, 3, seed=233):
         view = monoid_from_cone_rays(rays)._pointed_view
-        for _ in range(3):
-            heights = [rng.randint(-3, 4) for _ in view.forms]
-            got = monoid._region_vertices(view.forms, heights, view.dim)
-            assert all(d > 0 for _, d in got)
-            assert [tuple(Fraction(v, d) for v in x) for x, d in got] == \
-                region_tight_points(view.forms, heights)
+        regions += [(view, [rng.randint(-3, 4) for _ in view.forms]) for _ in range(3)]
+    view = monoid_from_cone_rays(RANK_6_CONES[0][0])._pointed_view
+    regions.append((view, [1] * len(view.forms)))
+    for view, heights in regions:
+        got = monoid._region_vertices(view.forms, heights, view.dim)
+        assert all(d > 0 for _, d in got)
+        verts = [tuple(Fraction(v, d) for v in x) for x, d in got]
+        assert len(set(verts)) == len(verts)
+        assert set(verts) == set(region_tight_points(view.forms, heights)), (view, heights)
+
+
+def vertex_caps(view, verts):
+    """ceil(V_f) + S_f - 1 per facet form f, where V_f is the largest
+    value of f on the rational vertices ``verts``, pairs (x, d) for x / d."""
+    return tuple(max(-(-dot(f, x) // d) for x, d in verts) + s - 1
+                 for f, s in zip(view.forms, view.ray_sums))
 
 
 def test_simplicial_caps_need_no_vertex_search(monkeypatch):
     """On a simplicial view F is invertible over Q, so the region's one
-    vertex is where F = heights, and ``_sweep`` caps it at heights +
-    S - 1 with no vertex search: the caps the search would give."""
+    vertex is where F = heights, and ``_caps`` (so ``_sweep``) caps it at
+    heights + S - 1 with no vertex search: the caps the search would
+    give."""
     rng = random.Random(239)
     real = monoid._region_vertices
     caps = []
@@ -295,9 +314,35 @@ def test_simplicial_caps_need_no_vertex_search(monkeypatch):
             heights = tuple(rng.randint(-3, 4) for _ in view.forms)
             view._sweep(heights)
             verts = real(view.forms, heights, view.dim)
-            assert len(verts) == 1 and caps.pop() == view._caps(verts), (rays, heights)
+            assert len(verts) == 1 and caps.pop() == view._caps(heights) == \
+                vertex_caps(view, verts), (rays, heights)
         dims[view.dim] += 1
     assert all(dims[d] >= 3 for d in range(1, 5)), dims
+
+
+def test_zero_height_caps_need_no_vertex_search(monkeypatch):
+    """The height-0 region of a pointed cone has the one vertex 0, so the
+    Hilbert basis sweep of a view that is not simplicial caps at S - 1
+    with no vertex search: the caps the search would give."""
+    real = monoid._region_vertices
+
+    def refuse(*args):
+        raise AssertionError("vertex search at height 0")
+
+    monkeypatch.setattr(monoid, "_region_vertices", refuse)
+    dims = collections.Counter()
+    for rays in cone_corpus(401) + [rays for _, rays in random_pointed_cones(12, 4, 3, seed=233)]:
+        m = monoid_from_cone_rays(rays)
+        view = m._pointed_view
+        if len(view.forms) == view.dim:
+            continue
+        zeros = (0,) * len(view.forms)
+        verts = real(view.forms, zeros, view.dim)
+        assert verts == [((0,) * view.dim, 1)]
+        assert view._caps(zeros) == vertex_caps(view, verts), rays
+        m.hilbert_basis()
+        dims[view.dim] += 1
+    assert all(dims[d] >= 3 for d in range(3, 5)), dims
 
 
 def test_frame_guard_fires_before_any_point_is_swept(monkeypatch):
@@ -313,27 +358,20 @@ def test_frame_guard_fires_before_any_point_is_swept(monkeypatch):
         canonical_module(m)
 
 
-def test_facet_subset_guard_fires_before_any_elimination(monkeypatch):
-    # a cone over a quadrilateral: 4 facets in rank 3, so C(4, 3) = 4 subsets
+def test_quadrilateral_region_answers_at_the_least_enumeration_limit(monkeypatch):
+    """A cone over a quadrilateral: 4 facets in rank 3, the smallest
+    region that is not simplicial.  Its vertices come from double
+    description, which no enumeration guard counts, so they and the
+    caps are found at the least limit, where only a frame of one point
+    could be swept."""
     view = monoid_from_cone_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])._pointed_view
     heights = [1] * len(view.forms)
-    subsets = math.comb(len(view.forms), view.dim)
-    calls = []
-    real = monoid._eliminate
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(monoid, "_eliminate", counted)
-    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", subsets)
-    assert monoid._region_vertices(view.forms, heights, view.dim)
-    assert len(calls) == subsets == 4
-    calls.clear()
-    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", subsets - 1)
-    with pytest.raises(EnumerationLimitError):
-        monoid._region_vertices(view.forms, heights, view.dim)
-    assert calls == []
+    assert (len(view.forms), view.dim) == (4, 3)
+    monkeypatch.setattr(monoid, "_MAX_ENUMERATION", 1)
+    verts = monoid._region_vertices(view.forms, heights, view.dim)
+    assert {tuple(Fraction(v, d) for v in x) for x, d in verts} == \
+        set(region_tight_points(view.forms, heights))
+    assert view._caps(heights) == vertex_caps(view, verts)
 
 
 def test_limit_errors_name_what_they_counted(monkeypatch):
@@ -354,10 +392,6 @@ def test_limit_errors_name_what_they_counted(monkeypatch):
     with pytest.raises(EnumerationLimitError,
                        match=r"^echelon sweep has 3 points, beyond the supported desk scale$"):
         canonical_module(monoid_from_cone_rays([(1, 0), (1, 3)]))
-    view = monoid_from_cone_rays(rays)._pointed_view
-    with pytest.raises(EnumerationLimitError,
-                       match=r"^vertex search has 4 facet subsets, beyond the supported desk scale$"):
-        monoid._region_vertices(view.forms, [1] * len(view.forms), view.dim)
 
 
 def test_guards_count_the_frame_each_sweep_scans(monkeypatch):
@@ -459,8 +493,7 @@ def test_minimal_generators_meet_the_caratheodory_caps():
             continue  # beyond the box oracles' reach
         s = len(m.facet_forms)
         for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(2)]:
-            verts = monoid._region_vertices(view.forms, h, view.dim)
-            caps = view._caps(verts)
+            caps = view._caps(h)
             for g in box_minimal_generators(divisorial_ideal(m, h)):
                 vals = m.facet_values(g)
                 assert all(map(operator.le, vals, caps)), (view, h, g)

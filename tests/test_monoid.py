@@ -470,7 +470,7 @@ def test_hilbert_basis_meets_the_caratheodory_caps():
         lo, hi = zonotope_box(view.rays)
         if prod(b - a + 1 for a, b in zip(lo, hi)) > 4000:
             continue  # beyond the box oracle's reach
-        caps = view._caps([((0,) * view.dim, 1)])
+        caps = view._caps((0,) * len(view.forms))
         for p in box_hilbert_basis(view.rays, view.forms, view.dim):
             vals = tuple(dot(f, p) for f in view.forms)
             assert p in view.rays or all(map(operator.le, vals, caps)), (view, p)
@@ -504,13 +504,13 @@ def _pivot_counts(view, heights, caps):
 
 
 def capped_sweep(view, heights, caps, counts):
-    """``view._sweep`` at the given caps, whatever vertices would give
-    them, with its points and entries counted in ``counts`` under the
-    caller's name, as ``tests/sweepcounts.py`` counts them."""
+    """``view._sweep`` at the given caps, whatever the region's vertices
+    would give, with its points and entries counted in ``counts`` under
+    the caller's name, as ``tests/sweepcounts.py`` counts them."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monoid._PointedView, "_caps", lambda self, verts: tuple(caps))
+        mp.setattr(monoid._PointedView, "_caps", lambda self, _: tuple(caps))
         mp.setattr(monoid, "_region_points", sweepcounts._counting(monoid._region_points, counts))
-        return view._sweep(heights, ())
+        return view._sweep(heights)
 
 
 def test_echelon_frames_sweep_exactly_the_capped_region():
@@ -530,7 +530,7 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
             continue  # nothing to sweep, or too many vertex candidates for the oracle
         lo, hi = zonotope_box(view.rays)
         random_heights = [rng.randint(-2, 1) for _ in range(s)]
-        cases = [((0,) * s, view._caps([((0,) * view.dim, 1)])),
+        cases = [((0,) * s, view._caps((0,) * s)),
                  (random_heights, [h + rng.randint(0, 4) for h in random_heights])]
         for heights, caps in cases:
             counts = collections.defaultdict(lambda: [0, 0])  # points, entries
@@ -563,16 +563,15 @@ def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
     the limit still stops at the frame's."""
     m = monoid_from_cone_rays([(9, 7, 7), (7, 9, 7), (7, 7, 9)])
     view = m._pointed_view
-    origin = [((0,) * view.dim, 1)]
-    caps = view._caps(origin)
-    zeros = (0,) * len(caps)
+    zeros = (0,) * len(view.forms)
+    caps = view._caps(zeros)
     count = prod(_pivot_counts(view, zeros, caps))
     assert count == 92
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count)
-    view._sweep(zeros, origin)
+    view._sweep(zeros)
     monkeypatch.setattr(monoid, "_MAX_ENUMERATION", count - 1)
     with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
-        view._sweep(zeros, origin)
+        view._sweep(zeros)
     # the last pivot form capped below its height empties the region,
     # yet the prefixes before it still count
     assert view._echelon[0][2][:2] == (0, 0)
@@ -580,7 +579,7 @@ def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
         capped_sweep(view, zeros, caps[:2] + (-1,), collections.defaultdict(lambda: [0, 0]))
     for rays in caratheodory_corpus(463):
         view = monoid_from_cone_rays(rays)._pointed_view
-        caps = view._caps([((0,) * view.dim, 1)])
+        caps = view._caps((0,) * len(view.forms))
         box = prod(b - a + 1 for a, b in zip(*zonotope_box(view.rays)))
         if view.dim >= 3 and prod(_pivot_counts(view, (0,) * len(caps), caps)) > box:
             break
