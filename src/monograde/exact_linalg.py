@@ -23,15 +23,17 @@ vectors in Z^d as the columns of a matrix and carries only the d x d
 row transform T: a vector's column is formed as T @ v when the loop
 reaches it, and the loop stops at the d-th pivot.  Its callers read T:
 the start cone is its rows, an inverse is T itself up to sign, and a
-vertex is T applied to the right-hand side.  ``hnf`` reduces the rows
-of ``[A | I]``, pivots in the first columns, so its row transform
-rides along and each row operation is written once.  The Smith kernel
-``_smith`` carries no transform: it reduces the rows it is handed to a
-diagonal and stops there, and ``elementary_divisors``, its one caller,
-hands it the bare matrix, or its transpose when that has fewer rows,
-and chains the diagonal by gcd and lcm.  Once a pivot's row pass has
-cleared its column, a column that is a multiple of the pivot costs one
-entry, not a column.
+vertex is T applied to the right-hand side.  The Hermite and Smith
+kernels reduce by one step, Euclid's: ``_clear_column`` subtracts
+multiples of the least nonzero entry of a column from the rows below
+until one row alone is left nonzero there.  ``hnf`` runs it on the rows
+of ``[A | I]``, pivots in the first columns, so its row transform rides
+along.  The Smith kernel ``_smith`` carries no transform: it reduces
+the rows it is handed to a diagonal and stops there, and
+``elementary_divisors``, its one caller, hands it the bare matrix, or
+its transpose when that has fewer rows, and chains the diagonal by gcd
+and lcm.  Once the step has cleared a pivot's column, a column step
+changes one entry of the pivot row, not a column.
 
 Conventions: matrices act on column vectors.  Lattices are handled as
 row-generator matrices; ``row_lattice_basis`` returns the canonical
@@ -159,20 +161,6 @@ def _as_matrix(a, width: int | None = None) -> IntMatrix:
     return a if isinstance(a, IntMatrix) else IntMatrix(a, width)
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    g, r = int(a), int(b)
-    while r:
-        q = g // r
-        g, r = r, g - q * r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if g < 0:
-        g, x0, y0 = -g, -x0, -y0
-    return g, x0, y0
-
-
 def _identity(n: int) -> list[list[int]]:
     rows = [[0] * n for _ in range(n)]
     for i, row in enumerate(rows):
@@ -227,29 +215,9 @@ def _eliminate(vectors, d: int) -> tuple[list[list[int]], list[int], int]:
     return t, base, e
 
 
-def _combine_rows(m: list[list[int]], r: int, i: int, s: int, t: int, u: int, v: int) -> None:
-    # row_r' = s*row_r + t*row_i ; row_i' = -v*row_r + u*row_i ; s*u + t*v = 1
-    a, b = m[r], m[i]
-    m[r] = [s * x + t * y for x, y in zip(a, b)]
-    m[i] = [u * y - v * x for x, y in zip(a, b)]
-
-
-def _combine_cols(m: list[list[int]], c: int, j: int, s: int, t: int, u: int, v: int) -> None:
-    # col_c' = s*col_c + t*col_j ; col_j' = -v*col_c + u*col_j
-    for row in m:
-        x, y = row[c], row[j]
-        row[c], row[j] = s * x + t * y, u * y - v * x
-
-
 def _sub_row(m: list[list[int]], i: int, q: int, r: int) -> None:
     # row_i' = row_i - q*row_r
     m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-
-
-def _sub_col(m: list[list[int]], j: int, q: int, c: int) -> None:
-    # col_j' = col_j - q*col_c
-    for row in m:
-        row[j] -= q * row[c]
 
 
 def _swap_cols(m: list[list[int]], c: int, j: int) -> None:
@@ -257,14 +225,43 @@ def _swap_cols(m: list[list[int]], c: int, j: int) -> None:
         row[c], row[j] = row[j], row[c]
 
 
+def _clear_column(h: list[list[int]], r: int, j: int) -> bool:
+    """Clear column j of the rows ``h`` below row r by Euclid's step:
+    move the row with the least nonzero entry of the column, at or below
+    row r, to row r and subtract its multiples from the rows below, until
+    row r alone is nonzero in the column.  Returns False, and changes
+    nothing, when the column is zero from row r on."""
+    m = len(h)
+    while True:
+        p, least = r, 0
+        for i in range(r, m):
+            x = abs(h[i][j])
+            if x and (not least or x < least):
+                p, least = i, x
+        if not least:
+            return False
+        if p != r:
+            h[r], h[p] = h[p], h[r]
+        piv, done = h[r][j], True
+        for i in range(r + 1, m):
+            if h[i][j]:
+                _sub_row(h, i, h[i][j] // piv, r)
+                done = done and not h[i][j]
+        if done:
+            return True
+
+
 def hnf(a) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form.
 
     Returns (H, U) with H = U @ A, U unimodular, pivots positive, entries
     above each pivot reduced into [0, pivot), and zero rows at the bottom.
-    The nonzero rows of H are the canonical basis of the row lattice of A.
+    The nonzero rows of H are the canonical basis of the row lattice of A;
+    U is one of the unimodular matrices that give it, not a canonical one.
     The rows ``a_i + e_i`` are reduced with pivots in the first n columns,
-    so U rides along in the last m columns.
+    so U rides along in the last m columns: ``_clear_column`` clears each
+    column below the pivot row, and multiples of the pivot row, made
+    positive, are subtracted from the rows above.
     """
     a = _as_matrix(a)
     m, n = a.shape
@@ -273,12 +270,7 @@ def hnf(a) -> tuple[IntMatrix, IntMatrix]:
     for j in range(n):
         if r == m:
             break
-        for i in range(r + 1, m):
-            if h[i][j] == 0:
-                continue
-            g, s, t = xgcd(h[r][j], h[i][j])
-            _combine_rows(h, r, i, s, t, h[r][j] // g, h[i][j] // g)
-        if h[r][j] == 0:
+        if not _clear_column(h, r, j):
             continue
         if h[r][j] < 0:
             h[r] = [-x for x in h[r]]
@@ -313,15 +305,16 @@ def _smith(s: list[list[int]]) -> list[list[int]]:
     """Reduce the rows ``s``, all of one length, in place to a diagonal,
     left in the signs and order the pivots gave it, and return them.
 
-    Each pivot's row pass leaves its column zero off the pivot row, so a
-    column that is a multiple of the pivot is cleared by zeroing one
-    entry, with no work on the other rows, until a column combination in
-    the same pass refills the pivot column.
+    Each pivot is the least entry left, and its column is cleared by
+    ``_clear_column``.  The pivot column is then zero off the pivot row,
+    so subtracting a multiple of it from another column changes only the
+    pivot row: the entry becomes its remainder modulo the pivot, and a
+    nonzero remainder, smaller than the pivot, is swapped in as the next
+    pivot of the same column.
     """
     m = len(s)
     n = len(s[0]) if s else 0
-    k = min(m, n)
-    for t in range(k):
+    for t in range(min(m, n)):
         # choose the first remaining entry of least absolute value as
         # pivot, in row-major order; nothing beats a unit, so stop there
         best, least = None, 0
@@ -339,42 +332,27 @@ def _smith(s: list[list[int]]) -> list[list[int]]:
             s[t], s[bi] = s[bi], s[t]
         if bj != t:
             _swap_cols(s, t, bj)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t] == 0:
-                    continue
-                if s[i][t] % s[t][t] == 0:
-                    # plain subtraction never disturbs the pivot row
-                    _sub_row(s, i, s[i][t] // s[t][t], t)
-                    continue
-                g, cs, ct = xgcd(s[t][t], s[i][t])
-                dirty = True
-                _combine_rows(s, t, i, cs, ct, s[t][t] // g, s[i][t] // g)
-            # column t is zero off row t until a column combination refills it
-            clean = True
+        while True:
+            _clear_column(s, t, t)
+            row = s[t]
+            p = row[t]
             for j in range(t + 1, n):
-                if s[t][j] == 0:
-                    continue
-                if s[t][j] % s[t][t] == 0:
-                    if clean:
-                        s[t][j] = 0
-                    else:
-                        _sub_col(s, j, s[t][j] // s[t][t], t)
-                    continue
-                g, cs, ct = xgcd(s[t][t], s[t][j])
-                dirty, clean = True, False
-                _combine_cols(s, t, j, cs, ct, s[t][t] // g, s[t][j] // g)
+                if row[j]:
+                    row[j] %= p
+                    if row[j]:
+                        _swap_cols(s, t, j)
+                        break
+            else:
+                break
     return s
 
 
 def elementary_divisors(a) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order.  Only
-    the bare matrix is reduced to a diagonal, no transform rides along,
-    and a matrix with more rows than columns is reduced as its
-    transpose, which has the same factors, so column operations run
-    over the short side.  Replacing two entries by their gcd and lcm
+    the bare matrix is reduced to a diagonal (``_smith``), no transform
+    rides along, and a matrix with more rows than columns is reduced as
+    its transpose, which has the same factors, so column swaps run over
+    the short side.  Replacing two entries by their gcd and lcm
     keeps each prime's exponents and sorts them, so a pass over the
     pairs turns the diagonal's absolute values into the chain."""
     a = _as_matrix(a)

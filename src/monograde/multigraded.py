@@ -245,15 +245,11 @@ def analyze_prime(p: IdealPresentation, spec: GradedRingSpec, budget=None) -> Pr
             "graded core contains a product of two nonmembers; "
             "the input cannot be prime"
         )
-    if graded:
-        if tau != 0:
-            raise RuntimeError("graded input with a dimension drop; this is a bug")
-    else:
-        if not 1 <= tau <= sigma:
-            raise NotPrimeError(
-                "dimension drop %d escapes the bound 1..%d expected for a "
-                "nongraded prime; the input cannot be prime" % (tau, sigma)
-            )
+    if not graded and not 1 <= tau <= sigma:
+        raise NotPrimeError(
+            "dimension drop %d escapes the bound 1..%d expected for a "
+            "nongraded prime; the input cannot be prime" % (tau, sigma)
+        )
     if p.order.kind != "grevlex":
         rows_star = _reduced_rows(rows_star, p.order, budget)
     star = IdealPresentation(_monic(rows_star, n), p.order)

@@ -7,9 +7,11 @@ And the slow paths: a fast path keeps the route it replaced here as its
 reference (the rational Buchberger routes, the token parser, the
 full-basis hull passes and primality samples, the box scans, the
 recursive region sweep, the Gorenstein test's two cross-checks, the
-eager elimination, the two-sided Smith form and the unit quotient's
-Smith route), built on the package's own primitives, so a test can run
-both on the same inputs.
+eager elimination, the xgcd Hermite form, the two-sided Smith form and
+the unit quotient's Smith route), built on the package's own primitives,
+so a test can run both on the same inputs.  The Hermite and Smith
+references keep their own row and column operations, so they share no
+step with the kernels they check.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ from monograde import cone, divisorial, groebner
 from monograde.exact_linalg import (
     IntMatrix,
     _as_matrix,
-    _combine_cols,
-    _combine_rows,
     _dot,
-    _sub_col,
-    _sub_row,
-    _swap_cols,
     elementary_divisors,
     kernel_basis,
     lattice_coordinates,
@@ -40,7 +37,6 @@ from monograde.exact_linalg import (
     rank,
     row_lattice_basis,
     unimodular_inverse,
-    xgcd,
 )
 from monograde.monoid import _guard_box
 from monograde.multigraded import NotPrimeError, PrimeAnalysis
@@ -1354,6 +1350,54 @@ def _identity_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+# The row and column operations of the xgcd route, kept here so that the
+# reference forms share no step with the kernels they check.
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    g, r = int(a), int(b)
+    while r:
+        q = g // r
+        g, r = r, g - q * r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if g < 0:
+        g, x0, y0 = -g, -x0, -y0
+    return g, x0, y0
+
+
+def _combine_rows(m, r, i, s, t, u, v):
+    # row_r' = s*row_r + t*row_i ; row_i' = -v*row_r + u*row_i ; s*u + t*v = 1
+    a, b = m[r], m[i]
+    m[r] = [s * x + t * y for x, y in zip(a, b)]
+    m[i] = [u * y - v * x for x, y in zip(a, b)]
+
+
+def _combine_cols(m, c, j, s, t, u, v):
+    # col_c' = s*col_c + t*col_j ; col_j' = -v*col_c + u*col_j
+    for row in m:
+        x, y = row[c], row[j]
+        row[c], row[j] = s * x + t * y, u * y - v * x
+
+
+def _sub_row(m, i, q, r):
+    # row_i' = row_i - q*row_r
+    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+
+
+def _sub_col(m, j, q, c):
+    # col_j' = col_j - q*col_c
+    for row in m:
+        row[j] -= q * row[c]
+
+
+def _swap_cols(m, c, j):
+    for row in m:
+        row[c], row[j] = row[j], row[c]
+
+
 def eager_eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer rows,
     as ``exact_linalg._eliminate`` did it before it carried only the
@@ -1391,8 +1435,10 @@ def eager_eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]],
 
 def reference_hnf(a):
     """``exact_linalg.hnf`` as it was before the transform rode along
-    with the matrix: every row operation written once on H and once
-    on U."""
+    with the matrix and before it cleared columns by Euclid's step: 2x2
+    xgcd combinations of the pivot row with each row below, every row
+    operation written once on H and once on U.  H is the same; U is
+    another valid one on some inputs."""
     a = _as_matrix(a)
     m, n = a.shape
     h = [list(row) for row in a]
@@ -1426,7 +1472,8 @@ def reference_hnf(a):
 def reference_snf(a):
     """The two-sided Smith form (S, U, V), S = U @ A @ V, as
     ``exact_linalg`` computed it before the transforms rode along with
-    the matrix and before its kernel stopped at the diagonal: every row
+    the matrix, before its kernel stopped at the diagonal and before it
+    cleared columns by Euclid's step: xgcd combinations, every row
     operation written on S and U, every column operation on S and V, and
     a last pass that chains the diagonal by divisibility.  Its nonzero
     diagonal is ``exact_linalg.elementary_divisors``; on a saturated

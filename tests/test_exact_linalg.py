@@ -433,11 +433,23 @@ def transform_corpus(rng):
     return out
 
 
-def test_transforms_ride_along_to_the_reference_forms():
+def has_integer_inverse(u):
+    """[U | I] row reduces over Q to [I | W] with W integral, so U is
+    unimodular (``oracles.frac_rref``, no package code)."""
+    m = len(u)
+    eye = [[int(i == j) for j in range(m)] for i in range(m)]
+    _, pivots, rows = frac_rref([list(row) + e for row, e in zip(u, eye)])
+    return pivots == list(range(m)) and all(x.denominator == 1 for row in rows for x in row[m:])
+
+
+def test_hnf_gives_the_reference_form_and_a_hermite_transform():
+    """H is canonical and equals the xgcd reference's; U is not unique,
+    so it is held to what defines it: U @ A = H and U unimodular."""
     for a in transform_corpus(random.Random(113)):
-        got, ref = hnf(a), reference_hnf(a)
+        (h, u), ref = hnf(a), reference_hnf(a)
         # shapes too, since matrices without rows compare equal as tuples
-        assert got == ref and [x.shape for x in got] == [x.shape for x in ref]
+        assert h == ref[0] and [x.shape for x in (h, u)] == [x.shape for x in ref]
+        assert u @ a == h and has_integer_inverse(u), a
 
 
 def test_smith_kernel_without_column_transform_matches_snf():

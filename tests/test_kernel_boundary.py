@@ -1,4 +1,4 @@
-"""Five boundaries, checked on parsed source, nothing imported.
+"""Six boundaries, checked on parsed source, nothing imported.
 
 The packed kernel format stays in ``groebner``: every module under
 ``src/monograde`` other than ``groebner`` is searched for the names of
@@ -21,6 +21,11 @@ which ``perfbench/check.py`` and ``perfbench/workloads.py`` import,
 defines exactly the functions they read from it and the ones those
 call, and imports nothing from the package.
 
+The reference forms share no step with the kernels they check:
+``tests/references.py`` keeps its own copies of the row and column
+operations of its xgcd route and imports none of those of
+``exact_linalg`` (``_sub_row``, ``_swap_cols``, ``_clear_column``, ...).
+
 Every import is read: no module under ``src/monograde``, ``tests/`` or
 ``demos/`` imports a name it never reads.  ``from __future__`` imports,
 the re-exports of ``__init__.py`` and imports marked ``# noqa: F401``,
@@ -39,24 +44,25 @@ KERNEL_NAMES = {"_Packing", "_Overflow", "_widening", "_integer_terms", "_elemen
                 "_reduce", "_s_pair", "_interreduce", "_buchberger"}
 
 
-def kernel_uses(filename, source):
-    """``(line, name)`` for each packed-kernel name the source of one
-    module imports from ``groebner``, or reads as an attribute of a name
-    bound to the ``groebner`` module."""
+def module_uses(filename, source, module, names):
+    """``(line, name)`` for each of ``names`` that the source of one
+    module imports from the package module ``module``, or reads as an
+    attribute of a name bound to that module."""
     found = []
     module_names = set()
-    for node in ast.walk(ast.parse(source, filename)):
+    tree = ast.parse(source, filename)
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            if node.module in ("groebner", "monograde.groebner"):
-                found.extend((node.lineno, a.name) for a in node.names if a.name in KERNEL_NAMES)
+            if node.module in (module, "monograde." + module):
+                found.extend((node.lineno, a.name) for a in node.names if a.name in names)
             elif node.module in (None, "monograde"):
-                module_names.update(a.asname or a.name for a in node.names if a.name == "groebner")
+                module_names.update(a.asname or a.name for a in node.names if a.name == module)
         elif isinstance(node, ast.Import):
             module_names.update(a.asname for a in node.names
-                                if a.name == "monograde.groebner" and a.asname)
-    for node in ast.walk(ast.parse(source, filename)):
+                                if a.name == "monograde." + module and a.asname)
+    for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in module_names and node.attr in KERNEL_NAMES):
+                and node.value.id in module_names and node.attr in names):
             found.append((node.lineno, node.attr))
     return sorted(found)
 
@@ -67,7 +73,7 @@ def test_only_groebner_knows_the_packed_kernel():
     for filename in modules:
         if filename != "groebner.py":
             with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
-                assert kernel_uses(filename, fh.read()) == [], filename
+                assert module_uses(filename, fh.read(), "groebner", KERNEL_NAMES) == [], filename
 
 
 def test_guard_sees_each_kind_of_kernel_use():
@@ -78,7 +84,7 @@ def test_guard_sees_each_kind_of_kernel_use():
         "import monograde.groebner as kernel\n"
         "x = g._element(t, pk) + kernel._widening + g._splits_a_product\n"
     )
-    assert kernel_uses("multigraded.py", source) == [
+    assert module_uses("multigraded.py", source, "groebner", KERNEL_NAMES) == [
         (1, "_reduce"), (2, "_Packing"), (5, "_element"), (5, "_widening"),
     ]
 
@@ -189,6 +195,30 @@ def test_oracles_hold_what_the_benchmark_calls_and_no_package_code():
                     for node in ast.walk(defined[name])
                     if isinstance(node, ast.Name) and node.id in defined} - reached
     assert set(defined) == reached
+
+
+ROW_OPERATIONS = {"xgcd", "_combine_rows", "_combine_cols", "_sub_row", "_sub_col",
+                  "_swap_cols", "_clear_column"}
+
+
+def test_references_share_no_row_operation_with_the_kernels():
+    path = os.path.join(ROOT, "tests", "references.py")
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    assert "def reference_hnf" in source and "def reference_snf" in source
+    assert module_uses(path, source, "exact_linalg", ROW_OPERATIONS) == []
+
+
+def test_guard_sees_each_kind_of_row_operation_use():
+    source = (
+        "from monograde.exact_linalg import IntMatrix, _sub_row, _swap_cols as swap\n"
+        "from monograde import exact_linalg as el\n"
+        "import monograde.exact_linalg as kernels\n"
+        "el._clear_column(h, 0, 0); kernels._dot(a, b); kernels._sub_row(h, 1, 2, 0)\n"
+    )
+    assert module_uses("references.py", source, "exact_linalg", ROW_OPERATIONS) == [
+        (1, "_sub_row"), (1, "_swap_cols"), (4, "_clear_column"), (4, "_sub_row"),
+    ]
 
 
 def unused_imports(filename, source):
