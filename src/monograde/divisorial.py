@@ -6,8 +6,9 @@ facet form is at least ``heights[i]``.  Heights are indexed by the
 canonical order of ``monoid.facet_forms``.  Its members in a box and its
 minimal module generators are height regions that ``monoid`` sweeps
 (``AffineMonoid._members`` and ``_PointedView._sweep``); this module
-keeps the module theory on top.  Minimality is decided by the floor
-filter against the Hilbert basis.
+keeps the module theory on top.  The minimal generators are the minimal
+members, kept by the filter that also keeps the Hilbert basis
+(``monoid._minimal``), so they need no Hilbert basis.
 The module builds the canonical module (all heights equal to one, the
 interior points), the divisor class group, shift witnesses between
 ideal classes, and the Gorenstein decision with a certificate.  The
@@ -36,13 +37,10 @@ take no ideal, check normality themselves.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import add, ge
 
 from .exact_linalg import IntMatrix, Vec, _as_count, _as_vector, elementary_divisors
-from .monoid import AffineMonoid, _PointedView
+from .monoid import AffineMonoid, _PointedView, _minimal
 
 
 @dataclass(frozen=True)
@@ -78,38 +76,22 @@ def members(ideal: DivisorialIdeal, box: int) -> tuple[Vec, ...]:
 
 
 def minimal_generators(ideal: DivisorialIdeal) -> tuple[Vec, ...]:
-    """Minimal generators of the ideal as a module over the monoid.
+    """Minimal generators of the ideal as a module over the monoid: its
+    minimal members in the monoid's order.
 
     By Caratheodory each facet form f is at most ceil(V_f) + S_f - 1 on
     a minimal member, where V_f is the largest value of f on the
     region's vertices, and ``_PointedView._sweep`` visits only the
-    members within these caps.
-    Minimality itself is exact on any candidate set that holds the
-    minimal generators: y is minimal iff no Hilbert basis element can be
-    subtracted without leaving the region.  So the extra members change
-    nothing, and only the minimal ones are mapped back.
-    y is dropped iff F(y) >= F(b) + h for some Hilbert element b, which
-    needs sum(F(b)) <= sum(F(y)) - sum(h), summing over the facets.  So
-    the floors are scanned in order of sum(F(b)), up to that cut.
+    members within these caps.  ``monoid._minimal`` keeps the minimal
+    members among them by their facet values, which fix a point of the
+    view, and only those leave it (``_PointedView.to_ambient``).
     """
     m = ideal.monoid
     view = m._pointed_view
     if view.dim == 0:
         return (m.to_ambient((0,) * m.rank),)
-    h = ideal.heights
-    sweep = view._sweep(h)
-    # y is reducible iff it lies above some floor b + h, b a Hilbert element's values
-    floors = sorted((sum(b), tuple(map(add, b, h))) for _, b in m._pointed_hilbert)
-    totals = [t for t, _ in floors]
-    cut = sum(h)
-    minimal = []
-    for pt, vals in sweep:
-        for _, floor in islice(floors, bisect_right(totals, sum(vals) - cut)):
-            if all(map(ge, vals, floor)):
-                break
-        else:
-            minimal.append(pt)
-    return view._ambient(minimal)
+    points = {vals: pt for pt, vals in view._sweep(ideal.heights)}
+    return tuple(sorted(view.to_ambient(points[vals]) for vals in _minimal(points)))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,20 @@ forms, y = V.T y' with V F.T the Hermite form H of the transposed forms F:
 there every form is zero after its own coordinate, so the sweep checks
 it exactly there, and the box of y' follows from the pivot forms and
 their caps.  That box may hold capped points outside the zonotope box,
-which the filters drop.  Every sweep is guarded once, before any point,
+which the filter drops.  Every sweep is guarded once, before any point,
 by the count of the frame it scans (``_echelon_box``).  H also answers
 which point of L has given facet values (``_PointedView._preimage``),
-for the class group and the shift witnesses in ``divisorial``.  The
-module also decides whether a generating set actually generates C cap L
-(with an explicit witness when it does not) and extracts unit subgroups.
+for the rays of the Hilbert basis and for the class group and the shift
+witnesses in ``divisorial``.
+
+The Hilbert basis is the set of minimal nonzero points of M modulo
+units, and an ideal's minimal generators are its minimal members, both
+in the monoid's order, which on the pointed view is the componentwise
+order of facet values.  One filter, ``_minimal``, keeps them from the
+points a sweep found, so the minimal generators of an ideal need no
+Hilbert basis.  The module also decides whether a generating set
+actually generates C cap L (with an explicit witness when it does not)
+and extracts unit subgroups.
 
 Units are the lattice points of the cone's lineality space.  A
 presentation is normal iff its unit generators generate that lattice
@@ -35,21 +43,20 @@ generator, so no membership search runs.
 
 Vectors returned to callers are always in the ambient Z^r coordinates,
 which keeps results independent of the internal basis choice for L.
-A point of the pointed view (the monoid modulo its units) leaves it by
-one exit, ``_PointedView.to_ambient``: a product with ``out``, the
-lattice basis composed with the unit quotient's section, reduced by the
-units' Hermite basis, so each answer up to a unit is one representative
-whatever section the quotient picked.  The sweeps run in echelon
-coordinates y': a minimal generator leaves by one product with V @ out,
-composed once per view (``_PointedView._ambient``), and a Hilbert
-element is kept in the view's coordinates, y' @ V, where the normality
-check reads it.  Each of these products takes the int tuple the package
-built as it is (``IntMatrix._rmul``), with no second reading.
+Every point of the pointed view (the monoid modulo its units) is held
+in the echelon coordinates y' the sweeps run in: swept points, Hilbert
+elements, the rays among them and the points ``_preimage`` finds.  Each
+leaves by one exit, ``_PointedView.to_ambient``: one product with
+V @ out, composed once per view, where ``out`` is the lattice basis
+composed with the unit quotient's section, reduced by the units'
+Hermite basis, so each answer up to a unit is one representative
+whatever section the quotient picked.  The product takes the int tuple
+the package built as it is (``IntMatrix._rmul``), with no second
+reading.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -98,7 +105,8 @@ class _PointedView:
     """The monoid modulo its unit group, in quotient coordinates.
 
     ``_sweep`` is the one entry to every capped sweep, in the echelon
-    coordinates of the facet forms (``_echelon``).
+    coordinates y' of the facet forms (``_echelon``), in which every
+    point of the view is held until ``to_ambient`` takes it to Z^r.
     """
 
     rays: tuple[Vec, ...]
@@ -108,11 +116,16 @@ class _PointedView:
     units: IntMatrix  # the Hermite basis of the ambient unit lattice, no rows when pointed
 
     def to_ambient(self, y) -> Vec:
-        """The point y of the view, an int tuple the package built, in
-        Z^r: y @ out, taken as built (``IntMatrix._rmul``), reduced by
-        ``units``, the one point of its class with entries in [0, pivot)
-        at their pivots."""
-        return _divmod(self.units, self.out._rmul(y))[1]
+        """The point of the view with echelon coordinates y' (``_echelon``),
+        an int tuple the package built, in Z^r: y' @ (V @ out), taken as
+        built (``IntMatrix._rmul``), reduced by ``units``, the one point
+        of its class with entries in [0, pivot) at their pivots."""
+        return _divmod(self.units, self._exit._rmul(y))[1]
+
+    @cached_property
+    def _exit(self) -> IntMatrix:
+        """V @ out, composed once: echelon coordinates to Z^r in one product."""
+        return self._echelon[1] @ self.out
 
     @cached_property
     def ray_sums(self) -> Vec:
@@ -185,30 +198,17 @@ class _PointedView:
         h, _ = self._echelon
         return _region_points(h.T, heights, *_echelon_box(h, heights, caps), caps)
 
-    @cached_property
-    def _sweep_out(self) -> IntMatrix:
-        """V @ out, composed once: a swept y' to Z^r in one product."""
-        return self._echelon[1] @ self.out
-
-    def _ambient(self, swept) -> tuple[Vec, ...]:
-        """Swept points y', sorted in Z^r: each leaves by one product,
-        y' @ (V @ out) (``_sweep_out``), reduced by ``units`` as
-        ``to_ambient`` reduces y @ out for y = y' @ V."""
-        vout = self._sweep_out
-        return tuple(sorted(_divmod(self.units, vout._rmul(pt))[1] for pt in swept))
-
     def _preimage(self, values) -> Vec | None:
-        """The y with F(y) = values, or None when values is not in F(Z^dim).
+        """The echelon coordinates y' of the y with F(y) = values, or None
+        when values is not in F(Z^dim).
 
-        Back-substitution solves x @ H = values in the echelon form, and
-        y = x @ V.  F is injective, so y is the only solution.  With units
-        F is the facet matrix times the section of the unit quotient,
-        which spans the same image as the facet matrix on L, since the
-        facet forms vanish on the units; ``to_ambient(y)`` is y in Z^r.
+        Back-substitution solves y' @ H = values in the echelon form.  F
+        is injective, so y = y' @ V is the only solution.  With units F is
+        the facet matrix times the section of the unit quotient, which
+        spans the same image as the facet matrix on L, since the facet
+        forms vanish on the units; ``to_ambient(y')`` is y in Z^r.
         """
-        h, v = self._echelon
-        x = lattice_coordinates(h, values)
-        return None if x is None else v._rmul(x)
+        return lattice_coordinates(self._echelon[0], values)
 
 
 def _guard_box(count: int, what: str) -> None:
@@ -406,7 +406,8 @@ class AffineMonoid:
 
     @cached_property
     def _pointed_hilbert(self) -> tuple[tuple[Vec, Vec], ...]:
-        """(element, facet values) of the pointed Hilbert basis, by element."""
+        """(echelon coordinates y', facet values) of the pointed Hilbert
+        basis, sorted by y'."""
         return _pointed_hilbert_basis(self._pointed_view)
 
     def hilbert_basis(self) -> tuple[Vec, ...]:
@@ -546,48 +547,57 @@ def _region_vertices(forms, heights, dim) -> list[tuple[Vec, int]]:
     return [(r[:-1], r[-1]) for r in rays if r[-1] > 0]
 
 
+def _minimal(values) -> list[Vec]:
+    """The minimal vectors among ``values``, distinct facet value
+    vectors of points of the pointed view, in the componentwise order,
+    which is the monoid's order on those points: sorted by total, a
+    vector is kept iff it lies above no kept vector of strictly smaller
+    total.
+
+    That is exact on any set of points of one region (the nonzero cone
+    points, or an ideal's members) that holds the region's minimal
+    points.  A dominated vector differs from the one below it by the
+    values of a nonzero cone point, whose total is positive, as the cone
+    is pointed.  So it lies above a minimal point of smaller total,
+    which came first and was kept.  Vectors of equal total are never
+    compared.
+    """
+    kept: list[Vec] = []
+    below, total = 0, None  # the kept vectors of total smaller than ``total``
+    for t, vals in sorted((sum(vals), vals) for vals in values):
+        if t != total:
+            below, total = len(kept), t
+        for low in islice(kept, below):
+            if all(map(ge, vals, low)):
+                break
+        else:
+            kept.append(vals)
+    return kept
+
+
 def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     """Hilbert basis of a pointed full-dimensional cone in Z^dim, as
-    (element, facet values) pairs sorted by element.
+    (echelon coordinates y', facet values) pairs sorted by y'.
 
-    By Caratheodory every Hilbert basis element that is not a ray has
-    each facet value f at most S_f - 1 (``_PointedView._caps`` of the
-    height-0 region, whose one vertex is the origin), so the sweep caps
-    f there.  The rays the caps cut off are added back, since primitive
-    extreme rays are irreducible.  ``_PointedView._sweep`` scans and
-    guards the echelon frame over every capped point, some of them
-    outside the zonotope box.
-    Candidates are keyed by their facet values, which fix a point of a
-    pointed cone, and filtered by increasing total facet value, which is
-    strictly positive on nonzero cone points; a candidate is dropped iff
-    a kept one lies below it in every facet value.  That filter is exact
-    on any candidate set that holds the Hilbert basis, because each
-    reducible point lies above some Hilbert element of smaller total
-    value, so the extra points change nothing, and only the kept ones
-    are mapped back from the sweep's coordinates.
-    A candidate x of total t is compared only with the kept elements of
-    total at most t // 2, found by bisection on the kept totals.  If x
-    is reducible, x = a + b with a, b nonzero cone points, and totals
-    add, so one summand, say a, has total at most t // 2.  a lies above
-    a Hilbert element g of no larger total, so below t: g came before x
-    and was kept, and x lies above g.
+    The Hilbert basis is the set of minimal nonzero points of the cone.
+    By Caratheodory every element that is not a ray has each facet value
+    f at most S_f - 1 (``_PointedView._caps`` of the height-0 region,
+    whose one vertex is the origin), so the sweep caps f there, and the
+    rays the caps cut off come back by their facet values
+    (``_PointedView._preimage``), since primitive extreme rays are
+    irreducible.  ``_PointedView._sweep`` scans and guards the echelon
+    frame over every capped point, some of them outside the zonotope
+    box.  Facet values fix a point of a pointed cone, and ``_minimal``
+    keeps the Hilbert basis among the nonzero candidates.
     """
     if view.dim == 0:
         return ()
-    sweep = view._sweep((0,) * len(view.forms))
-    swept = {vals: pt for pt, vals in sweep if any(vals)}
-    rays = {tuple(_dot(f, r) for f in view.forms): r for r in view.rays}
-    basis: list[Vec] = []
-    totals: list[int] = []
-    for t, vals in sorted((sum(vals), vals) for vals in swept.keys() | rays.keys()):
-        for bvals in islice(basis, bisect_right(totals, t // 2)):
-            if all(map(ge, vals, bvals)):
-                break
-        else:
-            basis.append(vals)
-            totals.append(t)
-    v = view._echelon[1]
-    return tuple(sorted((rays[x] if x in rays else v._rmul(swept[x]), x) for x in basis))
+    points = {vals: pt for pt, vals in view._sweep((0,) * len(view.forms)) if any(vals)}
+    for r in view.rays:
+        vals = tuple(_dot(f, r) for f in view.forms)
+        if vals not in points:
+            points[vals] = view._preimage(vals)
+    return tuple(sorted((points[vals], vals) for vals in _minimal(points)))
 
 
 def normalize_presentation(generators) -> AffineMonoid:

@@ -47,6 +47,7 @@ from oracles import (
     frac_solve_unique,
     make_primitive,
     region_tight_points,
+    true_facets,
 )
 
 
@@ -167,6 +168,76 @@ def coset_count(columns_matrix, box):
         if not any(in_span([a - b for a, b in zip(pt, rep)]) for rep in reps):
             reps.append(pt)
     return len(reps)
+
+
+# -- canonical module oracles ------------------------------------------
+
+
+def squarefree_divisor_canonical(rays, gens, functional):
+    """ω's minimal generators by its definition through Ext, with the
+    Betti number in each of their degrees: {g: β_{c, Σa - g}} over the
+    interior g where it is nonzero.  M is the lattice points of the
+    pointed full-dimensional cone of ``rays`` in Z^d, and A = ``gens``
+    any finite generating set of M.
+
+    K[M] is Cohen-Macaulay (Hochster 1972).  So with S = Q[x_a : a in A],
+    deg x_a = a, and c = |A| - d, the dual of the minimal Z^d-graded
+    free resolution of K[M] over S resolves ω = Ext^c_S(K[M], S(-Σa)),
+    whose minimal generators sit in the degrees Σa - b, one for each
+    unit of β_{c,b}.  Hochster's formula gives β_{c,b} =
+    dim H~_{c-1}(Δ_b; Q), where Δ_b is the complex of the G ⊆ A with
+    b - Σ_G in M (Miller and Sturmfels, *Combinatorial Commutative
+    Algebra*, 2005, ch. 9).  Membership is read off the facets of
+    ``oracles.true_facets``, and the ranks off ``oracles.frac_rref``.
+    The candidates are the interior g with b = Σa - g in M, swept by
+    :func:`recursive_region_points` between the facet values 1 and
+    F(Σa).  Then ℓ(g) <= ℓ(Σa) for the ``functional`` ℓ, positive on
+    the cone, so the sweep's box is that of the polytope
+    {F >= 0, ℓ <= ℓ(Σa)}, whose vertices are 0 and the rays scaled to
+    ℓ(Σa).
+    """
+    d, n = len(rays[0]), len(gens)
+    forms = true_facets(rays)
+    gen_vals = [tuple(dot(f, a) for f in forms) for a in gens]
+    sums = {}  # size -> [(G, F(Σ_G))] over the G ⊆ A of that size
+
+    def subsets(size):
+        if size not in sums:
+            sums[size] = [] if size < 0 else [
+                (g, tuple(map(sum, zip((0,) * len(forms), *(gen_vals[i] for i in g)))))
+                for g in itertools.combinations(range(n), size)]
+        return sums[size]
+
+    def boundary_rank(upper, lower):
+        """The rank of the boundary map from the faces ``upper`` to the
+        faces ``lower``, one size smaller."""
+        if not upper or not lower:
+            return 0
+        index = {face: j for j, face in enumerate(lower)}
+        rows = []
+        for face in upper:
+            row = [0] * len(lower)
+            for i in range(len(face)):
+                row[index[face[:i] + face[i + 1:]]] = (-1) ** i
+            rows.append(row)
+        return frac_rref(rows)[0]
+
+    total = [sum(col) for col in zip(*gens)]
+    total_vals = tuple(dot(f, total) for f in forms)
+    top = dot(functional, total)
+    lo = [min([0] + [r[i] * top // dot(functional, r) for r in rays]) for i in range(d)]
+    hi = [max([0] + [-(-r[i] * top // dot(functional, r)) for r in rays]) for i in range(d)]
+    c = n - d
+    betti = {}
+    for g, g_vals in recursive_region_points(forms, [1] * len(forms), lo, hi, total_vals):
+        b_vals = tuple(x - y for x, y in zip(total_vals, g_vals))
+        # faces of Δ_b by size; face sizes c - 1, c, c + 1 give H~_{c-1}
+        faces = [[face for face, vals in subsets(size) if all(map(operator.ge, b_vals, vals))]
+                 for size in (c - 1, c, c + 1)]
+        dim = len(faces[1]) - boundary_rank(faces[1], faces[0]) - boundary_rank(faces[2], faces[1])
+        if dim:
+            betti[g] = dim
+    return betti
 
 
 # -- slow paths kept as references for groebner ------------------------
@@ -1083,8 +1154,8 @@ def full_scan_hilbert_filter(candidates):
     """The facet values of the Hilbert basis among ``candidates``, facet
     value vectors of nonzero cone points that hold the Hilbert basis, by
     comparing each candidate, in order of total, with every kept one:
-    the loop ``monoid._pointed_hilbert_basis`` ran before it stopped at
-    half the candidate's total."""
+    the route ``monoid._minimal`` replaced, which compares a candidate
+    only with the kept ones of strictly smaller total."""
     basis = []
     for _, vals in sorted((sum(vals), vals) for vals in candidates):
         for bvals in basis:
@@ -1097,9 +1168,11 @@ def full_scan_hilbert_filter(candidates):
 
 def full_scan_floor_filter(points, floors):
     """The (point, values) pairs of ``points`` that lie above none of
-    ``floors``, each compared with every floor: the loop
-    ``divisorial.minimal_generators`` ran before it stopped at the
-    floors' totals."""
+    ``floors``, each compared with every floor: with the floors F(b) + h
+    over the Hilbert elements b, the route by which
+    ``divisorial.minimal_generators`` once decided minimality, before
+    ``monoid._minimal`` kept the minimal members with no Hilbert
+    basis."""
     minimal = []
     for pt, vals in points:
         for floor in floors:
@@ -1226,7 +1299,8 @@ def search_normality(m):
             for row in n_rows:
                 if smith_solve(gen_rows.T, row) is None:
                     return False, m.to_ambient(row)
-    missing = [amb for amb in (view_to_ambient(m, p) for p, _ in m._pointed_hilbert)
+    v = m._pointed_view._echelon[1]
+    missing = [amb for amb in (view_to_ambient(m, p @ v) for p, _ in m._pointed_hilbert)
                if not presentation_member(m, amb)]
     return (False, min(missing)) if missing else (True, None)
 

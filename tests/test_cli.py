@@ -381,6 +381,14 @@ def test_rejects_command_mismatch(monkeypatch, capsys):
     assert "'class-group'" in message and "'canonical'" in message
 
 
+def test_execute_names_an_unknown_command():
+    """``execute`` refuses a job whose command it has no branch for,
+    which ``parse_input`` never builds, and names the command."""
+    job = cli.JobSpec("triangulate", {"rays": [[1, 0], [0, 1]]}, {}, ())
+    with pytest.raises(cli.InputError, match=r"^\$\.command: unknown command 'triangulate'$"):
+        cli.execute(job)
+
+
 def test_exhausted_budget_exits_3(monkeypatch, capsys):
     job = (
         '{"command":"graded-hull","vars":2,"grading":[[1],[1]],'

@@ -40,9 +40,11 @@ from corpora import (
     cone_corpus,
     localized_faces,
     presentation_corpus,
+    positive_functional,
     random_pointed_cones,
 )
 from oracles import (
+    brute_irreducibles,
     brute_minimal_interior,
     det_int,
     dot,
@@ -60,6 +62,7 @@ from references import (
     full_scan_floor_filter,
     smith_in_image,
     smith_solve,
+    squarefree_divisor_canonical,
     view_to_ambient,
 )
 
@@ -223,6 +226,31 @@ def test_canonical_generators_match_interior_oracle():
         m = monoid_from_cone_rays(rays)
         gens = canonical_module(m).generators
         assert sorted(gens) == brute_minimal_interior(rays)
+
+
+def test_canonical_generators_are_the_degrees_of_the_last_betti_numbers():
+    """ω by the paper's definition through Ext, not by interior points:
+    the last Betti numbers of K[M] over the polynomial ring of the
+    box-scan Hilbert basis A, by Hochster's formula on the squarefree
+    divisor complexes, are 0 or 1, their degrees are the canonical
+    generators, and K[M] is Gorenstein iff there is one, the
+    certificate.  Δ_b has up to 2^|A| faces, so |A| stays at most 12."""
+    corpus = random_pointed_cones(40, 3, 2, 31) + random_pointed_cones(12, 4, 1, 37)
+    kinds = collections.Counter()
+    for d, rays in corpus:
+        gens = brute_irreducibles(rays, 0)
+        if len(gens) > 12:
+            continue
+        m = monoid_from_cone_rays(rays)
+        betti = squarefree_divisor_canonical(rays, gens, positive_functional(rays))
+        assert set(betti.values()) == {1}, rays
+        assert tuple(sorted(betti)) == canonical_module(m).generators, rays
+        gorenstein, certificate = is_gorenstein(m)
+        assert gorenstein == (len(betti) == 1), rays
+        assert not gorenstein or (certificate,) == tuple(betti), rays
+        kinds[d] += 1
+        kinds["gorenstein"] += gorenstein
+    assert kinds[2] + kinds[3] + kinds[4] == 52 and kinds[4] and kinds["gorenstein"] == 33, kinds
 
 
 # rank-6 cones of random_pointed_cones(10, 6, 2, seed) at seeds 1, 3 and
@@ -426,8 +454,10 @@ def test_guards_count_the_frame_each_sweep_scans(monkeypatch):
 
 
 def test_floor_filter_compares_only_floors_within_the_total(monkeypatch):
-    """On the thin cones the interior points of least total are the
-    3,999 generators, and only floors of no larger total are compared:
+    """Minimal generators run the one filter of ``monoid``, which
+    replaced the floor filter: a member is compared only with the kept
+    ones of strictly smaller total.  On the thin cones the interior
+    points of least total are the 3,999 generators, so the filter makes
     a few componentwise comparisons per generator, where a full scan
     makes about N^2."""
     calls = []
@@ -436,10 +466,9 @@ def test_floor_filter_compares_only_floors_within_the_total(monkeypatch):
         calls.append((a, b))
         return a >= b
 
-    monkeypatch.setattr(divisorial, "ge", counted)
+    monkeypatch.setattr(monoid, "ge", counted)
     for rays in ([(1, 0), (1, 4000)], [(1, 0, 0), (1, 4000, 0), (0, 0, 1)]):
         m = monoid_from_cone_rays(rays)
-        hilbert_basis(m)
         calls.clear()
         assert len(canonical_module(m).generators) == 3999
         assert len(calls) <= 4010, (rays, len(calls))
@@ -554,7 +583,8 @@ def test_echelon_sweeps_match_the_box_oracles():
         if math.prod(b - a + 1 for a, b in zip(lo, hi)) > 6000:
             continue  # beyond the box oracles' reach
         hb = box_hilbert_basis(view.rays, view.forms, view.dim)
-        assert tuple(p for p, _ in m._pointed_hilbert) == hb, rays
+        v = view._echelon[1]
+        assert tuple(sorted(p @ v for p, _ in m._pointed_hilbert)) == hb, rays
         s = len(m.facet_forms)
         draws = 0 if view.dim == 5 else 2
         for h in [(1,) * s] + [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(draws)]:
@@ -633,6 +663,38 @@ def test_canonical_module_is_computed_once_per_monoid(monkeypatch):
         sweeps.clear()
         cli.execute(cli.parse_input('{"command": "%s", "rays": [[1, 0], [1, 3]]}' % command))
         assert len(sweeps) == count, command
+
+
+def test_canonical_module_of_a_cone_runs_one_sweep_and_no_hilbert_basis(monkeypatch):
+    """The canonical generators are the minimal interior points, kept by
+    ``monoid._minimal`` from the one sweep of the interior region, so a
+    cone-defined monoid computes no Hilbert basis for them.  The same
+    cone presented by generators computes it once, for its normality
+    check, and sweeps for it."""
+    cones = ([(1, 0), (1, 3)], [(1, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2)],
+             [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 2, 3)])
+    gens = []
+    for rays in cones:
+        m = monoid_from_cone_rays(rays)
+        units = m.unit_basis()
+        gens.append(hilbert_basis(m) + units + tuple(tuple(-x for x in u) for u in units))
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    for name in ("_region_points", "_pointed_hilbert_basis"):
+        monkeypatch.setattr(monoid, name, counted(name, getattr(monoid, name)))
+    for rays, hb in zip(cones, gens):
+        calls.clear()
+        omega = canonical_module(monoid_from_cone_rays(rays)).generators
+        assert calls == {"_region_points": 1}, (rays, calls)
+        calls.clear()
+        assert canonical_module(normalize_presentation(hb)).generators == omega
+        assert calls == {"_region_points": 2, "_pointed_hilbert_basis": 1}, (rays, calls)
 
 
 # -- class group ---------------------------------------------------------

@@ -321,12 +321,12 @@ def test_snf_against_minor_gcd_oracle():
 
 
 def test_elementary_divisors_match_minor_gcds_on_every_shape():
-    """Tall matrices are reduced as their transposes, and a column that
-    is a multiple of the pivot is cleared in place only while the pivot
-    column is still zero off its row.  In ``[[-3, 2, 3], [-2, 0, 0]]`` a
-    column combination comes before a divisible column in the same pass;
-    clearing that column in place anyway gives (1, 4) instead of
-    (1, 2)."""
+    """Wide, tall, square and rank-deficient matrices; tall ones are
+    reduced as their transposes.  In ``[[-3, 2, 3], [-2, 0, 0]]`` and
+    its transpose, whose divisors are (1, 2), the first pivot leaves a
+    nonzero remainder in its row, which becomes the next pivot of the
+    same column.  The random products through a smaller inner dimension
+    fall short of full rank."""
     rng = random.Random(109)
     mats = [[[-3, 2, 3], [-2, 0, 0]], [[-3, -2], [2, 0], [3, 0]]]
     for _ in range(25):

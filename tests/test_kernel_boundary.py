@@ -89,7 +89,7 @@ def test_guard_sees_each_kind_of_kernel_use():
     ]
 
 
-SWEEP_NAMES = {"_region_points", "_echelon_box", "_guard_box", "_echelon", "_caps", "_sweep_out"}
+SWEEP_NAMES = {"_region_points", "_echelon_box", "_guard_box", "_echelon", "_caps", "_exit"}
 
 
 def sweep_uses(filename, source):

@@ -277,9 +277,10 @@ def test_hilbert_basis_matches_the_box_scan_oracle():
         embedded += m.rank < m.ambient_rank
         pointed = box_hilbert_basis(view.rays, view.forms, view.dim)
         assert hilbert_basis(m) == tuple(sorted(view_to_ambient(m, p) for p in pointed))
-        assert tuple(p for p, _ in m._pointed_hilbert) == pointed
+        v = view._echelon[1]
+        assert tuple(sorted(p @ v for p, _ in m._pointed_hilbert)) == pointed
         for p, vals in m._pointed_hilbert:
-            assert vals == tuple(dot(f, p) for f in view.forms)
+            assert vals == tuple(dot(f, p @ v) for f in view.forms)
     assert ranks >= {2, 3, 4, 5} and with_units and embedded
 
 
@@ -417,10 +418,12 @@ THIN_CONES = ([(1, 0), (1, 4000)], [(1, 0, 0), (1, 4000, 0), (0, 0, 1)])
 
 
 def test_hilbert_filter_compares_only_below_half_the_total(monkeypatch):
-    """The thin cones' 4,001 and 4,002 Hilbert elements share one total
-    (plus the third ray), so no candidate meets a kept element of at
-    most half its total: the filter makes about one componentwise
-    comparison per element, where a full scan makes about N^2."""
+    """The one filter for minimal elements compares a vector only with
+    the kept ones of strictly smaller total, which for the Hilbert basis
+    replaced the cut at half a candidate's total.  The thin cones' 4,001
+    and 4,002 Hilbert elements share one total (plus the third ray), so
+    the filter makes about one componentwise comparison per element,
+    where a full scan makes about N^2."""
     calls = {"ge": 0}
     monkeypatch.setattr(monoid, "ge", _counting(calls, "ge", operator.ge))
     for rays in THIN_CONES:
