@@ -35,6 +35,8 @@ from .divisorial import (
     same_class,
 )
 from .exact_linalg import (
+    BudgetExceededError,
+    EnumerationLimitError,
     elementary_divisors,
     hnf,
     kernel_basis,
@@ -43,7 +45,6 @@ from .exact_linalg import (
     unimodular_inverse,
 )
 from .groebner import (
-    BudgetExceededError,
     IdealPresentation,
     Polynomial,
     TermOrder,
@@ -58,7 +59,6 @@ from .groebner import (
 )
 from .monoid import (
     AffineMonoid,
-    EnumerationLimitError,
     NonNormalError,
     hilbert_basis,
     monoid_from_cone_rays,

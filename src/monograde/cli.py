@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from .divisorial import canonical_module, class_group, is_gorenstein
+from .exact_linalg import DEFAULT_BUDGET, BudgetExceededError
 from .groebner import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
     IdealPresentation,
     Polynomial,
     default_variables,
@@ -30,7 +29,7 @@ from .groebner import (
     grevlex,
     parse_polynomial,
 )
-from .monoid import EnumerationLimitError, monoid_from_cone_rays, normalize_presentation
+from .monoid import monoid_from_cone_rays, normalize_presentation
 from .multigraded import GradedRingSpec, analyze_prime, graded_hull
 
 # the payload fields of each command; a cone command takes exactly one
@@ -303,7 +302,7 @@ def main(argv=None) -> int:
         return _fail(str(e), EXIT_INPUT)
     try:
         report = execute(job)
-    except (BudgetExceededError, EnumerationLimitError) as e:
+    except BudgetExceededError as e:  # enumeration limits included
         return _fail(str(e), EXIT_BUDGET)
     except ValueError as e:
         return _fail(str(e), EXIT_MATH)

@@ -35,6 +35,10 @@ its transpose when that has fewer rows, and chains the diagonal by gcd
 and lcm.  Once the step has cleared a pivot's column, a column step
 changes one entry of the pivot row, not a column.
 
+The job's limits live here, below every layer that spends them: the
+budget ``_Budget`` (read by ``_as_budget``) and the one family of limit
+errors, ``BudgetExceededError`` and its ``EnumerationLimitError``.
+
 Conventions: matrices act on column vectors.  Lattices are handled as
 row-generator matrices; ``row_lattice_basis`` returns the canonical
 (Hermite) basis of the row span.
@@ -76,6 +80,53 @@ def _as_count(x, floor: int, message: str) -> int:
     if x < floor:
         raise ValueError(message)
     return x
+
+
+DEFAULT_BUDGET = 500_000
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation hit one of the job's limits: it ran out of its budget
+    of reduction steps and dimension-search branches, or an enumeration
+    outgrew its frame (``EnumerationLimitError``).  The message names the
+    limit that was hit."""
+
+
+class EnumerationLimitError(BudgetExceededError):
+    """A bounded enumeration grew beyond the supported desk scale."""
+
+
+class _Budget:
+    """The reduction-step budget of one computation, and its meter.
+
+    ``remaining`` counts down from the int limit one unit per reduction
+    step or dimension search branch, so the steps spent are the limit
+    minus ``remaining``.  ``spairs`` counts the S-pairs Buchberger's
+    algorithm reduced and ``zero_reductions`` those that reduced to zero.
+    """
+
+    __slots__ = ("remaining", "spairs", "zero_reductions")
+
+    def __init__(self, limit: int):
+        self.remaining = limit
+        self.spairs = 0
+        self.zero_reductions = 0
+
+    def spend(self, what: str = "reduction step") -> None:
+        self.remaining -= 1
+        if self.remaining < 0:
+            raise BudgetExceededError("%s budget exceeded" % what)
+
+
+def _as_budget(budget) -> _Budget:
+    """The budget to spend: a ``_Budget`` as it is, None as the default
+    budget, and a number read like every integer input, so 2.0 is taken
+    as 2, while 2.5 or a budget below 1 raises ValueError."""
+    if isinstance(budget, _Budget):
+        return budget
+    if budget is None:
+        return _Budget(DEFAULT_BUDGET)
+    return _Budget(_as_count(budget, 1, "budget must be positive"))
 
 
 def _as_vector(v, n: int, message: str) -> Vec:

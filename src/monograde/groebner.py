@@ -44,51 +44,10 @@ from itertools import islice
 from math import gcd, lcm
 from operator import add, itemgetter, le, mul, sub
 
-from .exact_linalg import _as_count, as_tuple
+from .exact_linalg import BudgetExceededError  # noqa: F401  (re-exported)
+from .exact_linalg import _as_budget, _as_count, _Budget, as_tuple
 
 Exponent = tuple[int, ...]
-
-DEFAULT_BUDGET = 500_000
-
-
-class BudgetExceededError(RuntimeError):
-    """A computation ran out of its budget of reduction steps and
-    dimension-search branches; the message names which one spent the last
-    unit."""
-
-
-class _Budget:
-    """The reduction-step budget of one computation, and its meter.
-
-    ``remaining`` counts down from the int limit one unit per reduction
-    step or dimension search branch, so the steps spent are the limit
-    minus ``remaining``.  ``spairs`` counts the S-pairs Buchberger's
-    algorithm reduced and ``zero_reductions`` those that reduced to zero.
-    """
-
-    __slots__ = ("remaining", "spairs", "zero_reductions")
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-        self.spairs = 0
-        self.zero_reductions = 0
-
-    def spend(self, what: str = "reduction step") -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise BudgetExceededError("%s budget exceeded" % what)
-
-
-def _as_budget(budget) -> _Budget:
-    """The budget to spend: a ``_Budget`` as it is, None as the default
-    budget, and a number read like every integer input, so 2.0 is taken
-    as 2, while 2.5 or a budget below 1 raises ValueError."""
-    if isinstance(budget, _Budget):
-        return budget
-    if budget is None:
-        return _Budget(DEFAULT_BUDGET)
-    return _Budget(_as_count(budget, 1, "budget must be positive"))
-
 
 # -- term orders -----------------------------------------------------
 

@@ -64,6 +64,7 @@ from operator import add, ge
 
 from .cone import Cone, _dd, _facets_of_generators, _primitive_set, _quotient_transform
 from .exact_linalg import (
+    EnumerationLimitError,
     IntMatrix,
     Vec,
     _as_count,
@@ -75,16 +76,11 @@ from .exact_linalg import (
     _identity,
     hnf,
     kernel_basis,
-    lattice_coordinates,
     primitive,
     row_lattice_basis,
 )
 
 _MAX_ENUMERATION = 2_000_000
-
-
-class EnumerationLimitError(RuntimeError):
-    """A bounded enumeration grew beyond the supported desk scale."""
 
 
 class NonNormalError(ValueError):
@@ -208,7 +204,8 @@ class _PointedView:
         spans the same image as the facet matrix on L, since the facet
         forms vanish on the units; ``to_ambient(y')`` is y in Z^r.
         """
-        return lattice_coordinates(self._echelon[0], values)
+        x, rest = _divmod(self._echelon[0], values)
+        return None if any(rest) else x
 
 
 def _guard_box(count: int, what: str) -> None:
@@ -296,7 +293,8 @@ class AffineMonoid:
     def to_local(self, ambient) -> Vec | None:
         """Coordinates in the basis of L, or None when the point is not in L."""
         ambient = _as_vector(ambient, self.ambient_rank, "point does not match the ambient rank")
-        return lattice_coordinates(self.lattice_basis, ambient)
+        x, rest = _divmod(self.lattice_basis, ambient)
+        return None if any(rest) else x
 
     # -- cone structure ----------------------------------------------
 
@@ -365,7 +363,7 @@ class AffineMonoid:
                          if not any(self._facet_values_local(g))]
             gen_lattice = row_lattice_basis(IntMatrix._of(unit_gens, self.rank))
             for row in self.cone.lineality:
-                if lattice_coordinates(gen_lattice, row) is None:
+                if any(_divmod(gen_lattice, row)[1]):
                     return False, self.to_ambient(row)
         gen_vals = {self._facet_values_local(g) for g in self.local_generators}
         view = self._pointed_view

@@ -43,10 +43,9 @@ from dataclasses import dataclass
 from itertools import count
 from operator import mul
 
-from .exact_linalg import Vec, _as_vectors, rank
+from .exact_linalg import Vec, _as_budget, _as_vectors, _eliminate
 from .groebner import (
     IdealPresentation,
-    _as_budget,
     _grevlex_basis_dimension,
     _monic,
     _reduced_rows,
@@ -86,7 +85,7 @@ class GradedRingSpec:
 
     def sigma(self) -> int:
         """Rank of the subgroup of Z^r generated by the variable degrees."""
-        return rank(self.degrees)
+        return len(_eliminate(self.degrees, self.rank)[1])
 
 
 def _hull_pass(rows, weights: tuple[int, ...], budget):

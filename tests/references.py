@@ -27,7 +27,9 @@ from math import gcd
 
 from monograde import cone, divisorial, groebner
 from monograde.exact_linalg import (
+    BudgetExceededError,
     IntMatrix,
+    _as_budget,
     _as_matrix,
     _dot,
     elementary_divisors,
@@ -188,7 +190,7 @@ def squarefree_divisor_canonical(rays, gens, functional):
     dim H~_{c-1}(Δ_b; Q), where Δ_b is the complex of the G ⊆ A with
     b - Σ_G in M (Miller and Sturmfels, *Combinatorial Commutative
     Algebra*, 2005, ch. 9).  Membership is read off the facets of
-    ``oracles.true_facets``, and the ranks off ``oracles.frac_rref``.
+    ``oracles.true_facets``, and the ranks by sparse integer elimination.
     The candidates are the interior g with b = Σa - g in M, swept by
     :func:`recursive_region_points` between the facet values 1 and
     F(Σa).  Then ℓ(g) <= ℓ(Σa) for the ``functional`` ℓ, positive on
@@ -209,18 +211,31 @@ def squarefree_divisor_canonical(rays, gens, functional):
         return sums[size]
 
     def boundary_rank(upper, lower):
-        """The rank of the boundary map from the faces ``upper`` to the
-        faces ``lower``, one size smaller."""
+        """The rank over Q of the boundary map from the faces ``upper`` to
+        the faces ``lower``, one size smaller: its sparse integer rows are
+        echeloned one by one, each reduced by b * row - a * pivot at its
+        least column and made primitive, and the rank is the number of
+        pivots."""
         if not upper or not lower:
             return 0
         index = {face: j for j, face in enumerate(lower)}
-        rows = []
+        pivots = {}
         for face in upper:
-            row = [0] * len(lower)
-            for i in range(len(face)):
-                row[index[face[:i] + face[i + 1:]]] = (-1) ** i
-            rows.append(row)
-        return frac_rref(rows)[0]
+            row = {index[face[:i] + face[i + 1:]]: (-1) ** i for i in range(len(face))}
+            while row:
+                lead = min(row)
+                if lead not in pivots:
+                    pivots[lead] = row
+                    break
+                pivot, a = pivots[lead], row[lead]
+                b = pivot[lead]
+                row = {k: b * v for k, v in row.items()}
+                for k, v in pivot.items():
+                    row[k] = row.get(k, 0) - a * v
+                row = {k: v for k, v in row.items() if v}
+                content = gcd(*row.values()) if row else 1
+                row = {k: v // content for k, v in row.items()}
+        return len(pivots)
 
     total = [sum(col) for col in zip(*gens)]
     total_vals = tuple(dot(f, total) for f in forms)
@@ -472,7 +487,7 @@ def rational_buchberger(generators, order, budget=None, eliminate=False, strateg
     ``s_polynomial`` is looked up in this module and ``normal_form`` in
     ``groebner``, so a test can count the calls.
     """
-    budget = groebner._as_budget(budget)
+    budget = _as_budget(budget)
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         return ()
@@ -704,8 +719,8 @@ def hull_eliminations(rows, spec, budget):
     harvest elimination cases."""
     eliminations = []
     try:
-        full_hull_rows(rows, spec, groebner._as_budget(budget), eliminations)
-    except groebner.BudgetExceededError:
+        full_hull_rows(rows, spec, _as_budget(budget), eliminations)
+    except BudgetExceededError:
         pass
     return eliminations
 
@@ -913,7 +928,7 @@ def polynomial_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
     The prime's basis, the passes and the checks run under grevlex, and
     only the reported core is re-based under ``p.order``, after the
     checks, by the public ``groebner.buchberger``."""
-    budget = groebner._as_budget(budget)
+    budget = _as_budget(budget)
     deg_order = groebner.grevlex(p.nvars)
     gb_p = _polynomial_prime_basis(p.generators, deg_order, budget)
     star = polynomial_graded_hull(groebner.IdealPresentation(gb_p, deg_order), spec, budget)
@@ -934,7 +949,7 @@ def two_order_analyze_prime(p, spec, budget, draws, samples=8, seed=1):
     are then re-based under grevlex for the heights and the samples.
     The answers are the same, since reduced bases are unique, but not
     the work, and so not the budget errors."""
-    budget = groebner._as_budget(budget)
+    budget = _as_budget(budget)
     deg_order = groebner.grevlex(p.nvars)
     gb_p = _polynomial_prime_basis(p.generators, p.order, budget)
     star = polynomial_graded_hull(groebner.IdealPresentation(gb_p, p.order), spec, budget)

@@ -24,7 +24,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from monograde import __version__, cli, groebner, multigraded
+from monograde import __version__, cli, exact_linalg, groebner, multigraded
 from monograde.cli import (
     COMMANDS,
     EXIT_BUDGET,
@@ -589,7 +589,7 @@ def test_repeated_runs_are_byte_identical(monkeypatch, capsys):
 def test_budget_precedence_flag_over_options_over_default(monkeypatch, capsys):
     job = '{"command":"gorenstein","rays":[[1,0],[0,1]]}'
     code, out, _ = run_cli(monkeypatch, capsys, ["gorenstein"], job)
-    assert json.loads(out)["options"]["budget"] == groebner.DEFAULT_BUDGET
+    assert json.loads(out)["options"]["budget"] == exact_linalg.DEFAULT_BUDGET
     job_opt = '{"command":"gorenstein","rays":[[1,0],[0,1]],"options":{"budget":888}}'
     code, out, _ = run_cli(monkeypatch, capsys, ["gorenstein"], job_opt)
     assert json.loads(out)["options"]["budget"] == 888
@@ -600,7 +600,7 @@ def test_budget_precedence_flag_over_options_over_default(monkeypatch, capsys):
 def test_parse_input_docstring_names_the_default_budget():
     doc = cli.parse_input.__doc__
     assert doc is not None and "Option precedence" in doc
-    assert "budget=%d" % groebner.DEFAULT_BUDGET in doc
+    assert "budget=%d" % exact_linalg.DEFAULT_BUDGET in doc
 
 
 def test_a_nonpositive_budget_names_where_it_came_from(monkeypatch, capsys):

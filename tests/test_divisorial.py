@@ -233,8 +233,12 @@ def test_canonical_generators_are_the_degrees_of_the_last_betti_numbers():
     the last Betti numbers of K[M] over the polynomial ring of the
     box-scan Hilbert basis A, by Hochster's formula on the squarefree
     divisor complexes, are 0 or 1, their degrees are the canonical
-    generators, and K[M] is Gorenstein iff there is one, the
-    certificate.  Δ_b has up to 2^|A| faces, so |A| stays at most 12."""
+    generators, so the number of nonzero ones, the Cohen-Macaulay type,
+    is the generator count, and K[M] is Gorenstein iff there is one, the
+    certificate.  ω does not depend on the presentation: over A plus one
+    redundant element, the sum of the two Hilbert elements least on a
+    positive functional, c = |A| - d is one larger and the degrees are
+    the same.  Δ_b has up to 2^|A| faces, so |A| stays at most 12."""
     corpus = random_pointed_cones(40, 3, 2, 31) + random_pointed_cones(12, 4, 1, 37)
     kinds = collections.Counter()
     for d, rays in corpus:
@@ -242,15 +246,25 @@ def test_canonical_generators_are_the_degrees_of_the_last_betti_numbers():
         if len(gens) > 12:
             continue
         m = monoid_from_cone_rays(rays)
-        betti = squarefree_divisor_canonical(rays, gens, positive_functional(rays))
+        generators = canonical_module(m).generators
+        functional = positive_functional(rays)
+        betti = squarefree_divisor_canonical(rays, gens, functional)
+        assert len(betti) == len(generators), rays  # betti holds the nonzero β alone
         assert set(betti.values()) == {1}, rays
-        assert tuple(sorted(betti)) == canonical_module(m).generators, rays
+        assert tuple(sorted(betti)) == generators, rays
         gorenstein, certificate = is_gorenstein(m)
         assert gorenstein == (len(betti) == 1), rays
         assert not gorenstein or (certificate,) == tuple(betti), rays
         kinds[d] += 1
         kinds["gorenstein"] += gorenstein
+        if len(gens) + 1 <= 12:
+            a, b = sorted(gens, key=lambda g: dot(functional, g))[:2]
+            wider = squarefree_divisor_canonical(rays, gens + [tuple(map(operator.add, a, b))],
+                                                 functional)
+            assert wider == betti, rays
+            kinds["redundant"] += 1
     assert kinds[2] + kinds[3] + kinds[4] == 52 and kinds[4] and kinds["gorenstein"] == 33, kinds
+    assert kinds["redundant"] == 52, kinds
 
 
 # rank-6 cones of random_pointed_cones(10, 6, 2, seed) at seeds 1, 3 and

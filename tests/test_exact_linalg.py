@@ -8,6 +8,7 @@ import pytest
 
 from monograde.exact_linalg import (
     IntMatrix,
+    _as_budget,
     _eliminate,
     as_tuple,
     elementary_divisors,
@@ -27,7 +28,7 @@ from monograde.cone import (
     rays_of_facets,
 )
 from monograde.divisorial import DivisorialIdeal, class_group, divisorial_ideal, members
-from monograde.groebner import Polynomial, TermOrder, _as_budget
+from monograde.groebner import Polynomial, TermOrder
 from monograde.monoid import AffineMonoid, monoid_from_cone_rays, normalize_presentation
 from monograde.multigraded import GradedRingSpec
 from corpora import benchmark_rank_cones, cone_corpus, degenerate_cone_corpus

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from monograde import groebner
+from monograde import exact_linalg, groebner
 from monograde.groebner import (
     BudgetExceededError,
     IdealPresentation,
@@ -467,7 +467,7 @@ def test_membership_by_reduction_stays_within_the_grevlex_packing(monkeypatch):
         with monkeypatch.context() as m:
             caps = record_packings(m)
             groebner._splits_a_product([g.terms], 2, map(dict.items, references.fresh_draws(2)),
-                                       8, groebner._Budget(groebner.DEFAULT_BUDGET))
+                                       8, groebner._Budget(exact_linalg.DEFAULT_BUDGET))
         assert caps == [127]
         pk, elements = references.packed_grevlex_basis([g.terms], 2, 1)
         assert pk.cap == 127 and pk.order == order
@@ -747,7 +747,7 @@ def test_normal_form_is_linear_and_idempotent():
 def ideal_dimension(ideal, budget=None):
     """The quotient dimension as ``analyze_prime`` reads it: the cover
     search of ``_grevlex_basis_dimension`` on the reduced grevlex rows."""
-    budget = groebner._as_budget(budget)
+    budget = exact_linalg._as_budget(budget)
     n = ideal.nvars
     rows = groebner._reduced_rows([g.terms for g in ideal.generators], grevlex(n), budget)
     return groebner._grevlex_basis_dimension(rows, n, budget)

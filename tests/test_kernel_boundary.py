@@ -1,4 +1,4 @@
-"""Six boundaries, checked on parsed source, nothing imported.
+"""Seven boundaries, checked on parsed source, nothing imported.
 
 The packed kernel format stays in ``groebner``: every module under
 ``src/monograde`` other than ``groebner`` is searched for the names of
@@ -15,6 +15,12 @@ Integer vectors are read by the readers of ``exact_linalg``: no module
 under ``src/monograde`` other than ``exact_linalg`` and ``groebner``
 names ``as_tuple``.  The others read a vector or a list of vectors with
 ``_as_vector`` or ``_as_vectors``, which check the length as they read.
+
+The job's limits have one home: no module under ``src/monograde`` but
+``exact_linalg`` defines a class on ``RuntimeError``,
+``BudgetExceededError`` or ``EnumerationLimitError``, so every limit
+error is a ``BudgetExceededError`` and the command line maps that one
+class to its exit code.
 
 The benchmark compiles only the oracles it calls: ``tests/oracles.py``,
 which ``perfbench/check.py`` and ``perfbench/workloads.py`` import,
@@ -160,6 +166,46 @@ def test_guard_sees_each_kind_of_as_tuple_use():
         "u = tuple(map(as_tuple, rows))\n"
     )
     assert as_tuple_uses("cone.py", source) == [1, 2, 4, 5]
+
+
+LIMIT_BASES = {"RuntimeError", "BudgetExceededError", "EnumerationLimitError"}
+
+
+def limit_classes(filename, source):
+    """``(line, name)`` for each class the source of one module defines
+    on a limit base, named bare or as an attribute, or on a class it
+    defines so."""
+    bases = set(LIMIT_BASES)
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(b, "id", getattr(b, "attr", None)) in bases for b in node.bases):
+            bases.add(node.name)
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_only_exact_linalg_defines_a_limit_error():
+    modules = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    assert "exact_linalg.py" in modules and "monoid.py" in modules
+    for filename in modules:
+        with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
+            names = [name for _, name in limit_classes(filename, fh.read())]
+        want = ["BudgetExceededError", "EnumerationLimitError"] if filename == "exact_linalg.py" else []
+        assert names == want, filename
+
+
+def test_guard_sees_each_kind_of_limit_class():
+    source = (
+        "class Stop(RuntimeError):\n    pass\n"
+        "class Frame(exact_linalg.BudgetExceededError):\n    pass\n"
+        "class Box(Frame):\n    pass\n"
+        "class Input(ValueError):\n    pass\n"
+        "class Both(Mixin, EnumerationLimitError):\n    pass\n"
+    )
+    assert limit_classes("monoid.py", source) == [
+        (1, "Stop"), (3, "Frame"), (5, "Box"), (9, "Both"),
+    ]
 
 
 def parsed(*parts):

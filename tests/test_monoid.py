@@ -434,8 +434,9 @@ def test_hilbert_filter_compares_only_below_half_the_total(monkeypatch):
 
 
 def test_hilbert_filter_matches_the_full_scan(monkeypatch):
-    """The filter that stops at half a candidate's total keeps what the
-    full scan keeps, on the very candidates the sweep found."""
+    """``monoid._minimal``, which compares a candidate only with the kept
+    vectors of strictly smaller total, keeps what the full scan keeps,
+    on the very candidates the sweep found."""
     swept = []
     real = monoid._region_points
 

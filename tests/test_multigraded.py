@@ -1,14 +1,16 @@
 """Graded hulls and prime analysis under torus gradings."""
 
+import collections
 import itertools
 import json
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
-from monograde import groebner, multigraded
+from monograde import exact_linalg, groebner, multigraded
 from monograde.groebner import (
     BudgetExceededError,
     IdealPresentation,
@@ -29,6 +31,7 @@ from monograde.multigraded import (
 )
 from hullcheck import assert_hull_contract, is_graded
 from corpora import hull_job_corpus, random_pointed_cones
+from oracles import brute_irreducibles, dot, frac_rref, true_facets
 import digests  # noqa: F401  (puts perfbench on the path)
 import workloads
 from references import (
@@ -126,18 +129,18 @@ def test_hull_of_a_high_power_keeps_its_pairs_and_counts():
     where the chain criterion prunes most of the pairs, and must prune
     exactly the ones it always did, so its rows and meter are pinned."""
     ideal = IdealPresentation((poly("x1^150"), poly("x2")), grevlex(2))
-    budget = groebner._Budget(groebner.DEFAULT_BUDGET)
+    budget = groebner._Budget(exact_linalg.DEFAULT_BUDGET)
     hull = graded_hull(ideal, TOT2, budget)
     assert [fmt(g) for g in hull.generators] == ["x2", "x1^150"]
     assert (budget.spairs, budget.zero_reductions) == (0, 0)
-    assert budget.remaining == groebner.DEFAULT_BUDGET  # no reduction step spent
+    assert budget.remaining == exact_linalg.DEFAULT_BUDGET  # no reduction step spent
     rows = substituted_rows([g.terms for g in ideal.generators], TOT2.weights(0))
-    budget = groebner._Budget(groebner.DEFAULT_BUDGET)
+    budget = groebner._Budget(exact_linalg.DEFAULT_BUDGET)
     kept = groebner._reduced_rows(rows, groebner.elimination_order((2, 3), 4), budget,
                                   eliminate=True)
     assert kept == [{(0, 1): 1}, {(150, 0): 1}]
     assert (budget.spairs, budget.zero_reductions) == (452, 301)
-    assert budget.remaining == groebner.DEFAULT_BUDGET
+    assert budget.remaining == exact_linalg.DEFAULT_BUDGET
 
 
 def test_hull_axis_order_does_not_matter():
@@ -302,7 +305,7 @@ def test_decided_passes_reduce_no_pair_of_a_high_degree():
              (analyze_prime, ("x1^1000 - x2 - 1",), TOT2.degrees, []),
              (graded_hull, ("x1^600", "x2"), TOT2.degrees, ["x2", "x1^600"]))
     for run, gens, degrees, want in cases:
-        budget = groebner._Budget(groebner.DEFAULT_BUDGET)
+        budget = groebner._Budget(exact_linalg.DEFAULT_BUDGET)
         out = run(IdealPresentation(tuple(map(poly, gens)), grevlex(2)),
                   GradedRingSpec(degrees), budget)
         hull = out if run is graded_hull else out.p_star
@@ -650,7 +653,7 @@ def test_draw_streams_repeat_a_fresh_generator_per_call(monkeypatch):
         with monkeypatch.context() as m:
             record_draws(m, draws, fallbacks)
             split = multigraded._splits_a_product(rows, n, stream, samples, budget)
-        made = raw_product_samples(rows, n, samples, groebner._Budget(groebner.DEFAULT_BUDGET), want)
+        made = raw_product_samples(rows, n, samples, groebner._Budget(exact_linalg.DEFAULT_BUDGET), want)
         assert draws == want and len(draws) == 2 * samples
         reads[n] = max(reads.get(n, 0), made)
         assert len(multigraded._draw_streams[n][0]) == reads[n]
@@ -747,3 +750,58 @@ def test_certified_toric_primes_are_never_refused():
             outcomes.append((out.graded, bool(out.p_star.generators)))
     assert set(outcomes) == {(True, False), (True, True), (False, False), (False, True)}
     assert outcomes.count((True, True)) > 20
+
+
+def test_graded_cores_of_torus_orbit_points():
+    """Grade S = Q[x_a : a in A] by deg x_a = a, for A the box-scan
+    Hilbert basis of a pointed cone, and take F ⊆ A and λ in (Q^*)^d.  An
+    A-homogeneous f of degree b takes the value λ^b * s at the point of
+    the maximal ideal P = (x_a - λ^a : a in F) + (x_a : a not in F), where
+    s is the coefficient sum of its monomials in the variables of F
+    alone.  So f lies in P iff s = 0, and the graded core of P is
+    I_{A_F} + (x_a : a not in F), I_{A_F} the toric ideal of F
+    (``references.toric_ideal``): its dimension drop is rank A_F, and P
+    is graded only for F empty.  F ranges over the empty set, each
+    facet's part of A, the whole of A and one seeded random subset; λ
+    has negative and fractional entries."""
+    rng = random.Random(883)
+    kinds = collections.Counter()
+    corpus = random_pointed_cones(30, 3, 3, 17) + random_pointed_cones(30, 4, 2, 23)
+    for d, rays in corpus:
+        if d == 4 and len(rays) == 6:
+            continue  # the box scan's Fourier-Motzkin elimination takes up to minutes
+        gens = brute_irreducibles(rays, 0)
+        n = len(gens)
+        if n > 12:
+            continue
+        spec = GradedRingSpec(tuple(gens))
+        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        parts = {()}
+        for f in true_facets(rays):
+            parts.add(tuple(i for i, a in enumerate(gens) if dot(f, a) == 0))
+        parts.add(tuple(range(n)))
+        parts.add(tuple(sorted(rng.sample(range(n), rng.randint(0, n)))))
+        for face in sorted(parts):
+            lam = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3))
+                   for _ in range(d)]
+            point = []
+            for i, a in enumerate(gens):
+                value = Fraction(1)
+                for x, e in zip(lam, a):
+                    value *= x ** e
+                terms = {unit[i]: 1, (0,) * n: -value} if i in face else {unit[i]: 1}
+                point.append(Polynomial(n, terms))
+            out = analyze_prime(IdealPresentation(tuple(point), grevlex(n)), spec)
+            core = [Polynomial(n, {tuple(dict(zip(face, e)).get(j, 0) for j in range(n)): c
+                                   for e, c in g.terms.items()})
+                    for g in toric_ideal([gens[i] for i in face])] if face else []
+            core += [Polynomial(n, {unit[i]: 1}) for i in range(n) if i not in face]
+            tau = frac_rref([list(map(Fraction, gens[i])) for i in face])[0] if face else 0
+            case = (rays, face, lam)
+            assert out.p_star.generators == buchberger(core, grevlex(n)), case
+            assert (out.tau, out.sigma, out.graded) == (tau, d, not face), case
+            kinds["cases"] += 1
+            kinds["negative"] += any(x < 0 for x in lam)
+            kinds["fractional"] += any(x.denominator > 1 for x in lam)
+            kinds["toric"] += len(core) > n - len(face)
+    assert kinds == collections.Counter(cases=251, negative=208, fractional=210, toric=85), kinds
