@@ -46,10 +46,10 @@ from .exact_linalg import (
     _divmod,
     _dot,
     _eliminate,
-    hnf,
+    _quotient,
     kernel_basis,
     rank,
-    unimodular_inverse,
+    row_lattice_basis,
 )
 
 
@@ -57,7 +57,10 @@ from .exact_linalg import (
 class Cone:
     """A rational polyhedral cone in Z^ambient_rank.
 
-    ``rays`` are the primitive extreme rays modulo lineality, sorted;
+    ``rays`` are extreme rays modulo lineality, sorted: from
+    ``rays_of_facets`` each primitive class once, and from
+    ``facets_of_rays`` the extreme input generators, so with lineality
+    a class may appear more than once and need not be primitive;
     ``facet_forms`` are primitive supporting functionals, one per facet,
     sorted; ``lineality`` is a canonical basis of the largest linear
     subspace contained in the cone.
@@ -184,19 +187,6 @@ def _pointed_extreme_rays(a, d: int, base: list[int],
             [cols[1 << i] & alive for i in range(len(a))], alive)
 
 
-def _quotient_transform(lin_rows: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Unimodular P sending the saturated sublattice spanned by the given
-    u rows onto the first u coordinates, and the last columns of P^-1,
-    which lift the quotient coordinates back; returns (P, lift).  P is
-    the transform of the Hermite form of lin_rows.T, whose top u x u
-    block is the identity exactly when the lattice is saturated."""
-    h, p = hnf(lin_rows.T)
-    u = len(lin_rows)
-    if any(h[i][i] != 1 for i in range(u)):
-        raise ValueError("sublattice is not saturated")
-    return p, IntMatrix._of((row[u:] for row in unimodular_inverse(p)), len(p) - u)
-
-
 def _dd(a: IntMatrix) -> tuple[dict[Vec, int], list[int], int, IntMatrix]:
     """Extreme rays (modulo lineality) of {x : A x >= 0}, each mapped to
     the bitmask of the rows of A tight on it; the incidence columns, for
@@ -206,26 +196,26 @@ def _dd(a: IntMatrix) -> tuple[dict[Vec, int], list[int], int, IntMatrix]:
 
     One elimination, ``_start_cone``, gives the rank and the start cone
     of double description.  Only when the rank falls short of d is the
-    lineality computed; the cone is then solved in the pointed quotient,
-    from the start cone of A @ lift, and lifted back.  ``lift`` is
-    injective and extends to a unimodular basis, so lifted primitive
-    rays stay primitive, and row i of A @ lift is tight on y iff row i
-    of A is tight on lift @ y: the masks and columns carry over
-    unchanged.  Both hold still when ``_divmod`` reduces lift @ y by
-    ``lin``, on which A vanishes, so no ray depends on the lift.
+    quotient (H, W, K) = ``_quotient(A)`` taken: ``lin`` is the Hermite
+    basis of K, and the cone is solved in the pointed quotient, from the
+    start cone of H.T, and lifted back by W.  z -> z @ W maps Z^k onto
+    Z^d / K, so a primitive z lifts to a primitive class, and row i of
+    H.T is tight on z iff row i of A is tight on z @ W: the masks and
+    columns carry over.  Both hold when ``_divmod`` reduces z @ W by
+    ``lin``, so no ray depends on the section.
     """
     d = a.shape[1]
     base, start = _start_cone(a)
     if len(base) == d:
         return *_pointed_extreme_rays(a, d, base, start), IntMatrix._of((), d)
-    lin = kernel_basis(a)
+    h, w, k = _quotient(a)
+    lin = row_lattice_basis(k)
     if not base:
         return {}, [0] * len(a), 0, lin
-    _, lift = _quotient_transform(lin)
-    a = a @ lift
+    a = h.T
     base, start = _start_cone(a)
     rays, cols, full = _pointed_extreme_rays(a, len(base), base, start)
-    return {_divmod(lin, lift @ y)[1]: m for y, m in rays.items()}, cols, full, lin
+    return {_divmod(lin, w._rmul(z))[1]: m for z, m in rays.items()}, cols, full, lin
 
 
 def _maximal_proper(sets: list[int], full: int) -> list[bool]:
@@ -281,7 +271,12 @@ def facets_of_rays(rays, ambient_rank: int | None = None) -> Cone:
 
     The dual cone of the input is computed by double description; its
     extreme rays are the facet forms.  Input vectors that are not
-    extreme (or are duplicates or zero) are filtered from ``rays``.
+    extreme (or are duplicates or zero) are filtered from ``rays``; the
+    others are kept, made primitive, so with lineality a ray may repeat:
+    ``facets_of_rays([(1, 1), (-1, -1), (1, -1), (2, 0), (0, -2),
+    (3, -1)]).rays`` keeps four generators of the one class modulo (1, 1)
+    that ``rays_of_facets`` of its forms gives as (0, -1), two of them,
+    (1, -1) and (3, -1), multiples of that class.
 
     The conversion is memoized on the cleaned input: the sorted set of
     primitive nonzero generators and the width.  So a permuted, scaled

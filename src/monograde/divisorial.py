@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact_linalg import IntMatrix, Vec, _as_count, _as_vector, elementary_divisors
-from .monoid import AffineMonoid, _PointedView, _minimal
+from .monoid import AffineMonoid, _minimal
 
 
 @dataclass(frozen=True)
@@ -120,20 +120,21 @@ class DivisorClassGroup:
     ``invariant_factors`` come from F's elementary divisors, with one
     free factor per missing rank.  ``is_principal`` asks whether the
     heights are the facet values of a point of L, by back-substitution
-    in the Hermite form the monoid's pointed view holds for its sweeps
-    (the view does not refer to the monoid, so nothing cycles), and
-    checks that the heights have one entry per facet form.
+    in the Hermite form the monoid's pointed view holds for its sweeps,
+    and checks that the heights have one entry per facet form.  The
+    group holds the monoid, not its view, so the invariant factors alone
+    build no Hermite form.
     """
 
     invariant_factors: tuple[int, ...]
     facet_matrix: IntMatrix
-    _view: _PointedView = field(repr=False, compare=False)
+    _monoid: AffineMonoid = field(repr=False, compare=False)
 
     def _heights(self, heights) -> Vec:
         return _as_vector(heights, self.facet_matrix.shape[0], "need one height per facet form")
 
     def is_principal(self, heights) -> bool:
-        return self._view._preimage(self._heights(heights)) is not None
+        return self._monoid._pointed_view._preimage(self._heights(heights)) is not None
 
 
 def class_group(m: AffineMonoid) -> DivisorClassGroup:
@@ -141,7 +142,7 @@ def class_group(m: AffineMonoid) -> DivisorClassGroup:
     divisors = elementary_divisors(m.facet_matrix)
     free = len(m.facet_forms) - len(divisors)
     factors = tuple(e for e in divisors if e > 1) + (0,) * free
-    return DivisorClassGroup(factors, m.facet_matrix, m._pointed_view)
+    return DivisorClassGroup(factors, m.facet_matrix, m)
 
 
 def same_class(a: DivisorialIdeal, b: DivisorialIdeal) -> Vec | None:

@@ -5,7 +5,7 @@ solves and start cones of ``cone`` and ``divisorial``) all run on one
 fraction-free Gauss-Jordan kernel,
 ``_eliminate``, which never leaves the integers.  Lattice questions
 need a unimodular transform, and the Hermite form serves them all:
-lattice bases, kernels, ``cone``'s lineality quotient, and integer
+lattice bases, kernels and quotients (``_quotient``), and integer
 solves by back-substitution (``_divmod``), whose remainder is the one
 representative modulo a lattice that every answer up to units takes.
 The Smith form serves only elementary divisors.  Matrices
@@ -429,17 +429,29 @@ def primitive(v) -> Vec:
     return tuple(x // g for x in w)
 
 
+def _quotient(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(H, W, K) off the row Hermite form H' = U @ A.T of an s x d
+    IntMatrix A: the k nonzero rows of H', W = U[:k] and K = U[k:].  K is
+    a kernel basis, and z -> z @ W a section of Z^d -> Z^d / K with
+    A @ (z @ W) = z @ H: the columns of H are the rows of A on the
+    quotient, in coordinates z."""
+    h, u = hnf(a.T)
+    k = len(h)
+    while k and not any(h[k - 1]):  # zero rows come last
+        k -= 1
+    n = len(u)
+    return IntMatrix._of(h[:k], len(a)), IntMatrix._of(u[:k], n), IntMatrix._of(u[k:], n)
+
+
 def kernel_basis(a, width: int | None = None) -> IntMatrix:
-    """Canonical row basis of the integer kernel {x : A @ x = 0}.
+    """Canonical row basis of the integer kernel {x : A @ x = 0}, the
+    Hermite basis of K from ``_quotient``.
 
     The kernel of an integer matrix is saturated, so this basis spans
     every rational kernel vector that happens to be integral.
     """
-    a = _as_matrix(a, width)
-    h, u = hnf(a.T)
-    zero = [row for hrow, row in zip(h, u) if not any(hrow)]
-    n = a.shape[1]
-    return row_lattice_basis(IntMatrix._of(zero, n)) if zero else IntMatrix._of((), n)
+    _, _, k = _quotient(_as_matrix(a, width))
+    return row_lattice_basis(k) if k else k
 
 
 def _divmod(basis, v) -> tuple[Vec, Vec]:
@@ -456,18 +468,6 @@ def _divmod(basis, v) -> tuple[Vec, Vec]:
         if q:
             rest = tuple([a - q * b for a, b in zip(rest, row)])
     return tuple(x), rest
-
-
-def lattice_coordinates(basis, v) -> Vec | None:
-    """The x with x @ basis = v, or None when v is not in the row lattice.
-
-    ``basis`` must be a row echelon form without zero rows, such as a
-    ``row_lattice_basis``; v is in the lattice iff ``_divmod`` leaves
-    nothing over.
-    """
-    v = _as_vector(v, basis.shape[1], "vector length does not match the basis")
-    x, rest = _divmod(basis, v)
-    return None if any(rest) else x
 
 
 def unimodular_inverse(m) -> IntMatrix:

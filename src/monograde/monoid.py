@@ -15,17 +15,18 @@ points below those caps, and the Hilbert basis adds the rays back.  The
 caps come from the region's vertices.  A simplicial view, or the
 height-0 region, has one vertex, where the forms equal the heights;
 every other region's vertices are the extreme rays of its homogenized
-cone, by the double description of ``cone`` (``_region_vertices``).  In
-every dimension the sweep runs in the echelon coordinates of the facet
-forms, y = V.T y' with V F.T the Hermite form H of the transposed forms F:
-there every form is zero after its own coordinate, so the sweep checks
-it exactly there, and the box of y' follows from the pivot forms and
-their caps.  That box may hold capped points outside the zonotope box,
-which the filter drops.  Every sweep is guarded once, before any point,
-by the count of the frame it scans (``_echelon_box``).  H also answers
-which point of L has given facet values (``_PointedView._preimage``),
-for the rays of the Hilbert basis and for the class group and the shift
-witnesses in ``divisorial``.
+cone, by the double description of ``cone`` (``_region_vertices``).  The
+monoid modulo its units, the pointed view, is read off one Hermite form
+of the facet matrix F, (H, W, K) = ``exact_linalg._quotient(F)``, for
+every monoid: its coordinates are z, and its forms the columns of H,
+each zero after the last row whose pivot lies at or before it, so the
+sweep checks a form exactly there, and the box of z follows from the
+pivot forms and their caps.  That box may hold capped points outside the
+zonotope box, which the filter drops.  Every sweep is guarded once,
+before any point, by the count of the frame it scans (``_echelon_box``).
+H also answers which point of L has given facet values
+(``_PointedView._preimage``), for the rays of the Hilbert basis and for
+the class group and the shift witnesses in ``divisorial``.
 
 The Hilbert basis is the set of minimal nonzero points of M modulo
 units, and an ideal's minimal generators are its minimal members, both
@@ -43,15 +44,13 @@ generator, so no membership search runs.
 
 Vectors returned to callers are always in the ambient Z^r coordinates,
 which keeps results independent of the internal basis choice for L.
-Every point of the pointed view (the monoid modulo its units) is held
-in the echelon coordinates y' the sweeps run in: swept points, Hilbert
+Every point of the pointed view is held in z: swept points, Hilbert
 elements, the rays among them and the points ``_preimage`` finds.  Each
 leaves by one exit, ``_PointedView.to_ambient``: one product with
-V @ out, composed once per view, where ``out`` is the lattice basis
-composed with the unit quotient's section, reduced by the units'
-Hermite basis, so each answer up to a unit is one representative
-whatever section the quotient picked.  The product takes the int tuple
-the package built as it is (``IntMatrix._rmul``), with no second
+W @ basis, composed once per view, reduced by the Hermite basis of the
+ambient units, so each answer up to a unit is one representative
+whatever section the Hermite form picked.  The product takes the int
+tuple the package built as it is (``IntMatrix._rmul``), with no second
 reading.
 """
 
@@ -60,9 +59,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from math import gcd
 from operator import add, ge
 
-from .cone import Cone, _dd, _facets_of_generators, _primitive_set, _quotient_transform
+from .cone import Cone, _dd, _facets_of_generators, _primitive_set
 from .exact_linalg import (
     EnumerationLimitError,
     IntMatrix,
@@ -74,9 +74,8 @@ from .exact_linalg import (
     _dot,
     _eliminate,
     _identity,
-    hnf,
+    _quotient,
     kernel_basis,
-    primitive,
     row_lattice_basis,
 )
 
@@ -98,30 +97,60 @@ class NonNormalError(ValueError):
 
 @dataclass(frozen=True)
 class _PointedView:
-    """The monoid modulo its unit group, in quotient coordinates.
+    """The monoid modulo its unit group, (H, W, K) = ``_quotient(F)``
+    of the facet matrix F, in the coordinates z, where F(z @ W) = z @ H.
 
-    ``_sweep`` is the one entry to every capped sweep, in the echelon
-    coordinates y' of the facet forms (``_echelon``), in which every
-    point of the view is held until ``to_ambient`` takes it to Z^r.
+    ``_sweep`` is the one entry to every capped sweep, and every point
+    of the view is held in z until ``to_ambient`` takes it to Z^r.  The
+    exit, the units and the rays are built on first use.
     """
 
-    rays: tuple[Vec, ...]
-    forms: tuple[Vec, ...]
-    dim: int
-    out: IntMatrix  # (dim, r): view coordinates to ambient coordinates
-    units: IntMatrix  # the Hermite basis of the ambient unit lattice, no rows when pointed
+    hermite: IntMatrix  # H, (dim, s)
+    section: IntMatrix  # W, (dim, d): z -> z @ W is a section of L -> L / units
+    kernel: IntMatrix  # K, (u, d): a basis of the units in L, no rows when pointed
+    basis: IntMatrix  # (d, r): the basis of L
+    cone: Cone  # the monoid's cone in L
 
-    def to_ambient(self, y) -> Vec:
-        """The point of the view with echelon coordinates y' (``_echelon``),
-        an int tuple the package built, in Z^r: y' @ (V @ out), taken as
-        built (``IntMatrix._rmul``), reduced by ``units``, the one point
-        of its class with entries in [0, pivot) at their pivots."""
-        return _divmod(self.units, self._exit._rmul(y))[1]
+    @property
+    def dim(self) -> int:
+        return len(self.hermite)
+
+    @property
+    def forms(self) -> IntMatrix:
+        return self.hermite.T
+
+    def to_ambient(self, z) -> Vec:
+        """The point of the view with coordinates z, an int tuple the
+        package built, in Z^r: z @ (W @ basis), taken as built
+        (``IntMatrix._rmul``), reduced by ``units``, the one point of its
+        class with entries in [0, pivot) at their pivots."""
+        return _divmod(self.units, self._exit._rmul(z))[1]
 
     @cached_property
     def _exit(self) -> IntMatrix:
-        """V @ out, composed once: echelon coordinates to Z^r in one product."""
-        return self._echelon[1] @ self.out
+        """W @ basis, composed once: coordinates z to Z^r in one product."""
+        return self.section @ self.basis
+
+    @cached_property
+    def units(self) -> IntMatrix:
+        """The Hermite basis of the ambient unit lattice, K @ basis."""
+        if not self.kernel:
+            return IntMatrix._of((), self.basis.shape[1])
+        return row_lattice_basis(self.kernel @ self.basis)
+
+    @cached_property
+    def _rays(self) -> tuple[Vec, ...]:
+        """The facet values of the view's primitive extreme rays, each
+        once: F(r) = z @ H for the class z of a cone ray r, which is
+        primitive when the monoid is pointed.  With units the cone may
+        keep several generators of a class, not all primitive (on x >= y
+        with units (1, 1), (1, -1) is twice its class), so z is solved
+        and F(r) divided by the gcd of z."""
+        rays = [tuple(_dot(f, r) for f in self.cone.facet_forms) for r in self.cone.rays]
+        if self.kernel:
+            rays = {tuple(x // g for x in vals)
+                    for vals in rays for g in (gcd(*_divmod(self.hermite, vals)[0]),)}
+        return tuple(rays)
 
     @cached_property
     def ray_sums(self) -> Vec:
@@ -130,19 +159,7 @@ class _PointedView:
         rays (Caratheodory's bound, see ``_caps``).
         Each S_f is at least 1: f is nonzero and the cone full-dimensional,
         so f is positive on some extreme ray."""
-        return tuple(
-            sum(sorted((_dot(f, r) for r in self.rays), reverse=True)[: self.dim])
-            for f in self.forms
-        )
-
-    @cached_property
-    def _echelon(self) -> tuple[IntMatrix, IntMatrix]:
-        """(H, V) with H = V @ F.T the row Hermite form of the transposed
-        forms F and V unimodular.  The forms span the dual space of a
-        pointed full-dimensional cone, so no row of H is zero.  In the
-        coordinates y' with y = V.T @ y', form j is column j of H, which
-        is zero below the last row whose pivot lies at or before j."""
-        return hnf(IntMatrix._of(self.forms, self.dim).T)
+        return tuple(sum(sorted(col, reverse=True)[: self.dim]) for col in zip(*self._rays))
 
     def _caps(self, heights) -> Vec:
         """The cap ceil(V_f) + S_f - 1 per facet form f on the minimal
@@ -163,48 +180,41 @@ class _PointedView:
 
         The region has one vertex, the point where F = heights, when the
         heights are all 0 (the cone is pointed) or the view is
-        simplicial: its dim forms are the rows of a dim x dim matrix F of
+        simplicial, with one height per form: its dim forms are the rows of a dim x dim matrix F of
         rank dim (they span the dual of a full-dimensional cone), so F is
         invertible over Q, and any vertex is tight on dim independent
         forms, here all of them.  Then V_f = heights_f, an integer, and
         the caps are heights + S - 1.  Every other region reads its
         vertices off ``_region_vertices``.
         """
-        if len(self.forms) == self.dim or not any(heights):
+        if len(heights) == self.dim or not any(heights):
             return tuple([h + s - 1 for h, s in zip(heights, self.ray_sums)])
         verts = _region_vertices(self.forms, heights, self.dim)
-        if not verts:
-            raise RuntimeError("height region unexpectedly has no vertices")
         return tuple([max(-(-_dot(f, y) // t) for y, t in verts) + s - 1
                       for f, s in zip(self.forms, self.ray_sums)])
 
     def _sweep(self, heights):
-        """``_region_points`` over the y with heights <= F(y) <= caps, the
-        caps ``_caps(heights)``.  The frame is guarded here, before any
-        point is swept.
+        """``_region_points`` over the z with heights <= z @ H <= caps,
+        the caps ``_caps(heights)``.  The frame is guarded here, before
+        any point is swept.
 
-        It yields (y', F(y)) with y = V.T @ y': the forms are the columns
-        of H and the box is in y' (``_echelon``), bounded by
-        ``_echelon_box``.  Coordinate i is the last that row i's pivot
-        form p involves, so the sweep checks p and every form between
-        the pivots exactly there.  No capped point is lost, though some
-        may lie outside the zonotope box.
+        It yields (z, F(z @ W)): the forms are the columns of H and the
+        box, bounded by ``_echelon_box``, is in z.  Coordinate i is the
+        last that row i's pivot form p involves, so the sweep checks p
+        and every form between the pivots exactly there.  No capped
+        point is lost, though some may lie outside the zonotope box.
         """
         caps = self._caps(heights)
-        h, _ = self._echelon
-        return _region_points(h.T, heights, *_echelon_box(h, heights, caps), caps)
+        lo, hi = _echelon_box(self.hermite, heights, caps)
+        return _region_points(self.forms, heights, lo, hi, caps)
 
     def _preimage(self, values) -> Vec | None:
-        """The echelon coordinates y' of the y with F(y) = values, or None
-        when values is not in F(Z^dim).
-
-        Back-substitution solves y' @ H = values in the echelon form.  F
-        is injective, so y = y' @ V is the only solution.  With units F is
-        the facet matrix times the section of the unit quotient, which
-        spans the same image as the facet matrix on L, since the facet
-        forms vanish on the units; ``to_ambient(y')`` is y in Z^r.
-        """
-        x, rest = _divmod(self._echelon[0], values)
+        """The z with z @ H = values, or None when values is not in F(L),
+        by back-substitution in the Hermite form.  H has full row rank,
+        so z is the only solution, and F(L) is the row lattice of H, as
+        the forms vanish on the units.  ``to_ambient(z)`` is the point in
+        Z^r."""
+        x, rest = _divmod(self.hermite, values)
         return None if any(rest) else x
 
 
@@ -391,21 +401,12 @@ class AffineMonoid:
 
     @cached_property
     def _pointed_view(self) -> _PointedView:
-        d = self.rank
-        u = self.unit_rank
-        if u == 0:
-            return _PointedView(self.cone.rays, self.cone.facet_forms, d, self.lattice_basis,
-                                IntMatrix._of((), self.ambient_rank))
-        p, lift = _quotient_transform(self.cone.lineality)
-        forms = tuple(self.facet_matrix @ lift)
-        rays = sorted(set(primitive((p @ r)[u:]) for r in self.cone.rays))
-        units = row_lattice_basis(self.cone.lineality @ self.lattice_basis)
-        return _PointedView(tuple(rays), forms, d - u, lift.T @ self.lattice_basis, units)
+        return _PointedView(*_quotient(self.facet_matrix), self.lattice_basis, self.cone)
 
     @cached_property
     def _pointed_hilbert(self) -> tuple[tuple[Vec, Vec], ...]:
-        """(echelon coordinates y', facet values) of the pointed Hilbert
-        basis, sorted by y'."""
+        """(coordinates z, facet values) of the pointed Hilbert basis,
+        sorted by z."""
         return _pointed_hilbert_basis(self._pointed_view)
 
     def hilbert_basis(self) -> tuple[Vec, ...]:
@@ -574,16 +575,16 @@ def _minimal(values) -> list[Vec]:
 
 
 def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
-    """Hilbert basis of a pointed full-dimensional cone in Z^dim, as
-    (echelon coordinates y', facet values) pairs sorted by y'.
+    """Hilbert basis of the pointed view, as (coordinates z, facet
+    values) pairs sorted by z.
 
     The Hilbert basis is the set of minimal nonzero points of the cone.
     By Caratheodory every element that is not a ray has each facet value
     f at most S_f - 1 (``_PointedView._caps`` of the height-0 region,
     whose one vertex is the origin), so the sweep caps f there, and the
     rays the caps cut off come back by their facet values
-    (``_PointedView._preimage``), since primitive extreme rays are
-    irreducible.  ``_PointedView._sweep`` scans and guards the echelon
+    (``_PointedView._rays``, solved by ``_preimage``), since primitive
+    extreme rays are irreducible.  ``_PointedView._sweep`` scans and guards the echelon
     frame over every capped point, some of them outside the zonotope
     box.  Facet values fix a point of a pointed cone, and ``_minimal``
     keeps the Hilbert basis among the nonzero candidates.
@@ -591,8 +592,7 @@ def _pointed_hilbert_basis(view: _PointedView) -> tuple[tuple[Vec, Vec], ...]:
     if view.dim == 0:
         return ()
     points = {vals: pt for pt, vals in view._sweep((0,) * len(view.forms)) if any(vals)}
-    for r in view.rays:
-        vals = tuple(_dot(f, r) for f in view.forms)
+    for vals in view._rays:
         if vals not in points:
             points[vals] = view._preimage(vals)
     return tuple(sorted((points[vals], vals) for vals in _minimal(points)))

@@ -16,6 +16,7 @@ step with the kernels they check.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -25,16 +26,16 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from monograde import cone, divisorial, groebner
+from monograde import divisorial, groebner
 from monograde.exact_linalg import (
     BudgetExceededError,
     IntMatrix,
     _as_budget,
     _as_matrix,
+    _divmod,
     _dot,
     elementary_divisors,
     kernel_basis,
-    lattice_coordinates,
     primitive,
     rank,
     row_lattice_basis,
@@ -1003,23 +1004,68 @@ def _polynomial_prime_checks(spec, graded, gb_p, gb_star, budget, draws, samples
 # -- slow paths kept as references for monoid and divisorial -----------
 
 
+def lattice_coordinates(basis, v):
+    """The x with x @ basis = v, or None when v is not in the row
+    lattice: the solve ``exact_linalg`` carried until its callers read
+    ``_divmod`` themselves.  ``basis`` must be a row echelon form without
+    zero rows, such as a ``row_lattice_basis``; v is in the lattice iff
+    ``_divmod`` leaves nothing over."""
+    x, rest = _divmod(basis, tuple(v))
+    return None if any(rest) else x
+
+
+def rational_solve(rows, rhs):
+    """The integer x with rows @ x = rhs, for rows of full column rank,
+    by an exact rational row reduction (``oracles.frac_rref``); an x
+    that exists is asserted integral."""
+    n = len(rows[0])
+    _, pivots, reduced = frac_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    assert pivots == list(range(n)) and all(row[n].denominator == 1 for row in reduced[:n])
+    return tuple(int(row[n]) for row in reduced[:n])
+
+
+@functools.lru_cache(maxsize=8)
+def reference_view(m):
+    """``m`` modulo its units by a quotient of the reference's own, in
+    coordinates q: (rays, forms, dim, lift, units), the primitive
+    extreme rays each once, sorted, the facet forms, the dimension, the
+    section q -> lift @ q into L and the :func:`reference_hnf` basis of
+    the ambient unit rows.  A pointed monoid is its own view, in the
+    coordinates of L; with units the quotient is
+    :func:`smith_quotient_transform`'s, so no reference reads the
+    package's section."""
+    d, u = m.rank, m.unit_rank
+    if not u:
+        eye = IntMatrix([[int(i == j) for j in range(d)] for i in range(d)], d)
+        return m.cone.rays, m.facet_forms, d, eye, ()
+    p, lift = smith_quotient_transform(m.cone.lineality)
+    rays = sorted({primitive((p @ r)[u:]) for r in m.cone.rays})
+    units, _ = reference_hnf([m.to_ambient(row) for row in m.cone.lineality])
+    return tuple(rays), tuple(m.facet_matrix @ lift), d - u, lift, units
+
+
 def view_to_ambient(m, pt):
-    """A point of ``m``'s pointed view in ambient coordinates by the
-    chain the view's ``to_ambient`` replaced: into L through the section
-    of ``cone._quotient_transform`` when ``m`` has units, then
+    """The point of ``m``'s view with coordinates pt in the quotient of
+    :func:`reference_view`, in ambient coordinates: lifted into L, then
     ``to_ambient``, then reduced modulo the units by the
     :func:`reference_hnf` basis of their ambient rows, each entry at a
     pivot floored into [0, pivot)."""
-    if not m.unit_rank:
-        return m.to_ambient(pt)
-    _, lift = cone._quotient_transform(m.cone.lineality)
+    _, _, _, lift, units = reference_view(m)
     x = m.to_ambient(lift @ pt)
-    units, _ = reference_hnf([m.to_ambient(row) for row in m.cone.lineality])
     for row in units:  # independent rows: none is zero
         j = next(j for j, c in enumerate(row) if c)
         q = x[j] // row[j]
         x = tuple(a - q * b for a, b in zip(x, row))
     return x
+
+
+def values_to_ambient(m, values):
+    """The point of ``m``'s view with the given facet values in ambient
+    coordinates: the point of :func:`reference_view` with those values,
+    by a rational solve, through :func:`view_to_ambient`.  Facet values fix a
+    point of the view, so a point the package holds in its own
+    coordinates z leaves here by its values alone."""
+    return view_to_ambient(m, rational_solve(reference_view(m)[1], values))
 
 
 def smith_in_image(cg, heights):
@@ -1129,18 +1175,17 @@ def box_minimal_generators(ideal):
     """``divisorial.minimal_generators`` by a scan of the whole vertex
     box plus zonotope box, one dot product per form and point, with the
     Hilbert basis from :func:`box_hilbert_basis`: the route the region
-    sweep replaced.  The vertices come from the rational solves of
-    :func:`region_tight_points`, not from the package."""
+    sweep replaced, in the coordinates of :func:`reference_view`.  The
+    vertices come from the rational solves of :func:`region_tight_points`,
+    not from the package."""
     m = ideal.monoid
     m.require_normal()
-    view = m._pointed_view
-    k = view.dim
+    rays, forms, k, _, _ = reference_view(m)
     if k == 0:
         return (m.to_ambient((0,) * m.rank),)
-    forms = view.forms
     h = ideal.heights
-    zlo = [sum(min(0, r[i]) for r in view.rays) for i in range(k)]
-    zhi = [sum(max(0, r[i]) for r in view.rays) for i in range(k)]
+    zlo = [sum(min(0, r[i]) for r in rays) for i in range(k)]
+    zhi = [sum(max(0, r[i]) for r in rays) for i in range(k)]
     _guard_box(math.prod(b - a + 1 for a, b in zip(zlo, zhi)), "enumeration box")
     verts = region_tight_points(forms, h)
     if not verts:
@@ -1148,7 +1193,7 @@ def box_minimal_generators(ideal):
     lo = [math.floor(min(v[i] for v in verts)) + zlo[i] for i in range(k)]
     hi = [math.ceil(max(v[i] for v in verts)) + zhi[i] for i in range(k)]
     _guard_box(math.prod(b - a + 1 for a, b in zip(lo, hi)), "enumeration box")
-    hb = box_hilbert_basis(view.rays, forms, k)
+    hb = box_hilbert_basis(rays, forms, k)
     hb_vals = [tuple(_dot(f, b) for f in forms) for b in hb]
     minimal = []
     for pt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
@@ -1314,8 +1359,7 @@ def search_normality(m):
             for row in n_rows:
                 if smith_solve(gen_rows.T, row) is None:
                     return False, m.to_ambient(row)
-    v = m._pointed_view._echelon[1]
-    missing = [amb for amb in (view_to_ambient(m, p @ v) for p, _ in m._pointed_hilbert)
+    missing = [amb for amb in (values_to_ambient(m, vals) for _, vals in m._pointed_hilbert)
                if not presentation_member(m, amb)]
     return (False, min(missing)) if missing else (True, None)
 
@@ -1324,10 +1368,14 @@ def search_normality(m):
 
 
 def smith_quotient_transform(lin_rows):
-    """``cone._quotient_transform`` by the route it took before it read P
-    off a Hermite form: U of the Smith form S = U @ lin.T @ V of
-    :func:`reference_snf`, whose diagonal is all ones on a saturated
-    lattice.  Returns (P, lift), lift the last columns of P^-1."""
+    """The quotient by the saturated lattice spanned by ``lin_rows`` by
+    the route the package took before it read its quotients off one
+    Hermite form (``exact_linalg._quotient``): U of the Smith form
+    S = U @ lin.T @ V of :func:`reference_snf`, whose diagonal is all
+    ones on a saturated lattice.  Returns (P, lift), lift the last
+    columns of P^-1, whose columns lift the quotient's coordinates back.
+    The references build their own quotient by it, so they never read
+    the package's section."""
     s, p, _ = reference_snf(_as_matrix(lin_rows).T)
     u = len(lin_rows)
     if any(s[i][i] != 1 for i in range(u)):

@@ -13,8 +13,9 @@ call of its nested ``interval`` per prefix, the empty one included),
 and how many vertex searches (``monoid._region_vertices``, one double
 description each) the sweeps ask for, which simplicial regions and
 height-0 regions skip.  All ask through
-``_PointedView._sweep``, so each sweep is told by the function that
-called that entry.  Points and vertex searches are counted by wrapping
+``_PointedView._sweep``, which sweeps in the coordinates z of the one
+Hermite form ``exact_linalg._quotient`` gives the pointed view, so each
+sweep is told by the function that called that entry.  Points and vertex searches are counted by wrapping
 ``_region_points`` and ``_region_vertices`` from outside the package;
 entries by a profile hook on the calls of ``interval``'s code while a
 wrapped sweep runs.  All counts are exact and repeat run to run.  The

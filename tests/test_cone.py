@@ -425,3 +425,15 @@ def test_malformed_rays_raise_on_every_call():
             facets_of_rays([])
         with pytest.raises(ValueError):
             facets_of_rays([(1, 0)], 3)
+
+
+def test_facets_of_rays_keeps_every_extreme_generator_of_a_class():
+    """With lineality ``facets_of_rays`` keeps the extreme input
+    generators, made primitive, not one ray per class: four generators
+    of the one class modulo (1, 1) that ``rays_of_facets`` gives once,
+    two of them multiples of it."""
+    c = facets_of_rays([(1, 1), (-1, -1), (1, -1), (2, 0), (0, -2), (3, -1)])
+    assert c.lineality == ((1, 1),) and c.facet_forms == ((1, -1),)
+    assert c.rays == ((0, -1), (1, -1), (1, 0), (3, -1))
+    assert rays_of_facets(c.facet_forms, 2).rays == ((0, -1),)
+    assert [dot(f, r) for r in c.rays for f in c.facet_forms] == [1, 2, 1, 4]

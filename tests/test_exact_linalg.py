@@ -9,12 +9,13 @@ import pytest
 from monograde.exact_linalg import (
     IntMatrix,
     _as_budget,
+    _divmod,
     _eliminate,
+    _quotient,
     as_tuple,
     elementary_divisors,
     hnf,
     kernel_basis,
-    lattice_coordinates,
     primitive,
     rank,
     row_lattice_basis,
@@ -22,7 +23,6 @@ from monograde.exact_linalg import (
 )
 from monograde.cone import (
     _clean_vectors,
-    _quotient_transform,
     facets_of_rays,
     membership,
     rays_of_facets,
@@ -145,8 +145,6 @@ def _monoid_vectors(gens, local):
 VECTOR_READERS = [
     (lambda x: EYE @ (x, 1), lambda: EYE @ (1,), "matrix shapes do not match"),
     (lambda x: (x, 1) @ EYE, lambda: (1, 0, 0) @ EYE, "matrix shapes do not match"),
-    (lambda x: lattice_coordinates(EYE, (x, 1)), lambda: lattice_coordinates(EYE, (1,)),
-     "vector length does not match the basis"),
     (lambda x: QUAD.to_local((x, 1)), lambda: QUAD.to_local((1, 0, 0)),
      "point does not match the ambient rank"),
     (lambda x: membership(QUAD.cone, (x, -1)), lambda: membership(QUAD.cone, (1,)),
@@ -176,7 +174,7 @@ VECTOR_READERS = [
 
 
 @pytest.mark.parametrize("reader, misshapen, message", VECTOR_READERS,
-                         ids=["matmul", "rmatmul", "lattice-coordinates", "to-local",
+                         ids=["matmul", "rmatmul", "to-local",
                               "membership", "ideal-heights", "class-heights", "matrix-rows",
                               "rank-rows", "cone-vectors", "presentation", "cone-rays",
                               "grading", "monoid-generators", "monoid-local-generators"])
@@ -274,7 +272,7 @@ def test_row_lattice_membership_random():
         for _ in range(10):
             coeffs = [rng.randint(-2, 2) for _ in range(3)]
             v = [sum(c * int(a[i][j]) for i, c in enumerate(coeffs)) for j in range(3)]
-            assert lattice_coordinates(basis, v) is not None
+            assert not any(_divmod(basis, tuple(v))[1])
 
 
 # -- Smith form --------------------------------------------------------
@@ -469,11 +467,13 @@ def test_smith_kernel_without_column_transform_matches_snf():
 
 
 def test_hermite_quotient_on_every_lineality_basis():
-    """``cone._quotient_transform`` reads P off the row Hermite form of
-    the transpose of a lineality basis, a saturated lattice: P is
-    unimodular, P @ lin.T is [I; 0], and the lift is the last columns
-    of P^-1.  The Smith route it replaced sends the lattice onto the
-    first u coordinates too, by another unimodular top block."""
+    """``_quotient`` reads the quotient by a lineality off one row
+    Hermite form: on the orthogonal complement A of a lineality basis,
+    whose kernel is the saturated lineality lattice, the Hermite basis
+    of K is the lineality basis, W @ A.T = H, [W; K] is unimodular and W
+    has one row per quotient coordinate.  The Smith route the references
+    quotient by sends the lattice onto the first u coordinates, by a
+    unimodular top block, and lifts by the last columns of P^-1."""
     seen = 0
     for vectors, d in degenerate_cone_corpus(433, 300):
         for c in (facets_of_rays(vectors, d), rays_of_facets(vectors, d)):
@@ -481,18 +481,38 @@ def test_hermite_quotient_on_every_lineality_basis():
                 continue
             u = len(c.lineality)
             lin = IntMatrix(c.lineality)
-            identity = IntMatrix([[int(i == j) for j in range(u)] for i in range(d)])
-            p, lift = _quotient_transform(lin)
-            assert p @ lin.T == identity
-            assert lift == IntMatrix([row[u:] for row in unimodular_inverse(p)], d - u)
-            assert lift.shape == (d, d - u)
+            a = kernel_basis(lin)
+            h, w, k = _quotient(a)
+            assert row_lattice_basis(k) == lin and k.shape == (u, d)
+            assert w @ a.T == h and w.shape == (d - u, d)
+            assert has_integer_inverse(IntMatrix(w + k, d))
             p, lift = smith_quotient_transform(lin)
             image = p @ lin.T
             assert not any(map(any, image[u:]))
             unimodular_inverse(IntMatrix(image[:u]))
             assert lift == IntMatrix([row[u:] for row in unimodular_inverse(p)], d - u)
+            assert lift.shape == (d, d - u)
             seen += 1
     assert seen > 100
+
+
+def test_quotient_is_a_hermite_section_and_kernel():
+    """On every matrix of the transform corpus, those without rows or
+    columns included, ``_quotient`` gives W @ A.T = H with H the nonzero
+    rows of the reference Hermite form, [W; K] unimodular (``oracles``'
+    rational reduction, no package code), and K spanning the kernel:
+    its Hermite basis is the reference kernel, the nonzero rows' Hermite
+    form of the zero rows of the reference transform."""
+    for a in transform_corpus(random.Random(131)):
+        h, w, k = _quotient(a)
+        ref_h, ref_u = reference_hnf(a.T)
+        nonzero_rows = [i for i, row in enumerate(ref_h) if any(row)]
+        assert h == IntMatrix([ref_h[i] for i in nonzero_rows], a.shape[0]), a
+        assert w @ a.T == h and h.shape == (len(w), a.shape[0])
+        assert len(w) + len(k) == a.shape[1] and has_integer_inverse(IntMatrix(w + k, a.shape[1]))
+        zero_rows = [ref_u[i] for i, row in enumerate(ref_h) if not any(row)]
+        want = reference_hnf(zero_rows)[0] if zero_rows else IntMatrix([], a.shape[1])
+        assert row_lattice_basis(k) == IntMatrix([r for r in want if any(r)], a.shape[1]), a
 
 
 # -- quotients ---------------------------------------------------------
@@ -584,6 +604,9 @@ def test_solve_integer_matches_box_search():
 
 
 def test_lattice_coordinates_match_smith_solve():
+    """``_divmod`` in a Hermite basis leaves nothing over exactly on
+    lattice points, and then its quotient is the coefficient vector:
+    the Smith solve's answer, and None where that finds none."""
     rng = random.Random(73)
     off_lattice = 0
     for _ in range(60):
@@ -595,18 +618,17 @@ def test_lattice_coordinates_match_smith_solve():
         saturated = kernel_basis(kernel_basis(basis))
         for _ in range(8):
             coeffs = [rng.randint(-3, 3) for _ in range(len(basis))]
-            assert lattice_coordinates(basis, coeffs @ basis) == tuple(coeffs)
+            assert _divmod(basis, coeffs @ basis) == (tuple(coeffs), (0,) * n)
             in_span = [rng.randint(-3, 3) for _ in range(len(saturated))] @ saturated
-            anywhere = [rng.randint(-6, 6) for _ in range(n)]
+            anywhere = tuple(rng.randint(-6, 6) for _ in range(n))
             for v in (in_span, anywhere):
-                got = lattice_coordinates(basis, v)
+                x, rest = _divmod(basis, v)
+                got = None if any(rest) else x
                 assert got == smith_solve(basis.T, v)
                 off_lattice += got is None and v is in_span
     assert off_lattice > 20
-    assert lattice_coordinates(IntMatrix([[2, 0], [0, 3]]), (1, 0)) is None
-    assert lattice_coordinates(IntMatrix([[1, 1, 0]]), (1, 1, 1)) is None
-    with pytest.raises(ValueError, match="^vector length does not match the basis$"):
-        lattice_coordinates(IntMatrix([[1, 1, 0]]), (1, 1))
+    assert any(_divmod(IntMatrix([[2, 0], [0, 3]]), (1, 0))[1])
+    assert any(_divmod(IntMatrix([[1, 1, 0]]), (1, 1, 1))[1])
 
 
 # -- determinants and inverses ----------------------------------------

@@ -19,7 +19,6 @@ from monograde.divisorial import class_group, divisorial_ideal, members
 from monograde.exact_linalg import (
     IntMatrix,
     as_tuple,
-    lattice_coordinates,
     primitive,
     rank,
 )
@@ -120,7 +119,6 @@ def test_non_integer_input_is_refused_not_truncated():
         with pytest.raises(ValueError):
             facets_of_rays([(bad, 0), (0, 1)])
         for call in (lambda: primitive((bad, 3)), lambda: rank([(bad, 1)]),
-                     lambda: lattice_coordinates(IntMatrix([(1, 0), (0, 1)]), (bad, 1)),
                      lambda: IntMatrix([(1, 0), (0, 1)]) @ (bad, 1),
                      lambda: (bad, 1) @ IntMatrix([(1, 0), (0, 1)]),
                      lambda: graded_hull(ideal, GradedRingSpec(((bad,), (1,)))),

@@ -95,7 +95,7 @@ def test_guard_sees_each_kind_of_kernel_use():
     ]
 
 
-SWEEP_NAMES = {"_region_points", "_echelon_box", "_guard_box", "_echelon", "_caps", "_exit"}
+SWEEP_NAMES = {"_region_points", "_echelon_box", "_guard_box", "_caps", "_exit", "_rays"}
 
 
 def sweep_uses(filename, source):
@@ -125,12 +125,12 @@ def test_guard_sees_each_kind_of_sweep_use():
         "from .monoid import AffineMonoid, _region_points\n"
         "from monograde.monoid import _guard_box as guard\n"
         "from . import monoid\n"
-        "x = monoid._echelon_box(h, a, b) + view._echelon[1] + m._pointed_view._caps(v)\n"
+        "x = monoid._echelon_box(h, a, b) + view._rays + m._pointed_view._caps(v)\n"
         "y = view._sweep(h) + view._ambient(p) + m._members(h, 2) + view._preimage(v)\n"
     )
     assert sweep_uses("divisorial.py", source) == [
-        (1, "_region_points"), (2, "_guard_box"), (4, "_caps"), (4, "_echelon"),
-        (4, "_echelon_box"),
+        (1, "_region_points"), (2, "_guard_box"), (4, "_caps"), (4, "_echelon_box"),
+        (4, "_rays"),
     ]
 
 

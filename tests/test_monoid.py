@@ -39,6 +39,7 @@ from references import (
     presentation_member,
     recursive_region_points,
     search_normality,
+    reference_view,
     view_to_ambient,
 )
 
@@ -162,7 +163,7 @@ def test_units_and_normality_match_the_kernel_and_the_search():
                 continue  # no vectors, or only zero ones
             assert m.cone.lineality == kernel_unit_rows(m)
             with_units += m.unit_rank > 0
-            lo, hi = zonotope_box(m._pointed_view.rays)
+            lo, hi = zonotope_box(reference_view(m)[0])
             if prod(b - a + 1 for a, b in zip(lo, hi)) > 5000:
                 continue  # the search oracle needs the Hilbert basis
             assert m._normality == search_normality(m), vs
@@ -196,15 +197,13 @@ def _counting(calls, name, fn):
 
 
 def test_normality_and_hilbert_basis_work_counts(monkeypatch):
-    calls = dict.fromkeys(("hnf", "smith", "quotient", "kernel_basis", "echelon"), 0)
+    calls = dict.fromkeys(("hnf", "smith", "quotient", "kernel_basis"), 0)
     monkeypatch.setattr(exact_linalg, "hnf", _counting(calls, "hnf", exact_linalg.hnf))
-    # the Hermite form of the facet forms that the sweeps of every
-    # dimension run in, counted apart from the lattice's
-    monkeypatch.setattr(monoid, "hnf", _counting(calls, "echelon", monoid.hnf))
     # the Smith kernel behind every Smith form
     monkeypatch.setattr(exact_linalg, "_smith", _counting(calls, "smith", exact_linalg._smith))
-    monkeypatch.setattr(monoid, "_quotient_transform",
-                        _counting(calls, "quotient", monoid._quotient_transform))
+    # the one Hermite form of the pointed view, counted apart from the
+    # lattice's: the quotient of the facet matrix the sweeps run in
+    monkeypatch.setattr(monoid, "_quotient", _counting(calls, "quotient", monoid._quotient))
     monkeypatch.setattr(monoid, "kernel_basis",
                         _counting(calls, "kernel_basis", monoid.kernel_basis))
     # a generator presentation is judged without a kernel and without a
@@ -212,22 +211,21 @@ def test_normality_and_hilbert_basis_work_counts(monkeypatch):
     for gens in presentation_corpus(449, 60):
         normalize_presentation(gens).is_normal
     assert calls["smith"] == 0 < calls["quotient"] and calls["kernel_basis"] == 0
-    # a full-rank pointed cone: L = Z^r needs no Hermite form, and the
-    # units come from the cone
+    # a full-rank pointed cone: L = Z^r needs no Hermite form, the units
+    # come from the cone, and the view takes its one
     for d, rays in random_pointed_cones(12, 4, 3, seed=457):
-        calls["hnf"] = calls["echelon"] = 0
+        calls["hnf"] = calls["quotient"] = 0
         hilbert_basis(monoid_from_cone_rays(rays))
-        assert calls["hnf"] == 0
-        assert calls["echelon"] == (d >= 1)
+        assert calls["hnf"] == calls["quotient"] == 1
     # the same cones in a sublattice of Z^(r+1): two kernels, each one
     # Hermite form and one for its canonical basis, saturate the span
     rng = random.Random(459)
     for d, rays in random_pointed_cones(12, 4, 3, seed=457):
         w = [rng.randint(-2, 2) for _ in rays[0]]
-        calls["hnf"] = calls["echelon"] = 0
+        calls["hnf"] = calls["quotient"] = 0
         hilbert_basis(monoid_from_cone_rays([r + (dot(w, r),) for r in rays]))
-        assert calls["hnf"] == 4
-        assert calls["echelon"] == (d >= 1)
+        assert calls["hnf"] == 4 + 1
+        assert calls["quotient"] == 1
 
 
 def test_cone_monoid_lattice_matches_the_hermite_route():
@@ -275,12 +273,15 @@ def test_hilbert_basis_matches_the_box_scan_oracle():
         ranks.add(m.rank)
         with_units += m.unit_rank > 0
         embedded += m.rank < m.ambient_rank
-        pointed = box_hilbert_basis(view.rays, view.forms, view.dim)
-        assert hilbert_basis(m) == tuple(sorted(view_to_ambient(m, p) for p in pointed))
-        v = view._echelon[1]
-        assert tuple(sorted(p @ v for p, _ in m._pointed_hilbert)) == pointed
-        for p, vals in m._pointed_hilbert:
-            assert vals == tuple(dot(f, p @ v) for f in view.forms)
+        ref_rays, ref_forms, dim, _, _ = reference_view(m)
+        pointed = box_hilbert_basis(ref_rays, ref_forms, dim)
+        assert hilbert_basis(m) == tuple(sorted(view_to_ambient(m, q) for q in pointed))
+        # facet values fix a point of the view, so the package's points z
+        # are the oracle's points q exactly when their values agree
+        assert sorted(vals for _, vals in m._pointed_hilbert) == sorted(
+            tuple(dot(f, q) for f in ref_forms) for q in pointed)
+        for z, vals in m._pointed_hilbert:
+            assert vals == tuple(dot(f, z) for f in view.forms)
     assert ranks >= {2, 3, 4, 5} and with_units and embedded
 
 
@@ -453,7 +454,8 @@ def test_hilbert_filter_matches_the_full_scan(monkeypatch):
         view = m._pointed_view
         got = sorted(vals for _, vals in m._pointed_hilbert)
         candidates = {vals for _, vals in swept if any(vals)}
-        candidates |= {tuple(dot(f, r) for f in view.forms) for r in view.rays}
+        ref_rays, ref_forms = reference_view(m)[:2]
+        candidates |= {tuple(dot(f, r) for f in ref_forms) for r in ref_rays}
         assert got == sorted(full_scan_hilbert_filter(candidates)), rays
         kinds[view.dim] += 1
         kinds["reducible"] += len(candidates) > len(got)
@@ -465,23 +467,38 @@ def test_hilbert_basis_meets_the_caratheodory_caps():
     within S_f - 1 on every facet form f, and the bound is met.  Every
     S_f is at least 1, and a view of positive dimension has rays: a
     facet form of a pointed full-dimensional cone is positive on some
-    extreme ray."""
+    extreme ray.  The view's rays, kept as facet values, are those of
+    the primitive rays of the reference's own quotient."""
     ranks, with_units, tight = set(), 0, 0
     for rays in caratheodory_corpus(461):
         m = monoid_from_cone_rays(rays)
         view = m._pointed_view
-        assert all(s >= 1 for s in view.ray_sums) and bool(view.rays) == (view.dim > 0), view
-        lo, hi = zonotope_box(view.rays)
+        ref_rays, ref_forms, dim, _, _ = reference_view(m)
+        assert all(s >= 1 for s in view.ray_sums) and bool(view._rays) == (view.dim > 0), view
+        assert sorted(view._rays) == sorted(tuple(dot(f, r) for f in ref_forms) for r in ref_rays)
+        lo, hi = zonotope_box(ref_rays)
         if prod(b - a + 1 for a, b in zip(lo, hi)) > 4000:
             continue  # beyond the box oracle's reach
         caps = view._caps((0,) * len(view.forms))
-        for p in box_hilbert_basis(view.rays, view.forms, view.dim):
-            vals = tuple(dot(f, p) for f in view.forms)
-            assert p in view.rays or all(map(operator.le, vals, caps)), (view, p)
-            tight += p not in view.rays and any(map(operator.eq, vals, caps))
+        for p in box_hilbert_basis(ref_rays, ref_forms, dim):
+            vals = tuple(dot(f, p) for f in ref_forms)
+            assert p in ref_rays or all(map(operator.le, vals, caps)), (view, p)
+            tight += p not in ref_rays and any(map(operator.eq, vals, caps))
         ranks.add(m.rank)
         with_units += m.unit_rank > 0
     assert ranks == {2, 3, 4} and with_units > 20 and tight > 30
+
+
+def test_view_rays_are_primitive_classes_modulo_units():
+    """On x >= y, with the units (1, 1), the cone keeps the generator
+    (1, -1), twice its class: the view solves its z and divides by the
+    gcd, so its one ray has facet value 1, S_f is 1, and the Hilbert
+    basis is the class's reduced representative."""
+    m = monoid_from_cone_rays([(1, 1), (-1, -1), (1, -1)])
+    view = m._pointed_view
+    assert m.cone.rays == ((1, -1),) and m.unit_basis() == ((1, 1),)
+    assert view._rays == ((1,),) and view.ray_sums == (1,)
+    assert hilbert_basis(m) == ((0, -1),)
 
 
 def capped_region_by_vertices(forms, heights, caps):
@@ -501,7 +518,7 @@ def _pivot_counts(view, heights, caps):
     """n_i per row i of the echelon form: how many values coordinate i
     of a capped sweep can take once coordinates 0..i-1 are fixed."""
     counts = []
-    for row in view._echelon[0]:
+    for row in view.hermite:
         p = next(j for j, c in enumerate(row) if c)
         counts.append(max((caps[p] - heights[p]) // row[p] + 1, 0))
     return counts
@@ -518,10 +535,11 @@ def capped_sweep(view, heights, caps, counts):
 
 
 def test_echelon_frames_sweep_exactly_the_capped_region():
-    """In every dimension, a sweep in the frame of ``_sweep``, mapped
-    back by V, visits every point of the capped region once, with its
-    facet values, whatever the zonotope box: at the Hilbert basis caps
-    and at random heights and caps.  The y' it sweeps stay in
+    """In every dimension, a sweep in the frame of ``_sweep`` visits
+    every point z of the capped region once, with its facet values
+    z @ H, whatever the zonotope box: the values it yields are those of
+    the region's points in the reference's own quotient, at the Hilbert
+    basis caps and at random heights and caps.  The z it sweeps stay in
     lexicographic order, and the pivot forms bound its work: at most
     n_0 * ... * n_i prefixes of length i + 1 (``_pivot_counts``)."""
     rng = random.Random(473)
@@ -532,7 +550,8 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
         s = len(view.forms)
         if view.dim == 0 or comb(2 * s, view.dim) > 300:
             continue  # nothing to sweep, or too many vertex candidates for the oracle
-        lo, hi = zonotope_box(view.rays)
+        ref_rays, ref_forms = reference_view(m)[:2]
+        lo, hi = zonotope_box(ref_rays)
         random_heights = [rng.randint(-2, 1) for _ in range(s)]
         cases = [((0,) * s, view._caps((0,) * s)),
                  (random_heights, [h + rng.randint(0, 4) for h in random_heights])]
@@ -540,11 +559,11 @@ def test_echelon_frames_sweep_exactly_the_capped_region():
             counts = collections.defaultdict(lambda: [0, 0])  # points, entries
             swept = list(capped_sweep(view, heights, caps, counts))
             assert [pt for pt, _ in swept] == sorted(pt for pt, _ in swept)
-            back = [(pt @ view._echelon[1], vals) for pt, vals in swept]
-            for y, vals in back:
-                assert vals == tuple(dot(f, y) for f in view.forms)
-            want = capped_region_by_vertices(view.forms, heights, caps)
-            assert sorted(y for y, _ in back) == want, (rays, heights, caps)
+            for z, vals in swept:
+                assert vals == tuple(dot(f, z) for f in view.forms)
+            want = capped_region_by_vertices(ref_forms, heights, caps)
+            assert sorted(vals for _, vals in swept) == sorted(
+                tuple(dot(f, q) for f in ref_forms) for q in want), (rays, heights, caps)
             n = _pivot_counts(view, heights, caps)
             bound = 1 + sum(prod(n[: i + 1]) for i in range(view.dim - 1))
             points, entries = counts["capped_sweep", view.dim]
@@ -578,13 +597,14 @@ def test_echelon_sweep_guard_counts_the_pivot_values(monkeypatch):
         view._sweep(zeros)
     # the last pivot form capped below its height empties the region,
     # yet the prefixes before it still count
-    assert view._echelon[0][2][:2] == (0, 0)
+    assert view.hermite[2][:2] == (0, 0)
     with pytest.raises(EnumerationLimitError, match="echelon sweep has %d points" % count):
         capped_sweep(view, zeros, caps[:2] + (-1,), collections.defaultdict(lambda: [0, 0]))
     for rays in caratheodory_corpus(463):
-        view = monoid_from_cone_rays(rays)._pointed_view
+        m = monoid_from_cone_rays(rays)
+        view = m._pointed_view
         caps = view._caps((0,) * len(view.forms))
-        box = prod(b - a + 1 for a, b in zip(*zonotope_box(view.rays)))
+        box = prod(b - a + 1 for a, b in zip(*zonotope_box(reference_view(m)[0])))
         if view.dim >= 3 and prod(_pivot_counts(view, (0,) * len(caps), caps)) > box:
             break
     else:

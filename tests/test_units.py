@@ -8,20 +8,22 @@ lattice, so its entries at the pivots lie in [0, pivot) and no answer
 depends on which unimodular basis change the unit quotient picks.
 
 The pin hashes every monoid command's answer on ``unit_cone_corpus``,
-and both cone conversions on ``degenerate_cone_corpus``.  The Smith
-route of the unit quotient, kept as ``references.smith_quotient_transform``,
-must give the same answers.
+and both cone conversions on ``degenerate_cone_corpus``.  The xgcd
+Hermite form of the references, whose transform differs on part of the
+corpus, must give the same answers when every quotient reads it.
 """
 
 import collections
 import hashlib
 import json
+import random
 
-from monograde import cli, cone, monoid
+from monograde import cli, cone, exact_linalg
 from monograde.cone import facets_of_rays, rays_of_facets
+from monograde.divisorial import divisorial_ideal, same_class
 from monograde.monoid import monoid_from_cone_rays
 from corpora import degenerate_cone_corpus, unit_cone_corpus
-from references import smith_quotient_transform
+from references import reference_hnf
 
 UNIT_CONES = unit_cone_corpus(467, 60)
 
@@ -64,11 +66,37 @@ def test_answers_modulo_units_are_pinned():
     assert _digest(unit_answers()) == PINNED
 
 
-def test_the_smith_quotient_gives_the_same_answers(monkeypatch):
-    """The unit quotient's P from the two-sided Smith form, patched into
-    both modules that take it, changes no answer on the pin's corpus."""
-    hermite = unit_answers()
-    monkeypatch.setattr(cone, "_quotient_transform", smith_quotient_transform)
-    monkeypatch.setattr(monoid, "_quotient_transform", smith_quotient_transform)
-    cone._facets_of_generators.cache_clear()  # conversions the Hermite route memoized
-    assert unit_answers() == hermite
+def shift_witnesses():
+    """``same_class`` on each cone of ``UNIT_CONES``: from random heights
+    to the heights shifted by the facet values of a random point of L,
+    and to those heights plus one on the first facet, if there is one."""
+    rng = random.Random(491)
+    out = []
+    for rays in UNIT_CONES:
+        m = monoid_from_cone_rays(rays)
+        s = len(m.facet_forms)
+        a = divisorial_ideal(m, [rng.randint(-2, 2) for _ in range(s)])
+        g = [rng.randint(-3, 3) for _ in range(m.rank)]
+        shifted = [h + v for h, v in zip(a.heights, m._facet_values_local(g))]
+        out.append(same_class(a, divisorial_ideal(m, shifted)))
+        out.append(same_class(a, divisorial_ideal(m, [h + 1 for h in shifted[:1]] + shifted[1:])))
+    return out
+
+
+def test_the_reference_hermite_transform_gives_the_same_answers(monkeypatch):
+    """Every quotient reads one Hermite form, ``exact_linalg._quotient``.
+    With ``references.reference_hnf`` in place of its ``hnf``, another
+    valid transform U, the sections W of 39 of the 86 pointed views
+    change, and no answer does: the Hilbert bases and unit bases, the
+    canonical generators, the Gorenstein certificates, the normality
+    witnesses, the class groups, the cone conversions and the shift
+    witnesses."""
+    answers = unit_answers() + shift_witnesses()
+    assert any(shift_witnesses())
+    sections = [monoid_from_cone_rays(rays)._pointed_view.section for rays in UNIT_CONES]
+    monkeypatch.setattr(exact_linalg, "hnf", reference_hnf)
+    cone._facets_of_generators.cache_clear()  # conversions the package's route memoized
+    changed = [monoid_from_cone_rays(rays)._pointed_view.section != w
+               for rays, w in zip(UNIT_CONES, sections)]
+    assert sum(changed) == 39 and len(changed) == 86
+    assert unit_answers() + shift_witnesses() == answers
