@@ -3,9 +3,9 @@ multigraded polynomial ideals.
 
 The package computes, over arbitrary-precision integers and rationals:
 
-* fraction-free ranks, unimodular inverses and rational solves, Hermite
-  normal forms for lattice bases, integer kernels and integer solves,
-  and Smith forms for elementary divisors (``exact_linalg``);
+* fraction-free ranks and rational solves, Hermite normal forms for
+  lattice bases, integer kernels and integer solves, and Smith forms
+  for elementary divisors (``exact_linalg``);
 * polyhedral cone duality by the double description method (``cone``);
 * affine monoid normalization, Hilbert bases, normality witnesses and
   unit groups (``monoid``);
@@ -40,9 +40,7 @@ from .exact_linalg import (
     elementary_divisors,
     hnf,
     kernel_basis,
-    primitive,
     rank,
-    unimodular_inverse,
 )
 from .groebner import (
     IdealPresentation,

@@ -94,7 +94,7 @@ def _start_cone(a) -> tuple[list[int], list[Vec]]:
     ``base[k]``, where it takes the value e.  So sgn(e) times it is the
     start ray opposite ``base[k]``.  The rows are int lists the
     elimination just built, so each is divided by its gcd, signed as e,
-    without the input checks of ``primitive``.
+    with no input check.
     """
     t, base, e = _eliminate(a, a.shape[1])
     start = []

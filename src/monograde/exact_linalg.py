@@ -1,8 +1,7 @@
 """Exact integer linear algebra on Python integers.
 
-Rational questions (rank, inverses of unimodular matrices, and the
-solves and start cones of ``cone`` and ``divisorial``) all run on one
-fraction-free Gauss-Jordan kernel,
+Rational questions (rank, and the solves and start cones of ``cone``
+and ``divisorial``) all run on one fraction-free Gauss-Jordan kernel,
 ``_eliminate``, which never leaves the integers.  Lattice questions
 need a unimodular transform, and the Hermite form serves them all:
 lattice bases, kernels and quotients (``_quotient``), and integer
@@ -22,13 +21,12 @@ Each kernel carries only what its callers read.  ``_eliminate`` takes
 vectors in Z^d as the columns of a matrix and carries only the d x d
 row transform T: a vector's column is formed as T @ v when the loop
 reaches it, and the loop stops at the d-th pivot.  Its callers read T:
-the start cone is its rows, an inverse is T itself up to sign, and a
-vertex is T applied to the right-hand side.  The Hermite and Smith
-kernels reduce by one step, Euclid's: ``_clear_column`` subtracts
-multiples of the least nonzero entry of a column from the rows below
-until one row alone is left nonzero there.  ``hnf`` runs it on the rows
-of ``[A | I]``, pivots in the first columns, so its row transform rides
-along.  The Smith kernel ``_smith`` carries no transform: it reduces
+the start cone is its rows, and a vertex is T applied to the
+right-hand side.  The Hermite and Smith kernels reduce by one step,
+Euclid's: ``_clear_column`` subtracts multiples of the least nonzero
+entry of a column from the rows below until one row alone is left
+nonzero there.  ``hnf`` runs it on the rows of ``[A | I]``, pivots in
+the first columns, so its row transform rides along.  The Smith kernel ``_smith`` carries no transform: it reduces
 the rows it is handed to a diagonal and stops there, and
 ``elementary_divisors``, its one caller, hands it the bare matrix, or
 its transpose when that has fewer rows, and chains the diagonal by gcd
@@ -418,17 +416,6 @@ def elementary_divisors(a) -> tuple[int, ...]:
     return tuple(d)
 
 
-def primitive(v) -> Vec:
-    """Divide a nonzero integer vector by the gcd of its entries."""
-    w = as_tuple(v)
-    g = math.gcd(*w)
-    if g == 1:
-        return w
-    if g == 0:
-        raise ValueError("the zero vector has no primitive representative")
-    return tuple(x // g for x in w)
-
-
 def _quotient(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(H, W, K) off the row Hermite form H' = U @ A.T of an s x d
     IntMatrix A: the k nonzero rows of H', W = U[:k] and K = U[k:].  K is
@@ -468,21 +455,3 @@ def _divmod(basis, v) -> tuple[Vec, Vec]:
         if q:
             rest = tuple([a - q * b for a, b in zip(rest, row)])
     return tuple(x), rest
-
-
-def unimodular_inverse(m) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, exactly.
-
-    Elimination of the columns of M gives T with T @ M = d*I, and M is
-    unimodular exactly when it has full rank and d is +1 or -1; then
-    M^-1 = d*T.
-    """
-    m = _as_matrix(m)
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise ValueError("matrix is not square")
-    t, pivots, d = _eliminate(m.T, n)
-    if len(pivots) < n or abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix._of((tuple(d * x for x in row) for row in t), n)
-

@@ -67,7 +67,6 @@ from .exact_linalg import (
     EnumerationLimitError,
     IntMatrix,
     Vec,
-    _as_count,
     _as_vector,
     _as_vectors,
     _divmod,
@@ -261,32 +260,28 @@ def _echelon_box(h, heights, caps) -> tuple[list[int], list[int]]:
 class AffineMonoid:
     """M = C cap L, with the presentation that produced it.
 
-    Use :func:`normalize_presentation` for a monoid given by generators
-    (which may fail to be normal) or :func:`monoid_from_cone_rays` for
-    the monoid of all lattice points of a cone (normal by definition).
+    A monoid is built only by :func:`normalize_presentation`, for a
+    monoid given by generators (which may fail to be normal), or by
+    :func:`monoid_from_cone_rays`, for the monoid of all lattice points
+    of a cone (normal by definition).  Both hold L in its Hermite
+    basis, and only the cone's monoid skips the normality check.
     """
 
-    def __init__(self, ambient_rank, generators, lattice_basis, local_generators,
-                 assume_normal):
-        self.ambient_rank = _as_count(ambient_rank, 0, "ambient rank must be nonnegative")
-        self.generators = _as_vectors(generators, "generators")
-        self.lattice_basis = lattice_basis  # (d, r) rows, canonical Hermite basis
-        self.local_generators = _as_vectors(local_generators, "local generators")
-        if self.generators and len(self.generators[0]) != self.ambient_rank:
-            raise ValueError("generators do not match the ambient rank")
-        if self.local_generators and len(self.local_generators[0]) != len(lattice_basis):
-            raise ValueError("local generators do not match the lattice basis")
-        self._assume_normal = bool(assume_normal)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("an AffineMonoid is built by normalize_presentation or "
+                        "monoid_from_cone_rays")
 
     @classmethod
     def _of(cls, ambient_rank: int, generators, lattice_basis, local_generators,
             assume_normal: bool) -> AffineMonoid:
-        """The monoid of int-tuple vectors that a factory has read, taken
-        as read: nothing is checked or read again."""
+        """The one constructor, which only the two factories call: the
+        monoid of int-tuple vectors a factory has read, taken as read,
+        with L in its Hermite basis, and normal without a check when
+        ``assume_normal`` (the monoid of a cone's lattice points)."""
         self = cls.__new__(cls)
         self.ambient_rank = ambient_rank
         self.generators = generators
-        self.lattice_basis = lattice_basis
+        self.lattice_basis = lattice_basis  # (d, r) rows, canonical Hermite basis
         self.local_generators = local_generators
         self._assume_normal = assume_normal
         return self
@@ -623,9 +618,12 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
 
     L is the saturated lattice span(rays) cap Z^r, so the result is
     normal by definition whatever the rays generate.  One elimination
-    of the rays as read here gives their rank, with no second reading;
-    only a lower-rank span needs the two kernels that saturate it.  The
-    monoid takes the rays as read here (``AffineMonoid._of``).
+    of the rays as read here gives their rank, with no second reading.
+    Only a lower-rank span needs a saturation: the kernel rows K of the
+    quotient by the rays (``_quotient``) span their orthogonal
+    complement, as [W; K] is unimodular, and the kernel basis of K is
+    the Hermite basis of L.  The monoid takes the rays as read here
+    (``AffineMonoid._of``).
     """
     rs = _as_vectors(rays, "rays")
     if not rs:
@@ -637,8 +635,7 @@ def monoid_from_cone_rays(rays) -> AffineMonoid:
     if len(_eliminate(rs, r)[1]) == r:
         # L = Z^r: its Hermite basis is the identity, and the rays are local already
         return AffineMonoid._of(r, rs, IntMatrix._of(map(tuple, _identity(r)), r), rs, True)
-    orth = kernel_basis(IntMatrix._of(rs, r))
-    basis = kernel_basis(orth)
+    basis = kernel_basis(_quotient(IntMatrix._of(rs, r))[2])
     local = tuple(_divmod(basis, v)[0] for v in rs)
     return AffineMonoid._of(r, rs, basis, local, True)
 

@@ -34,12 +34,11 @@ from monograde.exact_linalg import (
     _as_matrix,
     _divmod,
     _dot,
+    _eliminate,
     elementary_divisors,
     kernel_basis,
-    primitive,
     rank,
     row_lattice_basis,
-    unimodular_inverse,
 )
 from monograde.monoid import _guard_box
 from monograde.multigraded import NotPrimeError, PrimeAnalysis
@@ -1039,7 +1038,7 @@ def reference_view(m):
         eye = IntMatrix([[int(i == j) for j in range(d)] for i in range(d)], d)
         return m.cone.rays, m.facet_forms, d, eye, ()
     p, lift = smith_quotient_transform(m.cone.lineality)
-    rays = sorted({primitive((p @ r)[u:]) for r in m.cone.rays})
+    rays = sorted({make_primitive((p @ r)[u:]) for r in m.cone.rays})
     units, _ = reference_hnf([m.to_ambient(row) for row in m.cone.lineality])
     return tuple(rays), tuple(m.facet_matrix @ lift), d - u, lift, units
 
@@ -1367,6 +1366,24 @@ def search_normality(m):
 # -- slow paths kept as references for cone ----------------------------
 
 
+def unimodular_inverse(m) -> IntMatrix:
+    """Inverse of a unimodular integer matrix, exactly: the lift of
+    :func:`smith_quotient_transform`, which no package route reads.
+
+    Elimination of the columns of M gives T with T @ M = d*I, and M is
+    unimodular exactly when it has full rank and d is +1 or -1; then
+    M^-1 = d*T.
+    """
+    m = _as_matrix(m)
+    n = m.shape[0]
+    if m.shape[1] != n:
+        raise ValueError("matrix is not square")
+    t, pivots, d = _eliminate(m.T, n)
+    if len(pivots) < n or abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix._of((tuple(d * x for x in row) for row in t), n)
+
+
 def smith_quotient_transform(lin_rows):
     """The quotient by the saturated lattice spanned by ``lin_rows`` by
     the route the package took before it read its quotients off one
@@ -1428,7 +1445,7 @@ def containment_extreme_rays(a, d, base, start):
     rows, _, e = eager_eliminate(aug, d)
     sgn = 1 if e > 0 else -1
     inserted = sum(1 << i for i in base)
-    masks = {primitive([sgn * row[d + j] for row in rows]): inserted ^ (1 << i)
+    masks = {make_primitive([sgn * row[d + j] for row in rows]): inserted ^ (1 << i)
              for j, i in enumerate(base)}
     for i, row in enumerate(a):
         bit = 1 << i
@@ -1446,7 +1463,7 @@ def containment_extreme_rays(a, d, base, start):
                         m & common == common and r != rp and r != rn for r, m in masks.items()):
                     continue
                 vn = vals[rn]
-                fresh[primitive([vp * y - vn * x for x, y in zip(rp, rn)])] = common | bit
+                fresh[make_primitive([vp * y - vn * x for x, y in zip(rp, rn)])] = common | bit
         masks = fresh
         inserted |= bit
     return masks

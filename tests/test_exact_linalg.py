@@ -16,20 +16,19 @@ from monograde.exact_linalg import (
     elementary_divisors,
     hnf,
     kernel_basis,
-    primitive,
     rank,
     row_lattice_basis,
-    unimodular_inverse,
 )
 from monograde.cone import (
     _clean_vectors,
+    _primitive_set,
     facets_of_rays,
     membership,
     rays_of_facets,
 )
 from monograde.divisorial import DivisorialIdeal, class_group, divisorial_ideal, members
 from monograde.groebner import Polynomial, TermOrder
-from monograde.monoid import AffineMonoid, monoid_from_cone_rays, normalize_presentation
+from monograde.monoid import monoid_from_cone_rays, normalize_presentation
 from monograde.multigraded import GradedRingSpec
 from corpora import benchmark_rank_cones, cone_corpus, degenerate_cone_corpus
 from oracles import det_int, frac_rref, minor_gcd_factors
@@ -39,6 +38,7 @@ from references import (
     reference_snf,
     smith_quotient_transform,
     smith_solve,
+    unimodular_inverse,
 )
 
 
@@ -106,15 +106,13 @@ COUNT_READERS = [
     (lambda x: _as_budget(x).remaining, 1, "budget must be positive"),
     (lambda x: TermOrder("grevlex", x).nvars, 0, "number of variables must be nonnegative"),
     (lambda x: Polynomial(x).nvars, 0, "number of variables must be nonnegative"),
-    (lambda x: AffineMonoid(x, (), (), (), True).ambient_rank, 0,
-     "ambient rank must be nonnegative"),
     (lambda x: IntMatrix([], width=x).shape, 0, "width must be nonnegative"),
 ]
 
 
 @pytest.mark.parametrize("reader, floor, message", COUNT_READERS,
                          ids=["cone-width", "members-box", "budget", "order-nvars",
-                              "polynomial-nvars", "monoid-rank", "matrix-width"])
+                              "polynomial-nvars", "matrix-width"])
 def test_counts_are_read_alike(reader, floor, message):
     # repr tells 2.0 from 2, also inside the members' tuples
     assert repr(reader(2.0)) == repr(reader(2))
@@ -132,11 +130,6 @@ def test_counts_are_read_alike(reader, floor, message):
 
 EYE = IntMatrix([(1, 0), (0, 1)])
 QUAD = QUAD_IDEAL.monoid
-
-
-def _monoid_vectors(gens, local):
-    m = AffineMonoid(2, gens, EYE, local, True)
-    return m.generators, m.local_generators
 
 
 # every integer vector and vector list the package reads: (reader of a
@@ -165,11 +158,6 @@ VECTOR_READERS = [
      lambda: monoid_from_cone_rays([(1, 0), (1,)]), "rays have inconsistent lengths"),
     (lambda x: GradedRingSpec(((x, 1), (0, 1))).degrees,
      lambda: GradedRingSpec(((1, 0), (1,))), "degrees have inconsistent lengths"),
-    (lambda x: _monoid_vectors([(x, 1)], [(1, 0)]),
-     lambda: _monoid_vectors([(1, 0), (1,)], [(1, 0)]), "generators have inconsistent lengths"),
-    (lambda x: _monoid_vectors([(1, 0)], [(x, 1)]),
-     lambda: _monoid_vectors([(1, 0)], [(1, 0), (1,)]),
-     "local generators have inconsistent lengths"),
 ]
 
 
@@ -177,7 +165,7 @@ VECTOR_READERS = [
                          ids=["matmul", "rmatmul", "to-local",
                               "membership", "ideal-heights", "class-heights", "matrix-rows",
                               "rank-rows", "cone-vectors", "presentation", "cone-rays",
-                              "grading", "monoid-generators", "monoid-local-generators"])
+                              "grading"])
 def test_vectors_are_read_alike(reader, misshapen, message):
     # repr tells 2.0 from 2, also inside tuples
     assert repr(reader(2.0)) == repr(reader(2))
@@ -191,20 +179,15 @@ def test_vectors_are_read_alike(reader, misshapen, message):
 
 def test_monoid_vectors_must_match_the_ranks_they_live_in():
     # generators live in the ambient lattice and local generators in the
-    # coordinates of the lattice basis; a mismatch is refused when the
-    # monoid is built, not later in a membership test
-    with pytest.raises(ValueError) as err:
-        AffineMonoid(3, [(1, 0)], EYE, [(1, 0)], True)
-    assert str(err.value) == "generators do not match the ambient rank"
-    with pytest.raises(ValueError) as err:
-        AffineMonoid(2, [(1, 0)], EYE, [(1, 0, 5)], True)
-    assert str(err.value) == "local generators do not match the lattice basis"
-    with pytest.raises(ValueError) as err:
-        AffineMonoid(3, [(1, 0)], EYE, [(1, 0, 5)], True)
-    assert str(err.value) == "generators do not match the ambient rank"
-    m = AffineMonoid(3, [(1, 0, 0)], IntMatrix([(1, 0, 0), (0, 1, 0)]), [(1, 0)], True)
-    assert (m.ambient_rank, m.rank, m.generators, m.local_generators) \
-        == (3, 2, ((1, 0, 0),), ((1, 0),))
+    # coordinates of the lattice basis; both factories take the two ranks
+    # from the vectors they read, so they always match, and a ragged
+    # list is refused when the monoid is built
+    for build in (normalize_presentation, monoid_from_cone_rays):
+        m = build([(1, 0, 0), (1, 1, 0)])
+        assert (m.ambient_rank, m.rank, m.generators, m.local_generators) \
+            == (3, 2, ((1, 0, 0), (1, 1, 0)), ((1, 0), (1, 1)))
+        with pytest.raises(ValueError, match="have inconsistent lengths$"):
+            build([(1, 0, 0), (1, 0)])
 
 
 def test_vectors_with_infinite_or_nan_entries_raise_value_error():
@@ -547,11 +530,12 @@ def test_cokernel_column_order_invariant():
 
 
 def test_primitive():
-    assert primitive((4, -6)) == (2, -3)
-    assert primitive((-2, -4)) == (-1, -2)
-    assert primitive((0, 5, 0)) == (0, 1, 0)
-    with pytest.raises(ValueError):
-        primitive((0, 0))
+    # the package's one division of int-tuple vectors by their gcd: the
+    # cone's memo key drops the zero vector and keeps each form once
+    assert _primitive_set([(4, -6)]) == ((2, -3),)
+    assert _primitive_set([(-2, -4)]) == ((-1, -2),)
+    assert _primitive_set([(0, 5, 0)]) == ((0, 1, 0),)
+    assert _primitive_set([(0, 0), (2, 4), (1, 2), (-3, 0)]) == ((-1, 0), (1, 2))
 
 
 def test_kernel_basis_is_saturated():
@@ -724,6 +708,7 @@ def test_transform_kernel_matches_the_eager_elimination():
 
 
 def test_unimodular_inverse():
+    # the references' inverse, the lift of their Smith quotient route
     inv = unimodular_inverse(IntMatrix([[2, 1], [1, 1]]))
     assert inv == ((1, -1), (-1, 2))
     with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ replaced; the region sweep against a filtered box product; everything
 else against frozen values.
 """
 
+import ast
 import collections
 import itertools
 import operator
+import os
 import random
 from math import ceil, comb, floor, prod
 
@@ -16,7 +18,9 @@ import pytest
 
 import sweepcounts
 from monograde import exact_linalg, monoid
+from monograde.exact_linalg import IntMatrix
 from monograde.monoid import (
+    AffineMonoid,
     EnumerationLimitError,
     NonNormalError,
     hilbert_basis,
@@ -57,6 +61,54 @@ def test_numerical_monoid_2_3_is_not_normal():
     assert info.value.witness == (1,)
     with pytest.raises(NonNormalError):
         hilbert_basis(m)
+
+
+def test_a_monoid_is_built_only_by_the_two_factories():
+    """One way in: ``AffineMonoid(...)`` raises TypeError naming both
+    factories, and under ``src/monograde`` only they call the private
+    constructor, so no monoid skips the normality check or holds L in
+    a basis of its own."""
+    with pytest.raises(TypeError) as info:
+        AffineMonoid(2, [(1, 0), (1, 1), (1, 3)], IntMatrix([(1, 0), (0, 1)]),
+                     [(1, 0), (1, 1), (1, 3)], True)
+    assert "normalize_presentation" in str(info.value)
+    assert "monoid_from_cone_rays" in str(info.value)
+    package = os.path.dirname(os.path.abspath(monoid.__file__))
+    callers = set()
+    for filename in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                callers.update((filename, func.name) for node in ast.walk(func)
+                               if isinstance(node, ast.Attribute) and node.attr == "_of"
+                               and isinstance(node.value, ast.Name)
+                               and node.value.id == "AffineMonoid")
+    assert callers == {("monoid.py", "normalize_presentation"),
+                       ("monoid.py", "monoid_from_cone_rays")}
+
+
+def test_generators_that_miss_a_hilbert_element_are_not_normal():
+    # the cone of (1, 0) and (1, 3) holds (1, 2), which no sum of the
+    # generators reaches: it is the witness, and only the cone's own
+    # monoid lists it
+    m = normalize_presentation([(1, 0), (1, 1), (1, 3)])
+    assert not m.is_normal and m.normality_witness == (1, 2)
+    with pytest.raises(NonNormalError) as info:
+        hilbert_basis(m)
+    assert info.value.witness == (1, 2)
+    assert hilbert_basis(monoid_from_cone_rays([(1, 0), (1, 3)])) \
+        == ((1, 0), (1, 1), (1, 2), (1, 3))
+
+
+def test_the_factories_hold_the_lattice_in_its_hermite_basis():
+    """Membership and local coordinates solve in an echelon basis
+    (``exact_linalg._divmod``), so both factories hold L in its Hermite
+    basis: on the span of (1, 2) and (1, 1), (0, 1) = (1, 2) - (1, 1)
+    is a point of L and (2, 3), their sum, a member."""
+    for m in (normalize_presentation([(1, 2), (1, 1)]), monoid_from_cone_rays([(1, 2), (1, 1)])):
+        assert m.lattice_basis == ((1, 0), (0, 1))
+        assert m.to_local((0, 1)) == (0, 1) and m.contains((2, 3))
 
 
 def test_saturation_membership_vs_presentation_membership():
@@ -217,15 +269,17 @@ def test_normality_and_hilbert_basis_work_counts(monkeypatch):
         calls["hnf"] = calls["quotient"] = 0
         hilbert_basis(monoid_from_cone_rays(rays))
         assert calls["hnf"] == calls["quotient"] == 1
-    # the same cones in a sublattice of Z^(r+1): two kernels, each one
-    # Hermite form and one for its canonical basis, saturate the span
+    # the same cones in a sublattice of Z^(r+1): the quotient by the
+    # rays, one Hermite form, and the kernel basis of its kernel rows,
+    # one and one for its canonical basis, saturate the span; the view
+    # takes the fourth
     rng = random.Random(459)
     for d, rays in random_pointed_cones(12, 4, 3, seed=457):
         w = [rng.randint(-2, 2) for _ in rays[0]]
         calls["hnf"] = calls["quotient"] = 0
         hilbert_basis(monoid_from_cone_rays([r + (dot(w, r),) for r in rays]))
-        assert calls["hnf"] == 4 + 1
-        assert calls["quotient"] == 1
+        assert calls["hnf"] == 3 + 1
+        assert calls["quotient"] == 1 + 1
 
 
 def test_cone_monoid_lattice_matches_the_hermite_route():
